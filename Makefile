@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test short race bench fuzz benchdiff ci
+.PHONY: all build vet fmt test short race bench bench-smoke fuzz benchdiff ci
 
 all: build
 
@@ -37,9 +37,18 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-## fuzz: differential fuzz of the Montgomery limb core vs big.Int (15s, as in CI)
+## bench-smoke: the frozen repository benchmark (bench/) still compiles against the product and runs clean
+# on both store paths — untraced (native commit), traced (its decorator forces the chain); a failed op or
+# a correctness violation exits non-zero
+bench-smoke:
+	$(GO) vet ./bench
+	$(GO) run ./bench -workload cloud_routed -seconds 3 -trace 0
+	$(GO) run ./bench -workload cloud_routed -seconds 3 -trace 1
+
+## fuzz: the 15s smokes CI runs — Montgomery limb core vs big.Int, and the /v1/commit request decoder
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMontFieldVsBigInt$$' -fuzztime=15s ./internal/ff
+	$(GO) test -run='^$$' -fuzz='^FuzzCommitRequest$$' -fuzztime=15s ./internal/storage
 
 ## benchdiff: measure the gated scenarios fresh and compare against the committed baselines
 benchdiff:

@@ -36,13 +36,13 @@ type Admin struct {
 	// future work; see core.OpLog).
 	log *core.OpLog
 
-	// cas switches the apply path to optimistic concurrency (PutIf): every
-	// record write is conditional on the group directory version this admin
+	// cas switches the apply path to optimistic concurrency: every update is
+	// a storage.Commit conditional on the group directory version this admin
 	// last observed, so two administrators racing the same group cannot
 	// interleave records from different group keys. See EnableCAS.
 	cas bool
 	// fence, when set, supplies the cluster membership epoch stamped on
-	// every conditional write (storage.PutFenced): the store rejects writes
+	// every conditional write (commit or PutFenced): the store rejects writes
 	// from an admin operating under a superseded membership with ErrFenced —
 	// terminal, never retried. See SetFence.
 	fence func() uint64
@@ -104,13 +104,20 @@ func (a *Admin) EnableCAS() { a.cas = true }
 // disables fencing for that write (plain PutIf).
 func (a *Admin) SetFence(epoch func() uint64) { a.fence = epoch }
 
+// fenceEpoch returns the membership epoch to stamp on a conditional write,
+// 0 (no fence carried) when none is installed.
+func (a *Admin) fenceEpoch() uint64 {
+	if a.fence == nil {
+		return 0
+	}
+	return a.fence()
+}
+
 // condPut issues one conditional write, fenced by the current membership
 // epoch when a fence is installed.
 func (a *Admin) condPut(ctx context.Context, dir, name string, data []byte, ifVersion uint64) error {
-	if a.fence != nil {
-		if e := a.fence(); e > 0 {
-			return a.store.PutFenced(ctx, dir, name, data, ifVersion, e)
-		}
+	if e := a.fenceEpoch(); e > 0 {
+		return a.store.PutFenced(ctx, dir, name, data, ifVersion, e)
 	}
 	return a.store.PutIf(ctx, dir, name, data, ifVersion)
 }
@@ -401,86 +408,79 @@ func (a *Admin) apply(ctx context.Context, up *core.Update) error {
 	return nil
 }
 
-// applyCAS pushes an update with every write conditional on the directory
-// version advancing exactly as this admin expects. The first conditional
-// write is the race arbiter: if another administrator wrote the directory
-// since this admin last synchronised, it fails with ErrVersionConflict
-// before anything is written, and mutate refreshes + retries. Writes go
-// records → deletes → sealed group key (prefixed by an extra sealed-key
-// guard write when the update has deletes but no record writes): a
-// conditional write always precedes the unconditional deletes, so a stale
-// admin conflicts before destroying anything, and the sealed-key write
-// comes LAST, so a peer restoring from any mid-apply snapshot read a
-// version that at least one remaining conditional write still advances
-// past — its own first conditional write then conflicts instead of
-// committing on the torn snapshot.
+// applyCAS pushes an update as one storage.Commit conditional on the
+// directory version this admin tracks and fenced by its membership epoch: on
+// a store with a native Commit that is one round trip and all-or-nothing —
+// a stale admin conflicts, a zombie is fenced, and in both cases nothing was
+// written. Objects go records (sorted) → deletes → member index → sealed
+// group key, the order the chain fallback (a store without native Commit)
+// needs: its first conditional write is the race arbiter, and the sealed key
+// comes LAST, so a peer restoring from any mid-chain snapshot read a version
+// that at least one remaining conditional write still advances past — its
+// own first write then conflicts instead of committing on the torn snapshot.
+// An update larger than storage.MaxCommitPayload (a very large creation) is
+// split into consecutive commits, index and sealed key in the final one, so
+// the same arbiter covers a failure between them. Any failure invalidates
+// the tracked version: it may no longer match the directory, and the next
+// mutate re-syncs through restore.
 func (a *Admin) applyCAS(ctx context.Context, up *core.Update) error {
-	scheme := a.mgr.Scheme()
 	v, err := a.baseVersion(ctx, up.Group)
 	if err != nil {
 		return err
 	}
-	// Any failure below invalidates the tracked version: it no longer
-	// matches the directory, and the next mutate re-syncs through restore.
-	fail := func(err error) error {
+	v, err = a.commitUpdate(ctx, up, v, storage.MaxCommitPayload)
+	if err != nil {
 		a.forgetVersion(up.Group)
-		return err
+		return fmt.Errorf("admin: committing %s: %w", up.Group, err)
+	}
+	a.trackVersion(up.Group, v)
+	return nil
+}
+
+// commitUpdate commits an update on top of directory version v, at most
+// maxPayload bytes per commit, and returns the directory version it produced.
+func (a *Admin) commitUpdate(ctx context.Context, up *core.Update, v uint64, maxPayload int) (uint64, error) {
+	idxBlob, err := a.mgr.MarshalIndex(up.Group)
+	if err != nil {
+		return 0, err
 	}
 	sealed, err := a.mgr.SealedGroupKey(up.Group)
 	if err != nil {
-		return fail(err)
+		return 0, err
 	}
 	ids := make([]string, 0, len(up.Put))
 	for id := range up.Put {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	if len(ids) == 0 && len(up.Delete) > 0 {
-		// No record write to arbitrate on, but deletes are unconditional:
-		// write the sealed key up front as the guard (it is written again
-		// at the final version below), so a stale admin conflicts before
-		// destroying any object.
-		if err := a.condPut(ctx, up.Group, sealedGKObject, sealed, v); err != nil {
-			return fail(fmt.Errorf("admin: putting sealed group key: %w", err))
-		}
-		v++
-	}
+
+	scheme, epoch := a.mgr.Scheme(), a.fenceEpoch()
+	// Every commit leaves room for the two closing objects, so the final one
+	// fits whatever is still pending when the records run out.
+	budget := maxPayload - len(idxBlob) - len(sealed)
+	objs := make([]storage.Object, 0, len(ids)+len(up.Delete)+2)
+	size := 0
 	for _, id := range ids {
 		blob, err := up.Put[id].Marshal(scheme)
 		if err != nil {
-			return fail(err)
+			return 0, err
 		}
-		if err := a.condPut(ctx, up.Group, id, blob, v); err != nil {
-			return fail(fmt.Errorf("admin: putting %s/%s: %w", up.Group, id, err))
+		if size+len(blob) > budget && len(objs) > 0 {
+			if v, err = storage.Commit(ctx, a.store, up.Group, objs, v, epoch); err != nil {
+				return 0, err
+			}
+			objs, size = objs[:0], 0
 		}
-		v++
+		objs = append(objs, storage.Object{Name: id, Data: blob})
+		size += len(blob)
 	}
 	for _, id := range up.Delete {
-		err := a.store.Delete(ctx, up.Group, id)
-		if errors.Is(err, storage.ErrNotFound) {
-			continue // already gone (e.g. a prior interrupted apply); no bump
-		}
-		if err != nil {
-			return fail(fmt.Errorf("admin: deleting %s/%s: %w", up.Group, id, err))
-		}
-		v++
+		objs = append(objs, storage.Object{Name: id, Delete: true})
 	}
-	// The member index precedes the sealed key so the key keeps its place as
-	// the LAST write of every apply (the torn-snapshot arbiter above).
-	idxBlob, err := a.mgr.MarshalIndex(up.Group)
-	if err != nil {
-		return fail(err)
-	}
-	if err := a.condPut(ctx, up.Group, memberIndexObject, idxBlob, v); err != nil {
-		return fail(fmt.Errorf("admin: putting member index: %w", err))
-	}
-	v++
-	if err := a.condPut(ctx, up.Group, sealedGKObject, sealed, v); err != nil {
-		return fail(fmt.Errorf("admin: putting sealed group key: %w", err))
-	}
-	v++
-	a.trackVersion(up.Group, v)
-	return nil
+	objs = append(objs,
+		storage.Object{Name: memberIndexObject, Data: idxBlob},
+		storage.Object{Name: sealedGKObject, Data: sealed})
+	return storage.Commit(ctx, a.store, up.Group, objs, v, epoch)
 }
 
 // updateCatalog records the group name in the cloud catalog (idempotent).

@@ -210,7 +210,7 @@ func TestTraceIDPropagation(t *testing.T) {
 		names[key]++
 		byID[sp.ID] = sp
 	}
-	for _, want := range []string{"route /admin/add", "forward shard", "shard shard", "admin.add", "store.putfenced"} {
+	for _, want := range []string{"route /admin/add", "forward shard", "shard shard", "admin.add", "store.commit"} {
 		found := false
 		for name := range names {
 			if strings.HasPrefix(name, want) {

@@ -13,6 +13,11 @@ var ErrInjected = errors.New("storage: injected fault")
 // FaultStore wraps a Store and fails operations on demand — test
 // infrastructure for exercising the system's behaviour under cloud outages
 // and partial-update scenarios (e.g. an administrator crashing mid-apply).
+//
+// FaultStore deliberately does NOT forward Commit, even over a Committer: a
+// storage.Commit through it runs the chain of conditional puts, so the
+// every-n-th-put injectors keep tearing an apply partway and every torn-apply
+// and fence fault test keeps exercising the chain.
 type FaultStore struct {
 	Inner Store
 

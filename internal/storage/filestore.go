@@ -19,6 +19,11 @@ import (
 // clients survive a cloudsim restart without replaying history. Long-poll
 // wake-ups are in-process (a restarted server wakes clients through their
 // reconnect, like any real blob store).
+//
+// FileStore is not a Committer: making several file renames plus the version
+// bump all-or-nothing across a crash needs a journal, which is out of scope.
+// storage.Commit against it (directly, or through a Server) runs the chain of
+// conditional puts, exactly as before the commit path existed.
 type FileStore struct {
 	root string
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,16 +27,29 @@ import (
 //	GET    /v1/list/{dir}            → JSON array of names
 //	GET    /v1/version/{dir}         → JSON {"version": n}
 //	GET    /v1/poll/{dir}?since=n    → long poll; JSON {"version": n}
+//	POST   /v1/commit/{dir}?if-version=n&fence-epoch=e
+//	                                 body = objects (see commit.go) → JSON {"version": n}
+//
+// A commit is applied through Commit on the backing store: atomically when
+// that store is a Committer (MemStore), as the chain when it is not
+// (FileStore).
 type Server struct {
 	store Store
 	// PollTimeout bounds one long-poll round; clients re-arm (Dropbox uses
 	// comparable timeouts on its longpoll endpoint).
 	PollTimeout time.Duration
+	// maxBody is maxBodyBytes; a field so that tests can exceed it without
+	// sending 64 MiB.
+	maxBody int64
 }
+
+// maxBodyBytes bounds the body of an object PUT and of a commit. A larger
+// request is refused with 413 and changes nothing.
+const maxBodyBytes = 64 << 20
 
 // NewServer wraps a Store for HTTP serving.
 func NewServer(store Store) *Server {
-	return &Server{store: store, PollTimeout: 30 * time.Second}
+	return &Server{store: store, PollTimeout: 30 * time.Second, maxBody: maxBodyBytes}
 }
 
 // ServeHTTP implements http.Handler.
@@ -51,6 +65,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.handleVersion(w, r, path)
 	case strings.HasPrefix(path, "/v1/poll/"):
 		s.handlePoll(w, r, path)
+	case strings.HasPrefix(path, "/v1/commit/"):
+		s.handleCommit(w, r, path)
 	default:
 		http.NotFound(w, r)
 	}
@@ -81,27 +97,19 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request, path strin
 	}
 	switch r.Method {
 	case http.MethodPut:
-		body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		body, ok := s.readBody(w, r)
+		if !ok {
 			return
 		}
 		// ?if-version=n selects the conditional PUT (PutIf); adding
 		// &fence-epoch=e makes it a fenced write (PutFenced). A fenced-out
 		// writer gets 412 with the X-Fenced header set, distinguishing the
 		// terminal fence from a retryable version conflict.
-		if cond := r.URL.Query().Get("if-version"); cond != "" {
-			want, err := strconv.ParseUint(cond, 10, 64)
+		if q := r.URL.Query(); q.Get("if-version") != "" {
+			want, epoch, err := parseCondition(q)
 			if err != nil {
-				http.Error(w, "bad if-version", http.StatusBadRequest)
+				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
-			}
-			var epoch uint64
-			if fe := r.URL.Query().Get("fence-epoch"); fe != "" {
-				if epoch, err = strconv.ParseUint(fe, 10, 64); err != nil {
-					http.Error(w, "bad fence-epoch", http.StatusBadRequest)
-					return
-				}
 			}
 			if err := s.store.PutFenced(r.Context(), dir, name, body, want, epoch); err != nil {
 				writeStoreErr(w, err)
@@ -153,6 +161,63 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request, path strin
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
+}
+
+// parseCondition reads the ?if-version=n[&fence-epoch=e] pair of a
+// conditional write; a missing fence-epoch is 0 (no fence carried).
+func parseCondition(q url.Values) (ifVersion, epoch uint64, err error) {
+	if ifVersion, err = strconv.ParseUint(q.Get("if-version"), 10, 64); err != nil {
+		return 0, 0, errors.New("bad if-version")
+	}
+	if fe := q.Get("fence-epoch"); fe != "" {
+		if epoch, err = strconv.ParseUint(fe, 10, 64); err != nil {
+			return 0, 0, errors.New("bad fence-epoch")
+		}
+	}
+	return ifVersion, epoch, nil
+}
+
+// readBody reads a request body of at most maxBody bytes, answering 413 for
+// a larger one (never storing a truncated prefix) and 400 for a broken one.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	if err == nil {
+		return body, true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
+	return nil, false
+}
+
+func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request, path string) {
+	dir, err := url.PathUnescape(strings.TrimPrefix(path, "/v1/commit/"))
+	if err != nil || dir == "" {
+		http.Error(w, "want /v1/commit/{dir}", http.StatusBadRequest)
+		return
+	}
+	if r.Method != http.MethodPost {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	objs, ifVersion, epoch, err := parseCommitRequest(r.URL.RawQuery, body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	v, err := Commit(r.Context(), s.store, dir, objs, ifVersion, epoch)
+	if err != nil {
+		writeStoreErr(w, err)
+		return
+	}
+	writeJSON(w, map[string]uint64{"version": v})
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request, path string) {
@@ -251,7 +316,10 @@ type HTTPStore struct {
 	baseErr    error
 }
 
-var _ Store = (*HTTPStore)(nil)
+var (
+	_ Store     = (*HTTPStore)(nil)
+	_ Committer = (*HTTPStore)(nil)
+)
 
 // defaultClient backs every HTTPStore without an explicit Client. Unlike
 // http.DefaultClient it raises the per-host idle pool (DefaultTransport
@@ -362,6 +430,25 @@ func (h *HTTPStore) PutFenced(ctx context.Context, dir, name string, data []byte
 		return err
 	}
 	return h.expectNoContent(req)
+}
+
+// Commit implements Committer: one POST /v1/commit/{dir} carries every
+// object, and the answer carries the new directory version. Rejections map
+// back to ErrFenced / ErrVersionConflict exactly as for PutFenced.
+func (h *HTTPStore) Commit(ctx context.Context, dir string, objs []Object, ifDirVersion, epoch uint64) (uint64, error) {
+	u := h.BaseURL + "/v1/commit/" + url.PathEscape(dir) +
+		"?if-version=" + strconv.FormatUint(ifDirVersion, 10) +
+		"&fence-epoch=" + strconv.FormatUint(epoch, 10)
+	size := 0 // an upper bound, so the body is built without regrowing
+	for _, o := range objs {
+		size += 1 + 2*binary.MaxVarintLen64 + len(o.Name) + len(o.Data)
+	}
+	body := appendCommitBody(make([]byte, 0, size), objs)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	return h.versionResponse(req, false)
 }
 
 // Delete implements Store.
@@ -494,7 +581,7 @@ func (h *HTTPStore) versionResponse(req *http.Request, allowNoContent bool) (uin
 		return 0, nil
 	}
 	if resp.StatusCode != http.StatusOK {
-		return 0, httpError(resp)
+		return 0, responseError(req, resp)
 	}
 	var out struct {
 		Version uint64 `json:"version"`
@@ -510,6 +597,21 @@ func httpError(resp *http.Response) error {
 	return fmt.Errorf("storage: server returned %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 }
 
+// responseError maps a failure response back to the store's sentinel errors
+// (the inverse of writeStoreErr).
+func responseError(req *http.Request, resp *http.Response) error {
+	switch resp.StatusCode {
+	case http.StatusNotFound:
+		return fmt.Errorf("%w: %s", ErrNotFound, req.URL.Path)
+	case http.StatusPreconditionFailed:
+		if resp.Header.Get(FencedHeader) != "" {
+			return fmt.Errorf("%w: %s", ErrFenced, req.URL.Path)
+		}
+		return fmt.Errorf("%w: %s", ErrVersionConflict, req.URL.Path)
+	}
+	return httpError(resp)
+}
+
 // expectNoContent runs a request and asserts a 204 response.
 func (h *HTTPStore) expectNoContent(req *http.Request) error {
 	resp, err := h.httpClient().Do(req)
@@ -517,17 +619,8 @@ func (h *HTTPStore) expectNoContent(req *http.Request) error {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return fmt.Errorf("%w: %s", ErrNotFound, req.URL.Path)
-	}
-	if resp.StatusCode == http.StatusPreconditionFailed {
-		if resp.Header.Get(FencedHeader) != "" {
-			return fmt.Errorf("%w: %s", ErrFenced, req.URL.Path)
-		}
-		return fmt.Errorf("%w: %s", ErrVersionConflict, req.URL.Path)
-	}
 	if resp.StatusCode != http.StatusNoContent {
-		return httpError(resp)
+		return responseError(req, resp)
 	}
 	return nil
 }

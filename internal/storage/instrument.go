@@ -15,12 +15,15 @@ import (
 // operators page on. Each op also opens a trace span when the context
 // carries one. A nil registry returns the store unwrapped, so disabled
 // observability costs nothing; the concrete backends (MemStore, FileStore,
-// HTTPStore, FaultStore) never see the decorator.
+// HTTPStore, FaultStore) never see the decorator. The decorator is a
+// Committer exactly when inner is one, so decorating never changes whether
+// Commit takes the native path or the chain (whose puts are then observed
+// one by one, as before).
 func Instrument(inner Store, r *obs.Registry) Store {
 	if r == nil || inner == nil {
 		return inner
 	}
-	return &instrumentedStore{
+	s := &instrumentedStore{
 		inner:     inner,
 		backend:   backendName(inner),
 		ops:       r.CounterVec("ibbe_store_ops_total", "Storage operations by backend and op.", "backend", "op"),
@@ -28,6 +31,10 @@ func Instrument(inner Store, r *obs.Registry) Store {
 		conflicts: r.CounterVec("ibbe_store_cas_conflicts_total", "Conditional writes rejected by a directory version conflict.", "backend"),
 		fenced:    r.CounterVec("ibbe_store_fence_rejections_total", "Writes rejected by the epoch fencing token.", "backend"),
 	}
+	if c, ok := inner.(Committer); ok {
+		return &instrumentedCommitter{instrumentedStore: s, committer: c}
+	}
+	return s
 }
 
 // backendName maps a concrete store to its backend label.
@@ -158,5 +165,23 @@ func (s *instrumentedStore) Poll(ctx context.Context, dir string, since uint64) 
 	t0 := time.Now()
 	v, err := s.inner.Poll(ctx, dir, since)
 	s.observe(ctx, "poll", t0, err)
+	return v, err
+}
+
+// instrumentedCommitter is the decorator over a store with a native Commit.
+type instrumentedCommitter struct {
+	*instrumentedStore
+	committer Committer
+}
+
+// Commit implements Committer: one `commit` op and one store.commit span per
+// commit, and — through observe — one CAS-conflict or fence-rejection count
+// per rejected one.
+func (s *instrumentedCommitter) Commit(ctx context.Context, dir string, objs []Object, ifDirVersion, epoch uint64) (uint64, error) {
+	ctx, sp := obs.StartSpan(ctx, "store.commit")
+	t0 := time.Now()
+	v, err := s.committer.Commit(ctx, dir, objs, ifDirVersion, epoch)
+	s.observe(ctx, "commit", t0, err)
+	sp.End(err)
 	return v, err
 }

@@ -7,7 +7,9 @@
 // Two backends implement the same Store interface: an in-process MemStore
 // with injectable latency (used by benchmarks, where cloud latency must be
 // controlled), and an HTTP client/server pair in httpstore.go that runs the
-// same protocol over the network.
+// same protocol over the network. Both also implement the optional
+// Committer (commit.go): an all-or-nothing multi-object write in one round
+// trip, which is how administrators publish a membership update.
 package storage
 
 import (
@@ -143,9 +145,16 @@ func NewMemStore(lat Latency) *MemStore {
 	return &MemStore{lat: lat, dirs: make(map[string]*memDir)}
 }
 
-var _ Store = (*MemStore)(nil)
+var (
+	_ Store     = (*MemStore)(nil)
+	_ Committer = (*MemStore)(nil)
+)
 
 // Stats reports traffic counters (ops and payload bytes in each direction).
+// Puts counts mutation round trips, so a Commit is ONE put however many
+// objects it carries (puts × injected delay stays the write-latency model);
+// BytesIn counts every payload byte of it and Deletes each object it
+// actually removed.
 type Stats struct {
 	Puts, Gets, Deletes int64
 	BytesIn, BytesOut   int64
@@ -189,6 +198,22 @@ func (m *MemStore) PutFenced(ctx context.Context, dir, name string, data []byte,
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	d, err := m.admit(dir, ifDirVersion, epoch)
+	if err != nil {
+		return err
+	}
+	d.objects[name] = append([]byte(nil), data...)
+	m.puts++
+	m.byteRx += int64(len(data))
+	m.bump(d)
+	return nil
+}
+
+// admit runs the checks every conditional mutation shares and returns the
+// directory to mutate — created if this is its first write, its fence
+// watermark raised to epoch. On an error nothing has changed. Callers hold
+// m.mu.
+func (m *MemStore) admit(dir string, ifDirVersion, epoch uint64) (*memDir, error) {
 	d := m.dirs[dir]
 	cur := uint64(0)
 	if d != nil {
@@ -196,11 +221,11 @@ func (m *MemStore) PutFenced(ctx context.Context, dir, name string, data []byte,
 		// The fence dominates the version check: a zombie must learn it is
 		// fenced (terminal) rather than conflicted (retryable).
 		if epoch > 0 && epoch < d.fenceEpoch {
-			return fmt.Errorf("%w: %s fenced at epoch %d, write carries %d", ErrFenced, dir, d.fenceEpoch, epoch)
+			return nil, fmt.Errorf("%w: %s fenced at epoch %d, write carries %d", ErrFenced, dir, d.fenceEpoch, epoch)
 		}
 	}
 	if cur != ifDirVersion {
-		return fmt.Errorf("%w: %s at %d, want %d", ErrVersionConflict, dir, cur, ifDirVersion)
+		return nil, fmt.Errorf("%w: %s at %d, want %d", ErrVersionConflict, dir, cur, ifDirVersion)
 	}
 	if d == nil {
 		d = &memDir{objects: make(map[string][]byte)}
@@ -209,11 +234,37 @@ func (m *MemStore) PutFenced(ctx context.Context, dir, name string, data []byte,
 	if epoch > d.fenceEpoch {
 		d.fenceEpoch = epoch
 	}
-	d.objects[name] = append([]byte(nil), data...)
+	return d, nil
+}
+
+// Commit implements Committer: every object lands under one lock
+// acquisition, behind one fence check and one version check, with one
+// version bump and one poller wake-up, after one injected round trip.
+func (m *MemStore) Commit(ctx context.Context, dir string, objs []Object, ifDirVersion, epoch uint64) (uint64, error) {
+	if err := checkCommit(objs); err != nil {
+		return 0, err
+	}
+	if err := sleepCtx(ctx, m.lat.Put); err != nil {
+		return 0, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	d, err := m.admit(dir, ifDirVersion, epoch)
+	if err != nil {
+		return 0, err
+	}
+	for _, o := range objs {
+		if !o.Delete {
+			d.objects[o.Name] = append([]byte(nil), o.Data...)
+			m.byteRx += int64(len(o.Data))
+		} else if _, ok := d.objects[o.Name]; ok {
+			delete(d.objects, o.Name)
+			m.deletes++
+		}
+	}
 	m.puts++
-	m.byteRx += int64(len(data))
 	m.bump(d)
-	return nil
+	return d.version, nil
 }
 
 // Delete implements Store.
