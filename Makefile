@@ -38,17 +38,22 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 ## bench-smoke: the frozen repository benchmark (bench/) still compiles against the product and runs clean
-# on both store paths — untraced (native commit), traced (its decorator forces the chain); a failed op or
-# a correctness violation exits non-zero
+# on both store paths — untraced (native commit), traced (its decorator forces the chain) — and on the paged
+# sweep, where evicted pages bring their re-wrap handles back from records; a failed op or a correctness
+# violation exits non-zero
 bench-smoke:
 	$(GO) vet ./bench
 	$(GO) run ./bench -workload cloud_routed -seconds 3 -trace 0
 	$(GO) run ./bench -workload cloud_routed -seconds 3 -trace 1
+	$(GO) run ./bench -workload big_group_paged -seconds 3 -trace 0
+	$(GO) run ./bench -workload big_group_paged -seconds 3 -trace 1
 
-## fuzz: the 15s smokes CI runs — Montgomery limb core vs big.Int, and the /v1/commit request decoder
+## fuzz: the 15s smokes CI runs — Montgomery limb core vs big.Int, the /v1/commit request decoder, and the
+# partition-record decoder
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMontFieldVsBigInt$$' -fuzztime=15s ./internal/ff
 	$(GO) test -run='^$$' -fuzz='^FuzzCommitRequest$$' -fuzztime=15s ./internal/storage
+	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalRecord$$' -fuzztime=15s ./internal/core
 
 ## benchdiff: measure the gated scenarios fresh and compare against the committed baselines
 benchdiff:

@@ -24,10 +24,21 @@ import (
 // IBBEController adapts the IBBE-SGX manager to the replay engine. User
 // keys for decryption sampling are provisioned through the real handshake
 // but outside the timed regions (a user provisions once, not per read).
+//
+// The manager runs with DisableRewrap, so a removal re-keys every partition:
+// Figs. 7–10 measure Algorithm 3 as published.
 type IBBEController struct {
 	Mgr  *core.Manager
 	Encl *enclave.IBBEEnclave
 
+	// AdminG1Exp is the G1 exponentiations spent inside membership calls and
+	// DecryptZrMul the Z_r multiplications spent inside DecryptSamples sampled
+	// decrypts: the operation counts behind Fig. 9's two plots, which hold
+	// their ordering where sub-millisecond timings do not. Calls on one
+	// controller must not overlap for the split to be exact.
+	AdminG1Exp, DecryptZrMul, DecryptSamples int64
+
+	ops     *ibbe.Metrics
 	mu      sync.Mutex
 	clients map[string]*core.Client
 }
@@ -55,7 +66,19 @@ func NewIBBEController(params *pairing.Params, capacity int, seed int64) (*IBBEC
 	if err != nil {
 		return nil, err
 	}
-	return &IBBEController{Mgr: mgr, Encl: ie, clients: make(map[string]*core.Client)}, nil
+	mgr.DisableRewrap = true
+	ops := &ibbe.Metrics{}
+	ie.Scheme().Metrics = ops
+	return &IBBEController{Mgr: mgr, Encl: ie, ops: ops, clients: make(map[string]*core.Client)}, nil
+}
+
+// admin runs one membership call and charges its G1 exponentiations to
+// AdminG1Exp.
+func (c *IBBEController) admin(call func() error) error {
+	before := c.ops.G1Exp.Load()
+	err := call()
+	c.AdminG1Exp += c.ops.G1Exp.Load() - before
+	return err
 }
 
 // CreateGroup implements trace.Controller.
@@ -65,24 +88,30 @@ func (c *IBBEController) CreateGroup(group string, members []string) error {
 		// created on first add.
 		return nil
 	}
-	_, err := c.Mgr.CreateGroup(group, members)
-	return err
+	return c.admin(func() error {
+		_, err := c.Mgr.CreateGroup(group, members)
+		return err
+	})
 }
 
 // AddUser implements trace.Controller, creating the group lazily when the
 // trace starts empty.
 func (c *IBBEController) AddUser(group, user string) error {
-	_, err := c.Mgr.AddUser(group, user)
-	if err != nil && isNoSuchGroup(err) {
-		_, err = c.Mgr.CreateGroup(group, []string{user})
-	}
-	return err
+	return c.admin(func() error {
+		_, err := c.Mgr.AddUser(group, user)
+		if err != nil && isNoSuchGroup(err) {
+			_, err = c.Mgr.CreateGroup(group, []string{user})
+		}
+		return err
+	})
 }
 
 // RemoveUser implements trace.Controller.
 func (c *IBBEController) RemoveUser(group, user string) error {
-	_, err := c.Mgr.RemoveUser(group, user)
-	return err
+	return c.admin(func() error {
+		_, err := c.Mgr.RemoveUser(group, user)
+		return err
+	})
 }
 
 // MetadataSize implements trace.Controller.
@@ -104,11 +133,15 @@ func (c *IBBEController) SampleDecrypt(group, user string) (time.Duration, error
 	if err != nil {
 		return 0, fmt.Errorf("benchmark: %s has no partition in %s: %w", user, group, err)
 	}
+	zrBefore := c.ops.ZrMul.Load()
 	start := time.Now()
 	if _, err := cl.DecryptRecord(group, rec); err != nil {
 		return 0, err
 	}
-	return time.Since(start), nil
+	elapsed := time.Since(start)
+	c.DecryptZrMul += c.ops.ZrMul.Load() - zrBefore
+	c.DecryptSamples++
+	return elapsed, nil
 }
 
 // clientFor provisions (and caches) a decryption client for user.

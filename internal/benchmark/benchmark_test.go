@@ -166,17 +166,22 @@ func TestFig8bShapeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// IBBE decrypt grows strongly with partition size (the pairing constant
-	// dominates tiny partitions, so CI asserts ≥ half-linear growth; the
-	// quadratic regime shows at paper scale). HE decrypt stays flat.
-	first, last := rows[0], rows[len(rows)-1]
-	if last.IBBEDecrypt <= first.IBBEDecrypt {
-		t.Fatal("IBBE decrypt not growing with partition size")
+	// IBBE decrypt is quadratic in the partition size: asserted on the Z_r
+	// multiplications of the polynomial expansion, not on sub-millisecond
+	// wall-clock medians (at CI scale the pairing constant hides the
+	// quadratic term from the clock; it never hides it from the count). HE
+	// decrypt is one ECIES open whatever the size, so its latency must stay
+	// far below that growth.
+	for i := 1; i < len(rows); i++ {
+		if rows[i].IBBEDecryptZrMul <= rows[i-1].IBBEDecryptZrMul {
+			t.Fatalf("IBBE decrypt work not growing with partition size: %+v", rows)
+		}
 	}
-	growth := float64(last.IBBEDecrypt) / float64(first.IBBEDecrypt)
+	first, last := rows[0], rows[len(rows)-1]
+	growth := float64(last.IBBEDecryptZrMul) / float64(first.IBBEDecryptZrMul)
 	ratio := float64(last.M) / float64(first.M)
-	if growth < ratio/2 {
-		t.Fatalf("IBBE decrypt growth %.1f× over a %.0fx partition range — too flat", growth, ratio)
+	if growth < ratio*ratio/2 {
+		t.Fatalf("IBBE decrypt work grew %.1f× over a %.0fx partition range — not quadratic", growth, ratio)
 	}
 	heGrowth := float64(last.HEDecrypt) / float64(first.HEDecrypt)
 	if heGrowth > growth/4 {
@@ -204,15 +209,20 @@ func TestFig9ShapeHolds(t *testing.T) {
 	if heRow == nil || len(ibbeRows) != 2 {
 		t.Fatalf("unexpected row shape: %+v", rows)
 	}
-	// Larger partitions → faster admin replay (fewer partitions to re-key),
-	// slower decrypts (quadratic in m).
-	if ibbeRows[1].AdminTotal >= ibbeRows[0].AdminTotal {
-		t.Fatalf("larger partition did not speed up the admin: %v vs %v",
-			ibbeRows[0].AdminTotal, ibbeRows[1].AdminTotal)
+	// Larger partitions → cheaper admin replay (fewer partitions to re-key),
+	// costlier decrypts (quadratic in m). Asserted on operation counts: the
+	// replay is seeded, so they are exact, where the sub-millisecond timings
+	// they explain reorder under scheduler noise.
+	if ibbeRows[1].AdminG1Exp >= ibbeRows[0].AdminG1Exp {
+		t.Fatalf("larger partition did not cut the admin's G1 exponentiations: %d vs %d",
+			ibbeRows[0].AdminG1Exp, ibbeRows[1].AdminG1Exp)
 	}
-	if ibbeRows[1].AvgDecrypt <= ibbeRows[0].AvgDecrypt {
-		t.Fatalf("larger partition did not slow down decrypts: %v vs %v",
-			ibbeRows[0].AvgDecrypt, ibbeRows[1].AvgDecrypt)
+	if ibbeRows[1].ZrMulPerDecrypt <= ibbeRows[0].ZrMulPerDecrypt {
+		t.Fatalf("larger partition did not raise the Z_r multiplications per decrypt: %.0f vs %.0f",
+			ibbeRows[0].ZrMulPerDecrypt, ibbeRows[1].ZrMulPerDecrypt)
+	}
+	if ibbeRows[0].AdminTotal <= 0 || ibbeRows[0].AvgDecrypt <= 0 || heRow.AdminTotal <= 0 {
+		t.Fatalf("replay timings missing: %+v", rows)
 	}
 }
 

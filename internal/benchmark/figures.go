@@ -316,6 +316,9 @@ type Fig8bRow struct {
 	M           int
 	IBBEDecrypt time.Duration
 	HEDecrypt   time.Duration
+	// IBBEDecryptZrMul is the Z_r multiplications of the sampled IBBE
+	// decrypt — the polynomial expansion that makes it quadratic in M.
+	IBBEDecryptZrMul int64
 }
 
 // RunFig8b regenerates Fig. 8b: IBBE-SGX decryption is quadratic in the
@@ -344,6 +347,7 @@ func RunFig8b(cfg Config) ([]Fig8bRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		row.IBBEDecryptZrMul = ctl.DecryptZrMul
 		row.HEDecrypt, err = hepki.SampleDecrypt(gname, members[m/2])
 		if err != nil {
 			return nil, err

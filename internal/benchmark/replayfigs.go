@@ -19,6 +19,11 @@ type Fig9Row struct {
 	AvgDecrypt time.Duration
 	// Repartitions counts heuristic-triggered re-layouts during the replay.
 	Repartitions int64
+	// AdminG1Exp and ZrMulPerDecrypt are the operation counts behind the two
+	// plots (IBBE-SGX rows only): G1 exponentiations over the whole admin
+	// replay, mean Z_r multiplications per sampled decrypt.
+	AdminG1Exp      int64
+	ZrMulPerDecrypt float64
 }
 
 // RunFig9 regenerates Fig. 9: replay the (synthesized) Linux-kernel ACL
@@ -53,13 +58,18 @@ func RunFig9(cfg Config) ([]Fig9Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig9 m=%d: %w", m, err)
 		}
-		rows = append(rows, Fig9Row{
+		row := Fig9Row{
 			Scheme:       "ibbe-sgx",
 			M:            m,
 			AdminTotal:   res.AdminTime,
 			AvgDecrypt:   res.AvgDecrypt(),
 			Repartitions: ctl.Mgr.Repartitions(),
-		})
+			AdminG1Exp:   ctl.AdminG1Exp,
+		}
+		if ctl.DecryptSamples > 0 {
+			row.ZrMulPerDecrypt = float64(ctl.DecryptZrMul) / float64(ctl.DecryptSamples)
+		}
+		rows = append(rows, row)
 	}
 
 	// HE baseline replay.

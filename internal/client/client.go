@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"github.com/ibbesgx/ibbesgx/internal/core"
+	"github.com/ibbesgx/ibbesgx/internal/curve"
 	"github.com/ibbesgx/ibbesgx/internal/ibbe"
 	"github.com/ibbesgx/ibbesgx/internal/kdf"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
@@ -41,8 +42,14 @@ type Client struct {
 	// lastBlob is the raw record the current key was derived from; with a
 	// record cache attached, an unchanged blob skips the IBBE decrypt.
 	lastBlob []byte
-	// decrypts counts group-key derivations (for experiment reporting).
-	decrypts int64
+	// wk is the wrap key SHA(bk) of the last IBBE decrypt and wkC1 the header
+	// C1 = w^−k it was made under, which commits to bk = v^k: with a record
+	// cache attached, a record carrying the same C1 opens with wk alone.
+	wk   [kdf.KeySize]byte
+	wkC1 *curve.Point
+	// decrypts counts IBBE decrypts, unwraps the derivations served by the
+	// kept wrap key instead (for experiment reporting).
+	decrypts, unwraps int64
 	// cache, when set, serves record reads from memory (shared across the
 	// group's readers) instead of hitting the store.
 	cache *RecordCache
@@ -65,8 +72,9 @@ func (c *Client) Group() string { return c.group }
 
 // SetCache attaches a shared RecordCache: partition-record reads go
 // through it, so a crowd of readers on one version of a group costs the
-// cloud one GET, and a refresh that finds the record unchanged skips the
-// IBBE decrypt entirely.
+// cloud one GET, a refresh that finds the record unchanged skips the
+// derivation entirely, and one that finds only a new wrapped key under an
+// unchanged partition broadcast key opens it without an IBBE decrypt.
 func (c *Client) SetCache(cache *RecordCache) {
 	c.mu.Lock()
 	c.cache = cache
@@ -85,11 +93,19 @@ func (c *Client) getObject(ctx context.Context, name string) ([]byte, error) {
 	return c.store.Get(ctx, c.group, name)
 }
 
-// Decrypts returns how many group-key derivations this client performed.
+// Decrypts returns how many IBBE decrypts this client performed.
 func (c *Client) Decrypts() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.decrypts
+}
+
+// Unwraps returns how many group keys this client derived with its kept wrap
+// key alone, without an IBBE decrypt.
+func (c *Client) Unwraps() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.unwraps
 }
 
 // GroupKey returns the cached group key, syncing first if the cache is
@@ -114,29 +130,48 @@ func (c *Client) Refresh(ctx context.Context) ([kdf.KeySize]byte, error) {
 	if err != nil {
 		return zero, err
 	}
+	// With a record cache attached, the pairing-heavy decrypt is skipped when
+	// it cannot yield anything new: byte-identical records mean the same
+	// group key, and the same C1 means the same broadcast key, so the kept
+	// wrap key opens the record's yᵢ. A wrap key that does not open it (a
+	// stale memo) falls through to the full decrypt. (Without a cache, every
+	// Refresh decrypts, preserving the paper's Fig. 8b measurement semantics
+	// for the decrypts counter.)
 	c.mu.Lock()
-	// With a record cache attached, byte-identical records mean the group
-	// key cannot have changed — skip the pairing-heavy decrypt. (Without a
-	// cache, every Refresh decrypts, preserving the paper's Fig. 8b
-	// measurement semantics for the decrypts counter.)
-	if c.cache != nil && c.hasKey && bytes.Equal(blob, c.lastBlob) {
-		gk := c.gk
-		c.mu.Unlock()
-		return gk, nil
+	if c.cache != nil && c.hasKey {
+		if bytes.Equal(blob, c.lastBlob) {
+			gk := c.gk
+			c.mu.Unlock()
+			return gk, nil
+		}
+		if c.wkC1 != nil && c.dec.Scheme().P.G1.Equal(c.wkC1, rec.CT.C1) {
+			if gk, err := c.dec.UnwrapRecord(c.group, rec, c.wk); err == nil {
+				c.unwraps++
+				c.keepLocked(rec, blob, gk)
+				c.mu.Unlock()
+				return gk, nil
+			}
+		}
 	}
 	c.mu.Unlock()
-	gk, err := c.dec.DecryptRecord(c.group, rec)
+	gk, wk, err := c.dec.DecryptRecordKeys(c.group, rec)
 	if err != nil {
 		return zero, fmt.Errorf("client: deriving group key: %w", err)
 	}
 	c.mu.Lock()
+	c.decrypts++
+	c.wk, c.wkC1 = wk, rec.CT.C1
+	c.keepLocked(rec, blob, gk)
+	c.mu.Unlock()
+	return gk, nil
+}
+
+// keepLocked caches the key derived from rec. The caller holds c.mu.
+func (c *Client) keepLocked(rec *core.PartitionRecord, blob []byte, gk [kdf.KeySize]byte) {
 	c.partitionID = rec.PartitionID
 	c.gk = gk
 	c.hasKey = true
 	c.lastBlob = blob
-	c.decrypts++
-	c.mu.Unlock()
-	return gk, nil
 }
 
 // fetchOwnRecord gets the cached partition object if it still lists the

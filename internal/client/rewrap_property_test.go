@@ -1,0 +1,427 @@
+package client
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"github.com/ibbesgx/ibbesgx/internal/core"
+	"github.com/ibbesgx/ibbesgx/internal/ibbe"
+	"github.com/ibbesgx/ibbesgx/internal/kdf"
+)
+
+// rewrapWorld drives one group through seeded membership operations on two
+// managers sharing an enclave (the second takes the group over through
+// DropGroup + RestoreGroup from the store), and checks the access-control
+// invariant against a set-of-members oracle after every step.
+type rewrapWorld struct {
+	t     *testing.T
+	r     *rig
+	rng   *rand.Rand
+	group string
+
+	mgrs   [2]*core.Manager
+	active int
+	cache  *RecordCache
+
+	members map[string]bool                  // the oracle
+	revoked map[string][kdf.KeySize]byte     // removed user → the last wrap key it held
+	clients map[string]*Client               // one long-lived reader per user ever seen
+	recs    map[string]*core.PartitionRecord // what the store holds
+	keys    map[[kdf.KeySize]byte]bool       // every group key ever current
+	current [kdf.KeySize]byte
+	nextID  int
+
+	ecalls     map[string]int
+	ops        *ibbe.Metrics
+	removalG1  map[int64]bool // distinct non-zero G1-exp costs of a removal
+	partitions map[int]bool   // partition counts removals ran at
+	steps      map[string]int // how often each kind of step ran
+}
+
+func newRewrapWorld(t *testing.T, seed int64) *rewrapWorld {
+	r := newRig(t, 3)
+	standby, err := core.NewManager(r.encl, 3, seed+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &rewrapWorld{
+		t: t, r: r, rng: rand.New(rand.NewSource(seed)), group: "g",
+		mgrs:    [2]*core.Manager{r.mgr, standby},
+		cache:   NewRecordCache(r.store),
+		members: make(map[string]bool), revoked: make(map[string][kdf.KeySize]byte),
+		clients: make(map[string]*Client), recs: make(map[string]*core.PartitionRecord),
+		keys:   make(map[[kdf.KeySize]byte]bool),
+		ecalls: make(map[string]int), ops: &ibbe.Metrics{},
+		removalG1: make(map[int64]bool), partitions: make(map[int]bool),
+		steps: make(map[string]int),
+	}
+	for _, m := range w.mgrs {
+		m.DisableRepartition = true // repartitions are explicit steps of the schedule
+	}
+	var mu sync.Mutex // per-partition ECALLs fan out across workers
+	r.encl.Obs = func(call string, _ float64) {
+		mu.Lock()
+		w.ecalls[call]++
+		mu.Unlock()
+	}
+	r.encl.Scheme().Metrics = w.ops
+	return w
+}
+
+func (w *rewrapWorld) mgr() *core.Manager { return w.mgrs[w.active] }
+
+func (w *rewrapWorld) newUser() string {
+	w.nextID++
+	return fmt.Sprintf("u%03d@example.com", w.nextID)
+}
+
+// sorted returns the set's users in a seed-stable order.
+func sorted[V any](set map[string]V) []string {
+	out := make([]string, 0, len(set))
+	for u := range set {
+		out = append(out, u)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (w *rewrapWorld) pick(set []string) string { return set[w.rng.Intn(len(set))] }
+
+// publish applies an update to the store, the mirror and the shared cache.
+func (w *rewrapWorld) publish(up *core.Update) {
+	w.r.publish(w.t, up)
+	for _, id := range up.Delete {
+		delete(w.recs, id)
+	}
+	for id, rec := range up.Put {
+		w.recs[id] = rec
+	}
+	v, err := w.r.store.Version(context.Background(), w.group)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.cache.ObserveVersion(w.group, v)
+}
+
+func (w *rewrapWorld) clientOf(user string) *Client {
+	if c, ok := w.clients[user]; ok {
+		return c
+	}
+	c := w.r.clientFor(w.t, user, w.group)
+	c.SetCache(w.cache)
+	w.clients[user] = c
+	return c
+}
+
+func (w *rewrapWorld) ownRecord(user string) *core.PartitionRecord {
+	for _, rec := range w.recs {
+		if rec.ContainsMember(user) {
+			return rec
+		}
+	}
+	return nil
+}
+
+func (w *rewrapWorld) ct(rec *core.PartitionRecord) []byte {
+	return w.r.encl.Scheme().MarshalCiphertext(rec.CT)
+}
+
+// check is the invariant, run after every step. rotated says whether the
+// step must have produced a group key never seen before.
+func (w *rewrapWorld) check(step string, rotated bool) {
+	t, ctx := w.t, context.Background()
+	var gk [kdf.KeySize]byte
+	for i, u := range sorted(w.members) {
+		cl := w.clientOf(u)
+		viaClient, err := cl.Refresh(ctx)
+		if err != nil {
+			t.Fatalf("%s: member %s cannot derive the key: %v", step, u, err)
+		}
+		rec := w.ownRecord(u)
+		if rec == nil {
+			t.Fatalf("%s: no record lists member %s", step, u)
+		}
+		viaDecrypt, err := cl.dec.DecryptRecord(w.group, rec)
+		if err != nil {
+			t.Fatalf("%s: member %s: full decrypt: %v", step, u, err)
+		}
+		if viaClient != viaDecrypt {
+			t.Fatalf("%s: member %s: kept-wrap-key path and full decrypt disagree", step, u)
+		}
+		if i == 0 {
+			gk = viaDecrypt
+		} else if viaDecrypt != gk {
+			t.Fatalf("%s: member %s holds a different key", step, u)
+		}
+	}
+	if rotated == w.keys[gk] {
+		t.Fatalf("%s: group key rotated = %v, want %v", step, !w.keys[gk], rotated)
+	}
+	if !rotated && gk != w.current {
+		t.Fatalf("%s: group key went back to an earlier one", step)
+	}
+	w.keys[gk], w.current = true, gk
+
+	for _, u := range sorted(w.revoked) {
+		cl := w.clientOf(u)
+		if _, err := cl.Refresh(ctx); !errors.Is(err, ErrEvicted) {
+			t.Fatalf("%s: removed user %s: Refresh = %v, want ErrEvicted", step, u, err)
+		}
+		for id, rec := range w.recs {
+			if _, err := cl.dec.UnwrapRecord(w.group, rec, w.revoked[u]); err == nil {
+				t.Fatalf("%s: removed user %s opens %s with its last wrap key", step, u, id)
+			}
+			// The curious ex-member claims a seat in the partition.
+			forged := *rec
+			forged.Members = append(append([]string(nil), rec.Members...), u)
+			if _, err := cl.dec.DecryptRecord(w.group, &forged); err == nil {
+				t.Fatalf("%s: removed user %s opens %s with its user key", step, u, id)
+			}
+		}
+	}
+}
+
+func (w *rewrapWorld) create(n int) {
+	var initial []string
+	for i := 0; i < n; i++ {
+		u := w.newUser()
+		initial = append(initial, u)
+		w.members[u] = true
+	}
+	up, err := w.mgr().CreateGroup(w.group, initial)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.publish(up)
+	w.check("create", true)
+}
+
+func (w *rewrapWorld) add(user string) {
+	up, err := w.mgr().AddUser(w.group, user)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.members[user] = true
+	if _, back := w.revoked[user]; back {
+		w.steps["re-add"]++
+		delete(w.revoked, user)
+	}
+	w.publish(up)
+	w.check("add "+user, false)
+}
+
+func (w *rewrapWorld) remove(user string) {
+	t := w.t
+	before := w.recs
+	w.recs = make(map[string]*core.PartitionRecord, len(before))
+	for id, rec := range before {
+		w.recs[id] = rec
+	}
+	lost := w.ownRecord(user)
+	type counters struct{ decrypts, unwraps int64 }
+	warm := make(map[string]counters)
+	for u := range w.members {
+		warm[u] = counters{w.clients[u].Decrypts(), w.clients[u].Unwraps()}
+	}
+	w.revoked[user] = w.clients[user].wk
+	delete(w.members, user)
+
+	n, _ := w.mgr().PartitionCount(w.group)
+	w.partitions[n] = true
+	g1 := w.ops.G1Exp.Load()
+	up, err := w.mgr().RemoveUser(w.group, user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost := w.ops.G1Exp.Load() - g1; cost != 0 {
+		w.removalG1[cost] = true
+	}
+	w.publish(up)
+
+	// Exactly the partition that lost the member changed its ciphertext (or
+	// vanished with its last member); the others kept CT and handle to the
+	// byte and carry a new yᵢ.
+	for id, rec := range w.recs {
+		old := before[id]
+		if old == nil {
+			t.Fatalf("remove %s: partition %s appeared", user, id)
+		}
+		if bytes.Equal(rec.WrappedGK, old.WrappedGK) {
+			t.Fatalf("remove %s: partition %s kept its wrapped key", user, id)
+		}
+		same := bytes.Equal(w.ct(rec), w.ct(old)) && bytes.Equal(rec.WrapHandle, old.WrapHandle)
+		if same == (id == lost.PartitionID) {
+			t.Fatalf("remove %s: partition %s (the user sat in %s): ciphertext and handle unchanged = %v",
+				user, id, lost.PartitionID, same)
+		}
+	}
+	w.check("remove "+user, true)
+
+	// A reader pays an IBBE decrypt only when its own partition shrank.
+	for u, was := range warm {
+		if u == user {
+			continue
+		}
+		cl := w.clients[u]
+		d, uw := cl.Decrypts()-was.decrypts, cl.Unwraps()-was.unwraps
+		if lost.ContainsMember(u) {
+			if d != 1 || uw != 0 {
+				t.Fatalf("remove %s: co-member %s did %d decrypts, %d unwraps", user, u, d, uw)
+			}
+		} else if d != 0 || uw != 1 {
+			t.Fatalf("remove %s: member %s of an untouched partition did %d decrypts, %d unwraps", user, u, d, uw)
+		}
+	}
+}
+
+func (w *rewrapWorld) repartition() {
+	up, err := w.mgr().Repartition(w.group)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.publish(up)
+	w.steps["repartition"]++
+	w.check("repartition", true)
+}
+
+// handOff moves the group to the other manager the way a takeover does: from
+// what the store holds plus the sealed group key.
+func (w *rewrapWorld) handOff() {
+	t, ctx := w.t, context.Background()
+	sealed, err := w.mgr().SealedGroupKey(w.group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := w.r.store.List(ctx, w.group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make(map[string]*core.PartitionRecord)
+	for _, name := range names {
+		if strings.HasPrefix(name, "_") {
+			continue
+		}
+		blob, err := w.r.store.Get(ctx, w.group, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs[name], err = core.UnmarshalRecord(w.r.encl.Scheme(), blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.mgr().DropGroup(w.group)
+	w.active = 1 - w.active
+	if err := w.mgr().RestoreGroup(w.group, recs, sealed); err != nil {
+		t.Fatal(err)
+	}
+	w.steps["hand-off"]++
+	w.check("hand-off", false)
+}
+
+// TestRewrapKeepsAccessControlInvariant is the proof obligation of the
+// re-wrap sweep: whatever the schedule, exactly the current members derive
+// the current key, through the full decrypt and through the kept wrap key
+// alike, and nothing a removed user holds opens anything published later.
+func TestRewrapKeepsAccessControlInvariant(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			w := newRewrapWorld(t, seed)
+			w.create(9)
+			for step := 0; step < 40; step++ {
+				p := w.rng.Intn(100)
+				switch {
+				case len(w.members) <= 5:
+					p = 40 // grow
+				case len(w.members) >= 14:
+					p = 0 // shrink
+				}
+				switch {
+				case p < 35:
+					w.remove(w.pick(sorted(w.members)))
+				case p < 55 && len(w.revoked) > 0: // back in, wherever there is room
+					w.add(w.pick(sorted(w.revoked)))
+				case p < 70:
+					w.add(w.newUser())
+				case p < 85:
+					w.repartition()
+				default:
+					w.handOff()
+				}
+			}
+			if w.ecalls["rekey"] != 0 || w.ecalls["rewrap"] == 0 {
+				t.Fatalf("ECALLs over the schedule: %v", w.ecalls)
+			}
+			if w.steps["re-add"] == 0 || w.steps["repartition"] == 0 || w.steps["hand-off"] == 0 {
+				t.Fatalf("the schedule skipped a kind of step: %v", w.steps)
+			}
+			if len(w.partitions) < 2 {
+				t.Fatalf("removals ran at partition counts %v only", w.partitions)
+			}
+			if len(w.removalG1) != 1 {
+				t.Fatalf("G1 exponentiations per removal vary with the group: %v over partition counts %v",
+					w.removalG1, w.partitions)
+			}
+		})
+	}
+}
+
+// A kept wrap key that no longer opens the record (here: corrupted) must not
+// yield a key: Refresh falls back to the full decrypt, which also repairs
+// the memo.
+func TestStaleWrapKeyFallsBackToDecrypt(t *testing.T) {
+	w := newRewrapWorld(t, 7)
+	w.create(9)
+	all := sorted(w.members)
+	victim := all[0]
+	var elsewhere []string
+	for _, u := range all {
+		if !w.ownRecord(victim).ContainsMember(u) {
+			elsewhere = append(elsewhere, u)
+		}
+	}
+	cl := w.clients[victim]
+	rewrapped := func(leaver string) [kdf.KeySize]byte {
+		c1 := w.ownRecord(victim).CT.C1
+		up, err := w.mgr().RemoveUser(w.group, leaver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.publish(up)
+		if !w.r.encl.Scheme().P.G1.Equal(c1, w.ownRecord(victim).CT.C1) {
+			t.Fatal("the victim's partition was re-keyed, not re-wrapped")
+		}
+		gk, err := cl.Refresh(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cl.dec.DecryptRecord(w.group, w.ownRecord(victim))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gk != want {
+			t.Fatal("Refresh returned a key the record does not hold")
+		}
+		return gk
+	}
+
+	cl.wk[0] ^= 1
+	decrypts, unwraps := cl.Decrypts(), cl.Unwraps()
+	first := rewrapped(elsewhere[0])
+	if cl.Decrypts() != decrypts+1 || cl.Unwraps() != unwraps {
+		t.Fatalf("stale wrap key: %d decrypts, %d unwraps", cl.Decrypts()-decrypts, cl.Unwraps()-unwraps)
+	}
+	if rewrapped(elsewhere[1]) == first {
+		t.Fatal("second removal kept the group key")
+	}
+	if cl.Decrypts() != decrypts+1 || cl.Unwraps() != unwraps+1 {
+		t.Fatalf("repaired wrap key: %d decrypts, %d unwraps", cl.Decrypts()-decrypts, cl.Unwraps()-unwraps)
+	}
+}

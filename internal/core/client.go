@@ -41,15 +41,33 @@ func (c *Client) Scheme() *ibbe.Scheme { return c.scheme }
 // DecryptRecord recovers the group key from the client's partition record:
 // IBBE-decrypt the partition broadcast key bk, hash it, and open yᵢ.
 func (c *Client) DecryptRecord(group string, rec *PartitionRecord) ([kdf.KeySize]byte, error) {
-	var gk [kdf.KeySize]byte
+	gk, _, err := c.DecryptRecordKeys(group, rec)
+	return gk, err
+}
+
+// DecryptRecordKeys is DecryptRecord that also returns the wrap key
+// wk = SHA(bk). The partition keeps bk until it loses a member, so a member
+// holding wk opens every yᵢ published under the same header C1 with
+// UnwrapRecord instead of another IBBE decrypt.
+func (c *Client) DecryptRecordKeys(group string, rec *PartitionRecord) (gk, wk [kdf.KeySize]byte, err error) {
 	if !rec.ContainsMember(c.id) {
-		return gk, fmt.Errorf("%w: %s in partition %s", ErrNotInPartition, c.id, rec.PartitionID)
+		return gk, wk, fmt.Errorf("%w: %s in partition %s", ErrNotInPartition, c.id, rec.PartitionID)
 	}
 	bk, err := c.scheme.Decrypt(c.pk, c.id, c.key, rec.Members, rec.CT)
 	if err != nil {
-		return gk, fmt.Errorf("core: broadcast decrypt: %w", err)
+		return gk, wk, fmt.Errorf("core: broadcast decrypt: %w", err)
 	}
-	return enclave.UnwrapGK(c.scheme.P, bk, rec.WrappedGK, group)
+	wk = c.scheme.P.GTHash(bk)
+	gk, err = enclave.UnwrapGKWithKey(wk, rec.WrappedGK, group)
+	return gk, wk, err
+}
+
+// UnwrapRecord recovers the group key from the record's yᵢ with a wrap key
+// kept from DecryptRecordKeys. It fails (authenticated open) when the
+// partition's broadcast key has rotated since, e.g. because the holder was
+// revoked.
+func (c *Client) UnwrapRecord(group string, rec *PartitionRecord, wk [kdf.KeySize]byte) ([kdf.KeySize]byte, error) {
+	return enclave.UnwrapGKWithKey(wk, rec.WrappedGK, group)
 }
 
 // FindOwnRecord scans partition records for the one listing the client.

@@ -11,8 +11,8 @@
 //
 // Partition ciphertexts are mutually independent (§IV-C), so the Manager is
 // a parallel partition engine: per-partition enclave work — encryption at
-// group creation, re-keying on removal and rotation, re-partitioning — fans
-// out across a bounded worker pool, and groups are locked individually so
+// group creation, re-keying on rotation, re-partitioning — fans out across a
+// bounded worker pool, and groups are locked individually so
 // membership operations on independent groups proceed concurrently.
 //
 // Group state is paged: each group keeps a compact partition.Index (the
@@ -94,6 +94,11 @@ type Manager struct {
 	// DisableRepartition turns off the §V-A occupancy heuristic (used by
 	// ablation benchmarks; production keeps it on).
 	DisableRepartition bool
+
+	// DisableRewrap turns off the re-wrap sweep, so a revocation re-keys
+	// every partition as Algorithm 3 is published (used by the paper-figure
+	// benchmarks; production keeps it on).
+	DisableRewrap bool
 
 	// repartitions counts occupancy-heuristic firings for replay reporting.
 	repartitions atomic.Int64
@@ -228,6 +233,17 @@ func (s recordSource) LoadPage(id string) (*partition.Page, error) {
 	if err != nil {
 		return nil, err
 	}
+	return pageForRecord(id, rec)
+}
+
+// pageCrypto returns the page's enclave material.
+func pageCrypto(p *partition.Page) *enclave.PartitionCrypto {
+	return p.Payload.(*enclave.PartitionCrypto)
+}
+
+// pageForRecord and recordForPage are the one place a record's fields map to
+// a page's and back; both deep-copy, so pages and records never alias.
+func pageForRecord(id string, rec *PartitionRecord) (*partition.Page, error) {
 	if rec == nil || rec.CT == nil {
 		return nil, fmt.Errorf("%w: record %s missing ciphertext", ErrBadRecord, id)
 	}
@@ -235,15 +251,11 @@ func (s recordSource) LoadPage(id string) (*partition.Page, error) {
 		ID:      id,
 		Members: append([]string(nil), rec.Members...),
 		Payload: &enclave.PartitionCrypto{
-			CT:        rec.CT.Clone(),
-			WrappedGK: append([]byte(nil), rec.WrappedGK...),
+			CT:         rec.CT.Clone(),
+			WrappedGK:  append([]byte(nil), rec.WrappedGK...),
+			WrapHandle: append([]byte(nil), rec.WrapHandle...),
 		},
 	}, nil
-}
-
-// pageCrypto returns the page's enclave material.
-func pageCrypto(p *partition.Page) *enclave.PartitionCrypto {
-	return p.Payload.(*enclave.PartitionCrypto)
 }
 
 // recordForPage assembles the storage record for a resident page.
@@ -254,7 +266,22 @@ func recordForPage(p *partition.Page) *PartitionRecord {
 		Members:     append([]string(nil), p.Members...),
 		CT:          pc.CT.Clone(),
 		WrappedGK:   append([]byte(nil), pc.WrappedGK...),
+		WrapHandle:  append([]byte(nil), pc.WrapHandle...),
 	}
+}
+
+// install makes p its partition's current page: cached (and pinned), its
+// key-envelope length — wrapped group key plus re-wrap handle, what
+// MetadataSize sums — recorded in the index, and its record queued in up.
+func (g *groupState) install(p *partition.Page, up *Update) {
+	g.pages.Put(p)
+	g.idx.SetWrapLen(p.ID, envelopeLen(pageCrypto(p)))
+	up.Put[p.ID] = recordForPage(p)
+}
+
+// envelopeLen is the length of a partition's key envelope.
+func envelopeLen(pc *enclave.PartitionCrypto) int {
+	return len(pc.WrappedGK) + len(pc.WrapHandle)
 }
 
 // CreateGroup implements Algorithm 1: split members into fixed-size
@@ -282,9 +309,7 @@ func (m *Manager) CreateGroup(name string, members []string) (*Update, error) {
 				return nil, err
 			}
 		}
-		p := &partition.Page{ID: pid, Members: chunk}
-		pages.Put(p)
-		created = append(created, p)
+		created = append(created, &partition.Page{ID: pid, Members: chunk})
 	}
 	g := &groupState{idx: idx, pages: pages}
 	// Publish the group (locked) before the slow enclave work, so concurrent
@@ -321,8 +346,7 @@ func (m *Manager) CreateGroup(name string, members []string) (*Update, error) {
 	}
 	up := newUpdate(name)
 	for _, p := range created {
-		idx.SetWrapLen(p.ID, len(pageCrypto(p).WrappedGK))
-		up.Put[p.ID] = recordForPage(p)
+		g.install(p, up)
 	}
 	g.sealedGK = sealedGK
 	return up, nil
@@ -464,33 +488,33 @@ func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
 	up := newUpdate(name)
 	for i, t := range tasks {
 		pc := outs[i]
-		if pc == nil { // ciphertext extension: the wrapped key is unchanged
-			pc = &enclave.PartitionCrypto{CT: newCTs[i], WrappedGK: pageCrypto(t.page).WrappedGK}
+		if pc == nil { // ciphertext extension: bk, and with it yᵢ and the handle, is unchanged
+			old := pageCrypto(t.page)
+			pc = &enclave.PartitionCrypto{CT: newCTs[i], WrappedGK: old.WrappedGK, WrapHandle: old.WrapHandle}
 		}
-		np := &partition.Page{ID: t.id, Members: t.newMem, Payload: pc}
-		g.pages.Put(np)
-		g.idx.SetWrapLen(t.id, len(pc.WrappedGK))
-		up.Put[t.id] = recordForPage(np)
+		g.install(&partition.Page{ID: t.id, Members: t.newMem, Payload: pc}, up)
 	}
 	return up, nil
 }
 
 // RemoveUser implements Algorithm 3: drop the user from her partition,
-// generate a fresh group key inside the enclave, re-key every partition in
-// O(1) each — in parallel across the worker pool — and push all affected
-// records. When the occupancy heuristic fires, the group is re-partitioned
+// generate a fresh group key inside the enclave, re-key her partition in
+// O(1), publish the new key to every other partition, and push all affected
+// records. The paper re-keys the other partitions too; here they keep their
+// broadcast key — the revoked user never held it — and only their wrapped
+// group key yᵢ changes (see rekeySweep; DisableRewrap selects the paper's
+// sweep). When the occupancy heuristic fires, the group is re-partitioned
 // (re-created per Algorithm 1).
 func (m *Manager) RemoveUser(name, user string) (*Update, error) {
 	return m.RemoveUsers(name, []string{user})
 }
 
 // RemoveUsers is the batched form of RemoveUser: all users leave under a
-// single fresh group key, with exactly one re-key pass per remaining
-// partition — a partition that lost k members is re-keyed once (not k
-// times), and untouched partitions are re-keyed once each, amortising the
-// administrator's dominant revocation cost across the batch. The re-key
-// sweep streams over the partitions in bounded chunks, so resident memory
-// stays O(chunk) even though the sweep itself is O(|P|).
+// single fresh group key, with exactly one pass per remaining partition — a
+// partition that lost k members is re-keyed once (not k times), and
+// untouched partitions are re-wrapped once each. The sweep streams over the
+// partitions in bounded chunks, so resident memory stays O(chunk) even
+// though the sweep itself is O(|P|).
 func (m *Manager) RemoveUsers(name string, users []string) (*Update, error) {
 	g, err := m.lockGroup(name)
 	if err != nil {
@@ -538,16 +562,15 @@ func (m *Manager) RemoveUsers(name string, users []string) (*Update, error) {
 		removedBy[pid] = append(removedBy[pid], u)
 	}
 
-	// Enclave pass: one sealed fresh group key, then the streaming re-key
-	// sweep — removal+re-key for partitions that lost members, plain re-key
-	// for the rest.
+	// Enclave pass: one sealed fresh group key, then the streaming sweep —
+	// removal+re-key for partitions that lost members, re-wrap for the rest.
 	sealedGK, err := m.encl.EcallNewGroupKey(name)
 	if err != nil {
 		rollbackIdx()
 		return nil, err
 	}
 	up := newUpdate(name)
-	undo, err := m.rekeySweep(name, g, sealedGK, removedBy, up)
+	undo, err := m.rekeySweep(name, g, sealedGK, removedBy, !m.DisableRewrap, up)
 	if err != nil {
 		undo()
 		rollbackIdx()
@@ -569,11 +592,19 @@ func (m *Manager) RemoveUsers(name string, users []string) (*Update, error) {
 	return up, nil
 }
 
-// rekeySweep re-keys every non-empty partition of the group under sealedGK,
+// rekeySweep publishes sealedGK to every non-empty partition of the group,
 // streaming in chunks of at most min(parallelism, page limit) pages so the
 // resident set stays bounded even though the sweep is O(|P|). removedBy
-// names the users each partition loses (empty for plain re-keys); records
-// for every surviving partition are merged into up.
+// names the users each partition loses; records for every surviving
+// partition are merged into up.
+//
+// A partition that loses members is re-keyed with the removal. With rewrap
+// set (a revocation), the partitions that lose nobody keep their broadcast
+// key — the revoked users never held it — and only get a new yᵢ, one
+// EcallRewrapPartitions per chunk: their CT and handle stay byte-identical.
+// Without it (RekeyGroup, DisableRewrap), and for a record written before
+// handles existed, they take the paper's per-partition re-key, which also
+// returns a handle for the next sweep.
 //
 // Chunks commit as they complete: a processed page is immediately evictable
 // because nothing revisits it within this operation, and the next operation
@@ -582,7 +613,7 @@ func (m *Manager) RemoveUsers(name string, users []string) (*Update, error) {
 // when a store source can rehydrate it, or from stashed copies when the
 // group is purely resident; the caller restores index bindings and discards
 // sealedGK.
-func (m *Manager) rekeySweep(name string, g *groupState, sealedGK []byte, removedBy map[string][]string, up *Update) (undo func(), err error) {
+func (m *Manager) rekeySweep(name string, g *groupState, sealedGK []byte, removedBy map[string][]string, rewrap bool, up *Update) (undo func(), err error) {
 	pids := make([]string, 0, g.idx.PageCount())
 	for _, pid := range g.idx.PageIDs() {
 		if g.idx.Count(pid) > 0 {
@@ -621,27 +652,42 @@ func (m *Manager) rekeySweep(name string, g *groupState, sealedGK []byte, remove
 		}
 		batch := pids[start:end]
 		cur := make([]*partition.Page, len(batch))
+		outs := make([]*enclave.PartitionCrypto, len(batch))
+		kept := make([][]string, len(batch))
+		var rekey, wrapped []int // positions in batch, by path
+		var handles [][]byte
 		for i, pid := range batch {
 			p, gerr := g.pages.Get(pid)
 			if gerr != nil {
 				return undo, gerr
 			}
-			cur[i] = p
+			cur[i], kept[i] = p, p.Members
+			if h := pageCrypto(p).WrapHandle; rewrap && len(removedBy[pid]) == 0 && len(h) > 0 {
+				wrapped = append(wrapped, i)
+				handles = append(handles, h)
+			} else {
+				rekey = append(rekey, i)
+			}
 		}
-		outs := make([]*enclave.PartitionCrypto, len(batch))
-		kept := make([][]string, len(batch))
-		ferr := m.fanOut(len(batch), func(i int) error {
+		if len(wrapped) > 0 {
+			ys, werr := m.encl.EcallRewrapPartitions(name, sealedGK, handles)
+			if werr != nil {
+				return undo, werr
+			}
+			for j, i := range wrapped {
+				old := pageCrypto(cur[i])
+				outs[i] = &enclave.PartitionCrypto{CT: old.CT, WrappedGK: ys[j], WrapHandle: old.WrapHandle}
+			}
+		}
+		ferr := m.fanOut(len(rekey), func(j int) error {
+			i := rekey[j]
 			p := cur[i]
 			old := pageCrypto(p).CT
 			rem := removedBy[p.ID]
 			if len(rem) == 0 {
-				kept[i] = p.Members
 				pc, e := m.encl.EcallRekeyPartition(name, sealedGK, old)
-				if e != nil {
-					return e
-				}
 				outs[i] = pc
-				return nil
+				return e
 			}
 			gone := make(map[string]bool, len(rem))
 			for _, u := range rem {
@@ -666,11 +712,8 @@ func (m *Manager) rekeySweep(name string, g *groupState, sealedGK []byte, remove
 			} else {
 				pc, e = m.encl.EcallCreatePartition(name, sealedGK, keep)
 			}
-			if e != nil {
-				return e
-			}
 			outs[i] = pc
-			return nil
+			return e
 		})
 		if ferr != nil {
 			return undo, ferr
@@ -682,19 +725,17 @@ func (m *Manager) rekeySweep(name string, g *groupState, sealedGK []byte, remove
 					oldPages[pid] = cur[i]
 				}
 			}
-			np := &partition.Page{ID: pid, Members: kept[i], Payload: outs[i]}
-			g.pages.Put(np)
-			g.idx.SetWrapLen(pid, len(outs[i].WrappedGK))
-			up.Put[pid] = recordForPage(np)
+			g.install(&partition.Page{ID: pid, Members: kept[i], Payload: outs[i]}, up)
 		}
 		g.pages.ReleasePins()
 	}
 	return undo, nil
 }
 
-// RekeyGroup rotates the group key without membership changes (§A-G); the
-// per-partition O(1) re-keys stream across the worker pool in bounded
-// chunks.
+// RekeyGroup rotates the group key without membership changes (§A-G): every
+// partition gets a fresh broadcast key, exactly as the paper's Algorithm 3
+// sweep does. The per-partition O(1) re-keys stream across the worker pool
+// in bounded chunks.
 func (m *Manager) RekeyGroup(name string) (*Update, error) {
 	g, err := m.lockGroup(name)
 	if err != nil {
@@ -707,7 +748,7 @@ func (m *Manager) RekeyGroup(name string) (*Update, error) {
 		return nil, err
 	}
 	up := newUpdate(name)
-	undo, err := m.rekeySweep(name, g, sealedGK, nil, up)
+	undo, err := m.rekeySweep(name, g, sealedGK, nil, false, up)
 	if err != nil {
 		undo()
 		return nil, err
@@ -802,9 +843,7 @@ func (m *Manager) repartitionLocked(name string, g *groupState, up *Update) (*Up
 			return nil, ferr
 		}
 		for _, p := range pagesB {
-			g.pages.Put(p)
-			g.idx.SetWrapLen(p.ID, len(pageCrypto(p).WrappedGK))
-			fresh.Put[p.ID] = recordForPage(p)
+			g.install(p, fresh)
 		}
 		g.pages.ReleasePins()
 	}
@@ -846,22 +885,15 @@ func (m *Manager) RestoreGroup(name string, recs map[string]*PartitionRecord, se
 	}
 	pages := partition.NewPages(m.MaxResidentPages(), nil)
 	for _, id := range ids {
-		rec := recs[id]
-		if rec.CT == nil {
-			return fmt.Errorf("%w: record %s missing ciphertext", ErrBadRecord, id)
+		p, err := pageForRecord(id, recs[id])
+		if err != nil {
+			return err
 		}
-		if err := idx.AddExistingPage(id, rec.Members); err != nil {
+		if err := idx.AddExistingPage(id, p.Members); err != nil {
 			return fmt.Errorf("core: restoring %s: %w", name, err)
 		}
-		idx.SetWrapLen(id, len(rec.WrappedGK))
-		pages.Put(&partition.Page{
-			ID:      id,
-			Members: append([]string(nil), rec.Members...),
-			Payload: &enclave.PartitionCrypto{
-				CT:        rec.CT.Clone(),
-				WrappedGK: append([]byte(nil), rec.WrappedGK...),
-			},
-		})
+		idx.SetWrapLen(id, envelopeLen(pageCrypto(p)))
+		pages.Put(p)
 	}
 	pages.ReleasePins()
 	g := &groupState{idx: idx, pages: pages, sealedGK: append([]byte(nil), sealedGK...)}
@@ -1012,9 +1044,10 @@ func (m *Manager) PartitionCount(name string) (int, error) {
 }
 
 // MetadataSize returns the group's cryptographic metadata footprint in
-// bytes — per partition the broadcast header (C1, C2) plus the wrapped
-// group key yᵢ, matching what the paper's Figs. 2b and 7 account. Answered
-// from the index's recorded wrap lengths without hydrating any page.
+// bytes — per partition the broadcast header (C1, C2), the wrapped group key
+// yᵢ and the sealed re-wrap handle: what the paper's Figs. 2b and 7 account,
+// plus the handle this system stores beside it. Answered from the index's
+// recorded envelope lengths without hydrating any page.
 func (m *Manager) MetadataSize(name string) (int, error) {
 	g, err := m.lockGroup(name)
 	if err != nil {

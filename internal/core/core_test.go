@@ -18,7 +18,7 @@ type env struct {
 	encl *enclave.IBBEEnclave
 }
 
-func newEnv(t *testing.T, capacity int) *env {
+func newEnv(t testing.TB, capacity int) *env {
 	t.Helper()
 	platform, err := enclave.NewPlatform("test", rand.Reader)
 	if err != nil {

@@ -14,19 +14,22 @@ var ErrBadRecord = errors.New("core: bad partition record")
 
 // PartitionRecord is the cloud-stored object for one partition: the member
 // list (public per the model — member identities are not hidden, §II), the
-// IBBE broadcast ciphertext and the wrapped group key yᵢ. One record is one
-// object under the group directory (/g/p1, /g/p2, … of Fig. 5).
+// IBBE broadcast ciphertext, the wrapped group key yᵢ and the enclave-sealed
+// re-wrap handle (absent from records written before handles existed). One
+// record is one object under the group directory (/g/p1, /g/p2, … of Fig. 5).
 type PartitionRecord struct {
 	PartitionID string
 	Members     []string
 	CT          *ibbe.Ciphertext
 	WrappedGK   []byte
+	WrapHandle  []byte
 }
 
 // CryptoSize returns the record's cryptographic payload size: broadcast
-// header plus wrapped group key — the footprint unit of Figs. 2b and 7.
+// header plus wrapped group key plus sealed re-wrap handle — the footprint
+// unit of Figs. 2b and 7.
 func (r *PartitionRecord) CryptoSize(s *ibbe.Scheme) int {
-	return s.HeaderLen() + len(r.WrappedGK)
+	return s.HeaderLen() + len(r.WrappedGK) + len(r.WrapHandle)
 }
 
 // recordWire is the JSON wire shape of a record.
@@ -35,6 +38,7 @@ type recordWire struct {
 	Members     []string `json:"members"`
 	CT          string   `json:"ct"`
 	WrappedGK   string   `json:"wrapped_gk"`
+	WrapHandle  string   `json:"wk,omitempty"`
 }
 
 // Marshal serialises the record for storage.
@@ -47,6 +51,7 @@ func (r *PartitionRecord) Marshal(s *ibbe.Scheme) ([]byte, error) {
 		Members:     r.Members,
 		CT:          base64.StdEncoding.EncodeToString(s.MarshalCiphertext(r.CT)),
 		WrappedGK:   base64.StdEncoding.EncodeToString(r.WrappedGK),
+		WrapHandle:  base64.StdEncoding.EncodeToString(r.WrapHandle),
 	}
 	out, err := json.Marshal(w)
 	if err != nil {
@@ -73,11 +78,16 @@ func UnmarshalRecord(s *ibbe.Scheme, data []byte) (*PartitionRecord, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: wrapped key encoding: %v", ErrBadRecord, err)
 	}
+	handle, err := base64.StdEncoding.DecodeString(w.WrapHandle)
+	if err != nil {
+		return nil, fmt.Errorf("%w: wrap handle encoding: %v", ErrBadRecord, err)
+	}
 	return &PartitionRecord{
 		PartitionID: w.PartitionID,
 		Members:     w.Members,
 		CT:          ct,
 		WrappedGK:   y,
+		WrapHandle:  handle,
 	}, nil
 }
 

@@ -30,9 +30,16 @@ func IBBEMeasurement() Measurement { return MeasureCode(CodeName, CodeVersion) }
 // PartitionCrypto is the per-partition public output of the enclave: the
 // IBBE broadcast ciphertext cᵢ and the group key wrapped under the partition
 // broadcast key, yᵢ = AES(SHA(bkᵢ), gk) — the (cᵢ, yᵢ) pairs of Fig. 4.
+//
+// WrapHandle is the wrap key SHA(bkᵢ) sealed to the enclave, returned by
+// every ECALL that mints a broadcast key. It lets EcallRewrapPartitions
+// publish a new group key to a partition whose membership did not shrink
+// without rotating bkᵢ; outside the enclave it is as opaque as the sealed
+// group key.
 type PartitionCrypto struct {
-	CT        *ibbe.Ciphertext
-	WrappedGK []byte
+	CT         *ibbe.Ciphertext
+	WrappedGK  []byte
+	WrapHandle []byte
 }
 
 // IBBEEnclave is the enclave-resident IBBE-SGX code: the only holder of the
@@ -339,12 +346,7 @@ func (ie *IBBEEnclave) EcallRekeyPartition(groupLabel string, sealedGK []byte, c
 			innerErr = err
 			return
 		}
-		y, err := wrapGK(ie.scheme.P, bk, gk, groupLabel)
-		if err != nil {
-			innerErr = err
-			return
-		}
-		pc = &PartitionCrypto{CT: newCT, WrappedGK: y}
+		pc, innerErr = ie.wrapPartitionLocked(groupLabel, bk, newCT, gk)
 	})
 	if innerErr != nil {
 		return nil, innerErr
@@ -382,17 +384,43 @@ func (ie *IBBEEnclave) EcallRemoveUsersFromPartition(groupLabel string, sealedGK
 			innerErr = err
 			return
 		}
-		y, err := wrapGK(ie.scheme.P, bk, gk, groupLabel)
-		if err != nil {
-			innerErr = err
-			return
-		}
-		pc = &PartitionCrypto{CT: newCT, WrappedGK: y}
+		pc, innerErr = ie.wrapPartitionLocked(groupLabel, bk, newCT, gk)
 	})
 	if innerErr != nil {
 		return nil, innerErr
 	}
 	return pc, nil
+}
+
+// EcallRewrapPartitions publishes the (sealed) current group key to
+// partitions whose broadcast keys stay as they are: for each re-wrap handle
+// it returns a fresh-nonce yᵢ = AES(SHA(bkᵢ), gk). This is the sweep of a
+// revocation over the partitions that lost nobody — the revoked user never
+// held their bkᵢ — and it takes no ciphertext, no member list and does no
+// pairing-group work. Outputs are in handle order.
+func (ie *IBBEEnclave) EcallRewrapPartitions(groupLabel string, sealedGK []byte, handles [][]byte) ([][]byte, error) {
+	defer ie.timeEcall("rewrap")()
+	ie.mu.RLock()
+	defer ie.mu.RUnlock()
+	if ie.pk == nil {
+		return nil, ErrEnclaveNotInitialized
+	}
+	gk, err := ie.unsealGKLocked(groupLabel, sealedGK)
+	if err != nil {
+		return nil, err
+	}
+	label := wrapHandleLabel(groupLabel)
+	out := make([][]byte, len(handles))
+	for i, h := range handles {
+		wk, err := ie.unsealKeyLocked(h, label)
+		if err != nil {
+			return nil, err
+		}
+		if out[i], err = wrapGK(wk, gk, groupLabel); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // PublicKey returns the system public key (nil before EcallSetup).
@@ -420,12 +448,28 @@ func (ie *IBBEEnclave) createPartitionLocked(groupLabel string, members []string
 	if err != nil {
 		return nil, err
 	}
-	y, err := wrapGK(ie.scheme.P, bk, gk, groupLabel)
+	return ie.wrapPartitionLocked(groupLabel, bk, ct, gk)
+}
+
+// wrapPartitionLocked finishes every ECALL that minted a broadcast key bk for
+// ciphertext ct: yᵢ = AES-GCM(SHA-256(bk), gk) — the sgx_aes(sgx_sha(b), gk)
+// step of Algorithms 1–3 — plus the wrap key sealed as the partition's
+// re-wrap handle.
+func (ie *IBBEEnclave) wrapPartitionLocked(groupLabel string, bk *ibbe.BroadcastKey, ct *ibbe.Ciphertext, gk [kdf.KeySize]byte) (*PartitionCrypto, error) {
+	wk := ie.scheme.P.GTHash(bk)
+	y, err := wrapGK(wk, gk, groupLabel)
 	if err != nil {
 		return nil, err
 	}
-	return &PartitionCrypto{CT: ct, WrappedGK: y}, nil
+	handle, err := ie.enc.Seal(wk[:], wrapHandleLabel(groupLabel))
+	if err != nil {
+		return nil, err
+	}
+	return &PartitionCrypto{CT: ct, WrappedGK: y, WrapHandle: handle}, nil
 }
+
+// wrapHandleLabel is the seal label of a partition's re-wrap handle.
+func wrapHandleLabel(groupLabel string) []byte { return []byte("ibbe-wk|" + groupLabel) }
 
 func (ie *IBBEEnclave) sealMSKLocked() ([]byte, error) {
 	return ie.enc.Seal(marshalMSK(ie.scheme, ie.msk), []byte("ibbe-msk"))
@@ -436,29 +480,42 @@ func (ie *IBBEEnclave) sealGKLocked(groupLabel string, gk [kdf.KeySize]byte) ([]
 }
 
 func (ie *IBBEEnclave) unsealGKLocked(groupLabel string, sealed []byte) ([kdf.KeySize]byte, error) {
-	var gk [kdf.KeySize]byte
-	raw, err := ie.enc.Unseal(sealed, []byte("ibbe-gk|"+groupLabel))
-	if err != nil {
-		return gk, err
-	}
-	if len(raw) != kdf.KeySize {
-		return gk, errors.New("enclave: sealed group key has wrong length")
-	}
-	copy(gk[:], raw)
-	return gk, nil
+	return ie.unsealKeyLocked(sealed, []byte("ibbe-gk|"+groupLabel))
 }
 
-// wrapGK computes yᵢ = AES-GCM(SHA-256(bk), gk) — the sgx_aes(sgx_sha(b), gk)
-// step of Algorithms 1–3. UnwrapGK is its user-side inverse.
-func wrapGK(p *pairing.Params, bk *ibbe.BroadcastKey, gk [kdf.KeySize]byte, groupLabel string) ([]byte, error) {
-	return kdf.Seal(p.GTHash(bk), gk[:], []byte("gk|"+groupLabel), rand.Reader)
+// unsealKeyLocked opens a sealed symmetric key: a group key or a partition's
+// wrap key, told apart by the seal label.
+func (ie *IBBEEnclave) unsealKeyLocked(sealed, label []byte) ([kdf.KeySize]byte, error) {
+	var key [kdf.KeySize]byte
+	raw, err := ie.enc.Unseal(sealed, label)
+	if err != nil {
+		return key, err
+	}
+	if len(raw) != kdf.KeySize {
+		return key, errors.New("enclave: sealed key has wrong length")
+	}
+	copy(key[:], raw)
+	return key, nil
+}
+
+// wrapGK computes yᵢ = AES-GCM(wk, gk) under a fresh nonce, for the wrap key
+// wk = SHA-256(bkᵢ). UnwrapGK and UnwrapGKWithKey are its user-side inverses.
+func wrapGK(wk, gk [kdf.KeySize]byte, groupLabel string) ([]byte, error) {
+	return kdf.Seal(wk, gk[:], []byte("gk|"+groupLabel), rand.Reader)
 }
 
 // UnwrapGK recovers the group key from yᵢ with a decrypted partition
 // broadcast key. It runs on the client, outside any enclave.
 func UnwrapGK(p *pairing.Params, bk *ibbe.BroadcastKey, wrapped []byte, groupLabel string) ([kdf.KeySize]byte, error) {
+	return UnwrapGKWithKey(p.GTHash(bk), wrapped, groupLabel)
+}
+
+// UnwrapGKWithKey recovers the group key from yᵢ with the wrap key
+// SHA-256(bkᵢ) a member kept from an earlier decrypt of the same broadcast
+// key. It runs on the client, outside any enclave.
+func UnwrapGKWithKey(wk [kdf.KeySize]byte, wrapped []byte, groupLabel string) ([kdf.KeySize]byte, error) {
 	var gk [kdf.KeySize]byte
-	raw, err := kdf.Open(p.GTHash(bk), wrapped, []byte("gk|"+groupLabel))
+	raw, err := kdf.Open(wk, wrapped, []byte("gk|"+groupLabel))
 	if err != nil {
 		return gk, fmt.Errorf("enclave: unwrapping group key: %w", err)
 	}

@@ -27,7 +27,7 @@ type Index struct {
 
 type pageInfo struct {
 	count   int
-	wrapLen int // length of the wrapped group key for this page's record
+	wrapLen int // length of the key envelope (wrapped group key + re-wrap handle) in this page's record
 }
 
 // NewIndex creates an empty index with fixed partition capacity m.
@@ -78,8 +78,9 @@ func (ix *Index) Has(id string) bool {
 	return ok
 }
 
-// WrapLen returns the recorded wrapped-group-key length for the partition —
-// enough to answer metadata-size queries without hydrating the page.
+// WrapLen returns the recorded key-envelope length for the partition (wrapped
+// group key plus re-wrap handle) — enough to answer metadata-size queries
+// without hydrating the page.
 func (ix *Index) WrapLen(id string) int {
 	if pi, ok := ix.pages[id]; ok {
 		return pi.wrapLen
@@ -87,7 +88,7 @@ func (ix *Index) WrapLen(id string) int {
 	return 0
 }
 
-// SetWrapLen records the wrapped-group-key length for the partition.
+// SetWrapLen records the key-envelope length for the partition.
 func (ix *Index) SetWrapLen(id string, n int) {
 	if pi, ok := ix.pages[id]; ok {
 		pi.wrapLen = n
