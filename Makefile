@@ -38,9 +38,9 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 ## bench-smoke: the frozen repository benchmark (bench/) still compiles against the product and runs clean
-# on both store paths — untraced (native commit), traced (its decorator forces the chain) — and on the paged
-# sweep, where evicted pages bring their re-wrap handles back from records; a failed op or a correctness
-# violation exits non-zero
+# on both store paths — untraced (native commit), traced (its decorator forces the chain) — and on a paged
+# group, where removals re-wrap from the resident header and rehydrate only the page that lost a member; a
+# failed op or a correctness violation exits non-zero
 bench-smoke:
 	$(GO) vet ./bench
 	$(GO) run ./bench -workload cloud_routed -seconds 3 -trace 0
@@ -49,11 +49,13 @@ bench-smoke:
 	$(GO) run ./bench -workload big_group_paged -seconds 3 -trace 1
 
 ## fuzz: the 15s smokes CI runs — Montgomery limb core vs big.Int, the /v1/commit request decoder, and the
-# partition-record decoder
+# three decoders of a group directory (partition record, group header, directory bucket)
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMontFieldVsBigInt$$' -fuzztime=15s ./internal/ff
 	$(GO) test -run='^$$' -fuzz='^FuzzCommitRequest$$' -fuzztime=15s ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalRecord$$' -fuzztime=15s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalIndex$$' -fuzztime=15s ./internal/partition
+	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalBucket$$' -fuzztime=15s ./internal/partition
 
 ## benchdiff: measure the gated scenarios fresh and compare against the committed baselines
 benchdiff:

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/ibbesgx/ibbesgx/internal/core"
@@ -144,34 +143,54 @@ const casAttempts = 4
 // Nothing was written when the conflict fired on the first conditional put,
 // so the losing operation either re-applies cleanly on top of the winner's
 // state or aborts with the manager's own error (e.g. the user it wanted to
-// add already exists now). A CAS apply that fails for good — retries
-// exhausted or a non-conflict storage error — leaves the group DROPPED from
-// the local cache (the cloud holds the authoritative records; the caller
-// restores before the next operation), never a silently divergent cache.
+// add already exists now). The same holds one step earlier: group state
+// hydrates lazily, so an operation computed on a stale header can already
+// fail on the newer bucket or record it loads, and is likewise recomputed
+// once if the directory has moved past the tracked version. A CAS apply that
+// fails for good — retries exhausted or a non-conflict storage error —
+// leaves the group DROPPED from the local cache (the cloud holds the
+// authoritative records; the caller restores before the next operation),
+// never a silently divergent cache.
 func (a *Admin) mutate(ctx context.Context, group string, op func() (*core.Update, error)) error {
 	l := a.groupOpLock(group)
 	l.Lock()
 	defer l.Unlock()
 	for attempt := 0; ; attempt++ {
 		up, err := op()
-		if err != nil {
-			return err
-		}
-		err = a.apply(ctx, up)
 		if err == nil {
-			return nil
-		}
-		if !a.cas {
+			if err = a.apply(ctx, up); err == nil {
+				return nil
+			}
+			if !a.cas {
+				return err
+			}
+			a.DropGroup(group)
+			if !errors.Is(err, storage.ErrVersionConflict) {
+				return err
+			}
+		} else if !a.cas || !a.behind(ctx, group) {
 			return err
 		}
-		a.DropGroup(group)
-		if !errors.Is(err, storage.ErrVersionConflict) || attempt >= casAttempts-1 {
+		if attempt >= casAttempts-1 {
 			return err
 		}
 		if rerr := a.restoreForRetry(ctx, group); rerr != nil {
 			return errors.Join(err, rerr)
 		}
 	}
+}
+
+// behind reports whether the group directory has moved past the version this
+// admin's cached state was read at.
+func (a *Admin) behind(ctx context.Context, group string) bool {
+	a.verMu.Lock()
+	tracked, ok := a.dirVer[group]
+	a.verMu.Unlock()
+	if !ok {
+		return false
+	}
+	v, err := a.store.Version(ctx, group)
+	return err == nil && v != tracked
 }
 
 // restoreForRetry rebuilds a group from the cloud for a CAS retry,
@@ -350,9 +369,9 @@ func (a *Admin) Repartition(ctx context.Context, group string) error {
 }
 
 // Reserved object names inside a group directory (never partition records;
-// clients skip names with this prefix).
+// clients skip names with this prefix). The group header and the directory
+// buckets are named by internal/partition, which encodes them.
 const (
-	reservedPrefix = "_"
 	// sealedGKObject stores the enclave-sealed group key next to the
 	// partition records — Algorithm 1 line 7's "Store: (1) sealed gk". It
 	// is opaque to the cloud and to curious administrators.
@@ -360,50 +379,65 @@ const (
 	// catalogDir / catalogObject track the set of groups for RestoreAll.
 	catalogDir    = "_system"
 	catalogObject = "groups"
-	// memberIndexObject stores the group's compact member→partition index as
-	// its own versioned object. Takeover restores read it (plus the sealed
-	// key) instead of every partition record, so a restart serves a
-	// million-user group after an O(index) read; the records hydrate lazily
-	// through the page cache.
-	memberIndexObject = "_member_index"
 )
+
+// updateObjects encodes an update's writes in the order every apply path
+// uses: directory buckets (sorted), partition records (sorted), and the
+// closing objects — the group header, which readers start from, then the
+// sealed group key when it changed. Records sit next to the header because a
+// reader checks the two against each other: on a store that applies an
+// update as a chain of writes, the fewer writes between them, the shorter
+// the window in which a reader of that partition has to wait.
+func (a *Admin) updateObjects(up *core.Update) (puts, closing []storage.Object, err error) {
+	names := make([]string, 0, len(up.Buckets))
+	for name := range up.Buckets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		puts = append(puts, storage.Object{Name: name, Data: up.Buckets[name]})
+	}
+	names = names[:0]
+	for id := range up.Put {
+		names = append(names, id)
+	}
+	sort.Strings(names)
+	scheme := a.mgr.Scheme()
+	for _, id := range names {
+		blob, err := up.Put[id].Marshal(scheme)
+		if err != nil {
+			return nil, nil, err
+		}
+		puts = append(puts, storage.Object{Name: id, Data: blob})
+	}
+	closing = append(closing, storage.Object{Name: partition.HeaderObject, Data: up.Header})
+	if up.SealedGK != nil {
+		closing = append(closing, storage.Object{Name: sealedGKObject, Data: up.SealedGK})
+	}
+	return puts, closing, nil
+}
 
 // apply pushes an update to the cloud. The unconditional path deletes first
 // (so clients never see a stale partition alongside its replacement), then
-// puts, then the current sealed group key; the CAS path (EnableCAS) runs
-// applyCAS instead.
+// puts in updateObjects order; the CAS path (EnableCAS) runs applyCAS
+// instead.
 func (a *Admin) apply(ctx context.Context, up *core.Update) error {
 	if a.cas {
 		return a.applyCAS(ctx, up)
 	}
-	scheme := a.mgr.Scheme()
+	puts, closing, err := a.updateObjects(up)
+	if err != nil {
+		return err
+	}
 	for _, id := range up.Delete {
 		if err := a.store.Delete(ctx, up.Group, id); err != nil {
 			return fmt.Errorf("admin: deleting %s/%s: %w", up.Group, id, err)
 		}
 	}
-	for id, rec := range up.Put {
-		blob, err := rec.Marshal(scheme)
-		if err != nil {
-			return err
+	for _, o := range append(puts, closing...) {
+		if err := a.store.Put(ctx, up.Group, o.Name, o.Data); err != nil {
+			return fmt.Errorf("admin: putting %s/%s: %w", up.Group, o.Name, err)
 		}
-		if err := a.store.Put(ctx, up.Group, id, blob); err != nil {
-			return fmt.Errorf("admin: putting %s/%s: %w", up.Group, id, err)
-		}
-	}
-	idxBlob, err := a.mgr.MarshalIndex(up.Group)
-	if err != nil {
-		return err
-	}
-	if err := a.store.Put(ctx, up.Group, memberIndexObject, idxBlob); err != nil {
-		return fmt.Errorf("admin: putting member index: %w", err)
-	}
-	sealed, err := a.mgr.SealedGroupKey(up.Group)
-	if err != nil {
-		return err
-	}
-	if err := a.store.Put(ctx, up.Group, sealedGKObject, sealed); err != nil {
-		return fmt.Errorf("admin: putting sealed group key: %w", err)
 	}
 	return nil
 }
@@ -412,17 +446,19 @@ func (a *Admin) apply(ctx context.Context, up *core.Update) error {
 // directory version this admin tracks and fenced by its membership epoch: on
 // a store with a native Commit that is one round trip and all-or-nothing —
 // a stale admin conflicts, a zombie is fenced, and in both cases nothing was
-// written. Objects go records (sorted) → deletes → member index → sealed
-// group key, the order the chain fallback (a store without native Commit)
-// needs: its first conditional write is the race arbiter, and the sealed key
-// comes LAST, so a peer restoring from any mid-chain snapshot read a version
-// that at least one remaining conditional write still advances past — its
-// own first write then conflicts instead of committing on the torn snapshot.
-// An update larger than storage.MaxCommitPayload (a very large creation) is
-// split into consecutive commits, index and sealed key in the final one, so
-// the same arbiter covers a failure between them. Any failure invalidates
-// the tracked version: it may no longer match the directory, and the next
-// mutate re-syncs through restore.
+// written. Objects go buckets → records → deletes → group header → sealed
+// group key (when it changed), the order the chain fallback (a store without
+// native Commit) needs: its first conditional write is the race arbiter, and
+// the header — which every update rewrites and every reader and restore
+// starts from — comes at the end, so a peer restoring from any mid-chain
+// snapshot read a version that at least one remaining conditional write
+// still advances past — its own first write then conflicts instead of
+// committing on the torn snapshot. An update larger than
+// storage.MaxCommitPayload (a very large creation) is split into consecutive
+// commits, the closing objects in the final one, so the same arbiter covers a
+// failure between them. Any failure invalidates the tracked version: it may
+// no longer match the directory, and the next mutate re-syncs through
+// restore.
 func (a *Admin) applyCAS(ctx context.Context, up *core.Update) error {
 	v, err := a.baseVersion(ctx, up.Group)
 	if err != nil {
@@ -440,47 +476,33 @@ func (a *Admin) applyCAS(ctx context.Context, up *core.Update) error {
 // commitUpdate commits an update on top of directory version v, at most
 // maxPayload bytes per commit, and returns the directory version it produced.
 func (a *Admin) commitUpdate(ctx context.Context, up *core.Update, v uint64, maxPayload int) (uint64, error) {
-	idxBlob, err := a.mgr.MarshalIndex(up.Group)
+	puts, closing, err := a.updateObjects(up)
 	if err != nil {
 		return 0, err
 	}
-	sealed, err := a.mgr.SealedGroupKey(up.Group)
-	if err != nil {
-		return 0, err
+	epoch := a.fenceEpoch()
+	// Every commit leaves room for the closing objects, so the final one
+	// fits whatever is still pending when the buckets and records run out.
+	budget := maxPayload
+	for _, o := range closing {
+		budget -= len(o.Data)
 	}
-	ids := make([]string, 0, len(up.Put))
-	for id := range up.Put {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	scheme, epoch := a.mgr.Scheme(), a.fenceEpoch()
-	// Every commit leaves room for the two closing objects, so the final one
-	// fits whatever is still pending when the records run out.
-	budget := maxPayload - len(idxBlob) - len(sealed)
-	objs := make([]storage.Object, 0, len(ids)+len(up.Delete)+2)
+	objs := make([]storage.Object, 0, len(puts)+len(up.Delete)+len(closing))
 	size := 0
-	for _, id := range ids {
-		blob, err := up.Put[id].Marshal(scheme)
-		if err != nil {
-			return 0, err
-		}
-		if size+len(blob) > budget && len(objs) > 0 {
+	for _, o := range puts {
+		if size+len(o.Data) > budget && len(objs) > 0 {
 			if v, err = storage.Commit(ctx, a.store, up.Group, objs, v, epoch); err != nil {
 				return 0, err
 			}
 			objs, size = objs[:0], 0
 		}
-		objs = append(objs, storage.Object{Name: id, Data: blob})
-		size += len(blob)
+		objs = append(objs, o)
+		size += len(o.Data)
 	}
 	for _, id := range up.Delete {
 		objs = append(objs, storage.Object{Name: id, Delete: true})
 	}
-	objs = append(objs,
-		storage.Object{Name: memberIndexObject, Data: idxBlob},
-		storage.Object{Name: sealedGKObject, Data: sealed})
-	return storage.Commit(ctx, a.store, up.Group, objs, v, epoch)
+	return storage.Commit(ctx, a.store, up.Group, append(objs, closing...), v, epoch)
 }
 
 // updateCatalog records the group name in the cloud catalog (idempotent).
@@ -562,12 +584,12 @@ func (a *Admin) enablePaging(group string) {
 	_ = a.mgr.SetPageSource(group, a.recordFetch(group))
 }
 
-// RestoreGroup rebuilds the manager's state for one group from the cloud.
-// The fast path reads only the member index and the sealed group key —
-// O(index), not O(group) — and hands the manager a lazy record fetch;
-// directories written before the index object existed fall back to reading
-// every partition record. Use after an administrator restart (the enclave
-// must hold the same master secret, via EcallRestore on the same platform).
+// RestoreGroup rebuilds the manager's state for one group from the cloud. It
+// reads the group header and the sealed group key — O(partitions), not
+// O(group) — and hands the manager lazy fetches for everything else: no
+// directory bucket and no partition record is read until an operation
+// touches it. Use after an administrator restart (the enclave must hold the
+// same master secret, via EcallRestore on the same platform).
 func (a *Admin) RestoreGroup(ctx context.Context, group string) error {
 	// The version is read before any content: if a writer lands during the
 	// restore, the tracked version is stale and this admin's first
@@ -577,63 +599,19 @@ func (a *Admin) RestoreGroup(ctx context.Context, group string) error {
 	if err != nil {
 		return err
 	}
-	idxBlob, err := a.store.Get(ctx, group, memberIndexObject)
-	if err == nil {
-		if err := a.restorePaged(ctx, group, idxBlob); err != nil {
-			return err
-		}
-		a.trackVersion(group, ver)
-		return nil
-	}
-	if !errors.Is(err, storage.ErrNotFound) {
+	header, err := a.store.Get(ctx, group, partition.HeaderObject)
+	if err != nil {
 		return err
 	}
-	names, err := a.store.List(ctx, group)
+	idx, err := partition.UnmarshalIndex(header)
 	if err != nil {
-		return fmt.Errorf("admin: listing %s: %w", group, err)
+		return fmt.Errorf("admin: %s/%s: %w", group, partition.HeaderObject, err)
 	}
-	scheme := a.mgr.Scheme()
-	recs := make(map[string]*core.PartitionRecord)
-	var sealedGK []byte
-	for _, name := range names {
-		blob, err := a.store.Get(ctx, group, name)
-		if err != nil {
-			return err
-		}
-		if name == sealedGKObject {
-			sealedGK = blob
-			continue
-		}
-		if strings.HasPrefix(name, reservedPrefix) {
-			continue
-		}
-		rec, err := core.UnmarshalRecord(scheme, blob)
-		if err != nil {
-			return fmt.Errorf("admin: record %s/%s: %w", group, name, err)
-		}
-		recs[name] = rec
-	}
-	if sealedGK == nil {
-		return fmt.Errorf("%w: %s", ErrNoSealedKey, group)
-	}
-	if err := a.mgr.RestoreGroup(group, recs, sealedGK); err != nil {
-		return err
-	}
-	// Even the legacy path ends up paged: the records just restored are in
-	// the cloud by definition, so the cache may evict and rehydrate them.
-	a.enablePaging(group)
-	a.trackVersion(group, ver)
-	return nil
-}
-
-// restorePaged is the O(index) restore: decode the member index, read the
-// sealed key, and register the group with a lazy page fetch — no partition
-// record is read until an operation touches it.
-func (a *Admin) restorePaged(ctx context.Context, group string, idxBlob []byte) error {
-	idx, err := partition.UnmarshalIndex(idxBlob)
-	if err != nil {
-		return fmt.Errorf("admin: index %s/%s: %w", group, memberIndexObject, err)
-	}
+	// Like record hydrations, bucket loads happen long after the request
+	// that restored the group, so they run under a background context.
+	idx.SetBucketFetch(func(object string) ([]byte, error) {
+		return a.store.Get(context.Background(), group, object)
+	})
 	sealedGK, err := a.store.Get(ctx, group, sealedGKObject)
 	if errors.Is(err, storage.ErrNotFound) {
 		return fmt.Errorf("%w: %s", ErrNoSealedKey, group)
@@ -641,7 +619,11 @@ func (a *Admin) restorePaged(ctx context.Context, group string, idxBlob []byte) 
 	if err != nil {
 		return err
 	}
-	return a.mgr.RestoreGroupPaged(group, idx, sealedGK, a.recordFetch(group))
+	if err := a.mgr.RestoreGroupPaged(group, idx, sealedGK, a.recordFetch(group)); err != nil {
+		return err
+	}
+	a.trackVersion(group, ver)
+	return nil
 }
 
 // DropGroup releases this admin's local state for a group (manager cache

@@ -1,7 +1,6 @@
 package admin
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/ibbesgx/ibbesgx/internal/core"
+	"github.com/ibbesgx/ibbesgx/internal/partition"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
 
@@ -19,10 +19,15 @@ import (
 // optional interface), forcing storage.Commit onto the chain of puts.
 type chainOnly struct{ storage.Store }
 
-// newCASAdminOn builds a CAS administrator on s's enclave over its own store.
+// newCASAdminOn builds a CAS administrator of capacity 3 on s's enclave over
+// its own store.
 func newCASAdminOn(t *testing.T, s *sys, store storage.Store, name string) *Admin {
+	return newCASAdmin(t, s, 3, store, name)
+}
+
+func newCASAdmin(t *testing.T, s *sys, capacity int, store storage.Store, name string) *Admin {
 	t.Helper()
-	mgr, err := core.NewManager(s.encl, 3, 42)
+	mgr, err := core.NewManager(s.encl, capacity, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +40,10 @@ func newCASAdminOn(t *testing.T, s *sys, store storage.Store, name string) *Admi
 // store commits natively and through one whose store hides Commit (the
 // chain). The ciphertexts are randomised, so byte-identity of the two paths
 // is storage's TestCommitChainMatchesNative; here the directories must hold
-// the same objects, the same member index and the same partition
-// memberships, the native admin must have paid one store round trip per
-// update, and a fresh standby must restore and serve either directory.
+// the same objects, the same directory buckets, the same header shape and the
+// same partition memberships, the native admin must have paid one store round
+// trip per update, and a fresh standby must restore and serve either
+// directory.
 func TestCommitPathsAgree(t *testing.T) {
 	s := newSys(t, 3)
 	ctx := context.Background()
@@ -95,11 +101,13 @@ func TestCommitPathsAgree(t *testing.T) {
 		}
 	}
 
-	// Same objects, same index, same partition memberships.
+	// Same objects, same buckets, same header shape, same partition
+	// memberships (wrapped keys and handles are randomised, like ciphertexts).
 	type dirState struct {
-		names  []string
-		index  []byte
-		byPart map[string][]string
+		names   []string
+		buckets string
+		header  string
+		byPart  map[string][]string
 	}
 	read := func(mem *storage.MemStore) dirState {
 		names, err := mem.List(ctx, "g")
@@ -113,9 +121,19 @@ func TestCommitPathsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			switch {
-			case n == memberIndexObject:
-				st.index = blob
-			case !strings.HasPrefix(n, reservedPrefix):
+			case n == partition.HeaderObject:
+				idx, err := partition.UnmarshalIndex(blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.header = fmt.Sprintf("capacity %d, fan-out %d, %d members:", idx.Capacity(), idx.Fanout(), idx.Len())
+				for _, id := range idx.PageIDs() {
+					st.header += fmt.Sprintf(" %s=%d", id, idx.Count(id))
+				}
+			case n == sealedGKObject:
+			case strings.HasPrefix(n, "_"):
+				st.buckets += fmt.Sprintf("%s=%x ", n, blob)
+			default:
 				rec, err := core.UnmarshalRecord(s.encl.Scheme(), blob)
 				if err != nil {
 					t.Fatal(err)
@@ -129,8 +147,8 @@ func TestCommitPathsAgree(t *testing.T) {
 	if fmt.Sprint(a.names) != fmt.Sprint(b.names) {
 		t.Fatalf("object sets differ:\n native %v\n chain  %v", a.names, b.names)
 	}
-	if !bytes.Equal(a.index, b.index) {
-		t.Fatal("member index differs between the two paths")
+	if a.header != b.header || a.buckets != b.buckets {
+		t.Fatalf("group header or directory differs between the two paths:\n native %s\n chain  %s", a.header, b.header)
 	}
 	if fmt.Sprint(a.byPart) != fmt.Sprint(b.byPart) {
 		t.Fatalf("partition memberships differ:\n native %v\n chain  %v", a.byPart, b.byPart)
@@ -246,52 +264,49 @@ func (c *commitLog) Commit(ctx context.Context, dir string, objs []storage.Objec
 
 // TestOversizedUpdateSplitsIntoChainedCommits: an update above the payload
 // limit goes out as consecutive commits, each on the version the previous
-// one produced, records in sorted order, with the member index and the
-// sealed key only in the last — and a standby restores the result.
+// one produced, buckets then records in sorted order, with the group header
+// and the sealed key only at the end of the last — and a standby restores
+// the result.
 func TestOversizedUpdateSplitsIntoChainedCommits(t *testing.T) {
 	s := newSys(t, 3)
 	ctx := context.Background()
 	store := &commitLog{MemStore: s.store}
 	adm := newCASAdminOn(t, s, store, "admin-big")
-	up, err := adm.mgr.CreateGroup("g", users(13)) // 5 partitions
+	up, err := adm.mgr.CreateGroup("g", users(13)) // 5 partitions, 5 buckets
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, _ := adm.mgr.MarshalIndex("g")
-	sealed, _ := adm.mgr.SealedGroupKey("g")
-	var recordBytes int
-	for _, rec := range up.Put {
-		blob, _ := rec.Marshal(adm.mgr.Scheme())
-		recordBytes = len(blob)
+	puts, closing, err := adm.updateObjects(up)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Room for the closing objects plus two records (and a bit): 5 records
-	// need three commits.
-	limit := len(idx) + len(sealed) + 2*recordBytes + recordBytes/2
+	// Room for the closing objects plus two records (and a bit): the five
+	// records alone need three commits.
+	record := len(puts[len(puts)-1].Data)
+	limit := len(up.Header) + len(up.SealedGK) + 2*record + record/2
 	v, err := adm.commitUpdate(ctx, up, 0, limit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(store.commits) != 3 || v != 3 {
-		t.Fatalf("got %d commits ending at version %d, want 3 and 3: %v", len(store.commits), v, store.commits)
+	if len(store.commits) < 3 || v != uint64(len(store.commits)) {
+		t.Fatalf("got %d commits ending at version %d, want at least 3, one version each: %v", len(store.commits), v, store.commits)
 	}
-	var records []string
-	for i, names := range store.commits {
-		last := i == len(store.commits)-1
-		for j, n := range names {
-			closing := n == memberIndexObject || n == sealedGKObject
-			if closing && (!last || j < len(names)-2) {
-				t.Fatalf("commit %d carries %s out of place: %v", i, n, store.commits)
-			}
-			if !closing {
-				records = append(records, n)
-			}
-		}
-		if last && (len(names) < 2 || names[len(names)-2] != memberIndexObject || names[len(names)-1] != sealedGKObject) {
-			t.Fatalf("final commit does not end with index and sealed key: %v", names)
-		}
+	var got, want []string
+	for _, names := range store.commits {
+		got = append(got, names...)
 	}
-	if len(records) != len(up.Put) || !sort.StringsAreSorted(records) {
-		t.Fatalf("records committed: %v, want the update's %d in sorted order", records, len(up.Put))
+	for _, o := range append(puts, closing...) {
+		want = append(want, o.Name)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("objects committed in order %v, want %v", got, want)
+	}
+	last := store.commits[len(store.commits)-1]
+	if n := len(last); n < 2 || last[n-2] != partition.HeaderObject || last[n-1] != sealedGKObject {
+		t.Fatalf("final commit does not end with header and sealed key: %v", last)
+	}
+	if len(up.Put) != 5 || len(up.Buckets) != 5 || !sort.StringsAreSorted(want[:5]) || !sort.StringsAreSorted(want[5:10]) {
+		t.Fatalf("update objects %v, want 5 sorted buckets then 5 sorted records", want)
 	}
 
 	standby := newCASAdminOn(t, s, s.store, "standby")

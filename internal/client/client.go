@@ -1,8 +1,8 @@
 // Package client implements the user side of the end-to-end system
 // (Fig. 5): it listens for group metadata changes with HTTP long polling at
-// the group directory level, maintains a local cache of the user's own
-// partition record, and derives the current group key on every change —
-// entirely outside any enclave (users need no SGX).
+// the group directory level, remembers the user's own partition and its wrap
+// key, and derives the current group key on every change — entirely outside
+// any enclave (users need no SGX).
 package client
 
 import (
@@ -10,13 +10,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
+	"time"
 
 	"github.com/ibbesgx/ibbesgx/internal/core"
-	"github.com/ibbesgx/ibbesgx/internal/curve"
 	"github.com/ibbesgx/ibbesgx/internal/ibbe"
 	"github.com/ibbesgx/ibbesgx/internal/kdf"
+	"github.com/ibbesgx/ibbesgx/internal/partition"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
 
@@ -39,18 +39,18 @@ type Client struct {
 	version     uint64
 	gk          [kdf.KeySize]byte
 	hasKey      bool
-	// lastBlob is the raw record the current key was derived from; with a
-	// record cache attached, an unchanged blob skips the IBBE decrypt.
-	lastBlob []byte
-	// wk is the wrap key SHA(bk) of the last IBBE decrypt and wkC1 the header
-	// C1 = w^−k it was made under, which commits to bk = v^k: with a record
-	// cache attached, a record carrying the same C1 opens with wk alone.
-	wk   [kdf.KeySize]byte
-	wkC1 *curve.Point
+	// lastHeader is the raw group header the current key was derived from;
+	// with a record cache attached, an unchanged header skips the derivation.
+	lastHeader []byte
+	// wk is the wrap key SHA(bk) of the last IBBE decrypt. The partition
+	// keeps bk until it loses a member, so with a record cache attached wk
+	// opens the partition's yᵢ in any later header — an authenticated open,
+	// which fails once bk has rotated.
+	wk [kdf.KeySize]byte
 	// decrypts counts IBBE decrypts, unwraps the derivations served by the
 	// kept wrap key instead (for experiment reporting).
 	decrypts, unwraps int64
-	// cache, when set, serves record reads from memory (shared across the
+	// cache, when set, serves object reads from memory (shared across the
 	// group's readers) instead of hitting the store.
 	cache *RecordCache
 }
@@ -70,27 +70,32 @@ func (c *Client) ID() string { return c.dec.ID() }
 // Group returns the group name.
 func (c *Client) Group() string { return c.group }
 
-// SetCache attaches a shared RecordCache: partition-record reads go
-// through it, so a crowd of readers on one version of a group costs the
-// cloud one GET, a refresh that finds the record unchanged skips the
-// derivation entirely, and one that finds only a new wrapped key under an
-// unchanged partition broadcast key opens it without an IBBE decrypt.
+// SetCache attaches a shared RecordCache: object reads go through it, so a
+// crowd of readers on one version of a group costs the cloud one GET per
+// object, a refresh that finds the group header unchanged skips the
+// derivation entirely, and one that finds a new wrapped key under an
+// unchanged partition broadcast key opens it from the header alone — no
+// record fetch, no IBBE decrypt.
 func (c *Client) SetCache(cache *RecordCache) {
 	c.mu.Lock()
 	c.cache = cache
 	c.mu.Unlock()
 }
 
-// getObject reads one group object, via the record cache when attached.
-func (c *Client) getObject(ctx context.Context, name string) ([]byte, error) {
-	c.mu.Lock()
-	cache := c.cache
-	c.mu.Unlock()
-	if cache != nil {
-		data, _, err := cache.Get(ctx, c.group, name)
-		return data, err
+// getObject reads one group object and the directory version of the read,
+// via the record cache when attached.
+func (c *Client) getObject(ctx context.Context, name string) ([]byte, uint64, error) {
+	if cache := c.recordCache(); cache != nil {
+		return cache.Get(ctx, c.group, name)
 	}
-	return c.store.Get(ctx, c.group, name)
+	return c.store.GetVersioned(ctx, c.group, name)
+}
+
+// recordCache returns the attached cache, nil when there is none.
+func (c *Client) recordCache() *RecordCache {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cache
 }
 
 // Decrypts returns how many IBBE decrypts this client performed.
@@ -121,101 +126,158 @@ func (c *Client) GroupKey(ctx context.Context) ([kdf.KeySize]byte, error) {
 	return c.Refresh(ctx)
 }
 
-// Refresh fetches the user's partition record from the cloud and re-derives
-// the group key (the decrypt operation of Fig. 8b, preceded by the cloud
-// round-trips the paper says dominate it).
+// errTorn marks a read that paired a group header with a directory bucket
+// or a partition record of another directory version. The header, the
+// buckets and the records are separate objects; an administrator publishes
+// them in one atomic commit where the store has one, and as a chain of writes
+// ending in the header where it does not, so such a pairing is possible —
+// between two GETs, or for as long as a chain is under way — and is always
+// detected.
+var errTorn = errors.New("client: group directory changed under the read")
+
+// tornPatience is how long a torn read waits for the directory to move on
+// before it gives up: the publisher of the half it saw is one store round
+// trip from its next write, or gone.
+const tornPatience = 2 * time.Second
+
+// Refresh fetches the group header — and, when the key cannot be had from it
+// alone, the user's partition record — from the cloud and re-derives the
+// group key (the decrypt operation of Fig. 8b, preceded by the cloud
+// round-trips the paper says dominate it). A torn read fails closed: it never
+// yields a key, it waits for the directory version to pass the header it read
+// and reads again, for as long as the directory keeps moving.
 func (c *Client) Refresh(ctx context.Context) ([kdf.KeySize]byte, error) {
-	var zero [kdf.KeySize]byte
-	rec, blob, err := c.fetchOwnRecord(ctx)
-	if err != nil {
-		return zero, err
+	for {
+		gk, seen, err := c.refreshOnce(ctx)
+		if !errors.Is(err, errTorn) {
+			return gk, err
+		}
+		wait, cancel := context.WithTimeout(ctx, tornPatience)
+		v, werr := c.store.Poll(wait, c.group, seen)
+		cancel()
+		if ctx.Err() != nil {
+			return gk, ctx.Err() // the caller gave up, the read did not fail
+		}
+		if werr != nil {
+			return gk, err
+		}
+		if cache := c.recordCache(); cache != nil {
+			cache.ObserveVersion(c.group, v)
+		}
 	}
-	// With a record cache attached, the pairing-heavy decrypt is skipped when
-	// it cannot yield anything new: byte-identical records mean the same
-	// group key, and the same C1 means the same broadcast key, so the kept
-	// wrap key opens the record's yᵢ. A wrap key that does not open it (a
-	// stale memo) falls through to the full decrypt. (Without a cache, every
-	// Refresh decrypts, preserving the paper's Fig. 8b measurement semantics
-	// for the decrypts counter.)
+}
+
+// refreshOnce is one attempt of Refresh; it also returns the directory
+// version its header read saw.
+func (c *Client) refreshOnce(ctx context.Context) (gk [kdf.KeySize]byte, seen uint64, err error) {
+	var zero [kdf.KeySize]byte
+	blob, seen, err := c.getObject(ctx, partition.HeaderObject)
+	if err != nil {
+		return zero, 0, fmt.Errorf("client: reading group header: %w", err)
+	}
+	// With a record cache attached, the header alone settles most reads: a
+	// byte-identical header means the same group key, and the kept wrap key
+	// opens the partition's yᵢ for as long as the partition's broadcast key
+	// stands. A wrap key that does not open it (the partition lost a member,
+	// was re-keyed or is gone) falls through to the record and the IBBE
+	// decrypt. (Without a cache, every Refresh decrypts, preserving the
+	// paper's Fig. 8b measurement semantics for the decrypts counter.)
 	c.mu.Lock()
-	if c.cache != nil && c.hasKey {
-		if bytes.Equal(blob, c.lastBlob) {
-			gk := c.gk
-			c.mu.Unlock()
-			return gk, nil
-		}
-		if c.wkC1 != nil && c.dec.Scheme().P.G1.Equal(c.wkC1, rec.CT.C1) {
-			if gk, err := c.dec.UnwrapRecord(c.group, rec, c.wk); err == nil {
-				c.unwraps++
-				c.keepLocked(rec, blob, gk)
-				c.mu.Unlock()
-				return gk, nil
-			}
-		}
+	warm := c.cache != nil && c.hasKey
+	pid, wk := c.partitionID, c.wk
+	if warm && bytes.Equal(blob, c.lastHeader) {
+		gk := c.gk
+		c.mu.Unlock()
+		return gk, seen, nil
 	}
 	c.mu.Unlock()
-	gk, wk, err := c.dec.DecryptRecordKeys(c.group, rec)
+	hdr, err := partition.UnmarshalIndex(blob)
 	if err != nil {
-		return zero, fmt.Errorf("client: deriving group key: %w", err)
+		return zero, seen, fmt.Errorf("client: group header: %w", err)
+	}
+	if wrapped, _ := hdr.Envelope(pid); warm && wrapped != nil {
+		if gk, err := c.dec.Unwrap(c.group, wrapped, wk); err == nil {
+			c.mu.Lock()
+			c.unwraps++
+			c.gk, c.lastHeader = gk, blob
+			c.mu.Unlock()
+			return gk, seen, nil
+		}
+	}
+	rec, err := c.fetchOwnRecord(ctx, hdr, pid)
+	if err != nil {
+		return zero, seen, err
+	}
+	rec.WrappedGK, _ = hdr.Envelope(rec.PartitionID)
+	gk, wk, err = c.dec.DecryptRecordKeys(c.group, rec)
+	if errors.Is(err, kdf.ErrDecrypt) { // the header's yᵢ is not under this record's broadcast key
+		return zero, seen, fmt.Errorf("%w: %v", errTorn, err)
+	}
+	if err != nil {
+		return zero, seen, fmt.Errorf("client: deriving group key: %w", err)
 	}
 	c.mu.Lock()
 	c.decrypts++
-	c.wk, c.wkC1 = wk, rec.CT.C1
-	c.keepLocked(rec, blob, gk)
+	c.partitionID, c.wk = rec.PartitionID, wk
+	c.gk, c.hasKey, c.lastHeader = gk, true, blob
 	c.mu.Unlock()
-	return gk, nil
+	return gk, seen, nil
 }
 
-// keepLocked caches the key derived from rec. The caller holds c.mu.
-func (c *Client) keepLocked(rec *core.PartitionRecord, blob []byte, gk [kdf.KeySize]byte) {
-	c.partitionID = rec.PartitionID
-	c.gk = gk
-	c.hasKey = true
-	c.lastBlob = blob
-}
-
-// fetchOwnRecord gets the cached partition object if it still lists the
-// user, and rescans the directory otherwise (partition moved or user was
-// re-partitioned).
-func (c *Client) fetchOwnRecord(ctx context.Context) (*core.PartitionRecord, []byte, error) {
-	c.mu.Lock()
-	cached := c.partitionID
-	c.mu.Unlock()
-
-	scheme := c.dec.Scheme()
-	if cached != "" {
-		if blob, err := c.getObject(ctx, cached); err == nil {
-			rec, err := core.UnmarshalRecord(scheme, blob)
-			if err == nil && rec.ContainsMember(c.ID()) {
-				return rec, blob, nil
-			}
+// fetchOwnRecord gets the user's partition record as the header describes
+// it: the partition the client last used if it still lists the user, else
+// the one the user's directory bucket names — header → one bucket → one
+// record, whatever the size of the group. A user no bucket binds is not a
+// member (ErrEvicted); a bucket or a record that disagrees with the header
+// is a torn read.
+func (c *Client) fetchOwnRecord(ctx context.Context, hdr *partition.Index, cached string) (*core.PartitionRecord, error) {
+	if hdr.Has(cached) {
+		if rec, err := c.fetchRecord(ctx, hdr, cached); err == nil {
+			return rec, nil
 		}
 	}
-	// Full rescan of the group directory.
-	names, err := c.store.List(ctx, c.group)
+	i := partition.BucketOf(c.ID(), hdr.Fanout())
+	blob, _, err := c.getObject(ctx, partition.BucketObject(i))
 	if err != nil {
-		return nil, nil, fmt.Errorf("client: listing group: %w", err)
+		if errors.Is(err, storage.ErrNotFound) {
+			err = fmt.Errorf("%w: %v", errTorn, err)
+		}
+		return nil, err
 	}
-	for _, name := range names {
-		if strings.HasPrefix(name, "_") {
-			continue // reserved objects (sealed group key, catalogs)
-		}
-		blob, err := c.getObject(ctx, name)
-		if err != nil {
-			if errors.Is(err, storage.ErrNotFound) {
-				continue // deleted between list and get
-			}
-			return nil, nil, err
-		}
-		rec, err := core.UnmarshalRecord(scheme, blob)
-		if err != nil {
-			return nil, nil, err
-		}
-		if rec.ContainsMember(c.ID()) {
-			return rec, blob, nil
-		}
+	entries, err := partition.UnmarshalBucket(blob, hdr.Fanout(), i)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errTorn, err)
 	}
-	return nil, nil, fmt.Errorf("%w: %s in %s", ErrEvicted, c.ID(), c.group)
+	for _, e := range entries {
+		if e.Member != c.ID() {
+			continue
+		}
+		if !hdr.Has(e.Page) {
+			return nil, fmt.Errorf("%w: directory names %s, the header does not", errTorn, e.Page)
+		}
+		return c.fetchRecord(ctx, hdr, e.Page)
+	}
+	return nil, fmt.Errorf("%w: %s in %s", ErrEvicted, c.ID(), c.group)
+}
+
+// fetchRecord reads one partition record and checks it against the header:
+// it must list the user, and as many members as the header counts.
+func (c *Client) fetchRecord(ctx context.Context, hdr *partition.Index, pid string) (*core.PartitionRecord, error) {
+	blob, _, err := c.getObject(ctx, pid)
+	if err != nil {
+		if errors.Is(err, storage.ErrNotFound) {
+			err = fmt.Errorf("%w: %v", errTorn, err)
+		}
+		return nil, err
+	}
+	rec, err := core.UnmarshalRecord(c.dec.Scheme(), blob)
+	if err != nil {
+		return nil, err
+	}
+	if rec.PartitionID != pid || !rec.ContainsMember(c.ID()) || len(rec.Members) != hdr.Count(pid) {
+		return nil, fmt.Errorf("%w: record %s does not match the header", errTorn, pid)
+	}
+	return rec, nil
 }
 
 // Watch long-polls the group directory and invokes fn with every newly

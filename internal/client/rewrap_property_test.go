@@ -7,24 +7,39 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
 	"github.com/ibbesgx/ibbesgx/internal/core"
 	"github.com/ibbesgx/ibbesgx/internal/ibbe"
 	"github.com/ibbesgx/ibbesgx/internal/kdf"
+	"github.com/ibbesgx/ibbesgx/internal/partition"
 )
 
-// rewrapWorld drives one group through seeded membership operations on two
-// managers sharing an enclave (the second takes the group over through
-// DropGroup + RestoreGroup from the store), and checks the access-control
-// invariant against a set-of-members oracle after every step.
+// worldMode is how a rewrapWorld holds group state while it replays its
+// schedule; the membership operations of a seed are the same in every mode.
+type worldMode int
+
+const (
+	// modeHandOff moves the group between two managers sharing an enclave at
+	// the schedule's hand-off steps: the standby restores from the store's
+	// header and sealed key and hydrates everything else lazily.
+	modeHandOff worldMode = iota
+	// modeResident keeps one manager with every page resident.
+	modeResident
+	// modePaged keeps one manager with at most two resident pages.
+	modePaged
+)
+
+// rewrapWorld drives one group through seeded membership operations and
+// checks the access-control invariant against a set-of-members oracle, and
+// the store-level invariant of the directory layout, after every step.
 type rewrapWorld struct {
 	t     *testing.T
 	r     *rig
 	rng   *rand.Rand
 	group string
+	mode  worldMode
 
 	mgrs   [2]*core.Manager
 	active int
@@ -33,7 +48,8 @@ type rewrapWorld struct {
 	members map[string]bool                  // the oracle
 	revoked map[string][kdf.KeySize]byte     // removed user → the last wrap key it held
 	clients map[string]*Client               // one long-lived reader per user ever seen
-	recs    map[string]*core.PartitionRecord // what the store holds
+	recs    map[string]*core.PartitionRecord // what the store holds: records, with yᵢ and handle from the header
+	sealed  []byte                           // the sealed group key as last published
 	keys    map[[kdf.KeySize]byte]bool       // every group key ever current
 	current [kdf.KeySize]byte
 	nextID  int
@@ -45,14 +61,17 @@ type rewrapWorld struct {
 	steps      map[string]int // how often each kind of step ran
 }
 
-func newRewrapWorld(t *testing.T, seed int64) *rewrapWorld {
+func newRewrapWorld(t *testing.T, seed int64, mode worldMode) *rewrapWorld {
 	r := newRig(t, 3)
+	if mode == modePaged {
+		r.mgr.SetMaxResidentPages(2)
+	}
 	standby, err := core.NewManager(r.encl, 3, seed+1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := &rewrapWorld{
-		t: t, r: r, rng: rand.New(rand.NewSource(seed)), group: "g",
+		t: t, r: r, rng: rand.New(rand.NewSource(seed)), group: "g", mode: mode,
 		mgrs:    [2]*core.Manager{r.mgr, standby},
 		cache:   NewRecordCache(r.store),
 		members: make(map[string]bool), revoked: make(map[string][kdf.KeySize]byte),
@@ -94,20 +113,80 @@ func sorted[V any](set map[string]V) []string {
 
 func (w *rewrapWorld) pick(set []string) string { return set[w.rng.Intn(len(set))] }
 
-// publish applies an update to the store, the mirror and the shared cache.
+// publish applies an update to the store and the shared cache, then re-reads
+// the whole directory into the mirror, checking the layout's invariant on
+// the way: union of buckets == union of rosters == oracle, header counts ==
+// roster lengths, each name in exactly one bucket, no object left over.
 func (w *rewrapWorld) publish(up *core.Update) {
-	w.r.publish(w.t, up)
-	for _, id := range up.Delete {
-		delete(w.recs, id)
+	t, ctx := w.t, context.Background()
+	w.r.publish(t, up)
+	if up.SealedGK != nil {
+		w.sealed = up.SealedGK
 	}
-	for id, rec := range up.Put {
-		w.recs[id] = rec
-	}
-	v, err := w.r.store.Version(context.Background(), w.group)
+	v, err := w.r.store.Version(ctx, w.group)
 	if err != nil {
-		w.t.Fatal(err)
+		t.Fatal(err)
 	}
 	w.cache.ObserveVersion(w.group, v)
+
+	get := func(name string) []byte {
+		blob, err := w.r.store.Get(ctx, w.group, name)
+		if err != nil {
+			t.Fatalf("store lacks %s: %v", name, err)
+		}
+		return blob
+	}
+	hdr, err := partition.UnmarshalIndex(get(partition.HeaderObject))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{partition.HeaderObject: true}
+	w.recs = make(map[string]*core.PartitionRecord)
+	inRoster := make(map[string]string)
+	for _, id := range hdr.PageIDs() {
+		want[id] = true
+		rec, err := core.UnmarshalRecord(w.r.encl.Scheme(), get(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.PartitionID != id || len(rec.Members) != hdr.Count(id) {
+			t.Fatalf("record %s lists %d members as %s, the header counts %d", id, len(rec.Members), rec.PartitionID, hdr.Count(id))
+		}
+		for _, u := range rec.Members {
+			if inRoster[u] != "" || !w.members[u] {
+				t.Fatalf("roster of %s lists %s (member: %v, also in %q)", id, u, w.members[u], inRoster[u])
+			}
+			inRoster[u] = id
+		}
+		rec.WrappedGK, rec.WrapHandle = hdr.Envelope(id)
+		w.recs[id] = rec
+	}
+	bound := 0
+	for i := 0; i < hdr.Fanout(); i++ {
+		want[partition.BucketObject(i)] = true
+		entries, err := partition.UnmarshalBucket(get(partition.BucketObject(i)), hdr.Fanout(), i)
+		if err != nil {
+			t.Fatal(err) // includes a name in a bucket it does not hash to, or bound twice there
+		}
+		for _, e := range entries {
+			if inRoster[e.Member] != e.Page {
+				t.Fatalf("bucket %d binds %s to %s, the rosters have it in %q", i, e.Member, e.Page, inRoster[e.Member])
+			}
+		}
+		bound += len(entries)
+	}
+	if bound != len(w.members) || len(inRoster) != len(w.members) || hdr.Len() != len(w.members) {
+		t.Fatalf("the directory binds %d names, the rosters list %d, the header counts %d, the oracle has %d", bound, len(inRoster), hdr.Len(), len(w.members))
+	}
+	names, err := w.r.store.List(ctx, w.group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if !want[name] {
+			t.Fatalf("object %s is left over in the directory", name)
+		}
+	}
 }
 
 func (w *rewrapWorld) clientOf(user string) *Client {
@@ -175,7 +254,7 @@ func (w *rewrapWorld) check(step string, rotated bool) {
 			t.Fatalf("%s: removed user %s: Refresh = %v, want ErrEvicted", step, u, err)
 		}
 		for id, rec := range w.recs {
-			if _, err := cl.dec.UnwrapRecord(w.group, rec, w.revoked[u]); err == nil {
+			if _, err := cl.dec.Unwrap(w.group, rec.WrappedGK, w.revoked[u]); err == nil {
 				t.Fatalf("%s: removed user %s opens %s with its last wrap key", step, u, id)
 			}
 			// The curious ex-member claims a seat in the partition.
@@ -200,6 +279,11 @@ func (w *rewrapWorld) create(n int) {
 		w.t.Fatal(err)
 	}
 	w.publish(up)
+	if w.mode == modePaged {
+		if err := w.mgr().SetPageSource(w.group, w.fetchRecord); err != nil {
+			w.t.Fatal(err)
+		}
+	}
 	w.check("create", true)
 }
 
@@ -220,10 +304,6 @@ func (w *rewrapWorld) add(user string) {
 func (w *rewrapWorld) remove(user string) {
 	t := w.t
 	before := w.recs
-	w.recs = make(map[string]*core.PartitionRecord, len(before))
-	for id, rec := range before {
-		w.recs[id] = rec
-	}
 	lost := w.ownRecord(user)
 	type counters struct{ decrypts, unwraps int64 }
 	warm := make(map[string]counters)
@@ -291,71 +371,128 @@ func (w *rewrapWorld) repartition() {
 	w.check("repartition", true)
 }
 
+// fetchRecord and fetchObject are the lazy fetches a restore installs.
+func (w *rewrapWorld) fetchObject(name string) ([]byte, error) {
+	return w.r.store.Get(context.Background(), w.group, name)
+}
+
+func (w *rewrapWorld) fetchRecord(id string) (*core.PartitionRecord, error) {
+	blob, err := w.fetchObject(id)
+	if err != nil {
+		return nil, err
+	}
+	return core.UnmarshalRecord(w.r.encl.Scheme(), blob)
+}
+
 // handOff moves the group to the other manager the way a takeover does: from
-// what the store holds plus the sealed group key.
+// the store's group header plus the sealed group key, nothing else — buckets
+// and records hydrate when the next operations touch them. In the modes that
+// keep one manager the step is skipped, so the schedule stays the same.
 func (w *rewrapWorld) handOff() {
-	t, ctx := w.t, context.Background()
-	sealed, err := w.mgr().SealedGroupKey(w.group)
+	if w.mode != modeHandOff {
+		return
+	}
+	t := w.t
+	header, err := w.fetchObject(partition.HeaderObject)
 	if err != nil {
 		t.Fatal(err)
 	}
-	names, err := w.r.store.List(ctx, w.group)
+	idx, err := partition.UnmarshalIndex(header)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := make(map[string]*core.PartitionRecord)
-	for _, name := range names {
-		if strings.HasPrefix(name, "_") {
-			continue
-		}
-		blob, err := w.r.store.Get(ctx, w.group, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if recs[name], err = core.UnmarshalRecord(w.r.encl.Scheme(), blob); err != nil {
-			t.Fatal(err)
-		}
-	}
+	idx.SetBucketFetch(w.fetchObject)
 	w.mgr().DropGroup(w.group)
 	w.active = 1 - w.active
-	if err := w.mgr().RestoreGroup(w.group, recs, sealed); err != nil {
+	if err := w.mgr().RestoreGroupPaged(w.group, idx, w.sealed, w.fetchRecord); err != nil {
 		t.Fatal(err)
 	}
 	w.steps["hand-off"]++
 	w.check("hand-off", false)
 }
 
+// run replays the seed's schedule.
+func (w *rewrapWorld) run() {
+	w.create(9)
+	for step := 0; step < 40; step++ {
+		p := w.rng.Intn(100)
+		switch {
+		case len(w.members) <= 5:
+			p = 40 // grow
+		case len(w.members) >= 14:
+			p = 0 // shrink
+		}
+		switch {
+		case p < 35:
+			w.remove(w.pick(sorted(w.members)))
+		case p < 55 && len(w.revoked) > 0: // back in, wherever there is room
+			w.add(w.pick(sorted(w.revoked)))
+		case p < 70:
+			w.add(w.newUser())
+		case p < 85:
+			w.repartition()
+		default:
+			w.handOff()
+		}
+	}
+}
+
+// shape is what a schedule leaves in the store, crypto fields excepted. With
+// placement the bucket objects (name → partition) and rosters are compared
+// to the byte; without it only what does not depend on which open partition
+// an add picked: the fan-out and which names each bucket holds.
+func (w *rewrapWorld) shape(placement bool) string {
+	hdr, err := partition.UnmarshalIndex(mustGet(w, partition.HeaderObject))
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	out := fmt.Sprintf("capacity %d fan-out %d members %d\n", hdr.Capacity(), hdr.Fanout(), hdr.Len())
+	for i := 0; i < hdr.Fanout(); i++ {
+		blob := mustGet(w, partition.BucketObject(i))
+		if placement {
+			out += fmt.Sprintf("bucket %d: %x\n", i, blob)
+			continue
+		}
+		entries, err := partition.UnmarshalBucket(blob, hdr.Fanout(), i)
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		out += fmt.Sprintf("bucket %d:", i)
+		for _, e := range entries {
+			out += " " + e.Member
+		}
+		out += "\n"
+	}
+	if placement {
+		for _, id := range hdr.PageIDs() {
+			out += fmt.Sprintf("%s (%d): %v\n", id, hdr.Count(id), w.recs[id].Members)
+		}
+	}
+	return out
+}
+
+func mustGet(w *rewrapWorld, name string) []byte {
+	blob, err := w.fetchObject(name)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	return blob
+}
+
 // TestRewrapKeepsAccessControlInvariant is the proof obligation of the
-// re-wrap sweep: whatever the schedule, exactly the current members derive
-// the current key, through the full decrypt and through the kept wrap key
-// alike, and nothing a removed user holds opens anything published later.
+// re-wrap sweep and of the directory layout under it: whatever the schedule,
+// exactly the current members derive the current key, through the full
+// decrypt and through the kept wrap key alike, nothing a removed user holds
+// opens anything published later, and the store holds one consistent
+// directory after every step. The same schedule replayed with every page
+// resident, with two resident pages, and across hand-offs to a standby that
+// restores from header + sealed key leaves the same group in the store.
 func TestRewrapKeepsAccessControlInvariant(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			w := newRewrapWorld(t, seed)
-			w.create(9)
-			for step := 0; step < 40; step++ {
-				p := w.rng.Intn(100)
-				switch {
-				case len(w.members) <= 5:
-					p = 40 // grow
-				case len(w.members) >= 14:
-					p = 0 // shrink
-				}
-				switch {
-				case p < 35:
-					w.remove(w.pick(sorted(w.members)))
-				case p < 55 && len(w.revoked) > 0: // back in, wherever there is room
-					w.add(w.pick(sorted(w.revoked)))
-				case p < 70:
-					w.add(w.newUser())
-				case p < 85:
-					w.repartition()
-				default:
-					w.handOff()
-				}
-			}
+			w := newRewrapWorld(t, seed, modeHandOff)
+			w.run()
 			if w.ecalls["rekey"] != 0 || w.ecalls["rewrap"] == 0 {
 				t.Fatalf("ECALLs over the schedule: %v", w.ecalls)
 			}
@@ -369,6 +506,25 @@ func TestRewrapKeepsAccessControlInvariant(t *testing.T) {
 				t.Fatalf("G1 exponentiations per removal vary with the group: %v over partition counts %v",
 					w.removalG1, w.partitions)
 			}
+
+			resident := newRewrapWorld(t, seed, modeResident)
+			resident.run()
+			paged := newRewrapWorld(t, seed, modePaged)
+			paged.run()
+			if evictions := paged.r.mgr.PageEvictions(); evictions == 0 {
+				t.Fatal("the paged replay never evicted a page")
+			}
+			// One manager, one stream of placement draws: paging must not
+			// show in a single stored byte outside the crypto fields.
+			if a, b := resident.shape(true), paged.shape(true); a != b {
+				t.Fatalf("paged and resident replays diverge:\n resident\n%s paged\n%s", a, b)
+			}
+			// A standby draws its own placements (its own manager, its own
+			// randomness), so across hand-offs the group is the same up to
+			// which open partition each add landed in.
+			if a, b := resident.shape(false), w.shape(false); a != b {
+				t.Fatalf("hand-off and resident replays diverge:\n resident\n%s hand-off\n%s", a, b)
+			}
 		})
 	}
 }
@@ -377,7 +533,7 @@ func TestRewrapKeepsAccessControlInvariant(t *testing.T) {
 // yield a key: Refresh falls back to the full decrypt, which also repairs
 // the memo.
 func TestStaleWrapKeyFallsBackToDecrypt(t *testing.T) {
-	w := newRewrapWorld(t, 7)
+	w := newRewrapWorld(t, 7, modeResident)
 	w.create(9)
 	all := sorted(w.members)
 	victim := all[0]
@@ -394,6 +550,7 @@ func TestStaleWrapKeyFallsBackToDecrypt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		delete(w.members, leaver)
 		w.publish(up)
 		if !w.r.encl.Scheme().P.G1.Equal(c1, w.ownRecord(victim).CT.C1) {
 			t.Fatal("the victim's partition was re-keyed, not re-wrapped")

@@ -79,18 +79,20 @@ func TestRemoveUsersBatchOneRekeyPassPerPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three partitions remain → exactly three re-key passes (puts), and the
-	// emptied partition is deleted.
-	if len(up2.Put) != 3 {
-		t.Fatalf("batch removal republished %d records, want 3", len(up2.Put))
+	// Three partitions remain: the one that lost a member is re-keyed once
+	// (one put), the other two are re-wrapped in the header, and the emptied
+	// partition is deleted.
+	if len(up2.Put) != 1 {
+		t.Fatalf("batch removal republished %d records, want 1", len(up2.Put))
 	}
 	if len(up2.Delete) != 1 {
 		t.Fatalf("deletes = %v, want the emptied partition", up2.Delete)
 	}
 	// Survivors converge on a fresh key.
 	var ref [kdf.KeySize]byte
+	recs := e.records(t, "g")
 	for i, u := range []string{members[3], members[4], members[6]} {
-		got := decryptAs(t, e, "g", u, up2.Put)
+		got := decryptAs(t, e, "g", u, recs)
 		if i == 0 {
 			ref = got
 		} else if got != ref {
@@ -103,7 +105,7 @@ func TestRemoveUsersBatchOneRekeyPassPerPartition(t *testing.T) {
 	// No record lists a removed user.
 	for _, u := range []string{members[0], members[1], members[2]} {
 		c := e.clientFor(t, u)
-		if _, ok := c.FindOwnRecord(up2.Put); ok {
+		if _, ok := c.FindOwnRecord(recs); ok {
 			t.Fatalf("removed user %s still listed", u)
 		}
 	}

@@ -13,7 +13,8 @@ import (
 // that does not list the client.
 var ErrNotInPartition = errors.New("core: client is not a member of this partition")
 
-// Client is the user-side decryption engine: given a partition record, it
+// Client is the user-side decryption engine: given a partition record with
+// its wrapped group key yᵢ (which a reader takes from the group header), it
 // runs the IBBE decrypt (O(|p|²), outside any enclave — users need no SGX)
 // and unwraps the group key (§V-A's client decrypt operation).
 type Client struct {
@@ -47,8 +48,9 @@ func (c *Client) DecryptRecord(group string, rec *PartitionRecord) ([kdf.KeySize
 
 // DecryptRecordKeys is DecryptRecord that also returns the wrap key
 // wk = SHA(bk). The partition keeps bk until it loses a member, so a member
-// holding wk opens every yᵢ published under the same header C1 with
-// UnwrapRecord instead of another IBBE decrypt.
+// holding wk opens every yᵢ published for it until then with Unwrap instead
+// of another IBBE decrypt. A yᵢ that bk does not open fails with
+// kdf.ErrDecrypt.
 func (c *Client) DecryptRecordKeys(group string, rec *PartitionRecord) (gk, wk [kdf.KeySize]byte, err error) {
 	if !rec.ContainsMember(c.id) {
 		return gk, wk, fmt.Errorf("%w: %s in partition %s", ErrNotInPartition, c.id, rec.PartitionID)
@@ -62,12 +64,11 @@ func (c *Client) DecryptRecordKeys(group string, rec *PartitionRecord) (gk, wk [
 	return gk, wk, err
 }
 
-// UnwrapRecord recovers the group key from the record's yᵢ with a wrap key
-// kept from DecryptRecordKeys. It fails (authenticated open) when the
-// partition's broadcast key has rotated since, e.g. because the holder was
-// revoked.
-func (c *Client) UnwrapRecord(group string, rec *PartitionRecord, wk [kdf.KeySize]byte) ([kdf.KeySize]byte, error) {
-	return enclave.UnwrapGKWithKey(wk, rec.WrappedGK, group)
+// Unwrap recovers the group key from a partition's yᵢ with a wrap key kept
+// from DecryptRecordKeys. It fails (authenticated open) when the partition's
+// broadcast key has rotated since, e.g. because the holder was revoked.
+func (c *Client) Unwrap(group string, wrapped []byte, wk [kdf.KeySize]byte) ([kdf.KeySize]byte, error) {
+	return enclave.UnwrapGKWithKey(wk, wrapped, group)
 }
 
 // FindOwnRecord scans partition records for the one listing the client.

@@ -5,9 +5,10 @@
 // re-keying, and the client-side decryption path.
 //
 // The Manager is storage-agnostic: every mutating operation returns an
-// Update describing which partition records to PUT and which to delete.
-// The admin package applies updates to a cloud Store; benchmarks apply them
-// to byte-counters only.
+// Update carrying every object of the group directory it changed — partition
+// records, directory buckets, the group header, the sealed group key — and
+// the objects to delete. The admin package applies updates to a cloud Store;
+// benchmarks apply them to byte-counters only.
 //
 // Partition ciphertexts are mutually independent (§IV-C), so the Manager is
 // a parallel partition engine: per-partition enclave work — encryption at
@@ -15,13 +16,16 @@
 // bounded worker pool, and groups are locked individually so
 // membership operations on independent groups proceed concurrently.
 //
-// Group state is paged: each group keeps a compact partition.Index (the
-// member→partition mapping, always resident) plus an LRU cache of
-// partition.Pages hydrated on demand from PartitionRecords through a
-// store-backed RecordFetch. Operations pin only the pages they touch, and
-// the full-group sweeps (removal re-key, rotation, re-partitioning) stream
-// in bounded chunks, so no operation needs more than O(pages touched)
-// resident memory regardless of group size. Eviction is only enabled once a
+// Group state is paged: each group keeps a partition.Index (the group header:
+// per-partition occupancy, wrapped group key and re-wrap handle, always
+// resident; behind it the hashed member directory, loaded bucket by bucket on
+// first use) plus an LRU cache of partition.Pages (roster and ciphertext)
+// hydrated on demand from PartitionRecords through a store-backed
+// RecordFetch. Operations pin only the pages they touch — a revocation the
+// pages that lost a member, nothing else — and the full-group sweeps
+// (rotation, re-partitioning) stream in bounded chunks, so no operation needs
+// more than O(pages touched) resident memory and no operation writes more
+// than O(change) objects. Eviction is only enabled once a
 // RecordFetch is installed (SetPageSource / RestoreGroupPaged); without one
 // — pure in-memory use, as in tests and benchmarks driving the Manager
 // directly — every page stays resident and behaviour matches the historic
@@ -204,17 +208,44 @@ func (m *Manager) lockGroup(name string) (*groupState, error) {
 	return g, nil
 }
 
-// Update describes the storage effects of one membership operation: records
-// to PUT (keyed by partition ID) and partition objects to delete.
+// Update describes the storage effects of one membership operation: every
+// object of the group directory the operation changed, ready to be written
+// in one commit. The admin needs nothing else from the manager to publish it.
 type Update struct {
-	Group  string
-	Put    map[string]*PartitionRecord
+	Group string
+	// Put holds the partition objects to write, keyed by partition ID: the
+	// partitions whose roster or ciphertext changed, no others.
+	Put map[string]*PartitionRecord
+	// Delete names the objects to remove: emptied partitions and, after a
+	// re-partition, the old partitions and the directory buckets the smaller
+	// directory no longer has.
 	Delete []string
+	// Buckets holds the encoded directory buckets whose bindings changed,
+	// keyed by object name.
+	Buckets map[string][]byte
+	// Header is the encoded group header (partition.HeaderObject), which
+	// every operation rewrites.
+	Header []byte
+	// SealedGK is the sealed group key when the operation changed it (nil
+	// otherwise) — Algorithm 1 line 7's "Store: (1) sealed gk".
+	SealedGK []byte
 }
 
 // newUpdate allocates an update for a group.
 func newUpdate(group string) *Update {
 	return &Update{Group: group, Put: make(map[string]*PartitionRecord)}
+}
+
+// finish closes an operation's update with what the index accumulated: the
+// buckets the operation dirtied, the header, and the sealed group key when
+// the operation drew a new one.
+func (g *groupState) finish(up *Update, newKey bool) *Update {
+	up.Buckets = g.idx.TakeDirty()
+	up.Header = g.idx.Marshal()
+	if newKey {
+		up.SealedGK = append([]byte(nil), g.sealedGK...)
+	}
+	return up
 }
 
 // RecordFetch loads one partition record from durable storage; it is how
@@ -225,63 +256,63 @@ type RecordFetch func(partitionID string) (*PartitionRecord, error)
 // recordSource adapts a RecordFetch to the partition.PageSource interface,
 // keeping core free of any storage dependency.
 type recordSource struct {
-	fetch RecordFetch
+	fetch    RecordFetch
+	capacity int
 }
 
+// LoadPage rehydrates a page from its stored record. The bytes come from the
+// store, so the roster is bounded here; the operation that asked for the page
+// checks its length against the header's count (rosterMatches).
 func (s recordSource) LoadPage(id string) (*partition.Page, error) {
 	rec, err := s.fetch(id)
 	if err != nil {
 		return nil, err
 	}
-	return pageForRecord(id, rec)
-}
-
-// pageCrypto returns the page's enclave material.
-func pageCrypto(p *partition.Page) *enclave.PartitionCrypto {
-	return p.Payload.(*enclave.PartitionCrypto)
-}
-
-// pageForRecord and recordForPage are the one place a record's fields map to
-// a page's and back; both deep-copy, so pages and records never alias.
-func pageForRecord(id string, rec *PartitionRecord) (*partition.Page, error) {
-	if rec == nil || rec.CT == nil {
-		return nil, fmt.Errorf("%w: record %s missing ciphertext", ErrBadRecord, id)
+	if rec == nil || rec.CT == nil || rec.PartitionID != id || len(rec.Members) > s.capacity {
+		return nil, fmt.Errorf("%w: stored record of %s is not a partition of at most %d members", ErrBadRecord, id, s.capacity)
 	}
-	return &partition.Page{
-		ID:      id,
-		Members: append([]string(nil), rec.Members...),
-		Payload: &enclave.PartitionCrypto{
-			CT:         rec.CT.Clone(),
-			WrappedGK:  append([]byte(nil), rec.WrappedGK...),
-			WrapHandle: append([]byte(nil), rec.WrapHandle...),
-		},
-	}, nil
+	return &partition.Page{ID: id, Members: rec.Members, Payload: rec.CT}, nil
 }
 
-// recordForPage assembles the storage record for a resident page.
-func recordForPage(p *partition.Page) *PartitionRecord {
-	pc := pageCrypto(p)
+// pageCT returns the page's broadcast ciphertext.
+func pageCT(p *partition.Page) *ibbe.Ciphertext { return p.Payload.(*ibbe.Ciphertext) }
+
+// record assembles the partition's record from its resident page and the
+// index's envelope; it deep-copies, so records never alias group state.
+func (g *groupState) record(p *partition.Page) *PartitionRecord {
+	wrapped, handle := g.idx.Envelope(p.ID)
 	return &PartitionRecord{
 		PartitionID: p.ID,
 		Members:     append([]string(nil), p.Members...),
-		CT:          pc.CT.Clone(),
-		WrappedGK:   append([]byte(nil), pc.WrappedGK...),
-		WrapHandle:  append([]byte(nil), pc.WrapHandle...),
+		CT:          pageCT(p).Clone(),
+		WrappedGK:   append([]byte(nil), wrapped...),
+		WrapHandle:  append([]byte(nil), handle...),
 	}
 }
 
-// install makes p its partition's current page: cached (and pinned), its
-// key-envelope length — wrapped group key plus re-wrap handle, what
-// MetadataSize sums — recorded in the index, and its record queued in up.
-func (g *groupState) install(p *partition.Page, up *Update) {
+// install makes a partition's new roster and ciphertext current: cached (and
+// pinned) as its page, and queued in up as its record.
+func (g *groupState) install(id string, members []string, ct *ibbe.Ciphertext, up *Update) {
+	p := &partition.Page{ID: id, Members: members, Payload: ct}
 	g.pages.Put(p)
-	g.idx.SetWrapLen(p.ID, envelopeLen(pageCrypto(p)))
-	up.Put[p.ID] = recordForPage(p)
+	up.Put[id] = g.record(p)
 }
 
-// envelopeLen is the length of a partition's key envelope.
-func envelopeLen(pc *enclave.PartitionCrypto) int {
-	return len(pc.WrappedGK) + len(pc.WrapHandle)
+// installFresh is install for a partition whose broadcast key was just
+// minted: its wrapped group key and re-wrap handle are new as well.
+func (g *groupState) installFresh(id string, members []string, pc *enclave.PartitionCrypto, up *Update) {
+	g.idx.SetEnvelope(id, pc.WrappedGK, pc.WrapHandle)
+	g.install(id, members, pc.CT, up)
+}
+
+// rosterMatches checks a roster an operation computed against the header's
+// count for its partition: the two are stored in different objects, and an
+// operation must not build on a pair that disagrees.
+func (g *groupState) rosterMatches(id string, members []string) error {
+	if len(members) != g.idx.Count(id) {
+		return fmt.Errorf("%w: %s has %d members, the group header counts %d", ErrBadRecord, id, len(members), g.idx.Count(id))
+	}
+	return nil
 }
 
 // CreateGroup implements Algorithm 1: split members into fixed-size
@@ -289,7 +320,7 @@ func envelopeLen(pc *enclave.PartitionCrypto) int {
 // partition's broadcast ciphertext in parallel, and wrap the group key per
 // partition.
 func (m *Manager) CreateGroup(name string, members []string) (*Update, error) {
-	idx, err := partition.NewIndex(m.capacity)
+	idx, err := partition.NewIndex(m.capacity, len(members))
 	if err != nil {
 		return nil, err
 	}
@@ -326,15 +357,13 @@ func (m *Manager) CreateGroup(name string, members []string) (*Update, error) {
 	m.mu.Unlock()
 	defer g.mu.Unlock()
 
+	outs := make([]*enclave.PartitionCrypto, len(created))
 	sealedGK, err := m.encl.EcallNewGroupKey(name)
 	if err == nil {
 		err = m.fanOut(len(created), func(i int) error {
 			pc, e := m.encl.EcallCreatePartition(name, sealedGK, created[i].Members)
-			if e != nil {
-				return e
-			}
-			created[i].Payload = pc
-			return nil
+			outs[i] = pc
+			return e
 		})
 	}
 	if err != nil {
@@ -345,11 +374,11 @@ func (m *Manager) CreateGroup(name string, members []string) (*Update, error) {
 		return nil, err
 	}
 	up := newUpdate(name)
-	for _, p := range created {
-		g.install(p, up)
+	for i, p := range created {
+		g.installFresh(p.ID, p.Members, outs[i], up)
 	}
 	g.sealedGK = sealedGK
-	return up, nil
+	return g.finish(up, true), nil
 }
 
 // AddUser implements Algorithm 2: place the user in a random partition with
@@ -365,8 +394,8 @@ func (m *Manager) AddUser(name, user string) (*Update, error) {
 // single ciphertext extension, and each freshly opened partition is built
 // once with its full member list. The batch is atomic: on any failure the
 // index is rolled back and no crypto material changes. Only the touched
-// pages are hydrated, so a small batch on a huge group stays O(touched),
-// not O(group).
+// pages and directory buckets are hydrated and written, so a small batch on
+// a huge group stays O(touched), not O(group).
 func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
 	g, err := m.lockGroup(name)
 	if err != nil {
@@ -380,13 +409,14 @@ func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
 
 	seen := make(map[string]bool, len(users))
 	for _, u := range users {
-		if seen[u] || g.idx.Contains(u) {
+		has, cerr := g.idx.Contains(u)
+		if cerr != nil {
+			return nil, cerr
+		}
+		if seen[u] || has {
 			return nil, fmt.Errorf("%w: %s", partition.ErrMemberExists, u)
 		}
 		seen[u] = true
-	}
-	if len(users) == 0 {
-		return newUpdate(name), nil
 	}
 
 	// Placement pass (pure index work): fill random open partitions first,
@@ -407,6 +437,7 @@ func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
 		for pid := range freshParts {
 			g.idx.DropPage(pid)
 		}
+		g.idx.ClearDirty()
 		g.pages.ReleasePins()
 	}
 	for _, u := range users {
@@ -424,6 +455,15 @@ func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
 		added = append(added, u)
 		joiners[pid] = append(joiners[pid], u)
 	}
+	// A directory the adds outgrow is doubled once they have succeeded; the
+	// part of that which can fail — loading every bucket — happens up front.
+	grow := g.idx.NeedsGrow()
+	if grow {
+		if err := g.idx.LoadAll(); err != nil {
+			rollback()
+			return nil, err
+		}
+	}
 
 	// Hydrate only the touched partitions and build each one's post-add
 	// member list. Fresh partitions have no page yet; their joiners are
@@ -431,7 +471,7 @@ func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
 	type task struct {
 		id     string
 		fresh  bool
-		page   *partition.Page // nil for fresh partitions
+		ct     *ibbe.Ciphertext // nil for fresh partitions
 		newMem []string
 	}
 	ids := make([]string, 0, len(joiners))
@@ -441,17 +481,18 @@ func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
 	sort.Strings(ids)
 	tasks := make([]task, 0, len(ids))
 	for _, id := range ids {
-		t := task{id: id, fresh: freshParts[id]}
-		if t.fresh {
-			t.newMem = append([]string(nil), joiners[id]...)
-		} else {
+		t := task{id: id, fresh: freshParts[id], newMem: joiners[id]}
+		if !t.fresh {
 			p, perr := g.pages.Get(id)
+			if perr == nil {
+				t.ct = pageCT(p)
+				t.newMem = append(append([]string(nil), p.Members...), joiners[id]...)
+				perr = g.rosterMatches(id, t.newMem)
+			}
 			if perr != nil {
 				rollback()
 				return nil, perr
 			}
-			t.page = p
-			t.newMem = append(append([]string(nil), p.Members...), joiners[id]...)
 		}
 		tasks = append(tasks, t)
 	}
@@ -467,18 +508,12 @@ func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
 		t := tasks[i]
 		if t.fresh || !hasMSK {
 			pc, e := m.encl.EcallCreatePartition(name, g.sealedGK, t.newMem)
-			if e != nil {
-				return e
-			}
 			outs[i] = pc
-			return nil
-		}
-		ct, e := m.encl.EcallAddUsersToPartition(pageCrypto(t.page).CT, joiners[t.id])
-		if e != nil {
 			return e
 		}
+		ct, e := m.encl.EcallAddUsersToPartition(t.ct, joiners[t.id])
 		newCTs[i] = ct
-		return nil
+		return e
 	})
 	if err != nil {
 		rollback()
@@ -487,24 +522,26 @@ func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
 
 	up := newUpdate(name)
 	for i, t := range tasks {
-		pc := outs[i]
-		if pc == nil { // ciphertext extension: bk, and with it yᵢ and the handle, is unchanged
-			old := pageCrypto(t.page)
-			pc = &enclave.PartitionCrypto{CT: newCTs[i], WrappedGK: old.WrappedGK, WrapHandle: old.WrapHandle}
+		if outs[i] != nil {
+			g.installFresh(t.id, t.newMem, outs[i], up)
+		} else { // ciphertext extension: bk, and with it yᵢ and the handle, is unchanged
+			g.install(t.id, t.newMem, newCTs[i], up)
 		}
-		g.install(&partition.Page{ID: t.id, Members: t.newMem, Payload: pc}, up)
 	}
-	return up, nil
+	if grow {
+		g.idx.Grow()
+	}
+	return g.finish(up, false), nil
 }
 
 // RemoveUser implements Algorithm 3: drop the user from her partition,
 // generate a fresh group key inside the enclave, re-key her partition in
 // O(1), publish the new key to every other partition, and push all affected
-// records. The paper re-keys the other partitions too; here they keep their
+// objects. The paper re-keys the other partitions too; here they keep their
 // broadcast key — the revoked user never held it — and only their wrapped
-// group key yᵢ changes (see rekeySweep; DisableRewrap selects the paper's
-// sweep). When the occupancy heuristic fires, the group is re-partitioned
-// (re-created per Algorithm 1).
+// group key yᵢ changes, in the group header (see rekeySweep; DisableRewrap
+// selects the paper's sweep). When the occupancy heuristic fires, the group
+// is re-partitioned (re-created per Algorithm 1).
 func (m *Manager) RemoveUser(name, user string) (*Update, error) {
 	return m.RemoveUsers(name, []string{user})
 }
@@ -512,9 +549,8 @@ func (m *Manager) RemoveUser(name, user string) (*Update, error) {
 // RemoveUsers is the batched form of RemoveUser: all users leave under a
 // single fresh group key, with exactly one pass per remaining partition — a
 // partition that lost k members is re-keyed once (not k times), and
-// untouched partitions are re-wrapped once each. The sweep streams over the
-// partitions in bounded chunks, so resident memory stays O(chunk) even
-// though the sweep itself is O(|P|).
+// untouched partitions are re-wrapped together in one ECALL without their
+// pages being touched.
 func (m *Manager) RemoveUsers(name string, users []string) (*Update, error) {
 	g, err := m.lockGroup(name)
 	if err != nil {
@@ -529,12 +565,16 @@ func (m *Manager) RemoveUsers(name string, users []string) (*Update, error) {
 			return nil, fmt.Errorf("core: duplicate user in removal batch: %s", u)
 		}
 		seen[u] = true
-		if !g.idx.Contains(u) {
+		has, cerr := g.idx.Contains(u)
+		if cerr != nil {
+			return nil, cerr
+		}
+		if !has {
 			return nil, fmt.Errorf("%w: %s", partition.ErrNoSuchMember, u)
 		}
 	}
 	if len(users) == 0 {
-		return newUpdate(name), nil
+		return g.finish(newUpdate(name), false), nil
 	}
 
 	// Index pass: unbind everyone, tracking which partition lost whom. A
@@ -550,6 +590,7 @@ func (m *Manager) RemoveUsers(name string, users []string) (*Update, error) {
 				panic(fmt.Sprintf("core: remove rollback: %v", err))
 			}
 		}
+		g.idx.ClearDirty()
 	}
 	for _, u := range users {
 		pid, uerr := g.idx.Unbind(u)
@@ -562,8 +603,8 @@ func (m *Manager) RemoveUsers(name string, users []string) (*Update, error) {
 		removedBy[pid] = append(removedBy[pid], u)
 	}
 
-	// Enclave pass: one sealed fresh group key, then the streaming sweep —
-	// removal+re-key for partitions that lost members, re-wrap for the rest.
+	// Enclave pass: one sealed fresh group key, then the sweep — removal and
+	// re-key for partitions that lost members, re-wrap for the rest.
 	sealedGK, err := m.encl.EcallNewGroupKey(name)
 	if err != nil {
 		rollbackIdx()
@@ -587,149 +628,158 @@ func (m *Manager) RemoveUsers(name string, users []string) (*Update, error) {
 	sort.Strings(up.Delete)
 
 	if !m.DisableRepartition && g.idx.NeedsRepartition() && g.idx.Len() > 0 {
-		return m.repartitionLocked(name, g, up)
+		// The removal stands on its own: a re-partition that fails leaves
+		// the old layout in place, and the heuristic fires again on the
+		// next removal.
+		_ = m.repartitionLocked(name, g, up)
 	}
-	return up, nil
+	return g.finish(up, true), nil
 }
 
-// rekeySweep publishes sealedGK to every non-empty partition of the group,
-// streaming in chunks of at most min(parallelism, page limit) pages so the
-// resident set stays bounded even though the sweep is O(|P|). removedBy
-// names the users each partition loses; records for every surviving
-// partition are merged into up.
+// rekeySweep publishes sealedGK to every non-empty partition of the group.
+// removedBy names the users each partition loses.
 //
-// A partition that loses members is re-keyed with the removal. With rewrap
-// set (a revocation), the partitions that lose nobody keep their broadcast
-// key — the revoked users never held it — and only get a new yᵢ, one
-// EcallRewrapPartitions per chunk: their CT and handle stay byte-identical.
-// Without it (RekeyGroup, DisableRewrap), and for a record written before
-// handles existed, they take the paper's per-partition re-key, which also
-// returns a handle for the next sweep.
+// With rewrap set (a revocation), the partitions that lose nobody keep their
+// broadcast key — the revoked users never held it — and only get a new yᵢ:
+// one EcallRewrapPartitions over the handles the index holds, written back to
+// the index. No page is touched and no record is queued for them; the group
+// header carries the change.
 //
-// Chunks commit as they complete: a processed page is immediately evictable
-// because nothing revisits it within this operation, and the next operation
-// on the group only starts after this update is applied. On error the
-// returned undo restores the pre-sweep page state — by dropping the cache
-// when a store source can rehydrate it, or from stashed copies when the
-// group is purely resident; the caller restores index bindings and discards
-// sealedGK.
+// A partition that loses members is re-keyed with the removal, and without
+// rewrap (RekeyGroup, DisableRewrap) every partition takes the paper's
+// per-partition re-key. This arm streams in chunks of at most
+// min(parallelism, page limit) pages, so the resident set stays bounded even
+// when it covers the whole group, and queues each re-keyed record in up. A
+// processed page is immediately evictable: nothing revisits it within this
+// operation, and the next operation on the group only starts after this
+// update is applied.
+//
+// On error the returned undo restores the pre-sweep envelopes and pages — a
+// re-keyed page is dropped when a store source can rehydrate it and put back
+// from a stashed copy when the group is purely resident; the caller restores
+// index bindings and discards sealedGK.
 func (m *Manager) rekeySweep(name string, g *groupState, sealedGK []byte, removedBy map[string][]string, rewrap bool, up *Update) (undo func(), err error) {
-	pids := make([]string, 0, g.idx.PageCount())
+	var rekey, wrapped []string
+	var handles [][]byte
 	for _, pid := range g.idx.PageIDs() {
-		if g.idx.Count(pid) > 0 {
-			pids = append(pids, pid)
+		if g.idx.Count(pid) == 0 {
+			continue
+		}
+		if rewrap && len(removedBy[pid]) == 0 {
+			_, handle := g.idx.Envelope(pid)
+			wrapped = append(wrapped, pid)
+			handles = append(handles, handle)
+		} else {
+			rekey = append(rekey, pid)
 		}
 	}
-	hasMSK := m.encl.HasMasterSecret()
+	type envelope struct {
+		pid             string
+		wrapped, handle []byte
+	}
+	oldEnv := make([]envelope, 0, len(wrapped)+len(rekey))
+	oldPages := make(map[string]*partition.Page) // pages to put back; resident mode only
 	paged := g.pages.HasSource()
-	oldPages := make(map[string]*partition.Page) // resident-mode rollback
-	oldWraps := make(map[string]int)
+	stash := func(pid string) {
+		y, h := g.idx.Envelope(pid)
+		oldEnv = append(oldEnv, envelope{pid, y, h})
+	}
 	undo = func() {
-		if paged {
-			g.pages.DropAll()
-		} else {
-			for _, p := range oldPages {
-				g.pages.Put(p)
-			}
+		for _, e := range oldEnv {
+			g.idx.SetEnvelope(e.pid, e.wrapped, e.handle)
 		}
-		for pid, w := range oldWraps {
-			g.idx.SetWrapLen(pid, w)
+		for _, pid := range rekey {
+			if p, ok := oldPages[pid]; ok {
+				g.pages.Put(p)
+			} else if _, changed := up.Put[pid]; changed {
+				g.pages.Drop(pid)
+			}
 		}
 		g.pages.ReleasePins()
 	}
 
-	chunk := m.Parallelism()
-	if lim := g.pages.Limit(); paged && lim > 0 && chunk > lim {
-		chunk = lim
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	for start := 0; start < len(pids); start += chunk {
-		end := start + chunk
-		if end > len(pids) {
-			end = len(pids)
+	if len(wrapped) > 0 {
+		ys, werr := m.encl.EcallRewrapPartitions(name, sealedGK, handles)
+		if werr != nil {
+			return undo, werr
 		}
-		batch := pids[start:end]
+		for j, pid := range wrapped {
+			stash(pid)
+			g.idx.SetEnvelope(pid, ys[j], handles[j])
+		}
+	}
+
+	hasMSK := m.encl.HasMasterSecret()
+	chunk := m.sweepChunk(g)
+	for start := 0; start < len(rekey); start += chunk {
+		end := start + chunk
+		if end > len(rekey) {
+			end = len(rekey)
+		}
+		batch := rekey[start:end]
 		cur := make([]*partition.Page, len(batch))
 		outs := make([]*enclave.PartitionCrypto, len(batch))
 		kept := make([][]string, len(batch))
-		var rekey, wrapped []int // positions in batch, by path
-		var handles [][]byte
 		for i, pid := range batch {
 			p, gerr := g.pages.Get(pid)
 			if gerr != nil {
 				return undo, gerr
 			}
 			cur[i], kept[i] = p, p.Members
-			if h := pageCrypto(p).WrapHandle; rewrap && len(removedBy[pid]) == 0 && len(h) > 0 {
-				wrapped = append(wrapped, i)
-				handles = append(handles, h)
-			} else {
-				rekey = append(rekey, i)
-			}
-		}
-		if len(wrapped) > 0 {
-			ys, werr := m.encl.EcallRewrapPartitions(name, sealedGK, handles)
-			if werr != nil {
-				return undo, werr
-			}
-			for j, i := range wrapped {
-				old := pageCrypto(cur[i])
-				outs[i] = &enclave.PartitionCrypto{CT: old.CT, WrappedGK: ys[j], WrapHandle: old.WrapHandle}
-			}
-		}
-		ferr := m.fanOut(len(rekey), func(j int) error {
-			i := rekey[j]
-			p := cur[i]
-			old := pageCrypto(p).CT
-			rem := removedBy[p.ID]
-			if len(rem) == 0 {
-				pc, e := m.encl.EcallRekeyPartition(name, sealedGK, old)
-				outs[i] = pc
-				return e
-			}
-			gone := make(map[string]bool, len(rem))
-			for _, u := range rem {
-				gone[u] = true
-			}
-			keep := make([]string, 0, len(p.Members)-len(rem))
-			for _, u := range p.Members {
-				if !gone[u] {
-					keep = append(keep, u)
+			if rem := removedBy[pid]; len(rem) > 0 {
+				gone := make(map[string]bool, len(rem))
+				for _, u := range rem {
+					gone[u] = true
+				}
+				kept[i] = make([]string, 0, len(p.Members))
+				for _, u := range p.Members {
+					if !gone[u] {
+						kept[i] = append(kept[i], u)
+					}
 				}
 			}
-			kept[i] = keep
-			// Threshold shards cannot divide (γ+H(id)) terms out of a
-			// ciphertext; partitions that lost members are rebuilt
-			// classically from the post-removal member list instead.
-			var (
-				pc *enclave.PartitionCrypto
-				e  error
-			)
-			if hasMSK {
-				pc, e = m.encl.EcallRemoveUsersFromPartition(name, sealedGK, old, rem)
-			} else {
-				pc, e = m.encl.EcallCreatePartition(name, sealedGK, keep)
+			if merr := g.rosterMatches(pid, kept[i]); merr != nil {
+				return undo, merr
 			}
-			outs[i] = pc
+		}
+		ferr := m.fanOut(len(batch), func(i int) (e error) {
+			old, rem := pageCT(cur[i]), removedBy[batch[i]]
+			switch {
+			case len(rem) == 0:
+				outs[i], e = m.encl.EcallRekeyPartition(name, sealedGK, old)
+			case hasMSK:
+				outs[i], e = m.encl.EcallRemoveUsersFromPartition(name, sealedGK, old, rem)
+			default:
+				// Threshold shards cannot divide (γ+H(id)) terms out of a
+				// ciphertext; partitions that lost members are rebuilt
+				// classically from the post-removal member list instead.
+				outs[i], e = m.encl.EcallCreatePartition(name, sealedGK, kept[i])
+			}
 			return e
 		})
 		if ferr != nil {
 			return undo, ferr
 		}
 		for i, pid := range batch {
-			if _, ok := oldWraps[pid]; !ok {
-				oldWraps[pid] = g.idx.WrapLen(pid)
-				if !paged {
-					oldPages[pid] = cur[i]
-				}
+			stash(pid)
+			if !paged {
+				oldPages[pid] = cur[i]
 			}
-			g.install(&partition.Page{ID: pid, Members: kept[i], Payload: outs[i]}, up)
+			g.installFresh(pid, kept[i], outs[i], up)
 		}
 		g.pages.ReleasePins()
 	}
 	return undo, nil
+}
+
+// sweepChunk is how many pages a streaming sweep holds at once: the width of
+// the worker pool, capped by the page limit once pages can evict.
+func (m *Manager) sweepChunk(g *groupState) int {
+	chunk := m.Parallelism()
+	if lim := g.pages.Limit(); g.pages.HasSource() && lim > 0 && chunk > lim {
+		chunk = lim
+	}
+	return chunk
 }
 
 // RekeyGroup rotates the group key without membership changes (§A-G): every
@@ -754,7 +804,7 @@ func (m *Manager) RekeyGroup(name string) (*Update, error) {
 		return nil, err
 	}
 	g.sealedGK = sealedGK
-	return up, nil
+	return g.finish(up, true), nil
 }
 
 // Repartition forces a group re-creation per Algorithm 1 (normally driven
@@ -766,151 +816,106 @@ func (m *Manager) Repartition(name string) (*Update, error) {
 	}
 	defer g.mu.Unlock()
 	g.pages.ReleasePins()
-	return m.repartitionLocked(name, g, newUpdate(name))
-}
-
-// repartitionLocked rebuilds the partitions and merges the result into up,
-// deleting every partition object that no longer exists. The caller holds
-// g.mu. The rebuild streams member chunks through the page cache, so even a
-// full re-partition keeps only O(chunk) pages resident (the update itself
-// necessarily holds every new record). On enclave failure the old index is
-// restored, so the group stays operable with its previous crypto material.
-func (m *Manager) repartitionLocked(name string, g *groupState, up *Update) (*Update, error) {
-	m.repartitions.Add(1)
-	oldIdx := g.idx
-	oldIDs := oldIdx.PageIDs()
-	members := oldIdx.Members() // sorted, the canonical re-pack order
-	paged := g.pages.HasSource()
-
-	sealedGK, err := m.encl.EcallNewGroupKey(name)
-	if err != nil {
+	up := newUpdate(name)
+	if err := m.repartitionLocked(name, g, up); err != nil {
 		return nil, err
 	}
-	// The new index continues the old ID numbering (ResetPages keeps the
-	// counter), so old and new partition objects never collide in the store.
-	newIdx := oldIdx.Clone()
-	newIdx.ResetPages()
-	g.idx = newIdx
+	return g.finish(up, true), nil
+}
+
+// repartitionLocked rebuilds the group into dense partitions under a fresh
+// group key and a fresh index — new partition IDs, a directory sized for the
+// current membership — and rewrites up to match: the new records replace
+// whatever was queued, and every old partition object and surplus directory
+// bucket is deleted. The caller holds g.mu. The rebuild streams member chunks
+// through the page cache, so even a full re-partition keeps only O(chunk)
+// pages resident (the update itself necessarily holds every new record). On
+// failure the old index is back in place and up is untouched, so the group
+// stays operable with its previous crypto material.
+func (m *Manager) repartitionLocked(name string, g *groupState, up *Update) error {
+	oldIdx := g.idx
+	members, err := oldIdx.Members() // sorted, the canonical re-pack order
+	if err != nil {
+		return err
+	}
+	sealedGK, err := m.encl.EcallNewGroupKey(name)
+	if err != nil {
+		return err
+	}
+	// The new index continues the old ID numbering, so the new partitions
+	// are unknown to the page cache and to the store until this commits.
+	g.idx = oldIdx.Repacked(len(members))
 	var newPIDs []string
 	fresh := newUpdate(name)
 	undo := func() {
 		g.idx = oldIdx
-		if paged {
-			g.pages.DropAll()
-		} else {
-			for _, pid := range newPIDs {
-				g.pages.Drop(pid)
-			}
+		for _, pid := range newPIDs {
+			g.pages.Drop(pid)
 		}
 		g.pages.ReleasePins()
 	}
 	chunks := partition.Split(members, m.capacity)
-	stride := m.Parallelism()
-	if lim := g.pages.Limit(); paged && lim > 0 && stride > lim {
-		stride = lim
-	}
-	if stride < 1 {
-		stride = 1
-	}
+	stride := m.sweepChunk(g)
 	for start := 0; start < len(chunks); start += stride {
 		end := start + stride
 		if end > len(chunks) {
 			end = len(chunks)
 		}
 		batch := chunks[start:end]
-		pagesB := make([]*partition.Page, len(batch))
+		pids := make([]string, len(batch))
 		for i, cm := range batch {
-			pid := g.idx.NewPage()
+			pids[i] = g.idx.NewPage()
 			for _, u := range cm {
-				if berr := g.idx.Bind(pid, u); berr != nil {
+				if berr := g.idx.Bind(pids[i], u); berr != nil {
 					undo()
-					return nil, berr
+					return berr
 				}
 			}
-			newPIDs = append(newPIDs, pid)
-			pagesB[i] = &partition.Page{ID: pid, Members: cm}
+			newPIDs = append(newPIDs, pids[i])
 		}
-		ferr := m.fanOut(len(batch), func(i int) error {
-			pc, e := m.encl.EcallCreatePartition(name, sealedGK, pagesB[i].Members)
-			if e != nil {
-				return e
-			}
-			pagesB[i].Payload = pc
-			return nil
+		outs := make([]*enclave.PartitionCrypto, len(batch))
+		ferr := m.fanOut(len(batch), func(i int) (e error) {
+			outs[i], e = m.encl.EcallCreatePartition(name, sealedGK, batch[i])
+			return e
 		})
 		if ferr != nil {
 			undo()
-			return nil, ferr
+			return ferr
 		}
-		for _, p := range pagesB {
-			g.install(p, fresh)
+		for i, pid := range pids {
+			g.installFresh(pid, batch[i], outs[i], fresh)
 		}
 		g.pages.ReleasePins()
 	}
+	m.repartitions.Add(1)
 	g.sealedGK = sealedGK
-	for _, pid := range oldIDs {
-		g.pages.Drop(pid)
-	}
-	// Replace queued puts wholesale: the new layout supersedes them.
 	up.Put = fresh.Put
 	deleted := make(map[string]bool, len(up.Delete))
 	for _, id := range up.Delete {
 		deleted[id] = true
 	}
-	for _, id := range oldIDs {
-		if !deleted[id] {
-			up.Delete = append(up.Delete, id)
+	for _, pid := range oldIdx.PageIDs() {
+		g.pages.Drop(pid)
+		if !deleted[pid] {
+			up.Delete = append(up.Delete, pid)
 		}
+	}
+	for i := g.idx.Fanout(); i < oldIdx.Fanout(); i++ {
+		up.Delete = append(up.Delete, partition.BucketObject(i))
 	}
 	sort.Strings(up.Delete)
-	return up, nil
-}
-
-// RestoreGroup rebuilds a group's administrator-side state from cloud
-// records and the sealed group key — how an administrator whose local cache
-// was lost (process restart, failover to another admin on the same
-// platform) resumes managing a group. The sealed key opens only inside the
-// same enclave code on the same platform, so this is safe to feed with
-// bytes read from the honest-but-curious cloud. All records become resident
-// pages; for the streaming O(index) restore path see RestoreGroupPaged.
-func (m *Manager) RestoreGroup(name string, recs map[string]*PartitionRecord, sealedGK []byte) error {
-	ids := make([]string, 0, len(recs))
-	for id := range recs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	idx, err := partition.NewIndex(m.capacity)
-	if err != nil {
-		return err
-	}
-	pages := partition.NewPages(m.MaxResidentPages(), nil)
-	for _, id := range ids {
-		p, err := pageForRecord(id, recs[id])
-		if err != nil {
-			return err
-		}
-		if err := idx.AddExistingPage(id, p.Members); err != nil {
-			return fmt.Errorf("core: restoring %s: %w", name, err)
-		}
-		idx.SetWrapLen(id, envelopeLen(pageCrypto(p)))
-		pages.Put(p)
-	}
-	pages.ReleasePins()
-	g := &groupState{idx: idx, pages: pages, sealedGK: append([]byte(nil), sealedGK...)}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.groups[name]; ok {
-		return fmt.Errorf("%w: %s", ErrGroupExists, name)
-	}
-	m.groups[name] = g
 	return nil
 }
 
-// RestoreGroupPaged is the streaming restore: only the compact member index
-// and the sealed group key load eagerly — O(index), not O(group) — and
-// every partition page hydrates lazily through fetch on first touch. This
-// is how a takeover starts serving a million-user group without reading a
-// million-user's worth of records first.
+// RestoreGroupPaged rebuilds a group's administrator-side state from the
+// cloud — how an administrator whose local cache was lost (process restart,
+// failover to another admin on the same platform) resumes managing a group.
+// Only the group header (decoded into idx, with a fetch for its directory
+// buckets installed) and the sealed group key load eagerly — O(partitions),
+// not O(group) — and every directory bucket and partition page hydrates
+// lazily on first touch. The sealed key opens only inside the same enclave
+// code on the same platform, so all of this is safe to feed with bytes read
+// from the honest-but-curious cloud.
 func (m *Manager) RestoreGroupPaged(name string, idx *partition.Index, sealedGK []byte, fetch RecordFetch) error {
 	if idx == nil || fetch == nil {
 		return fmt.Errorf("core: restoring %s: nil index or fetch", name)
@@ -919,7 +924,7 @@ func (m *Manager) RestoreGroupPaged(name string, idx *partition.Index, sealedGK 
 		return fmt.Errorf("core: restoring %s: index capacity %d != manager capacity %d",
 			name, idx.Capacity(), m.capacity)
 	}
-	pages := partition.NewPages(m.MaxResidentPages(), recordSource{fetch})
+	pages := partition.NewPages(m.MaxResidentPages(), recordSource{fetch, m.capacity})
 	g := &groupState{idx: idx, pages: pages, sealedGK: append([]byte(nil), sealedGK...)}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -934,7 +939,8 @@ func (m *Manager) RestoreGroupPaged(name string, idx *partition.Index, sealedGK 
 // group's pages evict and rehydrate. Call it only once the group's records
 // are durably applied — an evicted page rebuilds from whatever the fetch
 // reads. Installing a source immediately trims the cache to the resident
-// bound.
+// bound and restarts the high-water mark there: the phase before it
+// (creation) is resident by necessity, and the bound speaks of what follows.
 func (m *Manager) SetPageSource(name string, fetch RecordFetch) error {
 	g, err := m.lockGroup(name)
 	if err != nil {
@@ -942,7 +948,8 @@ func (m *Manager) SetPageSource(name string, fetch RecordFetch) error {
 	}
 	defer g.mu.Unlock()
 	g.pages.ReleasePins()
-	g.pages.SetSource(recordSource{fetch})
+	g.pages.SetSource(recordSource{fetch, m.capacity})
+	g.pages.ResetHighWater()
 	return nil
 }
 
@@ -966,18 +973,6 @@ func (m *Manager) DropGroup(name string) {
 	g.mu.Lock()
 	g.invalid = true
 	g.mu.Unlock()
-}
-
-// SealedGroupKey returns the group's sealed key blob, which administrators
-// persist alongside the partition records (Algorithm 1 line 7 stores the
-// sealed gk). It is opaque outside the enclave.
-func (m *Manager) SealedGroupKey(name string) ([]byte, error) {
-	g, err := m.lockGroup(name)
-	if err != nil {
-		return nil, err
-	}
-	defer g.mu.Unlock()
-	return append([]byte(nil), g.sealedGK...), nil
 }
 
 // Groups returns the names of managed groups, sorted.
@@ -1017,20 +1012,20 @@ func (m *Manager) Members(name string) ([]string, error) {
 		return nil, fmt.Errorf("%w: group %s has %d members (cap %d)",
 			ErrTooManyMembers, name, n, MaxUnpagedMembers)
 	}
-	return g.idx.Members(), nil
+	return g.idx.Members()
 }
 
 // MembersPage returns up to limit members strictly after the cursor, in
 // sorted order. An empty cursor starts from the beginning; fewer than limit
-// results means the listing is complete. Served from the resident index —
-// no pages are hydrated.
+// results means the listing is complete. Served from the member directory,
+// which the first listing makes resident — no pages are hydrated.
 func (m *Manager) MembersPage(name, after string, limit int) ([]string, error) {
 	g, err := m.lockGroup(name)
 	if err != nil {
 		return nil, err
 	}
 	defer g.mu.Unlock()
-	return g.idx.MembersAfter(after, limit), nil
+	return g.idx.MembersAfter(after, limit)
 }
 
 // PartitionCount returns |P| for a group.
@@ -1047,7 +1042,7 @@ func (m *Manager) PartitionCount(name string) (int, error) {
 // bytes — per partition the broadcast header (C1, C2), the wrapped group key
 // yᵢ and the sealed re-wrap handle: what the paper's Figs. 2b and 7 account,
 // plus the handle this system stores beside it. Answered from the index's
-// recorded envelope lengths without hydrating any page.
+// envelopes without hydrating any page.
 func (m *Manager) MetadataSize(name string) (int, error) {
 	g, err := m.lockGroup(name)
 	if err != nil {
@@ -1057,7 +1052,8 @@ func (m *Manager) MetadataSize(name string) (int, error) {
 	headerLen := m.encl.Scheme().HeaderLen()
 	total := 0
 	for _, pid := range g.idx.PageIDs() {
-		total += headerLen + g.idx.WrapLen(pid)
+		wrapped, handle := g.idx.Envelope(pid)
+		total += headerLen + len(wrapped) + len(handle)
 	}
 	return total, nil
 }
@@ -1078,21 +1074,21 @@ func (m *Manager) Records(name string) (map[string]*PartitionRecord, error) {
 		if perr != nil {
 			return nil, perr
 		}
-		out[pid] = recordForPage(p)
+		out[pid] = g.record(p)
 	}
 	return out, nil
 }
 
-// MarshalIndex returns the group's member index in its deterministic wire
-// form — the object the admin persists alongside the records so a takeover
-// restores in O(index) instead of O(group).
+// MarshalIndex returns the group header in its deterministic wire form — the
+// bytes every Update carries as Header, and all a takeover decodes before it
+// serves the group.
 func (m *Manager) MarshalIndex(name string) ([]byte, error) {
 	g, err := m.lockGroup(name)
 	if err != nil {
 		return nil, err
 	}
 	defer g.mu.Unlock()
-	return g.idx.Marshal()
+	return g.idx.Marshal(), nil
 }
 
 // Record returns the partition record covering one member — the single-page
@@ -1104,7 +1100,10 @@ func (m *Manager) Record(name, user string) (*PartitionRecord, error) {
 		return nil, err
 	}
 	defer g.mu.Unlock()
-	pid, ok := g.idx.PageOf(user)
+	pid, ok, err := g.idx.PageOf(user)
+	if err != nil {
+		return nil, err
+	}
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", partition.ErrNoSuchMember, user)
 	}
@@ -1112,7 +1111,7 @@ func (m *Manager) Record(name, user string) (*PartitionRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	return recordForPage(p), nil
+	return g.record(p), nil
 }
 
 // PageStats reports one group's page-cache counters.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/ecdh"
 	"crypto/rand"
 	"errors"
@@ -68,7 +69,17 @@ func (e *env) clientFor(t *testing.T, id string) *Client {
 	return c
 }
 
-// decryptAs asserts the user can recover a group key from the update and
+// records returns the group's current records, envelopes included.
+func (e *env) records(t *testing.T, group string) map[string]*PartitionRecord {
+	t.Helper()
+	recs, err := e.mgr.Records(group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// decryptAs asserts the user can recover a group key from the records and
 // returns it.
 func decryptAs(t *testing.T, e *env, group, user string, recs map[string]*PartitionRecord) [kdf.KeySize]byte {
 	t.Helper()
@@ -213,12 +224,14 @@ func TestRemoveUserRotatesGroupKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both partitions must be re-published.
-	if len(up2.Put) != 2 {
-		t.Fatalf("remove republished %d records, want 2", len(up2.Put))
+	// Only the partition that lost the member is re-published; the other
+	// one's new wrapped key travels in the header, with the new sealed key.
+	if len(up2.Put) != 1 || len(up2.Buckets) != 1 || up2.SealedGK == nil || bytes.Equal(up2.Header, up.Header) {
+		t.Fatalf("remove published %d records, %d buckets, sealed key %v", len(up2.Put), len(up2.Buckets), up2.SealedGK != nil)
 	}
-	gkA := decryptAs(t, e, "g", members[0], up2.Put)
-	gkB := decryptAs(t, e, "g", members[2], up2.Put)
+	recs := e.records(t, "g")
+	gkA := decryptAs(t, e, "g", members[0], recs)
+	gkB := decryptAs(t, e, "g", members[2], recs)
 	if gkA != gkB {
 		t.Fatal("partitions disagree after removal")
 	}
@@ -227,7 +240,7 @@ func TestRemoveUserRotatesGroupKey(t *testing.T) {
 	}
 	// The removed user is in no record.
 	removed := e.clientFor(t, members[1])
-	if _, ok := removed.FindOwnRecord(up2.Put); ok {
+	if _, ok := removed.FindOwnRecord(recs); ok {
 		t.Fatal("removed user still listed")
 	}
 }
@@ -250,8 +263,8 @@ func TestRemoveLastUserOfPartitionDeletesObject(t *testing.T) {
 		t.Fatalf("partitions = %d, want 1", n)
 	}
 	// Remaining members still converge on a fresh key.
-	gkA := decryptAs(t, e, "g", members[0], up.Put)
-	gkB := decryptAs(t, e, "g", members[1], up.Put)
+	gkA := decryptAs(t, e, "g", members[0], e.records(t, "g"))
+	gkB := decryptAs(t, e, "g", members[1], e.records(t, "g"))
 	if gkA != gkB {
 		t.Fatal("remaining members disagree")
 	}
@@ -399,7 +412,11 @@ func TestRecordsRoundTrip(t *testing.T) {
 		if back.PartitionID != id || len(back.Members) != len(rec.Members) {
 			t.Fatal("record round trip changed identity")
 		}
-		// Serialised record still decrypts.
+		// The serialised record still decrypts, with yᵢ from the header.
+		if back.WrappedGK != nil || back.WrapHandle != nil {
+			t.Fatal("the partition object carries the key envelope")
+		}
+		back.WrappedGK = rec.WrappedGK
 		gk1 := decryptAs(t, e, "g", rec.Members[0], map[string]*PartitionRecord{id: back})
 		gk2 := decryptAs(t, e, "g", rec.Members[0], map[string]*PartitionRecord{id: rec})
 		if gk1 != gk2 {
@@ -410,7 +427,7 @@ func TestRecordsRoundTrip(t *testing.T) {
 
 func TestUnmarshalRecordRejectsGarbage(t *testing.T) {
 	s := newEnv(t, 2).encl.Scheme()
-	for _, bad := range [][]byte{nil, []byte("{"), []byte(`{"ct":"!!!"}`), []byte(`{"ct":"AAAA","wrapped_gk":"!!"}`)} {
+	for _, bad := range [][]byte{nil, []byte("{"), {kindRecord}, {kindRecord, 1, 'p', 0, 3, 1, 2, 3}, []byte(`{"partition_id":"p000001","members":[],"ct":"AAAA"}`)} {
 		if _, err := UnmarshalRecord(s, bad); !errors.Is(err, ErrBadRecord) {
 			t.Fatalf("garbage record %q accepted: %v", bad, err)
 		}

@@ -1,22 +1,27 @@
 package core
 
 import (
-	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 
 	"github.com/ibbesgx/ibbesgx/internal/ibbe"
+	"github.com/ibbesgx/ibbesgx/internal/wire"
 )
 
 // ErrBadRecord reports a malformed serialised partition record.
 var ErrBadRecord = errors.New("core: bad partition record")
 
-// PartitionRecord is the cloud-stored object for one partition: the member
-// list (public per the model — member identities are not hidden, §II), the
-// IBBE broadcast ciphertext, the wrapped group key yᵢ and the enclave-sealed
-// re-wrap handle (absent from records written before handles existed). One
-// record is one object under the group directory (/g/p1, /g/p2, … of Fig. 5).
+// PartitionRecord is one partition as the manager sees it: the member list
+// (public per the model — member identities are not hidden, §II), the IBBE
+// broadcast ciphertext, and the partition's key envelope — the wrapped group
+// key yᵢ and the enclave-sealed re-wrap handle.
+//
+// The cloud object of a partition (/g/p1, /g/p2, … of Fig. 5; Marshal and
+// UnmarshalRecord) is the roster and the ciphertext only: it changes when the
+// partition's membership does. The envelope changes with every revocation
+// anywhere in the group, so it is stored in the group header instead
+// (partition.Index); records the manager hands out carry it, a record decoded
+// from the store does not, and its reader takes yᵢ from the header.
 type PartitionRecord struct {
 	PartitionID string
 	Members     []string
@@ -25,70 +30,69 @@ type PartitionRecord struct {
 	WrapHandle  []byte
 }
 
-// CryptoSize returns the record's cryptographic payload size: broadcast
+// CryptoSize returns the partition's cryptographic payload size: broadcast
 // header plus wrapped group key plus sealed re-wrap handle — the footprint
 // unit of Figs. 2b and 7.
 func (r *PartitionRecord) CryptoSize(s *ibbe.Scheme) int {
 	return s.HeaderLen() + len(r.WrappedGK) + len(r.WrapHandle)
 }
 
-// recordWire is the JSON wire shape of a record.
-type recordWire struct {
-	PartitionID string   `json:"partition_id"`
-	Members     []string `json:"members"`
-	CT          string   `json:"ct"`
-	WrappedGK   string   `json:"wrapped_gk"`
-	WrapHandle  string   `json:"wk,omitempty"`
-}
+// kindRecord opens a partition object (see internal/wire).
+const kindRecord = 'R'
 
-// Marshal serialises the record for storage.
+// Marshal serialises the partition object:
+//
+//	'R' id n { name }… C1‖C2‖C3
+//
+// every field length-prefixed, names in record order.
 func (r *PartitionRecord) Marshal(s *ibbe.Scheme) ([]byte, error) {
 	if r.CT == nil {
 		return nil, fmt.Errorf("%w: missing ciphertext", ErrBadRecord)
 	}
-	w := recordWire{
-		PartitionID: r.PartitionID,
-		Members:     r.Members,
-		CT:          base64.StdEncoding.EncodeToString(s.MarshalCiphertext(r.CT)),
-		WrappedGK:   base64.StdEncoding.EncodeToString(r.WrappedGK),
-		WrapHandle:  base64.StdEncoding.EncodeToString(r.WrapHandle),
+	size := 16 + len(r.PartitionID) + s.CiphertextLen()
+	for _, m := range r.Members {
+		size += len(m) + 2
 	}
-	out, err := json.Marshal(w)
-	if err != nil {
-		return nil, fmt.Errorf("core: encoding record: %w", err)
+	buf := make([]byte, 0, size)
+	buf = append(buf, kindRecord)
+	buf = wire.AppendString(buf, r.PartitionID)
+	buf = wire.AppendUvarint(buf, uint64(len(r.Members)))
+	for _, m := range r.Members {
+		buf = wire.AppendString(buf, m)
 	}
-	return out, nil
+	return wire.AppendBytes(buf, s.MarshalCiphertext(r.CT)), nil
 }
 
-// UnmarshalRecord parses a stored record.
+// UnmarshalRecord parses a stored partition object, rejecting a roster that
+// names a member twice. The decoder does not know the group's capacity: its
+// callers hold the group header and check the roster's length against the
+// partition's count there.
 func UnmarshalRecord(s *ibbe.Scheme, data []byte) (*PartitionRecord, error) {
-	var w recordWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
+	r := wire.NewReader(data, kindRecord)
+	rec := &PartitionRecord{PartitionID: r.String()}
+	n := r.Count(1)
+	if r.Err() == nil {
+		seen := make(map[string]bool, n)
+		rec.Members = make([]string, 0, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			m := r.String()
+			if seen[m] {
+				return nil, fmt.Errorf("%w: %s lists %q twice", ErrBadRecord, rec.PartitionID, m)
+			}
+			seen[m] = true
+			rec.Members = append(rec.Members, m)
+		}
 	}
-	ctRaw, err := base64.StdEncoding.DecodeString(w.CT)
-	if err != nil {
-		return nil, fmt.Errorf("%w: ciphertext encoding: %v", ErrBadRecord, err)
+	ctRaw := r.Bytes()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}
 	ct, err := s.UnmarshalCiphertext(ctRaw)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
 	}
-	y, err := base64.StdEncoding.DecodeString(w.WrappedGK)
-	if err != nil {
-		return nil, fmt.Errorf("%w: wrapped key encoding: %v", ErrBadRecord, err)
-	}
-	handle, err := base64.StdEncoding.DecodeString(w.WrapHandle)
-	if err != nil {
-		return nil, fmt.Errorf("%w: wrap handle encoding: %v", ErrBadRecord, err)
-	}
-	return &PartitionRecord{
-		PartitionID: w.PartitionID,
-		Members:     w.Members,
-		CT:          ct,
-		WrappedGK:   y,
-		WrapHandle:  handle,
-	}, nil
+	rec.CT = ct
+	return rec, nil
 }
 
 // ContainsMember reports whether id appears in the record's member list.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 
@@ -65,20 +66,21 @@ func TestRemovalRekeysOnlyThePartitionThatLostAMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(up2.Put) != 4 {
-		t.Fatalf("removal republished %d records, want 4", len(up2.Put))
-	}
-	changed := changedCTs(t, e, up.Put, up2.Put)
+	after := e.records(t, "g")
+	changed := changedCTs(t, e, up.Put, after)
 	if len(changed) != 1 || !up.Put[changed[0]].ContainsMember(members[4]) {
 		t.Fatalf("ciphertexts changed in %v, want only the revoked user's partition", changed)
 	}
-	if counts["rekey"] != 0 || counts["rewrap"] == 0 || counts["remove_users"] != 1 {
+	if len(up2.Put) != 1 || up2.Put[changed[0]] == nil {
+		t.Fatalf("removal republished %d records, want only %s", len(up2.Put), changed[0])
+	}
+	if counts["rekey"] != 0 || counts["rewrap"] != 1 || counts["remove_users"] != 1 {
 		t.Fatalf("ECALLs on a removal: %v", counts)
 	}
 	// Every survivor, re-wrapped or re-keyed, derives the same fresh key.
-	gk := decryptAs(t, e, "g", members[0], up2.Put)
+	gk := decryptAs(t, e, "g", members[0], after)
 	for _, u := range []string{members[3], members[5], members[11]} {
-		if decryptAs(t, e, "g", u, up2.Put) != gk {
+		if decryptAs(t, e, "g", u, after) != gk {
 			t.Fatalf("%s disagrees on the key after the removal", u)
 		}
 	}
@@ -123,72 +125,10 @@ func TestRekeyGroupAndDisableRewrapRekeyEveryPartition(t *testing.T) {
 	}
 }
 
-// A record written before handles existed is re-keyed by its first sweep,
-// which gives it a handle; from then on it is re-wrapped.
-func TestHandlelessRecordsHealOnTheFirstSweep(t *testing.T) {
-	e := newEnv(t, 3)
-	e.mgr.DisableRepartition = true
-	members := users(9)
-	if _, err := e.mgr.CreateGroup("g", members); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := e.mgr.Records("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealed, err := e.mgr.SealedGroupKey("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := e.encl.Scheme()
-	for id, rec := range recs {
-		rec.WrapHandle = nil
-		blob, err := rec.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Contains(blob, []byte(`"wk"`)) {
-			t.Fatalf("handle-less record %s still writes the wk field", id)
-		}
-		if recs[id], err = UnmarshalRecord(s, blob); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.mgr.DropGroup("g")
-	if err := e.mgr.RestoreGroup("g", recs, sealed); err != nil {
-		t.Fatal(err)
-	}
-
-	counts := ecallCounts(e)
-	up, err := e.mgr.RemoveUser("g", members[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts["rekey"] != 2 || counts["rewrap"] != 0 {
-		t.Fatalf("ECALLs sweeping handle-less records: %v", counts)
-	}
-	for id, rec := range up.Put {
-		if len(rec.WrapHandle) == 0 {
-			t.Fatalf("record %s left the healing sweep without a handle", id)
-		}
-	}
-	up2, err := e.mgr.RemoveUser("g", members[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts["rekey"] != 2 || counts["rewrap"] == 0 {
-		t.Fatalf("ECALLs after healing: %v", counts)
-	}
-	if got := changedCTs(t, e, up.Put, up2.Put); len(got) != 1 {
-		t.Fatalf("second removal rotated %v, want one partition", got)
-	}
-	if decryptAs(t, e, "g", members[2], up2.Put) != decryptAs(t, e, "g", members[8], up2.Put) {
-		t.Fatal("partitions disagree after healing")
-	}
-}
-
-// The handle travels with the record through an eviction: a paged group whose
-// pages rehydrate from marshalled records still re-wraps.
+// The handles live in the resident index, not in the pages: a paged group
+// re-wraps without hydrating anything, a removal pins only the page that
+// lost the member, and what it re-keys there survives eviction and
+// rehydration from the marshalled record.
 func TestRewrapSurvivesPageEviction(t *testing.T) {
 	e := newEnv(t, 2)
 	e.mgr.DisableRepartition = true
@@ -200,6 +140,7 @@ func TestRewrapSurvivesPageEviction(t *testing.T) {
 	}
 	s := e.encl.Scheme()
 	store := make(map[string][]byte)
+	loads := 0
 	apply := func(up *Update) {
 		for _, id := range up.Delete {
 			delete(store, id)
@@ -214,30 +155,53 @@ func TestRewrapSurvivesPageEviction(t *testing.T) {
 	}
 	apply(up)
 	if err := e.mgr.SetPageSource("g", func(id string) (*PartitionRecord, error) {
+		loads++
 		return UnmarshalRecord(s, store[id])
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// Creation held all six pages; the bound speaks of what follows it.
+	if st, _ := e.mgr.GroupPageStats("g"); st.Resident != 2 || st.HighWater != 2 {
+		t.Fatalf("after SetPageSource: %d resident, high water %d, want the limit of 2", st.Resident, st.HighWater)
+	}
 	counts := ecallCounts(e)
 	before := up.Put
 	for _, u := range []string{members[0], members[5], members[10]} {
+		loads = 0
 		up, err = e.mgr.RemoveUser("g", u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := changedCTs(t, e, before, up.Put); len(got) != 1 {
-			t.Fatalf("removing %s rotated %v, want one partition", u, got)
+		if len(up.Put) != 1 || loads > 1 {
+			t.Fatalf("removing %s wrote %d records and hydrated %d pages, want one of each at most", u, len(up.Put), loads)
 		}
 		apply(up)
-		before = up.Put
+		after := e.records(t, "g")
+		if got := changedCTs(t, e, before, after); len(got) != 1 || up.Put[got[0]] == nil {
+			t.Fatalf("removing %s rotated %v, want the one partition it republished", u, got)
+		}
+		before = after
+		if err := e.mgr.ResetGroupHighWater("g"); err != nil { // the listing above walked every page
+			t.Fatal(err)
+		}
 	}
-	if counts["rekey"] != 0 {
-		t.Fatalf("paged removals re-keyed untouched partitions: %v", counts)
+	if counts["rekey"] != 0 || counts["rewrap"] != 3 {
+		t.Fatalf("paged removals: ECALLs %v, want one re-wrap each and no re-key", counts)
 	}
-	if st, _ := e.mgr.GroupPageStats("g"); st.Evictions == 0 {
-		t.Fatal("the sweep never evicted a page: the test does not cover rehydration")
+	// One more removal, measured on its own: it pins the page in removedBy
+	// and nothing else, so residency stays within the limit.
+	if _, err := e.mgr.RemoveUser("g", members[7]); err != nil {
+		t.Fatal(err)
 	}
-	if decryptAs(t, e, "g", members[1], up.Put) != decryptAs(t, e, "g", members[11], up.Put) {
+	st, _ := e.mgr.GroupPageStats("g")
+	if st.HighWater > st.Limit {
+		t.Fatalf("a removal held %d pages resident, limit %d", st.HighWater, st.Limit)
+	}
+	if st.Evictions == 0 {
+		t.Fatal("no page was ever evicted: the test does not cover rehydration")
+	}
+	recs := e.records(t, "g")
+	if decryptAs(t, e, "g", members[1], recs) != decryptAs(t, e, "g", members[11], recs) {
 		t.Fatal("partitions disagree after paged removals")
 	}
 }
@@ -285,44 +249,53 @@ func TestCryptoSizeCountsTheHandle(t *testing.T) {
 }
 
 // FuzzUnmarshalRecord feeds the record decoder bytes as the honest-but-curious
-// store could hand them back: it must reject or round-trip, never panic.
+// store could hand them back: it must reject or round-trip to the same bytes
+// (so trailing bytes cannot be accepted), never list a member twice, and
+// never panic or size an allocation from an unchecked length.
 func FuzzUnmarshalRecord(f *testing.F) {
-	e := newEnv(f, 2)
-	up, err := e.mgr.CreateGroup("g", users(2))
+	e := newEnv(f, 3)
+	up, err := e.mgr.CreateGroup("g", users(4))
 	if err != nil {
 		f.Fatal(err)
 	}
 	s := e.encl.Scheme()
-	for _, rec := range up.Put {
-		with, err := rec.Marshal(s)
+	for _, id := range []string{"p000001", "p000002"} {
+		blob, err := up.Put[id].Marshal(s)
 		if err != nil {
 			f.Fatal(err)
 		}
-		rec.WrapHandle = nil
-		without, err := rec.Marshal(s)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(with)
-		f.Add(without)
+		f.Add(blob)
+		f.Add(append(blob, 0)) // trailing byte
 	}
-	f.Add([]byte(`{"ct":"AAAA","wrapped_gk":"AA==","wk":"!"}`))
+	twice := *up.Put["p000002"]
+	twice.Members = append(twice.Members, twice.Members[0])
+	blob, err := twice.Marshal(s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Add([]byte{kindRecord, 1, 'p', 0xff, 0xff, 0xff, 0xff, 7}) // roster length past the buffer
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := UnmarshalRecord(s, data)
 		if err != nil {
+			if !errors.Is(err, ErrBadRecord) {
+				t.Fatalf("rejection is not ErrBadRecord: %v", err)
+			}
 			return
+		}
+		seen := make(map[string]bool)
+		for _, m := range rec.Members {
+			if seen[m] {
+				t.Fatalf("accepted record lists %q twice", m)
+			}
+			seen[m] = true
 		}
 		blob, err := rec.Marshal(s)
 		if err != nil {
 			t.Fatalf("accepted record does not marshal: %v", err)
 		}
-		back, err := UnmarshalRecord(s, blob)
-		if err != nil {
-			t.Fatalf("re-marshalled record rejected: %v", err)
-		}
-		if !bytes.Equal(back.WrappedGK, rec.WrappedGK) || !bytes.Equal(back.WrapHandle, rec.WrapHandle) ||
-			!bytes.Equal(s.MarshalCiphertext(back.CT), s.MarshalCiphertext(rec.CT)) {
-			t.Fatal("record changed across a marshal round trip")
+		if !bytes.Equal(blob, data) {
+			t.Fatal("accepted record is not the canonical encoding of what it decoded to")
 		}
 	})
 }

@@ -135,22 +135,35 @@ func (e *Enclave) Measurement() Measurement { return e.measurement }
 // Platform returns the hosting platform.
 func (e *Enclave) Platform() *Platform { return e.platform }
 
-// sealKey derives the MRENCLAVE-policy sealing key: only the same enclave
-// code on the same platform can unseal.
-func (e *Enclave) sealKey() [kdf.KeySize]byte {
-	return kdf.DeriveKey(e.platform.rootSecret[:], e.measurement[:], []byte("sgx-seal-mrenclave-v1"))
+// sealer derives the MRENCLAVE-policy sealing key — only the same enclave
+// code on the same platform can unseal — and builds its cipher. An ECALL that
+// opens many sealed blobs does this once.
+func (e *Enclave) sealer() (*kdf.Sealer, error) {
+	return kdf.NewSealer(kdf.DeriveKey(e.platform.rootSecret[:], e.measurement[:], []byte("sgx-seal-mrenclave-v1")))
 }
 
 // Seal protects data for persistence outside the enclave, binding the given
 // label (similar to sgx_seal_data's additional authenticated data).
 func (e *Enclave) Seal(data, label []byte) ([]byte, error) {
-	return kdf.Seal(e.sealKey(), data, label, rand.Reader)
+	s, err := e.sealer()
+	if err != nil {
+		return nil, err
+	}
+	return s.Seal(data, label, rand.Reader)
 }
 
 // Unseal reverses Seal; it fails if the blob was sealed by different enclave
 // code or on a different platform.
 func (e *Enclave) Unseal(blob, label []byte) ([]byte, error) {
-	out, err := kdf.Open(e.sealKey(), blob, label)
+	s, err := e.sealer()
+	if err != nil {
+		return nil, err
+	}
+	return unseal(s, blob, label)
+}
+
+func unseal(s *kdf.Sealer, blob, label []byte) ([]byte, error) {
+	out, err := s.Open(blob, label)
 	if err != nil {
 		return nil, ErrSealedDataCorrupt
 	}

@@ -409,10 +409,20 @@ func (ie *IBBEEnclave) EcallRewrapPartitions(groupLabel string, sealedGK []byte,
 	if err != nil {
 		return nil, err
 	}
+	// All |P| handles of a group arrive in one call: the seal key is derived
+	// and its cipher built once, not once per handle.
+	sealer, err := ie.enc.sealer()
+	if err != nil {
+		return nil, err
+	}
 	label := wrapHandleLabel(groupLabel)
 	out := make([][]byte, len(handles))
 	for i, h := range handles {
-		wk, err := ie.unsealKeyLocked(h, label)
+		raw, err := unseal(sealer, h, label)
+		if err != nil {
+			return nil, err
+		}
+		wk, err := symmetricKey(raw)
 		if err != nil {
 			return nil, err
 		}
@@ -486,11 +496,16 @@ func (ie *IBBEEnclave) unsealGKLocked(groupLabel string, sealed []byte) ([kdf.Ke
 // unsealKeyLocked opens a sealed symmetric key: a group key or a partition's
 // wrap key, told apart by the seal label.
 func (ie *IBBEEnclave) unsealKeyLocked(sealed, label []byte) ([kdf.KeySize]byte, error) {
-	var key [kdf.KeySize]byte
 	raw, err := ie.enc.Unseal(sealed, label)
 	if err != nil {
-		return key, err
+		return [kdf.KeySize]byte{}, err
 	}
+	return symmetricKey(raw)
+}
+
+// symmetricKey checks that an unsealed blob is one symmetric key.
+func symmetricKey(raw []byte) ([kdf.KeySize]byte, error) {
+	var key [kdf.KeySize]byte
 	if len(raw) != kdf.KeySize {
 		return key, errors.New("enclave: sealed key has wrong length")
 	}

@@ -88,37 +88,65 @@ func DeriveKey(ikm, salt, info []byte) [KeySize]byte {
 	return out
 }
 
-// Seal encrypts and authenticates plaintext under key with AES-256-GCM,
-// binding the optional associated data. Output layout: nonce ∥ ciphertext.
-func Seal(key [KeySize]byte, plaintext, aad []byte, rng io.Reader) ([]byte, error) {
+// Sealer is Seal and Open under one key with the cipher built once — for a
+// caller that opens or seals many boxes under the same key.
+type Sealer struct{ aead cipher.AEAD }
+
+// NewSealer builds the AES-256-GCM instance for key.
+func NewSealer(key [KeySize]byte) (*Sealer, error) {
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		return nil, fmt.Errorf("kdf: cipher init: %w", err)
+	}
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, fmt.Errorf("kdf: GCM init: %w", err)
+	}
+	return &Sealer{aead}, nil
+}
+
+// Seal encrypts and authenticates plaintext, binding the optional associated
+// data. Output layout: nonce ∥ ciphertext.
+func (s *Sealer) Seal(plaintext, aad []byte, rng io.Reader) ([]byte, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
-	aead, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
-	nonce := make([]byte, NonceSize)
+	nonce := make([]byte, NonceSize, NonceSize+len(plaintext)+s.aead.Overhead())
 	if _, err := io.ReadFull(rng, nonce); err != nil {
 		return nil, fmt.Errorf("kdf: drawing nonce: %w", err)
 	}
-	return aead.Seal(nonce, nonce, plaintext, aad), nil
+	return s.aead.Seal(nonce, nonce, plaintext, aad), nil
 }
 
 // Open reverses Seal, verifying the tag and associated data.
-func Open(key [KeySize]byte, box, aad []byte) ([]byte, error) {
+func (s *Sealer) Open(box, aad []byte) ([]byte, error) {
 	if len(box) < Overhead {
 		return nil, ErrShortCiphertext
 	}
-	aead, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
-	pt, err := aead.Open(nil, box[:NonceSize], box[NonceSize:], aad)
+	pt, err := s.aead.Open(nil, box[:NonceSize], box[NonceSize:], aad)
 	if err != nil {
 		return nil, ErrDecrypt
 	}
 	return pt, nil
+}
+
+// Seal encrypts and authenticates plaintext under key with AES-256-GCM,
+// binding the optional associated data. Output layout: nonce ∥ ciphertext.
+func Seal(key [KeySize]byte, plaintext, aad []byte, rng io.Reader) ([]byte, error) {
+	s, err := NewSealer(key)
+	if err != nil {
+		return nil, err
+	}
+	return s.Seal(plaintext, aad, rng)
+}
+
+// Open reverses Seal, verifying the tag and associated data.
+func Open(key [KeySize]byte, box, aad []byte) ([]byte, error) {
+	s, err := NewSealer(key)
+	if err != nil {
+		return nil, err
+	}
+	return s.Open(box, aad)
 }
 
 // RandomKey draws a fresh symmetric key (the group key gk of the paper).
@@ -131,16 +159,4 @@ func RandomKey(rng io.Reader) ([KeySize]byte, error) {
 		return k, fmt.Errorf("kdf: drawing key: %w", err)
 	}
 	return k, nil
-}
-
-func newGCM(key [KeySize]byte) (cipher.AEAD, error) {
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return nil, fmt.Errorf("kdf: cipher init: %w", err)
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("kdf: GCM init: %w", err)
-	}
-	return aead, nil
 }

@@ -1,67 +1,179 @@
 package partition
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
 )
 
-// Index is the compact half of the split Table: the member→partition mapping
-// plus per-partition occupancy, with no member payloads or ciphertexts. It is
-// the only piece of group state that must stay fully resident — everything
-// else (member slices, broadcast ciphertexts) lives in evictable Pages. Its
-// size is O(members) map entries + O(partitions) counters, versus the O(group
-// × record) footprint of a fully materialised table.
+// Names of the reserved objects this package encodes. Partition objects are
+// named by their partition ID (pNNNNNN); everything else in a group directory
+// starts with "_".
+const (
+	// HeaderObject holds Index.Marshal: the one object every operation
+	// rewrites and every reader starts from.
+	HeaderObject = "_member_index"
+	bucketPrefix = "_dir_"
+)
+
+// BucketObject names the store object of directory bucket i.
+func BucketObject(i int) string { return fmt.Sprintf("%s%06d", bucketPrefix, i) }
+
+// BucketOf returns the directory bucket a member name hashes to under the
+// given fan-out: 64-bit FNV-1a, so every process — administrator, standby,
+// client — agrees on it.
+func BucketOf(user string, fanout int) int {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(user); i++ {
+		h = (h ^ uint64(user[i])) * 1099511628211
+	}
+	return int(h % uint64(fanout))
+}
+
+// maxFanout bounds a decoded fan-out so that doubling it cannot overflow.
+const maxFanout = 1 << 30
+
+// BucketFetch loads one directory bucket object from durable storage by its
+// object name. The administrator installs a store-backed fetch on an index it
+// decoded from the store.
+type BucketFetch func(object string) ([]byte, error)
+
+// Index is the resident part of a group's state, and what the group header
+// object persists: capacity, the partition-ID counter, the directory fan-out
+// and per partition its member count, wrapped group key yᵢ and sealed re-wrap
+// handle — O(partitions), no member names.
 //
-// Like Table, an Index is not safe for concurrent use; internal/core
-// serialises access per group.
+// The member → partition bindings live in a hashed directory of buckets
+// (about capacity names each) that the index loads through a BucketFetch the
+// first time an operation needs one and keeps resident afterwards. An index
+// without a fetch is its own directory: a bucket it does not hold is empty.
+// Buckets an operation changed are tracked until TakeDirty hands them out
+// for persisting.
+//
+// An Index is not safe for concurrent use; internal/core serialises access
+// per group.
 type Index struct {
 	capacity int
-	member   map[string]string // member → page ID
+	nextID   int
+	members  int
 	pages    map[string]*pageInfo
 	open     []string // page IDs with spare capacity, O(1) uniform pick
 	openPos  map[string]int
-	nextID   int
+
+	fanout  int
+	buckets map[int]map[string]string // resident buckets: member → page ID
+	fetch   BucketFetch
+	dirty   map[int]bool
 }
 
 type pageInfo struct {
+	num     int // the NNNNNN of the page ID
 	count   int
-	wrapLen int // length of the key envelope (wrapped group key + re-wrap handle) in this page's record
+	wrapped []byte // yᵢ
+	handle  []byte // sealed re-wrap handle
 }
 
-// NewIndex creates an empty index with fixed partition capacity m.
-func NewIndex(capacity int) (*Index, error) {
+// NewIndex creates an empty index with fixed partition capacity m and a
+// directory sized for the given number of members (about m names per bucket).
+// Every bucket of the new directory is dirty: an empty one is an object too.
+func NewIndex(capacity, members int) (*Index, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("%w: %d", ErrBadCapacity, capacity)
 	}
-	return &Index{
+	ix := &Index{
 		capacity: capacity,
-		member:   make(map[string]string),
 		pages:    make(map[string]*pageInfo),
 		openPos:  make(map[string]int),
-	}, nil
+		fanout:   (members + capacity - 1) / capacity,
+		buckets:  make(map[int]map[string]string),
+		dirty:    make(map[int]bool),
+	}
+	if ix.fanout < 1 {
+		ix.fanout = 1
+	}
+	for i := 0; i < ix.fanout; i++ {
+		ix.dirty[i] = true
+	}
+	return ix, nil
 }
+
+// Repacked returns an empty index for re-partitioning ix's group into the
+// given number of members: same capacity, a fresh directory, and the ID
+// counter carried over so old and new partition objects never collide.
+func (ix *Index) Repacked(members int) *Index {
+	cp, _ := NewIndex(ix.capacity, members) // the capacity was validated when ix was made
+	cp.nextID = ix.nextID
+	return cp
+}
+
+// SetBucketFetch installs the loader for buckets the index does not hold.
+func (ix *Index) SetBucketFetch(fetch BucketFetch) { ix.fetch = fetch }
 
 // Capacity returns the fixed partition size m.
 func (ix *Index) Capacity() int { return ix.capacity }
 
 // Len returns the number of members in the group.
-func (ix *Index) Len() int { return len(ix.member) }
+func (ix *Index) Len() int { return ix.members }
 
 // PageCount returns the number of partitions |P|.
 func (ix *Index) PageCount() int { return len(ix.pages) }
 
-// Contains reports whether user is in the group.
-func (ix *Index) Contains(user string) bool {
-	_, ok := ix.member[user]
-	return ok
+// Fanout returns the number of directory buckets.
+func (ix *Index) Fanout() int { return ix.fanout }
+
+// bucket returns directory bucket i, loading and validating it on first use.
+func (ix *Index) bucket(i int) (map[string]string, error) {
+	if b, ok := ix.buckets[i]; ok {
+		return b, nil
+	}
+	b := make(map[string]string)
+	if ix.fetch != nil {
+		data, err := ix.fetch(BucketObject(i))
+		if err != nil {
+			return nil, fmt.Errorf("partition: loading %s: %w", BucketObject(i), err)
+		}
+		entries, err := UnmarshalBucket(data, ix.fanout, i)
+		if err != nil {
+			return nil, err
+		}
+		perPage := make(map[string]int)
+		for _, e := range entries {
+			pi, ok := ix.pages[e.Page]
+			if perPage[e.Page]++; !ok || perPage[e.Page] > pi.count {
+				return nil, fmt.Errorf("%w: %s binds more members to %s than the header counts", ErrBadDirectory, BucketObject(i), e.Page)
+			}
+			b[e.Member] = e.Page
+		}
+	}
+	ix.buckets[i] = b
+	return b, nil
+}
+
+// LoadAll makes every bucket resident — what a full member listing, a
+// re-partition and a directory resize need.
+func (ix *Index) LoadAll() error {
+	for i := 0; i < ix.fanout; i++ {
+		if _, err := ix.bucket(i); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // PageOf returns the ID of the partition hosting user.
-func (ix *Index) PageOf(user string) (string, bool) {
-	id, ok := ix.member[user]
-	return id, ok
+func (ix *Index) PageOf(user string) (string, bool, error) {
+	b, err := ix.bucket(BucketOf(user, ix.fanout))
+	if err != nil {
+		return "", false, err
+	}
+	id, ok := b[user]
+	return id, ok, nil
+}
+
+// Contains reports whether user is in the group.
+func (ix *Index) Contains(user string) (bool, error) {
+	_, ok, err := ix.PageOf(user)
+	return ok, err
 }
 
 // Count returns the member count of the given partition (0 if unknown).
@@ -78,81 +190,53 @@ func (ix *Index) Has(id string) bool {
 	return ok
 }
 
-// WrapLen returns the recorded key-envelope length for the partition (wrapped
-// group key plus re-wrap handle) — enough to answer metadata-size queries
-// without hydrating the page.
-func (ix *Index) WrapLen(id string) int {
+// Envelope returns the partition's wrapped group key yᵢ and sealed re-wrap
+// handle (nil for an unknown partition). The slices are the index's own.
+func (ix *Index) Envelope(id string) (wrapped, handle []byte) {
 	if pi, ok := ix.pages[id]; ok {
-		return pi.wrapLen
+		return pi.wrapped, pi.handle
 	}
-	return 0
+	return nil, nil
 }
 
-// SetWrapLen records the key-envelope length for the partition.
-func (ix *Index) SetWrapLen(id string, n int) {
+// SetEnvelope records the partition's wrapped group key and re-wrap handle.
+// The index keeps the slices; callers hand over ones nothing else mutates.
+func (ix *Index) SetEnvelope(id string, wrapped, handle []byte) {
 	if pi, ok := ix.pages[id]; ok {
-		pi.wrapLen = n
+		pi.wrapped, pi.handle = wrapped, handle
 	}
 }
 
-// PageIDs returns all partition IDs in sorted order.
+// PageIDs returns all partition IDs in allocation order.
 func (ix *Index) PageIDs() []string {
 	out := make([]string, 0, len(ix.pages))
 	for id := range ix.pages {
 		out = append(out, id)
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return ix.pages[out[i]].num < ix.pages[out[j]].num })
 	return out
 }
+
+func pageID(num int) string { return fmt.Sprintf("p%06d", num) }
 
 // NewPage allocates the next partition ID and registers an empty open page.
 func (ix *Index) NewPage() string {
 	ix.nextID++
-	id := fmt.Sprintf("p%06d", ix.nextID)
-	ix.pages[id] = &pageInfo{}
+	id := pageID(ix.nextID)
+	ix.pages[id] = &pageInfo{num: ix.nextID}
 	ix.markOpen(id)
 	return id
 }
 
-// AddExistingPage registers a previously produced partition (restore path).
-// It validates the canonical ID format, capacity bounds and membership
-// disjointness, and resumes ID allocation after the highest seen ID.
-func (ix *Index) AddExistingPage(id string, members []string) error {
-	var n int
-	if _, err := fmt.Sscanf(id, "p%06d", &n); err != nil || n < 1 {
-		return fmt.Errorf("partition: malformed partition ID %q", id)
-	}
-	if _, ok := ix.pages[id]; ok {
-		return fmt.Errorf("partition: duplicate partition %s", id)
-	}
-	if len(members) == 0 {
-		return fmt.Errorf("partition: empty partition %s", id)
-	}
-	if len(members) > ix.capacity {
-		return fmt.Errorf("%w: %s has %d members", ErrPartitionFull, id, len(members))
-	}
-	for _, m := range members {
-		if ix.Contains(m) {
-			return fmt.Errorf("%w: %s", ErrMemberExists, m)
-		}
-	}
-	ix.pages[id] = &pageInfo{count: len(members)}
-	for _, m := range members {
-		ix.member[m] = id
-	}
-	if len(members) < ix.capacity {
-		ix.markOpen(id)
-	}
-	if n > ix.nextID {
-		ix.nextID = n
-	}
-	return nil
-}
-
-// Bind places user into the given partition, enforcing uniqueness and the
-// capacity bound.
+// Bind places user into the given partition, enforcing uniqueness (against
+// the user's directory bucket) and the capacity bound.
 func (ix *Index) Bind(id, user string) error {
-	if ix.Contains(user) {
+	i := BucketOf(user, ix.fanout)
+	b, err := ix.bucket(i)
+	if err != nil {
+		return err
+	}
+	if _, ok := b[user]; ok {
 		return fmt.Errorf("%w: %s", ErrMemberExists, user)
 	}
 	pi, ok := ix.pages[id]
@@ -163,7 +247,9 @@ func (ix *Index) Bind(id, user string) error {
 		return fmt.Errorf("%w: %s", ErrPartitionFull, id)
 	}
 	pi.count++
-	ix.member[user] = id
+	ix.members++
+	b[user] = id
+	ix.dirty[i] = true
 	if pi.count >= ix.capacity {
 		ix.markFull(id)
 	}
@@ -174,16 +260,23 @@ func (ix *Index) Bind(id, user string) error {
 // partition emptied by Unbind stays registered (with count 0) until the
 // caller confirms the removal and calls DropPage.
 func (ix *Index) Unbind(user string) (string, error) {
-	id, ok := ix.member[user]
+	i := BucketOf(user, ix.fanout)
+	b, err := ix.bucket(i)
+	if err != nil {
+		return "", err
+	}
+	id, ok := b[user]
 	if !ok {
 		return "", fmt.Errorf("%w: %s", ErrNoSuchMember, user)
 	}
-	delete(ix.member, user)
+	delete(b, user)
+	ix.dirty[i] = true
 	pi := ix.pages[id]
 	if pi.count == ix.capacity {
 		ix.markOpen(id)
 	}
 	pi.count--
+	ix.members--
 	return id, nil
 }
 
@@ -229,74 +322,87 @@ func (ix *Index) Occupancy() float64 {
 	if len(ix.pages) == 0 {
 		return 0
 	}
-	return float64(len(ix.member)) / float64(len(ix.pages)*ix.capacity)
+	return float64(ix.members) / float64(len(ix.pages)*ix.capacity)
 }
 
-// Members returns all group members in sorted order. O(n log n); callers
-// listing large groups should page with MembersAfter instead.
-func (ix *Index) Members() []string {
-	out := make([]string, 0, len(ix.member))
-	for m := range ix.member {
-		out = append(out, m)
+// NeedsGrow reports whether the directory holds more than twice the names it
+// was sized for — the load factor at which Grow doubles it.
+func (ix *Index) NeedsGrow() bool { return ix.members > 2*ix.capacity*ix.fanout }
+
+// Grow doubles the fan-out and re-buckets every name, a hash-table resize:
+// O(group) once per doubling of the group, every bucket dirty afterwards.
+// Every bucket must be resident (LoadAll).
+func (ix *Index) Grow() {
+	fanout := 2 * ix.fanout
+	grown := make(map[int]map[string]string, fanout)
+	ix.dirty = make(map[int]bool, fanout)
+	for i := 0; i < fanout; i++ {
+		grown[i] = make(map[string]string)
+		ix.dirty[i] = true
+	}
+	for _, b := range ix.buckets {
+		for m, id := range b {
+			grown[BucketOf(m, fanout)][m] = id
+		}
+	}
+	ix.fanout, ix.buckets = fanout, grown
+}
+
+// TakeDirty returns the encoding of every bucket changed since the last
+// call, keyed by object name, and marks them clean.
+func (ix *Index) TakeDirty() map[string][]byte {
+	out := make(map[string][]byte, len(ix.dirty))
+	for i := range ix.dirty {
+		out[BucketObject(i)] = ix.marshalBucket(i)
+	}
+	ix.ClearDirty()
+	return out
+}
+
+// ClearDirty marks every bucket clean — for a caller that has undone the
+// bindings that dirtied them.
+func (ix *Index) ClearDirty() { ix.dirty = make(map[int]bool) }
+
+// Members returns all group members in sorted order, loading every bucket.
+// O(n log n); callers listing large groups should page with MembersAfter.
+func (ix *Index) Members() ([]string, error) {
+	if err := ix.LoadAll(); err != nil {
+		return nil, err
+	}
+	out := make([]string, 0, ix.members)
+	for _, b := range ix.buckets {
+		for m := range b {
+			out = append(out, m)
+		}
 	}
 	sort.Strings(out)
-	return out
+	return out, nil
 }
 
 // MembersAfter returns up to limit members strictly greater than after, in
 // sorted order — the cursor behind the paged /admin/members listing. Each
-// call is O(n log n) over the resident index, which is the compact part of
-// group state; no pages are hydrated.
-func (ix *Index) MembersAfter(after string, limit int) []string {
+// call is O(n log n) over the directory, which it makes resident; no
+// partition page is hydrated.
+func (ix *Index) MembersAfter(after string, limit int) ([]string, error) {
 	if limit <= 0 {
-		return nil
+		return nil, nil
+	}
+	if err := ix.LoadAll(); err != nil {
+		return nil, err
 	}
 	out := make([]string, 0, limit)
-	for m := range ix.member {
-		if m > after {
-			out = append(out, m)
+	for _, b := range ix.buckets {
+		for m := range b {
+			if m > after {
+				out = append(out, m)
+			}
 		}
 	}
 	sort.Strings(out)
 	if len(out) > limit {
 		out = out[:limit]
 	}
-	return out
-}
-
-// Clone returns a deep copy of the index (repartitioning keeps one for
-// rollback).
-func (ix *Index) Clone() *Index {
-	cp := &Index{
-		capacity: ix.capacity,
-		member:   make(map[string]string, len(ix.member)),
-		pages:    make(map[string]*pageInfo, len(ix.pages)),
-		open:     append([]string(nil), ix.open...),
-		openPos:  make(map[string]int, len(ix.openPos)),
-		nextID:   ix.nextID,
-	}
-	for m, pid := range ix.member {
-		cp.member[m] = pid
-	}
-	for id, pi := range ix.pages {
-		v := *pi
-		cp.pages[id] = &v
-	}
-	for id, pos := range ix.openPos {
-		cp.openPos[id] = pos
-	}
-	return cp
-}
-
-// ResetPages clears all partitions and member bindings while preserving the
-// capacity and the ID counter, so post-reset partitions continue the
-// numbering sequence (matching Table.Reset semantics: old and new partition
-// IDs never collide across a repartition).
-func (ix *Index) ResetPages() {
-	ix.member = make(map[string]string)
-	ix.pages = make(map[string]*pageInfo)
-	ix.open = ix.open[:0]
-	ix.openPos = make(map[string]int)
+	return out, nil
 }
 
 func (ix *Index) markOpen(id string) {
@@ -319,55 +425,4 @@ func (ix *Index) markFull(id string) {
 	}
 	ix.open = ix.open[:last]
 	delete(ix.openPos, id)
-}
-
-// indexWire is the versioned JSON encoding of an Index, persisted by the
-// admin as its own store object so takeover restores in O(index).
-type indexWire struct {
-	Capacity int            `json:"capacity"`
-	NextID   int            `json:"next_id"`
-	Pages    []indexPageRec `json:"pages"`
-}
-
-type indexPageRec struct {
-	ID      string   `json:"id"`
-	WrapLen int      `json:"wrap_len,omitempty"`
-	Members []string `json:"members"`
-}
-
-// Marshal encodes the index deterministically (pages and members sorted).
-func (ix *Index) Marshal() ([]byte, error) {
-	w := indexWire{Capacity: ix.capacity, NextID: ix.nextID}
-	byPage := make(map[string][]string, len(ix.pages))
-	for m, pid := range ix.member {
-		byPage[pid] = append(byPage[pid], m)
-	}
-	for _, id := range ix.PageIDs() {
-		members := byPage[id]
-		sort.Strings(members)
-		w.Pages = append(w.Pages, indexPageRec{ID: id, WrapLen: ix.pages[id].wrapLen, Members: members})
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalIndex rebuilds an index from its Marshal encoding.
-func UnmarshalIndex(data []byte) (*Index, error) {
-	var w indexWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("partition: decode index: %w", err)
-	}
-	ix, err := NewIndex(w.Capacity)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range w.Pages {
-		if err := ix.AddExistingPage(p.ID, p.Members); err != nil {
-			return nil, err
-		}
-		ix.SetWrapLen(p.ID, p.WrapLen)
-	}
-	if w.NextID > ix.nextID {
-		ix.nextID = w.NextID
-	}
-	return ix, nil
 }

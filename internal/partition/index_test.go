@@ -9,7 +9,7 @@ import (
 )
 
 func TestIndexBindUnbindLifecycle(t *testing.T) {
-	ix, err := NewIndex(2)
+	ix, err := NewIndex(2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestIndexBindUnbindLifecycle(t *testing.T) {
 }
 
 func TestIndexPickOpenUniform(t *testing.T) {
-	ix, _ := NewIndex(4)
+	ix, _ := NewIndex(4, 0)
 	rng := rand.New(rand.NewSource(7))
 	var ids []string
 	for i := 0; i < 3; i++ {
@@ -92,8 +92,25 @@ func TestIndexPickOpenUniform(t *testing.T) {
 	}
 }
 
+// storeOf persists an index the way an update does — header plus dirty
+// buckets into a map — and returns the map and a fetch over it that counts
+// bucket loads.
+func storeOf(ix *Index) (objects map[string][]byte, fetch BucketFetch, loads *int) {
+	objects = ix.TakeDirty()
+	objects[HeaderObject] = ix.Marshal()
+	loads = new(int)
+	return objects, func(object string) ([]byte, error) {
+		*loads++
+		data, ok := objects[object]
+		if !ok {
+			return nil, fmt.Errorf("no object %s", object)
+		}
+		return data, nil
+	}, loads
+}
+
 func TestIndexMarshalRoundTrip(t *testing.T) {
-	ix, _ := NewIndex(3)
+	ix, _ := NewIndex(3, 12)
 	for p := 0; p < 4; p++ {
 		id := ix.NewPage()
 		for u := 0; u < 3-p%2; u++ {
@@ -101,47 +118,175 @@ func TestIndexMarshalRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ix.SetWrapLen(id, 100+p)
-	}
-	blob, err := ix.Marshal()
-	if err != nil {
-		t.Fatal(err)
+		ix.SetEnvelope(id, []byte(fmt.Sprintf("y-%d", p)), []byte(fmt.Sprintf("handle-%d", p)))
 	}
 	// Deterministic encoding.
-	blob2, _ := ix.Marshal()
-	if string(blob) != string(blob2) {
+	if string(ix.Marshal()) != string(ix.Marshal()) {
 		t.Fatal("Marshal is not deterministic")
 	}
-	got, err := UnmarshalIndex(blob)
+	objects, fetch, loads := storeOf(ix)
+	if len(objects) != ix.Fanout()+1 {
+		t.Fatalf("a new directory of %d buckets persisted %d objects", ix.Fanout(), len(objects))
+	}
+	got, err := UnmarshalIndex(objects[HeaderObject])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != ix.Len() || got.PageCount() != ix.PageCount() || got.Capacity() != ix.Capacity() {
-		t.Fatalf("round trip: len %d/%d pages %d/%d", got.Len(), ix.Len(), got.PageCount(), ix.PageCount())
+	got.SetBucketFetch(fetch)
+	if got.Len() != ix.Len() || got.PageCount() != ix.PageCount() || got.Capacity() != ix.Capacity() || got.Fanout() != ix.Fanout() {
+		t.Fatalf("round trip: len %d/%d pages %d/%d fan-out %d/%d", got.Len(), ix.Len(), got.PageCount(), ix.PageCount(), got.Fanout(), ix.Fanout())
 	}
 	for _, id := range ix.PageIDs() {
-		if got.Count(id) != ix.Count(id) || got.WrapLen(id) != ix.WrapLen(id) {
-			t.Fatalf("page %s: count %d/%d wrap %d/%d", id, got.Count(id), ix.Count(id), got.WrapLen(id), ix.WrapLen(id))
+		wantY, wantH := ix.Envelope(id)
+		gotY, gotH := got.Envelope(id)
+		if got.Count(id) != ix.Count(id) || string(gotY) != string(wantY) || string(gotH) != string(wantH) {
+			t.Fatalf("page %s: count %d/%d envelope %q,%q", id, got.Count(id), ix.Count(id), gotY, gotH)
 		}
 	}
-	for _, m := range ix.Members() {
-		wantPID, _ := ix.PageOf(m)
-		gotPID, ok := got.PageOf(m)
-		if !ok || gotPID != wantPID {
-			t.Fatalf("member %s: page %q/%q", m, gotPID, wantPID)
+	if *loads != 0 {
+		t.Fatalf("decoding the header loaded %d buckets", *loads)
+	}
+	// A lookup loads the one bucket it needs, once.
+	members, _ := ix.Members()
+	for i := 0; i < 2; i++ {
+		wantPID, _, _ := ix.PageOf(members[0])
+		gotPID, ok, err := got.PageOf(members[0])
+		if err != nil || !ok || gotPID != wantPID {
+			t.Fatalf("member %s: page %q/%q (%v)", members[0], gotPID, wantPID, err)
 		}
+	}
+	if *loads != 1 {
+		t.Fatalf("two lookups of one member loaded %d buckets, want 1", *loads)
+	}
+	for _, m := range members {
+		wantPID, _, _ := ix.PageOf(m)
+		if gotPID, ok, err := got.PageOf(m); err != nil || !ok || gotPID != wantPID {
+			t.Fatalf("member %s: page %q/%q (%v)", m, gotPID, wantPID, err)
+		}
+	}
+	if *loads > got.Fanout() {
+		t.Fatalf("%d bucket loads for a directory of %d", *loads, got.Fanout())
 	}
 	// ID allocation resumes after the highest seen ID.
 	if next := got.NewPage(); next != "p000005" {
 		t.Fatalf("next page after restore = %q", next)
 	}
-	if _, err := UnmarshalIndex([]byte("{bogus")); err == nil {
-		t.Fatal("bogus index decoded")
+	if _, err := UnmarshalIndex([]byte("{bogus")); !errors.Is(err, ErrBadDirectory) {
+		t.Fatalf("bogus index decoded: %v", err)
+	}
+}
+
+// TestIndexTracksDirtyBuckets: an operation's binds and unbinds dirty exactly
+// the buckets they touch, TakeDirty hands them out once, ClearDirty forgets
+// them, and an index decoded from the store starts clean.
+func TestIndexTracksDirtyBuckets(t *testing.T) {
+	ix := newTable(t, 4, 32) // 8 buckets
+	if got := len(ix.TakeDirty()); got != 8 {
+		t.Fatalf("a new directory has %d dirty buckets, want all 8", got)
+	}
+	if got := len(ix.TakeDirty()); got != 0 {
+		t.Fatalf("%d buckets still dirty after TakeDirty", got)
+	}
+	id := ix.NewPage()
+	if err := ix.Bind(id, "joiner@x"); err != nil {
+		t.Fatal(err)
+	}
+	dirty := ix.TakeDirty()
+	want := BucketObject(BucketOf("joiner@x", 8))
+	if len(dirty) != 1 || dirty[want] == nil {
+		t.Fatalf("one bind dirtied %d buckets (want only %s)", len(dirty), want)
+	}
+	entries, err := UnmarshalBucket(dirty[want], 8, BucketOf("joiner@x", 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, e := range entries {
+		found = found || (e.Member == "joiner@x" && e.Page == id)
+	}
+	if !found {
+		t.Fatalf("the dirty bucket does not bind the joiner to %s: %v", id, entries)
+	}
+	if _, err := ix.Unbind("joiner@x"); err != nil {
+		t.Fatal(err)
+	}
+	ix.DropPage(id)
+	ix.ClearDirty()
+	if got := len(ix.TakeDirty()); got != 0 {
+		t.Fatalf("%d buckets dirty after ClearDirty", got)
+	}
+	restored, err := UnmarshalIndex(ix.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(restored.TakeDirty()); got != 0 {
+		t.Fatalf("a decoded index starts with %d dirty buckets", got)
+	}
+}
+
+// TestIndexGrowDoublesTheDirectory: past twice the names it was sized for the
+// directory doubles, every name lands in the bucket the new fan-out hashes it
+// to, and every bucket is rewritten.
+func TestIndexGrowDoublesTheDirectory(t *testing.T) {
+	ix := newTable(t, 2, 2) // fan-out 1
+	ix.TakeDirty()
+	for i := 0; !ix.NeedsGrow(); i++ {
+		id, ok := ix.PickOpen(nil)
+		if !ok {
+			id = ix.NewPage()
+		}
+		if err := ix.Bind(id, fmt.Sprintf("g%02d@x", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ix.Len() != 5 {
+		t.Fatalf("a 1-bucket directory of capacity 2 asked to grow at %d names, want 5", ix.Len())
+	}
+	ix.Grow()
+	if ix.Fanout() != 2 || ix.NeedsGrow() {
+		t.Fatalf("fan-out after Grow = %d (NeedsGrow %v)", ix.Fanout(), ix.NeedsGrow())
+	}
+	dirty := ix.TakeDirty()
+	if len(dirty) != 2 {
+		t.Fatalf("Grow dirtied %d buckets, want both", len(dirty))
+	}
+	bound := 0
+	for i := 0; i < 2; i++ {
+		entries, err := UnmarshalBucket(dirty[BucketObject(i)], 2, i)
+		if err != nil {
+			t.Fatalf("bucket %d after Grow: %v", i, err)
+		}
+		bound += len(entries)
+	}
+	if bound != ix.Len() {
+		t.Fatalf("the grown directory binds %d names, the group has %d", bound, ix.Len())
+	}
+	checkInvariants(t, ix)
+}
+
+// TestIndexWithoutFetchIsItsOwnDirectory: a header decoded with no fetch
+// installed binds and unbinds names it is told of — a bucket it does not
+// hold is empty — while its counts still speak for the whole group.
+func TestIndexWithoutFetchIsItsOwnDirectory(t *testing.T) {
+	ix := newTable(t, 4, 6)
+	bare, err := UnmarshalIndex(ix.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := bare.NewPage()
+	if err := bare.Bind(id, "fresh@x"); err != nil {
+		t.Fatal(err)
+	}
+	if bare.Len() != 7 {
+		t.Fatalf("Len = %d, want the header's 6 plus the bind", bare.Len())
+	}
+	if got, err := bare.Unbind("fresh@x"); err != nil || got != id {
+		t.Fatalf("unbind: %q %v", got, err)
 	}
 }
 
 func TestIndexMembersAfterPagination(t *testing.T) {
-	ix, _ := NewIndex(10)
+	ix, _ := NewIndex(10, 30) // three buckets to merge
 	id := ix.NewPage()
 	for i := 9; i >= 0; i-- {
 		if err := ix.Bind(id, fmt.Sprintf("u%d@x", i)); err != nil {
@@ -151,14 +296,17 @@ func TestIndexMembersAfterPagination(t *testing.T) {
 	var all []string
 	after := ""
 	for {
-		page := ix.MembersAfter(after, 3)
+		page, err := ix.MembersAfter(after, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(page) == 0 {
 			break
 		}
 		all = append(all, page...)
 		after = page[len(page)-1]
 	}
-	want := ix.Members()
+	want, _ := ix.Members()
 	if len(all) != len(want) {
 		t.Fatalf("paged %d members, want %d", len(all), len(want))
 	}
@@ -167,53 +315,57 @@ func TestIndexMembersAfterPagination(t *testing.T) {
 			t.Fatalf("page order diverges at %d: %q vs %q", i, all[i], want[i])
 		}
 	}
-	if got := ix.MembersAfter("u9@x", 5); len(got) != 0 {
+	if got, _ := ix.MembersAfter("u9@x", 5); len(got) != 0 {
 		t.Fatalf("past-the-end cursor returned %v", got)
 	}
-	if got := ix.MembersAfter("", 0); got != nil {
+	if got, _ := ix.MembersAfter("", 0); got != nil {
 		t.Fatalf("zero limit returned %v", got)
 	}
 }
 
 func TestIndexNeedsRepartitionMatchesTable(t *testing.T) {
-	// The index heuristic must agree with the resident table on the same
-	// membership history.
-	tab, _ := NewTable(4)
-	ix, _ := NewIndex(4)
+	// The index heuristic must agree with §V-A computed from a plain table
+	// of roster sizes kept beside it over the same membership history.
+	ix, _ := NewIndex(4, 16)
 	members := make([]string, 16)
 	for i := range members {
 		members[i] = fmt.Sprintf("u%d@x", i)
 	}
-	if _, err := tab.Bootstrap(members); err != nil {
+	if err := bootstrap(ix, members); err != nil {
 		t.Fatal(err)
 	}
-	for _, chunk := range Split(members, 4) {
-		id := ix.NewPage()
-		for _, m := range chunk {
-			if err := ix.Bind(id, m); err != nil {
-				t.Fatal(err)
+	table := map[string]int{}
+	for _, id := range ix.PageIDs() {
+		table[id] = 4
+	}
+	sparse := func() bool {
+		if len(table) <= 1 {
+			return false
+		}
+		wellFilled := 0
+		for _, n := range table {
+			if 3*n >= 2*4 { // at least two-thirds of capacity 4
+				wellFilled++
 			}
 		}
+		return 2*wellFilled < len(table)
 	}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 12; i++ {
 		m := members[rng.Intn(len(members))]
-		if !tab.Contains(m) {
+		if has, _ := ix.Contains(m); !has {
 			continue
 		}
-		if _, err := tab.Remove(m); err != nil {
-			t.Fatal(err)
-		}
-		id, err := ix.Unbind(m)
+		id, err := remove(ix, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ix.Count(id) == 0 {
-			ix.DropPage(id)
+		if table[id]--; table[id] == 0 {
+			delete(table, id)
 		}
-		if tab.NeedsRepartition() != ix.NeedsRepartition() {
+		if sparse() != ix.NeedsRepartition() {
 			t.Fatalf("heuristics diverge after %d removals: table=%v index=%v",
-				i+1, tab.NeedsRepartition(), ix.NeedsRepartition())
+				i+1, sparse(), ix.NeedsRepartition())
 		}
 	}
 }

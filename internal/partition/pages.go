@@ -7,9 +7,9 @@ import (
 )
 
 // Page is one resident partition: the member slice in record order plus an
-// opaque payload (internal/core stores the per-partition crypto state there).
-// Pages are the evictable half of the split Table — any page can be dropped
-// and rebuilt from its PartitionRecord via a PageSource.
+// opaque payload (internal/core stores the partition's broadcast ciphertext
+// there). Pages are the evictable part of group state — any page can be
+// dropped and rebuilt from its PartitionRecord via a PageSource.
 type Page struct {
 	ID      string
 	Members []string
@@ -127,15 +127,6 @@ func (c *Pages) Drop(id string) {
 		delete(c.pinned, id)
 		c.resident.Store(int64(c.ll.Len()))
 	}
-}
-
-// DropAll empties the cache (rollback to pre-operation state: everything
-// rehydrates from the last persisted records).
-func (c *Pages) DropAll() {
-	c.ll.Init()
-	c.ent = make(map[string]*list.Element)
-	c.pinned = make(map[string]bool)
-	c.resident.Store(0)
 }
 
 // SetSource installs (or replaces) the rehydration source and trims any

@@ -5,21 +5,18 @@
 // cryptographic side of Algorithms 1–3 lives behind the enclave ECALLs and
 // is orchestrated by internal/core.
 //
-// Group state is split in two: a compact Index (member→partition mapping
-// plus occupancy, always resident) and individually loadable/evictable
-// Pages (member slices and crypto payloads, cached in an LRU and rehydrated
-// through a PageSource). Table composes both into the fully resident
-// convenience view used by small groups and tests.
+// Group state is cut three ways: the Index (the group header: per-partition
+// occupancy and key envelope, always resident, O(partitions)), the hashed
+// member directory behind it (buckets of member→partition bindings, loaded
+// on first use and then kept), and individually loadable/evictable Pages
+// (rosters and ciphertexts, cached in an LRU and rehydrated through a
+// PageSource). The package also owns the store encoding of the header and
+// the buckets (codec.go).
 package partition
 
-import (
-	"errors"
-	"fmt"
-	"math/rand"
-	"sort"
-)
+import "errors"
 
-// Errors returned by table operations.
+// Errors returned by index operations.
 var (
 	// ErrMemberExists reports adding a user already present in the group.
 	ErrMemberExists = errors.New("partition: user already in the group")
@@ -30,59 +27,6 @@ var (
 	// ErrBadCapacity reports a non-positive partition capacity.
 	ErrBadCapacity = errors.New("partition: capacity must be positive")
 )
-
-// Partition is one fixed-capacity subgroup with a stable identifier; the
-// identifier becomes the storage key below the group directory
-// (the /g/p1, /g/p2 hierarchy of Fig. 5).
-type Partition struct {
-	ID      string
-	Members []string
-}
-
-// clone returns a deep copy of the partition.
-func (p *Partition) clone() *Partition {
-	return &Partition{ID: p.ID, Members: append([]string(nil), p.Members...)}
-}
-
-// Table tracks the user→partition mapping for one group — the "metadata
-// structure that keeps the mapping between users and partitions" of §IV-C.
-// It keeps every partition resident; internal/core instead composes the
-// Index/Pages split directly so large groups stay O(pages touched) per op.
-// It is not safe for concurrent use; internal/core serialises access.
-type Table struct {
-	idx   *Index
-	parts map[string]*Partition
-	order []string // partition IDs in creation order
-}
-
-// NewTable creates an empty table with fixed partition capacity m.
-func NewTable(capacity int) (*Table, error) {
-	idx, err := NewIndex(capacity)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{idx: idx, parts: make(map[string]*Partition)}, nil
-}
-
-// NewTableFrom rebuilds a table from previously produced partitions (e.g.
-// records read back from the cloud after an administrator restart). It
-// validates capacity bounds, membership disjointness and the canonical
-// partition-ID format, and resumes ID allocation after the highest seen ID.
-func NewTableFrom(capacity int, parts []*Partition) (*Table, error) {
-	t, err := NewTable(capacity)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range parts {
-		if err := t.idx.AddExistingPage(p.ID, p.Members); err != nil {
-			return nil, err
-		}
-		cp := p.clone()
-		t.parts[cp.ID] = cp
-		t.order = append(t.order, cp.ID)
-	}
-	return t, nil
-}
 
 // Split divides members into consecutive slices of at most capacity
 // elements — line 1 of Algorithm 1.
@@ -99,179 +43,4 @@ func Split(members []string, capacity int) [][]string {
 		out = append(out, append([]string(nil), members[start:end]...))
 	}
 	return out
-}
-
-// Bootstrap populates an empty table from a member list, returning the
-// created partitions. It fails if the table already has members or if the
-// list contains duplicates.
-func (t *Table) Bootstrap(members []string) ([]*Partition, error) {
-	if len(t.order) != 0 {
-		return nil, errors.New("partition: table already bootstrapped")
-	}
-	seen := make(map[string]bool, len(members))
-	for _, m := range members {
-		if seen[m] {
-			return nil, fmt.Errorf("%w: %s", ErrMemberExists, m)
-		}
-		seen[m] = true
-	}
-	for _, chunk := range Split(members, t.idx.Capacity()) {
-		t.appendPartition(chunk)
-	}
-	return t.Partitions(), nil
-}
-
-// Capacity returns the fixed partition size m.
-func (t *Table) Capacity() int { return t.idx.Capacity() }
-
-// Len returns the number of members in the group.
-func (t *Table) Len() int { return t.idx.Len() }
-
-// PartitionCount returns the number of partitions |P|.
-func (t *Table) PartitionCount() int { return len(t.order) }
-
-// Partitions returns copies of all partitions in stable order.
-func (t *Table) Partitions() []*Partition {
-	out := make([]*Partition, len(t.order))
-	for i, id := range t.order {
-		out[i] = t.parts[id].clone()
-	}
-	return out
-}
-
-// Members returns all group members in partition order.
-func (t *Table) Members() []string {
-	out := make([]string, 0, t.idx.Len())
-	for _, id := range t.order {
-		out = append(out, t.parts[id].Members...)
-	}
-	return out
-}
-
-// Contains reports whether user is in the group.
-func (t *Table) Contains(user string) bool { return t.idx.Contains(user) }
-
-// Lookup returns a copy of the partition hosting user.
-func (t *Table) Lookup(user string) (*Partition, bool) {
-	id, ok := t.idx.PageOf(user)
-	if !ok {
-		return nil, false
-	}
-	return t.parts[id].clone(), true
-}
-
-// PickOpenPartition returns a copy of a uniformly random partition with
-// remaining capacity (line 9 of Algorithm 2), or false when all are full.
-func (t *Table) PickOpenPartition(rng *rand.Rand) (*Partition, bool) {
-	open := make([]string, 0, len(t.order))
-	for _, id := range t.order {
-		if len(t.parts[id].Members) < t.idx.Capacity() {
-			open = append(open, id)
-		}
-	}
-	if len(open) == 0 {
-		return nil, false
-	}
-	id := open[0]
-	if rng != nil {
-		id = open[rng.Intn(len(open))]
-	}
-	return t.parts[id].clone(), true
-}
-
-// Add places user into the partition with the given ID (line 10 of
-// Algorithm 2) and returns a copy of the updated partition.
-func (t *Table) Add(partitionID, user string) (*Partition, error) {
-	if t.Contains(user) {
-		return nil, fmt.Errorf("%w: %s", ErrMemberExists, user)
-	}
-	p, ok := t.parts[partitionID]
-	if !ok {
-		return nil, fmt.Errorf("partition: no partition %q", partitionID)
-	}
-	if err := t.idx.Bind(partitionID, user); err != nil {
-		return nil, err
-	}
-	p.Members = append(p.Members, user)
-	return p.clone(), nil
-}
-
-// AddNewPartition creates a fresh singleton partition for user (line 3 of
-// Algorithm 2) and returns a copy of it.
-func (t *Table) AddNewPartition(user string) (*Partition, error) {
-	if t.Contains(user) {
-		return nil, fmt.Errorf("%w: %s", ErrMemberExists, user)
-	}
-	return t.appendPartition([]string{user}).clone(), nil
-}
-
-// Remove deletes user from her hosting partition (lines 1–2 of Algorithm 3)
-// and returns a copy of the partition after removal. Emptied partitions are
-// dropped from the table.
-func (t *Table) Remove(user string) (*Partition, error) {
-	id, err := t.idx.Unbind(user)
-	if err != nil {
-		return nil, err
-	}
-	p := t.parts[id]
-	for j, m := range p.Members {
-		if m == user {
-			p.Members = append(p.Members[:j], p.Members[j+1:]...)
-			break
-		}
-	}
-	if len(p.Members) == 0 {
-		t.idx.DropPage(id)
-		delete(t.parts, id)
-		t.dropOrder(id)
-		return &Partition{ID: id}, nil
-	}
-	return p.clone(), nil
-}
-
-// NeedsRepartition implements the paper's low-occupancy heuristic (§V-A):
-// re-partition when fewer than half of the partitions are at least
-// two-thirds full. Single-partition groups never trigger it.
-func (t *Table) NeedsRepartition() bool { return t.idx.NeedsRepartition() }
-
-// Reset rebuilds the table from the current member set, packing members
-// into dense partitions — the re-partitioning of §V-A ("re-creating the
-// group following Algorithm 1"). It returns the new partitions.
-func (t *Table) Reset() []*Partition {
-	members := t.Members()
-	sort.Strings(members)
-	t.idx.ResetPages()
-	t.parts = make(map[string]*Partition, (len(members)+t.idx.Capacity()-1)/t.idx.Capacity())
-	t.order = nil
-	for _, chunk := range Split(members, t.idx.Capacity()) {
-		t.appendPartition(chunk)
-	}
-	return t.Partitions()
-}
-
-// Occupancy returns the mean fill ratio across partitions (0 when empty).
-func (t *Table) Occupancy() float64 { return t.idx.Occupancy() }
-
-func (t *Table) appendPartition(members []string) *Partition {
-	id := t.idx.NewPage()
-	for _, m := range members {
-		// Bootstrap/Reset chunks respect capacity and disjointness, so Bind
-		// cannot fail here.
-		if err := t.idx.Bind(id, m); err != nil {
-			panic(err)
-		}
-	}
-	p := &Partition{ID: id, Members: append([]string(nil), members...)}
-	t.parts[id] = p
-	t.order = append(t.order, id)
-	return p
-}
-
-func (t *Table) dropOrder(id string) {
-	for i, v := range t.order {
-		if v == id {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			return
-		}
-	}
 }

@@ -16,53 +16,100 @@ func names(n int) []string {
 	return out
 }
 
-func newTable(t *testing.T, capacity int, members int) *Table {
-	t.Helper()
-	tbl, err := NewTable(capacity)
-	if err != nil {
-		t.Fatalf("NewTable: %v", err)
-	}
-	if members > 0 {
-		if _, err := tbl.Bootstrap(names(members)); err != nil {
-			t.Fatalf("Bootstrap: %v", err)
+// The partition table of §IV-C — which partition hosts which user — is the
+// Index and the directory behind it. These tests drive it the way
+// internal/core does (Split + NewPage + Bind to create, PickOpen/NewPage +
+// Bind to add, Unbind + DropPage to remove, Repacked to re-partition) and
+// keep the names they had when a Table type fronted the same calls.
+
+// bootstrap populates an empty index per Algorithm 1 line 1.
+func bootstrap(ix *Index, members []string) error {
+	for _, chunk := range Split(members, ix.Capacity()) {
+		id := ix.NewPage()
+		for _, m := range chunk {
+			if err := ix.Bind(id, m); err != nil {
+				return err
+			}
 		}
 	}
-	return tbl
+	return nil
+}
+
+func newTable(t *testing.T, capacity int, members int) *Index {
+	t.Helper()
+	ix, err := NewIndex(capacity, members)
+	if err != nil {
+		t.Fatalf("NewIndex: %v", err)
+	}
+	if err := bootstrap(ix, names(members)); err != nil {
+		t.Fatalf("bootstrap: %v", err)
+	}
+	return ix
+}
+
+// remove takes user out the way a removal does: an emptied partition is
+// dropped. It returns the partition that hosted her.
+func remove(ix *Index, user string) (string, error) {
+	id, err := ix.Unbind(user)
+	if err == nil && ix.Count(id) == 0 {
+		ix.DropPage(id)
+	}
+	return id, err
+}
+
+// repack re-partitions the index's members into dense partitions (§V-A).
+func repack(t *testing.T, ix *Index) *Index {
+	t.Helper()
+	members, err := ix.Members()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := ix.Repacked(len(members))
+	if err := bootstrap(dense, members); err != nil {
+		t.Fatal(err)
+	}
+	return dense
 }
 
 // checkInvariants verifies the structural invariants every operation must
-// preserve: partition sizes within capacity, disjoint membership, index
-// consistency, no empty partitions.
-func checkInvariants(t *testing.T, tbl *Table) {
+// preserve: partition sizes within capacity, every member bound to exactly
+// one registered partition, header counts equal to the directory's bindings,
+// no empty partitions.
+func checkInvariants(t *testing.T, ix *Index) {
 	t.Helper()
-	seen := make(map[string]bool)
-	total := 0
-	for _, p := range tbl.Partitions() {
-		if len(p.Members) == 0 {
-			t.Fatalf("empty partition %s retained", p.ID)
-		}
-		if len(p.Members) > tbl.Capacity() {
-			t.Fatalf("partition %s over capacity: %d > %d", p.ID, len(p.Members), tbl.Capacity())
-		}
-		for _, m := range p.Members {
-			if seen[m] {
-				t.Fatalf("member %s in two partitions", m)
-			}
-			seen[m] = true
-			got, ok := tbl.Lookup(m)
-			if !ok || got.ID != p.ID {
-				t.Fatalf("index inconsistent for %s", m)
-			}
-		}
-		total += len(p.Members)
+	members, err := ix.Members()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if total != tbl.Len() {
-		t.Fatalf("Len() = %d, members counted = %d", tbl.Len(), total)
+	perPage := make(map[string]int)
+	for i, m := range members {
+		if i > 0 && members[i-1] == m {
+			t.Fatalf("member %s bound twice", m)
+		}
+		id, ok, err := ix.PageOf(m)
+		if err != nil || !ok || !ix.Has(id) {
+			t.Fatalf("directory inconsistent for %s: %q %v %v", m, id, ok, err)
+		}
+		perPage[id]++
+	}
+	for _, id := range ix.PageIDs() {
+		if ix.Count(id) == 0 {
+			t.Fatalf("empty partition %s retained", id)
+		}
+		if ix.Count(id) > ix.Capacity() {
+			t.Fatalf("partition %s over capacity: %d > %d", id, ix.Count(id), ix.Capacity())
+		}
+		if ix.Count(id) != perPage[id] {
+			t.Fatalf("partition %s counts %d members, the directory binds %d", id, ix.Count(id), perPage[id])
+		}
+	}
+	if len(members) != ix.Len() {
+		t.Fatalf("Len() = %d, members counted = %d", ix.Len(), len(members))
 	}
 }
 
 func TestNewTableRejectsBadCapacity(t *testing.T) {
-	if _, err := NewTable(0); !errors.Is(err, ErrBadCapacity) {
+	if _, err := NewIndex(0, 0); !errors.Is(err, ErrBadCapacity) {
 		t.Fatal("capacity 0 accepted")
 	}
 }
@@ -122,216 +169,216 @@ func TestSplitCoversAllMembersProperty(t *testing.T) {
 }
 
 func TestBootstrap(t *testing.T) {
-	tbl := newTable(t, 10, 25)
-	if tbl.PartitionCount() != 3 {
-		t.Fatalf("partitions = %d, want 3", tbl.PartitionCount())
+	ix := newTable(t, 10, 25)
+	if ix.PageCount() != 3 {
+		t.Fatalf("partitions = %d, want 3", ix.PageCount())
 	}
-	if tbl.Len() != 25 {
-		t.Fatalf("Len = %d, want 25", tbl.Len())
+	if ix.Len() != 25 {
+		t.Fatalf("Len = %d, want 25", ix.Len())
 	}
-	checkInvariants(t, tbl)
+	if ix.Fanout() != 3 {
+		t.Fatalf("directory fan-out = %d, want one bucket per capacity names", ix.Fanout())
+	}
+	checkInvariants(t, ix)
 }
 
 func TestBootstrapRejectsDuplicates(t *testing.T) {
-	tbl := newTable(t, 10, 0)
-	if _, err := tbl.Bootstrap([]string{"a", "b", "a"}); !errors.Is(err, ErrMemberExists) {
+	ix := newTable(t, 10, 0)
+	if err := bootstrap(ix, []string{"a", "b", "a"}); !errors.Is(err, ErrMemberExists) {
 		t.Fatal("duplicate members accepted")
 	}
 }
 
 func TestBootstrapTwiceFails(t *testing.T) {
-	tbl := newTable(t, 10, 5)
-	if _, err := tbl.Bootstrap(names(3)); err == nil {
-		t.Fatal("second bootstrap accepted")
+	ix := newTable(t, 10, 5)
+	if err := bootstrap(ix, names(3)); !errors.Is(err, ErrMemberExists) {
+		t.Fatal("second bootstrap of the same members accepted")
 	}
 }
 
 func TestAddToOpenPartition(t *testing.T) {
-	tbl := newTable(t, 3, 2)
-	rng := rand.New(rand.NewSource(1))
-	p, ok := tbl.PickOpenPartition(rng)
+	ix := newTable(t, 3, 2)
+	id, ok := ix.PickOpen(rand.New(rand.NewSource(1)))
 	if !ok {
 		t.Fatal("no open partition in a non-full group")
 	}
-	got, err := tbl.Add(p.ID, "newbie")
-	if err != nil {
+	if err := ix.Bind(id, "newbie"); err != nil {
 		t.Fatal(err)
 	}
-	if got.Members[len(got.Members)-1] != "newbie" {
-		t.Fatal("new member not appended")
+	if got, ok, _ := ix.PageOf("newbie"); !ok || got != id {
+		t.Fatal("new member not bound to the picked partition")
 	}
-	checkInvariants(t, tbl)
+	checkInvariants(t, ix)
 }
 
 func TestPickOpenPartitionNoneWhenFull(t *testing.T) {
-	tbl := newTable(t, 2, 4) // two exactly-full partitions
-	if _, ok := tbl.PickOpenPartition(rand.New(rand.NewSource(1))); ok {
+	ix := newTable(t, 2, 4) // two exactly-full partitions
+	if _, ok := ix.PickOpen(rand.New(rand.NewSource(1))); ok {
 		t.Fatal("found an open partition in a full group")
 	}
 }
 
 func TestAddDuplicateRejected(t *testing.T) {
-	tbl := newTable(t, 5, 3)
-	p, _ := tbl.PickOpenPartition(nil)
-	if _, err := tbl.Add(p.ID, "u0001"); !errors.Is(err, ErrMemberExists) {
+	ix := newTable(t, 5, 3)
+	id, _ := ix.PickOpen(nil)
+	if err := ix.Bind(id, "u0001"); !errors.Is(err, ErrMemberExists) {
 		t.Fatal("duplicate add accepted")
 	}
-	if _, err := tbl.AddNewPartition("u0001"); !errors.Is(err, ErrMemberExists) {
-		t.Fatal("duplicate AddNewPartition accepted")
+	if err := ix.Bind(ix.NewPage(), "u0001"); !errors.Is(err, ErrMemberExists) {
+		t.Fatal("duplicate add to a new partition accepted")
 	}
 }
 
 func TestAddToFullPartitionRejected(t *testing.T) {
-	tbl := newTable(t, 2, 2)
-	p := tbl.Partitions()[0]
-	if _, err := tbl.Add(p.ID, "x"); !errors.Is(err, ErrPartitionFull) {
+	ix := newTable(t, 2, 2)
+	if err := ix.Bind(ix.PageIDs()[0], "x"); !errors.Is(err, ErrPartitionFull) {
 		t.Fatal("over-capacity add accepted")
 	}
 }
 
 func TestAddToUnknownPartition(t *testing.T) {
-	tbl := newTable(t, 2, 2)
-	if _, err := tbl.Add("p-nope", "x"); err == nil {
+	ix := newTable(t, 2, 2)
+	if err := ix.Bind("p-nope", "x"); err == nil {
 		t.Fatal("unknown partition accepted")
 	}
 }
 
 func TestAddNewPartition(t *testing.T) {
-	tbl := newTable(t, 2, 4)
-	p, err := tbl.AddNewPartition("solo")
-	if err != nil {
+	ix := newTable(t, 2, 4)
+	id := ix.NewPage()
+	if err := ix.Bind(id, "solo"); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Members) != 1 || p.Members[0] != "solo" {
-		t.Fatal("singleton partition malformed")
+	if id != "p000003" || ix.Count(id) != 1 {
+		t.Fatalf("singleton partition malformed: %s with %d members", id, ix.Count(id))
 	}
-	if tbl.PartitionCount() != 3 {
-		t.Fatalf("partitions = %d, want 3", tbl.PartitionCount())
+	if ix.PageCount() != 3 {
+		t.Fatalf("partitions = %d, want 3", ix.PageCount())
 	}
-	checkInvariants(t, tbl)
+	checkInvariants(t, ix)
 }
 
 func TestRemove(t *testing.T) {
-	tbl := newTable(t, 3, 7)
-	p, err := tbl.Remove("u0001")
+	ix := newTable(t, 3, 7)
+	id, err := remove(ix, "u0001")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Members) != 2 {
-		t.Fatalf("affected partition has %d members, want 2", len(p.Members))
+	if ix.Count(id) != 2 {
+		t.Fatalf("affected partition has %d members, want 2", ix.Count(id))
 	}
-	if tbl.Contains("u0001") {
+	if has, _ := ix.Contains("u0001"); has {
 		t.Fatal("removed member still present")
 	}
-	checkInvariants(t, tbl)
+	checkInvariants(t, ix)
 }
 
 func TestRemoveLastMemberDropsPartition(t *testing.T) {
-	tbl := newTable(t, 3, 4) // partitions of 3 and 1
-	p, err := tbl.Remove("u0003")
+	ix := newTable(t, 3, 4) // partitions of 3 and 1
+	id, err := remove(ix, "u0003")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Members) != 0 {
-		t.Fatal("expected emptied partition")
+	if ix.Has(id) {
+		t.Fatal("expected emptied partition to be dropped")
 	}
-	if tbl.PartitionCount() != 1 {
-		t.Fatalf("partitions = %d, want 1", tbl.PartitionCount())
+	if ix.PageCount() != 1 {
+		t.Fatalf("partitions = %d, want 1", ix.PageCount())
 	}
-	checkInvariants(t, tbl)
+	checkInvariants(t, ix)
 }
 
 func TestRemoveUnknown(t *testing.T) {
-	tbl := newTable(t, 3, 3)
-	if _, err := tbl.Remove("ghost"); !errors.Is(err, ErrNoSuchMember) {
+	ix := newTable(t, 3, 3)
+	if _, err := remove(ix, "ghost"); !errors.Is(err, ErrNoSuchMember) {
 		t.Fatal("removing unknown member accepted")
 	}
 }
 
 func TestIndexConsistentAfterMiddlePartitionDrop(t *testing.T) {
-	tbl := newTable(t, 2, 6) // three full partitions
+	ix := newTable(t, 2, 6) // three full partitions
 	// Empty the middle partition (u0002, u0003).
-	if _, err := tbl.Remove("u0002"); err != nil {
-		t.Fatal(err)
+	for _, u := range []string{"u0002", "u0003"} {
+		if _, err := remove(ix, u); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := tbl.Remove("u0003"); err != nil {
-		t.Fatal(err)
+	if ix.PageCount() != 2 {
+		t.Fatalf("partitions = %d, want 2", ix.PageCount())
 	}
-	if tbl.PartitionCount() != 2 {
-		t.Fatalf("partitions = %d, want 2", tbl.PartitionCount())
-	}
-	// Members of the (shifted) last partition must still resolve.
-	checkInvariants(t, tbl)
-	p, ok := tbl.Lookup("u0005")
-	if !ok {
+	// Members of the last partition must still resolve.
+	checkInvariants(t, ix)
+	if _, ok, _ := ix.PageOf("u0005"); !ok {
 		t.Fatal("lookup lost after partition drop")
 	}
-	if _, err := tbl.Remove("u0005"); err != nil {
-		t.Fatalf("remove after shift: %v", err)
+	if _, err := remove(ix, "u0005"); err != nil {
+		t.Fatalf("remove after drop: %v", err)
 	}
-	_ = p
-	checkInvariants(t, tbl)
+	checkInvariants(t, ix)
 }
 
 func TestNeedsRepartitionHeuristic(t *testing.T) {
 	// Capacity 6 ⇒ two-thirds threshold is 4 members.
-	tbl := newTable(t, 6, 12) // two full partitions
-	if tbl.NeedsRepartition() {
+	ix := newTable(t, 6, 12) // two full partitions
+	if ix.NeedsRepartition() {
 		t.Fatal("dense group flagged for repartition")
 	}
 	// Strip one partition down to 1 member: 1 of 2 well-filled — not < half.
 	for _, u := range []string{"u0006", "u0007", "u0008", "u0009", "u0010"} {
-		if _, err := tbl.Remove(u); err != nil {
+		if _, err := remove(ix, u); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if tbl.NeedsRepartition() {
+	if ix.NeedsRepartition() {
 		t.Fatal("half well-filled flagged for repartition")
 	}
 	// Strip the other partition too: 0 of 2 well-filled — triggers.
 	for _, u := range []string{"u0000", "u0001", "u0002"} {
-		if _, err := tbl.Remove(u); err != nil {
+		if _, err := remove(ix, u); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !tbl.NeedsRepartition() {
+	if !ix.NeedsRepartition() {
 		t.Fatal("sparse group not flagged for repartition")
 	}
 }
 
 func TestNeedsRepartitionSinglePartition(t *testing.T) {
-	tbl := newTable(t, 10, 1)
-	if tbl.NeedsRepartition() {
+	ix := newTable(t, 10, 1)
+	if ix.NeedsRepartition() {
 		t.Fatal("single-partition group flagged for repartition")
 	}
 }
 
 func TestReset(t *testing.T) {
-	tbl := newTable(t, 3, 9)
+	ix := newTable(t, 3, 9)
 	// Punch holes across partitions.
 	for _, u := range []string{"u0000", "u0003", "u0006", "u0007"} {
-		if _, err := tbl.Remove(u); err != nil {
+		if _, err := remove(ix, u); err != nil {
 			t.Fatal(err)
 		}
 	}
-	before := tbl.Len()
-	parts := tbl.Reset()
-	if tbl.Len() != before {
-		t.Fatal("Reset changed membership")
+	dense := repack(t, ix)
+	if dense.Len() != ix.Len() {
+		t.Fatal("re-partitioning changed membership")
 	}
-	if len(parts) != 2 { // 5 members at capacity 3 → 2 partitions
-		t.Fatalf("partitions after reset = %d, want 2", len(parts))
+	if dense.PageCount() != 2 { // 5 members at capacity 3 → 2 partitions
+		t.Fatalf("partitions after reset = %d, want 2", dense.PageCount())
 	}
-	checkInvariants(t, tbl)
-	if tbl.Occupancy() < 0.8 {
-		t.Fatalf("occupancy after reset = %f", tbl.Occupancy())
+	// Old and new partition IDs never collide.
+	if ids := dense.PageIDs(); ids[0] != "p000004" {
+		t.Fatalf("re-partitioned IDs start at %s, want the numbering continued", ids[0])
+	}
+	checkInvariants(t, dense)
+	if dense.Occupancy() < 0.8 {
+		t.Fatalf("occupancy after reset = %f", dense.Occupancy())
 	}
 }
 
 func TestOccupancy(t *testing.T) {
-	tbl := newTable(t, 4, 8)
-	if tbl.Occupancy() != 1.0 {
-		t.Fatalf("full occupancy = %f", tbl.Occupancy())
+	ix := newTable(t, 4, 8)
+	if ix.Occupancy() != 1.0 {
+		t.Fatalf("full occupancy = %f", ix.Occupancy())
 	}
 	empty := newTable(t, 4, 0)
 	if empty.Occupancy() != 0 {
@@ -340,23 +387,26 @@ func TestOccupancy(t *testing.T) {
 }
 
 func TestRandomizedOperationStream(t *testing.T) {
-	// Property: any sequence of add/remove keeps invariants.
-	tbl := newTable(t, 5, 0)
+	// Property: any sequence of add/remove keeps invariants — including the
+	// directory resizes the adds trigger (the group starts empty).
+	ix := newTable(t, 5, 0)
 	rng := rand.New(rand.NewSource(99))
 	live := map[string]bool{}
-	next := 0
+	next, grown := 0, 0
 	for step := 0; step < 2000; step++ {
 		if len(live) == 0 || rng.Intn(100) < 55 {
 			user := fmt.Sprintf("m%05d", next)
 			next++
-			if p, ok := tbl.PickOpenPartition(rng); ok {
-				if _, err := tbl.Add(p.ID, user); err != nil {
-					t.Fatalf("step %d add: %v", step, err)
-				}
-			} else {
-				if _, err := tbl.AddNewPartition(user); err != nil {
-					t.Fatalf("step %d new partition: %v", step, err)
-				}
+			id, ok := ix.PickOpen(rng)
+			if !ok {
+				id = ix.NewPage()
+			}
+			if err := ix.Bind(id, user); err != nil {
+				t.Fatalf("step %d add: %v", step, err)
+			}
+			if ix.NeedsGrow() {
+				ix.Grow()
+				grown++
 			}
 			live[user] = true
 		} else {
@@ -365,24 +415,30 @@ func TestRandomizedOperationStream(t *testing.T) {
 				victim = u
 				break
 			}
-			if _, err := tbl.Remove(victim); err != nil {
+			if _, err := remove(ix, victim); err != nil {
 				t.Fatalf("step %d remove: %v", step, err)
 			}
 			delete(live, victim)
-			if tbl.NeedsRepartition() {
-				tbl.Reset()
+			if ix.NeedsRepartition() {
+				ix = repack(t, ix)
 			}
 		}
 	}
-	if tbl.Len() != len(live) {
-		t.Fatalf("table size %d, expected %d", tbl.Len(), len(live))
+	if ix.Len() != len(live) {
+		t.Fatalf("table size %d, expected %d", ix.Len(), len(live))
 	}
-	checkInvariants(t, tbl)
+	if grown == 0 {
+		t.Fatal("a group grown from empty never resized its directory")
+	}
+	checkInvariants(t, ix)
 }
 
 func TestMembersOrderStable(t *testing.T) {
-	tbl := newTable(t, 3, 7)
-	m := tbl.Members()
+	ix := newTable(t, 3, 7)
+	m, err := ix.Members()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(m) != 7 {
 		t.Fatalf("Members() = %d entries", len(m))
 	}

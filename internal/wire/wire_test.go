@@ -1,0 +1,67 @@
+package wire
+
+import (
+	"errors"
+	"testing"
+)
+
+func TestRoundTrip(t *testing.T) {
+	buf := []byte{'K'}
+	buf = AppendUvarint(buf, 300)
+	buf = AppendString(buf, "name")
+	buf = AppendBytes(buf, nil)
+	r := NewReader(buf, 'K')
+	if v, s, b := r.Uvarint(), r.String(), r.Bytes(); v != 300 || s != "name" || len(b) != 0 {
+		t.Fatalf("read back %d %q %q", v, s, b)
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestReaderRejects(t *testing.T) {
+	for name, read := range map[string]func() *Reader{
+		"another kind": func() *Reader { return NewReader([]byte{'X', 1}, 'K') },
+		"empty input":  func() *Reader { return NewReader(nil, 'K') },
+		"truncated uvarint": func() *Reader {
+			r := NewReader([]byte{'K', 0x80}, 'K')
+			r.Uvarint()
+			return r
+		},
+		"padded uvarint": func() *Reader {
+			r := NewReader([]byte{'K', 0x80, 0x00}, 'K')
+			r.Uvarint()
+			return r
+		},
+		"value above its bound": func() *Reader {
+			r := NewReader([]byte{'K', 9}, 'K')
+			r.Int(8)
+			return r
+		},
+		"length past the buffer": func() *Reader {
+			r := NewReader([]byte{'K', 3, 'a', 'b'}, 'K')
+			_ = r.Bytes()
+			return r
+		},
+		"count past the buffer": func() *Reader {
+			r := NewReader([]byte{'K', 3, 0, 0, 0, 0}, 'K')
+			r.Count(2) // three items of two bytes do not fit in four
+			return r
+		},
+		"trailing bytes": func() *Reader {
+			r := NewReader([]byte{'K', 1, 2}, 'K')
+			r.Uvarint()
+			return r
+		},
+	} {
+		if err := read().Done(); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	// After the first error every read is a zero value, not a panic.
+	r := NewReader([]byte{'K', 0x80}, 'K')
+	r.Uvarint()
+	if r.Uvarint() != 0 || r.Bytes() != nil || r.String() != "" || r.Err() == nil {
+		t.Fatal("reads after an error returned data")
+	}
+}
