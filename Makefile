@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test short race bench bench-smoke fuzz benchdiff ci
+.PHONY: all build vet fmt test short test-386 race bench bench-smoke fuzz benchdiff ci
 
 all: build
 
@@ -28,6 +28,11 @@ test:
 ## short: the fast suite CI's test job runs (slow sweeps are Short-guarded)
 short:
 	$(GO) test -short ./...
+
+## test-386: the crypto stack and its callers on a 32-bit build, so neither the field kernels nor a limb
+# conversion can assume a 64-bit big.Word
+test-386:
+	GOARCH=386 $(GO) test -short ./internal/ff/... ./internal/curve/... ./internal/pairing/... ./internal/ibbe/... ./internal/enclave/... ./internal/core/...
 
 ## race: race detector over the concurrent layers (core manager, admin, cluster, storage) and the crypto substrate
 race:

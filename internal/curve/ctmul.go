@@ -116,7 +116,7 @@ func (c *Curve) ScalarMultConstTime(p *Point, k *big.Int) *Point {
 	if m == nil || p.Inf {
 		return c.ScalarMult(p, k)
 	}
-	modd := toMontAffineBatch(m, c.oddMultiples(p, 1<<(ctWindow-1)))
+	modd := c.montOddMultiples(m, p, 1<<(ctWindow-1))
 	digits := ctRecode(k, c.R)
 	var entry montAffine
 	var acc montJac

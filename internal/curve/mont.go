@@ -1,6 +1,7 @@
 package curve
 
 import (
+	"encoding/binary"
 	"math/big"
 	"runtime"
 	"sync"
@@ -93,6 +94,61 @@ func (j *montJac) setAffine(m *ff.Mont, a *montAffine) {
 // montFromJac converts back to a big.Int affine Point (one field inversion).
 func (c *Curve) montFromJac(m *ff.Mont, j *montJac) *Point {
 	return c.fromJacobian(c.montToJacobian(m, j))
+}
+
+// montOddMultiples returns [1P, 3P, 5P, …, (2n−1)P] for an affine P ≠ ∞ as
+// a Montgomery-domain table: the chain P, P + 2P, … runs in limb Jacobian
+// arithmetic and montNormalize brings it to affine with one inversion. This
+// is the per-call table of the variable-base walks.
+func (c *Curve) montOddMultiples(m *ff.Mont, p *Point, n int) []montAffine {
+	js := make([]montJac, n)
+	base := toMontAffine(m, p)
+	js[0].setAffine(m, &base)
+	if n > 1 {
+		two := js[0]
+		c.montDouble(m, &two)
+		for i := 1; i < n; i++ {
+			js[i] = js[i-1]
+			c.montAdd(m, &js[i], &two)
+		}
+	}
+	return montNormalize(m, js)
+}
+
+// montNormalize is batchNormalize in the limb domain: one inversion of the
+// product of the non-zero Z's, then per-point inverses peeled off back to
+// front. Z = 0 entries come back as infinity.
+func montNormalize(m *ff.Mont, js []montJac) []montAffine {
+	out := make([]montAffine, len(js))
+	prefix := make([]ff.Fel, len(js)) // prefix[i] = product of the non-zero Z's before i
+	var acc ff.Fel
+	m.SetOne(&acc)
+	for i := range js {
+		prefix[i] = acc
+		if !m.IsZero(&js[i].z) {
+			m.Mul(&acc, &acc, &js[i].z)
+		}
+	}
+	var inv ff.Fel
+	if !m.Inv(&inv, &acc) {
+		// See the batchNormalize panic rationale.
+		panic("curve: montNormalize: product of non-zero Z's is not invertible")
+	}
+	for i := len(js) - 1; i >= 0; i-- {
+		j := &js[i]
+		if m.IsZero(&j.z) {
+			out[i].inf = true
+			continue
+		}
+		var zInv, zInv2 ff.Fel
+		m.Mul(&zInv, &inv, &prefix[i])
+		m.Mul(&inv, &inv, &j.z) // drop z_i from the running inverse
+		m.Sqr(&zInv2, &zInv)
+		m.Mul(&out[i].x, &j.x, &zInv2)
+		m.Mul(&zInv, &zInv2, &zInv)
+		m.Mul(&out[i].y, &j.y, &zInv)
+	}
+	return out
 }
 
 // montToJacobian decodes the limb coordinates into a big.Int Jacobian point,
@@ -283,24 +339,17 @@ func (c *Curve) montWalkDigits(m *ff.Mont, odd [][]montAffine, digits [][]int8, 
 	return acc
 }
 
-// scalarToLimbs returns e (< 2^(64·n)) as n little-endian limbs; used by the
-// fixed-window walks so digit extraction is plain shifts over a fixed-size
-// array instead of data-dependent big.Int bit probing.
+// scalarToLimbs returns e (0 ≤ e < 2^(64·n)) as n little-endian 64-bit
+// limbs, so the constant-time recoding is plain shifts over a fixed-size
+// array instead of data-dependent big.Int bit probing. It goes through
+// big-endian bytes rather than e.Bits(), whose words are 32 bits wide on
+// 386 and arm.
 func scalarToLimbs(e *big.Int, n int) []uint64 {
-	words := e.Bits()
+	buf := make([]byte, 8*n)
+	e.FillBytes(buf)
 	out := make([]uint64, n)
-	for i := 0; i < len(words) && i < n; i++ {
-		out[i] = uint64(words[i])
+	for i := range out {
+		out[i] = binary.BigEndian.Uint64(buf[8*(n-1-i):])
 	}
 	return out
-}
-
-// limbsDigit extracts the w-bit digit starting at bit position pos.
-func limbsDigit(limbs []uint64, pos, w int) int {
-	word, shift := pos>>6, uint(pos&63)
-	d := limbs[word] >> shift
-	if shift+uint(w) > 64 && word+1 < len(limbs) {
-		d |= limbs[word+1] << (64 - shift)
-	}
-	return int(d & ((1 << w) - 1))
 }

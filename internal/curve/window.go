@@ -52,20 +52,18 @@ func (c *Curve) oddMultiples(p *Point, n int) []*Point {
 	return c.batchNormalize(js)
 }
 
-// scalarMultJacobian is the w-NAF ladder shared by ScalarMult and callers
-// that want to defer normalisation (batch contexts). The scalar must be
-// non-negative; the point may be any curve point. When the limb core is
-// available the digit walk runs in the Montgomery domain: the freshly
-// normalised odd multiples convert in once and every doubling and addition
-// is a CIOS product.
+// scalarMultJacobian is the w-NAF ladder behind ScalarMult. The scalar must
+// be non-negative; the point may be any curve point. When the limb core is
+// available the whole call runs in the Montgomery domain — the odd-multiple
+// table too (montOddMultiples) — and every doubling and addition is a limb
+// product.
 func (c *Curve) scalarMultJacobian(p *Point, k *big.Int) *jacobianPoint {
 	if p.Inf || k.Sign() == 0 {
 		return c.jacobianInfinity()
 	}
-	odd := c.oddMultiples(p, 1<<(scalarWindow-2))
 	digits := wnafDigits(k, scalarWindow)
 	if m := c.mont(); m != nil {
-		modd := toMontAffineBatch(m, odd)
+		modd := c.montOddMultiples(m, p, 1<<(scalarWindow-2))
 		var acc montJac
 		acc.setInfinity(m)
 		for i := len(digits) - 1; i >= 0; i-- {
@@ -82,6 +80,7 @@ func (c *Curve) scalarMultJacobian(p *Point, k *big.Int) *jacobianPoint {
 		}
 		return c.montToJacobian(m, &acc)
 	}
+	odd := c.oddMultiples(p, 1<<(scalarWindow-2))
 	acc := c.jacobianInfinity()
 	f := c.F
 	for i := len(digits) - 1; i >= 0; i-- {

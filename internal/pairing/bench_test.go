@@ -153,3 +153,25 @@ func BenchmarkPairing512(b *testing.B) {
 		p.Pair(P, Q)
 	}
 }
+
+// BenchmarkG1ScalarMult512 is the variable-base G1 exponentiation at the
+// paper width — AddUsers' C2^e and C3^e, RemoveUsers' C3^{1/e} — the only
+// width the 8-limb field kernels run at (the benchmarks above use type-a-160).
+func BenchmarkG1ScalarMult512(b *testing.B) {
+	if testing.Short() {
+		b.Skip("paper-scale parameters")
+	}
+	p := TypeA512()
+	P, err := p.G1.RandPoint(rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	k, err := p.G1.RandScalar(rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		p.G1.ScalarMultReduced(P, k)
+	}
+}
