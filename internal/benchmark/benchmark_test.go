@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"github.com/ibbesgx/ibbesgx/internal/pairing"
 )
 
 // tinyConfig shrinks the CI grid further for unit testing.
@@ -138,7 +140,14 @@ func TestFig8aShapeHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure replay: skipped in -short CI runs")
 	}
-	res, err := RunFig8a(tinyConfig())
+	// The ratio below is a statement about the paper's 512-bit parameters:
+	// at type-a-160 an add's two fixed-base G1 exponentiations cost less
+	// than the P-256 ECIES of an HE add (≈ 42 µs against ≈ 70 µs), so the
+	// figure's shape holds only at paper width and the test runs there
+	// (≈ 0.1 s with the tiny grid).
+	cfg := tinyConfig()
+	cfg.Params = pairing.TypeA512()
+	res, err := RunFig8a(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +155,7 @@ func TestFig8aShapeHolds(t *testing.T) {
 		t.Fatal("CDF sample counts broken")
 	}
 	// HE add is faster than IBBE-SGX add (paper: ≈ 2×).
+	t.Logf("median add: HE %v, IBBE-SGX %v", res.HE.Quantile(0.5), res.IBBE.Quantile(0.5))
 	if res.HE.Quantile(0.5) >= res.IBBE.Quantile(0.5) {
 		t.Fatalf("HE median add (%v) not faster than IBBE-SGX (%v)",
 			res.HE.Quantile(0.5), res.IBBE.Quantile(0.5))

@@ -104,8 +104,11 @@ type Manager struct {
 	// benchmarks; production keeps it on).
 	DisableRewrap bool
 
-	// repartitions counts occupancy-heuristic firings for replay reporting.
-	repartitions atomic.Int64
+	// repartitions counts occupancy-heuristic firings for replay reporting;
+	// repartitionFailures counts the firings inside a removal that failed
+	// and left the old layout in place.
+	repartitions        atomic.Int64
+	repartitionFailures atomic.Int64
 }
 
 // groupState is one group's index and page cache. Its mutex serialises
@@ -189,6 +192,11 @@ func (m *Manager) Capacity() int { return m.capacity }
 
 // Repartitions returns how many times the occupancy heuristic fired.
 func (m *Manager) Repartitions() int64 { return m.repartitions.Load() }
+
+// RepartitionFailures returns how many re-partitions the occupancy heuristic
+// started inside a removal and could not finish. Each left the removal
+// standing and the old layout in place.
+func (m *Manager) RepartitionFailures() int64 { return m.repartitionFailures.Load() }
 
 // lockGroup finds a group and acquires its lock. The caller must release
 // g.mu. The map lock is dropped before g.mu is taken, so a slow operation on
@@ -472,6 +480,7 @@ func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
 		id     string
 		fresh  bool
 		ct     *ibbe.Ciphertext // nil for fresh partitions
+		handle []byte           // the header's re-wrap handle; nil for fresh partitions
 		newMem []string
 	}
 	ids := make([]string, 0, len(joiners))
@@ -486,6 +495,7 @@ func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
 			p, perr := g.pages.Get(id)
 			if perr == nil {
 				t.ct = pageCT(p)
+				_, t.handle = g.idx.Envelope(id)
 				t.newMem = append(append([]string(nil), p.Members...), joiners[id]...)
 				perr = g.rosterMatches(id, t.newMem)
 			}
@@ -497,22 +507,22 @@ func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
 		tasks = append(tasks, t)
 	}
 
-	// Enclave pass: one ECALL per touched partition, fanned out. A threshold
-	// shard has no γ, so the O(1) ciphertext extension is unavailable; it
-	// rebuilds each touched partition from its full member list via classic
-	// encryption instead. Same records, different cost.
+	// Enclave pass: one ECALL per touched partition, fanned out. An existing
+	// partition is extended from the exponents its handle seals. A threshold
+	// shard has no γ, so the O(1) extension is unavailable; it rebuilds each
+	// touched partition from its full member list via classic encryption
+	// instead. Same records, different cost.
 	hasMSK := m.encl.HasMasterSecret()
 	outs := make([]*enclave.PartitionCrypto, len(tasks))
 	newCTs := make([]*ibbe.Ciphertext, len(tasks))
-	err = m.fanOut(len(tasks), func(i int) error {
+	handles := make([][]byte, len(tasks))
+	err = m.fanOut(len(tasks), func(i int) (e error) {
 		t := tasks[i]
 		if t.fresh || !hasMSK {
-			pc, e := m.encl.EcallCreatePartition(name, g.sealedGK, t.newMem)
-			outs[i] = pc
+			outs[i], e = m.encl.EcallCreatePartition(name, g.sealedGK, t.newMem)
 			return e
 		}
-		ct, e := m.encl.EcallAddUsersToPartition(t.ct, joiners[t.id])
-		newCTs[i] = ct
+		newCTs[i], handles[i], e = m.encl.EcallAddUsersWithHandle(name, t.ct, t.handle, joiners[t.id])
 		return e
 	})
 	if err != nil {
@@ -524,9 +534,13 @@ func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
 	for i, t := range tasks {
 		if outs[i] != nil {
 			g.installFresh(t.id, t.newMem, outs[i], up)
-		} else { // ciphertext extension: bk, and with it yᵢ and the handle, is unchanged
-			g.install(t.id, t.newMem, newCTs[i], up)
+			continue
 		}
+		// Extension: bk, and with it yᵢ, is unchanged; the handle now seals
+		// the grown Π.
+		wrapped, _ := g.idx.Envelope(t.id)
+		g.idx.SetEnvelope(t.id, wrapped, handles[i])
+		g.install(t.id, t.newMem, newCTs[i], up)
 	}
 	if grow {
 		g.idx.Grow()
@@ -629,9 +643,11 @@ func (m *Manager) RemoveUsers(name string, users []string) (*Update, error) {
 
 	if !m.DisableRepartition && g.idx.NeedsRepartition() && g.idx.Len() > 0 {
 		// The removal stands on its own: a re-partition that fails leaves
-		// the old layout in place, and the heuristic fires again on the
-		// next removal.
-		_ = m.repartitionLocked(name, g, up)
+		// the old layout in place, counted, and the heuristic fires again on
+		// the next removal.
+		if err := m.repartitionLocked(name, g, up); err != nil {
+			m.repartitionFailures.Add(1)
+		}
 	}
 	return g.finish(up, true), nil
 }
@@ -720,12 +736,14 @@ func (m *Manager) rekeySweep(name string, g *groupState, sealedGK []byte, remove
 		cur := make([]*partition.Page, len(batch))
 		outs := make([]*enclave.PartitionCrypto, len(batch))
 		kept := make([][]string, len(batch))
+		handles := make([][]byte, len(batch))
 		for i, pid := range batch {
 			p, gerr := g.pages.Get(pid)
 			if gerr != nil {
 				return undo, gerr
 			}
 			cur[i], kept[i] = p, p.Members
+			_, handles[i] = g.idx.Envelope(pid)
 			if rem := removedBy[pid]; len(rem) > 0 {
 				gone := make(map[string]bool, len(rem))
 				for _, u := range rem {
@@ -743,12 +761,14 @@ func (m *Manager) rekeySweep(name string, g *groupState, sealedGK []byte, remove
 			}
 		}
 		ferr := m.fanOut(len(batch), func(i int) (e error) {
-			old, rem := pageCT(cur[i]), removedBy[batch[i]]
+			rem := removedBy[batch[i]]
 			switch {
-			case len(rem) == 0:
-				outs[i], e = m.encl.EcallRekeyPartition(name, sealedGK, old)
 			case hasMSK:
-				outs[i], e = m.encl.EcallRemoveUsersFromPartition(name, sealedGK, old, rem)
+				// Removal and re-key alike derive the new header from the
+				// exponents the partition's handle seals.
+				outs[i], e = m.encl.EcallRekeyWithHandle(name, sealedGK, handles[i], rem)
+			case len(rem) == 0:
+				outs[i], e = m.encl.EcallRekeyPartition(name, sealedGK, pageCT(cur[i]))
 			default:
 				// Threshold shards cannot divide (γ+H(id)) terms out of a
 				// ciphertext; partitions that lost members are rebuilt

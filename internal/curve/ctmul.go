@@ -8,7 +8,8 @@ import (
 )
 
 // Constant-time scalar multiplication for secret exponents — the MSK-touching
-// ECALL paths (partial extract, blinded inversion, DKG dealing). The w-NAF
+// ECALL paths (extract, partial extract, blinded inversion, DKG dealing, and
+// the membership ops' headers from sealed exponents). The w-NAF
 // walks elsewhere in this package leak the exponent through their digit
 // pattern: which iterations add, which table index they load, and whether the
 // digit is negative are all scalar-dependent. Here every scalar takes the
@@ -26,8 +27,8 @@ import (
 // addition formulas (hit only when an intermediate sum cancels, which for
 // random secret scalars is astronomically unlikely) remain variable-time.
 // What it removes is the exponent-bit-shaped control flow and memory access
-// of the variable-time walks. Both entry points require an r-torsion point
-// and fall back to the variable-time path when the limb core is unavailable.
+// of the variable-time walks. Every entry point requires an r-torsion point
+// and falls back to the variable-time path when the limb core is unavailable.
 
 // ctWindow is the fixed window width of the constant-time recoding: digits
 // are odd in ±{1, 3, …, 2^w − 1}, needing 2^(w−1) table entries per window.
@@ -174,22 +175,48 @@ func (fb *FixedBase) ctTable() [][]montAffine {
 // masked row scan and one mixed addition per digit, no doublings, the same
 // sequence for every scalar. The base must be an r-torsion point (all
 // long-lived scheme bases are). Falls back to Mul when the limb core is
-// unavailable or the base is the identity.
+// unavailable.
 func (fb *FixedBase) MulConstTime(k *big.Int) *Point {
-	c := fb.c
+	return fb.c.MulConstTimeEach([]*FixedBase{fb}, []*big.Int{k})[0]
+}
+
+// MulConstTimeEach returns (ks[i] mod r)·base_i for the base of every table
+// fbs[i], each through its MulConstTime walk, and brings the results to
+// affine together: one field inversion for all of them instead of one each.
+// An identity base gives the identity. Falls back to Mul per table when the
+// limb core is unavailable.
+func (c *Curve) MulConstTimeEach(fbs []*FixedBase, ks []*big.Int) []*Point {
+	out := make([]*Point, len(fbs))
 	m := c.mont()
-	ct := fb.ctTable()
-	if m == nil || ct == nil {
-		return fb.Mul(k)
+	if m == nil {
+		for i, fb := range fbs {
+			out[i] = fb.Mul(ks[i])
+		}
+		return out
 	}
-	digits := ctRecode(k, c.R)
-	var entry montAffine
-	var acc montJac
-	ctLoadDigit(m, &entry, ct[0], digits[0])
-	acc.setAffine(m, &entry)
-	for i := 1; i < len(digits); i++ {
-		ctLoadDigit(m, &entry, ct[i], digits[i])
-		c.montAddAffine(m, &acc, &entry)
+	js := make([]montJac, len(fbs))
+	for i, fb := range fbs {
+		ct := fb.ctTable()
+		if ct == nil {
+			js[i].setInfinity(m)
+			continue
+		}
+		digits := ctRecode(ks[i], c.R)
+		var entry montAffine
+		acc := &js[i]
+		ctLoadDigit(m, &entry, ct[0], digits[0])
+		acc.setAffine(m, &entry)
+		for d := 1; d < len(digits); d++ {
+			ctLoadDigit(m, &entry, ct[d], digits[d])
+			c.montAddAffine(m, acc, &entry)
+		}
 	}
-	return c.montFromJac(m, &acc)
+	for i, a := range montNormalize(m, js) {
+		if a.inf {
+			out[i] = c.Infinity()
+		} else {
+			out[i] = &Point{X: m.ToBig(&a.x), Y: m.ToBig(&a.y)}
+		}
+	}
+	return out
 }

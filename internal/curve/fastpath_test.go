@@ -244,6 +244,36 @@ func TestFixedBaseMulConstTimeMatchesMul(t *testing.T) {
 	}
 }
 
+// MulConstTimeEach shares one normalisation across tables; each result must
+// still be the table's own Mul, identities included.
+func TestMulConstTimeEachMatchesMul(t *testing.T) {
+	for name, c := range fastPathCurves(t) {
+		var fbs []*FixedBase
+		for i := 0; i < 3; i++ {
+			p, err := c.RandPoint(rand.Reader)
+			if err != nil {
+				t.Fatalf("%s: RandPoint: %v", name, err)
+			}
+			fbs = append(fbs, c.NewFixedBase(p))
+		}
+		fbs = append(fbs, c.NewFixedBase(c.Infinity()), fbs[0])
+		all := testScalars(t, c, len(fbs))
+		// The edge scalars first, then random ones with r (≡ 0, the identity)
+		// amid them.
+		random := append([]*big.Int(nil), all[len(all)-len(fbs):]...)
+		random[1] = new(big.Int).Set(c.R)
+		for _, ks := range [][]*big.Int{all[:len(fbs)], random} {
+			got := c.MulConstTimeEach(fbs, ks)
+			for i, fb := range fbs {
+				want := fb.Mul(ks[i])
+				if !c.Equal(got[i], want) || !want.Inf && string(c.Marshal(got[i])) != string(c.Marshal(want)) {
+					t.Fatalf("%s: MulConstTimeEach[%d] (k = %v) ≠ Mul", name, i, ks[i])
+				}
+			}
+		}
+	}
+}
+
 func TestCTRecodeReconstructsScalar(t *testing.T) {
 	for name, c := range fastPathCurves(t) {
 		nd := ctDigits(c.R.BitLen() + 1)

@@ -27,15 +27,31 @@ const (
 // IBBEMeasurement returns the expected measurement of the IBBE enclave code.
 func IBBEMeasurement() Measurement { return MeasureCode(CodeName, CodeVersion) }
 
+// Errors returned by the handle-taking ECALLs.
+var (
+	// ErrBadHandle reports a re-wrap handle that does not open to a
+	// well-formed partition state: truncated, tampered with, sealed for
+	// another group, or carrying exponents out of range.
+	ErrBadHandle = errors.New("enclave: malformed re-wrap handle")
+	// ErrStatelessHandle reports a handle that holds only the wrap key — as
+	// threshold shards and the stateless ECALLs mint them, and as every
+	// handle was before partitions kept their exponents — given to an ECALL
+	// that needs the exponents.
+	ErrStatelessHandle = fmt.Errorf("%w: it carries no partition exponents", ErrBadHandle)
+)
+
 // PartitionCrypto is the per-partition public output of the enclave: the
 // IBBE broadcast ciphertext cᵢ and the group key wrapped under the partition
 // broadcast key, yᵢ = AES(SHA(bkᵢ), gk) — the (cᵢ, yᵢ) pairs of Fig. 4.
 //
-// WrapHandle is the wrap key SHA(bkᵢ) sealed to the enclave, returned by
-// every ECALL that mints a broadcast key. It lets EcallRewrapPartitions
-// publish a new group key to a partition whose membership did not shrink
-// without rotating bkᵢ; outside the enclave it is as opaque as the sealed
-// group key.
+// WrapHandle is the partition's secrets sealed to the enclave, returned by
+// every ECALL that mints a broadcast key: the wrap key SHA(bkᵢ), followed —
+// when the enclave holds γ — by the exponent state (k, Π) the header derives
+// from. The wrap key lets EcallRewrapPartitions publish a new group key to a
+// partition whose membership did not shrink without rotating bkᵢ; the
+// exponents let the handle-taking ECALLs compute an add, removal or re-key
+// through the fixed-base tables. Outside the enclave it is as opaque as the
+// sealed group key.
 type PartitionCrypto struct {
 	CT         *ibbe.Ciphertext
 	WrappedGK  []byte
@@ -287,20 +303,102 @@ func (ie *IBBEEnclave) EcallAddUserToPartition(ct *ibbe.Ciphertext, newUser stri
 // it extends the partition ciphertext by every new user in one ECALL, with a
 // constant number of exponentiations for the whole batch (the per-user
 // exponents fold into one Z_r product inside the enclave).
+//
+// It and EcallRemoveUsersFromPartition and EcallRekeyPartition are the
+// stateless forms: they take only the ciphertext and raise it to a new
+// exponent with the variable-time walk, and the handles they mint carry no
+// exponents. The manager takes EcallAddUsersWithHandle and
+// EcallRekeyWithHandle, which compute the same headers from the sealed
+// exponents; a threshold shard re-keys through EcallRekeyPartition.
 func (ie *IBBEEnclave) EcallAddUsersToPartition(ct *ibbe.Ciphertext, newUsers []string) (*ibbe.Ciphertext, error) {
 	defer ie.timeEcall("add_users")()
 	ie.mu.RLock()
 	defer ie.mu.RUnlock()
-	if ie.msk == nil {
-		// The O(1) incremental extension multiplies by (γ+H(id)) and needs γ;
-		// a threshold shard rebuilds the partition classically instead (the
-		// core manager routes around this via HasMasterSecret).
-		if ie.thr != nil {
-			return nil, ErrThresholdMode
-		}
-		return nil, ErrEnclaveNotInitialized
+	if err := ie.requireMSKLocked(); err != nil {
+		return nil, err
 	}
 	return ie.scheme.AddUsers(ie.msk, ct, newUsers), nil
+}
+
+// EcallAddUsersWithHandle extends a partition by newUsers from its sealed
+// exponent state: Π grows by the joiners' factors and C2, C3 are recomputed
+// off the h table, with C1 kept from ct. k — and with it bkᵢ, the wrap key
+// and yᵢ — is unchanged, so members' kept wrap keys still open yᵢ. It returns
+// the new header and the partition's new handle, which the caller stores in
+// place of the old one.
+func (ie *IBBEEnclave) EcallAddUsersWithHandle(groupLabel string, ct *ibbe.Ciphertext, handle []byte, newUsers []string) (*ibbe.Ciphertext, []byte, error) {
+	defer ie.timeEcall("add_users")()
+	ie.mu.RLock()
+	defer ie.mu.RUnlock()
+	if err := ie.requireMSKLocked(); err != nil {
+		return nil, nil, err
+	}
+	wk, st, err := ie.openStateHandleLocked(groupLabel, handle)
+	if err != nil {
+		return nil, nil, err
+	}
+	newCT, next := ie.scheme.AddUsersState(ie.msk, ie.pk, ct, st, newUsers)
+	newHandle, err := ie.sealHandleLocked(groupLabel, wk, next)
+	if err != nil {
+		return nil, nil, err
+	}
+	return newCT, newHandle, nil
+}
+
+// EcallRekeyWithHandle re-keys a partition from its sealed exponent state
+// under the (sealed) current group key, first removing the users in removed
+// (none for a plain re-key): Π loses their factors, a fresh k is drawn and
+// the whole header comes off the w and h tables. It is the handle-taking
+// form of EcallRemoveUsersFromPartition and EcallRekeyPartition.
+func (ie *IBBEEnclave) EcallRekeyWithHandle(groupLabel string, sealedGK, handle []byte, removed []string) (*PartitionCrypto, error) {
+	call := "rekey"
+	if len(removed) > 0 {
+		call = "remove_users"
+	}
+	defer ie.timeEcall(call)()
+	ie.mu.RLock()
+	defer ie.mu.RUnlock()
+	if err := ie.requireMSKLocked(); err != nil {
+		return nil, err
+	}
+	_, st, err := ie.openStateHandleLocked(groupLabel, handle)
+	if err != nil {
+		return nil, err
+	}
+	gk, err := ie.unsealGKLocked(groupLabel, sealedGK)
+	if err != nil {
+		return nil, err
+	}
+	var (
+		pc       *PartitionCrypto
+		innerErr error
+	)
+	ie.enc.epcTouch(int64(ie.scheme.CiphertextLen()), func() {
+		bk, ct, next, err := ie.scheme.RemoveUsersState(ie.msk, ie.pk, st, removed, rand.Reader)
+		if err != nil {
+			innerErr = err
+			return
+		}
+		pc, innerErr = ie.wrapPartitionLocked(groupLabel, bk, ct, next, gk)
+	})
+	if innerErr != nil {
+		return nil, innerErr
+	}
+	return pc, nil
+}
+
+// requireMSKLocked reports why an ECALL that needs γ cannot run: the
+// incremental operations multiply or divide by (γ+H(id)), so a threshold
+// shard rebuilds partitions classically instead (the core manager routes
+// around this via HasMasterSecret).
+func (ie *IBBEEnclave) requireMSKLocked() error {
+	switch {
+	case ie.msk == nil && ie.thr != nil:
+		return ErrThresholdMode
+	case ie.msk == nil || ie.pk == nil:
+		return ErrEnclaveNotInitialized
+	}
+	return nil
 }
 
 // EcallNewGroupKey draws a fresh group key for a group and returns it sealed
@@ -346,7 +444,7 @@ func (ie *IBBEEnclave) EcallRekeyPartition(groupLabel string, sealedGK []byte, c
 			innerErr = err
 			return
 		}
-		pc, innerErr = ie.wrapPartitionLocked(groupLabel, bk, newCT, gk)
+		pc, innerErr = ie.wrapPartitionLocked(groupLabel, bk, newCT, nil, gk)
 	})
 	if innerErr != nil {
 		return nil, innerErr
@@ -362,13 +460,8 @@ func (ie *IBBEEnclave) EcallRemoveUsersFromPartition(groupLabel string, sealedGK
 	defer ie.timeEcall("remove_users")()
 	ie.mu.RLock()
 	defer ie.mu.RUnlock()
-	if ie.msk == nil {
-		// Incremental removal divides out (γ+H(id)) terms and needs γ; a
-		// threshold shard rebuilds the shrunken partition classically.
-		if ie.thr != nil {
-			return nil, ErrThresholdMode
-		}
-		return nil, ErrEnclaveNotInitialized
+	if err := ie.requireMSKLocked(); err != nil {
+		return nil, err
 	}
 	gk, err := ie.unsealGKLocked(groupLabel, sealedGK)
 	if err != nil {
@@ -384,7 +477,7 @@ func (ie *IBBEEnclave) EcallRemoveUsersFromPartition(groupLabel string, sealedGK
 			innerErr = err
 			return
 		}
-		pc, innerErr = ie.wrapPartitionLocked(groupLabel, bk, newCT, gk)
+		pc, innerErr = ie.wrapPartitionLocked(groupLabel, bk, newCT, nil, gk)
 	})
 	if innerErr != nil {
 		return nil, innerErr
@@ -420,9 +513,9 @@ func (ie *IBBEEnclave) EcallRewrapPartitions(groupLabel string, sealedGK []byte,
 	for i, h := range handles {
 		raw, err := unseal(sealer, h, label)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %w", ErrBadHandle, err)
 		}
-		wk, err := symmetricKey(raw)
+		wk, _, err := ie.splitHandle(raw)
 		if err != nil {
 			return nil, err
 		}
@@ -448,30 +541,31 @@ func (ie *IBBEEnclave) createPartitionLocked(groupLabel string, members []string
 	var (
 		bk  *ibbe.BroadcastKey
 		ct  *ibbe.Ciphertext
+		st  *ibbe.PartitionState
 		err error
 	)
 	if ie.msk != nil {
-		bk, ct, err = ie.scheme.EncryptMSK(ie.msk, ie.pk, members, rand.Reader)
+		bk, ct, st, err = ie.scheme.EncryptMSKState(ie.msk, ie.pk, members, rand.Reader)
 	} else {
 		bk, ct, err = ie.scheme.EncryptClassic(ie.pk, members, rand.Reader)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return ie.wrapPartitionLocked(groupLabel, bk, ct, gk)
+	return ie.wrapPartitionLocked(groupLabel, bk, ct, st, gk)
 }
 
 // wrapPartitionLocked finishes every ECALL that minted a broadcast key bk for
 // ciphertext ct: yᵢ = AES-GCM(SHA-256(bk), gk) — the sgx_aes(sgx_sha(b), gk)
-// step of Algorithms 1–3 — plus the wrap key sealed as the partition's
-// re-wrap handle.
-func (ie *IBBEEnclave) wrapPartitionLocked(groupLabel string, bk *ibbe.BroadcastKey, ct *ibbe.Ciphertext, gk [kdf.KeySize]byte) (*PartitionCrypto, error) {
+// step of Algorithms 1–3 — plus the partition's re-wrap handle: the wrap key
+// and, when the caller has it, the exponent state st the header derives from.
+func (ie *IBBEEnclave) wrapPartitionLocked(groupLabel string, bk *ibbe.BroadcastKey, ct *ibbe.Ciphertext, st *ibbe.PartitionState, gk [kdf.KeySize]byte) (*PartitionCrypto, error) {
 	wk := ie.scheme.P.GTHash(bk)
 	y, err := wrapGK(wk, gk, groupLabel)
 	if err != nil {
 		return nil, err
 	}
-	handle, err := ie.enc.Seal(wk[:], wrapHandleLabel(groupLabel))
+	handle, err := ie.sealHandleLocked(groupLabel, wk, st)
 	if err != nil {
 		return nil, err
 	}
@@ -480,6 +574,52 @@ func (ie *IBBEEnclave) wrapPartitionLocked(groupLabel string, bk *ibbe.Broadcast
 
 // wrapHandleLabel is the seal label of a partition's re-wrap handle.
 func wrapHandleLabel(groupLabel string) []byte { return []byte("ibbe-wk|" + groupLabel) }
+
+// sealHandleLocked seals a partition's re-wrap handle: wk, then st when
+// given — wk ‖ k ‖ Π, or wk alone for a partition whose exponents the
+// enclave does not know (threshold shards, the stateless ECALLs).
+func (ie *IBBEEnclave) sealHandleLocked(groupLabel string, wk [kdf.KeySize]byte, st *ibbe.PartitionState) ([]byte, error) {
+	plain := wk[:]
+	if st != nil {
+		plain = append(plain, ie.scheme.MarshalPartitionState(st)...)
+	}
+	return ie.enc.Seal(plain, wrapHandleLabel(groupLabel))
+}
+
+// splitHandle splits an unsealed handle into its wrap key and the encoded
+// exponent state behind it, which is empty for a wrap-key-only handle. The
+// two forms are told apart by length; any other length is refused.
+func (ie *IBBEEnclave) splitHandle(raw []byte) (wk [kdf.KeySize]byte, state []byte, err error) {
+	switch len(raw) {
+	case kdf.KeySize, kdf.KeySize + ie.scheme.PartitionStateLen():
+		copy(wk[:], raw)
+		return wk, raw[kdf.KeySize:], nil
+	}
+	return wk, nil, fmt.Errorf("%w: %d bytes unsealed", ErrBadHandle, len(raw))
+}
+
+// openStateHandleLocked unseals a handle the handle-taking ECALLs need the
+// exponents of, failing closed with ErrBadHandle (or ErrStatelessHandle)
+// unless it opens under this group's label to a wrap key and an in-range
+// (k, Π).
+func (ie *IBBEEnclave) openStateHandleLocked(groupLabel string, handle []byte) ([kdf.KeySize]byte, *ibbe.PartitionState, error) {
+	raw, err := ie.enc.Unseal(handle, wrapHandleLabel(groupLabel))
+	if err != nil {
+		return [kdf.KeySize]byte{}, nil, fmt.Errorf("%w: %w", ErrBadHandle, err)
+	}
+	wk, state, err := ie.splitHandle(raw)
+	if err != nil {
+		return wk, nil, err
+	}
+	if len(state) == 0 {
+		return wk, nil, ErrStatelessHandle
+	}
+	st, err := ie.scheme.UnmarshalPartitionState(state)
+	if err != nil {
+		return wk, nil, fmt.Errorf("%w: %w", ErrBadHandle, err)
+	}
+	return wk, st, nil
+}
 
 func (ie *IBBEEnclave) sealMSKLocked() ([]byte, error) {
 	return ie.enc.Seal(marshalMSK(ie.scheme, ie.msk), []byte("ibbe-msk"))
@@ -490,27 +630,16 @@ func (ie *IBBEEnclave) sealGKLocked(groupLabel string, gk [kdf.KeySize]byte) ([]
 }
 
 func (ie *IBBEEnclave) unsealGKLocked(groupLabel string, sealed []byte) ([kdf.KeySize]byte, error) {
-	return ie.unsealKeyLocked(sealed, []byte("ibbe-gk|"+groupLabel))
-}
-
-// unsealKeyLocked opens a sealed symmetric key: a group key or a partition's
-// wrap key, told apart by the seal label.
-func (ie *IBBEEnclave) unsealKeyLocked(sealed, label []byte) ([kdf.KeySize]byte, error) {
-	raw, err := ie.enc.Unseal(sealed, label)
+	var gk [kdf.KeySize]byte
+	raw, err := ie.enc.Unseal(sealed, []byte("ibbe-gk|"+groupLabel))
 	if err != nil {
-		return [kdf.KeySize]byte{}, err
+		return gk, err
 	}
-	return symmetricKey(raw)
-}
-
-// symmetricKey checks that an unsealed blob is one symmetric key.
-func symmetricKey(raw []byte) ([kdf.KeySize]byte, error) {
-	var key [kdf.KeySize]byte
 	if len(raw) != kdf.KeySize {
-		return key, errors.New("enclave: sealed key has wrong length")
+		return gk, errors.New("enclave: sealed group key has wrong length")
 	}
-	copy(key[:], raw)
-	return key, nil
+	copy(gk[:], raw)
+	return gk, nil
 }
 
 // wrapGK computes yᵢ = AES-GCM(wk, gk) under a fresh nonce, for the wrap key

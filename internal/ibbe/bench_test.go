@@ -130,3 +130,53 @@ func BenchmarkExtract(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMembershipOps512 prices one add and one removal at the paper
+// width and a full partition, on both paths: "state" derives the header from
+// the partition's exponents through the constant-time fixed-base tables,
+// "stateless" raises the previous header with the variable-base walk.
+func BenchmarkMembershipOps512(b *testing.B) {
+	if testing.Short() {
+		b.Skip("paper-scale parameters")
+	}
+	const m = 256
+	s := NewScheme(pairing.TypeA512())
+	msk, pk, err := s.Setup(m, rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	group := make([]string, m-1)
+	for i := range group {
+		group[i] = fmt.Sprintf("user-%04d@bench", i)
+	}
+	joiner := []string{"joiner@bench"}
+	_, ct, st, err := s.EncryptMSKState(msk, pk, group, rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	full, fullSt := s.AddUsersState(msk, pk, ct, st, joiner) // also warms the tables
+	b.Run("add/state", func(b *testing.B) {
+		for b.Loop() {
+			s.AddUsersState(msk, pk, ct, st, joiner)
+		}
+	})
+	b.Run("add/stateless", func(b *testing.B) {
+		for b.Loop() {
+			s.AddUsers(msk, ct, joiner)
+		}
+	})
+	b.Run("remove/state", func(b *testing.B) {
+		for b.Loop() {
+			if _, _, _, err := s.RemoveUsersState(msk, pk, fullSt, joiner, rand.Reader); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("remove/stateless", func(b *testing.B) {
+		for b.Loop() {
+			if _, _, err := s.RemoveUsers(msk, pk, full, joiner, rand.Reader); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -11,10 +11,14 @@
 //   - AddUser / RemoveUser / Rekey are the O(1) dynamic membership
 //     operations of Appendix A, sections E–G, built on the C3 augmentation
 //     (eq. 5).
+//   - AddUsersState / RemoveUsersState / RekeyState are the same operations
+//     over a partition's exponent state (k, Π): every header point comes off
+//     the constant-time fixed-base tables of h and w instead of raising the
+//     previous header to a new exponent.
 //
-// The scheme is stateless: all state lives in the key and ciphertext values
-// passed in and out, which is what lets the enclave layer seal and restore
-// them freely.
+// The scheme is stateless: all state lives in the key, ciphertext and
+// exponent-state values passed in and out, which is what lets the enclave
+// layer seal and restore them freely.
 package ibbe
 
 import (
@@ -62,7 +66,7 @@ type Scheme struct {
 
 	// Identity-hash memo (HashID is deterministic, so caching is safe).
 	hashMu   sync.RWMutex
-	hashMemo map[string]*big.Int
+	hashMemo map[string]*hashEntry
 
 	// rMinus1 = r − 1, hoisted out of HashID.
 	rm1Once sync.Once
@@ -156,6 +160,16 @@ func (c *Ciphertext) Clone() *Ciphertext {
 	return &Ciphertext{C1: c.C1.Clone(), C2: c.C2.Clone(), C3: c.C3.Clone()}
 }
 
+// PartitionState is a partition's exponent state: its broadcast secret k and
+// Π = Π_{u∈S}(γ+H(u)) over its receiver set S. Every value of the partition
+// is a power of a long-lived generator in it — C1 = w^−k, C2 = h^{k·Π},
+// C3 = h^Π, bk = v^k — so whoever keeps it can derive each membership op's
+// header through the fixed-base tables. Π is as secret as γ: the state must
+// never leave the enclave in the clear.
+type PartitionState struct {
+	K, Pi *big.Int
+}
+
 // BroadcastKey is bk = v^k ∈ GT; its hash is used as a symmetric key.
 type BroadcastKey = pairing.GT
 
@@ -177,21 +191,40 @@ func (s *Scheme) HashID(id string) *big.Int {
 	if s.DisableFastPath {
 		return s.hashIDUncached(id)
 	}
-	s.hashMu.RLock()
-	v, ok := s.hashMemo[id]
-	s.hashMu.RUnlock()
-	if !ok {
-		v = s.hashIDUncached(id)
-		s.hashMu.Lock()
-		if s.hashMemo == nil || len(s.hashMemo) >= hashMemoCap {
-			s.hashMemo = make(map[string]*big.Int, 64)
-		}
-		s.hashMemo[id] = v
-		s.hashMu.Unlock()
-	}
 	// Hand out a copy: big.Ints are mutable and the cached value must stay
 	// pristine no matter what a caller does with the result.
-	return new(big.Int).Set(v)
+	return new(big.Int).Set(s.hashMemoized(id).v)
+}
+
+// hashEntry is one memoised identity hash, kept in both forms its readers
+// want: the big.Int HashID copies out, and — when Z_r has a limb core — the
+// Montgomery form the roster products multiply by directly.
+type hashEntry struct {
+	v    *big.Int
+	mont ff.Fel
+}
+
+// hashMemoized returns the memo entry for id, computing and inserting it on
+// first sight. Entries are immutable once inserted, so the pointer stays
+// valid even after a cap reset drops the map holding it.
+func (s *Scheme) hashMemoized(id string) *hashEntry {
+	s.hashMu.RLock()
+	e, ok := s.hashMemo[id]
+	s.hashMu.RUnlock()
+	if ok {
+		return e
+	}
+	e = &hashEntry{v: s.hashIDUncached(id)}
+	if m := s.P.Zr.Mont(); m != nil {
+		m.FromBig(&e.mont, e.v)
+	}
+	s.hashMu.Lock()
+	if s.hashMemo == nil || len(s.hashMemo) >= hashMemoCap {
+		s.hashMemo = make(map[string]*hashEntry, 64)
+	}
+	s.hashMemo[id] = e
+	s.hashMu.Unlock()
+	return e
 }
 
 // hashIDUncached is the actual hash computation behind HashID.
@@ -297,39 +330,54 @@ func (s *Scheme) Extract(msk *MasterSecretKey, id string) (*UserKey, error) {
 // multiplications plus a constant number of exponentiations — the IBBE-SGX
 // complexity cut.
 func (s *Scheme) EncryptMSK(msk *MasterSecretKey, pk *PublicKey, ids []string, rng io.Reader) (*BroadcastKey, *Ciphertext, error) {
+	bk, ct, _, err := s.EncryptMSKState(msk, pk, ids, rng)
+	return bk, ct, err
+}
+
+// EncryptMSKState is EncryptMSK that also returns the partition's exponent
+// state (k, Π), for the state-taking membership operations below.
+func (s *Scheme) EncryptMSKState(msk *MasterSecretKey, pk *PublicKey, ids []string, rng io.Reader) (*BroadcastKey, *Ciphertext, *PartitionState, error) {
 	if len(ids) == 0 {
-		return nil, nil, ErrEmptyGroup
+		return nil, nil, nil, ErrEmptyGroup
 	}
 	if len(ids) > pk.MaxGroupSize() {
-		return nil, nil, fmt.Errorf("%w: %d > %d", ErrGroupTooLarge, len(ids), pk.MaxGroupSize())
+		return nil, nil, nil, fmt.Errorf("%w: %d > %d", ErrGroupTooLarge, len(ids), pk.MaxGroupSize())
 	}
-	zr := s.P.Zr
 	k, err := s.P.G1.RandScalar(rng)
 	if err != nil {
-		return nil, nil, fmt.Errorf("ibbe: drawing k: %w", err)
+		return nil, nil, nil, fmt.Errorf("ibbe: drawing k: %w", err)
 	}
-	prod := s.prodGammaPlusHash(msk.Gamma, ids)
+	st := &PartitionState{K: k, Pi: s.prodGammaPlusHash(msk.Gamma, ids)}
+	bk, ct := s.headerFromState(pk, st)
+	return bk, ct, st, nil
+}
+
+// headerFromState derives a partition's whole header and broadcast key from
+// its exponent state: C1 = w^−k, C2 = h^{k·Π}, C3 = h^Π, bk = v^k. bk takes
+// the (variable-time) GT table of v.
+func (s *Scheme) headerFromState(pk *PublicKey, st *PartitionState) (*BroadcastKey, *Ciphertext) {
+	ct := s.stateHeader(pk, st, nil)
 	if s.DisableFastPath {
-		h := pk.HPowers[0]
-		ct := &Ciphertext{
-			C1: s.expG1(pk.W, zr.Neg(k)),
-			C2: s.expG1(h, s.mulZr(k, prod)),
-			C3: s.expG1(h, prod),
-		}
-		bk := s.expGT(pk.V, k)
-		return bk, ct, nil
+		return s.expGT(pk.V, st.K), ct
 	}
-	// Fast path: all three header points are powers of the long-lived
-	// generators w and h, and bk is a power of v — every exponentiation is
-	// table-driven.
+	return s.expGTFixed(s.fbV(pk), st.K), ct
+}
+
+// stateHeader derives the header points of st: C2 = h^{k·Π}, C3 = h^Π and
+// C1 = w^−k, or a copy of keepC1 when given (an add keeps k, and with it C1).
+// On the fast path every point takes the constant-time fixed-base walk over
+// the h and w tables, and they share one normalisation.
+func (s *Scheme) stateHeader(pk *PublicKey, st *PartitionState, keepC1 *curve.Point) *Ciphertext {
 	fbH := s.fbH(pk)
-	ct := &Ciphertext{
-		C1: s.expFixed(s.fbW(pk), zr.Neg(k)),
-		C2: s.expFixed(fbH, s.mulZr(k, prod)),
-		C3: s.expFixed(fbH, prod),
+	tables, exps := []*curve.FixedBase{fbH, fbH}, []*big.Int{s.mulZr(st.K, st.Pi), st.Pi}
+	if keepC1 == nil {
+		tables, exps = append(tables, s.fbW(pk)), append(exps, s.P.Zr.Neg(st.K))
 	}
-	bk := s.expGTFixed(s.fbV(pk), k)
-	return bk, ct, nil
+	pts := s.expFixedSecret(tables, exps)
+	if keepC1 != nil {
+		return &Ciphertext{C1: keepC1.Clone(), C2: pts[0], C3: pts[1]}
+	}
+	return &Ciphertext{C1: pts[2], C2: pts[0], C3: pts[1]}
 }
 
 // EncryptClassic is the traditional IBBE encryption that only uses PK: it
@@ -415,6 +463,13 @@ func (s *Scheme) Decrypt(pk *PublicKey, id string, usk *UserKey, ids []string, c
 // AddUser extends the receiver set of ct by id in O(1) using the master
 // secret: C2 ← C2^(γ+H(u)), C3 ← C3^(γ+H(u)). The broadcast key is
 // unchanged — joining members may read prior content (paper §A-E).
+//
+// AddUser, AddUsers, RemoveUser, RemoveUsers and Rekey are the stateless
+// forms: they raise the previous header to a new exponent with the
+// variable-time walk and need no exponent state. The enclave keeps them for
+// callers holding only a ciphertext; partitions whose state it sealed take
+// AddUsersState / RemoveUsersState / RekeyState, which produce the same
+// values.
 func (s *Scheme) AddUser(msk *MasterSecretKey, ct *Ciphertext, id string) *Ciphertext {
 	e := s.P.Zr.Add(msk.Gamma, s.HashID(id))
 	return &Ciphertext{
@@ -510,6 +565,43 @@ func (s *Scheme) Rekey(pk *PublicKey, ct *Ciphertext, rng io.Reader) (*Broadcast
 	return bk, out, nil
 }
 
+// AddUsersState is AddUsers over the partition's exponent state:
+// Π' = Π·Π_{u∈ids}(γ+H(u)) with k unchanged, so C1 and the broadcast key stay
+// as they are and only C2 = h^{k·Π'} and C3 = h^{Π'} are recomputed, off the
+// h table. ct is the partition's current header, whose C1 is kept; when it is
+// the header of st, the result equals AddUsers(msk, ct, ids) bit for bit.
+func (s *Scheme) AddUsersState(msk *MasterSecretKey, pk *PublicKey, ct *Ciphertext, st *PartitionState, ids []string) (*Ciphertext, *PartitionState) {
+	next := &PartitionState{K: st.K, Pi: s.mulZr(st.Pi, s.prodGammaPlusHash(msk.Gamma, ids))}
+	return s.stateHeader(pk, next, ct.C1), next
+}
+
+// RemoveUsersState is RemoveUsers over the partition's exponent state:
+// Π' = Π·(Π_{u∈ids}(γ+H(u)))^−1, then a fresh k and the whole header from
+// (k, Π'). With the same rng it draws the same k as RemoveUsers and returns
+// the same header and broadcast key.
+func (s *Scheme) RemoveUsersState(msk *MasterSecretKey, pk *PublicKey, st *PartitionState, ids []string, rng io.Reader) (*BroadcastKey, *Ciphertext, *PartitionState, error) {
+	if len(ids) == 0 {
+		return s.RekeyState(pk, st, rng)
+	}
+	inv, err := s.P.Zr.Inv(s.prodGammaPlusHash(msk.Gamma, ids))
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("ibbe: identity collides with master secret: %w", err)
+	}
+	return s.RekeyState(pk, &PartitionState{Pi: s.mulZr(st.Pi, inv)}, rng)
+}
+
+// RekeyState is Rekey over the partition's exponent state: the same Π under
+// a fresh k. Only st.Pi is read.
+func (s *Scheme) RekeyState(pk *PublicKey, st *PartitionState, rng io.Reader) (*BroadcastKey, *Ciphertext, *PartitionState, error) {
+	k, err := s.P.G1.RandScalar(rng)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("ibbe: drawing k: %w", err)
+	}
+	next := &PartitionState{K: k, Pi: st.Pi}
+	bk, ct := s.headerFromState(pk, next)
+	return bk, ct, next, nil
+}
+
 // expandProductPoly returns the coefficients a_0..a_n of
 // Π_{u∈ids}(x + H(u)), with a_n = 1. This is the quadratic polynomial
 // expansion at the heart of both classic encryption and user decryption.
@@ -546,13 +638,14 @@ func (s *Scheme) expandProductPoly(ids []string) []*big.Int {
 
 // expandProductPolyMont is the limb-domain expansion: the same recurrence,
 // updated in place from the top coefficient downward so each round is one
-// append plus n multiply-accumulates on fixed-width limb values.
+// append plus n multiply-accumulates on fixed-width limb values. The hashes
+// come out of the memo already in Montgomery form.
 func (s *Scheme) expandProductPolyMont(m *ff.Mont, ids []string) []*big.Int {
 	coeffs := make([]ff.Fel, 1, len(ids)+1)
 	m.SetOne(&coeffs[0])
-	var h, t ff.Fel
+	var t ff.Fel
 	for _, id := range ids {
-		m.FromBig(&h, s.HashID(id))
+		h := &s.hashMemoized(id).mont
 		n := len(coeffs)
 		if s.Metrics != nil {
 			s.Metrics.ZrMul.Add(int64(n)) // one mul per existing coefficient
@@ -561,10 +654,10 @@ func (s *Scheme) expandProductPolyMont(m *ff.Mont, ids []string) []*big.Int {
 		coeffs = append(coeffs, top)
 		coeffs[n] = coeffs[n-1] // leading coefficient stays 1
 		for i := n - 1; i >= 1; i-- {
-			m.Mul(&t, &coeffs[i], &h)
+			m.Mul(&t, &coeffs[i], h)
 			m.Add(&coeffs[i], &t, &coeffs[i-1])
 		}
-		m.Mul(&coeffs[0], &coeffs[0], &h)
+		m.Mul(&coeffs[0], &coeffs[0], h)
 	}
 	out := make([]*big.Int, len(coeffs))
 	for i := range coeffs {
@@ -575,8 +668,9 @@ func (s *Scheme) expandProductPolyMont(m *ff.Mont, ids []string) []*big.Int {
 
 // prodGammaPlusHash returns Π_{u∈ids} (γ + H(u)) mod r — the linear-cost
 // exponent aggregation of EncryptMSK, AddUsers and RemoveUsers. The fast
-// path accumulates in the Montgomery limb domain of Z_r; the reference arm
-// multiplies big.Ints. Both count one Z_r multiplication per identity.
+// path accumulates in the Montgomery limb domain of Z_r over the memo's
+// Montgomery-form hashes; the reference arm multiplies big.Ints. Both count
+// one Z_r multiplication per identity.
 func (s *Scheme) prodGammaPlusHash(gamma *big.Int, ids []string) *big.Int {
 	zr := s.P.Zr
 	if !s.DisableFastPath {
@@ -585,8 +679,7 @@ func (s *Scheme) prodGammaPlusHash(gamma *big.Int, ids []string) *big.Int {
 			m.SetOne(&acc)
 			m.FromBig(&g, gamma)
 			for _, id := range ids {
-				m.FromBig(&t, s.HashID(id))
-				m.Add(&t, &t, &g)
+				m.Add(&t, &s.hashMemoized(id).mont, &g)
 				m.Mul(&acc, &acc, &t)
 			}
 			if s.Metrics != nil {

@@ -22,6 +22,10 @@ type Metrics struct {
 	// ZrMul counts scalar-field multiplications (the unit of the paper's
 	// polynomial-expansion cost).
 	ZrMul atomic.Int64
+	// G1ExpFixedCT counts the G1Exp that took the constant-time fixed-base
+	// walk (FixedBase.MulConstTime): with G1Exp it shows which share of an
+	// operation's exponentiations ran neither variable-base nor variable-time.
+	G1ExpFixedCT atomic.Int64
 }
 
 // Reset zeroes all counters.
@@ -30,6 +34,7 @@ func (m *Metrics) Reset() {
 	m.GTExp.Store(0)
 	m.Pairings.Store(0)
 	m.ZrMul.Store(0)
+	m.G1ExpFixedCT.Store(0)
 }
 
 // Snapshot returns the current counter values.
@@ -76,6 +81,26 @@ func (s *Scheme) expFixed(fb *curve.FixedBase, k *big.Int) *curve.Point {
 		s.Metrics.G1Exp.Add(1)
 	}
 	return fb.Mul(k)
+}
+
+// expFixedSecret is expFixed for exponents derived from γ or from a
+// broadcast secret k, one per table: the constant-time signed-window walks
+// (the same operation sequence and table scans for every scalar), sharing
+// one normalisation. Each result counts as one G1 exponentiation. The
+// reference arm raises each table's base with the binary ladder instead.
+func (s *Scheme) expFixedSecret(fbs []*curve.FixedBase, ks []*big.Int) []*curve.Point {
+	if s.DisableFastPath {
+		out := make([]*curve.Point, len(fbs))
+		for i, fb := range fbs {
+			out[i] = s.expG1(fb.Point(), ks[i])
+		}
+		return out
+	}
+	if s.Metrics != nil {
+		s.Metrics.G1Exp.Add(int64(len(fbs)))
+		s.Metrics.G1ExpFixedCT.Add(int64(len(fbs)))
+	}
+	return s.P.G1.MulConstTimeEach(fbs, ks)
 }
 
 // expG1Secret is expG1 for MSK-derived exponents (key extraction): the fast

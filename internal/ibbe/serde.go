@@ -49,6 +49,37 @@ func (s *Scheme) UnmarshalCiphertext(b []byte) (*Ciphertext, error) {
 	return &Ciphertext{C1: c1, C2: c2, C3: c3}, nil
 }
 
+// PartitionStateLen returns the wire size of a partition's exponent state.
+func (s *Scheme) PartitionStateLen() int { return 2 * s.P.Zr.ByteLen() }
+
+// MarshalPartitionState encodes (k, Π) as two fixed-width Z_r elements. The
+// bytes are as secret as γ: only the enclave seals and opens them.
+func (s *Scheme) MarshalPartitionState(st *PartitionState) []byte {
+	out := make([]byte, 0, s.PartitionStateLen())
+	out = append(out, s.P.Zr.ToBytes(st.K)...)
+	return append(out, s.P.Zr.ToBytes(st.Pi)...)
+}
+
+// UnmarshalPartitionState parses the output of MarshalPartitionState and
+// checks both exponents lie in [1, r−1]: k is drawn non-zero and Π is a
+// product of units, so a zero or an unreduced value can only be corruption.
+func (s *Scheme) UnmarshalPartitionState(b []byte) (*PartitionState, error) {
+	zr := s.P.Zr
+	n := zr.ByteLen()
+	if len(b) != 2*n {
+		return nil, fmt.Errorf("%w: partition state is %d bytes, want %d", ErrBadCiphertext, len(b), 2*n)
+	}
+	k, err := zr.FromBytes(b[:n])
+	if err != nil || k.Sign() == 0 {
+		return nil, fmt.Errorf("%w: partition state k out of range", ErrBadCiphertext)
+	}
+	pi, err := zr.FromBytes(b[n:])
+	if err != nil || pi.Sign() == 0 {
+		return nil, fmt.Errorf("%w: partition state Π out of range", ErrBadCiphertext)
+	}
+	return &PartitionState{K: k, Pi: pi}, nil
+}
+
 // MarshalUserKey encodes a user secret key as one point.
 func (s *Scheme) MarshalUserKey(uk *UserKey) []byte {
 	return s.P.G1.Marshal(uk.D)
