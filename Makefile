@@ -53,14 +53,15 @@ bench-smoke:
 	$(GO) run ./bench -workload big_group_paged -seconds 3 -trace 0
 	$(GO) run ./bench -workload big_group_paged -seconds 3 -trace 1
 
-## fuzz: the 15s smokes CI runs — Montgomery limb core vs big.Int, the /v1/commit request decoder, and the
-# three decoders of a group directory (partition record, group header, directory bucket)
+## fuzz: the 15s smokes CI runs — Montgomery limb core vs big.Int, the /v1/commit request decoder, the
+# three decoders of a group directory (partition record, group header, directory bucket) and the membership record
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMontFieldVsBigInt$$' -fuzztime=15s ./internal/ff
 	$(GO) test -run='^$$' -fuzz='^FuzzCommitRequest$$' -fuzztime=15s ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalRecord$$' -fuzztime=15s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalIndex$$' -fuzztime=15s ./internal/partition
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalBucket$$' -fuzztime=15s ./internal/partition
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadRecord$$' -fuzztime=15s ./internal/membership
 
 ## benchdiff: measure the gated scenarios fresh and compare against the committed baselines
 benchdiff:

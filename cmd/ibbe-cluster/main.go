@@ -20,8 +20,7 @@
 //	curl -X POST :9091/admin/add    -d '{"group":"g","user":"c"}'
 //
 // The member set is elastic. The gateway's control API lives under
-// /admin/cluster/v1/ (the unversioned paths remain as deprecated aliases)
-// and answers every request with the uniform envelope
+// /admin/cluster/v1/ and answers every request with the uniform envelope
 // {"epoch":…,"status":"ok"|"error","error":{"code","msg"},"result":…}.
 // Membership changes bump the epoch, move only the joining/leaving shard's
 // arc, and fence out writes from the superseded epoch:
@@ -33,7 +32,7 @@
 //
 // The membership itself is STORE-BACKED: every change is CAS-published to
 // the cloud store (fenced by its epoch) before it takes effect, and the
-// gateway, router and shards all watch the record. Restart the whole
+// gateway and the router each follow the record. Restart the whole
 // process against a durable store (-store pointing at a cloudsim run with
 // -data) and it re-adopts the persisted epoch and member set instead of
 // resetting — the -shards flag only sizes a FRESH store. For the sealed
@@ -413,16 +412,6 @@ func (g *gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		g.handleAutoscale(w, r)
 	case "/admin/cluster/v1/dkg":
 		g.handleDKG(w, r)
-	case "/admin/cluster/membership":
-		// Deprecated pre-v1 alias; same handler, so existing scripts keep
-		// working while the header nudges them to the versioned path.
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</admin/cluster/v1/membership>; rel="successor-version"`)
-		g.handleMembership(w, r)
-	case "/admin/cluster/autoscale":
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</admin/cluster/v1/autoscale>; rel="successor-version"`)
-		g.handleAutoscale(w, r)
 	default:
 		g.rt.ServeHTTP(w, r)
 	}

@@ -12,9 +12,8 @@ import (
 )
 
 // TestControlAPIEnvelope exercises the consolidated /admin/cluster/v1/*
-// surface: every response is the typed envelope, the unversioned paths
-// survive as deprecated aliases, and the new dkg endpoint reports the
-// threshold sharing.
+// surface: every response is the typed envelope, and the dkg endpoint
+// reports the threshold sharing.
 func TestControlAPIEnvelope(t *testing.T) {
 	c, err := cluster.New(cluster.Options{
 		Shards:       2,
@@ -33,7 +32,7 @@ func TestControlAPIEnvelope(t *testing.T) {
 	ts := httptest.NewServer(g)
 	defer ts.Close()
 
-	get := func(path string) (*admin.Envelope, map[string]string) {
+	get := func(path string) *admin.Envelope {
 		t.Helper()
 		resp, err := ts.Client().Get(ts.URL + path)
 		if err != nil {
@@ -50,16 +49,10 @@ func TestControlAPIEnvelope(t *testing.T) {
 		if env.Status != "ok" || env.Epoch != c.Epoch() {
 			t.Fatalf("GET %s: envelope = %+v, want status=ok epoch=%d", path, env, c.Epoch())
 		}
-		hdr := map[string]string{
-			"Deprecation": resp.Header.Get("Deprecation"),
-		}
-		return &env, hdr
+		return &env
 	}
 
-	env, hdr := get("/admin/cluster/v1/membership")
-	if hdr["Deprecation"] != "" {
-		t.Fatal("v1 path marked deprecated")
-	}
+	env := get("/admin/cluster/v1/membership")
 	var st membershipStatus
 	if err := json.Unmarshal(env.Result, &st); err != nil {
 		t.Fatal(err)
@@ -68,15 +61,9 @@ func TestControlAPIEnvelope(t *testing.T) {
 		t.Fatalf("membership result = %+v", st)
 	}
 
-	if _, hdr := get("/admin/cluster/membership"); hdr["Deprecation"] != "true" {
-		t.Fatal("legacy membership path lacks the Deprecation header")
-	}
-	if _, hdr := get("/admin/cluster/autoscale"); hdr["Deprecation"] != "true" {
-		t.Fatal("legacy autoscale path lacks the Deprecation header")
-	}
 	get("/admin/cluster/v1/autoscale")
 
-	env, _ = get("/admin/cluster/v1/dkg")
+	env = get("/admin/cluster/v1/dkg")
 	var ps cluster.ProvisionerStatus
 	if err := json.Unmarshal(env.Result, &ps); err != nil {
 		t.Fatal(err)

@@ -3,9 +3,7 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,18 +12,13 @@ import (
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
 
-// ClusterClient is a cluster-aware admin client: it reads the same
-// persisted membership record the shards coordinate through, maps each
-// group to its owning shard via the consistent-hash ring, and sends admin
-// operations straight to that shard — no routing gateway on the path. The
-// gateway's job (owner resolution, fenced-epoch recovery, failover) moves
-// into the client:
-//
-//   - owner miss / 503: try the next ring candidate;
-//   - 412 with X-Fenced (the shard's store write was epoch-fenced): the
-//     client's membership view is stale — reload the record and re-route;
-//   - no record or no reachable owner: fall back to the router, if one is
-//     configured.
+// ClusterClient is a cluster-aware admin client: it follows the same
+// persisted membership record the shards coordinate through and sends
+// admin operations straight to the group's owning shard — no routing
+// gateway on the path. Owner resolution, failover and fenced-epoch
+// recovery are the routing view's ring-order sweep (membership.View.Sweep);
+// when the sweep finds no route, the operation falls back to the router,
+// if one is configured.
 //
 // Safe for concurrent use.
 type ClusterClient struct {
@@ -45,10 +38,7 @@ type ClusterClient struct {
 	// a newer membership epoch — records may have moved or been re-keyed.
 	Cache *RecordCache
 
-	mu          sync.Mutex
-	m           *membership.Membership
-	targets     map[string]string
-	lastRefresh time.Time
+	view *membership.View
 
 	direct          atomic.Int64
 	proxied         atomic.Int64
@@ -58,23 +48,18 @@ type ClusterClient struct {
 	mFenced *obs.Counter
 }
 
-// fencedRefreshMinInterval rate-limits record reloads triggered by fenced
-// responses, so a burst of stale-routed operations costs one store read.
-const fencedRefreshMinInterval = 250 * time.Millisecond
-
 // NewClusterClient loads the current membership record and returns a
 // client routing directly to shards. A store with no record yet is not an
 // error: the client starts in fallback-only mode and adopts the record via
-// Watch or the first fenced refresh.
+// Watch or the first sweep's refresh.
 func NewClusterClient(ctx context.Context, store storage.Store, fallbackURL string) (*ClusterClient, error) {
-	c := &ClusterClient{Store: store, Fallback: fallbackURL}
-	rec, _, err := membership.Load(ctx, store)
-	switch {
-	case err == nil:
-		c.applyRecord(rec)
-	case errors.Is(err, membership.ErrNoRecord):
-		// Bootstrap window: route through the fallback until a record lands.
-	default:
+	c := &ClusterClient{Store: store, Fallback: fallbackURL, view: membership.NewView(store, nil)}
+	c.view.OnAdopt = func(*membership.Membership) {
+		if c.Cache != nil {
+			c.Cache.InvalidateAll()
+		}
+	}
+	if err := c.view.Reload(ctx); err != nil && !errors.Is(err, membership.ErrNoRecord) {
 		return nil, err
 	}
 	return c, nil
@@ -110,88 +95,22 @@ func (c *ClusterClient) Stats() RouteStats {
 // Epoch returns the membership epoch the client currently routes by (0
 // before any record was adopted).
 func (c *ClusterClient) Epoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		return 0
+	if m := c.view.Membership(); m != nil {
+		return m.Epoch
 	}
-	return c.m.Epoch
+	return 0
 }
 
 // Watch follows the persisted membership record until ctx ends, adopting
 // each newer epoch (and invalidating the attached record cache when one
 // lands). Run it in its own goroutine alongside the client.
-func (c *ClusterClient) Watch(ctx context.Context) {
-	membership.Watch(ctx, c.Store, c.applyRecord)
-}
-
-// applyRecord adopts rec if it is newer than the current view.
-func (c *ClusterClient) applyRecord(rec *membership.Record) {
-	m, err := rec.Membership()
-	if err != nil {
-		return
-	}
-	targets := make(map[string]string, len(rec.Targets))
-	for id, u := range rec.Targets {
-		targets[id] = u
-	}
-	c.mu.Lock()
-	if c.m != nil && m.Epoch <= c.m.Epoch {
-		c.mu.Unlock()
-		return
-	}
-	bump := c.m != nil // first adoption is not an invalidation event
-	c.m = m
-	c.targets = targets
-	c.mu.Unlock()
-	if bump && c.Cache != nil {
-		c.Cache.InvalidateAll()
-	}
-}
-
-// refresh reloads the membership record from the store, rate-limited so a
-// burst of fenced responses costs one read.
-func (c *ClusterClient) refresh(ctx context.Context) {
-	c.mu.Lock()
-	if time.Since(c.lastRefresh) < fencedRefreshMinInterval {
-		c.mu.Unlock()
-		return
-	}
-	c.lastRefresh = time.Now()
-	c.mu.Unlock()
-	if rec, _, err := membership.Load(ctx, c.Store); err == nil {
-		c.applyRecord(rec)
-	}
-}
-
-func (c *ClusterClient) snapshot(group string) (owners []string, targets map[string]string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		return nil, nil
-	}
-	return c.m.Owners(group), c.targets
-}
+func (c *ClusterClient) Watch(ctx context.Context) { c.view.Watch(ctx) }
 
 func (c *ClusterClient) httpClient() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
 	}
 	return http.DefaultClient
-}
-
-func (c *ClusterClient) routeTimeout() time.Duration {
-	if c.RouteTimeout > 0 {
-		return c.RouteTimeout
-	}
-	return 30 * time.Second
-}
-
-func (c *ClusterClient) retryInterval() time.Duration {
-	if c.RetryInterval > 0 {
-		return c.RetryInterval
-	}
-	return 25 * time.Millisecond
 }
 
 // CreateGroup runs Algorithm 1 for a fresh group on the owning shard.
@@ -225,96 +144,56 @@ func (c *ClusterClient) RekeyGroup(ctx context.Context, group string) error {
 	return c.do(ctx, group, "rekey", adminOpRequest{Group: group})
 }
 
-// do routes one admin operation: sweep the group's owner candidates in
-// ring order, self-heal on fenced responses, and only surrender to the
-// fallback router when direct routing cannot complete.
+// do routes one admin operation: the view's sweep over the group's owner
+// candidates, then one pass through the fallback router when the sweep
+// found no route.
 func (c *ClusterClient) do(ctx context.Context, group, op string, body adminOpRequest) error {
-	deadline := time.Now().Add(c.routeTimeout())
-	ctx, cancel := context.WithDeadline(ctx, deadline)
-	defer cancel()
-	var lastErr error
-	for {
-		owners, targets := c.snapshot(group)
-		fenced := false
-	sweep:
-		for _, id := range owners {
-			base := targets[id]
-			if base == "" {
-				lastErr = fmt.Errorf("client: no published target for shard %s", id)
-				continue
-			}
-			err := postAdminOp(ctx, c.httpClient(), base, op, body)
-			if err == nil {
-				c.noteRoute(&c.direct, "direct")
-				return nil
-			}
-			lastErr = err
-			var apiErr *APIError
-			switch {
-			case errors.As(err, &apiErr) && (apiErr.Fenced || errors.Is(err, ErrFencedEpoch)):
-				// The shard answered from a superseded epoch: our record (or
-				// its) is stale. Reload and re-route rather than walking the
-				// ring on outdated ownership.
-				fenced = true
-				break sweep
-			case errors.As(err, &apiErr) && (errors.Is(err, ErrNotOwner) || apiErr.StatusCode == http.StatusServiceUnavailable):
-				continue // lease handed off or shard draining: next candidate
-			case errors.As(err, &apiErr):
-				return err // a real admin failure; rerouting won't change it
-			default:
-				continue // transport error: next candidate
-			}
-		}
-		if fenced {
+	pace := membership.Pace{RouteTimeout: c.RouteTimeout, RetryInterval: c.RetryInterval}
+	err := c.view.Sweep(ctx, group, pace, func(ctx context.Context, cand membership.Candidate) (membership.Verdict, error) {
+		err := postAdminOp(ctx, c.httpClient(), cand.URL, op, body)
+		v := verdictOf(err)
+		if v == membership.Fenced {
 			c.fencedRefreshes.Add(1)
 			incr(c.mFenced)
 		}
-		// Any failed sweep re-resolves from the store before retrying or
-		// falling back (rate-limited, so a burst costs one read): a stale
-		// ring may simply not contain today's owner.
-		c.refresh(ctx)
-		if fenced && ctx.Err() == nil && time.Now().Before(deadline) {
-			if err := sleepCtx(ctx, c.retryInterval()); err == nil {
-				continue
-			}
-		}
-		// Direct routing could not complete this pass: proxy via the
-		// router, which holds its own membership view.
-		if c.Fallback != "" {
-			err := postAdminOp(ctx, c.httpClient(), c.Fallback, op, body)
-			if err == nil {
-				c.noteRoute(&c.proxied, "proxied")
-				return nil
-			}
-			lastErr = err
-		}
-		if ctx.Err() != nil || !time.Now().Before(deadline) {
-			break
-		}
-		if err := sleepCtx(ctx, c.retryInterval()); err != nil {
-			break
-		}
+		return v, err
+	})
+	if err == nil {
+		c.noteRoute(&c.direct, "direct")
+		return nil
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("client: no route to an owner of group %s", group)
+	if c.Fallback == "" || !errors.Is(err, membership.ErrNoRoute) {
+		return err
 	}
-	return lastErr
+	if err := postAdminOp(ctx, c.httpClient(), c.Fallback, op, body); err != nil {
+		return err
+	}
+	c.noteRoute(&c.proxied, "proxied")
+	return nil
+}
+
+// verdictOf classifies a shard's answer for the sweep.
+func verdictOf(err error) membership.Verdict {
+	var apiErr *APIError
+	switch {
+	case err == nil:
+		return membership.Served
+	case !errors.As(err, &apiErr):
+		return membership.Unreachable
+	case apiErr.Fenced || errors.Is(err, ErrFencedEpoch):
+		// The shard answered from a superseded epoch: our record (or its)
+		// is stale.
+		return membership.Fenced
+	case errors.Is(err, ErrNotOwner) || apiErr.StatusCode == http.StatusServiceUnavailable:
+		return membership.NotOwner // lease handed off or shard draining
+	default:
+		return membership.Served // a real admin failure; rerouting won't change it
+	}
 }
 
 func (c *ClusterClient) noteRoute(counter *atomic.Int64, route string) {
 	counter.Add(1)
 	if c.mRoutes != nil {
 		c.mRoutes.With(route).Inc()
-	}
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }

@@ -116,6 +116,34 @@ func TestClusterClientFencedSelfRefresh(t *testing.T) {
 	}
 }
 
+// TestClusterClientAdoptsSameEpochTargets: the cluster publishes its boot
+// record without URLs and re-publishes it at the SAME epoch once its
+// shards listen. A client that read the first record must pick the URLs up
+// and route directly, with no epoch bump to wait for.
+func TestClusterClientAdoptsSameEpochTargets(t *testing.T) {
+	ctx := context.Background()
+	shard := newAdminStub(t, okHandler)
+	store := storage.NewMemStore(storage.Latency{})
+	publishRecord(t, store, &membership.Record{Epoch: 1, Members: []string{"shard-0"}})
+	cc, err := NewClusterClient(ctx, store, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.RetryInterval = 5 * time.Millisecond
+	cc.RouteTimeout = 2 * time.Second
+	publishRecord(t, store, &membership.Record{
+		Epoch:   1,
+		Members: []string{"shard-0"},
+		Targets: map[string]string{"shard-0": shard.srv.URL},
+	})
+	if err := cc.AddUser(ctx, "team-x", "alice@example.com"); err != nil {
+		t.Fatalf("op after the same-epoch target publish: %v", err)
+	}
+	if st := cc.Stats(); st.Direct != 1 || shard.hits.Load() != 1 {
+		t.Fatalf("routes = %+v, shard hits %d: want one direct op", st, shard.hits.Load())
+	}
+}
+
 // TestClusterClientNotOwnerFailover: the ring-order sweep survives a first
 // candidate whose lease moved.
 func TestClusterClientNotOwnerFailover(t *testing.T) {

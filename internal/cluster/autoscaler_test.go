@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
 
@@ -93,7 +94,7 @@ func TestClusterAutoscaleGrowUnderLoad(t *testing.T) {
 	}
 
 	// The controller's changes are durable: store record == live membership.
-	rec, _, err := LoadMembership(ctx, store)
+	rec, _, err := membership.Load(ctx, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestAutoscalerShrinksWhenIdle(t *testing.T) {
 	waitUntil(t, 15*time.Second, "controller to drain the idle cluster to 2 members", func() bool {
 		return len(tc.c.Membership().Members()) == 2
 	})
-	rec, _, err := LoadMembership(ctx, store)
+	rec, _, err := membership.Load(ctx, store)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,7 @@ import (
 	"github.com/ibbesgx/ibbesgx/internal/dkg"
 	"github.com/ibbesgx/ibbesgx/internal/enclave"
 	"github.com/ibbesgx/ibbesgx/internal/ibbe"
+	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/obs"
 	"github.com/ibbesgx/ibbesgx/internal/pairing"
 	"github.com/ibbesgx/ibbesgx/internal/pki"
@@ -140,6 +141,11 @@ type Cluster struct {
 	// Options.Registry was nil).
 	co *clusterObs
 
+	// view follows the persisted record for the cluster and its shards:
+	// every epoch it adopts — published by another writer, or read back
+	// after a shard's fenced write — is propagated under changeMu.
+	view *membership.View
+
 	mu         sync.Mutex
 	shards     []*Shard
 	membership *Membership
@@ -210,6 +216,7 @@ func New(opts Options) (*Cluster, error) {
 		ias:        ias,
 		auditor:    auditor,
 		co:         newClusterObs(opts.Registry, opts.Tracer),
+		view:       membership.NewView(store, nil),
 		stopc:      make(chan struct{}),
 	}
 	if r := opts.Registry; r != nil {
@@ -251,8 +258,8 @@ func New(opts Options) (*Cluster, error) {
 	}
 
 	ctx := context.Background()
-	rec, ver, err := LoadMembership(ctx, store)
-	if err != nil && !errors.Is(err, ErrNoMembership) {
+	rec, ver, err := membership.Load(ctx, store)
+	if err != nil && !errors.Is(err, membership.ErrNoRecord) {
 		return nil, fmt.Errorf("cluster: reading membership record: %w", err)
 	}
 
@@ -301,12 +308,12 @@ func New(opts Options) (*Cluster, error) {
 				return nil, err
 			}
 		}
-	case errors.Is(err, ErrNoMembership):
+	case errors.Is(err, membership.ErrNoRecord):
 		ids := make([]string, opts.Shards)
 		for i := range ids {
 			ids[i] = ShardID(i)
 		}
-		m, err := NewMembership(ids, opts.VirtualNodes)
+		m, err := membership.New(ids, opts.VirtualNodes)
 		if err != nil {
 			return nil, err
 		}
@@ -317,14 +324,14 @@ func New(opts Options) (*Cluster, error) {
 				return nil, err
 			}
 		}
-		if err := PublishMembership(ctx, store, recordOf(m, nil), ver); err != nil {
+		if err := membership.Publish(ctx, store, membership.RecordOf(m, nil), ver); err != nil {
 			if !errors.Is(err, storage.ErrVersionConflict) && !errors.Is(err, storage.ErrFenced) {
 				return nil, fmt.Errorf("cluster: bootstrapping membership record: %w", err)
 			}
 			// A peer bootstrapped the same store first. Identical member
 			// sets merely lost a harmless race; anything else is a real
 			// configuration conflict the operator must resolve.
-			won, _, rerr := LoadMembership(ctx, store)
+			won, _, rerr := membership.Load(ctx, store)
 			if rerr != nil {
 				return nil, fmt.Errorf("cluster: membership bootstrap race: %w", rerr)
 			}
@@ -338,6 +345,8 @@ func New(opts Options) (*Cluster, error) {
 			c.membership = theirs
 		}
 	}
+	c.view.Adopt(c.membership, nil)
+	c.view.OnAdopt = c.adoptDiscovered
 	// Bootstrap (or restart) is only done once the provisioner completes:
 	// in threshold mode this is where the DKG runs — the transient dealer
 	// shares γ across the members and drops it, and the record lands in
@@ -462,7 +471,7 @@ func (c *Cluster) mintShardID(id string, m *Membership) (*Shard, error) {
 		}
 	}
 	svc.Instrument(c.co.obsRegistry(), id)
-	s := newShard(id, adm, svc, encl, c.Store, c.opts.LeaseTTL, c.opts.now, m)
+	s := newShard(id, adm, svc, encl, c.Store, c.opts.LeaseTTL, c.opts.now, m, c.view)
 	s.obs = c.co
 	// started is read in the SAME critical section as the append: a
 	// concurrent Cluster.Start() either sees this shard in its snapshot or
@@ -542,8 +551,8 @@ func (c *Cluster) applyMembership(ctx context.Context, members []string) (*Membe
 	base := c.membership.Epoch
 	c.mu.Unlock()
 
-	rec, ver, err := LoadMembership(ctx, c.Store)
-	if err != nil && !errors.Is(err, ErrNoMembership) {
+	rec, ver, err := membership.Load(ctx, c.Store)
+	if err != nil && !errors.Is(err, membership.ErrNoRecord) {
 		return nil, fmt.Errorf("cluster: reading membership record: %w", err)
 	}
 	if rec != nil && rec.Epoch > base {
@@ -554,7 +563,7 @@ func (c *Cluster) applyMembership(ctx context.Context, members []string) (*Membe
 		// recomputes against it.
 		return nil, fmt.Errorf("cluster: membership change computed against epoch %d but the store is at %d — superseded, recompute and retry", base, rec.Epoch)
 	}
-	next, err := membershipAt(base+1, members, c.opts.VirtualNodes)
+	next, err := membership.At(base+1, members, c.opts.VirtualNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -562,12 +571,12 @@ func (c *Cluster) applyMembership(ctx context.Context, members []string) (*Membe
 	if c.Targets != nil {
 		targets = c.Targets()
 	}
-	nextRec := recordOf(next, targets)
+	nextRec := membership.RecordOf(next, targets)
 	// Carry the committed sharing into the successor record: if this
 	// process dies before the new epoch's reshare publishes, the store
 	// still holds commitments + sealed shares a restart can adopt.
 	nextRec.DKG = c.prov.Record()
-	if err := PublishMembership(ctx, c.Store, nextRec, ver); err != nil {
+	if err := membership.Publish(ctx, c.Store, nextRec, ver); err != nil {
 		if errors.Is(err, storage.ErrVersionConflict) || errors.Is(err, storage.ErrFenced) {
 			return nil, fmt.Errorf("cluster: membership change superseded by a concurrent writer: %w", err)
 		}
@@ -635,7 +644,7 @@ func (c *Cluster) PublishTargets(ctx context.Context) error {
 	}
 	c.changeMu.Lock()
 	defer c.changeMu.Unlock()
-	rec, ver, err := LoadMembership(ctx, c.Store)
+	rec, ver, err := membership.Load(ctx, c.Store)
 	if err != nil {
 		return err
 	}
@@ -643,43 +652,22 @@ func (c *Cluster) PublishTargets(ctx context.Context) error {
 		return nil // mid-change or behind; the next record carries targets
 	}
 	rec.Targets = c.Targets()
-	err = PublishMembership(ctx, c.Store, rec, ver)
+	err = membership.Publish(ctx, c.Store, rec, ver)
 	if errors.Is(err, storage.ErrVersionConflict) || errors.Is(err, storage.ErrFenced) {
 		return nil
 	}
 	return err
 }
 
-// watchMembership is the cluster's own discovery loop: it adopts records
-// published by OTHER writers to the shared store (a second gateway, an
-// operator script), keeping this gateway's routing and shards current
-// without an operator call. Its own publishes arrive here too and dedupe
-// on the epoch check inside propagate.
-func (c *Cluster) watchMembership() {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { <-c.stopc; cancel() }()
-	WatchMembership(ctx, c.Store, func(rec *MembershipRecord) {
-		c.adoptDiscovered(ctx, rec)
-	})
-}
-
-// adoptDiscovered applies a membership learned from the store. It runs
-// under the transition lock so a discovery cannot interleave with an
+// adoptDiscovered propagates a membership the view adopted from the store
+// (published by another writer, or read back after a fenced write) under
+// the transition lock, so a discovery cannot interleave with an
 // operator-driven change mid-apply.
-func (c *Cluster) adoptDiscovered(ctx context.Context, rec *MembershipRecord) {
-	if rec.Epoch <= c.Epoch() {
-		return
-	}
+func (c *Cluster) adoptDiscovered(m *Membership) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
 	c.changeMu.Lock()
 	defer c.changeMu.Unlock()
-	if rec.Epoch <= c.Epoch() {
-		return
-	}
-	m, err := rec.Membership()
-	if err != nil {
-		return
-	}
 	_ = c.propagate(ctx, m)
 }
 
@@ -718,9 +706,8 @@ func (c *Cluster) Shards() []*Shard {
 	return append([]*Shard(nil), c.shards...)
 }
 
-// Start launches every shard's lease renewal and membership discovery
-// loops (and those of shards minted later), plus the cluster's own
-// discovery watcher.
+// Start launches every shard's lease renewal loop (and those of shards
+// minted later), plus the view's watch on the membership record.
 func (c *Cluster) Start() {
 	c.mu.Lock()
 	launchWatcher := !c.started
@@ -728,7 +715,9 @@ func (c *Cluster) Start() {
 	shards := append([]*Shard(nil), c.shards...)
 	c.mu.Unlock()
 	if launchWatcher {
-		go c.watchMembership()
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() { <-c.stopc; cancel() }()
+		go c.view.Watch(ctx)
 	}
 	for _, s := range shards {
 		s.Start()

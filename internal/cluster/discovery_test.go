@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/ibbesgx/ibbesgx/internal/client"
+	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
 
@@ -34,7 +35,7 @@ func TestClusterBootstrapPublishesMembership(t *testing.T) {
 	tc := startCluster(t, Options{Shards: 2, Capacity: 4, LeaseTTL: 5 * time.Second, Seed: 7, Store: store})
 	ctx := context.Background()
 
-	rec, _, err := LoadMembership(ctx, store)
+	rec, _, err := membership.Load(ctx, store)
 	if err != nil {
 		t.Fatalf("no record after bootstrap: %v", err)
 	}
@@ -54,7 +55,7 @@ func TestClusterBootstrapPublishesMembership(t *testing.T) {
 	}
 
 	tc.addShard(t, ctx)
-	rec, _, err = LoadMembership(ctx, store)
+	rec, _, err = membership.Load(ctx, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestShardDiscoversMembershipFromStore(t *testing.T) {
 
 	// An external writer (second gateway, operator script) publishes the
 	// drain record directly.
-	rec, ver, err := LoadMembership(ctx, store)
+	rec, ver, err := membership.Load(ctx, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestShardDiscoversMembershipFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := PublishMembership(ctx, store, recordOf(next, nil), ver); err != nil {
+	if err := membership.Publish(ctx, store, membership.RecordOf(next, nil), ver); err != nil {
 		t.Fatal(err)
 	}
 
@@ -323,7 +324,7 @@ func TestMembershipDiscoveryVsOperatorRace(t *testing.T) {
 
 	// External writer: drain shard-2 by record. Operator: admit s3. Fire
 	// both concurrently.
-	rec, ver, err := LoadMembership(ctx, store)
+	rec, ver, err := membership.Load(ctx, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,7 @@ func TestMembershipDiscoveryVsOperatorRace(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		pubErr = PublishMembership(ctx, store, recordOf(drained, nil), ver)
+		pubErr = membership.Publish(ctx, store, membership.RecordOf(drained, nil), ver)
 	}()
 	go func() {
 		defer wg.Done()
@@ -359,13 +360,13 @@ func TestMembershipDiscoveryVsOperatorRace(t *testing.T) {
 
 	// Convergence: the cluster settles on exactly the store's record.
 	waitUntil(t, 10*time.Second, "cluster to converge on the store record", func() bool {
-		rec, _, err := LoadMembership(ctx, store)
+		rec, _, err := membership.Load(ctx, store)
 		if err != nil {
 			return false
 		}
 		return tc.c.Epoch() == rec.Epoch && sameMembers(tc.c.Membership().Members(), rec.Members)
 	})
-	finalRec, _, err := LoadMembership(ctx, store)
+	finalRec, _, err := membership.Load(ctx, store)
 	if err != nil {
 		t.Fatal(err)
 	}

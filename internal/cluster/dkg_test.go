@@ -10,6 +10,7 @@ import (
 	"github.com/ibbesgx/ibbesgx/internal/client"
 	"github.com/ibbesgx/ibbesgx/internal/dkg"
 	"github.com/ibbesgx/ibbesgx/internal/enclave"
+	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
 
@@ -84,7 +85,7 @@ func TestThresholdBootstrapAndExtract(t *testing.T) {
 
 	// The published record's zeroth commitment equals h^γ = HPowers[1]: the
 	// sharing provably commits to the SAME secret as the master public key.
-	rec, _, err := LoadMembership(ctx, tc.c.Store)
+	rec, _, err := membership.Load(ctx, tc.c.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,13 +401,13 @@ func TestThresholdReshareSupersededMidFlight(t *testing.T) {
 		// A "second gateway" wins the store race: bump the membership epoch
 		// over the same member set (carrying the committed DKG forward,
 		// exactly as applyMembership would) before our publish lands.
-		rec, ver, err := LoadMembership(ctx, store)
+		rec, ver, err := membership.Load(ctx, store)
 		if err != nil {
 			t.Errorf("injector load: %v", err)
 			return
 		}
 		rec.Epoch++
-		if err := PublishMembership(ctx, store, rec, ver); err != nil {
+		if err := membership.Publish(ctx, store, rec, ver); err != nil {
 			t.Errorf("injector publish: %v", err)
 		}
 	}

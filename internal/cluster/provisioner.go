@@ -19,6 +19,7 @@ import (
 	"github.com/ibbesgx/ibbesgx/internal/dkg"
 	"github.com/ibbesgx/ibbesgx/internal/enclave"
 	"github.com/ibbesgx/ibbesgx/internal/ibbe"
+	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
 
@@ -291,7 +292,7 @@ func (p *thresholdProvisioner) Complete(ctx context.Context) error {
 // published by a newer membership means this sharing is already stale.
 func (p *thresholdProvisioner) publishLocked(ctx context.Context, gen uint64, rec *dkg.Record) error {
 	for {
-		mrec, ver, err := LoadMembership(ctx, p.store)
+		mrec, ver, err := membership.Load(ctx, p.store)
 		if err != nil {
 			return fmt.Errorf("cluster: reading membership record for DKG publish: %w", err)
 		}
@@ -304,7 +305,7 @@ func (p *thresholdProvisioner) publishLocked(ctx context.Context, gen uint64, re
 			return fmt.Errorf("%w: generation %d already published", ErrReshareSuperseded, mrec.DKG.Generation)
 		}
 		mrec.DKG = rec
-		err = PublishMembership(ctx, p.store, mrec, ver)
+		err = membership.Publish(ctx, p.store, mrec, ver)
 		if err == nil {
 			return nil
 		}

@@ -1,8 +1,8 @@
-// Consistent-hash ring and the versioned Membership built on it. The
-// implementation lives in internal/membership — a leaf package shared with
-// the gateway-less client data plane — and is aliased here so the cluster
-// API keeps its historical names. The package documentation lives in
-// cluster.go.
+// Consistent-hash ring, the versioned Membership built on it and its
+// persisted record. The implementation lives in internal/membership — a
+// leaf package shared with the gateway-less client data plane — and the
+// types are aliased here so the cluster API keeps its historical names.
+// The package documentation lives in cluster.go.
 package cluster
 
 import (
@@ -18,23 +18,6 @@ type Ring = membership.Ring
 // writes.
 type Membership = membership.Membership
 
-// NewRing builds a ring over the given shard IDs with vnodes virtual nodes
-// per shard (0 selects the default).
-func NewRing(shards []string, vnodes int) (*Ring, error) {
-	return membership.NewRing(shards, vnodes)
-}
-
-// NewMembership builds the epoch-1 membership over the initial shard set.
-func NewMembership(shards []string, vnodes int) (*Membership, error) {
-	return membership.New(shards, vnodes)
-}
-
-// membershipAt builds a membership with an explicit epoch — the successor
-// constructor Cluster.ApplyMembership chains through.
-func membershipAt(epoch uint64, shards []string, vnodes int) (*Membership, error) {
-	return membership.At(epoch, shards, vnodes)
-}
-
-// ringHash maps a label to a point on the 64-bit circle (lease-steal
-// jitter reuses it as a cheap stable hash).
-func ringHash(s string) uint64 { return membership.Hash(s) }
+// MembershipRecord is the wire form of a Membership plus the routing
+// targets known at publish time (membership.Record).
+type MembershipRecord = membership.Record

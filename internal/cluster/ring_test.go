@@ -3,14 +3,16 @@ package cluster
 import (
 	"fmt"
 	"testing"
+
+	"github.com/ibbesgx/ibbesgx/internal/membership"
 )
 
 func TestRingDeterministicOwnership(t *testing.T) {
-	r1, err := NewRing([]string{"shard-0", "shard-1", "shard-2"}, 0)
+	r1, err := membership.NewRing([]string{"shard-0", "shard-1", "shard-2"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewRing([]string{"shard-2", "shard-0", "shard-1"}, 0)
+	r2, err := membership.NewRing([]string{"shard-2", "shard-0", "shard-1"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,33 +24,9 @@ func TestRingDeterministicOwnership(t *testing.T) {
 	}
 }
 
-func TestRingOwnersSequence(t *testing.T) {
-	r, err := NewRing([]string{"a", "b", "c"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		g := fmt.Sprintf("g%d", i)
-		seq := r.Owners(g)
-		if len(seq) != 3 {
-			t.Fatalf("Owners(%s) = %v", g, seq)
-		}
-		if seq[0] != r.Owner(g) {
-			t.Fatalf("Owners head %s != Owner %s", seq[0], r.Owner(g))
-		}
-		seen := map[string]bool{}
-		for _, s := range seq {
-			if seen[s] {
-				t.Fatalf("duplicate shard in Owners(%s): %v", g, seq)
-			}
-			seen[s] = true
-		}
-	}
-}
-
 func TestRingBalance(t *testing.T) {
 	shards := []string{"shard-0", "shard-1", "shard-2", "shard-3"}
-	r, err := NewRing(shards, 0)
+	r, err := membership.NewRing(shards, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +44,11 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingConsistencyUnderMemberLoss(t *testing.T) {
-	full, err := NewRing([]string{"a", "b", "c", "d"}, 0)
+	full, err := membership.NewRing([]string{"a", "b", "c", "d"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := NewRing([]string{"a", "b", "c"}, 0)
+	reduced, err := membership.NewRing([]string{"a", "b", "c"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,85 +72,11 @@ func TestRingConsistencyUnderMemberLoss(t *testing.T) {
 	}
 }
 
-func TestMembershipEpochChain(t *testing.T) {
-	m1, err := NewMembership([]string{"shard-0", "shard-1"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.Epoch != 1 {
-		t.Fatalf("initial epoch = %d, want 1", m1.Epoch)
-	}
-	m2, err := m1.AddShard("shard-2")
-	if err != nil || m2.Epoch != 2 || !m2.Has("shard-2") {
-		t.Fatalf("AddShard: %+v, %v", m2, err)
-	}
-	m3, err := m2.RemoveShard("shard-0")
-	if err != nil || m3.Epoch != 3 || m3.Has("shard-0") {
-		t.Fatalf("RemoveShard: %+v, %v", m3, err)
-	}
-	// The predecessor values are untouched — memberships are immutable.
-	if m1.Epoch != 1 || len(m1.Members()) != 2 || !m2.Has("shard-0") {
-		t.Fatal("membership mutation leaked into a predecessor")
-	}
-	if _, err := m2.AddShard("shard-1"); err == nil {
-		t.Fatal("re-adding a member accepted")
-	}
-	if _, err := m2.RemoveShard("nope"); err == nil {
-		t.Fatal("removing a non-member accepted")
-	}
-	if _, err := m3.RemoveShard("shard-1"); err != nil {
-		t.Fatal(err)
-	}
-	only, _ := m3.RemoveShard("shard-1")
-	if _, err := only.RemoveShard("shard-2"); err == nil {
-		t.Fatal("removing the last member accepted")
-	}
-}
-
-func TestMembershipArcBoundedMovement(t *testing.T) {
-	m2, err := NewMembership([]string{"shard-0", "shard-1"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m3, err := m2.AddShard("shard-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const groups = 1000
-	moved := 0
-	for i := 0; i < groups; i++ {
-		g := fmt.Sprintf("group-%d", i)
-		before, after := m2.Owner(g), m3.Owner(g)
-		if before != after {
-			moved++
-			// Growing: a group may only move TO the joining shard.
-			if after != "shard-2" {
-				t.Fatalf("%s moved %s→%s on join of shard-2", g, before, after)
-			}
-		}
-	}
-	if moved == 0 {
-		t.Fatal("joining shard took no arc at all")
-	}
-	// Shrinking back restores the exact previous assignment: same member
-	// set, same ring.
-	back, err := m3.RemoveShard("shard-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < groups; i++ {
-		g := fmt.Sprintf("group-%d", i)
-		if back.Owner(g) != m2.Owner(g) {
-			t.Fatalf("%s owner changed across a grow+shrink round trip", g)
-		}
-	}
-}
-
 func TestRingRejectsBadInput(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := membership.NewRing(nil, 0); err == nil {
 		t.Fatal("empty ring accepted")
 	}
-	if _, err := NewRing([]string{"a", "a"}, 0); err == nil {
+	if _, err := membership.NewRing([]string{"a", "a"}, 0); err == nil {
 		t.Fatal("duplicate shard accepted")
 	}
 }

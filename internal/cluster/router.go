@@ -8,10 +8,10 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/obs"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
@@ -22,23 +22,12 @@ import (
 // inferring it from the health cache's side effects.
 const ServedByHeader = "X-Served-By"
 
-// DefaultHealthTTL bounds how long the router trusts a cached "shard is
-// down" verdict before probing the shard again.
-const DefaultHealthTTL = 2 * time.Second
-
 // Router is the cluster gateway: it exposes the exact HTTP surface of a
 // single admin.Service and forwards each request to the shard owning the
-// requested group (per the current membership's ring), failing over along
-// the ring when the owner is unreachable or answers 503 (dead shard whose
-// leases have not expired yet, or a lease race). client.AdminAPI pointed at
+// requested group, sweeping its routing view (membership.View.Sweep) in
+// ring order — failing over when the owner is unreachable or answers 503,
+// refreshing from the store on a fenced answer. client.AdminAPI pointed at
 // a Router drives the whole cluster transparently.
-//
-// The membership is swappable at runtime (ApplyMembership): an epoch bump
-// atomically changes both the candidate rings and the target set, so a
-// request that started under the old membership finishes its sweep under
-// the new one. A short-TTL health cache remembers unreachable shards, so a
-// dead shard costs one connection attempt per TTL instead of one per
-// request sweep.
 type Router struct {
 	// Client is the forwarding HTTP client (http.DefaultClient if nil).
 	Client *http.Client
@@ -48,26 +37,11 @@ type Router struct {
 	// RetryInterval separates failover sweeps over the candidates.
 	RetryInterval time.Duration
 	// HealthTTL is how long an unreachable shard is skipped without a new
-	// probe (0 selects DefaultHealthTTL; negative disables the cache).
+	// probe (0 selects membership.DefaultHealthTTL; negative disables the
+	// cache).
 	HealthTTL time.Duration
 
-	mu         sync.Mutex
-	membership *Membership
-	// targets maps shard IDs to their HTTP base URLs.
-	targets map[string]string
-	// downUntil caches per-shard deadness: a shard in the map is skipped
-	// until the deadline passes. Entries are dropped on success and the
-	// whole map is invalidated by a membership change.
-	downUntil map[string]time.Time
-	// store, when discovery is enabled, holds the cloud store carrying the
-	// persisted membership record; lastRefresh rate-limits event-driven
-	// refreshes (a burst of fenced responses collapses to one read).
-	store       storage.Store
-	lastRefresh time.Time
-	// localTargets pins URLs for shards this router's process serves
-	// itself: they win over anything a discovered record claims, while all
-	// other entries follow the record (the freshest published info).
-	localTargets map[string]string
+	view *membership.View
 
 	// inflight counts requests currently inside ServeHTTP — the router's
 	// queue depth, an autoscaler signal and the ibbe_router_inflight gauge.
@@ -84,7 +58,6 @@ type routerMetrics struct {
 	served        *obs.CounterVec   // by shard
 	failovers     *obs.CounterVec   // by serving (non-preferred) shard
 	fencedRefresh *obs.Counter
-	healthSkips   *obs.CounterVec // by skipped shard
 }
 
 // Instrument attaches the router to an observability registry and tracer
@@ -101,8 +74,9 @@ func (rt *Router) Instrument(r *obs.Registry, tracer *obs.Tracer) {
 		served:        r.CounterVec("ibbe_router_served_total", "Requests served, by the shard that answered.", "shard"),
 		failovers:     r.CounterVec("ibbe_router_failovers_total", "Requests served by a shard other than the preferred ring owner, by serving shard.", "shard"),
 		fencedRefresh: r.Counter("ibbe_router_fenced_refreshes_total", "Membership refreshes triggered by fenced shard responses."),
-		healthSkips:   r.CounterVec("ibbe_router_health_skips_total", "Candidates skipped by the cached down verdict, by shard.", "shard"),
 	}
+	healthSkips := r.CounterVec("ibbe_router_health_skips_total", "Candidates skipped by the cached down verdict, by shard.", "shard")
+	rt.view.OnSkip = func(id string) { healthSkips.With(id).Inc() }
 	r.GaugeFunc("ibbe_router_inflight", "Requests currently being routed (queue depth).", func() float64 {
 		return float64(rt.inflight.Load())
 	})
@@ -115,22 +89,20 @@ func (rt *Router) QueueDepth() int64 { return rt.inflight.Load() }
 // NewRouter builds a gateway over the membership; targets must provide a
 // base URL for every member.
 func NewRouter(m *Membership, targets map[string]string) (*Router, error) {
-	for _, id := range m.Members() {
-		if targets[id] == "" {
-			return nil, fmt.Errorf("cluster: router has no target URL for %s", id)
-		}
+	if err := requireTargets(m, targets); err != nil {
+		return nil, err
 	}
-	t := make(map[string]string, len(targets))
-	for id, u := range targets {
-		t[id] = u
-	}
+	v := membership.NewView(nil, nil)
+	v.Adopt(m, targets)
+	return newRouter(v), nil
+}
+
+func newRouter(v *membership.View) *Router {
 	return &Router{
-		membership:    m,
-		targets:       t,
-		downUntil:     make(map[string]time.Time),
-		RouteTimeout:  30 * time.Second,
-		RetryInterval: 25 * time.Millisecond,
-	}, nil
+		view:          v,
+		RouteTimeout:  membership.DefaultRouteTimeout,
+		RetryInterval: membership.DefaultRetryInterval,
+	}
 }
 
 // NewRouterFromStore builds a gateway from the membership record persisted
@@ -138,207 +110,62 @@ func NewRouter(m *Membership, targets map[string]string) (*Router, error) {
 // the current epoch and member set instead of resetting to whatever a
 // static config said. localTargets (may be nil) names the shards the
 // caller serves itself: those URLs win over the record's now and on every
-// future discovery, while everyone else's follow the record. Discovery is
-// enabled on the returned router; call Watch to also follow future epoch
-// bumps.
+// future discovery. Discovery is enabled on the returned router; call
+// Watch to also follow future epoch bumps.
 func NewRouterFromStore(ctx context.Context, store storage.Store, localTargets map[string]string) (*Router, error) {
-	rec, _, err := LoadMembership(ctx, store)
-	if err != nil {
+	v := membership.NewView(store, localTargets)
+	if err := v.Reload(ctx); err != nil {
 		return nil, err
 	}
-	m, err := rec.Membership()
-	if err != nil {
+	if err := requireTargets(v.Snapshot()); err != nil {
 		return nil, err
 	}
-	rt, err := NewRouter(m, mergeTargets(rec.Targets, localTargets))
-	if err != nil {
-		return nil, err
-	}
-	rt.localTargets = mergeTargets(localTargets, nil)
-	rt.EnableDiscovery(store)
-	return rt, nil
+	return newRouter(v), nil
 }
 
-// mergeTargets layers override entries on top of a base map.
-func mergeTargets(base, override map[string]string) map[string]string {
-	out := make(map[string]string, len(base)+len(override))
-	for id, u := range base {
-		out[id] = u
-	}
-	for id, u := range override {
-		out[id] = u
-	}
-	return out
-}
-
-// EnableDiscovery points the router at the store carrying the persisted
-// membership record, so it can refresh itself (refreshFromStore) when a
-// shard's fenced response proves its view stale, and follow epoch bumps
-// via Watch.
-func (rt *Router) EnableDiscovery(store storage.Store) {
-	rt.mu.Lock()
-	rt.store = store
-	rt.mu.Unlock()
-}
-
-// Watch follows the persisted membership record until ctx ends, adopting
-// each newer epoch — the router half of store-backed discovery: membership
-// changes published by anyone (operator, autoscaler, second gateway) reach
-// routing without a call into this process.
-func (rt *Router) Watch(ctx context.Context) {
-	rt.mu.Lock()
-	store := rt.store
-	rt.mu.Unlock()
-	if store == nil {
-		return
-	}
-	WatchMembership(ctx, store, rt.applyRecord)
-}
-
-// applyRecord adopts one discovered membership record. Target precedence:
-// the record's published URLs override the router's current map (the
-// record is the freshest information anyone published — a shard restarted
-// elsewhere carries its new address there), EXCEPT for shards this
-// router's own process serves (localTargets), whose URLs it knows better
-// than any record. A record naming a member nobody has a URL for is
-// skipped (ApplyMembership refuses it) until a complete record lands;
-// stale epochs are dropped by ApplyMembership itself.
-func (rt *Router) applyRecord(rec *MembershipRecord) {
-	m, err := rec.Membership()
-	if err != nil {
-		return
-	}
-	rt.mu.Lock()
-	targets := mergeTargets(mergeTargets(rt.targets, rec.Targets), rt.localTargets)
-	rt.mu.Unlock()
-	_ = rt.ApplyMembership(m, targets)
-}
-
-// refreshRateLimit bounds how often fenced responses may trigger a record
-// re-read; within the window the router just re-sweeps under whatever the
-// watch loop has already delivered.
-const refreshRateLimit = 250 * time.Millisecond
-
-// refreshFromStore re-reads the membership record once, rate-limited — the
-// event-driven reaction to a fenced shard response.
-func (rt *Router) refreshFromStore(ctx context.Context) {
-	rt.mu.Lock()
-	store := rt.store
-	if store == nil || time.Since(rt.lastRefresh) < refreshRateLimit {
-		rt.mu.Unlock()
-		return
-	}
-	rt.lastRefresh = time.Now()
-	rt.mu.Unlock()
-	rec, _, err := LoadMembership(ctx, store)
-	if err != nil {
-		return
-	}
-	rt.applyRecord(rec)
-}
-
-// ApplyMembership swaps the router onto a newer membership and target set.
-// Stale epochs are ignored. The health cache is invalidated: a membership
-// change is exactly the moment liveness verdicts stop being trustworthy
-// (shards join, drain, restart).
-func (rt *Router) ApplyMembership(m *Membership, targets map[string]string) error {
-	if m == nil {
-		return nil
-	}
+// requireTargets checks that every member has a URL.
+func requireTargets(m *Membership, targets map[string]string) error {
 	for _, id := range m.Members() {
 		if targets[id] == "" {
 			return fmt.Errorf("cluster: router has no target URL for %s", id)
 		}
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.membership != nil && m.Epoch <= rt.membership.Epoch {
+	return nil
+}
+
+// EnableDiscovery points the router at the store carrying the persisted
+// membership record, so fenced answers refresh its view and Watch can
+// follow epoch bumps.
+func (rt *Router) EnableDiscovery(store storage.Store) { rt.view.SetStore(store) }
+
+// Watch follows the persisted membership record until ctx ends, so
+// membership changes published by anyone (operator, autoscaler, second
+// gateway) reach routing without a call into this process.
+func (rt *Router) Watch(ctx context.Context) { rt.view.Watch(ctx) }
+
+// ApplyMembership swaps the router onto a newer membership and target set;
+// a stale epoch is ignored, the current one only updates URLs. A newer
+// epoch clears the health cache: a membership change is exactly the moment
+// liveness verdicts stop being trustworthy (shards join, drain, restart).
+func (rt *Router) ApplyMembership(m *Membership, targets map[string]string) error {
+	if m == nil {
 		return nil
 	}
-	rt.membership = m
-	rt.targets = make(map[string]string, len(targets))
-	for id, u := range targets {
-		rt.targets[id] = u
+	if err := requireTargets(m, targets); err != nil {
+		return err
 	}
-	rt.downUntil = make(map[string]time.Time)
+	rt.view.Adopt(m, targets)
 	return nil
 }
 
 // Membership returns the membership the router currently routes by.
-func (rt *Router) Membership() *Membership {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.membership
-}
+func (rt *Router) Membership() *Membership { return rt.view.Membership() }
 
 func (rt *Router) httpClient() *http.Client {
 	if rt.Client != nil {
 		return rt.Client
 	}
 	return http.DefaultClient
-}
-
-func (rt *Router) healthTTL() time.Duration {
-	if rt.HealthTTL == 0 {
-		return DefaultHealthTTL
-	}
-	return rt.HealthTTL
-}
-
-// snapshot returns the candidate sequence and target map for one sweep —
-// re-read per sweep, so a mid-request membership change redirects the next
-// sweep instead of stranding the request on dead candidates.
-func (rt *Router) snapshot(group string) ([]string, map[string]string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	var candidates []string
-	if group == "" {
-		candidates = rt.membership.Members()
-	} else {
-		candidates = rt.membership.Owners(group)
-	}
-	return candidates, rt.targets
-}
-
-// markDown records a failed connection; markUp clears the verdict.
-func (rt *Router) markDown(id string) {
-	ttl := rt.healthTTL()
-	if ttl <= 0 {
-		return
-	}
-	rt.mu.Lock()
-	rt.downUntil[id] = time.Now().Add(ttl)
-	rt.mu.Unlock()
-}
-
-func (rt *Router) markUp(id string) {
-	rt.mu.Lock()
-	delete(rt.downUntil, id)
-	rt.mu.Unlock()
-}
-
-// skipDown partitions candidates into probe-worthy and cached-down,
-// returning both — the skipped list feeds the health-skip counter, which is
-// what lets the TTL cache's silent maskings show up as a visible signal.
-// When every candidate is cached down the cache is ignored — a sweep must
-// always probe something, otherwise a full outage would never be
-// re-examined before the TTL.
-func (rt *Router) skipDown(candidates []string) (live, skipped []string) {
-	rt.mu.Lock()
-	now := time.Now()
-	live = make([]string, 0, len(candidates))
-	for _, id := range candidates {
-		if until, ok := rt.downUntil[id]; !ok || now.After(until) {
-			live = append(live, id)
-		} else {
-			skipped = append(skipped, id)
-		}
-	}
-	rt.mu.Unlock()
-	if len(live) == 0 {
-		return candidates, nil
-	}
-	return live, skipped
 }
 
 // ServeHTTP implements http.Handler.
@@ -376,82 +203,46 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var routeErr error
 	defer func() { root.End(routeErr) }()
 
-	ctx, cancel := context.WithTimeout(r.Context(), rt.RouteTimeout)
-	defer cancel()
-	ctx = obs.ContextWithTrace(ctx, trace, root)
-	lastErr := "no shard reachable"
-	for sweep := 0; ; sweep++ {
-		candidates, targets := rt.snapshot(group)
-		preferred := ""
-		if len(candidates) > 0 {
-			preferred = candidates[0]
+	ctx := obs.ContextWithTrace(r.Context(), trace, root)
+	pace := membership.Pace{RouteTimeout: rt.RouteTimeout, RetryInterval: rt.RetryInterval, HealthTTL: rt.HealthTTL}
+	routeErr = rt.view.Sweep(ctx, group, pace, func(ctx context.Context, c membership.Candidate) (membership.Verdict, error) {
+		resp, err := rt.forward(ctx, r, c.ID, c.URL, body)
+		if err != nil {
+			return membership.Unreachable, fmt.Errorf("%s: %w", c.ID, err)
 		}
-		live, skipped := rt.skipDown(candidates)
-		if rt.rm != nil {
-			for _, id := range skipped {
-				rt.rm.healthSkips.With(id).Inc()
+		fenced := resp.StatusCode == http.StatusPreconditionFailed && resp.Header.Get(storage.FencedHeader) != ""
+		if resp.StatusCode == http.StatusServiceUnavailable || fenced {
+			// Not the owner (yet), or a write fenced by a newer membership:
+			// drain and let the sweep move on (or refresh and re-route)
+			// instead of surfacing the answer to the client.
+			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+			resp.Body.Close()
+			err := fmt.Errorf("%s: %s", c.ID, strings.TrimSpace(string(msg)))
+			if !fenced {
+				return membership.NotOwner, err
 			}
-		}
-		for _, id := range live {
-			resp, err := rt.forward(ctx, r, id, targets[id], body)
-			if err != nil {
-				// Only cache a down verdict for genuine transport failures:
-				// when OUR deadline (or the client's disconnect) aborted the
-				// forward, the shard's health is unknown and poisoning the
-				// shared cache would skew unrelated requests.
-				if ctx.Err() == nil {
-					rt.markDown(id)
-				}
-				lastErr = fmt.Sprintf("%s: %v", id, err)
-				continue // dead shard: next candidate
-			}
-			rt.markUp(id)
-			if resp.StatusCode == http.StatusServiceUnavailable {
-				// Not the owner (yet): drain and try the next candidate.
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				resp.Body.Close()
-				lastErr = fmt.Sprintf("%s: %s", id, strings.TrimSpace(string(msg)))
-				continue
-			}
-			if resp.StatusCode == http.StatusPreconditionFailed && resp.Header.Get(storage.FencedHeader) != "" {
-				// The shard's write was fenced: somebody advanced the
-				// membership past what this router routes by. Refresh from
-				// the store record and re-route instead of surfacing the
-				// fence to the client — the rightful owner under the newer
-				// epoch serves the retry.
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				resp.Body.Close()
-				lastErr = fmt.Sprintf("%s (fenced): %s", id, strings.TrimSpace(string(msg)))
-				if rt.rm != nil {
-					rt.rm.fencedRefresh.Inc()
-				}
-				rt.refreshFromStore(ctx)
-				continue
-			}
-			// Record WHO answered, so the health cache and the failover
-			// counter tell the same story: a request served by anyone but the
-			// preferred ring owner is a failover, whether the owner failed a
-			// probe just now or was silently skipped by the TTL cache.
 			if rt.rm != nil {
-				rt.rm.served.With(id).Inc()
-				if id != preferred {
-					rt.rm.failovers.With(id).Inc()
-				}
+				rt.rm.fencedRefresh.Inc()
 			}
-			w.Header().Set(ServedByHeader, id)
-			defer resp.Body.Close()
-			copyResponse(w, resp)
-			return
+			return membership.Fenced, err
 		}
-		// Full sweep failed — typically a killed owner whose lease has not
-		// expired. Back off briefly and sweep again until the deadline.
-		select {
-		case <-ctx.Done():
-			routeErr = fmt.Errorf("no shard could serve: %s", lastErr)
-			http.Error(w, "cluster: no shard could serve the request: "+lastErr, http.StatusServiceUnavailable)
-			return
-		case <-time.After(rt.RetryInterval):
+		// Record WHO answered, so the health cache and the failover counter
+		// tell the same story: a request served by anyone but the preferred
+		// ring owner is a failover, whether the owner failed a probe just
+		// now or was silently skipped by the TTL cache.
+		if rt.rm != nil {
+			rt.rm.served.With(c.ID).Inc()
+			if !c.Preferred {
+				rt.rm.failovers.With(c.ID).Inc()
+			}
 		}
+		w.Header().Set(ServedByHeader, c.ID)
+		defer resp.Body.Close()
+		copyResponse(w, resp)
+		return membership.Served, nil
+	})
+	if routeErr != nil {
+		http.Error(w, "cluster: "+routeErr.Error(), http.StatusServiceUnavailable)
 	}
 }
 

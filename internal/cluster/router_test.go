@@ -1,65 +1,52 @@
 package cluster
 
 import (
+	"context"
+	"errors"
+	"slices"
 	"testing"
 	"time"
+
+	"github.com/ibbesgx/ibbesgx/internal/membership"
 )
 
-func testRouter(t *testing.T) (*Router, *Membership) {
-	t.Helper()
-	m, err := NewMembership([]string{"a", "b", "c"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := map[string]string{"a": "http://a", "b": "http://b", "c": "http://c"}
-	rt, err := NewRouter(m, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rt, m
-}
-
-func TestRouterHealthCacheSkipsDownShards(t *testing.T) {
-	rt, _ := testRouter(t)
-	rt.HealthTTL = time.Hour
-
-	rt.markDown("b")
-	live, skipped := rt.skipDown([]string{"a", "b", "c"})
-	if len(live) != 2 || live[0] != "a" || live[1] != "c" {
-		t.Fatalf("skipDown = %v, want [a c]", live)
-	}
-	if len(skipped) != 1 || skipped[0] != "b" {
-		t.Fatalf("skipped = %v, want [b]", skipped)
-	}
-	// A successful probe clears the verdict.
-	rt.markUp("b")
-	if live, _ := rt.skipDown([]string{"a", "b", "c"}); len(live) != 3 {
-		t.Fatalf("skipDown after markUp = %v", live)
-	}
-	// With EVERY candidate cached down, the cache is ignored — a sweep must
-	// always probe something.
-	rt.markDown("a")
-	rt.markDown("b")
-	rt.markDown("c")
-	if live, _ := rt.skipDown([]string{"a", "b", "c"}); len(live) != 3 {
-		t.Fatalf("skipDown under full outage = %v, want all candidates", live)
-	}
-}
-
-func TestRouterHealthCacheExpires(t *testing.T) {
-	rt, _ := testRouter(t)
-	rt.HealthTTL = time.Millisecond
-	rt.markDown("b")
-	time.Sleep(5 * time.Millisecond)
-	if live, _ := rt.skipDown([]string{"a", "b"}); len(live) != 2 {
-		t.Fatalf("verdict survived its TTL: %v", live)
-	}
-}
-
+// TestRouterApplyMembership pins the router's adoption rules: a stale or
+// duplicate epoch changes nothing, a membership with a member lacking a URL
+// is refused, and a real epoch bump swaps the membership and clears the
+// health cache. The cache is observed through the router's own sweep, in
+// which "a" is not the owner, "b" is unreachable and "c" serves.
 func TestRouterApplyMembership(t *testing.T) {
-	rt, m := testRouter(t)
-	rt.HealthTTL = time.Hour
-	rt.markDown("b")
+	m, err := membership.New([]string{"a", "b", "c"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter(m, map[string]string{"a": "http://a", "b": "http://b", "c": "http://c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func() []string {
+		var tried []string
+		err := rt.view.Sweep(context.Background(), "", membership.Pace{HealthTTL: time.Hour}, func(_ context.Context, c membership.Candidate) (membership.Verdict, error) {
+			tried = append(tried, c.ID)
+			switch c.ID {
+			case "a":
+				return membership.NotOwner, errors.New("not owner")
+			case "b":
+				return membership.Unreachable, errors.New("connection refused")
+			}
+			return membership.Served, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tried
+	}
+	if got := sweep(); !slices.Equal(got, []string{"a", "b", "c"}) {
+		t.Fatalf("first sweep tried %v", got)
+	}
+	if got := sweep(); !slices.Equal(got, []string{"a", "c"}) {
+		t.Fatalf("sweep with b cached down tried %v, want [a c]", got)
+	}
 
 	// Stale epochs are ignored.
 	if err := rt.ApplyMembership(m, map[string]string{"a": "http://a", "b": "http://b", "c": "http://c"}); err != nil {
@@ -84,7 +71,7 @@ func TestRouterApplyMembership(t *testing.T) {
 	if rt.Membership().Epoch != grown.Epoch {
 		t.Fatalf("router epoch = %d, want %d", rt.Membership().Epoch, grown.Epoch)
 	}
-	if live, _ := rt.skipDown([]string{"a", "b"}); len(live) != 2 {
-		t.Fatalf("health cache survived the epoch change: %v", live)
+	if got := sweep(); !slices.Equal(got, []string{"a", "b", "c"}) {
+		t.Fatalf("health cache survived the epoch change: sweep tried %v", got)
 	}
 }

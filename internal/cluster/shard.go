@@ -16,6 +16,7 @@ import (
 	"github.com/ibbesgx/ibbesgx/internal/admin"
 	"github.com/ibbesgx/ibbesgx/internal/core"
 	"github.com/ibbesgx/ibbesgx/internal/enclave"
+	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/obs"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
@@ -74,19 +75,18 @@ type Shard struct {
 	// driving the exponential half of the steal backoff.
 	stealFail map[string]int
 	stopped   bool
-	// lastRefresh rate-limits fence-triggered membership re-reads: a burst
-	// of fenced responses collapses to one store read per window.
-	lastRefresh time.Time
+	// view is the cluster's routing view: a fenced write refreshes it, and
+	// whatever it adopts reaches this shard through ApplyMembership.
+	view *membership.View
 
 	startOnce sync.Once
 	started   bool
 	stopOnce  sync.Once
 	stopc     chan struct{}
 	done      chan struct{}
-	watchDone chan struct{}
 }
 
-func newShard(id string, adm *admin.Admin, svc *admin.Service, encl *enclave.IBBEEnclave, store storage.Store, ttl time.Duration, now func() time.Time, m *Membership) *Shard {
+func newShard(id string, adm *admin.Admin, svc *admin.Service, encl *enclave.IBBEEnclave, store storage.Store, ttl time.Duration, now func() time.Time, m *Membership, view *membership.View) *Shard {
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
@@ -103,9 +103,9 @@ func newShard(id string, adm *admin.Admin, svc *admin.Service, encl *enclave.IBB
 		leases:     make(map[string]Lease),
 		membership: m,
 		stealFail:  make(map[string]int),
+		view:       view,
 		stopc:      make(chan struct{}),
 		done:       make(chan struct{}),
-		watchDone:  make(chan struct{}),
 	}
 	// Every conditional write this shard's admin issues carries the
 	// membership epoch as a fencing token.
@@ -186,19 +186,17 @@ func (s *Shard) handOff(ctx context.Context, group string, epoch uint64) error {
 	return nil
 }
 
-// Start launches the lease renewal loop and the membership discovery loop.
+// Start launches the lease renewal loop.
 func (s *Shard) Start() {
 	s.startOnce.Do(func() {
 		s.mu.Lock()
 		s.started = true
 		s.mu.Unlock()
 		go s.run()
-		go s.watchMembership()
 	})
 }
 
-// stopLoop halts the renewal and discovery loops (if they ever started)
-// and waits for them.
+// stopLoop halts the renewal loop (if it ever started) and waits for it.
 func (s *Shard) stopLoop() {
 	s.stopOnce.Do(func() { close(s.stopc) })
 	s.mu.Lock()
@@ -206,7 +204,6 @@ func (s *Shard) stopLoop() {
 	s.mu.Unlock()
 	if started {
 		<-s.done
-		<-s.watchDone
 	}
 }
 
@@ -291,62 +288,6 @@ func (s *Shard) run() {
 			s.renewAll()
 		}
 	}
-}
-
-// watchMembership is the shard's self-discovery loop: epoch bumps arrive
-// from the persisted membership record itself (storage.Store.Poll on the
-// record directory), not only from an operator's ApplyMembership fan-out —
-// so a shard that missed a drain (partitioned, paused, restarted) catches
-// up and hands its moved groups off without any operator action.
-func (s *Shard) watchMembership() {
-	defer close(s.watchDone)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-s.stopc
-		cancel()
-	}()
-	WatchMembership(ctx, s.ls.store, func(rec *MembershipRecord) {
-		s.applyRecord(ctx, rec)
-	})
-}
-
-// applyRecord turns a discovered membership record into an ApplyMembership
-// (stale epochs are dropped before the ring is even rebuilt).
-func (s *Shard) applyRecord(ctx context.Context, rec *MembershipRecord) {
-	if rec.Epoch <= s.Epoch() {
-		return
-	}
-	m, err := rec.Membership()
-	if err != nil {
-		return
-	}
-	actx, cancel := context.WithTimeout(ctx, time.Minute)
-	defer cancel()
-	_ = s.ApplyMembership(actx, m)
-}
-
-// refreshMembership is the event-driven half of discovery: a fenced write
-// just proved this shard operates under a superseded membership, so it
-// re-reads the record immediately instead of waiting for the watch loop.
-// Rate-limited (like the router's refreshFromStore): a stale shard hit by
-// a burst of in-flight requests must not multiply redundant store reads
-// at exactly the moment the store is busiest.
-func (s *Shard) refreshMembership() {
-	s.mu.Lock()
-	if time.Since(s.lastRefresh) < refreshRateLimit {
-		s.mu.Unlock()
-		return
-	}
-	s.lastRefresh = time.Now()
-	s.mu.Unlock()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	rec, _, err := LoadMembership(ctx, s.ls.store)
-	if err != nil {
-		return
-	}
-	s.applyRecord(ctx, rec)
 }
 
 func (s *Shard) renewAll() {
@@ -504,7 +445,7 @@ func (s *Shard) stealDelay(m *Membership, group string) time.Duration {
 		return 0
 	}
 	delay := time.Duration(priority)*step + time.Duration((uint64(1)<<losses)-1)*step
-	jitter := time.Duration(ringHash(fmt.Sprintf("steal|%s|%s|%d", s.ID, group, priority)) % uint64(step))
+	jitter := time.Duration(membership.Hash(fmt.Sprintf("steal|%s|%s|%d", s.ID, group, priority)) % uint64(step))
 	return delay + jitter
 }
 
@@ -665,9 +606,14 @@ func (s *Shard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if buf.header.Get(storage.FencedHeader) != "" {
 		// A fenced write: this shard operated under a superseded membership.
 		// Surface the fence verdict unmasked — the router refreshes its own
-		// membership from the store and re-routes — and catch up ourselves
-		// without waiting for the watch loop's next wake-up.
-		go s.refreshMembership()
+		// membership from the store and re-routes — and refresh the
+		// cluster's view (rate-limited across all its shards) without
+		// waiting for the watch loop's next wake-up.
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			s.view.Refresh(ctx)
+		}()
 		buf.flush(w)
 		return
 	}

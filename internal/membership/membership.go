@@ -19,6 +19,13 @@ import (
 // realistic shard counts.
 const DefaultVirtualNodes = 128
 
+// MaxVirtualNodes and MaxRingPoints bound a ring's size, so a record read
+// from the store cannot make a process allocate or hash without limit.
+const (
+	MaxVirtualNodes = 4096
+	MaxRingPoints   = 1 << 18
+)
+
 // Ring is a consistent-hash ring over shard IDs. It is immutable after
 // construction (membership changes build a new Ring), hence safe for
 // concurrent use.
@@ -41,6 +48,9 @@ func NewRing(shards []string, vnodes int) (*Ring, error) {
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes
 	}
+	if err := checkRingSize(len(shards), vnodes); err != nil {
+		return nil, err
+	}
 	seen := make(map[string]bool, len(shards))
 	r := &Ring{points: make([]ringPoint, 0, len(shards)*vnodes)}
 	for _, s := range shards {
@@ -56,6 +66,14 @@ func NewRing(shards []string, vnodes int) (*Ring, error) {
 	sort.Strings(r.members)
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 	return r, nil
+}
+
+// checkRingSize enforces MaxVirtualNodes and MaxRingPoints.
+func checkRingSize(shards, vnodes int) error {
+	if vnodes > MaxVirtualNodes || shards > MaxRingPoints/vnodes {
+		return fmt.Errorf("cluster: ring of %d shards × %d virtual nodes exceeds the size bound", shards, vnodes)
+	}
+	return nil
 }
 
 // Hash maps a label to a point on the 64-bit circle.

@@ -80,8 +80,15 @@ func Load(ctx context.Context, store storage.Store) (*Record, uint64, error) {
 	if err := json.Unmarshal(blob, &rec); err != nil {
 		return nil, 0, fmt.Errorf("cluster: corrupt membership record: %w", err)
 	}
-	if len(rec.Members) == 0 || rec.Epoch == 0 {
-		return nil, 0, fmt.Errorf("cluster: invalid membership record (epoch %d, %d members)", rec.Epoch, len(rec.Members))
+	if len(rec.Members) == 0 || rec.Epoch == 0 || rec.VNodes < 0 {
+		return nil, 0, fmt.Errorf("cluster: invalid membership record (epoch %d, %d members, %d vnodes)", rec.Epoch, len(rec.Members), rec.VNodes)
+	}
+	vnodes := rec.VNodes
+	if vnodes == 0 {
+		vnodes = DefaultVirtualNodes
+	}
+	if err := checkRingSize(len(rec.Members), vnodes); err != nil {
+		return nil, 0, err
 	}
 	return &rec, ver, nil
 }
@@ -106,10 +113,9 @@ const watchRetryDelay = 200 * time.Millisecond
 
 // Watch delivers every persisted membership record — the current one
 // immediately, then each newer one as it lands — until ctx ends. It is the
-// discovery loop shards, routers and direct-routing clients run against the
-// store: consumers dedupe by epoch (stale or repeated records are ignored),
-// so at-least-once delivery is all the loop promises. Transient store
-// errors are retried; the loop never returns them.
+// loop behind View.Watch, whose epoch rule absorbs stale and repeated
+// records, so at-least-once delivery is all the loop promises. Transient
+// store errors are retried; the loop never returns them.
 func Watch(ctx context.Context, store storage.Store, fn func(*Record)) {
 	var cursor uint64
 	for ctx.Err() == nil {

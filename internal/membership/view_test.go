@@ -1,0 +1,212 @@
+package membership
+
+import (
+	"context"
+	"errors"
+	"maps"
+	"slices"
+	"testing"
+	"time"
+
+	"github.com/ibbesgx/ibbesgx/internal/storage"
+)
+
+func mustAt(t *testing.T, epoch uint64, members ...string) *Membership {
+	t.Helper()
+	m, err := At(epoch, members, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestViewAdoptionIsEpochMonotone: a newer epoch replaces the membership
+// and runs OnAdopt; an older or equal one never replaces it; the first
+// adoption is not an advance.
+func TestViewAdoptionIsEpochMonotone(t *testing.T) {
+	v := NewView(nil, nil)
+	var adopted []uint64
+	v.OnAdopt = func(m *Membership) { adopted = append(adopted, m.Epoch) }
+	m1, m2 := mustAt(t, 1, "a"), mustAt(t, 2, "a", "b")
+	v.Adopt(m1, nil)
+	v.Adopt(m2, nil)
+	v.Adopt(m1, nil)
+	v.Adopt(mustAt(t, 2, "z"), nil)
+	if v.Membership() != m2 {
+		t.Fatalf("view holds epoch %d %v, want the first epoch-2 membership", v.Membership().Epoch, v.Membership().Members())
+	}
+	if !slices.Equal(adopted, []uint64{2}) {
+		t.Fatalf("OnAdopt ran for %v, want [2]", adopted)
+	}
+}
+
+// TestViewSameEpochRecordUpdatesURLs is the bootstrap window: the cluster
+// publishes its first record without URLs and re-publishes it at the same
+// epoch with them. The view takes the URLs without treating the record as
+// a membership change.
+func TestViewSameEpochRecordUpdatesURLs(t *testing.T) {
+	v := NewView(nil, nil)
+	adopts := 0
+	v.OnAdopt = func(*Membership) { adopts++ }
+	v.adoptRecord(&Record{Epoch: 1, Members: []string{"a", "b"}})
+	m := v.Membership()
+	v.adoptRecord(&Record{Epoch: 1, Members: []string{"a", "b"}, Targets: map[string]string{"a": "http://a", "b": "http://b"}})
+	got, targets := v.Snapshot()
+	if got != m || adopts != 0 {
+		t.Fatalf("same-epoch record replaced the membership (adopts %d)", adopts)
+	}
+	if !maps.Equal(targets, map[string]string{"a": "http://a", "b": "http://b"}) {
+		t.Fatalf("targets after same-epoch re-publish = %v", targets)
+	}
+}
+
+// TestViewLocalURLsWin: record URLs override earlier ones, and the URLs of
+// shards the process serves itself override both.
+func TestViewLocalURLsWin(t *testing.T) {
+	v := NewView(nil, map[string]string{"a": "http://local-a"})
+	v.adoptRecord(&Record{Epoch: 1, Members: []string{"a", "b"}, Targets: map[string]string{"a": "http://remote-a", "b": "http://b1"}})
+	v.adoptRecord(&Record{Epoch: 2, Members: []string{"a", "b", "c"}, Targets: map[string]string{"b": "http://b2", "c": "http://c"}})
+	_, targets := v.Snapshot()
+	want := map[string]string{"a": "http://local-a", "b": "http://b2", "c": "http://c"}
+	if !maps.Equal(targets, want) {
+		t.Fatalf("targets = %v, want %v", targets, want)
+	}
+}
+
+// TestViewRefreshIsRateLimited: a burst of refreshes costs one store read.
+func TestViewRefreshIsRateLimited(t *testing.T) {
+	ctx := context.Background()
+	store := storage.NewMemStore(storage.Latency{})
+	publish(t, store, &Record{Epoch: 1, Members: []string{"a"}})
+	v := NewView(store, nil)
+	before := store.Stats().Gets
+	for i := 0; i < 5; i++ {
+		v.Refresh(ctx)
+	}
+	if got := store.Stats().Gets - before; got != 1 {
+		t.Fatalf("5 refreshes cost %d reads, want 1", got)
+	}
+	if v.Membership() == nil || v.Membership().Epoch != 1 {
+		t.Fatal("refresh adopted nothing")
+	}
+}
+
+func TestViewHealthCacheSkipsDownShards(t *testing.T) {
+	v := NewView(nil, nil)
+	var skipped []string
+	v.OnSkip = func(id string) { skipped = append(skipped, id) }
+	v.markDown("b", time.Hour)
+	if live := v.live([]string{"a", "b", "c"}); !slices.Equal(live, []string{"a", "c"}) {
+		t.Fatalf("live = %v, want [a c]", live)
+	}
+	if !slices.Equal(skipped, []string{"b"}) {
+		t.Fatalf("skipped = %v, want [b]", skipped)
+	}
+	// A successful probe clears the verdict.
+	v.markUp("b")
+	if live := v.live([]string{"a", "b", "c"}); len(live) != 3 {
+		t.Fatalf("live after markUp = %v", live)
+	}
+	// With EVERY candidate cached down, the cache is ignored — a sweep must
+	// always probe something.
+	for _, id := range []string{"a", "b", "c"} {
+		v.markDown(id, time.Hour)
+	}
+	if live := v.live([]string{"a", "b", "c"}); len(live) != 3 {
+		t.Fatalf("live under full outage = %v, want all candidates", live)
+	}
+}
+
+func TestViewHealthCacheExpires(t *testing.T) {
+	v := NewView(nil, nil)
+	v.markDown("b", time.Millisecond)
+	time.Sleep(5 * time.Millisecond)
+	if live := v.live([]string{"a", "b"}); len(live) != 2 {
+		t.Fatalf("verdict survived its TTL: %v", live)
+	}
+}
+
+// TestSweepSkipsCachedDownUnlessAllDown: an unreachable shard is skipped by
+// the next sweep, but a sweep whose every candidate is down probes them all.
+func TestSweepSkipsCachedDownUnlessAllDown(t *testing.T) {
+	ctx := context.Background()
+	v := NewView(nil, nil)
+	v.adoptRecord(&Record{Epoch: 1, Members: []string{"a", "b"}, Targets: map[string]string{"a": "http://a", "b": "http://b"}})
+	pace := Pace{RouteTimeout: 50 * time.Millisecond, RetryInterval: time.Millisecond, HealthTTL: time.Hour}
+	var tried []string
+	down := map[string]bool{"a": true}
+	try := func(_ context.Context, c Candidate) (Verdict, error) {
+		tried = append(tried, c.ID)
+		if down[c.ID] {
+			return Unreachable, errors.New("connection refused")
+		}
+		return Served, nil
+	}
+	if err := v.Sweep(ctx, "", pace, try); err != nil {
+		t.Fatal(err)
+	}
+	tried = nil
+	if err := v.Sweep(ctx, "", pace, try); err != nil || !slices.Equal(tried, []string{"b"}) {
+		t.Fatalf("second sweep tried %v (%v), want [b]", tried, err)
+	}
+	down["b"] = true
+	tried = nil
+	if err := v.Sweep(ctx, "", pace, try); !errors.Is(err, ErrNoRoute) {
+		t.Fatalf("sweep over dead shards: %v, want ErrNoRoute", err)
+	}
+	if !slices.Contains(tried, "a") {
+		t.Fatalf("full outage never re-probed the cached-down shard: %v", tried)
+	}
+}
+
+// TestSweepFencedRefreshesAndResweeps: a fenced answer makes the view
+// re-read the record and sweep again from the refreshed owner's URL.
+func TestSweepFencedRefreshesAndResweeps(t *testing.T) {
+	ctx := context.Background()
+	store := storage.NewMemStore(storage.Latency{})
+	publish(t, store, &Record{Epoch: 1, Members: []string{"a", "b"}, Targets: map[string]string{"a": "http://old-a", "b": "http://old-b"}})
+	v := NewView(store, nil)
+	if err := v.Reload(ctx); err != nil {
+		t.Fatal(err)
+	}
+	publish(t, store, &Record{Epoch: 2, Members: []string{"a", "b"}, Targets: map[string]string{"a": "http://new-a", "b": "http://new-b"}})
+	var tried []string
+	err := v.Sweep(ctx, "g", Pace{RetryInterval: time.Millisecond}, func(_ context.Context, c Candidate) (Verdict, error) {
+		tried = append(tried, c.URL)
+		if c.URL == "http://old-a" || c.URL == "http://old-b" {
+			return Fenced, errors.New("fenced")
+		}
+		return Served, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tried) != 2 || v.Membership().Epoch != 2 {
+		t.Fatalf("tried %v at epoch %d: want one fenced try, then the refreshed owner", tried, v.Membership().Epoch)
+	}
+	if owner := v.Membership().Owner("g"); tried[1] != "http://new-"+owner {
+		t.Fatalf("re-sweep started at %s, want the owner %s", tried[1], owner)
+	}
+}
+
+// TestSweepEndsAtDeadline: a sweep nobody serves ends at RouteTimeout with
+// ErrNoRoute wrapping the last failure; a view with no membership fails at
+// once.
+func TestSweepEndsAtDeadline(t *testing.T) {
+	ctx := context.Background()
+	notOwner := errors.New("not owner")
+	try := func(context.Context, Candidate) (Verdict, error) { return NotOwner, notOwner }
+	if err := NewView(nil, nil).Sweep(ctx, "g", Pace{}, try); !errors.Is(err, ErrNoRoute) {
+		t.Fatalf("sweep without a membership: %v, want ErrNoRoute", err)
+	}
+	v := NewView(nil, nil)
+	v.adoptRecord(&Record{Epoch: 1, Members: []string{"a"}, Targets: map[string]string{"a": "http://a"}})
+	t0 := time.Now()
+	err := v.Sweep(ctx, "g", Pace{RouteTimeout: 50 * time.Millisecond, RetryInterval: 5 * time.Millisecond}, try)
+	if !errors.Is(err, ErrNoRoute) || !errors.Is(err, notOwner) {
+		t.Fatalf("sweep past its deadline: %v", err)
+	}
+	if d := time.Since(t0); d < 50*time.Millisecond || d > 5*time.Second {
+		t.Fatalf("sweep ended after %v, want its 50ms RouteTimeout", d)
+	}
+}
