@@ -12,6 +12,7 @@ import (
 
 	"github.com/ibbesgx/ibbesgx/internal/core"
 	"github.com/ibbesgx/ibbesgx/internal/enclave"
+	"github.com/ibbesgx/ibbesgx/internal/ibbe"
 	"github.com/ibbesgx/ibbesgx/internal/kdf"
 	"github.com/ibbesgx/ibbesgx/internal/pairing"
 	"github.com/ibbesgx/ibbesgx/internal/partition"
@@ -203,6 +204,28 @@ func TestRefreshFailsOnCorruptRecord(t *testing.T) {
 	c := r.clientFor(t, members[0], "g")
 	if _, err := c.Refresh(ctx); err == nil {
 		t.Fatal("corrupt record accepted")
+	}
+}
+
+// A store can serve a partition record, and a header counting it, with more
+// members than the reader's key covers. The reader must get an error back —
+// the IBBE decrypt would otherwise index past the key's powers and take the
+// process down.
+func TestRefreshRefusesRecordBeyondKey(t *testing.T) {
+	r := newRig(t, 2)
+	wide := newRig(t, 8) // another deployment's directory, capacity 8
+	ctx := context.Background()
+	members := users(8)
+	up, err := wide.mgr.CreateGroup("g", members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide.publish(t, up)
+	c := r.clientFor(t, members[0], "g") // its key covers m = 2
+	c.store = wide.store
+	gk, err := c.Refresh(ctx)
+	if !errors.Is(err, ibbe.ErrGroupTooLarge) || gk != [kdf.KeySize]byte{} {
+		t.Fatalf("8-member record for an m = 2 key: key %x, err %v; want ErrGroupTooLarge", gk[:4], err)
 	}
 }
 

@@ -255,6 +255,12 @@ func New(opts Options) (*Cluster, error) {
 					emit([]string{s.ID}, float64(s.Admin.Manager().PageEvictions()))
 				}
 			})
+		r.Collect("ibbe_core_repartition_failures_total", "Re-partitions started inside a removal that could not finish (the removal stood, the old layout stayed), per shard.", obs.TypeCounter, []string{"shard"},
+			func(emit func([]string, float64)) {
+				for _, s := range c.Shards() {
+					emit([]string{s.ID}, float64(s.Admin.Manager().RepartitionFailures()))
+				}
+			})
 	}
 
 	ctx := context.Background()

@@ -129,6 +129,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 		"ibbe_shard_groups_owned":               "gauge",
 		"ibbe_core_resident_pages":              "gauge",
 		"ibbe_core_page_evictions_total":        "counter",
+		"ibbe_core_repartition_failures_total":  "counter",
 		"ibbe_client_routes_total":              "counter",
 		"ibbe_client_fenced_refreshes_total":    "counter",
 		"ibbe_client_cache_hits_total":          "counter",
@@ -156,6 +157,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 		`ibbe_crypto_ops_total{`,
 		`ibbe_lease_events_total{`,
 		`ibbe_client_routes_total{route="direct"}`,
+		`ibbe_core_repartition_failures_total{shard="`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition carries no %s series after traffic", want)

@@ -135,8 +135,8 @@ func (c *Curve) ScalarMultConstTime(p *Point, k *big.Int) *Point {
 
 // ctTable returns the signed-window fixed-base table: row i holds the odd
 // multiples {1, 3, …, 2^w − 1}·2^(w·i)·base, one row per recoded digit.
-// Built once on first use; nil when the limb core is unavailable or the base
-// is the identity.
+// Built once on first use, in the limb domain; nil when the limb core is
+// unavailable or the base is the identity.
 func (fb *FixedBase) ctTable() [][]montAffine {
 	fb.ctOnce.Do(func() {
 		c := fb.c
@@ -144,29 +144,7 @@ func (fb *FixedBase) ctTable() [][]montAffine {
 		if m == nil || fb.base.Inf {
 			return
 		}
-		const w = ctWindow
-		per := 1 << (w - 1)
-		nd := ctDigits(c.R.BitLen() + 1)
-		js := make([]*jacobianPoint, 0, nd*per)
-		cur := c.toJacobian(fb.base)
-		for i := 0; i < nd; i++ {
-			two := c.jacobianDouble(cur)
-			prev := cur
-			js = append(js, prev)
-			for d := 1; d < per; d++ {
-				prev = c.jacobianAdd(prev, two)
-				js = append(js, prev)
-			}
-			for b := 0; b < w; b++ {
-				cur = c.jacobianDouble(cur)
-			}
-		}
-		aff := c.batchNormalize(js)
-		ct := make([][]montAffine, nd)
-		for i := 0; i < nd; i++ {
-			ct[i] = toMontAffineBatch(m, aff[i*per:(i+1)*per])
-		}
-		fb.ctable = ct
+		fb.ctable = c.montWindowRows(m, fb.base, ctDigits(c.R.BitLen()+1), ctWindow, true)
 	})
 	return fb.ctable
 }
@@ -183,8 +161,10 @@ func (fb *FixedBase) MulConstTime(k *big.Int) *Point {
 // MulConstTimeEach returns (ks[i] mod r)·base_i for the base of every table
 // fbs[i], each through its MulConstTime walk, and brings the results to
 // affine together: one field inversion for all of them instead of one each.
-// An identity base gives the identity. Falls back to Mul per table when the
-// limb core is unavailable.
+// Large batches (Setup's m + 1 powers of h) split into contiguous chunks
+// across at most MaxParallelism workers; the split depends only on the
+// batch size. An identity base gives the identity. Falls back to Mul per
+// table when the limb core is unavailable.
 func (c *Curve) MulConstTimeEach(fbs []*FixedBase, ks []*big.Int) []*Point {
 	out := make([]*Point, len(fbs))
 	m := c.mont()
@@ -195,22 +175,24 @@ func (c *Curve) MulConstTimeEach(fbs []*FixedBase, ks []*big.Int) []*Point {
 		return out
 	}
 	js := make([]montJac, len(fbs))
-	for i, fb := range fbs {
-		ct := fb.ctTable()
-		if ct == nil {
-			js[i].setInfinity(m)
-			continue
+	parallelRanges(len(fbs), 16, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ct := fbs[i].ctTable()
+			if ct == nil {
+				js[i].setInfinity(m)
+				continue
+			}
+			digits := ctRecode(ks[i], c.R)
+			var entry montAffine
+			acc := &js[i]
+			ctLoadDigit(m, &entry, ct[0], digits[0])
+			acc.setAffine(m, &entry)
+			for d := 1; d < len(digits); d++ {
+				ctLoadDigit(m, &entry, ct[d], digits[d])
+				c.montAddAffine(m, acc, &entry)
+			}
 		}
-		digits := ctRecode(ks[i], c.R)
-		var entry montAffine
-		acc := &js[i]
-		ctLoadDigit(m, &entry, ct[0], digits[0])
-		acc.setAffine(m, &entry)
-		for d := 1; d < len(digits); d++ {
-			ctLoadDigit(m, &entry, ct[d], digits[d])
-			c.montAddAffine(m, acc, &entry)
-		}
-	}
+	})
 	for i, a := range montNormalize(m, js) {
 		if a.inf {
 			out[i] = c.Infinity()

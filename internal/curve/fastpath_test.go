@@ -117,14 +117,6 @@ func TestFixedBaseMatchesScalarMultBinary(t *testing.T) {
 				t.Fatalf("%s: FixedBase.Mul(%v) diverges from reference", name, k)
 			}
 		}
-		// MulMany must agree with Mul entry-by-entry (it shares one batch
-		// normalisation across results).
-		many := fb.MulMany(ks)
-		for i, k := range ks {
-			if !c.Equal(many[i], fb.Mul(k)) {
-				t.Fatalf("%s: MulMany[%d] ≠ Mul for k=%v", name, i, k)
-			}
-		}
 		// A fixed base at infinity stays at infinity.
 		inf := c.NewFixedBase(c.Infinity())
 		if !inf.Mul(big.NewInt(9)).Inf {
@@ -331,15 +323,19 @@ func TestMultiExpParallelMatchesSerial(t *testing.T) {
 			}
 		}
 
-		// MulMany across the same worker sweep.
+		// MulConstTimeEach across the same worker sweep.
 		fb := c.NewFixedBase(points[0])
+		fbs := make([]*FixedBase, n)
+		for i := range fbs {
+			fbs[i] = fb
+		}
 		SetMaxParallelism(1)
-		wantMany := fb.MulMany(scalars)
+		wantEach := c.MulConstTimeEach(fbs, scalars)
 		SetMaxParallelism(8)
-		gotMany := fb.MulMany(scalars)
-		for i := range wantMany {
-			if !c.Equal(gotMany[i], wantMany[i]) {
-				t.Fatalf("%s: parallel MulMany[%d] diverges", name, i)
+		gotEach := c.MulConstTimeEach(fbs, scalars)
+		for i := range wantEach {
+			if !c.Equal(gotEach[i], wantEach[i]) {
+				t.Fatalf("%s: parallel MulConstTimeEach[%d] diverges", name, i)
 			}
 		}
 

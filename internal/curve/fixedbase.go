@@ -20,17 +20,16 @@ const fixedBaseWindow = 4
 // mixed additions. Exponents are reduced modulo the subgroup order r, the
 // ScalarMultReduced semantics every IBBE call site uses.
 //
+// With the limb core available the table is built and kept in the
+// Montgomery domain only; the big.Int form exists only for fields too wide
+// for it.
+//
 // A FixedBase is immutable after construction and safe for concurrent use.
 type FixedBase struct {
-	c     *Curve
-	base  *Point
-	table [][]*Point // table[i][d-1] = d · 2^(w·i) · base
-
-	// Montgomery-domain mirror of table, built lazily on first use so
-	// construction stays cheap for tables that only ever serve the big.Int
-	// path. Stays nil when the field is too wide for the limb core.
-	montOnce sync.Once
-	mtable   [][]montAffine
+	c      *Curve
+	base   *Point
+	mtable [][]montAffine // mtable[i][d-1] = d · 2^(w·i) · base, limb domain
+	table  [][]*Point     // the same, big.Int form, when c.mont() is nil
 
 	// Constant-time signed-odd-window table; see MulConstTime in ctmul.go.
 	ctOnce sync.Once
@@ -48,6 +47,10 @@ func (c *Curve) NewFixedBase(p *Point) *FixedBase {
 	const w = fixedBaseWindow
 	const per = (1 << w) - 1
 	nWin := (c.R.BitLen() + w - 1) / w
+	if m := c.mont(); m != nil {
+		fb.mtable = c.montWindowRows(m, p, nWin, w, false)
+		return fb
+	}
 	js := make([]*jacobianPoint, 0, nWin*per)
 	cur := c.toJacobian(p)
 	for i := 0; i < nWin; i++ {
@@ -72,23 +75,6 @@ func (c *Curve) NewFixedBase(p *Point) *FixedBase {
 // Point returns (a copy of) the base point the table was built for.
 func (fb *FixedBase) Point() *Point { return fb.base.Clone() }
 
-// montTable returns the Montgomery-domain mirror of the window table,
-// building it once on first call; nil when the limb core is unavailable.
-func (fb *FixedBase) montTable() [][]montAffine {
-	fb.montOnce.Do(func() {
-		m := fb.c.mont()
-		if m == nil || fb.table == nil {
-			return
-		}
-		mt := make([][]montAffine, len(fb.table))
-		for i, row := range fb.table {
-			mt[i] = toMontAffineBatch(m, row)
-		}
-		fb.mtable = mt
-	})
-	return fb.mtable
-}
-
 // Mul returns (k mod r)·P using only table lookups and mixed additions.
 // When the field fits the limb core the whole digit walk runs in the
 // Montgomery domain and big.Int is touched only for the digit probe and the
@@ -96,25 +82,23 @@ func (fb *FixedBase) montTable() [][]montAffine {
 func (fb *FixedBase) Mul(k *big.Int) *Point {
 	c := fb.c
 	if m := c.mont(); m != nil {
-		if mt := fb.montTable(); mt != nil {
-			e := new(big.Int).Mod(k, c.R)
-			if fb.base.Inf || e.Sign() == 0 {
-				return c.Infinity()
-			}
-			acc := fb.montMulJac(m, mt, e)
-			return c.montFromJac(m, &acc)
+		e := new(big.Int).Mod(k, c.R)
+		if fb.base.Inf || e.Sign() == 0 {
+			return c.Infinity()
 		}
+		acc := fb.montMulJac(m, e)
+		return c.montFromJac(m, &acc)
 	}
 	return c.fromJacobian(fb.mulJacobian(k))
 }
 
-// montMulJac is the limb-domain digit walk over the mirror table. The caller
+// montMulJac is the limb-domain digit walk over the table. The caller
 // guarantees 0 < e < r and a non-infinity base.
-func (fb *FixedBase) montMulJac(m *ff.Mont, mt [][]montAffine, e *big.Int) montJac {
+func (fb *FixedBase) montMulJac(m *ff.Mont, e *big.Int) montJac {
 	const w = fixedBaseWindow
 	var acc montJac
 	acc.setInfinity(m)
-	for i := range mt {
+	for i := range fb.mtable {
 		d := 0
 		for b := 0; b < w; b++ {
 			d |= int(e.Bit(i*w+b)) << b
@@ -122,7 +106,7 @@ func (fb *FixedBase) montMulJac(m *ff.Mont, mt [][]montAffine, e *big.Int) montJ
 		if d == 0 {
 			continue
 		}
-		fb.c.montAddAffine(m, &acc, &mt[i][d-1])
+		fb.c.montAddAffine(m, &acc, &fb.mtable[i][d-1])
 	}
 	return acc
 }
@@ -151,37 +135,4 @@ func (fb *FixedBase) mulJacobian(k *big.Int) *jacobianPoint {
 		acc = c.jacobianAddAffine(acc, entry.X, entry.Y)
 	}
 	return acc
-}
-
-// MulMany computes (k mod r)·P for every scalar, sharing one batch
-// normalisation (a single field inversion) across all results. This is the
-// Setup fast path: the m+1 public-key powers of h come out of one table and
-// one inversion. With the limb core available the scalars are split into
-// contiguous chunks across at most MaxParallelism workers, each walking the
-// Montgomery mirror table independently; the results still share the single
-// batch normalisation.
-func (fb *FixedBase) MulMany(ks []*big.Int) []*Point {
-	c := fb.c
-	if m := c.mont(); m != nil {
-		if mt := fb.montTable(); mt != nil {
-			js := make([]*jacobianPoint, len(ks))
-			parallelRanges(len(ks), 8, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					e := new(big.Int).Mod(ks[i], c.R)
-					if fb.base.Inf || e.Sign() == 0 {
-						js[i] = c.jacobianInfinity()
-						continue
-					}
-					acc := fb.montMulJac(m, mt, e)
-					js[i] = c.montToJacobian(m, &acc)
-				}
-			})
-			return c.batchNormalize(js)
-		}
-	}
-	js := make([]*jacobianPoint, len(ks))
-	for i, k := range ks {
-		js[i] = fb.mulJacobian(k)
-	}
-	return fb.c.batchNormalize(js)
 }

@@ -19,11 +19,12 @@ import (
 // result. Fields wider than ff.MaxLimbs·64 bits have no limb context and
 // every caller falls back to the big.Int path.
 
-// maxParallelism bounds the worker fan-out of the digit-parallel multi-
-// exponentiation paths (MultiExpTable.MultiExp, FixedBase.MulMany). It is a
-// process-wide bound shared with core.Manager: SetParallelism on the
-// manager forwards here, so one knob sizes both the per-partition ECALL
-// pool and the intra-operation curve parallelism.
+// maxParallelism bounds the worker fan-out of the parallel multi-
+// exponentiation paths (MultiExpTable.MultiExp and its build,
+// Curve.MulConstTimeEach). It is a process-wide bound shared with
+// core.Manager: SetParallelism on the manager forwards here, so one knob
+// sizes both the per-partition ECALL pool and the intra-operation curve
+// parallelism.
 var maxParallelism atomic.Int32
 
 func init() { maxParallelism.Store(int32(runtime.NumCPU())) }
@@ -68,15 +69,6 @@ func toMontAffine(m *ff.Mont, p *Point) montAffine {
 	return a
 }
 
-// toMontAffineBatch converts a table of affine points.
-func toMontAffineBatch(m *ff.Mont, pts []*Point) []montAffine {
-	out := make([]montAffine, len(pts))
-	for i, p := range pts {
-		out[i] = toMontAffine(m, p)
-	}
-	return out
-}
-
 // setInfinity marks j as the identity.
 func (j *montJac) setInfinity(m *ff.Mont) {
 	m.SetOne(&j.x)
@@ -113,6 +105,81 @@ func (c *Curve) montOddMultiples(m *ff.Mont, p *Point, n int) []montAffine {
 		}
 	}
 	return montNormalize(m, js)
+}
+
+// montOddMultiplesRows fills rows[i] with [1P, 3P, …, (2n−1)P] for every
+// points[i], the build of a long-lived table. Per base it runs one doubling
+// and a chain of n−1 mixed additions of 2P: the doublings are normalised to
+// affine together first (one inversion), so each chain step is a mixed
+// addition rather than a general one, and the whole block of rows then
+// shares a second inversion. An identity base gets a row of identities.
+func (c *Curve) montOddMultiplesRows(m *ff.Mont, points []*Point, n int, rows [][]montAffine) {
+	twos := make([]montJac, len(points))
+	for i, p := range points {
+		if p.Inf {
+			twos[i].setInfinity(m)
+			continue
+		}
+		base := toMontAffine(m, p)
+		twos[i].setAffine(m, &base)
+		c.montDouble(m, &twos[i])
+	}
+	two := montNormalize(m, twos)
+	js := make([]montJac, len(points)*n)
+	for i, p := range points {
+		row := js[i*n : (i+1)*n]
+		if p.Inf {
+			for j := range row {
+				row[j].setInfinity(m)
+			}
+			continue
+		}
+		base := toMontAffine(m, p)
+		row[0].setAffine(m, &base)
+		for j := 1; j < n; j++ {
+			row[j] = row[j-1]
+			c.montAddAffine(m, &row[j], &two[i])
+		}
+	}
+	aff := montNormalize(m, js)
+	for i := range rows {
+		rows[i] = aff[i*n : (i+1)*n : (i+1)*n]
+	}
+}
+
+// montWindowRows returns the rows of a fixed-base window table for an
+// affine P ≠ ∞: row i holds d·2^(w·i)·P for d = 1, 2, …, 2^w − 1, or, when
+// odd, for the odd d = 1, 3, …, 2^w − 1 only. The chains run in limb
+// Jacobian arithmetic and the whole table shares one montNormalize.
+func (c *Curve) montWindowRows(m *ff.Mont, p *Point, rows int, w uint, odd bool) [][]montAffine {
+	per := 1<<w - 1
+	if odd {
+		per = 1 << (w - 1)
+	}
+	js := make([]montJac, 0, rows*per)
+	var cur montJac
+	base := toMontAffine(m, p)
+	cur.setAffine(m, &base)
+	for i := 0; i < rows; i++ {
+		step, d := cur, cur
+		if odd {
+			c.montDouble(m, &step)
+		}
+		js = append(js, d)
+		for j := 1; j < per; j++ {
+			c.montAdd(m, &d, &step)
+			js = append(js, d)
+		}
+		for b := uint(0); b < w; b++ {
+			c.montDouble(m, &cur)
+		}
+	}
+	aff := montNormalize(m, js)
+	out := make([][]montAffine, rows)
+	for i := range out {
+		out[i] = aff[i*per : (i+1)*per : (i+1)*per]
+	}
+	return out
 }
 
 // montNormalize is batchNormalize in the limb domain: one inversion of the

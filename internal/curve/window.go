@@ -2,40 +2,60 @@ package curve
 
 import "math/big"
 
-// scalarWindow is the w-NAF width used by ScalarMult and the Straus
-// multi-exponentiation: digits are odd in ±{1, 3, …, 2^(w−1)−1}, so each
-// base needs 2^(w−2) precomputed odd multiples and the average density of
-// non-zero digits is 1/(w+1).
+// scalarWindow is the w-NAF width used by ScalarMult and the one-shot
+// Curve.MultiExp: digits are odd in ±{1, 3, …, 2^(w−1)−1}, so each base needs
+// 2^(w−2) precomputed odd multiples and the average density of non-zero
+// digits is 1/(w+1). Narrow, because those tables are built per call.
 const scalarWindow = 4
 
-// wnafDigits returns the width-w non-adjacent form of k > 0, least
-// significant digit first. Every non-zero digit is odd and is followed by at
-// least w−1 zeros, which is what lets the evaluation loop amortise one
-// table addition over w doublings.
+// multiExpWindow is the w-NAF width of a long-lived MultiExpTable (the
+// public key's h^{γ^i} powers). Its bases are fixed for the key's lifetime,
+// so the table can be wide: 64 odd multiples per base (8.5 KiB in the limb
+// domain) cut a 160-bit scalar's additions from ≈ 32 at width 4 to ≈ 18.
+// Chosen by measurement at type-a-512, m = 256 (see README, Performance).
+const multiExpWindow = 8
+
+// wnafDigits returns the width-w non-adjacent form of k > 0 (2 ≤ w ≤ 8),
+// least significant digit first, ending at the top non-zero digit. Every
+// non-zero digit is odd and is followed by at least w−1 zeros, which is what
+// lets the evaluation loop amortise one table addition over w doublings.
+//
+// The recoding reads w-bit windows out of fixed 64-bit limbs
+// (scalarToLimbs) and carries the borrow of a negative digit forward as one
+// bit, instead of subtracting and shifting a big.Int per digit: a zero digit
+// is a single bit probe.
 func wnafDigits(k *big.Int, w uint) []int8 {
-	d := new(big.Int).Set(k)
-	digits := make([]int8, 0, d.BitLen()+1)
-	mod := int64(1) << w
-	half := mod >> 1
-	t := new(big.Int)
-	for d.Sign() > 0 {
-		if d.Bit(0) == 0 {
-			digits = append(digits, 0)
-			d.Rsh(d, 1)
+	bits := uint(k.BitLen())
+	limbs := scalarToLimbs(k, int(bits/64)+1)
+	digits := make([]int8, bits+1)
+	top := -1
+	carry := uint64(0)
+	for pos := uint(0); pos <= bits; {
+		if limbBits(limbs, pos, 1) == carry {
+			pos++ // (k >> pos) + carry is even: a zero digit
 			continue
 		}
-		r := int64(0)
-		for b := uint(0); b < w; b++ {
-			r |= int64(d.Bit(int(b))) << b
-		}
-		if r >= half {
-			r -= mod // choose the negative representative; forces w−1 zeros next
-		}
-		digits = append(digits, int8(r))
-		d.Sub(d, t.SetInt64(r))
-		d.Rsh(d, 1)
+		word := limbBits(limbs, pos, w) + carry
+		carry = word >> (w - 1) & 1 // ≥ 2^(w−1): take the negative representative
+		digits[pos] = int8(int64(word) - int64(carry<<w))
+		top = int(pos)
+		pos += w
 	}
-	return digits
+	return digits[:top+1]
+}
+
+// limbBits returns the n ≤ 64 bits of the little-endian limb vector l
+// starting at bit pos; bits past the end read as zero.
+func limbBits(l []uint64, pos, n uint) uint64 {
+	i, s := pos/64, pos%64
+	if int(i) >= len(l) {
+		return 0
+	}
+	v := l[i] >> s
+	if s+n > 64 && int(i)+1 < len(l) {
+		v |= l[i+1] << (64 - s)
+	}
+	return v & (1<<n - 1)
 }
 
 // oddMultiples returns [1P, 3P, 5P, …, (2n−1)P] in affine coordinates,

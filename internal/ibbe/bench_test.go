@@ -180,3 +180,75 @@ func BenchmarkMembershipOps512(b *testing.B) {
 		}
 	})
 }
+
+// paperKey sets up the paper-width scheme (type-a-512) with m = 256 and one
+// full partition's worth of receivers.
+func paperKey(b *testing.B) (*Scheme, *MasterSecretKey, *PublicKey, []string) {
+	b.Helper()
+	if testing.Short() {
+		b.Skip("paper-scale parameters")
+	}
+	const m = 256
+	s := NewScheme(pairing.TypeA512())
+	msk, pk, err := s.Setup(m, rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	group := make([]string, m)
+	for i := range group {
+		group[i] = fmt.Sprintf("user-%04d@bench", i)
+	}
+	return s, msk, pk, group
+}
+
+// BenchmarkSetup512 prices Setup(256) at the paper width: g^γ, the 257
+// powers h^{γ^i} on the constant-time fixed-base walk (the h tables' builds
+// included) and one pairing.
+func BenchmarkSetup512(b *testing.B) {
+	if testing.Short() {
+		b.Skip("paper-scale parameters")
+	}
+	s := NewScheme(pairing.TypeA512())
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := s.Setup(256, rand.Reader); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecrypt512 prices a member's decrypt of a full partition at the
+// paper width (m = 256): the O(m²) polynomial expansion, the Straus
+// multi-exponentiation over the public key's table, two pairings and one GT
+// exponentiation. The per-key tables are warmed outside the timer.
+func BenchmarkDecrypt512(b *testing.B) {
+	s, msk, pk, group := paperKey(b)
+	_, ct, err := s.EncryptMSK(msk, pk, group, rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	uk, err := s.Extract(msk, group[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Decrypt(pk, group[0], uk, group, ct); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := s.Decrypt(pk, group[0], uk, group, ct); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMultiExpTable512 prices the one-time build of the public key's
+// multi-exponentiation table (every h^{γ^i}, m = 256) that Decrypt warms on
+// first use.
+func BenchmarkMultiExpTable512(b *testing.B) {
+	s, _, pk, _ := paperKey(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		s.P.G1.NewMultiExpTable(pk.HPowers)
+	}
+}

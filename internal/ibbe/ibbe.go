@@ -277,7 +277,7 @@ func (s *Scheme) Setup(m int, rng io.Reader) (*MasterSecretKey, *PublicKey, erro
 	msk := &MasterSecretKey{G: g, Gamma: gamma}
 
 	pk := &PublicKey{
-		W: s.expG1(g, gamma),
+		W: s.expG1Secret(g, gamma),
 		V: s.pair(g, h),
 	}
 	if s.DisableFastPath {
@@ -289,21 +289,19 @@ func (s *Scheme) Setup(m int, rng io.Reader) (*MasterSecretKey, *PublicKey, erro
 		}
 		return msk, pk, nil
 	}
-	// Fast path: one fixed-base table for h serves all m+1 powers (each is
-	// ≈ bits(r)/4 mixed additions, no doublings), and the results share a
-	// single batch normalisation instead of one inversion per point. The
-	// table is kept on the public key, pre-warming the EncryptMSK hot path.
+	// Fast path: every γ^i is a secret exponent, so the powers take the
+	// constant-time walk over one fixed-base table for h (≈ bits(r)/4 mixed
+	// additions each, no doublings) and share a single normalisation. The
+	// table is kept on the public key, pre-warming the membership ops.
 	fb := s.P.G1.NewFixedBase(h)
+	fbs := make([]*curve.FixedBase, m+1)
 	exps := make([]*big.Int, m+1)
 	acc := big.NewInt(1)
 	for i := 0; i <= m; i++ {
-		exps[i] = acc
+		fbs[i], exps[i] = fb, acc
 		acc = s.P.Zr.Mul(acc, gamma)
 	}
-	if s.Metrics != nil {
-		s.Metrics.G1Exp.Add(int64(m + 1))
-	}
-	pk.HPowers = fb.MulMany(exps)
+	pk.HPowers = s.expFixedSecret(fbs, exps)
 	pk.pre.hOnce.Do(func() { pk.pre.h = fb })
 	return msk, pk, nil
 }
@@ -427,6 +425,11 @@ func (s *Scheme) EncryptClassic(pk *PublicKey, ids []string, rng io.Reader) (*Br
 func (s *Scheme) Decrypt(pk *PublicKey, id string, usk *UserKey, ids []string, ct *Ciphertext) (*BroadcastKey, error) {
 	if usk == nil || usk.D == nil {
 		return nil, ErrBadKey
+	}
+	// The receiver list comes from the store: a list the key cannot cover
+	// must fail here, not index past the public key's powers.
+	if len(ids) > pk.MaxGroupSize() {
+		return nil, fmt.Errorf("%w: %d > %d", ErrGroupTooLarge, len(ids), pk.MaxGroupSize())
 	}
 	others := make([]string, 0, len(ids))
 	found := false

@@ -296,6 +296,40 @@ func TestGroupTooLarge(t *testing.T) {
 	}
 }
 
+// The receiver list a member decrypts against comes from the store. One
+// longer than the key covers must be refused with ErrGroupTooLarge — not
+// decrypted into garbage, and not (past m + 2 names) walked off the end of
+// the public key's powers inside the multi-exponentiation.
+func TestDecryptRejectsReceiverListBeyondKey(t *testing.T) {
+	s := testScheme(t)
+	msk, pk := setup(t, s, 3)
+	_, ct, err := s.EncryptMSK(msk, pk, ids(3), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uk, err := s.Extract(msk, ids(1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{4, 6, 40} {
+		if _, err := s.Decrypt(pk, ids(1)[0], uk, ids(n), ct); !errors.Is(err, ErrGroupTooLarge) {
+			t.Fatalf("%d receivers for m = 3: got %v, want ErrGroupTooLarge", n, err)
+		}
+	}
+}
+
+// Every G1 exponent Setup computes is secret-derived (g^γ, h^{γ^i}), so each
+// one it counts must have taken a constant-time walk.
+func TestSetupTakesOnlyConstantTimeWalks(t *testing.T) {
+	s := testScheme(t)
+	s.Metrics = &Metrics{}
+	const m = 8
+	setup(t, s, m)
+	if all, ct := s.Metrics.G1Exp.Load(), s.Metrics.G1ExpFixedCT.Load(); all != m+2 || ct != all {
+		t.Fatalf("Setup(%d): %d G1 exponentiations, %d of them constant-time; want %d and %d", m, all, ct, m+2, m+2)
+	}
+}
+
 func TestEmptyGroupRejected(t *testing.T) {
 	s := testScheme(t)
 	msk, pk := setup(t, s, 3)

@@ -22,9 +22,10 @@ type Metrics struct {
 	// ZrMul counts scalar-field multiplications (the unit of the paper's
 	// polynomial-expansion cost).
 	ZrMul atomic.Int64
-	// G1ExpFixedCT counts the G1Exp that took the constant-time fixed-base
-	// walk (FixedBase.MulConstTime): with G1Exp it shows which share of an
-	// operation's exponentiations ran neither variable-base nor variable-time.
+	// G1ExpFixedCT counts the G1Exp that took a constant-time walk: the
+	// fixed-base tables (Curve.MulConstTimeEach) or, for g^γ and Extract's
+	// one-shot base, Curve.ScalarMultConstTime. With G1Exp it shows which
+	// share of an operation's exponentiations ran no variable-time walk.
 	G1ExpFixedCT atomic.Int64
 }
 
@@ -103,17 +104,19 @@ func (s *Scheme) expFixedSecret(fbs []*curve.FixedBase, ks []*big.Int) []*curve.
 	return s.P.G1.MulConstTimeEach(fbs, ks)
 }
 
-// expG1Secret is expG1 for MSK-derived exponents (key extraction): the fast
-// path takes the uniform constant-time window walk instead of the
-// digit-skipping w-NAF ladder, so the secret scalar does not shape the
-// operation sequence or table accesses. The reference arm keeps the binary
-// ladder, preserving the DisableFastPath discipline.
+// expG1Secret is expG1 for MSK-derived exponents (Setup's g^γ, key
+// extraction): the fast path takes the uniform constant-time window walk
+// instead of the digit-skipping w-NAF ladder, so the secret scalar does not
+// shape the operation sequence or table accesses, and counts as one
+// G1ExpFixedCT. The reference arm keeps the binary ladder, preserving the
+// DisableFastPath discipline.
 func (s *Scheme) expG1Secret(p *curve.Point, k *big.Int) *curve.Point {
+	if s.DisableFastPath {
+		return s.expG1(p, k)
+	}
 	if s.Metrics != nil {
 		s.Metrics.G1Exp.Add(1)
-	}
-	if s.DisableFastPath {
-		return s.P.G1.ScalarMultBinary(p, new(big.Int).Mod(k, s.P.R))
+		s.Metrics.G1ExpFixedCT.Add(1)
 	}
 	return s.P.G1.ScalarMultConstTime(p, k)
 }
