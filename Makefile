@@ -55,7 +55,8 @@ bench-smoke:
 
 ## fuzz: the 15s smokes CI runs — Montgomery limb core vs big.Int, the public-key multi-exp table and
 # limb w-NAF recoding vs the binary ladder and the big.Int recoding, the /v1/commit request decoder, the
-# three decoders of a group directory (partition record, group header, directory bucket) and the membership record
+# three decoders of a group directory (partition record, group header, directory bucket), the group index
+# under random operations vs the map-and-sort encoders it replaced, and the membership record
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMontFieldVsBigInt$$' -fuzztime=15s ./internal/ff
 	$(GO) test -run='^$$' -fuzz='^FuzzMultiExpTable$$' -fuzztime=15s ./internal/curve
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalRecord$$' -fuzztime=15s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalIndex$$' -fuzztime=15s ./internal/partition
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalBucket$$' -fuzztime=15s ./internal/partition
+	$(GO) test -run='^$$' -fuzz='^FuzzIndexOps$$' -fuzztime=15s ./internal/partition
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadRecord$$' -fuzztime=15s ./internal/membership
 
 ## benchdiff: measure the gated scenarios fresh and compare against the committed baselines

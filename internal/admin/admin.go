@@ -586,9 +586,9 @@ func (a *Admin) enablePaging(group string) {
 
 // RestoreGroup rebuilds the manager's state for one group from the cloud. It
 // reads the group header and the sealed group key — O(partitions), not
-// O(group) — and hands the manager lazy fetches for everything else: no
-// directory bucket and no partition record is read until an operation
-// touches it. Use after an administrator restart (the enclave must hold the
+// O(group), in one round trip — and hands the manager lazy fetches for
+// everything else: no directory bucket and no partition record is read
+// until an operation touches it. Use after an administrator restart (the enclave must hold the
 // same master secret, via EcallRestore on the same platform).
 func (a *Admin) RestoreGroup(ctx context.Context, group string) error {
 	// The version is read before any content: if a writer lands during the
@@ -599,9 +599,12 @@ func (a *Admin) RestoreGroup(ctx context.Context, group string) error {
 	if err != nil {
 		return err
 	}
-	header, err := a.store.Get(ctx, group, partition.HeaderObject)
-	if err != nil {
-		return err
+	// The header and the sealed key are independent reads, both after the
+	// version: one round trip for the two.
+	data, errs := storage.GetMany(ctx, a.store, group, partition.HeaderObject, sealedGKObject)
+	header, sealedGK := data[0], data[1]
+	if errs[0] != nil {
+		return errs[0]
 	}
 	idx, err := partition.UnmarshalIndex(header)
 	if err != nil {
@@ -612,12 +615,11 @@ func (a *Admin) RestoreGroup(ctx context.Context, group string) error {
 	idx.SetBucketFetch(func(object string) ([]byte, error) {
 		return a.store.Get(context.Background(), group, object)
 	})
-	sealedGK, err := a.store.Get(ctx, group, sealedGKObject)
-	if errors.Is(err, storage.ErrNotFound) {
+	if errors.Is(errs[1], storage.ErrNotFound) {
 		return fmt.Errorf("%w: %s", ErrNoSealedKey, group)
 	}
-	if err != nil {
-		return err
+	if errs[1] != nil {
+		return errs[1]
 	}
 	if err := a.mgr.RestoreGroupPaged(group, idx, sealedGK, a.recordFetch(group)); err != nil {
 		return err

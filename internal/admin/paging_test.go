@@ -37,9 +37,9 @@ func TestKillMidRestoreLeavesGroupLoadable(t *testing.T) {
 	}
 	admin2 := New("admin-2", mgr2, faulty, nil)
 
-	// The streaming restore's object reads are (1) the member index and
-	// (2) the sealed group key; List/Version/Poll are exempt from the
-	// injector. Failing the 2nd read kills the restore between them.
+	// The streaming restore's object reads are the group header and the
+	// sealed group key, issued together; List/Version/Poll are exempt from
+	// the injector. Failing the 2nd read kills one of them.
 	faulty.FailEveryGet(2)
 	if err := admin2.RestoreGroup(ctx, "g"); err == nil {
 		t.Fatal("restore survived a dead sealed-key read")
@@ -235,6 +235,11 @@ type countingStore struct {
 func (c *countingStore) Get(ctx context.Context, dir, name string) ([]byte, error) {
 	c.gets++
 	return c.MemStore.Get(ctx, dir, name)
+}
+
+func (c *countingStore) GetMany(ctx context.Context, dir string, names []string) ([][]byte, []error) {
+	c.gets += len(names)
+	return c.MemStore.GetMany(ctx, dir, names)
 }
 
 func (c *countingStore) Commit(ctx context.Context, dir string, objs []storage.Object, ifDirVersion, epoch uint64) (uint64, error) {

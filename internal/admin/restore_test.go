@@ -3,10 +3,17 @@ package admin
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/ibbesgx/ibbesgx/internal/core"
+	"github.com/ibbesgx/ibbesgx/internal/partition"
+	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
 
 func TestRestoreGroupAfterAdminRestart(t *testing.T) {
@@ -159,5 +166,116 @@ func TestCatalogAccumulatesGroups(t *testing.T) {
 	groups2, _ := s.admin.readCatalog(ctx)
 	if len(groups2) != 2 {
 		t.Fatalf("catalog grew on duplicate: %v", groups2)
+	}
+}
+
+// overlapStore fails a Get of the group header or the sealed group key
+// unless the other of the two is in flight at the same time: a restore that
+// reads them one after the other cannot pass it.
+type overlapStore struct {
+	storage.Store
+	arrived chan struct{}
+}
+
+func (s *overlapStore) Get(ctx context.Context, dir, name string) ([]byte, error) {
+	if name != partition.HeaderObject && name != sealedGKObject {
+		return s.Store.Get(ctx, dir, name)
+	}
+	select {
+	case s.arrived <- struct{}{}: // the other read is waiting for this one
+	case <-s.arrived: // this read waits for the other
+	case <-time.After(5 * time.Second):
+		return nil, fmt.Errorf("overlap store: %s read alone", name)
+	}
+	return s.Store.Get(ctx, dir, name)
+}
+
+// TestRestoreReadsHeaderAndKeyTogether: after the version, the group header
+// and the sealed key are read concurrently — one store round trip, not two.
+func TestRestoreReadsHeaderAndKeyTogether(t *testing.T) {
+	s := newSys(t, 3)
+	ctx := context.Background()
+	if err := s.admin.CreateGroup(ctx, "g", users(7)); err != nil {
+		t.Fatal(err)
+	}
+	mgr2, err := core.NewManager(s.encl, 3, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	admin2 := New("admin-2", mgr2, &overlapStore{Store: s.store, arrived: make(chan struct{})}, nil)
+	if err := admin2.RestoreGroup(ctx, "g"); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if got, err := mgr2.Members("g"); err != nil || len(got) != 7 {
+		t.Fatalf("restored members: %v (%v)", got, err)
+	}
+}
+
+// versionHookStore runs hook once, right after the first Version read
+// returns — between a restore's version read and its content reads.
+type versionHookStore struct {
+	storage.Store
+	once sync.Once
+	hook func()
+}
+
+func (s *versionHookStore) Version(ctx context.Context, dir string) (uint64, error) {
+	v, err := s.Store.Version(ctx, dir)
+	s.once.Do(s.hook)
+	return v, err
+}
+
+// TestRestoreWithWriterMidRestore: a writer that lands between the restore's
+// version read and its content reads leaves the restored admin holding a
+// stale version, so its first conditional write conflicts, it restores
+// again and retries — and no write is lost.
+func TestRestoreWithWriterMidRestore(t *testing.T) {
+	s := newSys(t, 3)
+	s.admin.EnableCAS()
+	ctx := context.Background()
+	members := users(5)
+	if err := s.admin.CreateGroup(ctx, "g", members); err != nil {
+		t.Fatal(err)
+	}
+	mgr2, err := core.NewManager(s.encl, 3, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooked := &versionHookStore{Store: s.store, hook: func() {
+		if err := s.admin.AddUser(ctx, "g", "mid-restore@example.com"); err != nil {
+			t.Errorf("writer during the restore: %v", err)
+		}
+	}}
+	admin2 := New("admin-2", mgr2, hooked, nil)
+	admin2.EnableCAS()
+	if err := admin2.RestoreGroup(ctx, "g"); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := s.store.Version(ctx, "g")
+	if err := admin2.AddUser(ctx, "g", "after-restore@example.com"); err != nil {
+		t.Fatalf("first write after a torn restore: %v", err)
+	}
+	if after, _ := s.store.Version(ctx, "g"); after <= before {
+		t.Fatalf("the add wrote nothing: version %d → %d", before, after)
+	}
+	got, err := mgr2.Members("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]string(nil), members...), "mid-restore@example.com", "after-restore@example.com")
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("members after the retried add: %v, want %v", got, want)
+	}
+	// The cloud agrees: a fresh restore sees both writes.
+	mgr3, err := core.NewManager(s.encl, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := New("admin-3", mgr3, s.store, nil).RestoreGroup(ctx, "g"); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := mgr3.Members("g"); !slices.Equal(got, want) {
+		t.Fatalf("cloud members: %v, want %v", got, want)
 	}
 }

@@ -677,16 +677,15 @@ func (m *Manager) RemoveUsers(name string, users []string) (*Update, error) {
 func (m *Manager) rekeySweep(name string, g *groupState, sealedGK []byte, removedBy map[string][]string, rewrap bool, up *Update) (undo func(), err error) {
 	var rekey, wrapped []string
 	var handles [][]byte
-	for _, pid := range g.idx.PageIDs() {
-		if g.idx.Count(pid) == 0 {
+	for e := range g.idx.Entries() {
+		if e.Count == 0 {
 			continue
 		}
-		if rewrap && len(removedBy[pid]) == 0 {
-			_, handle := g.idx.Envelope(pid)
-			wrapped = append(wrapped, pid)
-			handles = append(handles, handle)
+		if rewrap && len(removedBy[e.ID]) == 0 {
+			wrapped = append(wrapped, e.ID)
+			handles = append(handles, e.Handle)
 		} else {
-			rekey = append(rekey, pid)
+			rekey = append(rekey, e.ID)
 		}
 	}
 	type envelope struct {
@@ -914,10 +913,10 @@ func (m *Manager) repartitionLocked(name string, g *groupState, up *Update) erro
 	for _, id := range up.Delete {
 		deleted[id] = true
 	}
-	for _, pid := range oldIdx.PageIDs() {
-		g.pages.Drop(pid)
-		if !deleted[pid] {
-			up.Delete = append(up.Delete, pid)
+	for e := range oldIdx.Entries() {
+		g.pages.Drop(e.ID)
+		if !deleted[e.ID] {
+			up.Delete = append(up.Delete, e.ID)
 		}
 	}
 	for i := g.idx.Fanout(); i < oldIdx.Fanout(); i++ {
@@ -1071,9 +1070,8 @@ func (m *Manager) MetadataSize(name string) (int, error) {
 	defer g.mu.Unlock()
 	headerLen := m.encl.Scheme().HeaderLen()
 	total := 0
-	for _, pid := range g.idx.PageIDs() {
-		wrapped, handle := g.idx.Envelope(pid)
-		total += headerLen + len(wrapped) + len(handle)
+	for e := range g.idx.Entries() {
+		total += headerLen + len(e.Wrapped) + len(e.Handle)
 	}
 	return total, nil
 }
@@ -1089,12 +1087,12 @@ func (m *Manager) Records(name string) (map[string]*PartitionRecord, error) {
 	}
 	defer g.mu.Unlock()
 	out := make(map[string]*PartitionRecord, g.idx.PageCount())
-	for _, pid := range g.idx.PageIDs() {
-		p, perr := g.pages.Get(pid)
+	for e := range g.idx.Entries() {
+		p, perr := g.pages.Get(e.ID)
 		if perr != nil {
 			return nil, perr
 		}
-		out[pid] = g.record(p)
+		out[e.ID] = g.record(p)
 	}
 	return out, nil
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // Constant-time scalar multiplication for secret exponents — the MSK-touching
-// ECALL paths (extract, partial extract, blinded inversion, DKG dealing, and
-// the membership ops' headers from sealed exponents). The w-NAF
+// ECALL paths (extract, partial extract, blinded inversion, DKG dealing) and
+// every FixedBase.Mul, which covers the membership ops' headers from sealed
+// exponents. The w-NAF
 // walks elsewhere in this package leak the exponent through their digit
 // pattern: which iterations add, which table index they load, and whether the
 // digit is negative are all scalar-dependent. Here every scalar takes the
@@ -30,28 +31,30 @@ import (
 // of the variable-time walks. Every entry point requires an r-torsion point
 // and falls back to the variable-time path when the limb core is unavailable.
 
-// ctWindow is the fixed window width of the constant-time recoding: digits
-// are odd in ±{1, 3, …, 2^w − 1}, needing 2^(w−1) table entries per window.
+// ctWindow is the window width of ScalarMultConstTime, whose odd-multiple
+// table is built per call: digits are odd in ±{1, 3, …, 2^w − 1}, needing
+// 2^(w−1) table entries. The long-lived FixedBase tables take the wider
+// fixedBaseWindow.
 const ctWindow = 4
 
-// ctDigits returns the fixed digit count for scalars below 2^bits.
-func ctDigits(bits int) int {
-	return (bits+ctWindow-1)/ctWindow + 1
+// ctDigits returns the fixed digit count of a width-w recoding of scalars
+// below 2^bits.
+func ctDigits(bits int, w uint) int {
+	return (bits+int(w)-1)/int(w) + 1
 }
 
 // ctRecode reduces k modulo r, lifts it to an odd scalar (adding r when
 // even — same point for r-torsion bases), and returns its fixed-length
-// signed-odd-digit decomposition: d_i odd ∈ ±{1, …, 2^w − 1} with
-// Σ d_i·2^(w·i) equal to the lifted scalar. The digit count depends only on
-// r, never on k.
-func ctRecode(k, r *big.Int) []int8 {
+// width-w signed-odd-digit decomposition (2 ≤ w ≤ 7): d_i odd ∈
+// ±{1, …, 2^w − 1} with Σ d_i·2^(w·i) equal to the lifted scalar. The digit
+// count depends only on r and w, never on k.
+func ctRecode(k, r *big.Int, w uint) []int8 {
 	x := new(big.Int).Mod(k, r)
 	if x.Bit(0) == 0 {
 		x.Add(x, r) // r is an odd prime, so x + r is odd; x = 0 lifts to r
 	}
-	const w = ctWindow
 	bits := r.BitLen() + 1 // lifted scalar < 2r
-	nd := ctDigits(bits)
+	nd := ctDigits(bits, w)
 	nl := bits/64 + 1 // headroom limb for the +2^w slack during recoding
 	limbs := scalarToLimbs(x, nl)
 	digits := make([]int8, nd)
@@ -72,7 +75,8 @@ func ctRecode(k, r *big.Int) []int8 {
 		}
 		limbs[nl-1] >>= w
 	}
-	// The residue after nd−1 recoding steps is odd and at most 3.
+	// Each step maps x to 2·⌊x/2^(w+1)⌋ + 1 ≤ x/2^w + 1, so after the
+	// nd−1 ≥ bits/w steps the residue is odd and below 3: it is 1.
 	digits[nd-1] = int8(limbs[0])
 	return digits
 }
@@ -118,7 +122,7 @@ func (c *Curve) ScalarMultConstTime(p *Point, k *big.Int) *Point {
 		return c.ScalarMult(p, k)
 	}
 	modd := c.montOddMultiples(m, p, 1<<(ctWindow-1))
-	digits := ctRecode(k, c.R)
+	digits := ctRecode(k, c.R, ctWindow)
 	var entry montAffine
 	var acc montJac
 	ctLoadDigit(m, &entry, modd, digits[len(digits)-1])
@@ -133,34 +137,12 @@ func (c *Curve) ScalarMultConstTime(p *Point, k *big.Int) *Point {
 	return c.montFromJac(m, &acc)
 }
 
-// ctTable returns the signed-window fixed-base table: row i holds the odd
-// multiples {1, 3, …, 2^w − 1}·2^(w·i)·base, one row per recoded digit.
-// Built once on first use, in the limb domain; nil when the limb core is
-// unavailable or the base is the identity.
-func (fb *FixedBase) ctTable() [][]montAffine {
-	fb.ctOnce.Do(func() {
-		c := fb.c
-		m := c.mont()
-		if m == nil || fb.base.Inf {
-			return
-		}
-		fb.ctable = c.montWindowRows(m, fb.base, ctDigits(c.R.BitLen()+1), ctWindow, true)
-	})
-	return fb.ctable
-}
-
-// MulConstTime returns (k mod r)·base through the signed-window table: one
-// masked row scan and one mixed addition per digit, no doublings, the same
-// sequence for every scalar. The base must be an r-torsion point (all
-// long-lived scheme bases are). Falls back to Mul when the limb core is
-// unavailable.
-func (fb *FixedBase) MulConstTime(k *big.Int) *Point {
-	return fb.c.MulConstTimeEach([]*FixedBase{fb}, []*big.Int{k})[0]
-}
-
 // MulConstTimeEach returns (ks[i] mod r)·base_i for the base of every table
-// fbs[i], each through its MulConstTime walk, and brings the results to
-// affine together: one field inversion for all of them instead of one each.
+// fbs[i], each through the signed-window walk — one masked row scan and one
+// mixed addition per digit, no doublings, the same sequence for every
+// scalar — and brings the results to affine together: one field inversion
+// for all of them instead of one each. Every base must be an r-torsion
+// point (all long-lived scheme bases are).
 // Large batches (Setup's m + 1 powers of h) split into contiguous chunks
 // across at most MaxParallelism workers; the split depends only on the
 // batch size. An identity base gives the identity. Falls back to Mul per
@@ -177,12 +159,12 @@ func (c *Curve) MulConstTimeEach(fbs []*FixedBase, ks []*big.Int) []*Point {
 	js := make([]montJac, len(fbs))
 	parallelRanges(len(fbs), 16, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ct := fbs[i].ctTable()
+			ct := fbs[i].ctable
 			if ct == nil {
 				js[i].setInfinity(m)
 				continue
 			}
-			digits := ctRecode(ks[i], c.R)
+			digits := ctRecode(ks[i], c.R, fixedBaseWindow)
 			var entry montAffine
 			acc := &js[i]
 			ctLoadDigit(m, &entry, ct[0], digits[0])

@@ -100,6 +100,16 @@ func TestScalarMultMatchesBinaryReference(t *testing.T) {
 	}
 }
 
+// fixedBaseScalars extends testScalars with the edges of the fixed-base
+// walk's reduction and odd lift: 0 and r (lifted to r itself), r − 1 (odd
+// already), r + 7 and r·2^70 (reduced first).
+func fixedBaseScalars(t *testing.T, c *Curve, n int) []*big.Int {
+	return append(testScalars(t, c, n), new(big.Int).Lsh(c.R, 70))
+}
+
+// TestFixedBaseMatchesScalarMultBinary pins FixedBase.Mul — the signed-window
+// constant-time walk — against the binary ladder, bit for bit, on every
+// parameter set; a table built for the identity gives the identity.
 func TestFixedBaseMatchesScalarMultBinary(t *testing.T) {
 	for name, c := range fastPathCurves(t) {
 		p, err := c.RandPoint(rand.Reader)
@@ -107,20 +117,19 @@ func TestFixedBaseMatchesScalarMultBinary(t *testing.T) {
 			t.Fatalf("%s: RandPoint: %v", name, err)
 		}
 		fb := c.NewFixedBase(p)
-		ks := testScalars(t, c, 12)
-		for _, k := range ks {
+		for _, k := range fixedBaseScalars(t, c, 12) {
 			// FixedBase has ScalarMultReduced semantics.
-			kr := new(big.Int).Mod(k, c.R)
-			want := c.ScalarMultBinary(p, kr)
+			want := c.ScalarMultBinary(p, new(big.Int).Mod(k, c.R))
 			got := fb.Mul(k)
-			if string(c.Marshal(got)) != string(c.Marshal(want)) {
-				t.Fatalf("%s: FixedBase.Mul(%v) diverges from reference", name, k)
+			if !c.Equal(got, want) || !want.Inf && string(c.Marshal(got)) != string(c.Marshal(want)) {
+				t.Fatalf("%s: FixedBase.Mul(%v) diverges from the binary ladder", name, k)
 			}
 		}
-		// A fixed base at infinity stays at infinity.
 		inf := c.NewFixedBase(c.Infinity())
-		if !inf.Mul(big.NewInt(9)).Inf {
-			t.Fatalf("%s: FixedBase(∞).Mul not ∞", name)
+		for _, k := range []*big.Int{big.NewInt(0), big.NewInt(9), c.R} {
+			if !inf.Mul(k).Inf {
+				t.Fatalf("%s: FixedBase(∞).Mul(%v) not ∞", name, k)
+			}
 		}
 	}
 }
@@ -212,6 +221,11 @@ func TestScalarMultConstTimeMatchesBinaryReference(t *testing.T) {
 	}
 }
 
+// TestFixedBaseMulConstTimeMatchesMul cross-checks the two walks a G1
+// exponent can take: the fixed-base constant-time table (FixedBase.Mul,
+// signed window 6) must agree bit for bit with the variable-time NAF chain
+// (ScalarMultReduced) and with the per-call constant-time table
+// (ScalarMultConstTime, window 4).
 func TestFixedBaseMulConstTimeMatchesMul(t *testing.T) {
 	for name, c := range fastPathCurves(t) {
 		p, err := c.RandPoint(rand.Reader)
@@ -219,26 +233,26 @@ func TestFixedBaseMulConstTimeMatchesMul(t *testing.T) {
 			t.Fatalf("%s: RandPoint: %v", name, err)
 		}
 		fb := c.NewFixedBase(p)
-		for _, k := range testScalars(t, c, 16) {
-			want := fb.Mul(k)
-			got := fb.MulConstTime(k)
-			if !c.Equal(got, want) {
-				t.Fatalf("%s: MulConstTime(%v) ≠ Mul", name, k)
+		for _, k := range fixedBaseScalars(t, c, 16) {
+			got := fb.Mul(k)
+			for ref, want := range map[string]*Point{
+				"ScalarMultReduced":   c.ScalarMultReduced(p, k),
+				"ScalarMultConstTime": c.ScalarMultConstTime(p, k),
+			} {
+				if !c.Equal(got, want) {
+					t.Fatalf("%s: FixedBase.Mul(%v) ≠ %s", name, k, ref)
+				}
+				if !want.Inf && string(c.Marshal(got)) != string(c.Marshal(want)) {
+					t.Fatalf("%s: FixedBase.Mul(%v) encoding differs from %s", name, k, ref)
+				}
 			}
-			if !want.Inf && string(c.Marshal(got)) != string(c.Marshal(want)) {
-				t.Fatalf("%s: MulConstTime(%v) encoding differs", name, k)
-			}
-		}
-		inf := c.NewFixedBase(c.Infinity())
-		if !inf.MulConstTime(big.NewInt(9)).Inf {
-			t.Fatalf("%s: FixedBase(∞).MulConstTime not ∞", name)
 		}
 	}
 }
 
 // MulConstTimeEach shares one normalisation across tables; each result must
-// still be the table's own Mul, identities included.
-func TestMulConstTimeEachMatchesMul(t *testing.T) {
+// still be its base raised by the binary ladder, identities included.
+func TestMulConstTimeEachMatchesScalarMultBinary(t *testing.T) {
 	for name, c := range fastPathCurves(t) {
 		var fbs []*FixedBase
 		for i := 0; i < 3; i++ {
@@ -248,43 +262,57 @@ func TestMulConstTimeEachMatchesMul(t *testing.T) {
 			}
 			fbs = append(fbs, c.NewFixedBase(p))
 		}
-		fbs = append(fbs, c.NewFixedBase(c.Infinity()), fbs[0])
-		all := testScalars(t, c, len(fbs))
-		// The edge scalars first, then random ones with r (≡ 0, the identity)
-		// amid them.
-		random := append([]*big.Int(nil), all[len(all)-len(fbs):]...)
+		fbs = append(fbs, c.NewFixedBase(c.Infinity()), fbs[0], fbs[1])
+		all := fixedBaseScalars(t, c, 2*len(fbs))
+		// Every edge scalar meets every base, and random ones meet r (≡ 0,
+		// the identity) amid them.
+		var batches [][]*big.Int
+		for lo := range all {
+			ks := make([]*big.Int, len(fbs))
+			for i := range ks {
+				ks[i] = all[(lo+i)%len(all)]
+			}
+			batches = append(batches, ks)
+		}
+		random := append([]*big.Int(nil), all[len(all)-len(fbs)-1:len(all)-1]...)
 		random[1] = new(big.Int).Set(c.R)
-		for _, ks := range [][]*big.Int{all[:len(fbs)], random} {
+		batches = append(batches, random)
+		for _, ks := range batches {
 			got := c.MulConstTimeEach(fbs, ks)
 			for i, fb := range fbs {
-				want := fb.Mul(ks[i])
+				want := c.ScalarMultBinary(fb.Point(), new(big.Int).Mod(ks[i], c.R))
 				if !c.Equal(got[i], want) || !want.Inf && string(c.Marshal(got[i])) != string(c.Marshal(want)) {
-					t.Fatalf("%s: MulConstTimeEach[%d] (k = %v) ≠ Mul", name, i, ks[i])
+					t.Fatalf("%s: MulConstTimeEach[%d] (k = %v) diverges from the binary ladder", name, i, ks[i])
 				}
 			}
 		}
 	}
 }
 
+// TestCTRecodeReconstructsScalar checks the recoding at every window the
+// constant-time walks could take: a fixed digit count, every digit odd and
+// within ±(2^w − 1), and the digits summing to k modulo r.
 func TestCTRecodeReconstructsScalar(t *testing.T) {
 	for name, c := range fastPathCurves(t) {
-		nd := ctDigits(c.R.BitLen() + 1)
-		for _, k := range testScalars(t, c, 24) {
-			digits := ctRecode(k, c.R)
-			if len(digits) != nd {
-				t.Fatalf("%s: digit count %d varies from fixed %d for k=%v",
-					name, len(digits), nd, k)
-			}
-			sum := new(big.Int)
-			for i, d := range digits {
-				if d == 0 || d%2 == 0 || d > (1<<ctWindow)-1 || d < -((1<<ctWindow)-1) {
-					t.Fatalf("%s: digit %d = %d outside signed odd window", name, i, d)
+		for w := uint(2); w <= 7; w++ {
+			nd := ctDigits(c.R.BitLen()+1, w)
+			for _, k := range fixedBaseScalars(t, c, 24) {
+				digits := ctRecode(k, c.R, w)
+				if len(digits) != nd {
+					t.Fatalf("%s/w=%d: digit count %d varies from fixed %d for k=%v",
+						name, w, len(digits), nd, k)
 				}
-				sum.Add(sum, new(big.Int).Lsh(big.NewInt(int64(d)), uint(i*ctWindow)))
-			}
-			// The reconstruction equals k mod r (the lift adds a multiple of r).
-			if new(big.Int).Mod(sum, c.R).Cmp(new(big.Int).Mod(k, c.R)) != 0 {
-				t.Fatalf("%s: ctRecode(%v) reconstructs to %v", name, k, sum)
+				sum := new(big.Int)
+				for i, d := range digits {
+					if d%2 == 0 || int(d) > (1<<w)-1 || int(d) < -((1<<w)-1) {
+						t.Fatalf("%s/w=%d: digit %d = %d outside signed odd window", name, w, i, d)
+					}
+					sum.Add(sum, new(big.Int).Lsh(big.NewInt(int64(d)), uint(i)*w))
+				}
+				// The reconstruction equals k mod r (the lift adds a multiple of r).
+				if new(big.Int).Mod(sum, c.R).Cmp(new(big.Int).Mod(k, c.R)) != 0 {
+					t.Fatalf("%s/w=%d: ctRecode(%v) reconstructs to %v", name, w, k, sum)
+				}
 			}
 		}
 	}

@@ -2,55 +2,56 @@ package curve
 
 import (
 	"math/big"
-	"sync"
-
-	"github.com/ibbesgx/ibbesgx/internal/ff"
 )
 
-// fixedBaseWindow is the radix-2^w digit width of a FixedBase table. Width 4
-// keeps the table at ⌈bits(r)/4⌉ × 15 affine points (≈ 150 KiB for the
-// 512-bit paper parameters) while reducing a scalar multiplication to one
-// mixed addition per digit — no doublings at all.
-const fixedBaseWindow = 4
+// fixedBaseWindow is the width of a FixedBase table's signed odd digits:
+// every exponent recodes into ⌈(bits(r)+1)/w⌉ + 1 digits in ±{1, 3, …,
+// 2^w − 1}, one masked row scan and one mixed addition each. A wider window
+// means fewer additions but longer row scans; a sweep at type-a-512 (README,
+// Performance) finds their sum lowest at w = 6, where the table holds
+// 28 rows × 32 odd multiples, 896 affine points or ≈ 120 KB in the limb
+// domain.
+const fixedBaseWindow = 6
+
+// bigFixedBaseWindow is the unsigned radix-2^w digit width of the big.Int
+// table kept for fields too wide for the limb core.
+const bigFixedBaseWindow = 4
 
 // FixedBase is a precomputed table for repeated scalar multiplication of one
-// long-lived base point (the scheme's generators g, h, w). The table stores
-// d·2^(w·i)·P for every window position i and digit d, batch-normalized to
-// affine with a single field inversion, so Mul is a chain of ≈ bits(r)/w
-// mixed additions. Exponents are reduced modulo the subgroup order r, the
-// ScalarMultReduced semantics every IBBE call site uses.
+// long-lived r-torsion base point (the scheme's generators g, h, w). Row i
+// of the table holds the odd multiples {1, 3, …, 2^w − 1}·2^(w·i)·P,
+// batch-normalized to affine with a single field inversion, so Mul is a
+// chain of ≈ bits(r)/w mixed additions and no doublings, on the
+// constant-time walk of ctmul.go. Exponents are reduced modulo the subgroup
+// order r, the ScalarMultReduced semantics every IBBE call site uses.
 //
 // With the limb core available the table is built and kept in the
-// Montgomery domain only; the big.Int form exists only for fields too wide
-// for it.
+// Montgomery domain only; a field too wide for it keeps an unsigned
+// width-4 big.Int table and a variable-time walk instead.
 //
 // A FixedBase is immutable after construction and safe for concurrent use.
 type FixedBase struct {
 	c      *Curve
 	base   *Point
-	mtable [][]montAffine // mtable[i][d-1] = d · 2^(w·i) · base, limb domain
-	table  [][]*Point     // the same, big.Int form, when c.mont() is nil
-
-	// Constant-time signed-odd-window table; see MulConstTime in ctmul.go.
-	ctOnce sync.Once
-	ctable [][]montAffine
+	ctable [][]montAffine // signed-odd-window rows, limb domain; nil for ∞
+	table  [][]*Point     // table[i][d-1] = d · 2^(4·i) · base, big.Int form, when c.mont() is nil
 }
 
-// NewFixedBase builds the windowed table for p. Construction costs about one
-// generic scalar multiplication per 4 table windows, so it pays for itself
-// after a handful of Mul calls; for one-shot exponents use ScalarMult.
+// NewFixedBase builds the windowed table for p. Construction costs a few
+// generic scalar multiplications, so it pays for itself after a handful of
+// Mul calls; for one-shot exponents use ScalarMult.
 func (c *Curve) NewFixedBase(p *Point) *FixedBase {
 	fb := &FixedBase{c: c, base: p.Clone()}
 	if p.Inf {
 		return fb
 	}
-	const w = fixedBaseWindow
-	const per = (1 << w) - 1
-	nWin := (c.R.BitLen() + w - 1) / w
 	if m := c.mont(); m != nil {
-		fb.mtable = c.montWindowRows(m, p, nWin, w, false)
+		fb.ctable = c.montOddWindowRows(m, p, ctDigits(c.R.BitLen()+1, fixedBaseWindow), fixedBaseWindow)
 		return fb
 	}
+	const w = bigFixedBaseWindow
+	const per = (1 << w) - 1
+	nWin := (c.R.BitLen() + w - 1) / w
 	js := make([]*jacobianPoint, 0, nWin*per)
 	cur := c.toJacobian(p)
 	for i := 0; i < nWin; i++ {
@@ -75,50 +76,25 @@ func (c *Curve) NewFixedBase(p *Point) *FixedBase {
 // Point returns (a copy of) the base point the table was built for.
 func (fb *FixedBase) Point() *Point { return fb.base.Clone() }
 
-// Mul returns (k mod r)·P using only table lookups and mixed additions.
-// When the field fits the limb core the whole digit walk runs in the
-// Montgomery domain and big.Int is touched only for the digit probe and the
-// final affine conversion.
+// Mul returns (k mod r)·P. With the limb core it is MulConstTimeEach for one
+// table: the same digit count, row scans and additions for every k.
 func (fb *FixedBase) Mul(k *big.Int) *Point {
 	c := fb.c
-	if m := c.mont(); m != nil {
-		e := new(big.Int).Mod(k, c.R)
-		if fb.base.Inf || e.Sign() == 0 {
-			return c.Infinity()
-		}
-		acc := fb.montMulJac(m, e)
-		return c.montFromJac(m, &acc)
+	if c.mont() != nil {
+		return c.MulConstTimeEach([]*FixedBase{fb}, []*big.Int{k})[0]
 	}
 	return c.fromJacobian(fb.mulJacobian(k))
 }
 
-// montMulJac is the limb-domain digit walk over the table. The caller
-// guarantees 0 < e < r and a non-infinity base.
-func (fb *FixedBase) montMulJac(m *ff.Mont, e *big.Int) montJac {
-	const w = fixedBaseWindow
-	var acc montJac
-	acc.setInfinity(m)
-	for i := range fb.mtable {
-		d := 0
-		for b := 0; b < w; b++ {
-			d |= int(e.Bit(i*w+b)) << b
-		}
-		if d == 0 {
-			continue
-		}
-		fb.c.montAddAffine(m, &acc, &fb.mtable[i][d-1])
-	}
-	return acc
-}
-
-// mulJacobian is Mul without the final normalisation, for batch callers.
+// mulJacobian is the variable-time digit walk over the big.Int table, for
+// fields the limb core cannot take.
 func (fb *FixedBase) mulJacobian(k *big.Int) *jacobianPoint {
 	c := fb.c
 	e := new(big.Int).Mod(k, c.R)
 	if fb.base.Inf || e.Sign() == 0 {
 		return c.jacobianInfinity()
 	}
-	const w = fixedBaseWindow
+	const w = bigFixedBaseWindow
 	acc := c.jacobianInfinity()
 	for i := range fb.table {
 		d := 0

@@ -147,24 +147,19 @@ func (c *Curve) montOddMultiplesRows(m *ff.Mont, points []*Point, n int, rows []
 	}
 }
 
-// montWindowRows returns the rows of a fixed-base window table for an
-// affine P ≠ ∞: row i holds d·2^(w·i)·P for d = 1, 2, …, 2^w − 1, or, when
-// odd, for the odd d = 1, 3, …, 2^w − 1 only. The chains run in limb
-// Jacobian arithmetic and the whole table shares one montNormalize.
-func (c *Curve) montWindowRows(m *ff.Mont, p *Point, rows int, w uint, odd bool) [][]montAffine {
-	per := 1<<w - 1
-	if odd {
-		per = 1 << (w - 1)
-	}
+// montOddWindowRows returns the rows of a signed-window fixed-base table for
+// an affine P ≠ ∞: row i holds d·2^(w·i)·P for the odd d = 1, 3, …,
+// 2^w − 1. The chains run in limb Jacobian arithmetic and the whole table
+// shares one montNormalize.
+func (c *Curve) montOddWindowRows(m *ff.Mont, p *Point, rows int, w uint) [][]montAffine {
+	per := 1 << (w - 1)
 	js := make([]montJac, 0, rows*per)
 	var cur montJac
 	base := toMontAffine(m, p)
 	cur.setAffine(m, &base)
 	for i := 0; i < rows; i++ {
 		step, d := cur, cur
-		if odd {
-			c.montDouble(m, &step)
-		}
+		c.montDouble(m, &step)
 		js = append(js, d)
 		for j := 1; j < per; j++ {
 			c.montAdd(m, &d, &step)

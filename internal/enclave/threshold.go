@@ -438,10 +438,10 @@ func (ie *IBBEEnclave) EcallPartialExtract(gen uint64, id string, nonce []byte, 
 		zi = zr.Add(zi, z)
 	}
 	u := zr.Add(zr.Mul(ri, zr.Add(ie.thr.value, ie.scheme.HashID(id))), zi)
-	// MulConstTime: r_i blinds this holder's share of the master secret, so
-	// the published P_i = base^{r_i} must not leak r_i through the walk's
-	// timing or table-access pattern.
-	part := &dkg.ExtractPartial{Index: ie.thr.index, U: u, P: ie.thr.extractBase(ie.scheme.P.G1).MulConstTime(ri)}
+	// The fixed-base walk is constant-time: r_i blinds this holder's share
+	// of the master secret, so the published P_i = base^{r_i} must not leak
+	// r_i through the walk's timing or table-access pattern.
+	part := &dkg.ExtractPartial{Index: ie.thr.index, U: u, P: ie.thr.extractBase(ie.scheme.P.G1).Mul(ri)}
 	return ie.enc.Seal(ie.encodePartial(part), partialLabel(ie.thr.gen, id, nonce))
 }
 

@@ -330,6 +330,24 @@ func TestSetupTakesOnlyConstantTimeWalks(t *testing.T) {
 	}
 }
 
+// The stateless re-key raises the fresh C3 to k with the variable-base walk,
+// but its C1 = w^−k comes off the w table, whose walk is constant-time.
+func TestStatelessRekeyTakesFixedBaseForC1(t *testing.T) {
+	s := testScheme(t)
+	msk, pk := setup(t, s, 4)
+	_, ct, err := s.EncryptMSK(msk, pk, ids(3), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Metrics = &Metrics{}
+	if _, _, err := s.Rekey(pk, ct, rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	if all, ct := s.Metrics.G1Exp.Load(), s.Metrics.G1ExpFixedCT.Load(); all != 2 || ct != 1 {
+		t.Fatalf("Rekey: %d G1 exponentiations, %d of them constant-time; want 2 and 1", all, ct)
+	}
+}
+
 func TestEmptyGroupRejected(t *testing.T) {
 	s := testScheme(t)
 	msk, pk := setup(t, s, 3)

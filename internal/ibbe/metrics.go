@@ -23,8 +23,8 @@ type Metrics struct {
 	// polynomial-expansion cost).
 	ZrMul atomic.Int64
 	// G1ExpFixedCT counts the G1Exp that took a constant-time walk: the
-	// fixed-base tables (Curve.MulConstTimeEach) or, for g^γ and Extract's
-	// one-shot base, Curve.ScalarMultConstTime. With G1Exp it shows which
+	// fixed-base tables (FixedBase.Mul, Curve.MulConstTimeEach) or, for g^γ
+	// and Extract's one-shot base, Curve.ScalarMultConstTime. With G1Exp it shows which
 	// share of an operation's exponentiations ran no variable-time walk.
 	G1ExpFixedCT atomic.Int64
 }
@@ -75,11 +75,12 @@ func (s *Scheme) expG1(p *curve.Point, k *big.Int) *curve.Point {
 	return s.P.G1.ScalarMultReduced(p, k)
 }
 
-// expFixed is expG1 through a precomputed fixed-base table; it counts as the
-// same one G1 exponentiation.
+// expFixed is expG1 through a precomputed fixed-base table, whose walk is
+// constant-time; it counts as the same one G1 exponentiation.
 func (s *Scheme) expFixed(fb *curve.FixedBase, k *big.Int) *curve.Point {
 	if s.Metrics != nil {
 		s.Metrics.G1Exp.Add(1)
+		s.Metrics.G1ExpFixedCT.Add(1)
 	}
 	return fb.Mul(k)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/ibbesgx/ibbesgx/internal/wire"
 )
@@ -27,14 +26,13 @@ const (
 // pages in ascending order, integers as uvarints, yᵢ and handle
 // length-prefixed. Member names are not part of it.
 func (ix *Index) Marshal() []byte {
-	buf := make([]byte, 0, 16+len(ix.pages)*136)
+	buf := make([]byte, 0, 16+len(ix.order)*136)
 	buf = append(buf, kindHeader)
 	buf = wire.AppendUvarint(buf, uint64(ix.capacity))
 	buf = wire.AppendUvarint(buf, uint64(ix.nextID))
 	buf = wire.AppendUvarint(buf, uint64(ix.fanout))
-	buf = wire.AppendUvarint(buf, uint64(len(ix.pages)))
-	for _, id := range ix.PageIDs() {
-		pi := ix.pages[id]
+	buf = wire.AppendUvarint(buf, uint64(len(ix.order)))
+	for _, pi := range ix.order {
 		buf = wire.AppendUvarint(buf, uint64(pi.num))
 		buf = wire.AppendUvarint(buf, uint64(pi.count))
 		buf = wire.AppendBytes(buf, pi.wrapped)
@@ -62,22 +60,19 @@ func UnmarshalIndex(data []byte) (*Index, error) {
 	}
 	ix.nextID, ix.fanout = nextID, fanout
 	ix.ClearDirty()
+	ix.pages, ix.order = make(map[string]*pageInfo, n), make([]*pageInfo, 0, n)
 	prev := 0
 	for i := 0; i < n; i++ {
-		pi := &pageInfo{num: r.Int(nextID), count: r.Int(capacity), wrapped: r.Bytes(), handle: r.Bytes()}
+		num, count, wrapped, handle := r.Int(nextID), r.Int(capacity), r.Bytes(), r.Bytes()
 		if r.Err() != nil {
 			break
 		}
-		if pi.num <= prev || pi.count < 1 {
-			return nil, fmt.Errorf("%w: header: partition %d after %d with %d members", ErrBadDirectory, pi.num, prev, pi.count)
+		if num <= prev || count < 1 {
+			return nil, fmt.Errorf("%w: header: partition %d after %d with %d members", ErrBadDirectory, num, prev, count)
 		}
-		prev = pi.num
-		id := pageID(pi.num)
-		ix.pages[id] = pi
-		ix.members += pi.count
-		if pi.count < capacity {
-			ix.markOpen(id)
-		}
+		prev = num
+		pi := ix.addPage(num, count)
+		pi.wrapped, pi.handle = wrapped, handle
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrBadDirectory, err)
@@ -95,24 +90,25 @@ type BucketEntry struct {
 //
 //	'B' fanout i n { name pageNum }…
 //
-// names in ascending order. An absent bucket encodes as an empty one.
+// names in ascending order, the order the bucket keeps them in. An absent
+// bucket encodes as an empty one.
 func (ix *Index) marshalBucket(i int) []byte {
-	b := ix.buckets[i]
-	names := make([]string, 0, len(b))
-	size := 16
-	for m := range b {
-		names = append(names, m)
-		size += len(m) + 4
+	var entries []binding
+	if b := ix.buckets[i]; b != nil {
+		entries = b.entries
 	}
-	sort.Strings(names)
+	size := 16
+	for _, e := range entries {
+		size += len(e.member) + 4
+	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, kindBucket)
 	buf = wire.AppendUvarint(buf, uint64(ix.fanout))
 	buf = wire.AppendUvarint(buf, uint64(i))
-	buf = wire.AppendUvarint(buf, uint64(len(names)))
-	for _, m := range names {
-		buf = wire.AppendString(buf, m)
-		buf = wire.AppendUvarint(buf, uint64(ix.pages[b[m]].num))
+	buf = wire.AppendUvarint(buf, uint64(len(entries)))
+	for _, e := range entries {
+		buf = wire.AppendString(buf, e.member)
+		buf = wire.AppendUvarint(buf, uint64(e.page.num))
 	}
 	return buf
 }

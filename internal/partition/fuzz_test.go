@@ -2,6 +2,10 @@ package partition
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -67,8 +71,6 @@ func FuzzUnmarshalBucket(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Re-encode through an index holding exactly these bindings.
-		back := &Index{fanout: fanout, pages: map[string]*pageInfo{}, buckets: map[int]map[string]string{index: {}}}
 		for i, e := range entries {
 			if i > 0 && e.Member <= entries[i-1].Member {
 				t.Fatalf("accepted bucket lists %q after %q", e.Member, entries[i-1].Member)
@@ -76,15 +78,74 @@ func FuzzUnmarshalBucket(f *testing.F) {
 			if BucketOf(e.Member, fanout) != index {
 				t.Fatalf("accepted bucket %d of %d holds %q", index, fanout, e.Member)
 			}
-			var num int
-			for _, c := range e.Page[1:] {
-				num = num*10 + int(c-'0')
-			}
-			back.pages[e.Page] = &pageInfo{num: num}
-			back.buckets[index][e.Member] = e.Page
 		}
-		if !bytes.Equal(back.marshalBucket(index), data) {
+		if !bytes.Equal(reencodeBucket(t, data, entries, fanout, index), data) {
 			t.Fatal("accepted bucket is not the canonical encoding of what it decoded to")
 		}
 	})
+}
+
+// reencodeBucket re-encodes an accepted bucket through the public path: a
+// header that counts exactly its bindings, a fetch that serves it, one
+// binding taken out and put back so TakeDirty writes the bucket again. An
+// empty bucket gets a name that hashes to it bound and unbound instead; when
+// no such name turns up quickly (a wide directory) it is returned as it came.
+func reencodeBucket(t *testing.T, data []byte, entries []BucketEntry, fanout, index int) []byte {
+	t.Helper()
+	counts := map[uint64]uint64{}
+	for _, e := range entries {
+		num, err := strconv.ParseUint(e.Page[1:], 10, 64)
+		if err != nil {
+			t.Fatalf("decoded partition ID %q", e.Page)
+		}
+		counts[num]++
+	}
+	member := ""
+	if len(entries) == 0 {
+		counts[1] = 1 // a partition of the group's other buckets, with room
+		for i := 0; i < 64 && member == ""; i++ {
+			if name := fmt.Sprintf("n%d", i); BucketOf(name, fanout) == index {
+				member = name
+			}
+		}
+		if member == "" {
+			return data
+		}
+	}
+	nums := slices.Sorted(maps.Keys(counts))
+	capacity := uint64(2)
+	pages := make([][2]uint64, len(nums))
+	for i, num := range nums {
+		pages[i] = [2]uint64{num, counts[num]}
+		capacity = max(capacity, counts[num])
+	}
+	ix, err := UnmarshalIndex(header(capacity, nums[len(nums)-1], uint64(fanout), pages...))
+	if err != nil {
+		t.Fatalf("header for the accepted bucket: %v", err)
+	}
+	want := BucketObject(index)
+	ix.SetBucketFetch(func(object string) ([]byte, error) {
+		if object != want {
+			t.Fatalf("fetch of %s, want %s", object, want)
+		}
+		return data, nil
+	})
+	if member != "" {
+		if err := ix.Bind("p000001", member); err != nil {
+			t.Fatalf("bind into an empty bucket: %v", err)
+		}
+		if _, err := ix.Unbind(member); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		m := entries[len(entries)/2].Member
+		id, err := ix.Unbind(m)
+		if err != nil {
+			t.Fatalf("accepted bucket does not load under a header that counts it: %v", err)
+		}
+		if err := ix.Bind(id, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ix.TakeDirty()[want]
 }

@@ -2,8 +2,11 @@ package partition
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // Names of the reserved objects this package encodes. Partition objects are
@@ -50,6 +53,10 @@ type BucketFetch func(object string) ([]byte, error)
 // Buckets an operation changed are tracked until TakeDirty hands them out
 // for persisting.
 //
+// Both halves are kept in the order their encodings list them — partitions
+// ascending by number, each bucket's bindings ascending by name — so
+// encoding one walks a slice, with no sort and no per-name hashing.
+//
 // An Index is not safe for concurrent use; internal/core serialises access
 // per group.
 type Index struct {
@@ -57,20 +64,43 @@ type Index struct {
 	nextID   int
 	members  int
 	pages    map[string]*pageInfo
-	open     []string // page IDs with spare capacity, O(1) uniform pick
+	order    []*pageInfo // every partition, ascending by number: the header's order
+	open     []string    // page IDs with spare capacity, O(1) uniform pick
 	openPos  map[string]int
 
 	fanout  int
-	buckets map[int]map[string]string // resident buckets: member → page ID
+	buckets map[int]*dirBucket // resident buckets
 	fetch   BucketFetch
 	dirty   map[int]bool
 }
 
 type pageInfo struct {
+	id      string
 	num     int // the NNNNNN of the page ID
 	count   int
 	wrapped []byte // yᵢ
 	handle  []byte // sealed re-wrap handle
+}
+
+// binding is one directory entry: a member and the partition hosting it.
+type binding struct {
+	member string
+	page   *pageInfo
+}
+
+// dirBucket is a resident directory bucket: its bindings sorted by member
+// name, the order its encoding lists them in. Lookups binary-search it;
+// Bind and Unbind insert and delete in place.
+type dirBucket struct {
+	entries []binding
+}
+
+// search returns the position of user in the bucket, or where it would be
+// inserted, and whether it is there.
+func (b *dirBucket) search(user string) (int, bool) {
+	return slices.BinarySearchFunc(b.entries, user, func(e binding, u string) int {
+		return strings.Compare(e.member, u)
+	})
 }
 
 // NewIndex creates an empty index with fixed partition capacity m and a
@@ -85,7 +115,7 @@ func NewIndex(capacity, members int) (*Index, error) {
 		pages:    make(map[string]*pageInfo),
 		openPos:  make(map[string]int),
 		fanout:   (members + capacity - 1) / capacity,
-		buckets:  make(map[int]map[string]string),
+		buckets:  make(map[int]*dirBucket),
 		dirty:    make(map[int]bool),
 	}
 	if ix.fanout < 1 {
@@ -116,17 +146,17 @@ func (ix *Index) Capacity() int { return ix.capacity }
 func (ix *Index) Len() int { return ix.members }
 
 // PageCount returns the number of partitions |P|.
-func (ix *Index) PageCount() int { return len(ix.pages) }
+func (ix *Index) PageCount() int { return len(ix.order) }
 
 // Fanout returns the number of directory buckets.
 func (ix *Index) Fanout() int { return ix.fanout }
 
 // bucket returns directory bucket i, loading and validating it on first use.
-func (ix *Index) bucket(i int) (map[string]string, error) {
+func (ix *Index) bucket(i int) (*dirBucket, error) {
 	if b, ok := ix.buckets[i]; ok {
 		return b, nil
 	}
-	b := make(map[string]string)
+	b := &dirBucket{}
 	if ix.fetch != nil {
 		data, err := ix.fetch(BucketObject(i))
 		if err != nil {
@@ -136,13 +166,15 @@ func (ix *Index) bucket(i int) (map[string]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		perPage := make(map[string]int)
-		for _, e := range entries {
-			pi, ok := ix.pages[e.Page]
-			if perPage[e.Page]++; !ok || perPage[e.Page] > pi.count {
+		b.entries = make([]binding, len(entries))
+		bound := make(map[*pageInfo]int)
+		for j, e := range entries {
+			pi := ix.pages[e.Page]
+			if pi == nil || bound[pi] >= pi.count {
 				return nil, fmt.Errorf("%w: %s binds more members to %s than the header counts", ErrBadDirectory, BucketObject(i), e.Page)
 			}
-			b[e.Member] = e.Page
+			bound[pi]++
+			b.entries[j] = binding{e.Member, pi}
 		}
 	}
 	ix.buckets[i] = b
@@ -166,8 +198,11 @@ func (ix *Index) PageOf(user string) (string, bool, error) {
 	if err != nil {
 		return "", false, err
 	}
-	id, ok := b[user]
-	return id, ok, nil
+	j, ok := b.search(user)
+	if !ok {
+		return "", false, nil
+	}
+	return b.entries[j].page.id, true, nil
 }
 
 // Contains reports whether user is in the group.
@@ -209,23 +244,62 @@ func (ix *Index) SetEnvelope(id string, wrapped, handle []byte) {
 
 // PageIDs returns all partition IDs in allocation order.
 func (ix *Index) PageIDs() []string {
-	out := make([]string, 0, len(ix.pages))
-	for id := range ix.pages {
-		out = append(out, id)
+	out := make([]string, len(ix.order))
+	for i, pi := range ix.order {
+		out[i] = pi.id
 	}
-	sort.Slice(out, func(i, j int) bool { return ix.pages[out[i]].num < ix.pages[out[j]].num })
 	return out
 }
 
-func pageID(num int) string { return fmt.Sprintf("p%06d", num) }
+// PageEntry is one partition's line of the group header.
+type PageEntry struct {
+	ID              string
+	Count           int
+	Wrapped, Handle []byte // the index's own slices, as Envelope returns them
+}
+
+// Entries yields every partition's header line in allocation order — the
+// header's own order — straight off the index, with no copy of the ID list
+// and no lookup per partition. The index must not change during the walk.
+func (ix *Index) Entries() iter.Seq[PageEntry] {
+	return func(yield func(PageEntry) bool) {
+		for _, pi := range ix.order {
+			if !yield(PageEntry{ID: pi.id, Count: pi.count, Wrapped: pi.wrapped, Handle: pi.handle}) {
+				return
+			}
+		}
+	}
+}
+
+// pageID formats partition number num as "p" and at least six digits,
+// zero-padded: fmt's "p%06d" without fmt, since decoding a header makes one
+// per partition.
+func pageID(num int) string {
+	var buf [24]byte
+	b := append(buf[:0], 'p')
+	for n := 100000; n > 1 && num < n; n /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(num), 10))
+}
+
+// addPage registers partition num (above every registered one) with count
+// members, open when it has room.
+func (ix *Index) addPage(num, count int) *pageInfo {
+	pi := &pageInfo{id: pageID(num), num: num, count: count}
+	ix.pages[pi.id] = pi
+	ix.order = append(ix.order, pi)
+	ix.members += count
+	if count < ix.capacity {
+		ix.markOpen(pi.id)
+	}
+	return pi
+}
 
 // NewPage allocates the next partition ID and registers an empty open page.
 func (ix *Index) NewPage() string {
 	ix.nextID++
-	id := pageID(ix.nextID)
-	ix.pages[id] = &pageInfo{num: ix.nextID}
-	ix.markOpen(id)
-	return id
+	return ix.addPage(ix.nextID, 0).id
 }
 
 // Bind places user into the given partition, enforcing uniqueness (against
@@ -236,7 +310,8 @@ func (ix *Index) Bind(id, user string) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := b[user]; ok {
+	j, found := b.search(user)
+	if found {
 		return fmt.Errorf("%w: %s", ErrMemberExists, user)
 	}
 	pi, ok := ix.pages[id]
@@ -248,7 +323,7 @@ func (ix *Index) Bind(id, user string) error {
 	}
 	pi.count++
 	ix.members++
-	b[user] = id
+	b.entries = slices.Insert(b.entries, j, binding{user, pi})
 	ix.dirty[i] = true
 	if pi.count >= ix.capacity {
 		ix.markFull(id)
@@ -265,25 +340,28 @@ func (ix *Index) Unbind(user string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	id, ok := b[user]
+	j, ok := b.search(user)
 	if !ok {
 		return "", fmt.Errorf("%w: %s", ErrNoSuchMember, user)
 	}
-	delete(b, user)
+	pi := b.entries[j].page
+	b.entries = slices.Delete(b.entries, j, j+1)
 	ix.dirty[i] = true
-	pi := ix.pages[id]
 	if pi.count == ix.capacity {
-		ix.markOpen(id)
+		ix.markOpen(pi.id)
 	}
 	pi.count--
 	ix.members--
-	return id, nil
+	return pi.id, nil
 }
 
 // DropPage removes the partition from the index. Any members still bound to
 // it are left dangling; callers drop only emptied pages.
 func (ix *Index) DropPage(id string) {
-	delete(ix.pages, id)
+	if pi, ok := ix.pages[id]; ok {
+		delete(ix.pages, id)
+		ix.order = slices.DeleteFunc(ix.order, func(p *pageInfo) bool { return p == pi })
+	}
 	ix.markFull(id)
 }
 
@@ -304,25 +382,25 @@ func (ix *Index) PickOpen(rng *rand.Rand) (string, bool) {
 // re-partition when fewer than half of the partitions are at least
 // two-thirds full. Single-partition groups never trigger it.
 func (ix *Index) NeedsRepartition() bool {
-	if len(ix.pages) <= 1 {
+	if len(ix.order) <= 1 {
 		return false
 	}
 	threshold := (2*ix.capacity + 2) / 3 // ⌈2m/3⌉
 	wellFilled := 0
-	for _, pi := range ix.pages {
+	for _, pi := range ix.order {
 		if pi.count >= threshold {
 			wellFilled++
 		}
 	}
-	return 2*wellFilled < len(ix.pages)
+	return 2*wellFilled < len(ix.order)
 }
 
 // Occupancy returns the mean fill ratio across partitions (0 when empty).
 func (ix *Index) Occupancy() float64 {
-	if len(ix.pages) == 0 {
+	if len(ix.order) == 0 {
 		return 0
 	}
-	return float64(ix.members) / float64(len(ix.pages)*ix.capacity)
+	return float64(ix.members) / float64(len(ix.order)*ix.capacity)
 }
 
 // NeedsGrow reports whether the directory holds more than twice the names it
@@ -331,18 +409,21 @@ func (ix *Index) NeedsGrow() bool { return ix.members > 2*ix.capacity*ix.fanout 
 
 // Grow doubles the fan-out and re-buckets every name, a hash-table resize:
 // O(group) once per doubling of the group, every bucket dirty afterwards.
-// Every bucket must be resident (LoadAll).
+// Every bucket must be resident (LoadAll). A name in bucket i hashes to
+// bucket i or i + fanout of the doubled directory, so splitting each sorted
+// bucket in order leaves both halves sorted.
 func (ix *Index) Grow() {
 	fanout := 2 * ix.fanout
-	grown := make(map[int]map[string]string, fanout)
+	grown := make(map[int]*dirBucket, fanout)
 	ix.dirty = make(map[int]bool, fanout)
 	for i := 0; i < fanout; i++ {
-		grown[i] = make(map[string]string)
+		grown[i] = &dirBucket{}
 		ix.dirty[i] = true
 	}
 	for _, b := range ix.buckets {
-		for m, id := range b {
-			grown[BucketOf(m, fanout)][m] = id
+		for _, e := range b.entries {
+			nb := grown[BucketOf(e.member, fanout)]
+			nb.entries = append(nb.entries, e)
 		}
 	}
 	ix.fanout, ix.buckets = fanout, grown
@@ -371,11 +452,11 @@ func (ix *Index) Members() ([]string, error) {
 	}
 	out := make([]string, 0, ix.members)
 	for _, b := range ix.buckets {
-		for m := range b {
-			out = append(out, m)
+		for _, e := range b.entries {
+			out = append(out, e.member)
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -392,13 +473,15 @@ func (ix *Index) MembersAfter(after string, limit int) ([]string, error) {
 	}
 	out := make([]string, 0, limit)
 	for _, b := range ix.buckets {
-		for m := range b {
-			if m > after {
-				out = append(out, m)
-			}
+		j, found := b.search(after)
+		if found {
+			j++
+		}
+		for _, e := range b.entries[j:] {
+			out = append(out, e.member)
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	if len(out) > limit {
 		out = out[:limit]
 	}

@@ -1,11 +1,18 @@
 package partition
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
+
+	"github.com/ibbesgx/ibbesgx/internal/wire"
 )
 
 func TestIndexBindUnbindLifecycle(t *testing.T) {
@@ -401,5 +408,359 @@ func TestAdaptiveConcurrentObservers(t *testing.T) {
 	}
 	if m := a.Suggest(1000); m < 2 || m > 1000 {
 		t.Fatalf("Suggest out of clamp range: %d", m)
+	}
+}
+
+func TestPageIDMatchesFmt(t *testing.T) {
+	for _, num := range []int{0, 1, 9, 10, 99, 100, 12345, 99999, 100000, 999999, 1000000, 1234567, math.MaxInt32} {
+		if got, want := pageID(num), fmt.Sprintf("p%06d", num); got != want {
+			t.Fatalf("pageID(%d) = %q, want %q", num, got, want)
+		}
+	}
+}
+
+// refIndex is the map-and-sort model the Index replaced: bindings in one
+// map per bucket, partitions in a map, and every encoding sorts on the way
+// out. FuzzIndexOps drives it beside an Index and pins every encoding and
+// listing of the Index to it.
+type refIndex struct {
+	capacity, nextID, fanout int
+	pages                    map[string]*pageInfo
+	buckets                  map[int]map[string]string // member → page ID
+	dirty                    map[int]bool
+}
+
+func newRefIndex(capacity, members, nextID int) *refIndex {
+	r := &refIndex{
+		capacity: capacity,
+		nextID:   nextID,
+		fanout:   max(1, (members+capacity-1)/capacity),
+		pages:    map[string]*pageInfo{},
+		buckets:  map[int]map[string]string{},
+		dirty:    map[int]bool{},
+	}
+	for i := 0; i < r.fanout; i++ {
+		r.buckets[i] = map[string]string{}
+		r.dirty[i] = true
+	}
+	return r
+}
+
+func (r *refIndex) pageIDs() []string {
+	out := make([]string, 0, len(r.pages))
+	for id := range r.pages {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return r.pages[out[i]].num < r.pages[out[j]].num })
+	return out
+}
+
+func (r *refIndex) members() []string {
+	var out []string
+	for _, b := range r.buckets {
+		for m := range b {
+			out = append(out, m)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (r *refIndex) bind(id, user string) {
+	i := BucketOf(user, r.fanout)
+	r.buckets[i][user] = id
+	r.pages[id].count++
+	r.dirty[i] = true
+}
+
+func (r *refIndex) unbind(user string) string {
+	i := BucketOf(user, r.fanout)
+	id := r.buckets[i][user]
+	delete(r.buckets[i], user)
+	r.pages[id].count--
+	r.dirty[i] = true
+	return id
+}
+
+func (r *refIndex) grow() {
+	grown := newRefIndex(r.capacity, 2*r.fanout*r.capacity, r.nextID)
+	for _, b := range r.buckets {
+		for m, id := range b {
+			grown.buckets[BucketOf(m, grown.fanout)][m] = id
+		}
+	}
+	r.fanout, r.buckets, r.dirty = grown.fanout, grown.buckets, grown.dirty
+}
+
+// takeDirty is TakeDirty over the model.
+func (r *refIndex) takeDirty() map[string][]byte {
+	out := map[string][]byte{}
+	for i := range r.dirty {
+		out[BucketObject(i)] = marshalBucketReference(r, i)
+	}
+	r.dirty = map[int]bool{}
+	return out
+}
+
+// marshalReference is the header encoder the Index used before it kept its
+// partitions in order: the IDs sorted by number on every call.
+func marshalReference(r *refIndex) []byte {
+	buf := []byte{kindHeader}
+	buf = wire.AppendUvarint(buf, uint64(r.capacity))
+	buf = wire.AppendUvarint(buf, uint64(r.nextID))
+	buf = wire.AppendUvarint(buf, uint64(r.fanout))
+	buf = wire.AppendUvarint(buf, uint64(len(r.pages)))
+	for _, id := range r.pageIDs() {
+		pi := r.pages[id]
+		buf = wire.AppendUvarint(buf, uint64(pi.num))
+		buf = wire.AppendUvarint(buf, uint64(pi.count))
+		buf = wire.AppendBytes(buf, pi.wrapped)
+		buf = wire.AppendBytes(buf, pi.handle)
+	}
+	return buf
+}
+
+// marshalBucketReference is the bucket encoder the Index used before it kept
+// its buckets sorted: the names sorted on every call, each page number
+// looked up by ID.
+func marshalBucketReference(r *refIndex, i int) []byte {
+	b := r.buckets[i]
+	names := make([]string, 0, len(b))
+	for m := range b {
+		names = append(names, m)
+	}
+	sort.Strings(names)
+	buf := []byte{kindBucket}
+	buf = wire.AppendUvarint(buf, uint64(r.fanout))
+	buf = wire.AppendUvarint(buf, uint64(i))
+	buf = wire.AppendUvarint(buf, uint64(len(names)))
+	for _, m := range names {
+		buf = wire.AppendString(buf, m)
+		buf = wire.AppendUvarint(buf, uint64(r.pages[b[m]].num))
+	}
+	return buf
+}
+
+// FuzzIndexOps runs a seeded random stream of index operations — new pages,
+// binds, unbinds, page drops, envelope updates, directory growth,
+// re-partitions, and reloads from the persisted objects so that buckets
+// come back through the fetch — on an Index and on the map-and-sort model
+// side by side. After every operation the dirty buckets and the header must
+// encode byte for byte as the model's, the partition order must match, and
+// now and then the full and paged member listings too.
+func FuzzIndexOps(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint16(200))
+	f.Add(int64(2), uint8(1), uint16(400))
+	f.Add(int64(29), uint8(8), uint16(600))
+	f.Fuzz(func(t *testing.T, seed int64, capacity uint8, steps uint16) {
+		if capacity == 0 || capacity > 32 || steps > 2000 {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		c := int(capacity)
+		initial := rng.Intn(4 * c)
+		ix, err := NewIndex(c, initial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefIndex(c, initial, 0)
+		store := map[string][]byte{}
+		var names []string // every member, in join order
+		fresh := 0
+		persist := func(step int) {
+			got, want := ix.TakeDirty(), ref.takeDirty()
+			if len(got) != len(want) {
+				t.Fatalf("step %d: %d dirty buckets, model has %d", step, len(got), len(want))
+			}
+			for object, blob := range want {
+				if !bytes.Equal(got[object], blob) {
+					t.Fatalf("step %d: %s encodes differently from the model", step, object)
+				}
+				store[object] = blob
+			}
+			header := ix.Marshal()
+			if !bytes.Equal(header, marshalReference(ref)) {
+				t.Fatalf("step %d: header encodes differently from the model", step)
+			}
+			store[HeaderObject] = header
+			if !slices.Equal(ix.PageIDs(), ref.pageIDs()) {
+				t.Fatalf("step %d: PageIDs %v, model %v", step, ix.PageIDs(), ref.pageIDs())
+			}
+			var entries []string
+			for e := range ix.Entries() {
+				if wy, wh := ix.Envelope(e.ID); e.Count != ix.Count(e.ID) || !bytes.Equal(e.Wrapped, wy) || !bytes.Equal(e.Handle, wh) {
+					t.Fatalf("step %d: Entries disagrees with Count/Envelope on %s", step, e.ID)
+				}
+				entries = append(entries, e.ID)
+			}
+			if !slices.Equal(entries, ref.pageIDs()) {
+				t.Fatalf("step %d: Entries order %v, model %v", step, entries, ref.pageIDs())
+			}
+		}
+		for step := 0; step < int(steps); step++ {
+			switch op := rng.Intn(20); {
+			case op < 8: // join
+				id, ok := ix.PickOpen(rng)
+				if !ok {
+					id = ix.NewPage()
+					ref.nextID++
+					ref.pages[id] = &pageInfo{num: ref.nextID}
+				}
+				if ref.pages[id] == nil || ref.pages[id].count >= c {
+					t.Fatalf("step %d: PickOpen offered %s, which the model has full or unknown", step, id)
+				}
+				name := fmt.Sprintf("m%d-%d", fresh, rng.Intn(1000))
+				fresh++
+				if err := ix.Bind(id, name); err != nil {
+					t.Fatalf("step %d: bind %s: %v", step, name, err)
+				}
+				ref.bind(id, name)
+				names = append(names, name)
+			case op < 13 && len(names) > 0: // leave, dropping an emptied partition
+				k := rng.Intn(len(names))
+				name := names[k]
+				names = slices.Delete(names, k, k+1)
+				id, err := ix.Unbind(name)
+				if err != nil {
+					t.Fatalf("step %d: unbind %s: %v", step, name, err)
+				}
+				if want := ref.unbind(name); id != want {
+					t.Fatalf("step %d: %s left %s, model says %s", step, name, id, want)
+				}
+				if ref.pages[id].count == 0 {
+					ix.DropPage(id)
+					delete(ref.pages, id)
+				}
+			case op < 15 && len(ref.pages) > 0: // envelope update
+				ids := ref.pageIDs()
+				id := ids[rng.Intn(len(ids))]
+				y, h := []byte(fmt.Sprintf("y%d", rng.Int())), []byte(fmt.Sprintf("h%d", rng.Int()))
+				ix.SetEnvelope(id, y, h)
+				ref.pages[id].wrapped, ref.pages[id].handle = y, h
+			case op == 15 || ix.NeedsGrow(): // directory growth
+				if err := ix.LoadAll(); err != nil {
+					t.Fatal(err)
+				}
+				ix.Grow()
+				ref.grow()
+			case op == 16: // re-partition into a fresh index
+				members, err := ix.Members()
+				if err != nil {
+					t.Fatal(err)
+				}
+				dense := ix.Repacked(len(members))
+				next := newRefIndex(c, len(members), ref.nextID)
+				for _, chunk := range Split(members, c) {
+					id := dense.NewPage()
+					next.nextID++
+					next.pages[id] = &pageInfo{num: next.nextID}
+					for _, m := range chunk {
+						if err := dense.Bind(id, m); err != nil {
+							t.Fatal(err)
+						}
+						next.bind(id, m)
+					}
+				}
+				ix, ref = dense, next
+				clear(store)
+			case op == 17: // listings
+				members, err := ix.Members()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := ref.members()
+				if !slices.Equal(members, want) {
+					t.Fatalf("step %d: Members diverges from the model", step)
+				}
+				after := ""
+				if len(want) > 0 && rng.Intn(2) == 0 {
+					after = want[rng.Intn(len(want))]
+				}
+				limit := 1 + rng.Intn(2*c)
+				page, err := ix.MembersAfter(after, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				j, _ := slices.BinarySearch(want, after)
+				for j < len(want) && want[j] <= after {
+					j++
+				}
+				if tail := want[j:]; !slices.Equal(page, tail[:min(limit, len(tail))]) {
+					t.Fatalf("step %d: MembersAfter(%q, %d) = %v", step, after, limit, page)
+				}
+			default: // reload from the store: buckets come back through the fetch
+				persist(step)
+				loaded, err := UnmarshalIndex(store[HeaderObject])
+				if err != nil {
+					t.Fatalf("step %d: reloading the header: %v", step, err)
+				}
+				snapshot := maps.Clone(store)
+				loaded.SetBucketFetch(func(object string) ([]byte, error) {
+					data, ok := snapshot[object]
+					if !ok {
+						return nil, fmt.Errorf("no object %s", object)
+					}
+					return data, nil
+				})
+				ix = loaded
+			}
+			persist(step)
+		}
+		checkInvariants(t, ix)
+	})
+}
+
+// benchIndex is the paper-shaped index of BenchmarkIndexTakeDirty and
+// BenchmarkIndexMarshal: 128 full partitions of capacity 256, a directory of
+// 128 buckets of about 256 names, every envelope set.
+func benchIndex(b *testing.B) (*Index, []string) {
+	const capacity, parts = 256, 128
+	members := make([]string, capacity*parts)
+	for i := range members {
+		members[i] = fmt.Sprintf("user-%06d@example.com", i)
+	}
+	ix, err := NewIndex(capacity, len(members))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := bootstrap(ix, members); err != nil {
+		b.Fatal(err)
+	}
+	for _, id := range ix.PageIDs() {
+		ix.SetEnvelope(id, make([]byte, 60), make([]byte, 100))
+	}
+	ix.TakeDirty()
+	return ix, members
+}
+
+// BenchmarkIndexTakeDirty is the directory share of one membership op: a
+// name leaves and rejoins its partition, and the one bucket it dirtied is
+// encoded.
+func BenchmarkIndexTakeDirty(b *testing.B) {
+	ix, members := benchIndex(b)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		m := members[i%len(members)]
+		i += 7919
+		id, err := ix.Unbind(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ix.Bind(id, m); err != nil {
+			b.Fatal(err)
+		}
+		if len(ix.TakeDirty()) != 1 {
+			b.Fatal("one rebind dirtied more than one bucket")
+		}
+	}
+}
+
+// BenchmarkIndexMarshal is the group header every op rewrites.
+func BenchmarkIndexMarshal(b *testing.B) {
+	ix, _ := benchIndex(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		ix.Marshal()
 	}
 }

@@ -307,6 +307,36 @@ func (m *MemStore) Get(ctx context.Context, dir, name string) ([]byte, error) {
 	return append([]byte(nil), data...), nil
 }
 
+// GetMany implements MultiGetter: one Get latency and one lock acquisition
+// for every name.
+func (m *MemStore) GetMany(ctx context.Context, dir string, names []string) ([][]byte, []error) {
+	data, errs := make([][]byte, len(names)), make([]error, len(names))
+	if err := sleepCtx(ctx, m.lat.Get); err != nil {
+		for i := range errs {
+			errs[i] = err
+		}
+		return data, errs
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	d := m.dirs[dir]
+	for i, name := range names {
+		if d == nil {
+			errs[i] = fmt.Errorf("%w: %s", ErrNotFound, dir)
+			continue
+		}
+		obj, ok := d.objects[name]
+		if !ok {
+			errs[i] = fmt.Errorf("%w: %s/%s", ErrNotFound, dir, name)
+			continue
+		}
+		m.gets++
+		m.byteTx += int64(len(obj))
+		data[i] = append([]byte(nil), obj...)
+	}
+	return data, errs
+}
+
 // GetVersioned implements Store: object bytes and directory version read
 // under one lock acquisition, so the pair is consistent.
 func (m *MemStore) GetVersioned(ctx context.Context, dir, name string) ([]byte, uint64, error) {
