@@ -6,8 +6,9 @@
 //
 //	cloudsim -listen :8080 [-put-latency 50ms] [-get-latency 30ms]
 //
-// Administrators (ibbe-admin) PUT partition records; clients (ibbe-client)
-// long-poll their group directory and GET their partition record.
+// Administrators (the ibbe-cluster shards) publish each membership update
+// as one conditional commit; clients (ibbe-client) long-poll their group
+// directory and GET their partition record.
 package main
 
 import (

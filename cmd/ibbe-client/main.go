@@ -1,8 +1,9 @@
 // Command ibbe-client is the user side of the demo deployment: it
-// provisions its IBBE secret key from the admin service (verifying the
-// enclave certificate chain), then long-polls the cloud store for its
-// group's metadata and prints the derived group-key fingerprint on every
-// change — including the rotation it observes when somebody is revoked.
+// provisions its IBBE secret key from the admin service — the ibbe-cluster
+// gateway — verifying the enclave certificate chain, then long-polls the
+// cloud store for its group's metadata and prints the derived group-key
+// fingerprint on every change — including the rotation it observes when
+// somebody is revoked.
 //
 // Usage:
 //

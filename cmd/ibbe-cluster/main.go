@@ -11,13 +11,27 @@
 //	ibbe-cluster -shards 3 -listen :9091 \
 //	             [-store http://127.0.0.1:8080]   (empty = embedded in-memory store)
 //	             [-capacity 1000] [-params fast-160|medium-256|paper-512] \
-//	             [-lease-ttl 15s] [-workers N] [-provisioning sealed|threshold]
-//	             [-platform-state cluster.platform]
+//	             [-lease-ttl 15s] [-workers N] [-resident-pages N]
+//	             [-provisioning sealed|threshold] [-platform-state cluster.platform]
 //
-// Then drive the gateway exactly like a single admin:
+// One shard (-shards 1) is the single-administrator deployment. Drive the
+// gateway with curl (or examples/filesharing, or client.AdminAPI), and point
+// ibbe-client's -admin at it for key provisioning (/provision, /info):
 //
-//	curl -X POST :9091/admin/create -d '{"group":"g","members":["a","b"]}'
-//	curl -X POST :9091/admin/add    -d '{"group":"g","user":"c"}'
+//	curl -X POST :9091/admin/create       -d '{"group":"g","members":["a","b"]}'
+//	curl -X POST :9091/admin/add          -d '{"group":"g","user":"c"}'
+//	curl -X POST :9091/admin/remove       -d '{"group":"g","user":"a"}'
+//	curl -X POST :9091/admin/add-batch    -d '{"group":"g","users":["d","e","f"]}'
+//	curl -X POST :9091/admin/remove-batch -d '{"group":"g","users":["b","c"]}'
+//	curl ':9091/admin/members?group=g&limit=1000'
+//
+// The batch routes coalesce the whole batch into one re-key pass per touched
+// partition; -workers bounds each shard's per-partition fan-out (0 = all
+// CPUs). The members route is paged — walk arbitrarily large groups with the
+// returned "next" cursor (client.AdminAPI.AllMembers does this for you).
+// -resident-pages bounds each group's in-memory partition-page cache:
+// untouched pages evict and rehydrate from the store on demand, keeping
+// per-op memory O(partition) instead of O(group).
 //
 // The member set is elastic. The gateway's control API lives under
 // /admin/cluster/v1/ and answers every request with the uniform envelope
@@ -100,6 +114,7 @@ type options struct {
 	paramsName    string
 	leaseTTL      time.Duration
 	workers       int
+	residentPages int
 	provision     string
 	platformState string
 
@@ -122,6 +137,7 @@ func main() {
 	flag.StringVar(&o.paramsName, "params", "fast-160", "pairing scale: fast-160, medium-256, paper-512")
 	flag.DurationVar(&o.leaseTTL, "lease-ttl", cluster.DefaultLeaseTTL, "group lease duration (failover latency bound)")
 	flag.IntVar(&o.workers, "workers", 0, "per-shard partition worker-pool size (0 = number of CPUs)")
+	flag.IntVar(&o.residentPages, "resident-pages", 0, "per-group resident partition-page bound (0 = unbounded)")
 	flag.StringVar(&o.provision, "provisioning", "sealed", "master-key provisioning: sealed (every enclave holds the full secret) or threshold (Feldman-VSS shares, no enclave ever reconstructs it)")
 	flag.StringVar(&o.platformState, "platform-state", "", "file persisting the simulated platform's sealing/attestation keys (created 0600 if absent); REQUIRED for a threshold restart to re-adopt the sealed share blobs — a fresh platform cannot unseal them")
 	flag.BoolVar(&o.autoscale, "autoscale", false, "start the load-driven autoscaler")
@@ -144,8 +160,29 @@ func main() {
 	}
 }
 
+// run boots the deployment and serves the gateway until it fails.
 func run(o options) error {
-	shards, listen, storeURL := o.shards, o.listen, o.storeURL
+	if o.pprofAddr != "" {
+		go func() {
+			log.Printf("ibbe-cluster: pprof serving on %s", o.pprofAddr)
+			if err := http.ListenAndServe(o.pprofAddr, nil); err != nil {
+				log.Printf("ibbe-cluster: pprof server: %v", err)
+			}
+		}()
+	}
+	g, err := start(context.Background(), o)
+	if err != nil {
+		return err
+	}
+	log.Printf("ibbe-cluster: gateway serving on %s (lease TTL %v, membership epoch %d)", o.listen, o.leaseTTL, g.c.Epoch())
+	return http.ListenAndServe(o.listen, g)
+}
+
+// start wires the store, the cluster, its shard listeners, the router and
+// the autoscaler, and returns the gateway ready to serve. The router follows
+// the persisted membership record until ctx ends.
+func start(ctx context.Context, o options) (*gateway, error) {
+	shards, storeURL := o.shards, o.storeURL
 	capacity, paramsName, leaseTTL, workers := o.capacity, o.paramsName, o.leaseTTL, o.workers
 	var params *pairing.Params
 	var wireName string
@@ -157,7 +194,7 @@ func run(o options) error {
 	case "paper-512":
 		params, wireName = pairing.TypeA512(), "type-a-512"
 	default:
-		return fmt.Errorf("unknown -params %q", paramsName)
+		return nil, fmt.Errorf("unknown -params %q", paramsName)
 	}
 
 	var store storage.Store
@@ -177,11 +214,11 @@ func run(o options) error {
 	case "threshold":
 		provisioning = cluster.ProvisionThreshold
 	default:
-		return fmt.Errorf("unknown -provisioning %q (want sealed or threshold)", o.provision)
+		return nil, fmt.Errorf("unknown -provisioning %q (want sealed or threshold)", o.provision)
 	}
 	platform, err := loadOrCreatePlatform(o.platformState)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// The observability plane: one registry and one tracer shared by the
 	// cluster, every shard and the router, so the gateway's /metrics and
@@ -195,33 +232,26 @@ func run(o options) error {
 		tracer.Slow = o.obsSlow
 		tracer.Logf = log.Printf
 	}
-	if o.pprofAddr != "" {
-		go func() {
-			log.Printf("ibbe-cluster: pprof serving on %s", o.pprofAddr)
-			if err := http.ListenAndServe(o.pprofAddr, nil); err != nil {
-				log.Printf("ibbe-cluster: pprof server: %v", err)
-			}
-		}()
-	}
 	if o.platformState == "" && (provisioning == cluster.ProvisionThreshold || storeURL != "") {
 		log.Printf("ibbe-cluster: WARNING: no -platform-state; sealed blobs (threshold shares, MSK) die with this process — a restart against the same store cannot re-adopt them")
 	}
 	c, err := cluster.New(cluster.Options{
-		Shards:       shards,
-		Capacity:     capacity,
-		Params:       params,
-		ParamsName:   wireName,
-		Store:        store,
-		LeaseTTL:     leaseTTL,
-		Workers:      workers,
-		Seed:         1,
-		Provisioning: provisioning,
-		Platform:     platform,
-		Registry:     registry,
-		Tracer:       tracer,
+		Shards:           shards,
+		Capacity:         capacity,
+		Params:           params,
+		ParamsName:       wireName,
+		Store:            store,
+		LeaseTTL:         leaseTTL,
+		Workers:          workers,
+		MaxResidentPages: o.residentPages,
+		Seed:             1,
+		Provisioning:     provisioning,
+		Platform:         platform,
+		Registry:         registry,
+		Tracer:           tracer,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	boot := c.Membership()
 	if boot.Epoch > 1 {
@@ -238,17 +268,17 @@ func run(o options) error {
 	// address clients need.
 	for _, s := range c.Shards() {
 		if err := g.serveShard(s); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	// The boot-time record was published before any listener existed:
 	// stamp the live URLs into it so store-watching routers resolve us.
-	if err := c.PublishTargets(context.Background()); err != nil {
+	if err := c.PublishTargets(ctx); err != nil {
 		log.Printf("ibbe-cluster: publishing target URLs: %v", err)
 	}
 	router, err := cluster.NewRouter(boot, g.targetSnapshot())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// One request must be able to wait out a dead shard's lease.
 	router.RouteTimeout = 2*leaseTTL + 10*time.Second
@@ -266,7 +296,7 @@ func run(o options) error {
 	// redirect routing without a call into this process. Fenced shard
 	// responses trigger an immediate record re-read on top of the watch.
 	router.EnableDiscovery(store)
-	go router.Watch(context.Background())
+	go router.Watch(ctx)
 	c.Start()
 
 	asCfg := o.asCfg
@@ -280,8 +310,7 @@ func run(o options) error {
 		log.Printf("ibbe-cluster: autoscaler on (members %d..%d, grow>%.0f, shrink<%.0f, every %v)",
 			eff.Min, eff.Max, eff.GrowLoad, eff.ShrinkLoad, eff.Interval)
 	}
-	log.Printf("ibbe-cluster: gateway serving on %s (lease TTL %v, membership epoch %d)", listen, leaseTTL, c.Epoch())
-	return http.ListenAndServe(listen, g)
+	return g, nil
 }
 
 // loadOrCreatePlatform resolves the simulated SGX platform: a persisted

@@ -1,13 +1,17 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	"github.com/ibbesgx/ibbesgx/internal/admin"
+	"github.com/ibbesgx/ibbesgx/internal/client"
 	"github.com/ibbesgx/ibbesgx/internal/cluster"
+	"github.com/ibbesgx/ibbesgx/internal/kdf"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
 
@@ -70,5 +74,72 @@ func TestControlAPIEnvelope(t *testing.T) {
 	}
 	if ps.Mode != string(cluster.ProvisionThreshold) || ps.Generation != c.Epoch() || len(ps.Holders) != 2 {
 		t.Fatalf("dkg status = %+v", ps)
+	}
+}
+
+// TestOneShardServesTheSingleAdminAPI: a one-shard deployment, wired as run
+// wires it over a remote store, is the single-administrator service — groups
+// are created, grown and shrunk through client.AdminAPI, users provision their
+// keys through the gateway, members agree on the group key, and a removal
+// rotates it and evicts the removed user.
+func TestOneShardServesTheSingleAdminAPI(t *testing.T) {
+	cloud := httptest.NewServer(storage.NewServer(storage.NewMemStore(storage.Latency{})))
+	defer cloud.Close()
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	g, err := start(ctx, options{
+		shards: 1, shardHost: "127.0.0.1", storeURL: cloud.URL, capacity: 2,
+		paramsName: "fast-160", leaseTTL: 5 * time.Second, provision: "sealed",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.c.Shutdown(context.Background())
+	gw := httptest.NewServer(g)
+	defer gw.Close()
+
+	api := client.NewAdminAPI(gw.Client(), gw.URL)
+	if err := api.CreateGroup(ctx, "g", []string{"alice@x", "bob@x"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := api.AddUser(ctx, "g", "carol@x"); err != nil {
+		t.Fatal(err)
+	}
+	readers := make(map[string]*client.Client)
+	for _, u := range []string{"alice@x", "bob@x", "carol@x"} {
+		scheme, pk, key, err := admin.ProvisionOverHTTP(gw.Client(), gw.URL, u, nil)
+		if err != nil {
+			t.Fatalf("provisioning %s through the gateway: %v", u, err)
+		}
+		if readers[u], err = client.New(scheme, pk, u, key, storage.NewHTTPStore(cloud.URL), "g"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	agreed := func(users ...string) [kdf.KeySize]byte {
+		t.Helper()
+		var ref [kdf.KeySize]byte
+		for i, u := range users {
+			gk, err := readers[u].Refresh(ctx)
+			if err != nil {
+				t.Fatalf("%s: %v", u, err)
+			}
+			if i == 0 {
+				ref = gk
+			} else if gk != ref {
+				t.Fatalf("%s derives a different group key than %s", u, users[0])
+			}
+		}
+		return ref
+	}
+	before := agreed("alice@x", "bob@x", "carol@x")
+
+	if err := api.RemoveUser(ctx, "g", "bob@x"); err != nil {
+		t.Fatal(err)
+	}
+	if after := agreed("alice@x", "carol@x"); after == before {
+		t.Fatal("the removal did not rotate the group key")
+	}
+	if _, err := readers["bob@x"].Refresh(ctx); !errors.Is(err, client.ErrEvicted) {
+		t.Fatalf("removed user reads the group: %v", err)
 	}
 }

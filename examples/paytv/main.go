@@ -75,15 +75,13 @@ func run() error {
 			mu.Unlock()
 		})
 	}()
-	waitForKeys(&mu, &viewKeys, 1)
+	waitForKeys(&mu, &viewKeys, func(keys []ibbesgx.GroupKey) bool { return len(keys) > 0 })
 
 	// Broadcast a segment under the current key.
-	currentKey := func() ibbesgx.GroupKey {
-		mu.Lock()
-		defer mu.Unlock()
-		return viewKeys[len(viewKeys)-1]
-	}
-	seg1, err := encryptSegment(currentKey(), []byte("segment-001: round one"))
+	mu.Lock()
+	key1 := viewKeys[0]
+	mu.Unlock()
+	seg1, err := encryptSegment(key1, []byte("segment-001: round one"))
 	if err != nil {
 		return err
 	}
@@ -104,8 +102,18 @@ func run() error {
 	}
 	fmt.Println("✓ churn applied: 5 lapses (key rotations), 3 new subscriptions")
 
-	// The watcher has observed at least one rotation.
-	waitForKeys(&mu, &viewKeys, 2)
+	// Segment 2 goes out under the key the cloud holds now. The watcher may
+	// still be delivering the churn's rotations, so wait until the last key
+	// it received is that key, and take it once.
+	fresh, err := sys.NewClient(viewerCreds, store, channel)
+	if err != nil {
+		return err
+	}
+	key2, err := fresh.GroupKey(ctx)
+	if err != nil {
+		return err
+	}
+	waitForKeys(&mu, &viewKeys, func(keys []ibbesgx.GroupKey) bool { return keys[len(keys)-1] == key2 })
 	mu.Lock()
 	rotations := len(viewKeys) - 1
 	mu.Unlock()
@@ -113,7 +121,7 @@ func run() error {
 
 	// A lapsed subscriber still holds the key of segment 1 (she paid for
 	// it) but cannot decrypt segment 2.
-	seg2, err := encryptSegment(currentKey(), []byte("segment-002: round two"))
+	seg2, err := encryptSegment(key2, []byte("segment-002: round two"))
 	if err != nil {
 		return err
 	}
@@ -128,19 +136,16 @@ func run() error {
 	if _, err := lapsed.GroupKey(ctx); !errors.Is(err, ibbesgx.ErrEvicted) {
 		return fmt.Errorf("lapsed subscriber not evicted: %v", err)
 	}
-	if _, err := decryptSegment(currentKey(), seg2); err != nil {
-		return err
+	if _, err := decryptSegment(key1, seg2); err == nil {
+		return errors.New("the key of segment 1 opens segment 2")
 	}
 	fmt.Println("✓ lapsed subscriber cannot derive the key for new segments")
 
 	// The viewer decrypts both segments with the keys received on watch.
-	mu.Lock()
-	first := viewKeys[0]
-	mu.Unlock()
-	if _, err := decryptSegment(first, seg1); err != nil {
+	if _, err := decryptSegment(key1, seg1); err != nil {
 		return fmt.Errorf("viewer cannot decrypt segment 1: %w", err)
 	}
-	if _, err := decryptSegment(currentKey(), seg2); err != nil {
+	if _, err := decryptSegment(key2, seg2); err != nil {
 		return fmt.Errorf("viewer cannot decrypt segment 2: %w", err)
 	}
 	fmt.Println("✓ active viewer decrypts all segments")
@@ -150,13 +155,13 @@ func run() error {
 	return nil
 }
 
-// waitForKeys blocks until the watcher has at least n keys.
-func waitForKeys(mu *sync.Mutex, keys *[]ibbesgx.GroupKey, n int) {
+// waitForKeys blocks until the keys the watcher received satisfy done.
+func waitForKeys(mu *sync.Mutex, keys *[]ibbesgx.GroupKey, done func([]ibbesgx.GroupKey) bool) {
 	for {
 		mu.Lock()
-		have := len(*keys)
+		ok := done(*keys)
 		mu.Unlock()
-		if have >= n {
+		if ok {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)

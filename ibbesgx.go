@@ -49,7 +49,9 @@ type Store = storage.Store
 type Latency = storage.Latency
 
 // Admin is the administrator frontend: membership operations executed in
-// the enclave and published to the cloud store.
+// the enclave and published to the cloud store, each as one conditional
+// commit. An operation whose publish fails drops the group from the
+// administrator's cache; RestoreGroup resumes it from the cloud.
 type Admin = admin.Admin
 
 // Client is a user's view of one group: long-polling listener and group-key

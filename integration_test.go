@@ -125,8 +125,9 @@ func TestIntegrationAdminFaultMidApply(t *testing.T) {
 		t.Skip("end-to-end integration: skipped in -short CI runs")
 	}
 	// The cloud fails partway through a multi-partition removal. The admin
-	// surfaces the error; retrying the publication via Repartition restores
-	// a fully consistent cloud state and clients converge again.
+	// surfaces the error and drops the group from its cache; restoring it
+	// from the cloud and republishing via Repartition leaves a fully
+	// consistent cloud state, and clients converge again.
 	sys := newTestSystem(t, 2)
 	mem := storage.NewMemStore(storage.Latency{})
 	faulty := storage.NewFaultStore(mem)
@@ -152,8 +153,11 @@ func TestIntegrationAdminFaultMidApply(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 
-	// Recovery: force a full republication of the (already-updated) group
-	// state. Clients converge on one key afterwards.
+	// Recovery: resume the group from the cloud and force a full
+	// republication. Clients converge on one key afterwards.
+	if err := admin.RestoreGroup(ctx, "g"); err != nil {
+		t.Fatalf("restore after the failed removal: %v", err)
+	}
 	if err := admin.Repartition(ctx, "g"); err != nil {
 		t.Fatalf("recovery republication failed: %v", err)
 	}

@@ -1,14 +1,13 @@
 // Package admin implements the administrator side of the end-to-end system
 // (Fig. 5): it drives the core.Manager (which in turn calls the enclave)
-// and pushes the resulting partition records to the cloud store with PUT,
-// keeping a local cache so membership operations never need to read back
-// from the cloud (§IV-C: administrators "can locally cache it and thus
-// bypass the cost of accessing the cloud for metadata structures").
+// and publishes each resulting update to the cloud store as one conditional
+// storage.Commit, keeping a local cache so membership operations never need
+// to read back from the cloud (§IV-C: administrators "can locally cache it
+// and thus bypass the cost of accessing the cloud for metadata structures").
 package admin
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -25,6 +24,12 @@ var ErrNoSealedKey = errors.New("admin: group has no sealed group key in the clo
 
 // Admin binds a manager to a cloud store. Operations are safe for
 // concurrent use (the manager serialises, and the store is concurrent).
+//
+// Every update is a storage.Commit conditional on the group directory
+// version this admin last observed, so two administrators racing the same
+// group cannot interleave records from different group keys. An operation
+// whose publish fails for good drops the group from the local cache — the
+// cloud holds the authoritative records — and RestoreGroup resumes it.
 type Admin struct {
 	// Name identifies this administrator in the certified operation log.
 	Name string
@@ -35,15 +40,10 @@ type Admin struct {
 	// future work; see core.OpLog).
 	log *core.OpLog
 
-	// cas switches the apply path to optimistic concurrency: every update is
-	// a storage.Commit conditional on the group directory version this admin
-	// last observed, so two administrators racing the same group cannot
-	// interleave records from different group keys. See EnableCAS.
-	cas bool
 	// fence, when set, supplies the cluster membership epoch stamped on
-	// every conditional write (commit or PutFenced): the store rejects writes
-	// from an admin operating under a superseded membership with ErrFenced —
-	// terminal, never retried. See SetFence.
+	// every commit: the store rejects commits from an admin operating under
+	// a superseded membership with ErrFenced — terminal, never retried. See
+	// SetFence.
 	fence func() uint64
 	// verMu guards dirVer, the per-group directory versions this admin's
 	// cached state corresponds to. Entries are set by RestoreGroup and
@@ -89,36 +89,24 @@ func (a *Admin) groupOpLock(group string) *sync.Mutex {
 	return l
 }
 
-// EnableCAS switches every subsequent apply to compare-and-swap writes with
-// bounded refresh-and-retry: on storage.ErrVersionConflict the group's local
-// state is dropped, rebuilt from the cloud (absorbing the concurrent
-// winner's changes) and the operation re-run. Multi-administrator
-// deployments (internal/cluster) must enable this; a single-admin
-// deployment does not need it.
-func (a *Admin) EnableCAS() { a.cas = true }
+// EnableCAS does nothing: every apply is a conditional commit.
+//
+// Deprecated: compare-and-swap publishing is the only mode.
+func (a *Admin) EnableCAS() {}
 
-// SetFence installs the epoch provider fencing this admin's conditional
-// writes — in a cluster, the shard's current membership epoch. Must be set
-// before the admin serves concurrent operations. A provider returning 0
-// disables fencing for that write (plain PutIf).
+// SetFence installs the epoch provider fencing this admin's commits — in a
+// cluster, the shard's current membership epoch. Must be set before the admin
+// serves concurrent operations. A provider returning 0 disables fencing for
+// that commit.
 func (a *Admin) SetFence(epoch func() uint64) { a.fence = epoch }
 
-// fenceEpoch returns the membership epoch to stamp on a conditional write,
-// 0 (no fence carried) when none is installed.
+// fenceEpoch returns the membership epoch to stamp on a commit, 0 (no fence
+// carried) when none is installed.
 func (a *Admin) fenceEpoch() uint64 {
 	if a.fence == nil {
 		return 0
 	}
 	return a.fence()
-}
-
-// condPut issues one conditional write, fenced by the current membership
-// epoch when a fence is installed.
-func (a *Admin) condPut(ctx context.Context, dir, name string, data []byte, ifVersion uint64) error {
-	if e := a.fenceEpoch(); e > 0 {
-		return a.store.PutFenced(ctx, dir, name, data, ifVersion, e)
-	}
-	return a.store.PutIf(ctx, dir, name, data, ifVersion)
 }
 
 // LockGroup acquires the per-group operation lock and returns its unlock.
@@ -137,16 +125,16 @@ func (a *Admin) LockGroup(group string) func() {
 const casAttempts = 4
 
 // mutate runs one membership operation against the manager and applies its
-// update. Under CAS, a version conflict means another administrator wrote
-// the group since this admin last synchronised: the local state is rebuilt
-// from the cloud and the operation retried, serialising the two admins.
-// Nothing was written when the conflict fired on the first conditional put,
+// update. A version conflict means another administrator wrote the group
+// since this admin last synchronised: the local state is rebuilt from the
+// cloud and the operation retried, serialising the two admins. Nothing was
+// written when the conflict fired on the first conditional write,
 // so the losing operation either re-applies cleanly on top of the winner's
 // state or aborts with the manager's own error (e.g. the user it wanted to
 // add already exists now). The same holds one step earlier: group state
 // hydrates lazily, so an operation computed on a stale header can already
 // fail on the newer bucket or record it loads, and is likewise recomputed
-// once if the directory has moved past the tracked version. A CAS apply that
+// once if the directory has moved past the tracked version. An apply that
 // fails for good — retries exhausted or a non-conflict storage error —
 // leaves the group DROPPED from the local cache (the cloud holds the
 // authoritative records; the caller restores before the next operation),
@@ -161,14 +149,11 @@ func (a *Admin) mutate(ctx context.Context, group string, op func() (*core.Updat
 			if err = a.apply(ctx, up); err == nil {
 				return nil
 			}
-			if !a.cas {
-				return err
-			}
 			a.DropGroup(group)
 			if !errors.Is(err, storage.ErrVersionConflict) {
 				return err
 			}
-		} else if !a.cas || !a.behind(ctx, group) {
+		} else if !a.behind(ctx, group) {
 			return err
 		}
 		if attempt >= casAttempts-1 {
@@ -193,7 +178,7 @@ func (a *Admin) behind(ctx context.Context, group string) bool {
 	return err == nil && v != tracked
 }
 
-// restoreForRetry rebuilds a group from the cloud for a CAS retry,
+// restoreForRetry rebuilds a group from the cloud for a conflict retry,
 // tolerating the brief window where the winning administrator is still
 // mid-apply (a record can vanish between list and get) by re-reading a
 // bounded number of times. A torn-but-readable snapshot is fine: its
@@ -210,13 +195,13 @@ func (a *Admin) restoreForRetry(ctx context.Context, group string) error {
 	return err
 }
 
-// prepareCreate pins the directory version a creation's conditional writes
-// chain from: the version at which the directory was observed EMPTY. Without
-// the pin, a create would base itself on whatever version the store reports
-// and could overwrite a live group's records; with it, a directory that
-// already holds objects aborts with ErrGroupExists, and two administrators
-// racing to create the same group both chain from the same empty-state
-// version, so the first record write arbitrates.
+// prepareCreate pins the directory version a creation commits on: the
+// version at which the directory was observed EMPTY. Without the pin, a
+// create would base itself on whatever version the store reports and could
+// overwrite a live group's records; with it, a directory that already holds
+// objects aborts with ErrGroupExists, and two administrators racing to
+// create the same group both commit on the same empty-state version, so the
+// first commit arbitrates.
 func (a *Admin) prepareCreate(ctx context.Context, group string) error {
 	v0, err := a.store.Version(ctx, group)
 	if err != nil {
@@ -261,15 +246,13 @@ func (a *Admin) baseVersion(ctx context.Context, group string) (uint64, error) {
 // Manager exposes the underlying manager (e.g. for metadata accounting).
 func (a *Admin) Manager() *core.Manager { return a.mgr }
 
-// CreateGroup runs Algorithm 1 and publishes all partition records. Under
-// CAS, a concurrent creation of the same group by another administrator
-// resolves to exactly one winner; the loser aborts with core.ErrGroupExists
-// after absorbing the winner's records.
+// CreateGroup runs Algorithm 1 and publishes all partition records. A
+// concurrent creation of the same group by another administrator resolves
+// to exactly one winner; the loser aborts with core.ErrGroupExists after
+// absorbing the winner's records.
 func (a *Admin) CreateGroup(ctx context.Context, group string, members []string) error {
-	if a.cas {
-		if err := a.prepareCreate(ctx, group); err != nil {
-			return err
-		}
+	if err := a.prepareCreate(ctx, group); err != nil {
+		return err
 	}
 	err := a.mutate(ctx, group, func() (*core.Update, error) {
 		return a.mgr.CreateGroup(group, members)
@@ -280,9 +263,6 @@ func (a *Admin) CreateGroup(ctx context.Context, group string, members []string)
 	// The creation's records are applied: the group's cache may page from
 	// here on (creation itself is necessarily O(group) resident).
 	a.enablePaging(group)
-	if err := a.updateCatalog(ctx, group); err != nil {
-		return err
-	}
 	return a.certify(group, core.OpCreateGroup, "")
 }
 
@@ -368,26 +348,20 @@ func (a *Admin) Repartition(ctx context.Context, group string) error {
 	return a.certify(group, core.OpRepartition, "")
 }
 
-// Reserved object names inside a group directory (never partition records;
-// clients skip names with this prefix). The group header and the directory
-// buckets are named by internal/partition, which encodes them.
-const (
-	// sealedGKObject stores the enclave-sealed group key next to the
-	// partition records — Algorithm 1 line 7's "Store: (1) sealed gk". It
-	// is opaque to the cloud and to curious administrators.
-	sealedGKObject = "_sealed_gk"
-	// catalogDir / catalogObject track the set of groups for RestoreAll.
-	catalogDir    = "_system"
-	catalogObject = "groups"
-)
+// sealedGKObject stores the enclave-sealed group key next to the partition
+// records — Algorithm 1 line 7's "Store: (1) sealed gk". It is opaque to the
+// cloud and to curious administrators. Like the group header and the
+// directory buckets (named by internal/partition, which encodes them), its
+// name is reserved: clients skip names with the "_" prefix.
+const sealedGKObject = "_sealed_gk"
 
-// updateObjects encodes an update's writes in the order every apply path
-// uses: directory buckets (sorted), partition records (sorted), and the
-// closing objects — the group header, which readers start from, then the
-// sealed group key when it changed. Records sit next to the header because a
-// reader checks the two against each other: on a store that applies an
-// update as a chain of writes, the fewer writes between them, the shorter
-// the window in which a reader of that partition has to wait.
+// updateObjects encodes an update's writes in commit order: directory
+// buckets (sorted), partition records (sorted), and the closing objects — the
+// group header, which readers start from, then the sealed group key when it
+// changed. Records sit next to the header because a reader checks the two
+// against each other: on a store that applies an update as a chain of
+// writes, the fewer writes between them, the shorter the window in which a
+// reader of that partition has to wait.
 func (a *Admin) updateObjects(up *core.Update) (puts, closing []storage.Object, err error) {
 	names := make([]string, 0, len(up.Buckets))
 	for name := range up.Buckets {
@@ -417,32 +391,7 @@ func (a *Admin) updateObjects(up *core.Update) (puts, closing []storage.Object, 
 	return puts, closing, nil
 }
 
-// apply pushes an update to the cloud. The unconditional path deletes first
-// (so clients never see a stale partition alongside its replacement), then
-// puts in updateObjects order; the CAS path (EnableCAS) runs applyCAS
-// instead.
-func (a *Admin) apply(ctx context.Context, up *core.Update) error {
-	if a.cas {
-		return a.applyCAS(ctx, up)
-	}
-	puts, closing, err := a.updateObjects(up)
-	if err != nil {
-		return err
-	}
-	for _, id := range up.Delete {
-		if err := a.store.Delete(ctx, up.Group, id); err != nil {
-			return fmt.Errorf("admin: deleting %s/%s: %w", up.Group, id, err)
-		}
-	}
-	for _, o := range append(puts, closing...) {
-		if err := a.store.Put(ctx, up.Group, o.Name, o.Data); err != nil {
-			return fmt.Errorf("admin: putting %s/%s: %w", up.Group, o.Name, err)
-		}
-	}
-	return nil
-}
-
-// applyCAS pushes an update as one storage.Commit conditional on the
+// apply pushes an update as one storage.Commit conditional on the
 // directory version this admin tracks and fenced by its membership epoch: on
 // a store with a native Commit that is one round trip and all-or-nothing —
 // a stale admin conflicts, a zombie is fenced, and in both cases nothing was
@@ -459,7 +408,7 @@ func (a *Admin) apply(ctx context.Context, up *core.Update) error {
 // failure between them. Any failure invalidates the tracked version: it may
 // no longer match the directory, and the next mutate re-syncs through
 // restore.
-func (a *Admin) applyCAS(ctx context.Context, up *core.Update) error {
+func (a *Admin) apply(ctx context.Context, up *core.Update) error {
 	v, err := a.baseVersion(ctx, up.Group)
 	if err != nil {
 		return err
@@ -503,64 +452,6 @@ func (a *Admin) commitUpdate(ctx context.Context, up *core.Update, v uint64, max
 		objs = append(objs, storage.Object{Name: id, Delete: true})
 	}
 	return storage.Commit(ctx, a.store, up.Group, append(objs, closing...), v, epoch)
-}
-
-// updateCatalog records the group name in the cloud catalog (idempotent).
-// Under CAS the read-modify-write is a conditional put on the catalog
-// directory version, so two administrators creating different groups at the
-// same time cannot lose each other's catalog entries.
-func (a *Admin) updateCatalog(ctx context.Context, group string) error {
-	for attempt := 0; ; attempt++ {
-		// Under CAS the version is read before the content: a writer
-		// landing in between fails our conditional put instead of being
-		// overwritten. The plain path skips the extra round-trip.
-		var ver uint64
-		if a.cas {
-			v, err := a.store.Version(ctx, catalogDir)
-			if err != nil {
-				return err
-			}
-			ver = v
-		}
-		groups, err := a.readCatalog(ctx)
-		if err != nil {
-			return err
-		}
-		for _, g := range groups {
-			if g == group {
-				return nil
-			}
-		}
-		groups = append(groups, group)
-		sort.Strings(groups)
-		blob, err := json.Marshal(groups)
-		if err != nil {
-			return err
-		}
-		if !a.cas {
-			return a.store.Put(ctx, catalogDir, catalogObject, blob)
-		}
-		err = a.condPut(ctx, catalogDir, catalogObject, blob, ver)
-		if err == nil || !errors.Is(err, storage.ErrVersionConflict) || attempt >= casAttempts-1 {
-			return err
-		}
-	}
-}
-
-// readCatalog returns the group names recorded in the cloud catalog.
-func (a *Admin) readCatalog(ctx context.Context) ([]string, error) {
-	blob, err := a.store.Get(ctx, catalogDir, catalogObject)
-	if errors.Is(err, storage.ErrNotFound) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var groups []string
-	if err := json.Unmarshal(blob, &groups); err != nil {
-		return nil, fmt.Errorf("admin: corrupt catalog: %w", err)
-	}
-	return groups, nil
 }
 
 // recordFetch returns the store-backed loader that rehydrates one evicted
@@ -639,20 +530,6 @@ func (a *Admin) DropGroup(group string) {
 // Store exposes the cloud store this admin applies to (the cluster lease
 // manager shares it).
 func (a *Admin) Store() storage.Store { return a.store }
-
-// RestoreAll restores every group recorded in the cloud catalog.
-func (a *Admin) RestoreAll(ctx context.Context) error {
-	groups, err := a.readCatalog(ctx)
-	if err != nil {
-		return err
-	}
-	for _, g := range groups {
-		if err := a.RestoreGroup(ctx, g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // certify appends to the operation log when one is configured.
 func (a *Admin) certify(group string, kind core.OpKind, user string) error {

@@ -12,8 +12,8 @@ import (
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
 
-// newCASPeer builds a second CAS administrator sharing s's enclave and
-// store, with the given group restored from the cloud.
+// newCASPeer builds a second administrator sharing s's enclave and store,
+// with the given group restored from the cloud.
 func newCASPeer(t *testing.T, s *sys, capacity int, group string) *Admin {
 	t.Helper()
 	mgr, err := core.NewManager(s.encl, capacity, 42)
@@ -21,7 +21,6 @@ func newCASPeer(t *testing.T, s *sys, capacity int, group string) *Admin {
 		t.Fatal(err)
 	}
 	peer := New("admin-2", mgr, s.store, nil)
-	peer.EnableCAS()
 	if group != "" {
 		if err := peer.RestoreGroup(context.Background(), group); err != nil {
 			t.Fatal(err)
@@ -32,7 +31,6 @@ func newCASPeer(t *testing.T, s *sys, capacity int, group string) *Admin {
 
 func TestCASStaleAdminRefreshesAndRetries(t *testing.T) {
 	s := newSys(t, 3)
-	s.admin.EnableCAS()
 	ctx := context.Background()
 	members := users(5)
 	if err := s.admin.CreateGroup(ctx, "g", members); err != nil {
@@ -75,7 +73,6 @@ func TestCASStaleAdminRefreshesAndRetries(t *testing.T) {
 
 func TestCASDuplicateCreateResolvesToOneWinner(t *testing.T) {
 	s := newSys(t, 3)
-	s.admin.EnableCAS()
 	ctx := context.Background()
 	if err := s.admin.CreateGroup(ctx, "g", users(4)); err != nil {
 		t.Fatal(err)
@@ -103,14 +100,13 @@ func TestCASExhaustedRetriesAbortCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A CAS admin over a store that loses every CAS race.
+	// An admin over a store that loses every CAS race.
 	faulty := storage.NewFaultStore(s.store)
 	mgr, err := core.NewManager(s.encl, 3, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	adm := New("admin-2", mgr, faulty, nil)
-	adm.EnableCAS()
 	if err := adm.RestoreGroup(ctx, "g"); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +144,6 @@ func TestCASExhaustedRetriesAbortCleanly(t *testing.T) {
 
 func TestCASConcurrentAdminsSameGroupConverge(t *testing.T) {
 	s := newSys(t, 4)
-	s.admin.EnableCAS()
 	ctx := context.Background()
 	members := users(12)
 	if err := s.admin.CreateGroup(ctx, "g", members); err != nil {
@@ -215,19 +210,22 @@ func TestConcurrentOpsSameAdminSameGroupLoseNothing(t *testing.T) {
 	// Regression: without the per-group op lock in mutate, two concurrent
 	// operations through ONE admin could invert between compute and
 	// publish — the earlier snapshot overwriting the later one's records.
-	for _, cas := range []bool{false, true} {
-		name := "plain"
-		if cas {
-			name = "cas"
+	// The admin publishes through the store's native commit, and through
+	// the chain of conditional puts a store without one falls back to.
+	for _, chain := range []bool{false, true} {
+		name := "native"
+		if chain {
+			name = "chain"
 		}
 		t.Run(name, func(t *testing.T) {
 			s := newSys(t, 4)
-			if cas {
-				s.admin.EnableCAS()
+			adm := s.admin
+			if chain {
+				adm = newCASAdmin(t, s, 4, chainOnly{s.store}, "admin-chain")
 			}
 			ctx := context.Background()
 			members := users(4)
-			if err := s.admin.CreateGroup(ctx, "g", members); err != nil {
+			if err := adm.CreateGroup(ctx, "g", members); err != nil {
 				t.Fatal(err)
 			}
 			const joiners = 8
@@ -238,7 +236,7 @@ func TestConcurrentOpsSameAdminSameGroupLoseNothing(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					errs <- s.admin.AddUser(ctx, "g", u)
+					errs <- adm.AddUser(ctx, "g", u)
 				}()
 			}
 			wg.Wait()

@@ -19,7 +19,7 @@ import (
 // optional interface), forcing storage.Commit onto the chain of puts.
 type chainOnly struct{ storage.Store }
 
-// newCASAdminOn builds a CAS administrator of capacity 3 on s's enclave over
+// newCASAdminOn builds an administrator of capacity 3 on s's enclave over
 // its own store.
 func newCASAdminOn(t *testing.T, s *sys, store storage.Store, name string) *Admin {
 	return newCASAdmin(t, s, 3, store, name)
@@ -31,9 +31,7 @@ func newCASAdmin(t *testing.T, s *sys, capacity int, store storage.Store, name s
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := New(name, mgr, store, nil)
-	a.EnableCAS()
-	return a
+	return New(name, mgr, store, nil)
 }
 
 // TestCommitPathsAgree drives one seeded op sequence through an admin whose
@@ -95,8 +93,7 @@ func TestCommitPathsAgree(t *testing.T) {
 				t.Fatalf("%s: op %d: %v", sd.name, i, err)
 			}
 		}
-		// +1: the catalog entry the creation adds.
-		if puts := sd.mem.Stats().Puts - before; sd.name == "native" && puts != int64(len(ops))+1 {
+		if puts := sd.mem.Stats().Puts - before; sd.name == "native" && puts != int64(len(ops)) {
 			t.Errorf("native admin paid %d store writes for %d updates, want one each", puts, len(ops))
 		}
 	}

@@ -34,8 +34,8 @@ func TestRestoreGroupAfterAdminRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	admin2 := New("admin-2", mgr2, s.store, nil)
-	if err := admin2.RestoreAll(ctx); err != nil {
-		t.Fatalf("RestoreAll: %v", err)
+	if err := admin2.RestoreGroup(ctx, "g"); err != nil {
+		t.Fatalf("RestoreGroup: %v", err)
 	}
 
 	// The restored manager agrees with the original on membership.
@@ -125,13 +125,6 @@ func TestRestoreGroupRejectsCorruptRecord(t *testing.T) {
 	}
 }
 
-func TestRestoreAllEmptyCatalog(t *testing.T) {
-	s := newSys(t, 2)
-	if err := s.admin.RestoreAll(context.Background()); err != nil {
-		t.Fatalf("RestoreAll on empty catalog: %v", err)
-	}
-}
-
 func TestRestoreExistingGroupRejected(t *testing.T) {
 	s := newSys(t, 2)
 	ctx := context.Background()
@@ -141,31 +134,6 @@ func TestRestoreExistingGroupRejected(t *testing.T) {
 	// Restoring into the same (still-populated) manager must fail.
 	if err := s.admin.RestoreGroup(ctx, "g"); !errors.Is(err, core.ErrGroupExists) {
 		t.Fatalf("restore over live group: %v", err)
-	}
-}
-
-func TestCatalogAccumulatesGroups(t *testing.T) {
-	s := newSys(t, 2)
-	ctx := context.Background()
-	for _, g := range []string{"beta", "alpha"} {
-		if err := s.admin.CreateGroup(ctx, g, users(2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	groups, err := s.admin.readCatalog(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 || groups[0] != "alpha" || groups[1] != "beta" {
-		t.Fatalf("catalog = %v", groups)
-	}
-	// Idempotence: re-adding the same group keeps the catalog stable.
-	if err := s.admin.updateCatalog(ctx, "alpha"); err != nil {
-		t.Fatal(err)
-	}
-	groups2, _ := s.admin.readCatalog(ctx)
-	if len(groups2) != 2 {
-		t.Fatalf("catalog grew on duplicate: %v", groups2)
 	}
 }
 
@@ -231,7 +199,6 @@ func (s *versionHookStore) Version(ctx context.Context, dir string) (uint64, err
 // again and retries — and no write is lost.
 func TestRestoreWithWriterMidRestore(t *testing.T) {
 	s := newSys(t, 3)
-	s.admin.EnableCAS()
 	ctx := context.Background()
 	members := users(5)
 	if err := s.admin.CreateGroup(ctx, "g", members); err != nil {
@@ -247,7 +214,6 @@ func TestRestoreWithWriterMidRestore(t *testing.T) {
 		}
 	}}
 	admin2 := New("admin-2", mgr2, hooked, nil)
-	admin2.EnableCAS()
 	if err := admin2.RestoreGroup(ctx, "g"); err != nil {
 		t.Fatal(err)
 	}

@@ -458,7 +458,6 @@ func (c *Cluster) mintShardID(id string, m *Membership) (*Shard, error) {
 		return nil, err
 	}
 	adm := admin.New(id, mgr, c.Store, opLog)
-	adm.EnableCAS()
 	svc := &admin.Service{
 		Admin:          adm,
 		Encl:           encl,

@@ -625,9 +625,7 @@ func (m *Manager) RemoveUsers(name string, users []string) (*Update, error) {
 		return nil, err
 	}
 	up := newUpdate(name)
-	undo, err := m.rekeySweep(name, g, sealedGK, removedBy, !m.DisableRewrap, up)
-	if err != nil {
-		undo()
+	if err := m.rekeySweep(name, g, sealedGK, removedBy, !m.DisableRewrap, up); err != nil {
 		rollbackIdx()
 		return nil, err
 	}
@@ -663,132 +661,102 @@ func (m *Manager) RemoveUsers(name string, users []string) (*Update, error) {
 //
 // A partition that loses members is re-keyed with the removal, and without
 // rewrap (RekeyGroup, DisableRewrap) every partition takes the paper's
-// per-partition re-key. This arm streams in chunks of at most
-// min(parallelism, page limit) pages, so the resident set stays bounded even
-// when it covers the whole group, and queues each re-keyed record in up. A
-// processed page is immediately evictable: nothing revisits it within this
-// operation, and the next operation on the group only starts after this
-// update is applied.
-//
-// On error the returned undo restores the pre-sweep envelopes and pages — a
-// re-keyed page is dropped when a store source can rehydrate it and put back
-// from a stashed copy when the group is purely resident; the caller restores
+// per-partition re-key. The sweep computes first and commits after: the
+// ECALLs stream in chunks of at most min(parallelism, page limit) pages,
+// releasing each chunk's pins before the next, and only once every ECALL has
+// succeeded are the new envelopes and pages installed — a step that cannot
+// fail, pinning at most one chunk at a time. An installed page is evictable
+// once its chunk is done: nothing revisits it within this operation, and the
+// next operation on the group only starts after this update is applied. A
+// failed sweep leaves envelopes and pages as they were; the caller restores
 // index bindings and discards sealedGK.
-func (m *Manager) rekeySweep(name string, g *groupState, sealedGK []byte, removedBy map[string][]string, rewrap bool, up *Update) (undo func(), err error) {
+func (m *Manager) rekeySweep(name string, g *groupState, sealedGK []byte, removedBy map[string][]string, rewrap bool, up *Update) error {
 	var rekey, wrapped []string
-	var handles [][]byte
+	var wrapHandles, ys [][]byte
 	for e := range g.idx.Entries() {
 		if e.Count == 0 {
 			continue
 		}
 		if rewrap && len(removedBy[e.ID]) == 0 {
 			wrapped = append(wrapped, e.ID)
-			handles = append(handles, e.Handle)
+			wrapHandles = append(wrapHandles, e.Handle)
 		} else {
 			rekey = append(rekey, e.ID)
 		}
 	}
-	type envelope struct {
-		pid             string
-		wrapped, handle []byte
-	}
-	oldEnv := make([]envelope, 0, len(wrapped)+len(rekey))
-	oldPages := make(map[string]*partition.Page) // pages to put back; resident mode only
-	paged := g.pages.HasSource()
-	stash := func(pid string) {
-		y, h := g.idx.Envelope(pid)
-		oldEnv = append(oldEnv, envelope{pid, y, h})
-	}
-	undo = func() {
-		for _, e := range oldEnv {
-			g.idx.SetEnvelope(e.pid, e.wrapped, e.handle)
-		}
-		for _, pid := range rekey {
-			if p, ok := oldPages[pid]; ok {
-				g.pages.Put(p)
-			} else if _, changed := up.Put[pid]; changed {
-				g.pages.Drop(pid)
-			}
-		}
-		g.pages.ReleasePins()
-	}
-
 	if len(wrapped) > 0 {
-		ys, werr := m.encl.EcallRewrapPartitions(name, sealedGK, handles)
-		if werr != nil {
-			return undo, werr
-		}
-		for j, pid := range wrapped {
-			stash(pid)
-			g.idx.SetEnvelope(pid, ys[j], handles[j])
+		var err error
+		if ys, err = m.encl.EcallRewrapPartitions(name, sealedGK, wrapHandles); err != nil {
+			return err
 		}
 	}
 
 	hasMSK := m.encl.HasMasterSecret()
 	chunk := m.sweepChunk(g)
+	outs := make([]*enclave.PartitionCrypto, len(rekey))
+	kept := make([][]string, len(rekey))
 	for start := 0; start < len(rekey); start += chunk {
-		end := start + chunk
-		if end > len(rekey) {
-			end = len(rekey)
-		}
-		batch := rekey[start:end]
-		cur := make([]*partition.Page, len(batch))
-		outs := make([]*enclave.PartitionCrypto, len(batch))
-		kept := make([][]string, len(batch))
-		handles := make([][]byte, len(batch))
-		for i, pid := range batch {
-			p, gerr := g.pages.Get(pid)
-			if gerr != nil {
-				return undo, gerr
+		end := min(start+chunk, len(rekey))
+		cur := make([]*partition.Page, end-start)
+		handles := make([][]byte, end-start)
+		for i := range cur {
+			pid := rekey[start+i]
+			p, err := g.pages.Get(pid)
+			if err != nil {
+				return err
 			}
-			cur[i], kept[i] = p, p.Members
+			cur[i], kept[start+i] = p, p.Members
 			_, handles[i] = g.idx.Envelope(pid)
 			if rem := removedBy[pid]; len(rem) > 0 {
 				gone := make(map[string]bool, len(rem))
 				for _, u := range rem {
 					gone[u] = true
 				}
-				kept[i] = make([]string, 0, len(p.Members))
+				kept[start+i] = make([]string, 0, len(p.Members))
 				for _, u := range p.Members {
 					if !gone[u] {
-						kept[i] = append(kept[i], u)
+						kept[start+i] = append(kept[start+i], u)
 					}
 				}
 			}
-			if merr := g.rosterMatches(pid, kept[i]); merr != nil {
-				return undo, merr
+			if err := g.rosterMatches(pid, kept[start+i]); err != nil {
+				return err
 			}
 		}
-		ferr := m.fanOut(len(batch), func(i int) (e error) {
-			rem := removedBy[batch[i]]
+		err := m.fanOut(len(cur), func(i int) (e error) {
+			rem := removedBy[rekey[start+i]]
 			switch {
 			case hasMSK:
 				// Removal and re-key alike derive the new header from the
 				// exponents the partition's handle seals.
-				outs[i], e = m.encl.EcallRekeyWithHandle(name, sealedGK, handles[i], rem)
+				outs[start+i], e = m.encl.EcallRekeyWithHandle(name, sealedGK, handles[i], rem)
 			case len(rem) == 0:
-				outs[i], e = m.encl.EcallRekeyPartition(name, sealedGK, pageCT(cur[i]))
+				outs[start+i], e = m.encl.EcallRekeyPartition(name, sealedGK, pageCT(cur[i]))
 			default:
 				// Threshold shards cannot divide (γ+H(id)) terms out of a
 				// ciphertext; partitions that lost members are rebuilt
 				// classically from the post-removal member list instead.
-				outs[i], e = m.encl.EcallCreatePartition(name, sealedGK, kept[i])
+				outs[start+i], e = m.encl.EcallCreatePartition(name, sealedGK, kept[start+i])
 			}
 			return e
 		})
-		if ferr != nil {
-			return undo, ferr
-		}
-		for i, pid := range batch {
-			stash(pid)
-			if !paged {
-				oldPages[pid] = cur[i]
-			}
-			g.installFresh(pid, kept[i], outs[i], up)
+		if err != nil {
+			return err
 		}
 		g.pages.ReleasePins()
 	}
-	return undo, nil
+
+	for j, pid := range wrapped {
+		g.idx.SetEnvelope(pid, ys[j], wrapHandles[j])
+	}
+	for i, pid := range rekey {
+		g.installFresh(pid, kept[i], outs[i], up)
+		if (i+1)%chunk == 0 {
+			g.pages.ReleasePins()
+		}
+	}
+	g.pages.ReleasePins()
+	return nil
 }
 
 // sweepChunk is how many pages a streaming sweep holds at once: the width of
@@ -817,9 +785,7 @@ func (m *Manager) RekeyGroup(name string) (*Update, error) {
 		return nil, err
 	}
 	up := newUpdate(name)
-	undo, err := m.rekeySweep(name, g, sealedGK, nil, false, up)
-	if err != nil {
-		undo()
+	if err := m.rekeySweep(name, g, sealedGK, nil, false, up); err != nil {
 		return nil, err
 	}
 	g.sealedGK = sealedGK

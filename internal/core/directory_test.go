@@ -280,3 +280,80 @@ func TestOpsRefuseRosterThatDisagreesWithHeader(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedRekeyInLastChunkLeavesGroupUntouched: at parallelism 1 a rotation
+// sweeps one page per chunk, and a page whose roster disagrees with the
+// header count fails the last chunk — after every other partition was
+// re-keyed in the enclave. The failed rotation leaves envelopes, bindings,
+// the sealed key and every partition's record as they were, whether all pages
+// are resident (no page source) or load through a store-backed source behind
+// a one-page cache.
+func TestFailedRekeyInLastChunkLeavesGroupUntouched(t *testing.T) {
+	for _, paged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("paged=%v", paged), func(t *testing.T) {
+			e := newEnv(t, 2)
+			e.mgr.SetParallelism(1)
+			if paged {
+				e.mgr.SetMaxResidentPages(1)
+			}
+			members := users(8) // four full partitions
+			up, err := e.mgr.CreateGroup("g", members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := e.mgr.groups["g"]
+			ids := g.idx.PageIDs()
+			last := ids[len(ids)-1]
+			bad := *up.Put[last]
+			bad.Members = bad.Members[:1]
+			if paged {
+				dir := newMemDir(t, e)
+				dir.apply(up)
+				blob, err := bad.Marshal(e.encl.Scheme())
+				if err != nil {
+					t.Fatal(err)
+				}
+				dir.objects[last] = blob
+				if err := e.mgr.SetPageSource("g", dir.record); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				g.pages.Put(&partition.Page{ID: last, Members: bad.Members, Payload: bad.CT})
+				g.pages.ReleasePins()
+			}
+			marshal := func(recs map[string]*PartitionRecord) map[string]string {
+				out := make(map[string]string, len(recs))
+				for id, rec := range recs {
+					blob, err := rec.Marshal(e.encl.Scheme())
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[id] = string(blob)
+				}
+				return out
+			}
+			before, recsBefore := snapshot(t, e.mgr, "g"), marshal(e.records(t, "g"))
+
+			counts := ecallCounts(e)
+			if _, err := e.mgr.RekeyGroup("g"); !errors.Is(err, ErrBadRecord) {
+				t.Fatalf("rotation over a roster the header disagrees with: %v", err)
+			}
+			if counts["rekey"] != len(ids)-1 {
+				t.Fatalf("the failure was meant to hit the last chunk: %d of %d partitions re-keyed first", counts["rekey"], len(ids))
+			}
+			if after := snapshot(t, e.mgr, "g"); !reflect.DeepEqual(after, before) {
+				t.Fatalf("failed rotation changed the group:\n before %+v\n after  %+v", before, after)
+			}
+			for _, id := range ids {
+				if p, ok := g.pages.Peek(id); ok {
+					if got := marshal(map[string]*PartitionRecord{id: g.record(p)}); got[id] != recsBefore[id] {
+						t.Fatalf("resident page %s changed under the failed rotation", id)
+					}
+				}
+			}
+			if after := marshal(e.records(t, "g")); !reflect.DeepEqual(after, recsBefore) {
+				t.Fatal("failed rotation changed a partition record")
+			}
+		})
+	}
+}

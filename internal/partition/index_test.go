@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	"github.com/ibbesgx/ibbesgx/internal/wire"
@@ -374,40 +373,6 @@ func TestIndexNeedsRepartitionMatchesTable(t *testing.T) {
 			t.Fatalf("heuristics diverge after %d removals: table=%v index=%v",
 				i+1, sparse(), ix.NeedsRepartition())
 		}
-	}
-}
-
-// TestAdaptiveConcurrentObservers exercises the observation counters from
-// concurrent goroutines; run with -race to catch unsynchronised access.
-func TestAdaptiveConcurrentObservers(t *testing.T) {
-	a := NewAdaptive(2, 1000)
-	var wg sync.WaitGroup
-	const perWorker = 500
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				if w%2 == 0 {
-					a.ObserveMembershipOp()
-				} else {
-					a.ObserveDecrypt()
-				}
-				if i%100 == 0 {
-					a.Suggest(1000)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := a.memberOps.Load(); got != 4*perWorker {
-		t.Fatalf("memberOps = %d, want %d", got, 4*perWorker)
-	}
-	if got := a.decryptOps.Load(); got != 4*perWorker {
-		t.Fatalf("decryptOps = %d, want %d", got, 4*perWorker)
-	}
-	if m := a.Suggest(1000); m < 2 || m > 1000 {
-		t.Fatalf("Suggest out of clamp range: %d", m)
 	}
 }
 

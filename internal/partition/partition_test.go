@@ -448,44 +448,3 @@ func TestMembersOrderStable(t *testing.T) {
 		}
 	}
 }
-
-func TestAdaptiveSuggestBounds(t *testing.T) {
-	a := NewAdaptive(100, 4000)
-	// Decrypt-heavy workload → small partitions.
-	for i := 0; i < 1000; i++ {
-		a.ObserveDecrypt()
-	}
-	a.ObserveMembershipOp()
-	small := a.Suggest(1_000_000)
-	// Admin-heavy workload → larger partitions.
-	b := NewAdaptive(100, 4000)
-	for i := 0; i < 1000; i++ {
-		b.ObserveMembershipOp()
-	}
-	b.ObserveDecrypt()
-	large := b.Suggest(1_000_000)
-	if small >= large {
-		t.Fatalf("adaptive policy inverted: decrypt-heavy=%d admin-heavy=%d", small, large)
-	}
-	if small < 100 || large > 4000 {
-		t.Fatalf("suggestions out of clamp range: %d %d", small, large)
-	}
-}
-
-func TestAdaptiveAllAdminWorkload(t *testing.T) {
-	a := NewAdaptive(10, 500)
-	a.ObserveMembershipOp()
-	if got := a.Suggest(100000); got != 500 {
-		t.Fatalf("all-admin suggestion = %d, want max 500", got)
-	}
-}
-
-func TestAdaptiveDegenerate(t *testing.T) {
-	a := NewAdaptive(0, -5)
-	if a.MinCapacity != 1 || a.MaxCapacity != 1 {
-		t.Fatal("clamp normalisation failed")
-	}
-	if got := a.Suggest(0); got != 1 {
-		t.Fatalf("Suggest(0) = %d", got)
-	}
-}
