@@ -58,8 +58,8 @@ type Admin = admin.Admin
 // derivation (no SGX needed on the client side).
 type Client = client.Client
 
-// OpLog is the certified, hash-chained membership-operation log (the
-// paper's §VIII multi-admin accountability sketch).
+// OpLog is the certified membership-operation log, hash-chained per op and
+// signed per export (the paper's §VIII multi-admin accountability sketch).
 type OpLog = core.OpLog
 
 // Update describes the storage effect of a membership operation.

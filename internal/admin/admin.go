@@ -36,8 +36,8 @@ type Admin struct {
 
 	mgr   *core.Manager
 	store storage.Store
-	// log, when non-nil, certifies every membership operation (§VIII
-	// future work; see core.OpLog).
+	// log, when non-nil, chains every membership operation into a log that
+	// is signed per export (§VIII future work; see core.OpLog).
 	log *core.OpLog
 
 	// fence, when set, supplies the cluster membership epoch stamped on

@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -435,5 +436,66 @@ func TestClusterGracefulShutdownHandsOver(t *testing.T) {
 	}
 	if _, err := tc.clientFor(t, "late@example.com", "handover").GroupKey(ctx); err != nil {
 		t.Fatalf("member added after handover cannot decrypt: %v", err)
+	}
+}
+
+// callCountingStore is a MemStore that counts lease reads (Get on a lease
+// directory) and batched group reads (GetMany), per directory.
+type callCountingStore struct {
+	*storage.MemStore
+	mu       sync.Mutex
+	gets     map[string]int
+	getManys map[string]int
+}
+
+func (c *callCountingStore) Get(ctx context.Context, dir, name string) ([]byte, error) {
+	c.mu.Lock()
+	c.gets[dir]++
+	c.mu.Unlock()
+	return c.MemStore.Get(ctx, dir, name)
+}
+
+func (c *callCountingStore) GetMany(ctx context.Context, dir string, names []string) ([][]byte, []error) {
+	c.mu.Lock()
+	c.getManys[dir]++
+	c.mu.Unlock()
+	return c.MemStore.GetMany(ctx, dir, names)
+}
+
+// TestFreshCreateStoreRoundTrips counts the reads of a create through one
+// shard for a group nobody has leased: the lease acquisition reads the lease
+// once (the replaced lease comes from the snapshot the CAS is conditioned
+// on), and the group is restored once (the ownership gate found it absent,
+// so the heal does not look again). A dropped cache still heals.
+func TestFreshCreateStoreRoundTrips(t *testing.T) {
+	store := &callCountingStore{MemStore: storage.NewMemStore(storage.Latency{}), gets: map[string]int{}, getManys: map[string]int{}}
+	c, err := New(Options{Shards: 1, Capacity: 4, LeaseTTL: time.Hour, Seed: 33, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Shutdown(context.Background()) })
+	shard := c.Shards()[0]
+	serve := func(path, body string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		shard.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		if rec.Code != 204 {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body.String())
+		}
+	}
+	serve("/admin/create", `{"group":"g","members":["alice@x","bob@x"]}`)
+	store.mu.Lock()
+	leaseGets, restores := store.gets[leaseDir("g")], store.getManys["g"]
+	store.mu.Unlock()
+	if leaseGets != 1 || restores != 1 {
+		t.Fatalf("fresh create: %d lease Gets, %d restore GetManys; want 1 and 1", leaseGets, restores)
+	}
+	shard.Admin.DropGroup("g")
+	serve("/admin/add", `{"group":"g","user":"carol@x"}`)
+	store.mu.Lock()
+	restores = store.getManys["g"]
+	store.mu.Unlock()
+	if restores != 2 || !shard.Admin.Manager().HasGroup("g") {
+		t.Fatalf("dropped cache: %d restore GetManys in all (want 2), group resident %v", restores, shard.Admin.Manager().HasGroup("g"))
 	}
 }

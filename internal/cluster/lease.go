@@ -109,32 +109,34 @@ func (ls *leaseStore) write(ctx context.Context, group string, l Lease, ifVersio
 // by back-to-back membership changes) is reserved for the ring owner: a
 // non-owner (e.g. the previous owner's stale in-flight request) may claim
 // it only after the grace period, which exists solely for the case where
-// the ring owner died before adopting.
-func (ls *leaseStore) acquire(ctx context.Context, group, owner string, ttl time.Duration, ringEpoch uint64, ringOwner bool) (Lease, error) {
+// the ring owner died before adopting. On success it also returns the
+// lease it replaced (zero for a never-leased group), from the same read the
+// CAS is conditioned on.
+func (ls *leaseStore) acquire(ctx context.Context, group, owner string, ttl time.Duration, ringEpoch uint64, ringOwner bool) (next, prev Lease, err error) {
 	cur, ver, err := ls.read(ctx, group)
 	if err != nil {
-		return Lease{}, err
+		return Lease{}, Lease{}, err
 	}
 	if cur.RingEpoch > ringEpoch {
 		// The membership moved on without us: even an expired lease must not
 		// be reclaimed by a shard from a superseded epoch.
-		return Lease{}, fmt.Errorf("%w: %s stamped by membership epoch %d, ours is %d", ErrLeaseHeld, group, cur.RingEpoch, ringEpoch)
+		return Lease{}, Lease{}, fmt.Errorf("%w: %s stamped by membership epoch %d, ours is %d", ErrLeaseHeld, group, cur.RingEpoch, ringEpoch)
 	}
 	now := ls.now()
 	if cur.Owner != "" && cur.Owner != owner && now.Before(cur.Expires) {
-		return Lease{}, fmt.Errorf("%w: %s owns %s until %s", ErrLeaseHeld, cur.Owner, group, cur.Expires.Format(time.RFC3339Nano))
+		return Lease{}, Lease{}, fmt.Errorf("%w: %s owns %s until %s", ErrLeaseHeld, cur.Owner, group, cur.Expires.Format(time.RFC3339Nano))
 	}
 	if cur.HandedOff && !ringOwner && now.Before(cur.Expires.Add(ttl)) {
-		return Lease{}, fmt.Errorf("%w: %s handed off to its epoch-%d ring owner", ErrLeaseHeld, group, ringEpoch)
+		return Lease{}, Lease{}, fmt.Errorf("%w: %s handed off to its epoch-%d ring owner", ErrLeaseHeld, group, ringEpoch)
 	}
-	next := Lease{Owner: owner, Epoch: cur.Epoch + 1, RingEpoch: ringEpoch, Expires: now.Add(ttl)}
+	next = Lease{Owner: owner, Epoch: cur.Epoch + 1, RingEpoch: ringEpoch, Expires: now.Add(ttl)}
 	if err := ls.write(ctx, group, next, ver); err != nil {
 		if errors.Is(err, storage.ErrVersionConflict) || errors.Is(err, storage.ErrFenced) {
-			return Lease{}, fmt.Errorf("%w: lost %w for %s", ErrLeaseHeld, errAcquireRace, group)
+			return Lease{}, Lease{}, fmt.Errorf("%w: lost %w for %s", ErrLeaseHeld, errAcquireRace, group)
 		}
-		return Lease{}, err
+		return Lease{}, Lease{}, err
 	}
-	return next, nil
+	return next, cur, nil
 }
 
 // renew extends an owned lease. Finding another owner (takeover after an

@@ -40,12 +40,12 @@ func TestLeaseAcquireRenewExpiry(t *testing.T) {
 	ctx := context.Background()
 	ttl := time.Second
 
-	l, err := ls.acquire(ctx, "g", "shard-0", ttl, 1, true)
-	if err != nil || l.Owner != "shard-0" || l.Epoch != 1 {
-		t.Fatalf("acquire: %+v, %v", l, err)
+	l, prev, err := ls.acquire(ctx, "g", "shard-0", ttl, 1, true)
+	if err != nil || l.Owner != "shard-0" || l.Epoch != 1 || prev != (Lease{}) {
+		t.Fatalf("acquire: %+v (replacing %+v), %v", l, prev, err)
 	}
 	// A live foreign lease blocks acquisition.
-	if _, err := ls.acquire(ctx, "g", "shard-1", ttl, 1, false); !errors.Is(err, ErrLeaseHeld) {
+	if _, _, err := ls.acquire(ctx, "g", "shard-1", ttl, 1, false); !errors.Is(err, ErrLeaseHeld) {
 		t.Fatalf("foreign acquire on live lease: %v", err)
 	}
 	// The owner renews, advancing the epoch.
@@ -56,9 +56,9 @@ func TestLeaseAcquireRenewExpiry(t *testing.T) {
 	}
 	// After expiry, a peer takes over...
 	clk.advance(2 * ttl)
-	l3, err := ls.acquire(ctx, "g", "shard-1", ttl, 1, false)
-	if err != nil || l3.Owner != "shard-1" || l3.Epoch != 3 {
-		t.Fatalf("takeover: %+v, %v", l3, err)
+	l3, prev, err := ls.acquire(ctx, "g", "shard-1", ttl, 1, false)
+	if err != nil || l3.Owner != "shard-1" || l3.Epoch != 3 || prev.Owner != "shard-0" || prev.Epoch != l2.Epoch {
+		t.Fatalf("takeover: %+v (replacing %+v, want the renewed %+v), %v", l3, prev, l2, err)
 	}
 	// ...and the stalled previous owner's renewal reports the loss.
 	if _, err := ls.renew(ctx, "g", "shard-0", ttl, 1); !errors.Is(err, ErrLeaseLost) {
@@ -70,14 +70,14 @@ func TestLeaseReleaseFreesImmediately(t *testing.T) {
 	clk := newFakeClock()
 	ls := newLeaseStore(clk)
 	ctx := context.Background()
-	if _, err := ls.acquire(ctx, "g", "shard-0", time.Hour, 1, true); err != nil {
+	if _, _, err := ls.acquire(ctx, "g", "shard-0", time.Hour, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := ls.release(ctx, "g", "shard-0", 1, false); err != nil {
 		t.Fatal(err)
 	}
 	// No clock advance needed: the released lease is expired in place.
-	if _, err := ls.acquire(ctx, "g", "shard-1", time.Hour, 1, false); err != nil {
+	if _, _, err := ls.acquire(ctx, "g", "shard-1", time.Hour, 1, false); err != nil {
 		t.Fatalf("acquire after release: %v", err)
 	}
 	// Releasing a lease someone else owns is a no-op.
@@ -98,7 +98,7 @@ func TestLeaseRingEpochFencesStaleShard(t *testing.T) {
 
 	// shard-0 held the group under membership epoch 1 and handed it off:
 	// the release stamps epoch 2 (the membership that moved the group).
-	if _, err := ls.acquire(ctx, "g", "shard-0", ttl, 1, true); err != nil {
+	if _, _, err := ls.acquire(ctx, "g", "shard-0", ttl, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := ls.release(ctx, "g", "shard-0", 2, true); err != nil {
@@ -106,11 +106,11 @@ func TestLeaseRingEpochFencesStaleShard(t *testing.T) {
 	}
 	// A shard still on epoch 1 must not reclaim the lease, even though it
 	// is expired — the membership moved on without it.
-	if _, err := ls.acquire(ctx, "g", "shard-2", ttl, 1, false); !errors.Is(err, ErrLeaseHeld) {
+	if _, _, err := ls.acquire(ctx, "g", "shard-2", ttl, 1, false); !errors.Is(err, ErrLeaseHeld) {
 		t.Fatalf("stale-epoch acquire: %v, want ErrLeaseHeld", err)
 	}
 	// The epoch-2 owner takes it immediately.
-	l, err := ls.acquire(ctx, "g", "shard-1", ttl, 2, true)
+	l, _, err := ls.acquire(ctx, "g", "shard-1", ttl, 2, true)
 	if err != nil || l.RingEpoch != 2 {
 		t.Fatalf("new-epoch acquire: %+v, %v", l, err)
 	}
@@ -133,7 +133,7 @@ func TestLeaseHandOffReservedForRingOwner(t *testing.T) {
 	ttl := time.Second
 
 	// shard-0 drains "g" for membership epoch 2 (hand-off release).
-	if _, err := ls.acquire(ctx, "g", "shard-0", ttl, 1, true); err != nil {
+	if _, _, err := ls.acquire(ctx, "g", "shard-0", ttl, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := ls.release(ctx, "g", "shard-0", 2, true); err != nil {
@@ -141,11 +141,11 @@ func TestLeaseHandOffReservedForRingOwner(t *testing.T) {
 	}
 	// The previous owner's stale request — same epoch, but no longer the
 	// ring owner — must not snatch the lease back...
-	if _, err := ls.acquire(ctx, "g", "shard-0", ttl, 2, false); !errors.Is(err, ErrLeaseHeld) {
+	if _, _, err := ls.acquire(ctx, "g", "shard-0", ttl, 2, false); !errors.Is(err, ErrLeaseHeld) {
 		t.Fatalf("non-owner reclaim inside the grace period: %v, want ErrLeaseHeld", err)
 	}
 	// ...but the ring owner adopts immediately.
-	if _, err := ls.acquire(ctx, "g", "shard-1", ttl, 2, true); err != nil {
+	if _, _, err := ls.acquire(ctx, "g", "shard-1", ttl, 2, true); err != nil {
 		t.Fatalf("ring owner adopt: %v", err)
 	}
 
@@ -154,11 +154,11 @@ func TestLeaseHandOffReservedForRingOwner(t *testing.T) {
 	if err := ls.release(ctx, "g", "shard-1", 2, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ls.acquire(ctx, "g", "shard-2", ttl, 2, false); !errors.Is(err, ErrLeaseHeld) {
+	if _, _, err := ls.acquire(ctx, "g", "shard-2", ttl, 2, false); !errors.Is(err, ErrLeaseHeld) {
 		t.Fatalf("failover before the grace period: %v, want ErrLeaseHeld", err)
 	}
 	clk.advance(ttl + time.Millisecond)
-	if _, err := ls.acquire(ctx, "g", "shard-2", ttl, 2, false); err != nil {
+	if _, _, err := ls.acquire(ctx, "g", "shard-2", ttl, 2, false); err != nil {
 		t.Fatalf("failover after the grace period: %v", err)
 	}
 }
@@ -178,7 +178,7 @@ func TestLeaseAcquireRaceSingleWinner(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := ls.acquire(ctx, "g", id, time.Hour, 1, false); err == nil {
+			if _, _, err := ls.acquire(ctx, "g", id, time.Hour, 1, false); err == nil {
 				mu.Lock()
 				wins = append(wins, id)
 				mu.Unlock()

@@ -333,13 +333,20 @@ func (s *Shard) renewAll() {
 // under the current membership waits nothing) and consecutive losses grow
 // the wait exponentially, cutting CAS conflict churn during mass failover.
 func (s *Shard) EnsureOwnership(ctx context.Context, group string) error {
+	_, err := s.ensureOwnership(ctx, group)
+	return err
+}
+
+// ensureOwnership is EnsureOwnership, also reporting whether this call
+// adopted the group and found no cloud state for it (the create path).
+func (s *Shard) ensureOwnership(ctx context.Context, group string) (absent bool, err error) {
 	s.mu.Lock()
 	l, held := s.leases[group]
 	stopped := s.stopped
 	m := s.membership
 	s.mu.Unlock()
 	if stopped {
-		return fmt.Errorf("cluster: shard %s is stopped", s.ID)
+		return false, fmt.Errorf("cluster: shard %s is stopped", s.ID)
 	}
 	if m != nil && !m.Has(s.ID) {
 		// A drained leaver must never (re)claim ownership: the router only
@@ -347,14 +354,14 @@ func (s *Shard) EnsureOwnership(ctx context.Context, group string) error {
 		// in-flight request that arrived mid-drain — would strand the group
 		// behind an owner nobody queries. Answer "held" so the gateway
 		// retries on a member.
-		return fmt.Errorf("%w: shard %s is not a member at epoch %d", ErrLeaseHeld, s.ID, m.Epoch)
+		return false, fmt.Errorf("%w: shard %s is not a member at epoch %d", ErrLeaseHeld, s.ID, m.Epoch)
 	}
 	if held && s.ls.now().Before(l.Expires) {
-		return nil
+		return false, nil
 	}
 	if delay := s.stealDelay(m, group); delay > 0 {
 		if err := sleepCtx(ctx, delay); err != nil {
-			return err
+			return false, err
 		}
 		// The membership can have changed while we slept (that is exactly
 		// when contention spikes): re-read it so the acquisition below runs
@@ -363,10 +370,11 @@ func (s *Shard) EnsureOwnership(ctx context.Context, group string) error {
 		m = s.membership
 		s.mu.Unlock()
 		if m != nil && !m.Has(s.ID) {
-			return fmt.Errorf("%w: shard %s is not a member at epoch %d", ErrLeaseHeld, s.ID, m.Epoch)
+			return false, fmt.Errorf("%w: shard %s is not a member at epoch %d", ErrLeaseHeld, s.ID, m.Epoch)
 		}
 	}
-	lease, prevOwner, err := s.acquire(ctx, group, m)
+	ringOwner := m != nil && m.Owner(group) == s.ID
+	lease, prev, err := s.ls.acquire(ctx, group, s.ID, s.ttl, s.Epoch(), ringOwner)
 	if err != nil {
 		// Only a lost CAS race grows the backoff — finding the lease held,
 		// fenced, or reserved is a routine probe (e.g. a router failover
@@ -378,7 +386,7 @@ func (s *Shard) EnsureOwnership(ctx context.Context, group string) error {
 		} else if errors.Is(err, ErrLeaseHeld) {
 			s.clearStealLoss(group)
 		}
-		return err
+		return false, err
 	}
 	s.clearStealLoss(group)
 	s.mu.Lock()
@@ -393,11 +401,11 @@ func (s *Shard) EnsureOwnership(ctx context.Context, group string) error {
 		(!cm.Has(s.ID) || (cm.Epoch > lease.RingEpoch && cm.Owner(group) != s.ID)) {
 		s.mu.Unlock()
 		_ = s.ls.release(ctx, group, s.ID, cm.Epoch, true)
-		return fmt.Errorf("%w: shard %s lost %s to membership epoch %d mid-acquisition", ErrLeaseHeld, s.ID, group, cm.Epoch)
+		return false, fmt.Errorf("%w: shard %s lost %s to membership epoch %d mid-acquisition", ErrLeaseHeld, s.ID, group, cm.Epoch)
 	}
 	s.leases[group] = lease
 	s.mu.Unlock()
-	switch prevOwner {
+	switch prev.Owner {
 	case "":
 		s.obs.leaseEvent(s.ID, "acquire")
 	case s.ID:
@@ -405,12 +413,12 @@ func (s *Shard) EnsureOwnership(ctx context.Context, group string) error {
 	default:
 		s.obs.leaseEvent(s.ID, "steal")
 	}
-	if prevOwner == s.ID {
+	if prev.Owner == s.ID {
 		// Re-acquired our own lapsed lease with nobody in between: the
 		// local cache is still authoritative.
-		return nil
+		return false, nil
 	}
-	return s.adopt(ctx, group, prevOwner != "")
+	return s.adopt(ctx, group, prev.Owner != "")
 }
 
 // stealDelay computes the wait this shard owes before racing for a lease it
@@ -461,48 +469,33 @@ func (s *Shard) clearStealLoss(group string) {
 	s.mu.Unlock()
 }
 
-// acquire wraps leaseStore.acquire, also reporting who owned the lease
-// before (empty for a never-leased group).
-func (s *Shard) acquire(ctx context.Context, group string, m *Membership) (Lease, string, error) {
-	cur, _, err := s.ls.read(ctx, group)
-	if err != nil {
-		return Lease{}, "", err
-	}
-	ringOwner := m != nil && m.Owner(group) == s.ID
-	l, err := s.ls.acquire(ctx, group, s.ID, s.ttl, s.Epoch(), ringOwner)
-	if err != nil {
-		return Lease{}, "", err
-	}
-	return l, cur.Owner, nil
-}
-
 // adopt rebuilds local state for a newly acquired group. Taking over from
 // another (possibly crashed) shard additionally rotates the group key: a
 // predecessor that died mid-apply can leave partitions wrapped under
 // different group keys, and the rotation re-keys every partition under one
 // fresh key — the cluster's convergence step. A group with no cloud records
-// yet (the create path) adopts trivially.
-func (s *Shard) adopt(ctx context.Context, group string, takeover bool) error {
+// yet (the create path) adopts trivially and reports it absent.
+func (s *Shard) adopt(ctx context.Context, group string, takeover bool) (absent bool, err error) {
 	s.Admin.DropGroup(group)
-	err := s.Admin.RestoreGroup(ctx, group)
+	err = s.Admin.RestoreGroup(ctx, group)
 	if errors.Is(err, storage.ErrNotFound) {
-		return nil // group not created yet; the create op will populate it
+		return true, nil // group not created yet; the create op will populate it
 	}
 	if errors.Is(err, admin.ErrNoSealedKey) {
-		return nil // predecessor died inside create; treated as not created
+		return true, nil // predecessor died inside create; treated as not created
 	}
 	if errors.Is(err, core.ErrGroupExists) {
-		return nil // a concurrent request already rebuilt the group
+		return false, nil // a concurrent request already rebuilt the group
 	}
 	if err != nil {
-		return fmt.Errorf("cluster: shard %s adopting %s: %w", s.ID, group, err)
+		return false, fmt.Errorf("cluster: shard %s adopting %s: %w", s.ID, group, err)
 	}
 	if takeover {
 		if err := s.Admin.RekeyGroup(ctx, group); err != nil {
-			return fmt.Errorf("cluster: shard %s healing %s: %w", s.ID, group, err)
+			return false, fmt.Errorf("cluster: shard %s healing %s: %w", s.ID, group, err)
 		}
 	}
-	return nil
+	return false, nil
 }
 
 // holdsLive reports whether the shard currently holds an unexpired lease on
@@ -568,7 +561,8 @@ func (s *Shard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "cluster: missing group", http.StatusBadRequest)
 		return
 	}
-	if err := s.EnsureOwnership(r.Context(), group); err != nil {
+	absent, err := s.ensureOwnership(r.Context(), group)
+	if err != nil {
 		if errors.Is(err, ErrLeaseHeld) {
 			w.Header().Set("Retry-After", "1")
 			admin.WriteEnvelopeError(w, http.StatusServiceUnavailable, s.epoch(), admin.CodeNotOwner, err.Error())
@@ -581,9 +575,11 @@ func (s *Shard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// dropped by a failed apply — possibly OUR OWN, which can have left a
 	// partial write in the cloud. Rebuild WITH the healing key rotation
 	// (takeover=true), exactly as if the group were reclaimed from a
-	// crashed peer.
-	if !s.Admin.Manager().HasGroup(group) {
-		if err := s.adopt(r.Context(), group, true); err != nil {
+	// crashed peer. The one exception: the ownership gate has just adopted
+	// the group in this request and found nothing in the cloud, and a
+	// second restore would read the same nothing.
+	if !absent && !s.Admin.Manager().HasGroup(group) {
+		if _, err := s.adopt(r.Context(), group, true); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -15,9 +16,16 @@ import (
 // OpLog implements the paper's third future-work item (§VIII): certifying
 // blocks of membership-operation logs so that, in a multi-administrator
 // deployment, each admin's changes are accountable and tamper-evident. It
-// is a hash-chained, signed append-only log — the "blockchain-like"
-// technology the paper sketches, without the consensus machinery a single
-// storage provider does not need.
+// is a hash-chained append-only log — the "blockchain-like" technology the
+// paper sketches, without the consensus machinery a single storage provider
+// does not need — hash-chained per op and signed per export: Append links
+// and hashes an entry, and the admin's ECDSA signature goes on the last
+// entry of each block that leaves the log (Entries, CheckpointBefore). That
+// one signature certifies the whole block, since every entry's hash covers
+// its predecessor's (Crosby & Wallach, USENIX Security 2009, sign the log
+// head the same way). Entries leave the process only through those two
+// calls, and the signing key lives in the same memory as the entries, so
+// deferring the signature to the export loses nothing.
 type OpLog struct {
 	mu      sync.Mutex
 	key     *ecdsa.PrivateKey
@@ -62,7 +70,9 @@ func (k OpKind) String() string {
 	}
 }
 
-// LogEntry is one certified membership operation.
+// LogEntry is one membership operation. Sig is the admin's signature over
+// Hash on the last entry of an export (and on any entry that was once
+// one), empty elsewhere.
 type LogEntry struct {
 	Seq      uint64
 	Time     time.Time
@@ -77,7 +87,8 @@ type LogEntry struct {
 
 // Errors returned by log verification.
 var (
-	// ErrLogTampered reports a broken hash chain or bad signature.
+	// ErrLogTampered reports a broken hash chain, a bad signature, or an
+	// export whose last entry is unsigned (a truncated tail).
 	ErrLogTampered = errors.New("core: operation log tampered")
 )
 
@@ -93,7 +104,9 @@ func NewOpLog() (*OpLog, error) {
 // PublicKey returns the verification key for the log.
 func (l *OpLog) PublicKey() *ecdsa.PublicKey { return &l.key.PublicKey }
 
-// Append certifies one operation and links it to the chain.
+// Append links one operation into the chain and hashes it; it does not
+// sign (see OpLog), so the returned copy carries no signature. The error
+// is always nil.
 func (l *OpLog) Append(admin, group string, kind OpKind, user string) (*LogEntry, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -111,21 +124,32 @@ func (l *OpLog) Append(admin, group string, kind OpKind, user string) (*LogEntry
 		e.PrevHash = l.baseHash
 	}
 	e.Hash = e.digest()
-	sig, err := ecdsa.SignASN1(rand.Reader, l.key, e.Hash[:])
-	if err != nil {
-		return nil, fmt.Errorf("core: signing log entry: %w", err)
-	}
-	e.Sig = sig
 	l.entries = append(l.entries, e)
 	out := e
 	return &out, nil
 }
 
-// Entries returns a copy of the log.
+// Entries returns a copy of the retained log, its last entry signed.
 func (l *OpLog) Entries() []LogEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]LogEntry(nil), l.entries...)
+	return l.export(l.entries)
+}
+
+// export signs the last entry of es in place unless it already carries a
+// signature, then returns a deep copy of es. A failed signature leaves the
+// entry unsigned, so verifying the export fails closed. Callers hold l.mu.
+func (l *OpLog) export(es []LogEntry) []LogEntry {
+	if n := len(es); n > 0 && len(es[n-1].Sig) == 0 {
+		if sig, err := ecdsa.SignASN1(rand.Reader, l.key, es[n-1].Hash[:]); err == nil {
+			es[n-1].Sig = sig
+		}
+	}
+	out := append([]LogEntry(nil), es...)
+	for i := range out {
+		out[i].Sig = bytes.Clone(out[i].Sig)
+	}
+	return out
 }
 
 // Len returns the number of certified operations, including truncated ones.
@@ -149,7 +173,8 @@ func (l *OpLog) Checkpoint() (uint64, [32]byte) {
 // of entry n-1 becomes the checkpoint anchor future entries (and
 // VerifyChainFrom) link against. Long-running administrators call it
 // periodically after archiving the returned entries elsewhere. It returns
-// the truncated entries (empty when n is not past the current anchor).
+// the truncated entries (empty when n is not past the current anchor), the
+// last one signed, so the archived block verifies on its own.
 func (l *OpLog) CheckpointBefore(n uint64) []LogEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -161,7 +186,7 @@ func (l *OpLog) CheckpointBefore(n uint64) []LogEntry {
 		n = top
 	}
 	cut := int(n - 1 - l.baseSeq) // entries[:cut] have Seq < n
-	dropped := append([]LogEntry(nil), l.entries[:cut]...)
+	dropped := l.export(l.entries[:cut])
 	if cut > 0 {
 		l.baseSeq = l.entries[cut-1].Seq
 		l.baseHash = l.entries[cut-1].Hash
@@ -171,7 +196,8 @@ func (l *OpLog) CheckpointBefore(n uint64) []LogEntry {
 }
 
 // VerifyChain validates hash links and signatures for an exported log
-// against the admin public key; any mutation fails with ErrLogTampered.
+// against the admin public key; any mutation, and any truncation of the
+// tail, fails with ErrLogTampered.
 func VerifyChain(entries []LogEntry, pub *ecdsa.PublicKey) error {
 	var zero [32]byte
 	return VerifyChainFrom(entries, pub, 0, zero)
@@ -179,7 +205,10 @@ func VerifyChain(entries []LogEntry, pub *ecdsa.PublicKey) error {
 
 // VerifyChainFrom validates a log exported after a checkpoint: entries must
 // continue the chain at baseSeq+1 with the first PrevHash equal to baseHash
-// (both from OpLog.Checkpoint taken when the prefix was archived).
+// (both from OpLog.Checkpoint taken when the prefix was archived). Every
+// link and every signature present must check, and the last entry must
+// carry a valid signature: through the chain it certifies all the others.
+// An empty export certifies nothing and passes.
 func VerifyChainFrom(entries []LogEntry, pub *ecdsa.PublicKey, baseSeq uint64, baseHash [32]byte) error {
 	prev := baseHash
 	for i, e := range entries {
@@ -192,10 +221,13 @@ func VerifyChainFrom(entries []LogEntry, pub *ecdsa.PublicKey, baseSeq uint64, b
 		if e.digest() != e.Hash {
 			return fmt.Errorf("%w: hash mismatch at seq %d", ErrLogTampered, e.Seq)
 		}
-		if !ecdsa.VerifyASN1(pub, e.Hash[:], e.Sig) {
+		if len(e.Sig) > 0 && !ecdsa.VerifyASN1(pub, e.Hash[:], e.Sig) {
 			return fmt.Errorf("%w: bad signature at seq %d", ErrLogTampered, e.Seq)
 		}
 		prev = e.Hash
+	}
+	if n := len(entries); n > 0 && len(entries[n-1].Sig) == 0 {
+		return fmt.Errorf("%w: unsigned head at seq %d", ErrLogTampered, entries[n-1].Seq)
 	}
 	return nil
 }

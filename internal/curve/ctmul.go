@@ -20,8 +20,12 @@ import (
 //     points, since r·P = ∞), then recoded into a FIXED number of signed odd
 //     digits — no digit is ever zero, so every window does exactly one table
 //     load and one addition;
-//   - table loads scan the whole row with masked limb Selects;
-//   - digit signs apply through a masked conditional negation.
+//   - table loads scan the whole row, ORing every entry's limbs under a
+//     mask that is all-ones only at the wanted index;
+//   - digit signs apply through a masked conditional negation;
+//   - the final inversion to affine, a variable-time big.Int.ModInverse, is
+//     blinded: it inverts Z·ρ for a fresh random non-zero ρ, a value
+//     independent of the scalar, and multiplies ρ back in.
 //
 // This is best-effort constant time, not a full guarantee: the big.Int
 // reduction of the input scalar and the exceptional-case branches inside the
@@ -91,23 +95,47 @@ func digitIdxMask(d int8) (idx uint64, negMask uint64) {
 	return uint64(abs-1) >> 1, negMask
 }
 
-// ctSelect copies table[idx] into dst by scanning every entry with masked
-// limb selects, so the access pattern is independent of idx.
-func ctSelect(m *ff.Mont, dst *montAffine, table []montAffine, idx uint64) {
+// ctSelect copies table[idx] into dst by scanning every entry, so the
+// access pattern is independent of idx: one pass per coordinate ORs each
+// entry's limbs, masked to all-ones exactly at idx, into eight local
+// accumulators and writes the coordinate once, with no per-entry store.
+func ctSelect(dst *montAffine, table []montAffine, idx uint64) {
+	dst.x = ctScan(table, idx, false)
+	dst.y = ctScan(table, idx, true)
+}
+
+// The eight accumulators of ctScan are the eight limbs of an ff.Fel; this
+// constant overflows, failing the build, if ff.MaxLimbs ever differs.
+const _ = uint(ff.MaxLimbs-8) + uint(8-ff.MaxLimbs)
+
+// ctScan returns the x (or, when y is set, the y) coordinate of table[idx]
+// after reading that coordinate of every entry.
+func ctScan(table []montAffine, idx uint64, y bool) ff.Fel {
+	var a0, a1, a2, a3, a4, a5, a6, a7 uint64
 	for j := range table {
-		x := uint64(j) ^ idx
-		nz := (x | -x) >> 63
-		mask := nz - 1 // all-ones exactly when j == idx
-		m.Select(&dst.x, mask, &table[j].x, &dst.x)
-		m.Select(&dst.y, mask, &table[j].y, &dst.y)
+		f := &table[j].x
+		if y {
+			f = &table[j].y
+		}
+		v := uint64(j) ^ idx
+		mask := ((v | -v) >> 63) - 1 // all-ones exactly when j == idx
+		a0 |= f[0] & mask
+		a1 |= f[1] & mask
+		a2 |= f[2] & mask
+		a3 |= f[3] & mask
+		a4 |= f[4] & mask
+		a5 |= f[5] & mask
+		a6 |= f[6] & mask
+		a7 |= f[7] & mask
 	}
+	return ff.Fel{a0, a1, a2, a3, a4, a5, a6, a7}
 }
 
 // ctLoadDigit resolves digit d against a row of odd multiples: a full-row
 // masked scan followed by a masked negation for negative digits.
 func ctLoadDigit(m *ff.Mont, dst *montAffine, row []montAffine, d int8) {
 	idx, negMask := digitIdxMask(d)
-	ctSelect(m, dst, row, idx)
+	ctSelect(dst, row, idx)
 	m.CondNeg(&dst.y, negMask, &dst.y)
 	dst.inf = false
 }
@@ -134,7 +162,29 @@ func (c *Curve) ScalarMultConstTime(p *Point, k *big.Int) *Point {
 		ctLoadDigit(m, &entry, modd, digits[i])
 		c.montAddAffine(m, &acc, &entry)
 	}
-	return c.montFromJac(m, &acc)
+	return c.fromMontAffine(m, &montNormalize(m, []montJac{acc}, c.ctBlind(m))[0])
+}
+
+// ctBlind draws the random non-zero factor that blinds a constant-time
+// walk's final inversion (montNormalize), in the Montgomery domain.
+func (c *Curve) ctBlind(m *ff.Mont) *ff.Fel {
+	v, err := c.F.RandNonZero(cryptoRandReader)
+	if err != nil {
+		// crypto/rand does not fail on supported platforms; a walk must not
+		// fall back to an unblinded inversion if it ever does.
+		panic("curve: drawing the inversion blind: " + err.Error())
+	}
+	var rho ff.Fel
+	m.FromBig(&rho, v)
+	return &rho
+}
+
+// fromMontAffine decodes a limb-domain affine point to a big.Int Point.
+func (c *Curve) fromMontAffine(m *ff.Mont, a *montAffine) *Point {
+	if a.inf {
+		return c.Infinity()
+	}
+	return &Point{X: m.ToBig(&a.x), Y: m.ToBig(&a.y)}
 }
 
 // MulConstTimeEach returns (ks[i] mod r)·base_i for the base of every table
@@ -175,12 +225,9 @@ func (c *Curve) MulConstTimeEach(fbs []*FixedBase, ks []*big.Int) []*Point {
 			}
 		}
 	})
-	for i, a := range montNormalize(m, js) {
-		if a.inf {
-			out[i] = c.Infinity()
-		} else {
-			out[i] = &Point{X: m.ToBig(&a.x), Y: m.ToBig(&a.y)}
-		}
+	aff := montNormalize(m, js, c.ctBlind(m))
+	for i := range aff {
+		out[i] = c.fromMontAffine(m, &aff[i])
 	}
 	return out
 }

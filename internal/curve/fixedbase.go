@@ -7,10 +7,19 @@ import (
 // fixedBaseWindow is the width of a FixedBase table's signed odd digits:
 // every exponent recodes into ⌈(bits(r)+1)/w⌉ + 1 digits in ±{1, 3, …,
 // 2^w − 1}, one masked row scan and one mixed addition each. A wider window
-// means fewer additions but longer row scans; a sweep at type-a-512 (README,
-// Performance) finds their sum lowest at w = 6, where the table holds
-// 28 rows × 32 odd multiples, 896 affine points or ≈ 120 KB in the limb
-// domain.
+// means fewer additions but longer row scans. At type-a-512 the table holds
+// 28 rows × 32 odd multiples at w = 6, 896 affine points or ≈ 120 KB in the
+// limb domain. Sweep with the register-resident row scan (2-vCPU box, one
+// thread, min of ten alternating runs for the first two columns, of five
+// for the last two; README, Performance):
+//
+//	w   FixedBase.Mul   3-exponent batch   add/state   remove/state
+//	5   56.3 µs         151.8 µs           108.4 µs    186.6 µs
+//	6   50.6 µs         133.1 µs            96.0 µs    159.0 µs
+//	7   50.3 µs         133.2 µs            95.5 µs    161.5 µs
+//
+// w = 7 only ties w = 6, at 1.7× the table (209 KB per generator), so the
+// window stays at 6.
 const fixedBaseWindow = 6
 
 // bigFixedBaseWindow is the unsigned radix-2^w digit width of the big.Int

@@ -104,7 +104,7 @@ func (c *Curve) montOddMultiples(m *ff.Mont, p *Point, n int) []montAffine {
 			c.montAdd(m, &js[i], &two)
 		}
 	}
-	return montNormalize(m, js)
+	return montNormalize(m, js, nil)
 }
 
 // montOddMultiplesRows fills rows[i] with [1P, 3P, …, (2n−1)P] for every
@@ -251,7 +251,7 @@ func (c *Curve) montOddWindowRows(m *ff.Mont, p *Point, rows int, w uint) [][]mo
 			c.montDouble(m, &cur)
 		}
 	}
-	aff := montNormalize(m, js)
+	aff := montNormalize(m, js, nil)
 	out := make([][]montAffine, rows)
 	for i := range out {
 		out[i] = aff[i*per : (i+1)*per : (i+1)*per]
@@ -261,8 +261,11 @@ func (c *Curve) montOddWindowRows(m *ff.Mont, p *Point, rows int, w uint) [][]mo
 
 // montNormalize is batchNormalize in the limb domain: one inversion of the
 // product of the non-zero Z's, then per-point inverses peeled off back to
-// front. Z = 0 entries come back as infinity.
-func montNormalize(m *ff.Mont, js []montJac) []montAffine {
+// front. Z = 0 entries come back as infinity. A non-nil rho blinds the
+// inversion for points that depend on a secret: the variable-time
+// big.Int.ModInverse then sees the product times the random non-zero rho,
+// whose inverse times rho is the product's, at two extra multiplications.
+func montNormalize(m *ff.Mont, js []montJac, rho *ff.Fel) []montAffine {
 	out := make([]montAffine, len(js))
 	prefix := make([]ff.Fel, len(js)) // prefix[i] = product of the non-zero Z's before i
 	var acc ff.Fel
@@ -273,10 +276,16 @@ func montNormalize(m *ff.Mont, js []montJac) []montAffine {
 			m.Mul(&acc, &acc, &js[i].z)
 		}
 	}
+	if rho != nil {
+		m.Mul(&acc, &acc, rho)
+	}
 	var inv ff.Fel
 	if !m.Inv(&inv, &acc) {
 		// See the batchNormalize panic rationale.
 		panic("curve: montNormalize: product of non-zero Z's is not invertible")
+	}
+	if rho != nil {
+		m.Mul(&inv, &inv, rho)
 	}
 	for i := len(js) - 1; i >= 0; i-- {
 		j := &js[i]

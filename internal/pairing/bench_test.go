@@ -2,7 +2,10 @@ package pairing
 
 import (
 	"crypto/rand"
+	"math/big"
 	"testing"
+
+	"github.com/ibbesgx/ibbesgx/internal/curve"
 )
 
 // Microbenchmarks for the pairing substrate — the primitive costs that set
@@ -197,5 +200,36 @@ func BenchmarkG1FixedBase512(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		fb.Mul(k)
+	}
+}
+
+// BenchmarkMulConstTimeEach512 is a removal's header batch at the paper
+// width: three secret exponents on the constant-time fixed-base walk, two on
+// h's table and one on w's, brought to affine by one blinded inversion.
+func BenchmarkMulConstTimeEach512(b *testing.B) {
+	if testing.Short() {
+		b.Skip("paper-scale parameters")
+	}
+	p := TypeA512()
+	var fbs []*curve.FixedBase
+	var ks []*big.Int
+	for i := 0; i < 2; i++ {
+		P, err := p.G1.RandPoint(rand.Reader)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fbs = append(fbs, p.G1.NewFixedBase(P))
+	}
+	fbs = []*curve.FixedBase{fbs[0], fbs[0], fbs[1]}
+	for range fbs {
+		k, err := p.G1.RandScalar(rand.Reader)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ks = append(ks, k)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		p.G1.MulConstTimeEach(fbs, ks)
 	}
 }
