@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/big"
 	"os"
 
@@ -25,13 +26,15 @@ func main() {
 	expHigh := flag.Int("exphigh", 159, "high Solinas exponent of r")
 	expLow := flag.Int("explow", -1, "low Solinas exponent of r (negative = search)")
 	flag.Parse()
-	if err := run(*qBits, *expHigh, *expLow); err != nil {
+	if err := run(os.Stdout, *qBits, *expHigh, *expLow); err != nil {
 		fmt.Fprintln(os.Stderr, "paramgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(qBits, expHigh, expLow int) error {
+// run writes the parameter snippet for the given widths to w. A qBits wider
+// than the field arithmetic takes fails before the cofactor search.
+func run(w io.Writer, qBits, expHigh, expLow int) error {
 	lows := []int{expLow}
 	if expLow < 0 {
 		lows = lows[:0]
@@ -53,10 +56,10 @@ func run(qBits, expHigh, expLow int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("// Type-A parameters: r = 2^%d + 2^%d + 1, q = h·r − 1 (%d bits)\n", expHigh, lows[0], p.Q.BitLen())
-	fmt.Printf("// q bits: %d, r bits: %d\n", p.Q.BitLen(), p.R.BitLen())
-	fmt.Printf("q = %q\n", p.Q.String())
-	fmt.Printf("r = %q\n", p.R.String())
-	fmt.Printf("h = %q\n", p.H.String())
+	fmt.Fprintf(w, "// Type-A parameters: r = 2^%d + 2^%d + 1, q = h·r − 1 (%d bits)\n", expHigh, lows[0], p.Q.BitLen())
+	fmt.Fprintf(w, "// q bits: %d, r bits: %d\n", p.Q.BitLen(), p.R.BitLen())
+	fmt.Fprintf(w, "q = %q\n", p.Q.String())
+	fmt.Fprintf(w, "r = %q\n", p.R.String())
+	fmt.Fprintf(w, "h = %q\n", p.H.String())
 	return nil
 }

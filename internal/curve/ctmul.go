@@ -32,8 +32,8 @@ import (
 // addition formulas (hit only when an intermediate sum cancels, which for
 // random secret scalars is astronomically unlikely) remain variable-time.
 // What it removes is the exponent-bit-shaped control flow and memory access
-// of the variable-time walks. Every entry point requires an r-torsion point
-// and falls back to the variable-time path when the limb core is unavailable.
+// of the variable-time walks. Every entry point requires an r-torsion point;
+// none of them has a branch into a variable-time walk.
 
 // ctWindow is the window width of ScalarMultConstTime, whose odd-multiple
 // table is built per call: digits are odd in ±{1, 3, …, 2^w − 1}, needing
@@ -142,13 +142,13 @@ func ctLoadDigit(m *ff.Mont, dst *montAffine, row []montAffine, d int8) {
 
 // ScalarMultConstTime returns (k mod r)·P for an r-torsion point P using the
 // uniform fixed-window walk: one table scan and one addition per window, w
-// doublings between windows, identical for every scalar. Falls back to
-// ScalarMult when the limb core is unavailable or P is the identity.
+// doublings between windows, identical for every scalar. The identity gives
+// the identity.
 func (c *Curve) ScalarMultConstTime(p *Point, k *big.Int) *Point {
-	m := c.mont()
-	if m == nil || p.Inf {
-		return c.ScalarMult(p, k)
+	if p.Inf {
+		return c.Infinity()
 	}
+	m := c.mont()
 	modd := c.montOddMultiples(m, p, 1<<(ctWindow-1))
 	digits := ctRecode(k, c.R, ctWindow)
 	var entry montAffine
@@ -195,17 +195,10 @@ func (c *Curve) fromMontAffine(m *ff.Mont, a *montAffine) *Point {
 // point (all long-lived scheme bases are).
 // Large batches (Setup's m + 1 powers of h) split into contiguous chunks
 // across at most MaxParallelism workers; the split depends only on the
-// batch size. An identity base gives the identity. Falls back to Mul per
-// table when the limb core is unavailable.
+// batch size. An identity base gives the identity.
 func (c *Curve) MulConstTimeEach(fbs []*FixedBase, ks []*big.Int) []*Point {
 	out := make([]*Point, len(fbs))
 	m := c.mont()
-	if m == nil {
-		for i, fb := range fbs {
-			out[i] = fb.Mul(ks[i])
-		}
-		return out
-	}
 	js := make([]montJac, len(fbs))
 	parallelRanges(len(fbs), 16, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -161,10 +161,11 @@ func (c *Curve) Double(p *Point) *Point {
 // ScalarMult returns k·p. The scalar may be any integer; it is used as-is
 // (callers working in G1 should reduce modulo r first, which ScalarBase
 // operations in higher layers do). Internally the chain stays in Jacobian
-// coordinates end to end and walks the width-4 NAF of k over a
-// batch-normalized odd-multiple table, so a b-bit scalar costs b doublings
-// plus ≈ b/5 mixed additions and exactly two field inversions (one for the
-// table, one for the final normalisation).
+// coordinates in the Montgomery domain end to end and walks the width-4 NAF
+// of k over a batch-normalized odd-multiple table, so a b-bit scalar costs b
+// doublings plus ≈ b/5 mixed additions and exactly two field inversions (one
+// for the table, one for the final normalisation). The walk is variable
+// time: secret exponents take ScalarMultConstTime or a FixedBase.
 func (c *Curve) ScalarMult(p *Point, k *big.Int) *Point {
 	if p.Inf || k.Sign() == 0 {
 		return c.Infinity()
@@ -172,7 +173,9 @@ func (c *Curve) ScalarMult(p *Point, k *big.Int) *Point {
 	if k.Sign() < 0 {
 		return c.ScalarMult(c.Neg(p), new(big.Int).Neg(k))
 	}
-	return c.fromJacobian(c.scalarMultJacobian(p, k))
+	m := c.mont()
+	acc := c.scalarMultMont(m, p, k)
+	return c.montFromJac(m, &acc)
 }
 
 // ScalarMultBinary is the plain double-and-add ladder ScalarMult used before

@@ -381,42 +381,49 @@ func TestMultiExpParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestBatchNormalizeMatchesFromJacobian(t *testing.T) {
+// TestMontNormalizeMatchesFromJacobian pins the limb batch normalisation
+// against the big.Int reference conversion, point by point: genuine Jacobian
+// points (Z ≠ 1 from doubling and addition chains) mixed with identities in
+// arbitrary positions, then the all-identity and empty batches.
+func TestMontNormalizeMatchesFromJacobian(t *testing.T) {
 	for name, c := range fastPathCurves(t) {
-		var js []*jacobianPoint
-		// A mix of genuine Jacobian points (Z ≠ 1 from doubling chains) and
-		// infinities in arbitrary positions.
+		m := c.mont()
 		p, err := c.RandPoint(rand.Reader)
 		if err != nil {
 			t.Fatalf("%s: RandPoint: %v", name, err)
 		}
-		cur := c.toJacobian(p)
+		var pj, cur montJac
+		pa := toMontAffine(m, p)
+		pj.setAffine(m, &pa)
+		cur = pj
+		var js []montJac
 		for i := 0; i < 12; i++ {
 			if i%4 == 3 {
-				js = append(js, c.jacobianInfinity())
+				var inf montJac
+				inf.setInfinity(m)
+				js = append(js, inf)
 				continue
 			}
-			cur = c.jacobianDouble(cur)
+			c.montDouble(m, &cur)
 			js = append(js, cur)
-			cur = c.jacobianAdd(cur, c.toJacobian(p))
+			c.montAdd(m, &cur, &pj)
 		}
-		batch := c.batchNormalize(js)
-		for i, j := range js {
-			want := c.fromJacobian(j)
-			if !c.Equal(batch[i], want) {
-				t.Fatalf("%s: batchNormalize[%d] ≠ fromJacobian", name, i)
+		batch := montNormalize(m, js, nil)
+		for i := range js {
+			j := &js[i]
+			want := c.fromJacobian(&jacobianPoint{x: m.ToBig(&j.x), y: m.ToBig(&j.y), z: m.ToBig(&j.z)})
+			got := c.fromMontAffine(m, &batch[i])
+			if string(c.Marshal(got)) != string(c.Marshal(want)) {
+				t.Fatalf("%s: montNormalize[%d] = %v, fromJacobian gives %v", name, i, got, want)
 			}
-			if !want.Inf && string(c.Marshal(batch[i])) != string(c.Marshal(want)) {
-				t.Fatalf("%s: batchNormalize[%d] encoding differs", name, i)
-			}
 		}
-		// Degenerate inputs: all-infinity and empty batches.
-		all := c.batchNormalize([]*jacobianPoint{c.jacobianInfinity()})
-		if !all[0].Inf {
-			t.Fatalf("%s: batchNormalize(∞) not ∞", name)
+		var inf montJac
+		inf.setInfinity(m)
+		if all := montNormalize(m, []montJac{inf}, nil); !all[0].inf {
+			t.Fatalf("%s: montNormalize(∞) not ∞", name)
 		}
-		if got := c.batchNormalize(nil); len(got) != 0 {
-			t.Fatalf("%s: batchNormalize(nil) returned %d points", name, len(got))
+		if got := montNormalize(m, nil, nil); len(got) != 0 {
+			t.Fatalf("%s: montNormalize(nil) returned %d points", name, len(got))
 		}
 	}
 }

@@ -22,28 +22,20 @@ import (
 // window stays at 6.
 const fixedBaseWindow = 6
 
-// bigFixedBaseWindow is the unsigned radix-2^w digit width of the big.Int
-// table kept for fields too wide for the limb core.
-const bigFixedBaseWindow = 4
-
 // FixedBase is a precomputed table for repeated scalar multiplication of one
 // long-lived r-torsion base point (the scheme's generators g, h, w). Row i
 // of the table holds the odd multiples {1, 3, …, 2^w − 1}·2^(w·i)·P,
 // batch-normalized to affine with a single field inversion, so Mul is a
 // chain of ≈ bits(r)/w mixed additions and no doublings, on the
 // constant-time walk of ctmul.go. Exponents are reduced modulo the subgroup
-// order r, the ScalarMultReduced semantics every IBBE call site uses.
-//
-// With the limb core available the table is built and kept in the
-// Montgomery domain only; a field too wide for it keeps an unsigned
-// width-4 big.Int table and a variable-time walk instead.
+// order r, the ScalarMultReduced semantics every IBBE call site uses. The
+// table is built and kept in the Montgomery domain.
 //
 // A FixedBase is immutable after construction and safe for concurrent use.
 type FixedBase struct {
 	c      *Curve
 	base   *Point
 	ctable [][]montAffine // signed-odd-window rows, limb domain; nil for ∞
-	table  [][]*Point     // table[i][d-1] = d · 2^(4·i) · base, big.Int form, when c.mont() is nil
 }
 
 // NewFixedBase builds the windowed table for p. Construction costs a few
@@ -51,33 +43,8 @@ type FixedBase struct {
 // Mul calls; for one-shot exponents use ScalarMult.
 func (c *Curve) NewFixedBase(p *Point) *FixedBase {
 	fb := &FixedBase{c: c, base: p.Clone()}
-	if p.Inf {
-		return fb
-	}
-	if m := c.mont(); m != nil {
-		fb.ctable = c.montOddWindowRows(m, p, ctDigits(c.R.BitLen()+1, fixedBaseWindow), fixedBaseWindow)
-		return fb
-	}
-	const w = bigFixedBaseWindow
-	const per = (1 << w) - 1
-	nWin := (c.R.BitLen() + w - 1) / w
-	js := make([]*jacobianPoint, 0, nWin*per)
-	cur := c.toJacobian(p)
-	for i := 0; i < nWin; i++ {
-		js = append(js, cur)
-		prev := cur
-		for d := 2; d <= per; d++ {
-			prev = c.jacobianAdd(prev, cur)
-			js = append(js, prev)
-		}
-		for b := 0; b < w; b++ {
-			cur = c.jacobianDouble(cur)
-		}
-	}
-	aff := c.batchNormalize(js)
-	fb.table = make([][]*Point, nWin)
-	for i := 0; i < nWin; i++ {
-		fb.table[i] = aff[i*per : (i+1)*per]
+	if !p.Inf {
+		fb.ctable = c.montOddWindowRows(c.mont(), p, ctDigits(c.R.BitLen()+1, fixedBaseWindow), fixedBaseWindow)
 	}
 	return fb
 }
@@ -85,39 +52,8 @@ func (c *Curve) NewFixedBase(p *Point) *FixedBase {
 // Point returns (a copy of) the base point the table was built for.
 func (fb *FixedBase) Point() *Point { return fb.base.Clone() }
 
-// Mul returns (k mod r)·P. With the limb core it is MulConstTimeEach for one
-// table: the same digit count, row scans and additions for every k.
+// Mul returns (k mod r)·P: MulConstTimeEach for one table, the same digit
+// count, row scans and additions for every k.
 func (fb *FixedBase) Mul(k *big.Int) *Point {
-	c := fb.c
-	if c.mont() != nil {
-		return c.MulConstTimeEach([]*FixedBase{fb}, []*big.Int{k})[0]
-	}
-	return c.fromJacobian(fb.mulJacobian(k))
-}
-
-// mulJacobian is the variable-time digit walk over the big.Int table, for
-// fields the limb core cannot take.
-func (fb *FixedBase) mulJacobian(k *big.Int) *jacobianPoint {
-	c := fb.c
-	e := new(big.Int).Mod(k, c.R)
-	if fb.base.Inf || e.Sign() == 0 {
-		return c.jacobianInfinity()
-	}
-	const w = bigFixedBaseWindow
-	acc := c.jacobianInfinity()
-	for i := range fb.table {
-		d := 0
-		for b := 0; b < w; b++ {
-			d |= int(e.Bit(i*w+b)) << b
-		}
-		if d == 0 {
-			continue
-		}
-		entry := fb.table[i][d-1]
-		if entry.Inf {
-			continue // only possible for low-order bases
-		}
-		acc = c.jacobianAddAffine(acc, entry.X, entry.Y)
-	}
-	return acc
+	return fb.c.MulConstTimeEach([]*FixedBase{fb}, []*big.Int{k})[0]
 }

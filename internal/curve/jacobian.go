@@ -17,17 +17,6 @@ func (c *Curve) jacobianInfinity() *jacobianPoint {
 	return &jacobianPoint{x: big.NewInt(1), y: big.NewInt(1), z: big.NewInt(0)}
 }
 
-func (c *Curve) toJacobian(p *Point) *jacobianPoint {
-	if p.Inf {
-		return c.jacobianInfinity()
-	}
-	return &jacobianPoint{
-		x: new(big.Int).Set(p.X),
-		y: new(big.Int).Set(p.Y),
-		z: big.NewInt(1),
-	}
-}
-
 func (c *Curve) fromJacobian(j *jacobianPoint) *Point {
 	if j.z.Sign() == 0 {
 		return c.Infinity()
@@ -44,48 +33,6 @@ func (c *Curve) fromJacobian(j *jacobianPoint) *Point {
 	x := f.Mul(j.x, zInv2)
 	y := f.Mul(j.y, f.Mul(zInv2, zInv))
 	return &Point{X: x, Y: y}
-}
-
-// batchNormalize converts js to affine with a single field inversion using
-// Montgomery's simultaneous-inversion trick: accumulate the product of all
-// non-zero Z's, invert once, then peel per-point inverses off the running
-// product back to front. N points cost one Inv plus 3(N−1) multiplications
-// instead of N Invs.
-func (c *Curve) batchNormalize(js []*jacobianPoint) []*Point {
-	out := make([]*Point, len(js))
-	f := c.F
-	idx := make([]int, 0, len(js))
-	prefix := make([]*big.Int, 0, len(js))
-	acc := big.NewInt(1)
-	for i, j := range js {
-		if j.z.Sign() == 0 {
-			out[i] = c.Infinity()
-			continue
-		}
-		prefix = append(prefix, acc) // product of Z's before this point
-		idx = append(idx, i)
-		acc = f.Mul(acc, j.z)
-	}
-	if len(idx) == 0 {
-		return out
-	}
-	inv, err := f.Inv(acc)
-	if err != nil {
-		// Every factor is non-zero, so the product is invertible; see the
-		// fromJacobian panic rationale.
-		panic("curve: batchNormalize: product of non-zero Z's is not invertible: " + err.Error())
-	}
-	for t := len(idx) - 1; t >= 0; t-- {
-		i := idx[t]
-		zInv := f.Mul(inv, prefix[t]) // (Π_{s<t} z_s)·(Π_{s≤t} z_s)⁻¹ = z_i⁻¹
-		inv = f.Mul(inv, js[i].z)     // drop z_i from the running inverse
-		zInv2 := f.Sqr(zInv)
-		out[i] = &Point{
-			X: f.Mul(js[i].x, zInv2),
-			Y: f.Mul(js[i].y, f.Mul(zInv2, zInv)),
-		}
-	}
-	return out
 }
 
 // jacobianDouble implements dbl-2007-bl for a = 1 (curve y² = x³ + x):
@@ -110,9 +57,8 @@ func (c *Curve) jacobianDouble(p *jacobianPoint) *jacobianPoint {
 }
 
 // jacobianAddAffine adds the affine point (qx, qy) to a Jacobian point p
-// (mixed addition, madd-2007-bl). The scalar-mult walks use it because every
-// precomputed table entry is batch-normalized to affine, making each loop
-// addition a mixed one.
+// (mixed addition, madd-2007-bl), the step of the ScalarMultBinary reference
+// ladder.
 func (c *Curve) jacobianAddAffine(p *jacobianPoint, qx, qy *big.Int) *jacobianPoint {
 	if p.z.Sign() == 0 {
 		return &jacobianPoint{
@@ -139,46 +85,5 @@ func (c *Curve) jacobianAddAffine(p *jacobianPoint, qx, qy *big.Int) *jacobianPo
 	x3 := f.Sub(f.Sub(f.Sqr(r), h3), f.Add(v, v))
 	y3 := f.Sub(f.Mul(r, f.Sub(v, x3)), f.Mul(p.y, h3))
 	z3 := f.Mul(p.z, h)
-	return &jacobianPoint{x: x3, y: y3, z: z3}
-}
-
-// jacobianAdd is the general Jacobian-Jacobian addition (add-2007-bl), used
-// while building precompute tables where intermediate points have Z ≠ 1.
-func (c *Curve) jacobianAdd(p, q *jacobianPoint) *jacobianPoint {
-	if p.z.Sign() == 0 {
-		return &jacobianPoint{
-			x: new(big.Int).Set(q.x),
-			y: new(big.Int).Set(q.y),
-			z: new(big.Int).Set(q.z),
-		}
-	}
-	if q.z.Sign() == 0 {
-		return &jacobianPoint{
-			x: new(big.Int).Set(p.x),
-			y: new(big.Int).Set(p.y),
-			z: new(big.Int).Set(p.z),
-		}
-	}
-	f := c.F
-	z1z1 := f.Sqr(p.z)
-	z2z2 := f.Sqr(q.z)
-	u1 := f.Mul(p.x, z2z2)
-	u2 := f.Mul(q.x, z1z1)
-	s1 := f.Mul(p.y, f.Mul(q.z, z2z2))
-	s2 := f.Mul(q.y, f.Mul(p.z, z1z1))
-	h := f.Sub(u2, u1)
-	r := f.Sub(s2, s1)
-	if h.Sign() == 0 {
-		if r.Sign() == 0 {
-			return c.jacobianDouble(p)
-		}
-		return c.jacobianInfinity()
-	}
-	h2 := f.Sqr(h)
-	h3 := f.Mul(h2, h)
-	v := f.Mul(u1, h2)
-	x3 := f.Sub(f.Sub(f.Sqr(r), h3), f.Add(v, v))
-	y3 := f.Sub(f.Mul(r, f.Sub(v, x3)), f.Mul(s1, h3))
-	z3 := f.Mul(f.Mul(p.z, q.z), h)
 	return &jacobianPoint{x: x3, y: y3, z: z3}
 }

@@ -10,14 +10,14 @@ import (
 	"github.com/ibbesgx/ibbesgx/internal/ff"
 )
 
-// This file is the limb-domain counterpart of jacobian.go: the same
-// dbl-2007-bl / madd-2007-bl / add-2007-bl formulas, but with every field
+// This file is the limb-domain counterpart of jacobian.go's reference
+// formulas: dbl-2007-bl / madd-2007-bl / add-2007-bl, with every field
 // operation a fixed-width Montgomery limb operation instead of a
 // big.Int.Mul followed by a dividing Mod. Table entries convert into the
 // domain once at construction; scalar walks then run start to finish
 // without touching big.Int, converting back only for the final affine
-// result. Fields wider than ff.MaxLimbs·64 bits have no limb context and
-// every caller falls back to the big.Int path.
+// result. Every ff.Field has a limb context, so this is the only product
+// arithmetic; the big.Int forms are the reference the tests pin it against.
 
 // maxParallelism bounds the worker fan-out of the parallel multi-
 // exponentiation paths (MultiExpTable.MultiExp and its build,
@@ -54,8 +54,7 @@ type montJac struct {
 	x, y, z ff.Fel
 }
 
-// mont returns the curve's limb context (the base field's), or nil when the
-// field is too wide for the limb core.
+// mont returns the curve's limb context (the base field's).
 func (c *Curve) mont() *ff.Mont { return c.F.Mont() }
 
 // toMontAffine converts an affine big.Int point into the domain.
@@ -84,8 +83,9 @@ func (j *montJac) setAffine(m *ff.Mont, a *montAffine) {
 }
 
 // montFromJac converts back to a big.Int affine Point (one field inversion).
+// The point is public: the inversion is not blinded.
 func (c *Curve) montFromJac(m *ff.Mont, j *montJac) *Point {
-	return c.fromJacobian(c.montToJacobian(m, j))
+	return c.fromMontAffine(m, &montNormalize(m, []montJac{*j}, nil)[0])
 }
 
 // montOddMultiples returns [1P, 3P, 5P, …, (2n−1)P] for an affine P ≠ ∞ as
@@ -170,7 +170,7 @@ func (c *Curve) montBatchAdd(m *ff.Mont, pts []montAffine, pairs []addPair, pre 
 	}
 	var inv ff.Fel
 	if batched && !m.Inv(&inv, &acc) {
-		// See the batchNormalize panic rationale.
+		// See the montNormalize panic rationale.
 		panic("curve: montBatchAdd: product of non-zero slope denominators is not invertible")
 	}
 	for k := len(pairs) - 1; k >= 0; k-- {
@@ -259,9 +259,11 @@ func (c *Curve) montOddWindowRows(m *ff.Mont, p *Point, rows int, w uint) [][]mo
 	return out
 }
 
-// montNormalize is batchNormalize in the limb domain: one inversion of the
-// product of the non-zero Z's, then per-point inverses peeled off back to
-// front. Z = 0 entries come back as infinity. A non-nil rho blinds the
+// montNormalize converts js to affine with one field inversion, Montgomery's
+// simultaneous-inversion trick: invert the product of the non-zero Z's once,
+// then peel per-point inverses off the running product back to front, one
+// inversion plus 3(N−1) multiplications for N points instead of N
+// inversions. Z = 0 entries come back as infinity. A non-nil rho blinds the
 // inversion for points that depend on a secret: the variable-time
 // big.Int.ModInverse then sees the product times the random non-zero rho,
 // whose inverse times rho is the product's, at two extra multiplications.
@@ -281,7 +283,8 @@ func montNormalize(m *ff.Mont, js []montJac, rho *ff.Fel) []montAffine {
 	}
 	var inv ff.Fel
 	if !m.Inv(&inv, &acc) {
-		// See the batchNormalize panic rationale.
+		// Every factor is non-zero, so the product is invertible; see the
+		// fromJacobian panic rationale.
 		panic("curve: montNormalize: product of non-zero Z's is not invertible")
 	}
 	if rho != nil {
@@ -302,12 +305,6 @@ func montNormalize(m *ff.Mont, js []montJac, rho *ff.Fel) []montAffine {
 		m.Mul(&out[i].y, &j.y, &zInv)
 	}
 	return out
-}
-
-// montToJacobian decodes the limb coordinates into a big.Int Jacobian point,
-// the form batchNormalize consumes.
-func (c *Curve) montToJacobian(m *ff.Mont, j *montJac) *jacobianPoint {
-	return &jacobianPoint{x: m.ToBig(&j.x), y: m.ToBig(&j.y), z: m.ToBig(&j.z)}
 }
 
 // montDouble sets p = 2p in place: dbl-2007-bl for a = 1, identical to

@@ -10,11 +10,8 @@ import (
 // MultiExpTable holds affine odd multiples of a fixed vector of points (the
 // public key's h^γ^i powers), ready for interleaved Straus
 // multi-exponentiation: one shared doubling chain for all bases plus one
-// addition per non-zero w-NAF digit of any scalar.
-//
-// With the limb core available the table is built and kept in the
-// Montgomery domain only; the big.Int form exists only for fields too wide
-// for it.
+// addition per non-zero w-NAF digit of any scalar. The table is built and
+// kept in the Montgomery domain.
 //
 // A MultiExpTable is immutable after construction and safe for concurrent
 // use.
@@ -23,7 +20,6 @@ type MultiExpTable struct {
 	w    uint           // w-NAF width the table was built for
 	n    int            // number of base points
 	modd [][]montAffine // modd[i][j] = (2j+1) · points[i], limb domain
-	odd  [][]*Point     // the same, big.Int form, when c.mont() is nil
 }
 
 // NewMultiExpTable precomputes the odd multiples 1P_i, 3P_i, …,
@@ -38,34 +34,11 @@ func (c *Curve) NewMultiExpTable(points []*Point) *MultiExpTable {
 func (c *Curve) newMultiExpTable(points []*Point, w uint) *MultiExpTable {
 	t := &MultiExpTable{c: c, w: w, n: len(points)}
 	per := 1 << (w - 2)
-	if m := c.mont(); m != nil {
-		t.modd = make([][]montAffine, len(points))
-		parallelRanges(len(points), 16, func(lo, hi int) {
-			c.montOddMultiplesRows(m, points[lo:hi], per, t.modd[lo:hi])
-		})
-		return t
-	}
-	js := make([]*jacobianPoint, 0, len(points)*per)
-	for _, p := range points {
-		if p.Inf {
-			for j := 0; j < per; j++ {
-				js = append(js, c.jacobianInfinity())
-			}
-			continue
-		}
-		jp := c.toJacobian(p)
-		js = append(js, jp)
-		twoP := c.jacobianDouble(jp)
-		for j := 1; j < per; j++ {
-			jp = c.jacobianAdd(jp, twoP)
-			js = append(js, jp)
-		}
-	}
-	aff := c.batchNormalize(js)
-	t.odd = make([][]*Point, len(points))
-	for i := range points {
-		t.odd[i] = aff[i*per : (i+1)*per]
-	}
+	m := c.mont()
+	t.modd = make([][]montAffine, len(points))
+	parallelRanges(len(points), 16, func(lo, hi int) {
+		c.montOddMultiplesRows(m, points[lo:hi], per, t.modd[lo:hi])
+	})
 	return t
 }
 
@@ -78,8 +51,7 @@ func (t *MultiExpTable) Len() int { return t.n }
 // n·(b doublings + b/2 additions) for n independent multiplications. A nil
 // scalar counts as zero. offset+len(scalars) must not exceed Len.
 //
-// With the limb core available the evaluation runs in the Montgomery domain
-// (montBucketSum): the digit additions are batched affine additions, one
+// The evaluation runs in the Montgomery domain (montBucketSum): the digit additions are batched affine additions, one
 // field inversion per batched level, and only the fold over bit positions
 // runs in Jacobian form. For 32 or more scalars the batched additions are
 // parallel: the bit positions split into contiguous ranges across at most
@@ -106,36 +78,9 @@ func (t *MultiExpTable) MultiExp(scalars []*big.Int, offset int) *Point {
 		digits[i] = wnafDigits(k, t.w)
 		maxLen = max(maxLen, len(digits[i]))
 	}
-	if m := c.mont(); m != nil {
-		acc := c.montBucketSum(m, t.modd[offset:offset+len(digits)], digits, maxLen)
-		return c.montFromJac(m, &acc)
-	}
-	acc := c.jacobianInfinity()
-	f := c.F
-	for b := maxLen - 1; b >= 0; b-- {
-		acc = c.jacobianDouble(acc)
-		for i, dg := range digits {
-			if b >= len(dg) || dg[b] == 0 {
-				continue
-			}
-			d := dg[b]
-			var e *Point
-			if d > 0 {
-				e = t.odd[offset+i][(d-1)/2]
-				if e.Inf {
-					continue
-				}
-				acc = c.jacobianAddAffine(acc, e.X, e.Y)
-			} else {
-				e = t.odd[offset+i][(-d-1)/2]
-				if e.Inf {
-					continue
-				}
-				acc = c.jacobianAddAffine(acc, e.X, f.Neg(e.Y))
-			}
-		}
-	}
-	return c.fromJacobian(acc)
+	m := c.mont()
+	acc := c.montBucketSum(m, t.modd[offset:offset+len(digits)], digits, maxLen)
+	return c.montFromJac(m, &acc)
 }
 
 // bucketScratch is montBucketSum's working memory, pooled: a decrypt at

@@ -84,35 +84,6 @@ func int8Bytes(ds []int8) []byte {
 	return out
 }
 
-// wideFieldCurve returns a y² = x³ + x curve over a ≈ 600-bit prime field,
-// wider than the limb core takes (ff.MaxLimbs · 64 bits), so every table and
-// walk runs its big.Int form. q = h·r − 1 with 4 | h gives q ≡ 3 (mod 4) and
-// an order-r subgroup for the 160-bit r of type-a-160.
-func wideFieldCurve(t *testing.T) *Curve {
-	t.Helper()
-	r, _ := new(big.Int).SetString(fastPathParams[0].r, 10)
-	h := new(big.Int).Lsh(big.NewInt(1), 600-uint(r.BitLen()))
-	q := new(big.Int)
-	for step := big.NewInt(4); ; h.Add(h, step) {
-		q.Mul(h, r).Sub(q, big.NewInt(1))
-		if q.ProbablyPrime(20) {
-			break
-		}
-	}
-	f, err := ff.NewField(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Mont() != nil {
-		t.Fatalf("a %d-bit field has a limb core", q.BitLen())
-	}
-	c, err := NewCurve(f, r, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // naiveMultiExp is Σ (ks[i] mod r)·pts[i] by the binary reference ladder; a
 // nil scalar counts as zero.
 func naiveMultiExp(c *Curve, pts []*Point, ks []*big.Int) *Point {
@@ -128,13 +99,10 @@ func naiveMultiExp(c *Curve, pts []*Point, ks []*big.Int) *Point {
 
 // TestMultiExpTableMatchesScalarMultBinary pins the wide public-key table and
 // the narrow one-shot form against the binary ladder, bit for bit, on every
-// parameter set and on a field too wide for the limb core: edge scalars
-// (nil, 0, 1, r − 1, r, > r), an identity base, and shifted offsets as
-// Decrypt uses them.
+// parameter set: edge scalars (nil, 0, 1, r − 1, r, > r), an identity base,
+// and shifted offsets as Decrypt uses them.
 func TestMultiExpTableMatchesScalarMultBinary(t *testing.T) {
-	curves := fastPathCurves(t)
-	curves["wide-600"] = wideFieldCurve(t)
-	for name, c := range curves {
+	for name, c := range fastPathCurves(t) {
 		rng := mrand.New(mrand.NewSource(11))
 		const n = 40 // ≥ 32 scalars: the parallel bucket reduction
 		points := make([]*Point, n)
@@ -196,12 +164,9 @@ func TestMultiExpTableMatchesScalarMultBinary(t *testing.T) {
 // ways: equal points (a doubling) and opposite ones (the identity). Two-base
 // tables with equal scalars put exactly one point of each base in every
 // digit position, so every bucket pair is such a pair; the 2-torsion point
-// (0, 0) doubles to the identity while its row is built. A field too wide for
-// the limb core runs the same cases on the big.Int form.
+// (0, 0) doubles to the identity while its row is built.
 func TestMultiExpTableRepeatedAndOpposedBases(t *testing.T) {
-	curves := fastPathCurves(t)
-	curves["wide-600"] = wideFieldCurve(t)
-	for name, c := range curves {
+	for name, c := range fastPathCurves(t) {
 		rng := mrand.New(mrand.NewSource(29))
 		p, err := c.RandPoint(rng)
 		if err != nil {

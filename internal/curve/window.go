@@ -1,6 +1,10 @@
 package curve
 
-import "math/big"
+import (
+	"math/big"
+
+	"github.com/ibbesgx/ibbesgx/internal/ff"
+)
 
 // scalarWindow is the w-NAF width used by ScalarMult and the one-shot
 // Curve.MultiExp: digits are odd in ±{1, 3, …, 2^(w−1)−1}, so each base needs
@@ -58,70 +62,25 @@ func limbBits(l []uint64, pos, n uint) uint64 {
 	return v & (1<<n - 1)
 }
 
-// oddMultiples returns [1P, 3P, 5P, …, (2n−1)P] in affine coordinates,
-// computed in Jacobian form and batch-normalized with a single inversion.
-func (c *Curve) oddMultiples(p *Point, n int) []*Point {
-	js := make([]*jacobianPoint, n)
-	js[0] = c.toJacobian(p)
-	if n > 1 {
-		twoP := c.jacobianDouble(js[0])
-		for i := 1; i < n; i++ {
-			js[i] = c.jacobianAdd(js[i-1], twoP)
-		}
-	}
-	return c.batchNormalize(js)
-}
-
-// scalarMultJacobian is the w-NAF ladder behind ScalarMult. The scalar must
-// be non-negative; the point may be any curve point. When the limb core is
-// available the whole call runs in the Montgomery domain — the odd-multiple
-// table too (montOddMultiples) — and every doubling and addition is a limb
-// product.
-func (c *Curve) scalarMultJacobian(p *Point, k *big.Int) *jacobianPoint {
-	if p.Inf || k.Sign() == 0 {
-		return c.jacobianInfinity()
-	}
+// scalarMultMont is the w-NAF ladder behind ScalarMult, in the Montgomery
+// domain throughout: the per-call odd-multiple table (montOddMultiples), and
+// every doubling and addition a limb product. The scalar must be positive;
+// the point may be any affine curve point other than ∞.
+func (c *Curve) scalarMultMont(m *ff.Mont, p *Point, k *big.Int) montJac {
 	digits := wnafDigits(k, scalarWindow)
-	if m := c.mont(); m != nil {
-		modd := c.montOddMultiples(m, p, 1<<(scalarWindow-2))
-		var acc montJac
-		acc.setInfinity(m)
-		for i := len(digits) - 1; i >= 0; i-- {
-			c.montDouble(m, &acc)
-			d := digits[i]
-			if d == 0 {
-				continue
-			}
-			if d > 0 {
-				c.montAddAffine(m, &acc, &modd[(d-1)/2])
-			} else {
-				c.montAddNegAffine(m, &acc, &modd[(-d-1)/2])
-			}
-		}
-		return c.montToJacobian(m, &acc)
-	}
-	odd := c.oddMultiples(p, 1<<(scalarWindow-2))
-	acc := c.jacobianInfinity()
-	f := c.F
+	odd := c.montOddMultiples(m, p, 1<<(scalarWindow-2))
+	var acc montJac
+	acc.setInfinity(m)
 	for i := len(digits) - 1; i >= 0; i-- {
-		acc = c.jacobianDouble(acc)
+		c.montDouble(m, &acc)
 		d := digits[i]
 		if d == 0 {
 			continue
 		}
-		var e *Point
 		if d > 0 {
-			e = odd[(d-1)/2]
-			if e.Inf {
-				continue // (2j+1)·P = ∞ for low-order P: adding ∞ is a no-op
-			}
-			acc = c.jacobianAddAffine(acc, e.X, e.Y)
+			c.montAddAffine(m, &acc, &odd[(d-1)/2])
 		} else {
-			e = odd[(-d-1)/2]
-			if e.Inf {
-				continue
-			}
-			acc = c.jacobianAddAffine(acc, e.X, f.Neg(e.Y))
+			c.montAddNegAffine(m, &acc, &odd[(-d-1)/2])
 		}
 	}
 	return acc

@@ -2,12 +2,12 @@ package ff
 
 import "math/big"
 
-// This file holds the allocation-free variants of the F_q² operations. The
-// immutable API in e2.go allocates three to five big.Ints per call, which the
-// Miller loop and the GT exponentiation ladders pay on every iteration. The
-// Into variants write through a caller-owned destination and draw their
-// temporaries from an explicit E2Scratch, so a whole pairing evaluation can
-// run on a handful of long-lived big.Ints whose backing words are recycled.
+// This file holds the allocation-free big.Int variants of the F_q²
+// operations the affine reference Miller loop (pairing.PairReference) runs
+// on: the immutable API in e2.go allocates three to five big.Ints per call,
+// while the Into variants write through a caller-owned destination and draw
+// their temporaries from an explicit E2Scratch. ExpWindowed, the GT ladder,
+// runs on the limb core (monte2.go).
 
 // E2Scratch holds the temporaries the in-place F_q² routines need. A scratch
 // value is not safe for concurrent use; each goroutine (or each pairing
@@ -24,30 +24,6 @@ func NewE2Scratch() *E2Scratch {
 		t2: new(big.Int),
 		t3: new(big.Int),
 	}
-}
-
-// NewMutable returns a fully-initialised zero element intended as an Into
-// destination.
-func (e *Ext) NewMutable() *E2 {
-	return &E2{A: new(big.Int), B: new(big.Int)}
-}
-
-// MulInto sets dst = x·y without allocating beyond big.Int growth. dst may
-// alias x and/or y. Same formula as Mul: Karatsuba over (ac, bd, (a+b)(c+d)).
-func (e *Ext) MulInto(s *E2Scratch, dst, x, y *E2) {
-	p := e.F.p
-	s.t0.Mul(x.A, y.A)
-	s.t0.Mod(s.t0, p) // ac
-	s.t1.Mul(x.B, y.B)
-	s.t1.Mod(s.t1, p) // bd
-	s.t2.Add(x.A, x.B)
-	s.t3.Add(y.A, y.B)
-	s.t2.Mul(s.t2, s.t3)
-	s.t2.Sub(s.t2, s.t0)
-	s.t2.Sub(s.t2, s.t1) // ad + bc
-	dst.A.Sub(s.t0, s.t1)
-	dst.A.Mod(dst.A, p)
-	dst.B.Mod(s.t2, p)
 }
 
 // SqrInto sets dst = x² without allocating. dst may alias x.
@@ -78,24 +54,13 @@ func (e *Ext) MulSparseInto(s *E2Scratch, dst, x *E2, c0, c1 *big.Int) {
 	dst.B.Mod(s.t2, p)
 }
 
-// SetInto copies src into dst without allocating fresh big.Ints.
-func (e *Ext) SetInto(dst, src *E2) {
-	dst.A.Set(src.A)
-	dst.B.Set(src.B)
-}
-
-// expWindowWidth is the sliding-window width of ExpWindowed: 2^(w−1) odd
-// powers are precomputed and each non-zero window saves up to w−1
-// multiplications over square-and-multiply.
-const expWindowWidth = 4
-
-// ExpWindowed returns x^k using a width-4 sliding window: one squaring per
-// exponent bit plus one multiplication per non-zero window (≈ bitlen/5 on
-// average), against one per set bit (≈ bitlen/2) for the plain Exp ladder.
-// When the field fits the limb core the whole ladder runs in the Montgomery
-// domain — the element converts in once, every squaring and multiplication
-// is a CIOS product, and the result converts out once; big.Int is never
-// touched in between. Negative exponents invert first, exactly like Exp.
+// ExpWindowed returns x^k with the width-4 sliding window of
+// Mont.E2ExpWindowed: one squaring per exponent bit plus one multiplication
+// per non-zero window (≈ bitlen/5 on average), against one per set bit
+// (≈ bitlen/2) for the plain Exp ladder, which stays as its reference. The
+// element converts into the Montgomery domain once, every squaring and
+// multiplication is a limb product, and the result converts out once.
+// Negative exponents invert first, exactly like Exp.
 func (e *Ext) ExpWindowed(x *E2, k *big.Int) (*E2, error) {
 	if k.Sign() < 0 {
 		inv, err := e.Inv(x)
@@ -104,47 +69,9 @@ func (e *Ext) ExpWindowed(x *E2, k *big.Int) (*E2, error) {
 		}
 		return e.ExpWindowed(inv, new(big.Int).Neg(k))
 	}
-	if m := e.F.Mont(); m != nil {
-		var xm, out E2Fel
-		m.E2FromE2(&xm, x)
-		m.E2ExpWindowed(&out, &xm, k)
-		return m.E2ToE2(&out), nil
-	}
-	if k.BitLen() <= expWindowWidth {
-		return e.Exp(x, k)
-	}
-	sc := NewE2Scratch()
-	// Odd powers x, x³, …, x^(2^w − 1).
-	odd := make([]*E2, 1<<(expWindowWidth-1))
-	odd[0] = x.Clone()
-	x2 := e.NewMutable()
-	e.SqrInto(sc, x2, x)
-	for i := 1; i < len(odd); i++ {
-		odd[i] = e.NewMutable()
-		e.MulInto(sc, odd[i], odd[i-1], x2)
-	}
-	acc := e.One()
-	for i := k.BitLen() - 1; i >= 0; {
-		if k.Bit(i) == 0 {
-			e.SqrInto(sc, acc, acc)
-			i--
-			continue
-		}
-		// Greedy window [j, i] ending on a set bit, at most w bits wide.
-		j := i - expWindowWidth + 1
-		if j < 0 {
-			j = 0
-		}
-		for k.Bit(j) == 0 {
-			j++
-		}
-		d := 0
-		for b := i; b >= j; b-- {
-			e.SqrInto(sc, acc, acc)
-			d = d<<1 | int(k.Bit(b))
-		}
-		e.MulInto(sc, acc, acc, odd[d>>1]) // d odd ⇒ index (d−1)/2
-		i = j - 1
-	}
-	return acc, nil
+	m := e.F.Mont()
+	var xm, out E2Fel
+	m.E2FromE2(&xm, x)
+	m.E2ExpWindowed(&out, &xm, k)
+	return m.E2ToE2(&out), nil
 }

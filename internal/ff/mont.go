@@ -23,8 +23,7 @@ import (
 // touches big.Int.
 
 // MaxLimbs bounds the modulus width the limb core supports: 8 limbs cover
-// the 512-bit paper parameters exactly. Wider fields fall back to the
-// big.Int path (Field.Mont returns nil).
+// the 512-bit paper parameters exactly. NewField refuses a wider modulus.
 const MaxLimbs = 8
 
 // Fel is a fixed-width field element: MaxLimbs little-endian 64-bit limbs,
@@ -59,13 +58,9 @@ var invOps atomic.Int64
 // readings around an operation under test.
 func InvOps() int64 { return invOps.Load() }
 
-// newMont builds the Montgomery context for an odd modulus p, or returns nil
-// when p is even or wider than MaxLimbs·64 bits (the caller falls back to
-// big.Int arithmetic).
+// newMont builds the Montgomery context for an odd modulus p of at most
+// MaxLimbs·64 bits; NewFieldUnchecked checks both.
 func newMont(p *big.Int) *Mont {
-	if p == nil || p.Sign() <= 0 || p.Bit(0) == 0 || p.BitLen() > 64*MaxLimbs {
-		return nil
-	}
 	m := &Mont{
 		k: (p.BitLen() + 63) / 64,
 		p: new(big.Int).Set(p),
@@ -358,10 +353,6 @@ func (m *Mont) Exp(dst, a *Fel, e *big.Int) {
 	*dst = acc
 }
 
-// Mont returns the limb Montgomery context for the field, built lazily on
-// first use, or nil when the modulus exceeds MaxLimbs·64 bits (callers fall
-// back to the big.Int path).
-func (f *Field) Mont() *Mont {
-	f.montOnce.Do(func() { f.mont = newMont(f.p) })
-	return f.mont
-}
+// Mont returns the limb Montgomery context for the field, built with it; it
+// is never nil.
+func (f *Field) Mont() *Mont { return f.mont }

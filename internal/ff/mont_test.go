@@ -1,19 +1,20 @@
 package ff
 
 import (
+	"errors"
 	"math/big"
 	"testing"
 )
 
-// The three Type-A base-field moduli plus the two scalar-field orders the
-// system actually runs on, copied from internal/pairing/typea.go — ff cannot
-// import pairing, and pinning the literals here means a parameter change
+// The three Type-A base-field moduli plus their three scalar-field orders,
+// copied from internal/pairing/typea.go — ff cannot import pairing, and pinning the literals here means a parameter change
 // upstream fails loudly instead of silently shrinking coverage.
 var montTestModuli = map[string]string{
 	"q512": "6703903964971300038352719856505834908754841464938657039583247695534712755109909758113385465279071810380322580453472515578975031231813880338207931866547659",
 	"q256": "57896072225643484874040642243367403057748397788474512798884162776097072611791",
 	"q160": "730750818665456651398749912681464433149468475431",
 	"r512": "730750818665451621361119245571504901405976559617",
+	"r256": "2658457259220431974037015617263894529",
 	"r160": "1208925819614637764640769",
 }
 
@@ -211,19 +212,40 @@ func TestMontSelectAndCondNeg(t *testing.T) {
 	}
 }
 
-func TestMontNilForWideModulus(t *testing.T) {
-	// A 1000-bit prime is out of the limb core's range: callers must see
-	// nil and fall back to big.Int arithmetic rather than corrupt limbs.
-	p := new(big.Int).Lsh(big.NewInt(1), 1000)
-	p.Add(p, big.NewInt(1))
-	for !p.ProbablyPrime(20) {
-		p.Add(p, big.NewInt(2))
+// TestNewFieldRejectsWideModulus pins the rule that every Field has a limb
+// core: a prime wider than MaxLimbs·64 bits — 1000 bits, or the 600-bit
+// q = h·r − 1 ≡ 3 (mod 4) over type-a-160's r — and the even prime 2 are
+// refused, and every modulus the built-in parameter sets use gets a Mont.
+func TestNewFieldRejectsWideModulus(t *testing.T) {
+	p1000 := new(big.Int).Lsh(big.NewInt(1), 1000)
+	p1000.Add(p1000, big.NewInt(1))
+	for !p1000.ProbablyPrime(20) {
+		p1000.Add(p1000, big.NewInt(2))
 	}
-	f, err := NewFieldUnchecked(p)
-	if err != nil {
-		t.Fatal(err)
+	r, _ := new(big.Int).SetString(montTestModuli["r160"], 10)
+	h := new(big.Int).Lsh(big.NewInt(1), 600-uint(r.BitLen()))
+	q600 := new(big.Int)
+	for step := big.NewInt(4); ; h.Add(h, step) {
+		q600.Mul(h, r).Sub(q600, big.NewInt(1))
+		if q600.ProbablyPrime(20) {
+			break
+		}
 	}
-	if f.Mont() != nil {
-		t.Fatal("Mont() must be nil beyond MaxLimbs")
+	if _, err := NewFieldUnchecked(p1000); !errors.Is(err, ErrModulusTooWide) {
+		t.Fatalf("NewFieldUnchecked(1000-bit prime) = %v, want ErrModulusTooWide", err)
+	}
+	if _, err := NewField(q600); !errors.Is(err, ErrModulusTooWide) {
+		t.Fatalf("NewField(600-bit q) = %v, want ErrModulusTooWide", err)
+	}
+	if _, err := NewFieldUnchecked(q600); !errors.Is(err, ErrModulusTooWide) {
+		t.Fatalf("NewFieldUnchecked(600-bit q) = %v, want ErrModulusTooWide", err)
+	}
+	if _, err := NewFieldUnchecked(big.NewInt(2)); err == nil {
+		t.Fatal("NewFieldUnchecked(2) accepted an even modulus")
+	}
+	for name, f := range montTestFields(t) {
+		if f.Mont() == nil {
+			t.Fatalf("%s: Mont() is nil", name)
+		}
 	}
 }

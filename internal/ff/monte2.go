@@ -82,13 +82,14 @@ func (m *Mont) E2Conj(dst, x *E2Fel) {
 	m.Neg(&dst.B, &x.B)
 }
 
-// e2ExpWindowWidth mirrors expWindowWidth for the limb ladder.
+// e2ExpWindowWidth is the sliding-window width of E2ExpWindowed: 2^(w−1)
+// odd powers are precomputed and each non-zero window saves up to w−1
+// multiplications over square-and-multiply.
 const e2ExpWindowWidth = 4
 
-// E2ExpWindowed sets dst = x^e for a non-negative exponent using the same
-// width-4 sliding window as Ext.ExpWindowed, with every squaring and
-// multiplication a limb-domain operation. The exponent's bits are public in
-// every call site (GT exponents are reduced mod r, the final-exponentiation
+// E2ExpWindowed sets dst = x^e for a non-negative exponent with a width-4
+// sliding window, every squaring and multiplication a limb-domain
+// operation. The exponent's bits are public in every call site (GT exponents are reduced mod r, the final-exponentiation
 // hard part is a system constant), so the data-dependent window walk leaks
 // nothing secret.
 func (m *Mont) E2ExpWindowed(dst, x *E2Fel, e *big.Int) {

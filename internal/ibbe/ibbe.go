@@ -210,8 +210,8 @@ func (s *Scheme) HashID(id string) *big.Int {
 }
 
 // hashEntry is one memoised identity hash, kept in both forms its readers
-// want: the big.Int HashID copies out, and — when Z_r has a limb core — the
-// Montgomery form the roster products multiply by directly.
+// want: the big.Int HashID copies out, and the Montgomery form the roster
+// products multiply by directly.
 type hashEntry struct {
 	v    *big.Int
 	mont ff.Fel
@@ -228,9 +228,7 @@ func (s *Scheme) hashMemoized(id string) *hashEntry {
 		return e
 	}
 	e = &hashEntry{v: s.hashIDUncached(id)}
-	if m := s.P.Zr.Mont(); m != nil {
-		m.FromBig(&e.mont, e.v)
-	}
+	s.P.Zr.Mont().FromBig(&e.mont, e.v)
 	s.hashMu.Lock()
 	if s.hashMemo == nil || len(s.hashMemo) >= hashMemoCap {
 		s.hashMemo = make(map[string]*hashEntry, 64)
@@ -635,9 +633,7 @@ func (s *Scheme) RekeyState(pk *PublicKey, st *PartitionState, rng io.Reader) (*
 func (s *Scheme) expandProductPoly(ids []string) []*big.Int {
 	zr := s.P.Zr
 	if !s.DisableFastPath {
-		if m := zr.Mont(); m != nil {
-			return s.expandProductPolyMont(m, ids)
-		}
+		return s.expandProductPolyMont(zr.Mont(), ids)
 	}
 	coeffs := make([]*big.Int, 1, len(ids)+1)
 	coeffs[0] = big.NewInt(1)
@@ -696,19 +692,18 @@ func (s *Scheme) expandProductPolyMont(m *ff.Mont, ids []string) []*big.Int {
 func (s *Scheme) prodGammaPlusHash(gamma *big.Int, ids []string) *big.Int {
 	zr := s.P.Zr
 	if !s.DisableFastPath {
-		if m := zr.Mont(); m != nil {
-			var acc, g, t ff.Fel
-			m.SetOne(&acc)
-			m.FromBig(&g, gamma)
-			for _, id := range ids {
-				m.Add(&t, &s.hashMemoized(id).mont, &g)
-				m.Mul(&acc, &acc, &t)
-			}
-			if s.Metrics != nil {
-				s.Metrics.ZrMul.Add(int64(len(ids)))
-			}
-			return m.ToBig(&acc)
+		m := zr.Mont()
+		var acc, g, t ff.Fel
+		m.SetOne(&acc)
+		m.FromBig(&g, gamma)
+		for _, id := range ids {
+			m.Add(&t, &s.hashMemoized(id).mont, &g)
+			m.Mul(&acc, &acc, &t)
 		}
+		if s.Metrics != nil {
+			s.Metrics.ZrMul.Add(int64(len(ids)))
+		}
+		return m.ToBig(&acc)
 	}
 	prod := big.NewInt(1)
 	for _, id := range ids {

@@ -2,7 +2,6 @@ package pairing
 
 import (
 	"math/big"
-	"sync"
 
 	"github.com/ibbesgx/ibbesgx/internal/ff"
 )
@@ -18,16 +17,13 @@ const gtFixedBaseWindow = 4
 // the exponent modulo r and performs one F_q² multiplication per non-zero
 // radix-2^w digit: ≈ bits(r)/4 multiplications and zero squarings, against
 // bits(r) squarings plus bits(r)/5 multiplications for the generic ladder.
+// The table is built and walked in the Montgomery domain; GTExpBinary is the
+// reference the tests pin it against.
 //
 // A GTFixedBase is immutable after construction and safe for concurrent use.
 type GTFixedBase struct {
 	p     *Params
-	table [][]*ff.E2 // table[i][d-1] = base^(d·2^(w·i))
-
-	// Montgomery-domain mirror of table, built lazily on first Exp; stays
-	// nil when the limb core is unavailable for the base field.
-	montOnce sync.Once
-	mtable   [][]ff.E2Fel
+	table [][]ff.E2Fel // table[i][d-1] = base^(d·2^(w·i)), limb domain
 }
 
 // NewGTFixedBase builds the windowed table for a. Construction costs about
@@ -37,71 +33,32 @@ func (p *Params) NewGTFixedBase(a *GT) *GTFixedBase {
 	const w = gtFixedBaseWindow
 	const per = (1 << w) - 1
 	nWin := (p.R.BitLen() + w - 1) / w
-	e2 := p.E2
-	sc := ff.NewE2Scratch()
-	table := make([][]*ff.E2, nWin)
-	cur := a.v.Clone()
-	for i := 0; i < nWin; i++ {
-		row := make([]*ff.E2, per)
-		row[0] = cur.Clone()
+	m := p.F.Mont()
+	table := make([][]ff.E2Fel, nWin)
+	var cur ff.E2Fel
+	m.E2FromE2(&cur, a.v)
+	for i := range table {
+		row := make([]ff.E2Fel, per)
+		row[0] = cur
 		for d := 1; d < per; d++ {
-			row[d] = e2.NewMutable()
-			e2.MulInto(sc, row[d], row[d-1], cur)
+			m.E2Mul(&row[d], &row[d-1], &cur)
 		}
 		table[i] = row
 		for b := 0; b < w; b++ {
-			e2.SqrInto(sc, cur, cur)
+			m.E2Sqr(&cur, &cur)
 		}
 	}
 	return &GTFixedBase{p: p, table: table}
 }
 
-// montTable returns the Montgomery-domain mirror of the window table,
-// building it once; nil when the limb core is unavailable.
-func (t *GTFixedBase) montTable() [][]ff.E2Fel {
-	t.montOnce.Do(func() {
-		m := t.p.F.Mont()
-		if m == nil {
-			return
-		}
-		mt := make([][]ff.E2Fel, len(t.table))
-		for i, row := range t.table {
-			mt[i] = make([]ff.E2Fel, len(row))
-			for d, e := range row {
-				m.E2FromE2(&mt[i][d], e)
-			}
-		}
-		t.mtable = mt
-	})
-	return t.mtable
-}
-
-// Exp returns base^(k mod r) from the table. With the limb core available
-// the digit walk multiplies E2Fel entries in the Montgomery domain,
-// converting out once at the end.
+// Exp returns base^(k mod r) from the table: the digit walk multiplies
+// E2Fel entries in the Montgomery domain, converting out once at the end.
 func (t *GTFixedBase) Exp(k *big.Int) *GT {
 	const w = gtFixedBaseWindow
 	e := new(big.Int).Mod(k, t.p.R)
-	if m := t.p.F.Mont(); m != nil {
-		if mt := t.montTable(); mt != nil {
-			var acc ff.E2Fel
-			m.E2SetOne(&acc)
-			for i := range mt {
-				d := 0
-				for b := 0; b < w; b++ {
-					d |= int(e.Bit(i*w+b)) << b
-				}
-				if d == 0 {
-					continue
-				}
-				m.E2Mul(&acc, &acc, &mt[i][d-1])
-			}
-			return &GT{v: m.E2ToE2(&acc)}
-		}
-	}
-	e2 := t.p.E2
-	acc := e2.One()
-	sc := ff.NewE2Scratch()
+	m := t.p.F.Mont()
+	var acc ff.E2Fel
+	m.E2SetOne(&acc)
 	for i := range t.table {
 		d := 0
 		for b := 0; b < w; b++ {
@@ -110,7 +67,7 @@ func (t *GTFixedBase) Exp(k *big.Int) *GT {
 		if d == 0 {
 			continue
 		}
-		e2.MulInto(sc, acc, acc, t.table[i][d-1])
+		m.E2Mul(&acc, &acc, &t.table[i][d-1])
 	}
-	return &GT{v: acc}
+	return &GT{v: m.E2ToE2(&acc)}
 }

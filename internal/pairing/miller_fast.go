@@ -25,17 +25,13 @@ import (
 // with H = x_P·Z² − X and R = y_P·Z³ − Y the usual mixed-addition terms.
 
 // Pair computes the modified Tate pairing ê(P, Q); see PairReference for the
-// definition. When the base field fits the limb core the Miller loop runs
-// inversion-free in the Montgomery domain; otherwise it falls back to the
-// affine reference loop. Both paths return bit-identical results.
+// definition. The Miller loop runs inversion-free in the Montgomery domain
+// and returns bit-identical results to the affine reference loop.
 func (p *Params) Pair(P, Q *curve.Point) *GT {
 	if P.Inf || Q.Inf {
 		return p.GTOne()
 	}
-	if m := p.F.Mont(); m != nil {
-		return p.finalExp(p.millerLoopMont(m, P, Q))
-	}
-	return p.finalExp(p.millerLoop(P, Q))
+	return p.finalExp(p.millerLoopMont(p.F.Mont(), P, Q))
 }
 
 // PairReference computes ê(P, Q) through the affine Miller loop with

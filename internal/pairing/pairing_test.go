@@ -243,6 +243,15 @@ func TestByName(t *testing.T) {
 	if ByName("type-a-160") != TypeA160() {
 		t.Fatal("ByName lookup failed")
 	}
+	for _, name := range []string{"type-a-160", "type-a-256", "type-a-512"} {
+		p := ByName(name)
+		if p == nil || p.Name() != name {
+			t.Fatalf("ByName(%q) = %v", name, p)
+		}
+		if p.F.Mont() == nil || p.Zr.Mont() == nil {
+			t.Fatalf("%s: a field without a limb core", name)
+		}
+	}
 	if ByName("nope") != nil {
 		t.Fatal("ByName returned params for unknown name")
 	}

@@ -48,9 +48,14 @@ func (p *Params) Name() string { return p.name }
 // is deterministic: the cofactor starts at the smallest multiple of 4 giving
 // qBits bits and increases until q = h·r − 1 is prime. This is the same
 // procedure PBC's `pbc_param_init_a_gen` follows (modulo its random start).
+// A qBits wider than the limb core's 64·ff.MaxLimbs bits fails before the
+// search.
 func Generate(expHigh, expLow, qBits int) (*Params, error) {
 	if expHigh <= expLow || expLow <= 1 {
 		return nil, errors.New("pairing: need expHigh > expLow > 1")
+	}
+	if qBits > 64*ff.MaxLimbs {
+		return nil, fmt.Errorf("pairing: %w: qBits %d, limit %d", ff.ErrModulusTooWide, qBits, 64*ff.MaxLimbs)
 	}
 	one := big.NewInt(1)
 	r := new(big.Int).Lsh(one, uint(expHigh))
