@@ -55,7 +55,7 @@ bench-smoke:
 
 ## fuzz: the 15s smokes CI runs — Montgomery limb core vs big.Int, the public-key multi-exp table and
 # limb w-NAF recoding vs the binary ladder and the big.Int recoding, the constant-time fixed-base walk vs
-# ScalarMultReduced, the /v1/commit request decoder, the
+# ScalarMultReduced, the /v1/commit request decoder, the durable store's log replay, the
 # three decoders of a group directory (partition record, group header, directory bucket), the group index
 # under random operations vs the map-and-sort encoders it replaced, and the membership record
 fuzz:
@@ -63,6 +63,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMultiExpTable$$' -fuzztime=15s ./internal/curve
 	$(GO) test -run='^$$' -fuzz='^FuzzMulConstTimeEach$$' -fuzztime=15s ./internal/curve
 	$(GO) test -run='^$$' -fuzz='^FuzzCommitRequest$$' -fuzztime=15s ./internal/storage
+	$(GO) test -run='^$$' -fuzz='^FuzzOpenMemStoreLog$$' -fuzztime=15s ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalRecord$$' -fuzztime=15s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalIndex$$' -fuzztime=15s ./internal/partition
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalBucket$$' -fuzztime=15s ./internal/partition

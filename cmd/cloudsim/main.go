@@ -4,7 +4,11 @@
 //
 // Usage:
 //
-//	cloudsim -listen :8080 [-put-latency 50ms] [-get-latency 30ms]
+//	cloudsim -listen :8080 [-data DIR] [-put-latency 50ms] [-get-latency 30ms]
+//
+// With -data the store is durable: every write is appended to a checksummed
+// log in DIR and fsynced before it is acknowledged, and a restart replays
+// it. The state stays memory-resident either way.
 //
 // Administrators (the ibbe-cluster shards) publish each membership update
 // as one conditional commit; clients (ibbe-client) long-poll their group
@@ -12,6 +16,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"log"
@@ -38,20 +43,23 @@ func main() {
 }
 
 func run(listen, dataDir string, putLat, getLat, notifyLat, pollTimeout time.Duration) error {
-	var store storage.Store
-	if dataDir == "" {
-		store = storage.NewMemStore(storage.Latency{Put: putLat, Get: getLat, Notify: notifyLat})
-		log.Printf("cloudsim: in-memory backend (put=%v get=%v notify=%v)", putLat, getLat, notifyLat)
-	} else {
-		fs, err := storage.NewFileStore(dataDir)
-		if err != nil {
-			return err
-		}
-		store = fs
-		log.Printf("cloudsim: durable backend at %s", dataDir)
+	store, err := openStore(dataDir, storage.Latency{Put: putLat, Get: getLat, Notify: notifyLat})
+	if err != nil {
+		return err
 	}
+	log.Printf("cloudsim: store %s (put=%v get=%v notify=%v)", cmp.Or(dataDir, "in memory"), putLat, getLat, notifyLat)
 	server := storage.NewServer(store)
 	server.PollTimeout = pollTimeout
 	log.Printf("cloudsim: serving on %s", listen)
 	return http.ListenAndServe(listen, server)
+}
+
+// openStore returns the store cloudsim serves: in memory without a data
+// directory, durable over a log in it with one. Either way it is a MemStore,
+// so every commit applies atomically and the injected latencies apply.
+func openStore(dataDir string, lat storage.Latency) (*storage.MemStore, error) {
+	if dataDir == "" {
+		return storage.NewMemStore(lat), nil
+	}
+	return storage.OpenMemStore(dataDir, lat)
 }

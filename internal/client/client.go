@@ -284,11 +284,8 @@ func (c *Client) fetchRecord(ctx context.Context, hdr *partition.Index, pid stri
 // derived group key, starting with the current one. It returns when ctx
 // ends or the user is revoked (ErrEvicted).
 func (c *Client) Watch(ctx context.Context, fn func(gk [kdf.KeySize]byte)) error {
-	gk, err := c.Refresh(ctx)
-	if err != nil {
-		return err
-	}
-	fn(gk)
+	// The version to poll from is read before the first key: a write that
+	// lands in between wakes the first poll instead of going unseen.
 	c.mu.Lock()
 	since := c.version
 	c.mu.Unlock()
@@ -299,6 +296,11 @@ func (c *Client) Watch(ctx context.Context, fn func(gk [kdf.KeySize]byte)) error
 		}
 		since = v
 	}
+	gk, err := c.Refresh(ctx)
+	if err != nil {
+		return err
+	}
+	fn(gk)
 	for {
 		v, err := c.store.Poll(ctx, c.group, since)
 		if err != nil {

@@ -24,9 +24,10 @@ type Object struct {
 // PutFenced's: the fence dominates the version conflict, epoch 0 carries no
 // fence, and a rejected commit changes no object, no version and no fence
 // watermark. Deleting a missing object is not an error. An implementation
-// does not retain objs or their Data after it returns. MemStore, HTTPStore
-// (against a Server) and Instrument over either implement it; Commit falls
-// back to a chain of conditional puts for stores that do not.
+// does not retain objs or their Data after it returns. MemStore (in memory
+// or durable), HTTPStore (against a Server) and Instrument over either
+// implement it; Commit falls back to a chain of conditional puts for stores
+// that do not (FaultStore, decorators that do not forward Commit).
 type Committer interface {
 	Commit(ctx context.Context, dir string, objs []Object, ifDirVersion, epoch uint64) (newDirVersion uint64, err error)
 }
@@ -148,8 +149,7 @@ func appendCommitBody(buf []byte, objs []Object) []byte {
 
 // parseCommitRequest decodes what a commit request carries besides its
 // directory: the query (if-version is required, fence-epoch defaults to 0)
-// and the body. The input comes from outside the program, so every length is
-// checked against what is left of the body before it is used; the returned
+// and the body, whose objects must be named and include a put. The returned
 // objects alias body.
 func parseCommitRequest(rawQuery string, body []byte) (objs []Object, ifVersion, epoch uint64, err error) {
 	q, err := url.ParseQuery(rawQuery)
@@ -159,36 +159,52 @@ func parseCommitRequest(rawQuery string, body []byte) (objs []Object, ifVersion,
 	if ifVersion, epoch, err = parseCondition(q); err != nil {
 		return nil, 0, 0, err
 	}
-	// field cuts one uvarint-prefixed field off the front of body.
-	field := func() ([]byte, bool) {
-		n, w := binary.Uvarint(body)
-		if w <= 0 || n > uint64(len(body)-w) {
-			return nil, false
-		}
-		f := body[w : w+int(n)]
-		body = body[w+int(n):]
-		return f, true
+	if objs, err = parseCommitBody(body); err != nil {
+		return nil, 0, 0, err
 	}
-	for len(body) > 0 {
-		kind := body[0]
-		body = body[1:]
-		if kind != commitKindPut && kind != commitKindDelete {
-			return nil, 0, 0, fmt.Errorf("bad commit body: object kind %d", kind)
-		}
-		name, ok := field()
-		if !ok || len(name) == 0 {
+	for _, o := range objs {
+		if o.Name == "" {
 			return nil, 0, 0, errors.New("bad commit body: object name")
 		}
-		o := Object{Name: string(name), Delete: kind == commitKindDelete}
-		if !o.Delete {
-			if o.Data, ok = field(); !ok {
-				return nil, 0, 0, errors.New("bad commit body: object data")
-			}
-		}
-		objs = append(objs, o)
 	}
 	if err := checkCommit(objs); err != nil {
 		return nil, 0, 0, err
 	}
 	return objs, ifVersion, epoch, nil
+}
+
+// parseCommitBody decodes objects in the wire format: a commit request's
+// body, or the tail of a log record. The input comes from outside the
+// program, so every length is checked against what is left of the body
+// before it is used; the returned objects alias body.
+func parseCommitBody(body []byte) ([]Object, error) {
+	var objs []Object
+	for len(body) > 0 {
+		kind := body[0]
+		if kind != commitKindPut && kind != commitKindDelete {
+			return nil, fmt.Errorf("bad commit body: object kind %d", kind)
+		}
+		name, rest, ok := cutField(body[1:])
+		if !ok {
+			return nil, errors.New("bad commit body: object name")
+		}
+		o := Object{Name: string(name), Delete: kind == commitKindDelete}
+		if !o.Delete {
+			if o.Data, rest, ok = cutField(rest); !ok {
+				return nil, errors.New("bad commit body: object data")
+			}
+		}
+		objs = append(objs, o)
+		body = rest
+	}
+	return objs, nil
+}
+
+// cutField cuts one uvarint-prefixed field off the front of b.
+func cutField(b []byte) (field, rest []byte, ok bool) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 || n > uint64(len(b)-w) {
+		return nil, nil, false
+	}
+	return b[w : w+int(n)], b[w+int(n):], true
 }

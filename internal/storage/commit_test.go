@@ -25,9 +25,13 @@ type chainOnly struct{ Store }
 func committers(t *testing.T) map[string]Store {
 	t.Helper()
 	remote, _ := newHTTPPair(t)
+	srv := httptest.NewServer(NewServer(openDurable(t, t.TempDir())))
+	t.Cleanup(srv.Close)
 	return map[string]Store{
 		"mem":          NewMemStore(Latency{}),
+		"file":         openDurable(t, t.TempDir()),
 		"http":         remote,
+		"http-file":    NewHTTPStore(srv.URL),
 		"instrumented": Instrument(NewMemStore(Latency{}), obs.NewRegistry()),
 	}
 }
@@ -338,16 +342,12 @@ func outcome(err error) string {
 
 // TestCommitChainMatchesNative applies one seeded sequence of commits —
 // puts, deletes, leading deletes, stale versions, fenced epochs — through a
-// native Committer, through the chain over the same backend, and through the
-// chain a Server runs over a FileStore. Every step must succeed or be
-// rejected alike, and the directories must end byte-identical.
+// native Committer, through the chain over the same backend, and over HTTP
+// into the durable store. Every step must succeed or be rejected alike, and
+// the directories must end byte-identical.
 func TestCommitChainMatchesNative(t *testing.T) {
 	ctx := context.Background()
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewServer(fs))
+	srv := httptest.NewServer(NewServer(openDurable(t, t.TempDir())))
 	t.Cleanup(srv.Close)
 	type side struct {
 		name string
@@ -357,7 +357,7 @@ func TestCommitChainMatchesNative(t *testing.T) {
 	sides := []*side{
 		{name: "native", s: NewMemStore(Latency{})},
 		{name: "chain", s: chainOnly{NewMemStore(Latency{})}},
-		{name: "http-file-chain", s: NewHTTPStore(srv.URL)},
+		{name: "http-file", s: NewHTTPStore(srv.URL)},
 	}
 	if _, ok := sides[1].s.(Committer); ok {
 		t.Fatal("chainOnly still exposes Commit")

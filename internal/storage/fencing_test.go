@@ -5,8 +5,6 @@ import (
 	"errors"
 	"io"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -74,12 +72,8 @@ func TestMemStoreFencing(t *testing.T) {
 	testFencing(t, NewMemStore(Latency{}))
 }
 
-func TestFileStoreFencing(t *testing.T) {
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	testFencing(t, fs)
+func TestDurableStoreFencing(t *testing.T) {
+	testFencing(t, openDurable(t, t.TempDir()))
 }
 
 func TestHTTPStoreFencing(t *testing.T) {
@@ -92,22 +86,17 @@ func TestFaultStoreFencing(t *testing.T) {
 	testFencing(t, NewFaultStore(NewMemStore(Latency{})))
 }
 
-// TestFileStoreFencePersists proves the watermark survives a cloudsim
-// restart: a fenced-out epoch stays fenced out after reopening the root.
-func TestFileStoreFencePersists(t *testing.T) {
+// TestDurableFencePersists proves the watermark survives a cloudsim
+// restart: a fenced-out epoch stays fenced out after reopening the store.
+func TestDurableFencePersists(t *testing.T) {
 	root := t.TempDir()
 	ctx := context.Background()
-	fs, err := NewFileStore(root)
-	if err != nil {
+	st := openDurable(t, root)
+	if err := st.PutFenced(ctx, "d", "a", []byte("x"), 0, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.PutFenced(ctx, "d", "a", []byte("x"), 0, 7); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := NewFileStore(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st.Close()
+	reopened := openDurable(t, root)
 	v, _ := reopened.Version(ctx, "d")
 	if err := reopened.PutFenced(ctx, "d", "a", []byte("y"), v, 3); !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale epoch after reopen: %v, want ErrFenced", err)
@@ -115,10 +104,9 @@ func TestFileStoreFencePersists(t *testing.T) {
 	if err := reopened.PutFenced(ctx, "d", "a", []byte("y"), v, 7); err != nil {
 		t.Fatalf("current epoch after reopen: %v", err)
 	}
-	// The bookkeeping files never show up as objects.
 	names, err := reopened.List(ctx, "d")
 	if err != nil || len(names) != 1 || names[0] != "a" {
-		t.Fatalf("listing alongside bookkeeping files: %v, %v", names, err)
+		t.Fatalf("listing after reopen: %v, %v", names, err)
 	}
 }
 
@@ -138,124 +126,6 @@ func TestHTTPStoreFenced412Header(t *testing.T) {
 	}
 	if err := hs.PutFenced(ctx, "d", "a", []byte("y"), v+9, 5); !errors.Is(err, ErrVersionConflict) {
 		t.Fatalf("conflict over HTTP: %v, want ErrVersionConflict", err)
-	}
-}
-
-// TestFileStoreCorruptEpochFailsLoud simulates a crash that truncated the
-// .epoch watermark mid-write (the failure mode the bare-WriteFile counter
-// path allowed): a short counter file must surface as a loud error, never
-// decode as epoch 0 — which would silently unfence the directory and admit
-// a zombie write from a superseded membership.
-func TestFileStoreCorruptEpochFailsLoud(t *testing.T) {
-	root := t.TempDir()
-	ctx := context.Background()
-	fs, err := NewFileStore(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.PutFenced(ctx, "d", "a", []byte("x"), 0, 5); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := fs.Version(ctx, "d")
-
-	// Crash simulation: the persisted watermark is cut to 3 bytes.
-	epochPath := filepath.Join(root, "d", ".epoch")
-	if err := os.WriteFile(epochPath, []byte{0, 0, 0}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// The fenced-out epoch-3 write MUST NOT succeed (a zero-decoded
-	// watermark would admit it) and MUST NOT read as a clean fence or
-	// version verdict either — it is a corruption error.
-	err = fs.PutFenced(ctx, "d", "a", []byte("zombie"), v, 3)
-	if err == nil {
-		t.Fatal("write admitted through a corrupt fence watermark")
-	}
-	if errors.Is(err, ErrFenced) || errors.Is(err, ErrVersionConflict) {
-		t.Fatalf("corrupt watermark decoded as a clean verdict: %v", err)
-	}
-
-	// Restoring the watermark restores normal fencing.
-	var buf [8]byte
-	buf[7] = 5
-	if err := os.WriteFile(epochPath, buf[:], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.PutFenced(ctx, "d", "a", []byte("y"), v, 3); !errors.Is(err, ErrFenced) {
-		t.Fatalf("after repair: %v, want ErrFenced", err)
-	}
-	if err := fs.PutFenced(ctx, "d", "a", []byte("y"), v, 5); err != nil {
-		t.Fatalf("current epoch after repair: %v", err)
-	}
-}
-
-// TestFileStoreCorruptVersionFailsLoud is the .version half: a truncated
-// version counter must error on every read path instead of reporting 0 —
-// version 0 means "directory never existed" and would re-open every CAS
-// writer's create window.
-func TestFileStoreCorruptVersionFailsLoud(t *testing.T) {
-	root := t.TempDir()
-	ctx := context.Background()
-	fs, err := NewFileStore(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Put(ctx, "d", "a", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(root, "d", ".version"), []byte{1, 2}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Version(ctx, "d"); err == nil {
-		t.Fatal("corrupt version read as a clean value")
-	}
-	if err := fs.PutIf(ctx, "d", "a", []byte("y"), 0); err == nil || errors.Is(err, ErrVersionConflict) {
-		t.Fatalf("conditional write through a corrupt version: %v", err)
-	}
-	if _, err := fs.Poll(ctx, "d", 0); err == nil {
-		t.Fatal("poll read a corrupt version as clean")
-	}
-}
-
-// TestFileStoreCounterWriteAtomic pins the temp+rename discipline: after
-// many counter rewrites the directory holds exactly one well-formed
-// .version/.epoch pair and no leftover temp files for List to trip on.
-func TestFileStoreCounterWriteAtomic(t *testing.T) {
-	root := t.TempDir()
-	ctx := context.Background()
-	fs, err := NewFileStore(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 20; i++ {
-		v, err := fs.Version(ctx, "d")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.PutFenced(ctx, "d", "a", []byte("x"), v, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	entries, err := os.ReadDir(filepath.Join(root, "d"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		switch name := e.Name(); name {
-		case ".version", ".epoch", "obj-a":
-		default:
-			t.Fatalf("stray file after counter rewrites: %s", name)
-		}
-		info, err := e.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (e.Name() == ".version" || e.Name() == ".epoch") && info.Size() != 8 {
-			t.Fatalf("%s is %d bytes, want 8", e.Name(), info.Size())
-		}
-	}
-	if v, err := fs.Version(ctx, "d"); err != nil || v != 20 {
-		t.Fatalf("version after rewrites: %d, %v", v, err)
 	}
 }
 

@@ -9,20 +9,16 @@ import (
 	"testing"
 )
 
-// versionedBackends covers all four Store implementations: the two native
-// ones plus HTTPStore (speaking X-Dir-Version / ?if-version over the wire)
-// and FaultStore (delegating with injection disabled).
+// versionedBackends covers every Store implementation: MemStore in memory
+// and durable, HTTPStore (speaking X-Dir-Version / ?if-version over the
+// wire) and FaultStore (delegating with injection disabled).
 func versionedBackends(t *testing.T) map[string]Store {
 	t.Helper()
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := httptest.NewServer(NewServer(NewMemStore(Latency{})))
 	t.Cleanup(srv.Close)
 	return map[string]Store{
 		"mem":   NewMemStore(Latency{}),
-		"file":  fs,
+		"file":  openDurable(t, t.TempDir()),
 		"http":  NewHTTPStore(srv.URL),
 		"fault": NewFaultStore(NewMemStore(Latency{})),
 	}

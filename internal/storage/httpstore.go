@@ -31,8 +31,9 @@ import (
 //	                                 body = objects (see commit.go) → JSON {"version": n}
 //
 // A commit is applied through Commit on the backing store: atomically when
-// that store is a Committer (MemStore), as the chain when it is not
-// (FileStore).
+// that store is a Committer (MemStore, in memory or durable, as cloudsim
+// serves it), as the chain when it is not (FaultStore, or a decorator that
+// does not forward Commit).
 type Server struct {
 	store Store
 	// PollTimeout bounds one long-poll round; clients re-arm (Dropbox uses

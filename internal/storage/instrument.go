@@ -14,8 +14,8 @@ import (
 // counters for CAS conflicts and fence rejections — the two failure modes
 // operators page on. Each op also opens a trace span when the context
 // carries one. A nil registry returns the store unwrapped, so disabled
-// observability costs nothing; the concrete backends (MemStore, FileStore,
-// HTTPStore, FaultStore) never see the decorator. The decorator is a
+// observability costs nothing; the concrete backends (MemStore, in memory or
+// durable, HTTPStore, FaultStore) never see the decorator. The decorator is a
 // Committer exactly when inner is one, so decorating never changes whether
 // Commit takes the native path or the chain (whose puts are then observed
 // one by one, as before).
@@ -42,8 +42,6 @@ func backendName(s Store) string {
 	switch s.(type) {
 	case *MemStore:
 		return "mem"
-	case *FileStore:
-		return "file"
 	case *HTTPStore:
 		return "http"
 	case *FaultStore:

@@ -119,7 +119,6 @@ func TestInstrumentBackendNames(t *testing.T) {
 	mem := NewMemStore(Latency{})
 	cases := map[string]Store{
 		"mem":   mem,
-		"file":  &FileStore{},
 		"http":  &HTTPStore{},
 		"fault": NewFaultStore(mem),
 	}

@@ -4,10 +4,11 @@
 // with PUT semantics for administrators and directory-level long polling
 // for clients (Fig. 5).
 //
-// Two backends implement the same Store interface: an in-process MemStore
-// with injectable latency (used by benchmarks, where cloud latency must be
-// controlled), and an HTTP client/server pair in httpstore.go that runs the
-// same protocol over the network. Both also implement the optional
+// One engine stores: MemStore, with injectable latency (benchmarks need
+// the cloud's latency controlled), kept in memory (NewMemStore) or made
+// durable by an fsynced, checksummed log that a reopen replays
+// (OpenMemStore, memlog.go). An HTTP client/server pair in httpstore.go runs
+// the same protocol over the network. Both implement the optional
 // Committer (commit.go): an all-or-nothing multi-object write in one round
 // trip, which is how administrators publish a membership update.
 package storage
@@ -16,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -118,12 +120,20 @@ type Latency struct {
 	Put, Get, Notify time.Duration
 }
 
-// MemStore is the in-process backend. Safe for concurrent use.
+// MemStore is the store engine behind every deployed backend: in memory
+// (NewMemStore), or durable over an fsynced log (OpenMemStore, memlog.go).
+// Safe for concurrent use.
 type MemStore struct {
 	lat Latency
 
-	mu      sync.Mutex
-	dirs    map[string]*memDir
+	mu   sync.Mutex
+	dirs map[string]*memDir
+	// waiters are the pollers of each directory, kept apart from dirs so
+	// that polling a name never creates it.
+	waiters map[string][]chan struct{}
+	// log is nil in memory; otherwise every mutation is appended to it and
+	// fsynced before it becomes visible.
+	log     *memLog
 	puts    int64
 	gets    int64
 	byteTx  int64
@@ -137,12 +147,14 @@ type memDir struct {
 	// fenceEpoch is the highest epoch a PutFenced ever carried into this
 	// directory; lower-epoch fenced writes are rejected (ErrFenced).
 	fenceEpoch uint64
-	waiters    []chan struct{}
+	// bytes is what the objects take in a log record (objectSize).
+	bytes int64
 }
 
-// NewMemStore creates an empty store with the given injected latency.
+// NewMemStore creates an empty in-memory store with the given injected
+// latency.
 func NewMemStore(lat Latency) *MemStore {
-	return &MemStore{lat: lat, dirs: make(map[string]*memDir)}
+	return &MemStore{lat: lat, dirs: make(map[string]*memDir), waiters: make(map[string][]chan struct{})}
 }
 
 var (
@@ -174,16 +186,8 @@ func (m *MemStore) Put(ctx context.Context, dir, name string, data []byte) error
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	d := m.dirs[dir]
-	if d == nil {
-		d = &memDir{objects: make(map[string][]byte)}
-		m.dirs[dir] = d
-	}
-	d.objects[name] = append([]byte(nil), data...)
-	m.puts++
-	m.byteRx += int64(len(data))
-	m.bump(d)
-	return nil
+	_, err := m.write(dir, []Object{{Name: name, Data: data}}, 0, 0, false)
+	return err
 }
 
 // PutIf implements Store.
@@ -198,43 +202,8 @@ func (m *MemStore) PutFenced(ctx context.Context, dir, name string, data []byte,
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	d, err := m.admit(dir, ifDirVersion, epoch)
-	if err != nil {
-		return err
-	}
-	d.objects[name] = append([]byte(nil), data...)
-	m.puts++
-	m.byteRx += int64(len(data))
-	m.bump(d)
-	return nil
-}
-
-// admit runs the checks every conditional mutation shares and returns the
-// directory to mutate — created if this is its first write, its fence
-// watermark raised to epoch. On an error nothing has changed. Callers hold
-// m.mu.
-func (m *MemStore) admit(dir string, ifDirVersion, epoch uint64) (*memDir, error) {
-	d := m.dirs[dir]
-	cur := uint64(0)
-	if d != nil {
-		cur = d.version
-		// The fence dominates the version check: a zombie must learn it is
-		// fenced (terminal) rather than conflicted (retryable).
-		if epoch > 0 && epoch < d.fenceEpoch {
-			return nil, fmt.Errorf("%w: %s fenced at epoch %d, write carries %d", ErrFenced, dir, d.fenceEpoch, epoch)
-		}
-	}
-	if cur != ifDirVersion {
-		return nil, fmt.Errorf("%w: %s at %d, want %d", ErrVersionConflict, dir, cur, ifDirVersion)
-	}
-	if d == nil {
-		d = &memDir{objects: make(map[string][]byte)}
-		m.dirs[dir] = d
-	}
-	if epoch > d.fenceEpoch {
-		d.fenceEpoch = epoch
-	}
-	return d, nil
+	_, err := m.write(dir, []Object{{Name: name, Data: data}}, ifDirVersion, epoch, true)
+	return err
 }
 
 // Commit implements Committer: every object lands under one lock
@@ -249,22 +218,7 @@ func (m *MemStore) Commit(ctx context.Context, dir string, objs []Object, ifDirV
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	d, err := m.admit(dir, ifDirVersion, epoch)
-	if err != nil {
-		return 0, err
-	}
-	for _, o := range objs {
-		if !o.Delete {
-			d.objects[o.Name] = append([]byte(nil), o.Data...)
-			m.byteRx += int64(len(o.Data))
-		} else if _, ok := d.objects[o.Name]; ok {
-			delete(d.objects, o.Name)
-			m.deletes++
-		}
-	}
-	m.puts++
-	m.bump(d)
-	return d.version, nil
+	return m.write(dir, objs, ifDirVersion, epoch, true)
 }
 
 // Delete implements Store.
@@ -281,10 +235,83 @@ func (m *MemStore) Delete(ctx context.Context, dir, name string) error {
 	if _, ok := d.objects[name]; !ok {
 		return fmt.Errorf("%w: %s/%s", ErrNotFound, dir, name)
 	}
-	delete(d.objects, name)
-	m.deletes++
-	m.bump(d)
-	return nil
+	_, err := m.write(dir, []Object{{Name: name, Delete: true}}, 0, 0, false)
+	return err
+}
+
+// write is the one mutation step every write method goes through: it checks
+// the write (a conditional one against the fence, then the version), logs
+// it, and applies it. The fence watermark rises only with the write itself,
+// so a write that fails its check or its log append changes nothing: no
+// object, no version, no watermark. Callers hold m.mu.
+func (m *MemStore) write(dir string, objs []Object, ifDirVersion, epoch uint64, conditional bool) (uint64, error) {
+	var cur, fence uint64
+	if d := m.dirs[dir]; d != nil {
+		cur, fence = d.version, d.fenceEpoch
+	}
+	if conditional {
+		// The fence dominates the version check: a zombie must learn it is
+		// fenced (terminal) rather than conflicted (retryable).
+		if epoch > 0 && epoch < fence {
+			return 0, fmt.Errorf("%w: %s fenced at epoch %d, write carries %d", ErrFenced, dir, fence, epoch)
+		}
+		if cur != ifDirVersion {
+			return 0, fmt.Errorf("%w: %s at %d, want %d", ErrVersionConflict, dir, cur, ifDirVersion)
+		}
+		fence = max(fence, epoch)
+	}
+	if m.log != nil {
+		if err := m.log.append(dir, cur+1, fence, objs); err != nil {
+			return 0, err
+		}
+	}
+	m.apply(dir, objs, cur+1, fence)
+	if m.log != nil && m.log.size > compactFactor*m.log.live {
+		// The write is durable already; a failed rewrite leaves the log
+		// as it was and is retried after the next write.
+		_ = m.compact()
+	}
+	return cur + 1, nil
+}
+
+// apply installs a checked (and logged, or replayed) mutation: the
+// directory, created if new, takes objs and moves to version and fence, and
+// its pollers wake. Callers hold m.mu.
+func (m *MemStore) apply(dir string, objs []Object, version, fence uint64) {
+	d := m.dirs[dir]
+	before := int64(0)
+	if d == nil {
+		d = &memDir{objects: make(map[string][]byte)}
+		m.dirs[dir] = d
+	} else {
+		before = d.recordSize(dir)
+	}
+	wrote := false
+	for _, o := range objs {
+		old, had := d.objects[o.Name]
+		if had {
+			d.bytes -= objectSize(o.Name, old)
+		}
+		if o.Delete {
+			if had {
+				delete(d.objects, o.Name)
+				m.deletes++
+			}
+			continue
+		}
+		d.objects[o.Name] = append([]byte(nil), o.Data...)
+		d.bytes += objectSize(o.Name, o.Data)
+		m.byteRx += int64(len(o.Data))
+		wrote = true
+	}
+	if wrote {
+		m.puts++
+	}
+	d.version, d.fenceEpoch = version, fence
+	if m.log != nil {
+		m.log.live += d.recordSize(dir) - before
+	}
+	m.wake(dir)
 }
 
 // Get implements Store.
@@ -399,38 +426,44 @@ func (m *MemStore) Version(_ context.Context, dir string) (uint64, error) {
 	return 0, nil
 }
 
-// Poll implements Store.
+// Poll implements Store. Polling a directory that does not exist waits for
+// its creation without creating it, and a poller that gives up takes its
+// wait entry with it, so polls of arbitrary names leave nothing behind.
 func (m *MemStore) Poll(ctx context.Context, dir string, since uint64) (uint64, error) {
 	for {
 		m.mu.Lock()
-		d := m.dirs[dir]
-		if d == nil {
-			d = &memDir{objects: make(map[string][]byte)}
-			m.dirs[dir] = d
-		}
-		if d.version > since {
+		if d := m.dirs[dir]; d != nil && d.version > since {
 			v := d.version
 			m.mu.Unlock()
 			return v, nil
 		}
 		ch := make(chan struct{})
-		d.waiters = append(d.waiters, ch)
+		m.waiters[dir] = append(m.waiters[dir], ch)
 		m.mu.Unlock()
 
 		select {
 		case <-ch:
 			// Version moved; loop to re-check.
 		case <-ctx.Done():
+			m.mu.Lock()
+			if ws := slices.DeleteFunc(m.waiters[dir], func(c chan struct{}) bool { return c == ch }); len(ws) > 0 {
+				m.waiters[dir] = ws
+			} else {
+				delete(m.waiters, dir)
+			}
+			m.mu.Unlock()
 			return 0, ctx.Err()
 		}
 	}
 }
 
-// bump advances a directory version and wakes pollers. Callers hold m.mu.
-func (m *MemStore) bump(d *memDir) {
-	d.version++
-	waiters := d.waiters
-	d.waiters = nil
+// wake releases a directory's pollers. Callers hold m.mu.
+func (m *MemStore) wake(dir string) {
+	waiters := m.waiters[dir]
+	if waiters == nil {
+		return
+	}
+	delete(m.waiters, dir)
 	notify := m.lat.Notify
 	for _, ch := range waiters {
 		ch := ch

@@ -11,7 +11,8 @@ import (
 	"time"
 )
 
-// backends returns each Store implementation under a name, for table tests.
+// backends returns each Store implementation under a name, for table tests:
+// the in-memory store, the durable one ("file") and HTTP in front of memory.
 func backends(t *testing.T) map[string]Store {
 	t.Helper()
 	mem := NewMemStore(Latency{})
@@ -19,8 +20,20 @@ func backends(t *testing.T) map[string]Store {
 	t.Cleanup(srv.Close)
 	return map[string]Store{
 		"mem":  mem,
+		"file": openDurable(t, t.TempDir()),
 		"http": NewHTTPStore(srv.URL),
 	}
+}
+
+// openDurable opens the durable store in dir, closed when the test ends.
+func openDurable(t testing.TB, dir string) *MemStore {
+	t.Helper()
+	m, err := OpenMemStore(dir, Latency{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -188,22 +201,45 @@ func TestPollReturnsImmediatelyWhenBehind(t *testing.T) {
 }
 
 func TestPollHonoursContextCancel(t *testing.T) {
+	for name, st := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, err := st.Poll(ctx, "g", 99)
+				done <- err
+			}()
+			time.Sleep(20 * time.Millisecond)
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("Poll after cancel: %v", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("Poll did not return after cancel")
+			}
+		})
+	}
+}
+
+// TestPollUnknownDirCreatesNothing: a poll of a name nobody wrote neither
+// creates the directory nor leaves its wait entry behind once it ends, so
+// remote polls cannot grow the store.
+func TestPollUnknownDirCreatesNothing(t *testing.T) {
 	st := NewMemStore(Latency{})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := st.Poll(ctx, "g", 99)
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Poll after cancel: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Poll did not return after cancel")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := st.Poll(ctx, "never-written", 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Poll of an unknown directory: %v", err)
+	}
+	if _, err := st.List(context.Background(), "never-written"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("List after the poll: %v, want ErrNotFound", err)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.dirs) != 0 || len(st.waiters) != 0 {
+		t.Fatalf("a poll left %d directories and %d wait entries", len(st.dirs), len(st.waiters))
 	}
 }
 
@@ -375,21 +411,8 @@ func TestServerRejectsMalformedPaths(t *testing.T) {
 	}
 }
 
-// putIfBackends covers every backend for the CAS tests, including the
-// durable FileStore the shared backends helper leaves out.
-func putIfBackends(t *testing.T) map[string]Store {
-	t.Helper()
-	out := backends(t)
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["file"] = fs
-	return out
-}
-
 func TestPutIfAllBackends(t *testing.T) {
-	for name, st := range putIfBackends(t) {
+	for name, st := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			ctx := context.Background()
 			// Create at version 0, then a stale CAS must conflict and leave
@@ -428,7 +451,7 @@ func TestPutIfAllBackends(t *testing.T) {
 }
 
 func TestPutIfSingleWinnerUnderRace(t *testing.T) {
-	for name, st := range putIfBackends(t) {
+	for name, st := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			ctx := context.Background()
 			const racers = 8
