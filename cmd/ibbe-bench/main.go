@@ -1,21 +1,22 @@
 // Command ibbe-bench regenerates every table and figure of the paper's
-// evaluation section (§VI), plus the repo's own engine figures. Each
+// evaluation section (§VI), plus the repo's own gated scenarios. Each
 // subcommand prints the same rows/series the paper plots, plus a one-line
 // "shape" summary restating the paper's claim for the produced data.
 //
 // Usage:
 //
 //	ibbe-bench [-scale ci|medium|paper] [-json out.json] \
-//	           fig2|fig6|fig7a|fig7b|fig8a|fig8b|fig9|fig10|table1|epc|parallel|batch|cluster|rebalance|readpath|autoscale|crypto|dkg|millionuser|all
+//	           fig2|fig6|fig7a|fig7b|fig8a|fig8b|fig9|fig10|table1|epc|readpath|crypto|millionuser|all
 //
 // The ci scale (default) runs the whole suite in well under a minute on
 // reduced grids with identical shapes; medium takes minutes; paper runs the
 // full 512-bit, million-user grid of the original evaluation (hours in pure
 // Go — the artifact used GMP assembly).
 //
-// -json writes the experiment's rows as a machine-readable report (CI
-// archives BENCH_cluster.json as the perf trajectory artifact); it applies
-// to a single experiment, not to "all".
+// -json writes the experiment's rows as a machine-readable report (the
+// crypto, readpath and millionuser reports are what cmd/benchdiff compares
+// against the committed BENCH_*.json baselines); it applies to a single
+// experiment, not to "all".
 //
 // -cpuprofile writes a pprof CPU profile covering the whole run, for local
 // profiling of the crypto substrate under the real workloads.
@@ -24,12 +25,47 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"github.com/ibbesgx/ibbesgx/internal/benchmark"
 )
+
+// experiments lists every experiment once, in the order "all" runs them.
+// Each runner prints its table and returns its rows (for -json).
+var experiments = []struct {
+	name string
+	run  func(benchmark.Config, io.Writer) (any, error)
+}{
+	{"fig2", experiment(benchmark.RunFig2, benchmark.PrintFig2)},
+	{"fig6", experiment(benchmark.RunFig6, benchmark.PrintFig6)},
+	{"fig7a", experiment(benchmark.RunFig7a, benchmark.PrintFig7a)},
+	{"fig7b", experiment(benchmark.RunFig7b, benchmark.PrintFig7b)},
+	{"fig8a", experiment(benchmark.RunFig8a, benchmark.PrintFig8a)},
+	{"fig8b", experiment(benchmark.RunFig8b, benchmark.PrintFig8b)},
+	{"fig9", experiment(benchmark.RunFig9, benchmark.PrintFig9)},
+	{"fig10", experiment(benchmark.RunFig10, benchmark.PrintFig10)},
+	{"table1", experiment(benchmark.RunTable1, benchmark.PrintTable1)},
+	{"epc", experiment(benchmark.RunEPCExperiment, benchmark.PrintEPC)},
+	{"readpath", experiment(benchmark.RunReadPath, benchmark.PrintReadPath)},
+	{"crypto", experiment(benchmark.RunCrypto, benchmark.PrintCrypto)},
+	{"millionuser", experiment(benchmark.RunMillionUser, benchmark.PrintMillionUser)},
+}
+
+// experiment pairs a runner with its printer.
+func experiment[R any](run func(benchmark.Config) (R, error), print func(io.Writer, R)) func(benchmark.Config, io.Writer) (any, error) {
+	return func(cfg benchmark.Config, w io.Writer) (any, error) {
+		rows, err := run(cfg)
+		if err != nil {
+			return nil, err
+		}
+		print(w, rows)
+		return rows, nil
+	}
+}
 
 func main() {
 	scale := flag.String("scale", "ci", "experiment scale: ci, medium, paper")
@@ -47,7 +83,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	err := run(*scale, *jsonPath, flag.Args())
+	err := run(os.Stdout, *scale, *jsonPath, flag.Args())
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -57,245 +93,58 @@ func main() {
 	}
 }
 
-func run(scale, jsonPath string, args []string) error {
+func run(w io.Writer, scale, jsonPath string, args []string) error {
 	cfg, ok := benchmark.ScaleByName(scale)
 	if !ok {
 		return fmt.Errorf("unknown scale %q (want ci, medium or paper)", scale)
 	}
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	names = append(names, "all")
 	if len(args) != 1 {
-		return fmt.Errorf("want exactly one experiment: fig2, fig6, fig7a, fig7b, fig8a, fig8b, fig9, fig10, table1, epc, parallel, batch, cluster, rebalance, readpath, autoscale, crypto, dkg, millionuser or all")
+		return fmt.Errorf("want exactly one experiment: %s", strings.Join(names, ", "))
 	}
 	exp := args[0]
 
-	// Every runner returns its rows (for -json) after printing its table.
-	runners := map[string]func(benchmark.Config) (any, error){
-		"fig2":        runFig2,
-		"fig6":        runFig6,
-		"fig7a":       runFig7a,
-		"fig7b":       runFig7b,
-		"fig8a":       runFig8a,
-		"fig8b":       runFig8b,
-		"fig9":        runFig9,
-		"fig10":       runFig10,
-		"table1":      runTable1,
-		"epc":         runEPC,
-		"parallel":    runParallel,
-		"batch":       runBatch,
-		"cluster":     runCluster,
-		"rebalance":   runRebalance,
-		"readpath":    runReadPath,
-		"autoscale":   runAutoscale,
-		"crypto":      runCrypto,
-		"dkg":         runDKG,
-		"millionuser": runMillionUser,
-	}
 	if exp == "all" {
 		if jsonPath != "" {
 			return fmt.Errorf("-json applies to a single experiment, not all")
 		}
-		order := []string{"fig2", "fig6", "fig7a", "fig7b", "fig8a", "fig8b", "fig9", "fig10", "table1", "epc", "parallel", "batch", "cluster", "rebalance", "readpath", "autoscale", "crypto", "dkg", "millionuser"}
-		for _, name := range order {
-			if _, err := timed(name, cfg, runners[name]); err != nil {
+		for _, e := range experiments {
+			if _, err := timed(w, e.name, cfg, e.run); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 		return nil
 	}
-	runner, ok := runners[exp]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
-	rows, err := timed(exp, cfg, runner)
-	if err != nil {
-		return err
-	}
-	if jsonPath != "" {
-		if err := benchmark.WriteJSON(jsonPath, exp, scale, rows); err != nil {
-			return fmt.Errorf("writing %s: %w", jsonPath, err)
+	for _, e := range experiments {
+		if e.name != exp {
+			continue
 		}
-		fmt.Printf("[rows written to %s]\n", jsonPath)
+		rows, err := timed(w, exp, cfg, e.run)
+		if err != nil {
+			return err
+		}
+		if jsonPath != "" {
+			if err := benchmark.WriteJSON(jsonPath, exp, scale, rows); err != nil {
+				return fmt.Errorf("writing %s: %w", jsonPath, err)
+			}
+			fmt.Fprintf(w, "[rows written to %s]\n", jsonPath)
+		}
+		return nil
 	}
-	return nil
+	return fmt.Errorf("unknown experiment %q (want %s)", exp, strings.Join(names, ", "))
 }
 
-func timed(name string, cfg benchmark.Config, f func(benchmark.Config) (any, error)) (any, error) {
+func timed(w io.Writer, name string, cfg benchmark.Config, f func(benchmark.Config, io.Writer) (any, error)) (any, error) {
 	start := time.Now()
-	rows, err := f(cfg)
+	rows, err := f(cfg, w)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	fmt.Printf("[%s completed in %s]\n", name, time.Since(start).Round(time.Millisecond))
-	return rows, nil
-}
-
-func runFig2(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunFig2(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintFig2(os.Stdout, rows)
-	return rows, nil
-}
-
-func runFig6(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunFig6(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintFig6(os.Stdout, rows)
-	return rows, nil
-}
-
-func runFig7a(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunFig7a(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintFig7a(os.Stdout, rows)
-	return rows, nil
-}
-
-func runFig7b(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunFig7b(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintFig7b(os.Stdout, rows)
-	return rows, nil
-}
-
-func runFig8a(cfg benchmark.Config) (any, error) {
-	res, err := benchmark.RunFig8a(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintFig8a(os.Stdout, res)
-	return res, nil
-}
-
-func runFig8b(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunFig8b(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintFig8b(os.Stdout, rows)
-	return rows, nil
-}
-
-func runFig9(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunFig9(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintFig9(os.Stdout, rows)
-	return rows, nil
-}
-
-func runFig10(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunFig10(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintFig10(os.Stdout, rows)
-	return rows, nil
-}
-
-func runEPC(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunEPCExperiment(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintEPC(os.Stdout, rows)
-	return rows, nil
-}
-
-func runTable1(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunTable1(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintTable1(os.Stdout, rows)
-	return rows, nil
-}
-
-func runParallel(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunParallel(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintParallel(os.Stdout, rows)
-	return rows, nil
-}
-
-func runBatch(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunBatch(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintBatch(os.Stdout, rows)
-	return rows, nil
-}
-
-func runCluster(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunCluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintCluster(os.Stdout, rows)
-	return rows, nil
-}
-
-func runRebalance(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunRebalance(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintRebalance(os.Stdout, rows)
-	return rows, nil
-}
-
-func runReadPath(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunReadPath(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintReadPath(os.Stdout, rows)
-	return rows, nil
-}
-
-func runAutoscale(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunAutoscale(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintAutoscale(os.Stdout, rows)
-	return rows, nil
-}
-
-func runCrypto(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunCrypto(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintCrypto(os.Stdout, rows)
-	return rows, nil
-}
-
-func runDKG(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunDKG(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintDKG(os.Stdout, rows)
-	return rows, nil
-}
-
-func runMillionUser(cfg benchmark.Config) (any, error) {
-	rows, err := benchmark.RunMillionUser(cfg)
-	if err != nil {
-		return nil, err
-	}
-	benchmark.PrintMillionUser(os.Stdout, rows)
+	fmt.Fprintf(w, "[%s completed in %s]\n", name, time.Since(start).Round(time.Millisecond))
 	return rows, nil
 }

@@ -13,7 +13,8 @@
 //
 // -out writes the raw scrape to a file (the CI artifact). -retries polls the
 // URL until it answers, so the check can race a cluster that is still
-// booting. With -url omitted the exposition is read from stdin.
+// booting; it always makes at least one attempt. With -url omitted the
+// exposition is read from stdin.
 package main
 
 import (
@@ -39,13 +40,13 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*url, *require, *out, *timeout, *retries); err != nil {
+	if err := run(os.Stdout, *url, *require, *out, *timeout, *retries); err != nil {
 		fmt.Fprintln(os.Stderr, "metricscheck:", err)
 		os.Exit(1)
 	}
 }
 
-func run(url, require, out string, timeout time.Duration, retries int) error {
+func run(w io.Writer, url, require, out string, timeout time.Duration, retries int) error {
 	body, err := scrape(url, timeout, retries)
 	if err != nil {
 		return err
@@ -80,9 +81,9 @@ func run(url, require, out string, timeout time.Duration, retries int) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fmt.Printf("metricscheck: %d families, exposition valid\n", len(names))
+	fmt.Fprintf(w, "metricscheck: %d families, exposition valid\n", len(names))
 	for _, name := range names {
-		fmt.Printf("  %-40s %s\n", name, families[name])
+		fmt.Fprintf(w, "  %-40s %s\n", name, families[name])
 	}
 	return nil
 }
@@ -92,8 +93,9 @@ func scrape(url string, timeout time.Duration, retries int) ([]byte, error) {
 		return io.ReadAll(os.Stdin)
 	}
 	client := &http.Client{Timeout: timeout}
+	attempts := max(retries, 1)
 	var lastErr error
-	for attempt := 0; attempt < retries; attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(500 * time.Millisecond)
 		}
@@ -114,5 +116,5 @@ func scrape(url string, timeout time.Duration, retries int) ([]byte, error) {
 		}
 		return body, nil
 	}
-	return nil, fmt.Errorf("scrape failed after %d attempts: %w", retries, lastErr)
+	return nil, fmt.Errorf("scrape failed after %d attempts: %w", attempts, lastErr)
 }

@@ -7,11 +7,16 @@ package benchmark
 import (
 	"crypto/ecdh"
 	"crypto/rand"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"time"
 
+	"github.com/ibbesgx/ibbesgx/internal/cluster"
 	"github.com/ibbesgx/ibbesgx/internal/core"
 	"github.com/ibbesgx/ibbesgx/internal/enclave"
 	"github.com/ibbesgx/ibbesgx/internal/hybrid"
@@ -399,4 +404,39 @@ func NewRawIBBEReference(params *pairing.Params, maxGroup int) (*RawIBBE, error)
 		return nil, err
 	}
 	return &RawIBBE{Scheme: s, MSK: msk, PK: pk}, nil
+}
+
+// shardOp drives one admin operation through the shard handlers the way
+// the gateway would: candidates in ring order under the CURRENT membership,
+// 503 means "not the owner (or mid hand-off), try the next candidate".
+func shardOp(c *cluster.Cluster, group, route string, body map[string]any) error {
+	blob, err := json.Marshal(body)
+	if err != nil {
+		return err
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		m := c.Membership()
+		for _, id := range m.Owners(group) {
+			shard := c.Shard(id)
+			if shard == nil {
+				continue
+			}
+			req := httptest.NewRequest(http.MethodPost, "/admin/"+route, strings.NewReader(string(blob)))
+			req.Header.Set("Content-Type", "application/json")
+			rec := httptest.NewRecorder()
+			shard.ServeHTTP(rec, req)
+			if rec.Code == http.StatusServiceUnavailable {
+				continue
+			}
+			if rec.Code >= 300 {
+				return fmt.Errorf("benchmark: shard answered %d: %s", rec.Code, strings.TrimSpace(rec.Body.String()))
+			}
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("benchmark: no shard served %s for %s before the deadline", route, group)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }

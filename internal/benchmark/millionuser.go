@@ -166,7 +166,7 @@ func RunMillionUser(cfg Config) ([]MillionUserRow, error) {
 				first = first[:chunk]
 			}
 			ops++
-			if err := rebalanceOp(c, g.Name, "create", map[string]any{
+			if err := shardOp(c, g.Name, "create", map[string]any{
 				"group": g.Name, "members": first,
 			}); err != nil {
 				return ops, failed + 1 // group missing: later chunks would cascade
@@ -177,7 +177,7 @@ func RunMillionUser(cfg Config) ([]MillionUserRow, error) {
 					hi = len(g.Members)
 				}
 				ops++
-				if err := rebalanceOp(c, g.Name, "add-batch", map[string]any{
+				if err := shardOp(c, g.Name, "add-batch", map[string]any{
 					"group": g.Name, "users": g.Members[lo:hi],
 				}); err != nil {
 					failed++
@@ -293,7 +293,7 @@ func replayGroupOps(c *cluster.Cluster, b groupBatch, chunk int) (ops, failed in
 			body["users"] = users
 		}
 		ops++
-		if err := rebalanceOp(c, b.Group, route, body); err != nil {
+		if err := shardOp(c, b.Group, route, body); err != nil {
 			failed++
 		}
 	}

@@ -1,8 +1,10 @@
 package benchmark
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"time"
 )
 
@@ -149,46 +151,18 @@ func PrintTable1(w io.Writer, rows []Table1Row) {
 	}
 }
 
-// PrintParallel writes the parallel-partition-engine table.
-func PrintParallel(w io.Writer, rows []ParallelRow) {
-	if len(rows) == 0 {
-		return
+// WriteJSON emits one experiment's rows as a machine-readable report.
+func WriteJSON(path, experiment, scale string, rows any) error {
+	report := struct {
+		Experiment string `json:"experiment"`
+		Scale      string `json:"scale"`
+		Rows       any    `json:"rows"`
+	}{Experiment: experiment, Scale: scale, Rows: rows}
+	blob, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(w, "Parallel partition engine — serial vs %d workers, per operation\n", rows[0].Workers)
-	fmt.Fprintf(w, "%10s  %12s  %12s  %7s  %12s  %12s  %7s  %12s  %12s  %7s\n",
-		"partitions", "create ser", "create par", "×",
-		"remove ser", "remove par", "×",
-		"rekey ser", "rekey par", "×")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%10d  %12s  %12s  %6.2fx  %12s  %12s  %6.2fx  %12s  %12s  %6.2fx\n",
-			r.Partitions,
-			Dur(r.SerialCreate), Dur(r.ParallelCreate), r.CreateSpeedup(),
-			Dur(r.SerialRemove), Dur(r.ParallelRemove), r.RemoveSpeedup(),
-			Dur(r.SerialRekey), Dur(r.ParallelRekey), r.RekeySpeedup())
-	}
-	last := rows[len(rows)-1]
-	fmt.Fprintf(w, "shape: partition ciphertexts are independent (§IV-C), so speedup approaches min(partitions, cores); at %d partitions create runs %.2f× faster\n",
-		last.Partitions, last.CreateSpeedup())
-}
-
-// PrintBatch writes the batched-membership table.
-func PrintBatch(w io.Writer, rows []BatchRow) {
-	fmt.Fprintln(w, "Batched membership — N singular ops vs one batched call (serial engine)")
-	fmt.Fprintf(w, "%6s  %12s  %12s  %7s  %12s  %12s  %7s  %10s  %10s\n",
-		"batch", "add loop", "add batch", "×",
-		"rm loop", "rm batch", "×", "loop puts", "batch puts")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%6d  %12s  %12s  %6.2fx  %12s  %12s  %6.2fx  %10d  %10d\n",
-			r.BatchSize,
-			Dur(r.LoopedAdd), Dur(r.BatchedAdd), r.AddSpeedup(),
-			Dur(r.LoopedRemove), Dur(r.BatchedRemove), r.RemoveSpeedup(),
-			r.LoopedRemovePuts, r.BatchedRemovePuts)
-	}
-	if len(rows) > 0 {
-		last := rows[len(rows)-1]
-		fmt.Fprintf(w, "shape: a looped removal of n users re-keys every partition n times (%d record puts); the batch re-keys each once (%d), so the gap grows linearly in n\n",
-			last.LoopedRemovePuts, last.BatchedRemovePuts)
-	}
+	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }
 
 func max64(a, b int64) int64 {

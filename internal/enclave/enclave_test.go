@@ -76,6 +76,25 @@ func provisionUser(t *testing.T, ie *IBBEEnclave, user string) (*ibbe.UserKey, *
 	return uk, priv
 }
 
+// createGroup runs Algorithm 1 the way core.CreateGroup drives it: one
+// fresh sealed group key, then one ECALL per partition.
+func createGroup(t *testing.T, ie *IBBEEnclave, group string, parts [][]string) ([]byte, []PartitionCrypto) {
+	t.Helper()
+	sealedGK, err := ie.EcallNewGroupKey(group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := make([]PartitionCrypto, len(parts))
+	for i, members := range parts {
+		pc, err := ie.EcallCreatePartition(group, sealedGK, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = *pc
+	}
+	return sealedGK, outs
+}
+
 func TestMeasureCodeDistinguishesVersions(t *testing.T) {
 	if MeasureCode("a", "1") == MeasureCode("a", "2") {
 		t.Fatal("different versions share a measurement")
@@ -185,8 +204,8 @@ func TestEcallsRequireSetup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ie.EcallCreateGroup("g", [][]string{members(2)}); !errors.Is(err, ErrEnclaveNotInitialized) {
-		t.Fatal("EcallCreateGroup before setup succeeded")
+	if _, err := ie.EcallCreatePartition("g", nil, members(2)); !errors.Is(err, ErrEnclaveNotInitialized) {
+		t.Fatal("EcallCreatePartition before setup succeeded")
 	}
 	priv, _ := ecdh.P256().GenerateKey(rand.Reader)
 	if _, err := ie.EcallExtractUserKey("u", priv.PublicKey()); !errors.Is(err, ErrEnclaveNotInitialized) {
@@ -197,13 +216,7 @@ func TestEcallsRequireSetup(t *testing.T) {
 func TestCreateGroupAndUserDecrypt(t *testing.T) {
 	ie, pk, _ := newIBBE(t, 8)
 	parts := [][]string{members(4)[:2], members(4)[2:]}
-	_, outs, err := ie.EcallCreateGroup("group-1", parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 2 {
-		t.Fatalf("partitions out = %d, want 2", len(outs))
-	}
+	_, outs := createGroup(t, ie, "group-1", parts)
 	// A member of each partition recovers the same group key.
 	gk0 := decryptGK(t, ie, pk, "group-1", parts[0][0], parts[0], &outs[0])
 	gk1 := decryptGK(t, ie, pk, "group-1", parts[1][1], parts[1], &outs[1])
@@ -215,10 +228,7 @@ func TestCreateGroupAndUserDecrypt(t *testing.T) {
 func TestCreatePartitionJoinsExistingGroup(t *testing.T) {
 	ie, pk, _ := newIBBE(t, 8)
 	parts := [][]string{members(2)}
-	sealedGK, outs, err := ie.EcallCreateGroup("g", parts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sealedGK, outs := createGroup(t, ie, "g", parts)
 	newcomer := "late@example.com"
 	pc, err := ie.EcallCreatePartition("g", sealedGK, []string{newcomer})
 	if err != nil {
@@ -233,10 +243,7 @@ func TestCreatePartitionJoinsExistingGroup(t *testing.T) {
 
 func TestCreatePartitionRejectsForeignSealedKey(t *testing.T) {
 	ie, _, _ := newIBBE(t, 8)
-	sealedGK, _, err := ie.EcallCreateGroup("group-a", [][]string{members(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sealedGK, _ := createGroup(t, ie, "group-a", [][]string{members(2)})
 	// The sealed key is bound to its group label.
 	if _, err := ie.EcallCreatePartition("group-b", sealedGK, []string{"x"}); !errors.Is(err, ErrSealedDataCorrupt) {
 		t.Fatal("sealed key accepted under a different group label")
@@ -246,12 +253,9 @@ func TestCreatePartitionRejectsForeignSealedKey(t *testing.T) {
 func TestAddUserToPartition(t *testing.T) {
 	ie, pk, _ := newIBBE(t, 8)
 	base := members(3)
-	_, outs, err := ie.EcallCreateGroup("g", [][]string{base})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, outs := createGroup(t, ie, "g", [][]string{base})
 	joiner := "joiner@example.com"
-	newCT, err := ie.EcallAddUserToPartition(outs[0].CT, joiner)
+	newCT, err := ie.EcallAddUsersToPartition(outs[0].CT, []string{joiner})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +271,7 @@ func TestAddUserToPartition(t *testing.T) {
 func TestRemoveUserRekeysEverything(t *testing.T) {
 	ie, pk, _ := newIBBE(t, 8)
 	p0, p1 := members(4)[:2], members(4)[2:]
-	_, outs, err := ie.EcallCreateGroup("g", [][]string{p0, p1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, outs := createGroup(t, ie, "g", [][]string{p0, p1})
 	// Remove p0[1]: Algorithm 3 as the core engine drives it — one fresh
 	// sealed key, then one ECALL per partition.
 	sealedGK, err := ie.EcallNewGroupKey("g")
@@ -298,6 +299,10 @@ func TestRemoveUserRekeysEverything(t *testing.T) {
 			t.Fatal("revoked user recovered the new group key")
 		}
 	}
+	// A foreign group's sealed key is rejected by the per-partition ECALLs.
+	if _, err := ie.EcallRekeyPartition("other", sealedGK, outs[1].CT); !errors.Is(err, ErrSealedDataCorrupt) {
+		t.Fatal("sealed key accepted under the wrong group label")
+	}
 }
 
 func TestRemoveLastUserDropsPartition(t *testing.T) {
@@ -307,10 +312,7 @@ func TestRemoveLastUserDropsPartition(t *testing.T) {
 	ie, pk, _ := newIBBE(t, 8)
 	solo := []string{"solo@example.com"}
 	other := members(2)
-	_, outs, err := ie.EcallCreateGroup("g", [][]string{solo, other})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, outs := createGroup(t, ie, "g", [][]string{solo, other})
 	gkOld := decryptGK(t, ie, pk, "g", other[0], other, &outs[1])
 	sealedGK, err := ie.EcallNewGroupKey("g")
 	if err != nil {
@@ -329,10 +331,7 @@ func TestRemoveLastUserDropsPartition(t *testing.T) {
 func TestRekeyGroupRotatesKey(t *testing.T) {
 	ie, pk, _ := newIBBE(t, 8)
 	grp := members(3)
-	_, outs, err := ie.EcallCreateGroup("g", [][]string{grp})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, outs := createGroup(t, ie, "g", [][]string{grp})
 	gk1 := decryptGK(t, ie, pk, "g", grp[0], grp, &outs[0])
 	sealedGK, err := ie.EcallNewGroupKey("g")
 	if err != nil {
@@ -359,10 +358,7 @@ func TestRestoreAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	grp := members(2)
-	_, outs, err := ie1.EcallCreateGroup("g", [][]string{grp})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, outs := createGroup(t, ie1, "g", [][]string{grp})
 
 	// "Restart": a new enclave instance with the same code measurement on the
 	// same platform restores from the sealed master secret.
@@ -374,7 +370,7 @@ func TestRestoreAfterRestart(t *testing.T) {
 		t.Fatalf("EcallRestore: %v", err)
 	}
 	// The restored enclave can extend the old group's ciphertext.
-	newCT, err := ie2.EcallAddUserToPartition(outs[0].CT, "post-restart@example.com")
+	newCT, err := ie2.EcallAddUsersToPartition(outs[0].CT, []string{"post-restart@example.com"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,9 +433,7 @@ func TestProvisionedKeyWrongEnclaveKey(t *testing.T) {
 
 func TestEPCAccounting(t *testing.T) {
 	ie, _, _ := newIBBE(t, 16)
-	if _, _, err := ie.EcallCreateGroup("g", [][]string{members(16)}); err != nil {
-		t.Fatal(err)
-	}
+	createGroup(t, ie, "g", [][]string{members(16)})
 	stats := ie.Enclave().Platform().EPC()
 	if stats.PeakResident == 0 {
 		t.Fatal("ECALLs did not register EPC usage")

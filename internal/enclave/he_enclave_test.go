@@ -105,9 +105,7 @@ func TestIBBEEnclaveWorkingSetBoundedByPartition(t *testing.T) {
 	// Creating more partitions must not grow the peak working set: the
 	// enclave streams one partition at a time.
 	ie1, _, _ := newIBBE(t, 4)
-	if _, _, err := ie1.EcallCreateGroup("g", [][]string{members(4)}); err != nil {
-		t.Fatal(err)
-	}
+	createGroup(t, ie1, "g", [][]string{members(4)})
 	peak1 := ie1.Enclave().Platform().EPC().PeakResident
 
 	ie8, _, _ := newIBBE(t, 4)
@@ -119,9 +117,7 @@ func TestIBBEEnclaveWorkingSetBoundedByPartition(t *testing.T) {
 	for i := range parts {
 		parts[i] = all[i*4 : (i+1)*4]
 	}
-	if _, _, err := ie8.EcallCreateGroup("g", parts); err != nil {
-		t.Fatal(err)
-	}
+	createGroup(t, ie8, "g", parts)
 	peak8 := ie8.Enclave().Platform().EPC().PeakResident
 
 	if peak8 > 2*peak1 {

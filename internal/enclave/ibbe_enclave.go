@@ -225,45 +225,6 @@ func (ie *IBBEEnclave) provisionLocked(id string, uk *ibbe.UserKey, userPub *ecd
 	return &ProvisionedKey{ID: id, Box: box, Sig: sig}, nil
 }
 
-// EcallCreateGroup implements the enclaved body of Algorithm 1: draw a fresh
-// group key, create an IBBE partition ciphertext per member slice, wrap gk
-// under each partition broadcast key, and seal gk for the administrator's
-// cache. groupLabel binds the wrapped keys to the group.
-func (ie *IBBEEnclave) EcallCreateGroup(groupLabel string, partitions [][]string) ([]byte, []PartitionCrypto, error) {
-	defer ie.timeEcall("create_group")()
-	ie.mu.RLock()
-	defer ie.mu.RUnlock()
-	if ie.pk == nil {
-		return nil, nil, ErrEnclaveNotInitialized
-	}
-	gk, err := kdf.RandomKey(rand.Reader)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Partitions are processed one at a time so the enclave working set is
-	// bounded by a single partition regardless of the group size — the
-	// §III-B property that lets IBBE-SGX stay clear of the EPC limit.
-	outs := make([]PartitionCrypto, 0, len(partitions))
-	for _, members := range partitions {
-		var (
-			pc       *PartitionCrypto
-			innerErr error
-		)
-		ie.enc.epcTouch(workingSet([][]string{members}), func() {
-			pc, innerErr = ie.createPartitionLocked(groupLabel, members, gk)
-		})
-		if innerErr != nil {
-			return nil, nil, innerErr
-		}
-		outs = append(outs, *pc)
-	}
-	sealedGK, err := ie.sealGKLocked(groupLabel, gk)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sealedGK, outs, nil
-}
-
 // EcallCreatePartition implements the new-partition arm of Algorithm 2
 // (lines 3–7): unseal the current group key and wrap it under a brand-new
 // partition's broadcast key.
@@ -282,7 +243,7 @@ func (ie *IBBEEnclave) EcallCreatePartition(groupLabel string, sealedGK []byte, 
 		pc       *PartitionCrypto
 		innerErr error
 	)
-	ie.enc.epcTouch(workingSet([][]string{members}), func() {
+	ie.enc.epcTouch(workingSet(members), func() {
 		pc, innerErr = ie.createPartitionLocked(groupLabel, members, gk)
 	})
 	if innerErr != nil {
@@ -291,18 +252,12 @@ func (ie *IBBEEnclave) EcallCreatePartition(groupLabel string, sealedGK []byte, 
 	return pc, nil
 }
 
-// EcallAddUserToPartition implements the existing-partition arm of
-// Algorithm 2 (lines 9–12): extend the partition ciphertext by the new user
-// in O(1). The broadcast key — and therefore the wrapped group key yᵢ — is
-// unchanged. It is the batch ECALL with a single joiner.
-func (ie *IBBEEnclave) EcallAddUserToPartition(ct *ibbe.Ciphertext, newUser string) (*ibbe.Ciphertext, error) {
-	return ie.EcallAddUsersToPartition(ct, []string{newUser})
-}
-
-// EcallAddUsersToPartition is the batched form of EcallAddUserToPartition:
-// it extends the partition ciphertext by every new user in one ECALL, with a
-// constant number of exponentiations for the whole batch (the per-user
-// exponents fold into one Z_r product inside the enclave).
+// EcallAddUsersToPartition implements the existing-partition arm of
+// Algorithm 2 (lines 9–12): it extends the partition ciphertext by every new
+// user in one ECALL, with a constant number of exponentiations for the whole
+// batch (the per-user exponents fold into one Z_r product inside the
+// enclave). The broadcast key — and therefore the wrapped group key yᵢ — is
+// unchanged.
 //
 // It and EcallRemoveUsersFromPartition and EcallRekeyPartition are the
 // stateless forms: they take only the ciphertext and raise it to a new
@@ -738,14 +693,14 @@ func unmarshalMSK(s *ibbe.Scheme, b []byte) (*ibbe.MasterSecretKey, error) {
 	return &ibbe.MasterSecretKey{G: g, Gamma: gamma}, nil
 }
 
-// workingSet estimates the enclave-resident bytes for a partition batch.
-func workingSet(partitions [][]string) int64 {
-	var n int64
-	for _, p := range partitions {
-		for _, id := range p {
-			n += int64(len(id))
-		}
-		n += 256
+// workingSet estimates the enclave-resident bytes for one partition. The
+// enclave handles one partition per ECALL, so its working set is bounded by
+// a partition regardless of the group size — the §III-B property that lets
+// IBBE-SGX stay clear of the EPC limit.
+func workingSet(members []string) int64 {
+	n := int64(256)
+	for _, id := range members {
+		n += int64(len(id))
 	}
 	return n
 }
