@@ -27,6 +27,46 @@ func TestNewEcallsRequireSetup(t *testing.T) {
 	}
 }
 
+// TestPerPartitionEcallsComposeLikeBatch checks the split ECALL surface the
+// parallel engine uses composes into a coherent Algorithm 3: new sealed gk,
+// removal+re-key on the affected partition, plain re-key on the other, and
+// both wrap one common group key.
+func TestPerPartitionEcallsComposeLikeBatch(t *testing.T) {
+	ie, pk, _ := newIBBE(t, 4)
+	partA := members(4)[:2]
+	partB := members(4)[2:]
+	_, outs := createGroup(t, ie, "g", [][]string{partA, partB})
+
+	sealedGK, err := ie.EcallNewGroupKey("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := partA[0]
+	newA, err := ie.EcallRemoveUsersFromPartition("g", sealedGK, outs[0].CT, []string{gone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newB, err := ie.EcallRekeyPartition("g", sealedGK, outs[1].CT)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	gkA := decryptGK(t, ie, pk, "g", partA[1], partA[1:], newA)
+	gkB := decryptGK(t, ie, pk, "g", partB[0], partB, newB)
+	if gkA != gkB {
+		t.Fatal("per-partition ECALLs wrap different group keys")
+	}
+	// The removed user's old key no longer opens the affected partition.
+	uk, _ := provisionUser(t, ie, gone)
+	if _, err := ie.Scheme().Decrypt(pk, gone, uk, partA[1:], newA.CT); err == nil {
+		t.Fatal("removed user still in the receiver set")
+	}
+	// A foreign group's sealed key is rejected by the per-partition ECALLs.
+	if _, err := ie.EcallRekeyPartition("other", sealedGK, outs[1].CT); err == nil {
+		t.Fatal("sealed key accepted under the wrong group label")
+	}
+}
+
 // TestConcurrentEcalls hammers read-path ECALLs from many goroutines — the
 // -race gate for the RWMutex conversion that lets the core worker pool fan
 // out per-partition work.
