@@ -19,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -43,13 +44,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ibbe-client: -user and -group are required")
 		os.Exit(2)
 	}
-	if err := run(*adminURL, *storeURL, *user, *group, *watch, *rootPEM); err != nil {
+	if err := run(os.Stdout, *adminURL, *storeURL, *user, *group, *watch, *rootPEM); err != nil {
 		fmt.Fprintln(os.Stderr, "ibbe-client:", err)
 		os.Exit(1)
 	}
 }
 
-func run(adminURL, storeURL, user, group string, watch bool, rootPEM string) error {
+// run provisions the user's key and prints the group key's fingerprint to
+// out: once, or on every change while watch is set.
+func run(out io.Writer, adminURL, storeURL, user, group string, watch bool, rootPEM string) error {
 	var pinned *x509.Certificate
 	if rootPEM != "" {
 		raw, err := os.ReadFile(rootPEM)
@@ -90,19 +93,19 @@ func run(adminURL, storeURL, user, group string, watch bool, rootPEM string) err
 		if err != nil {
 			return err
 		}
-		fmt.Printf("group %s key fingerprint: %s\n", group, fingerprint(gk))
+		fmt.Fprintf(out, "group %s key fingerprint: %s\n", group, fingerprint(gk))
 		return nil
 	}
 
 	log.Printf("ibbe-client: watching group %s…", group)
 	err = cli.Watch(ctx, func(gk [kdf.KeySize]byte) {
-		fmt.Printf("group %s key fingerprint: %s\n", group, fingerprint(gk))
+		fmt.Fprintf(out, "group %s key fingerprint: %s\n", group, fingerprint(gk))
 	})
 	switch {
 	case errors.Is(err, context.Canceled):
 		return nil
 	case errors.Is(err, client.ErrEvicted):
-		fmt.Printf("revoked from group %s\n", group)
+		fmt.Fprintf(out, "revoked from group %s\n", group)
 		return nil
 	default:
 		return err

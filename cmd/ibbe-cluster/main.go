@@ -46,15 +46,16 @@
 //
 // The membership itself is STORE-BACKED: every change is CAS-published to
 // the cloud store (fenced by its epoch) before it takes effect, and the
-// gateway and the router each follow the record. Restart the whole
-// process against a durable store (-store pointing at a cloudsim run with
-// -data) and it re-adopts the persisted epoch and member set instead of
-// resetting — the -shards flag only sizes a FRESH store. For the sealed
-// blobs to survive that restart too (above all the threshold share blobs
-// in the membership record), pass -platform-state FILE: the simulated
-// platform's sealing keys persist there, standing in for the hardware
-// fuses a real SGX machine keeps across reboots. Without it a restarted
-// process is a NEW machine and cannot unseal anything the old one sealed.
+// process follows the record through one view, which the router routes on.
+// Restart the whole process against a durable store (-store pointing at a
+// cloudsim run with -data) and it re-adopts the persisted epoch and member
+// set instead of resetting — the -shards flag only sizes a FRESH store. For
+// the sealed blobs to survive that restart too (above all the threshold
+// share blobs in the membership record), pass -platform-state FILE: the
+// simulated platform's sealing keys persist there, standing in for the
+// hardware fuses a real SGX machine keeps across reboots. Without it a
+// restarted process is a NEW machine and cannot unseal anything the old one
+// sealed.
 //
 // An optional autoscaler (-autoscale) watches per-shard load (groups
 // owned × weighted crypto-op rate) and drives the same grow/drain path
@@ -179,22 +180,15 @@ func run(o options) error {
 }
 
 // start wires the store, the cluster, its shard listeners, the router and
-// the autoscaler, and returns the gateway ready to serve. The router follows
-// the persisted membership record until ctx ends.
+// the autoscaler, and returns the gateway ready to serve. ctx bounds the
+// boot-time store calls; the cluster follows the persisted membership
+// record until it shuts down.
 func start(ctx context.Context, o options) (*gateway, error) {
 	shards, storeURL := o.shards, o.storeURL
-	capacity, paramsName, leaseTTL, workers := o.capacity, o.paramsName, o.leaseTTL, o.workers
-	var params *pairing.Params
-	var wireName string
-	switch paramsName {
-	case "fast-160":
-		params, wireName = pairing.TypeA160(), "type-a-160"
-	case "medium-256":
-		params, wireName = pairing.TypeA256(), "type-a-256"
-	case "paper-512":
-		params, wireName = pairing.TypeA512(), "type-a-512"
-	default:
-		return nil, fmt.Errorf("unknown -params %q", paramsName)
+	capacity, leaseTTL, workers := o.capacity, o.leaseTTL, o.workers
+	params, err := pairing.ByScale(o.paramsName)
+	if err != nil {
+		return nil, err
 	}
 
 	var store storage.Store
@@ -206,7 +200,7 @@ func start(ctx context.Context, o options) (*gateway, error) {
 		log.Printf("ibbe-cluster: cloud store at %s", storeURL)
 	}
 
-	log.Printf("ibbe-cluster: setting up %d shards (m=%d, %s)…", shards, capacity, wireName)
+	log.Printf("ibbe-cluster: setting up %d shards (m=%d, %s)…", shards, capacity, params.Name())
 	var provisioning cluster.ProvisioningMode
 	switch o.provision {
 	case "sealed":
@@ -239,7 +233,6 @@ func start(ctx context.Context, o options) (*gateway, error) {
 		Shards:           shards,
 		Capacity:         capacity,
 		Params:           params,
-		ParamsName:       wireName,
 		Store:            store,
 		LeaseTTL:         leaseTTL,
 		Workers:          workers,
@@ -261,8 +254,9 @@ func start(ctx context.Context, o options) (*gateway, error) {
 	}
 
 	g := &gateway{c: c, targets: make(map[string]string), reg: registry, tracer: tracer, shardHost: o.shardHost}
-	// Published membership records carry the live shard URLs, so a watching
-	// router (or a second gateway) can resolve members it never served.
+	// Published membership records and the cluster's view carry the live
+	// shard URLs, so the router, direct-routing clients and a second gateway
+	// resolve every member.
 	c.Targets = g.targetSnapshot
 	// Each shard listens on its own ephemeral port; the gateway is the only
 	// address clients need.
@@ -272,11 +266,14 @@ func start(ctx context.Context, o options) (*gateway, error) {
 		}
 	}
 	// The boot-time record was published before any listener existed:
-	// stamp the live URLs into it so store-watching routers resolve us.
+	// stamp the live URLs into it so direct-routing clients resolve us.
 	if err := c.PublishTargets(ctx); err != nil {
 		log.Printf("ibbe-cluster: publishing target URLs: %v", err)
 	}
-	router, err := cluster.NewRouter(boot, g.targetSnapshot())
+	// The router sweeps the cluster's own view: every membership change,
+	// applied here or published by anyone else, moves routing before any
+	// shard drains, and the cluster's one watch loop follows the record.
+	router, err := c.NewRouter()
 	if err != nil {
 		return nil, err
 	}
@@ -284,19 +281,6 @@ func start(ctx context.Context, o options) (*gateway, error) {
 	router.RouteTimeout = 2*leaseTTL + 10*time.Second
 	router.Instrument(registry, tracer)
 	g.rt = router
-	// Membership changes reach the router BEFORE the shards drain, so
-	// requests flow toward the new owners throughout the hand-off...
-	c.OnMembership = func(m *cluster.Membership) {
-		if err := router.ApplyMembership(m, g.targetSnapshot()); err != nil {
-			log.Printf("ibbe-cluster: router rejected membership %d: %v", m.Epoch, err)
-		}
-	}
-	// ...and the router ALSO follows the persisted record itself, so epoch
-	// bumps published by anyone (a second gateway, an operator script)
-	// redirect routing without a call into this process. Fenced shard
-	// responses trigger an immediate record re-read on top of the watch.
-	router.EnableDiscovery(store)
-	go router.Watch(ctx)
 	c.Start()
 
 	asCfg := o.asCfg

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"github.com/ibbesgx/ibbesgx/internal/client"
 	"github.com/ibbesgx/ibbesgx/internal/cluster"
 	"github.com/ibbesgx/ibbesgx/internal/kdf"
+	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
 
@@ -141,5 +143,66 @@ func TestOneShardServesTheSingleAdminAPI(t *testing.T) {
 	}
 	if _, err := readers["bob@x"].Refresh(ctx); !errors.Is(err, client.ErrEvicted) {
 		t.Fatalf("removed user reads the group: %v", err)
+	}
+}
+
+// pollCounter is a store that records how many Polls on the membership
+// directory are in flight at once.
+type pollCounter struct {
+	*storage.MemStore
+
+	mu             sync.Mutex
+	inflight, peak int
+}
+
+func (p *pollCounter) Poll(ctx context.Context, dir string, since uint64) (uint64, error) {
+	if dir == membership.Dir {
+		p.mu.Lock()
+		p.inflight++
+		p.peak = max(p.peak, p.inflight)
+		p.mu.Unlock()
+		defer func() {
+			p.mu.Lock()
+			p.inflight--
+			p.mu.Unlock()
+		}()
+	}
+	return p.MemStore.Poll(ctx, dir, since)
+}
+
+func (p *pollCounter) counts() (inflight, peak int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.inflight, p.peak
+}
+
+// TestGatewayRunsOneMembershipWatch: a started gateway follows the
+// membership record with exactly one Poll loop — the cluster's view, which
+// the router routes on — not one per membership copy.
+func TestGatewayRunsOneMembershipWatch(t *testing.T) {
+	store := &pollCounter{MemStore: storage.NewMemStore(storage.Latency{})}
+	cloud := httptest.NewServer(storage.NewServer(store))
+	defer cloud.Close()
+	g, err := start(t.Context(), options{
+		shards: 2, shardHost: "127.0.0.1", storeURL: cloud.URL, capacity: 2,
+		paramsName: "fast-160", leaseTTL: 5 * time.Second, provision: "sealed",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.c.Shutdown(context.Background())
+
+	deadline := time.Now().Add(10 * time.Second)
+	for inflight, _ := store.counts(); inflight == 0; inflight, _ = store.counts() {
+		if time.Now().After(deadline) {
+			t.Fatal("the gateway never polls the membership record")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// A second loop, had one started with the first, is parked in its Poll
+	// well within this window.
+	time.Sleep(300 * time.Millisecond)
+	if _, peak := store.counts(); peak != 1 {
+		t.Fatalf("%d concurrent polls on the membership record, want 1", peak)
 	}
 }

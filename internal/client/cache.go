@@ -187,20 +187,6 @@ func (r *RecordCache) ObserveVersion(dir string, v uint64) {
 	r.mu.Unlock()
 }
 
-// InvalidateDir drops every cached object of one directory.
-func (r *RecordCache) InvalidateDir(dir string) {
-	r.mu.Lock()
-	var n int64
-	for k := range r.entries {
-		if k.dir == dir {
-			delete(r.entries, k)
-			n++
-		}
-	}
-	r.mu.Unlock()
-	r.noteEvictions(n)
-}
-
 // InvalidateAll drops every cached object — the membership-epoch-bump hook:
 // after a rebalance, ownership and record layout may have changed wholesale.
 func (r *RecordCache) InvalidateAll() {

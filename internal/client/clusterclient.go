@@ -53,7 +53,7 @@ type ClusterClient struct {
 // error: the client starts in fallback-only mode and adopts the record via
 // Watch or the first sweep's refresh.
 func NewClusterClient(ctx context.Context, store storage.Store, fallbackURL string) (*ClusterClient, error) {
-	c := &ClusterClient{Store: store, Fallback: fallbackURL, view: membership.NewView(store, nil)}
+	c := &ClusterClient{Store: store, Fallback: fallbackURL, view: membership.NewView(store)}
 	c.view.OnAdopt = func(*membership.Membership) {
 		if c.Cache != nil {
 			c.Cache.InvalidateAll()

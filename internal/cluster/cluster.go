@@ -52,8 +52,9 @@ type Options struct {
 	Shards int
 	// Capacity is the partition capacity |p| every shard manages with.
 	Capacity int
-	// Params / ParamsName select the pairing parameters and their wire name
-	// (defaults: TypeA160 / "type-a-160").
+	// Params selects the pairing parameters (default TypeA160); /info
+	// advertises their own name, Params.Name(). ParamsName is optional and,
+	// when set, must equal Params.Name().
 	Params     *pairing.Params
 	ParamsName string
 	// Store is the shared cloud store (defaults to a fresh MemStore).
@@ -107,25 +108,17 @@ type Cluster struct {
 	// Platform hosts every shard enclave (one machine, N admin processes).
 	Platform *enclave.Platform
 
-	// OnMembership, when set (before the first membership change), is
-	// invoked with each new membership BEFORE it reaches the shards: the
-	// hook updates routing first, so requests already flow toward the new
-	// owners while the old owners drain — the hand-off pause collapses to
-	// the gateway's retry loop.
-	OnMembership func(*Membership)
-
 	// Targets, when set (before the first membership change), supplies the
-	// shard-ID → base-URL map published alongside each membership record,
-	// so a watching router (or a second gateway) can resolve members it
-	// has never served itself.
+	// shard-ID → base-URL map published alongside each membership record
+	// and merged into the routing view, so the gateway router (and a
+	// direct-routing client, or a second gateway) can resolve every member.
 	Targets func() map[string]string
 
 	// Build-time material for minting shards at runtime.
-	opts       Options
-	params     *pairing.Params
-	paramsName string
-	ias        *attest.IAS
-	auditor    *pki.Auditor
+	opts    Options
+	params  *pairing.Params
+	ias     *attest.IAS
+	auditor *pki.Auditor
 	// prov decides what key material a minted shard receives (the full
 	// sealed secret or a threshold share) and runs the DKG life-cycle.
 	prov KeyProvisioner
@@ -141,14 +134,20 @@ type Cluster struct {
 	// Options.Registry was nil).
 	co *clusterObs
 
-	// view follows the persisted record for the cluster and its shards:
-	// every epoch it adopts — published by another writer, or read back
-	// after a shard's fenced write — is propagated under changeMu.
+	// view is the process's one copy of the membership: Membership, Epoch
+	// and Ring read it, the gateway router (NewRouter) sweeps it, and it
+	// follows the persisted record. Every epoch it adopts from the store —
+	// published by another writer, or read back after a shard's fenced
+	// write or a router's sweep — is propagated under changeMu by catchUp.
 	view *membership.View
 
-	mu         sync.Mutex
-	shards     []*Shard
-	membership *Membership
+	mu     sync.Mutex
+	shards []*Shard
+	// applied is the epoch last propagated to the shards; the view can be
+	// ahead of it while a discovered epoch waits for changeMu.
+	applied uint64
+	// catchingUp is set while a catchUp goroutine is running.
+	catchingUp bool
 	nextShard  int
 	started    bool
 
@@ -173,12 +172,14 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Capacity < 1 {
 		return nil, fmt.Errorf("cluster: capacity must be positive, got %d", opts.Capacity)
 	}
-	params, paramsName := opts.Params, opts.ParamsName
+	params := opts.Params
 	if params == nil {
-		params, paramsName = pairing.TypeA160(), "type-a-160"
+		params = pairing.TypeA160()
 	}
-	if paramsName == "" {
-		paramsName = "type-a-160"
+	// Clients build their scheme from the advertised name, so it is the
+	// parameters' own, never a second setting that could disagree.
+	if opts.ParamsName != "" && opts.ParamsName != params.Name() {
+		return nil, fmt.Errorf("cluster: ParamsName %q disagrees with the parameters' name %q", opts.ParamsName, params.Name())
 	}
 	store := opts.Store
 	if store == nil {
@@ -208,16 +209,15 @@ func New(opts Options) (*Cluster, error) {
 	}
 
 	c := &Cluster{
-		Store:      store,
-		Platform:   platform,
-		opts:       opts,
-		params:     params,
-		paramsName: paramsName,
-		ias:        ias,
-		auditor:    auditor,
-		co:         newClusterObs(opts.Registry, opts.Tracer),
-		view:       membership.NewView(store, nil),
-		stopc:      make(chan struct{}),
+		Store:    store,
+		Platform: platform,
+		opts:     opts,
+		params:   params,
+		ias:      ias,
+		auditor:  auditor,
+		co:       newClusterObs(opts.Registry, opts.Tracer),
+		view:     membership.NewView(store),
+		stopc:    make(chan struct{}),
 	}
 	if r := opts.Registry; r != nil {
 		// Crypto-op rates: the per-shard ibbe.Metrics counters sampled at
@@ -297,6 +297,7 @@ func New(opts Options) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: unknown provisioning mode %q", mode)
 	}
 
+	var boot *Membership
 	switch {
 	case err == nil:
 		// Restart: the persisted record, not opts.Shards, names the member
@@ -307,7 +308,7 @@ func New(opts Options) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.membership = m
+		boot = m
 		c.nextShard = nextShardIndex(rec.Members)
 		for _, id := range rec.Members {
 			if _, err := c.mintShardID(id, m); err != nil {
@@ -323,7 +324,7 @@ func New(opts Options) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.membership = m
+		boot = m
 		c.nextShard = nextShardIndex(ids)
 		for _, id := range ids {
 			if _, err := c.mintShardID(id, m); err != nil {
@@ -348,10 +349,11 @@ func New(opts Options) (*Cluster, error) {
 			if !sameMembers(theirs.Members(), m.Members()) {
 				return nil, fmt.Errorf("cluster: store already holds membership epoch %d over %v", won.Epoch, won.Members)
 			}
-			c.membership = theirs
+			boot = theirs
 		}
 	}
-	c.view.Adopt(c.membership, nil)
+	c.view.Adopt(boot, nil)
+	c.applied = boot.Epoch
 	c.view.OnAdopt = c.adoptDiscovered
 	// Bootstrap (or restart) is only done once the provisioner completes:
 	// in threshold mode this is where the DKG runs — the transient dealer
@@ -463,7 +465,7 @@ func (c *Cluster) mintShardID(id string, m *Membership) (*Shard, error) {
 		Encl:           encl,
 		EnclaveCertDER: cert.Raw,
 		RootCertDER:    c.auditor.RootDER(),
-		ParamsName:     c.paramsName,
+		ParamsName:     c.params.Name(),
 		Epoch:          c.Epoch,
 	}
 	if tp, threshold := c.prov.(*thresholdProvisioner); threshold {
@@ -504,12 +506,13 @@ func (c *Cluster) AddShard() (*Shard, error) {
 }
 
 // ApplyMembership moves the live cluster to a new member set: it builds the
-// successor membership (epoch+1) over the given shard IDs, hands it to the
-// routing hook first (requests start flowing to the new owners), then to
-// every shard — members first, so the joining shard knows the new epoch
-// before the losing shards drain their moved groups into the store. Shards
-// left out of the member set drain everything they own; they keep serving
-// provisioning and can be shut down (or re-admitted) by the operator.
+// successor membership (epoch+1) over the given shard IDs, installs it in
+// the cluster's view first (the router sweeping it starts sending requests
+// to the new owners), then hands it to every shard — members first, so the
+// joining shard knows the new epoch before the losing shards drain their
+// moved groups into the store. Shards left out of the member set drain
+// everything they own; they keep serving provisioning and can be shut down
+// (or re-admitted) by the operator.
 //
 // A non-nil Membership returned WITH a non-nil error means the change IS
 // in effect (epoch bumped, routing switched) but some hand-off step failed
@@ -519,7 +522,7 @@ func (c *Cluster) AddShard() (*Shard, error) {
 func (c *Cluster) ApplyMembership(ctx context.Context, members []string) (*Membership, error) {
 	c.changeMu.Lock()
 	defer c.changeMu.Unlock()
-	return c.applyMembership(ctx, members)
+	return c.applyMembership(ctx, c.Epoch(), members)
 }
 
 // Admit grows the membership by one already-minted shard (AddShard) — the
@@ -529,23 +532,26 @@ func (c *Cluster) ApplyMembership(ctx context.Context, members []string) (*Membe
 func (c *Cluster) Admit(ctx context.Context, id string) (*Membership, error) {
 	c.changeMu.Lock()
 	defer c.changeMu.Unlock()
-	next, err := c.Membership().AddShard(id)
+	m := c.Membership()
+	next, err := m.AddShard(id)
 	if err != nil {
 		return nil, err
 	}
-	return c.applyMembership(ctx, next.Members())
+	return c.applyMembership(ctx, m.Epoch, next.Members())
 }
 
-// applyMembership is ApplyMembership with c.changeMu already held. The
-// successor record is CAS-published to the store BEFORE anything changes
+// applyMembership is ApplyMembership with c.changeMu already held, over a
+// member list computed from the membership at epoch base. The successor
+// record is CAS-published to the store BEFORE anything changes
 // locally: a membership change that is not durable never reaches the
 // shards, and a concurrent writer (a second gateway, an autoscaler
 // elsewhere) loses the CAS instead of silently dropping our change. A
 // change computed against a view the store has already superseded is
 // refused outright — the member list would be stale — so the epoch
 // sequence can neither fork nor silently drop a concurrent writer's
-// members.
-func (c *Cluster) applyMembership(ctx context.Context, members []string) (*Membership, error) {
+// members. base is the caller's, not re-read here: the view can adopt a
+// newer record at any moment without changeMu.
+func (c *Cluster) applyMembership(ctx context.Context, base uint64, members []string) (*Membership, error) {
 	c.mu.Lock()
 	for _, id := range members {
 		if c.lookup(id) == nil {
@@ -553,7 +559,6 @@ func (c *Cluster) applyMembership(ctx context.Context, members []string) (*Membe
 			return nil, fmt.Errorf("cluster: no such shard %s", id)
 		}
 	}
-	base := c.membership.Epoch
 	c.mu.Unlock()
 
 	rec, ver, err := membership.Load(ctx, c.Store)
@@ -572,11 +577,7 @@ func (c *Cluster) applyMembership(ctx context.Context, members []string) (*Membe
 	if err != nil {
 		return nil, err
 	}
-	var targets map[string]string
-	if c.Targets != nil {
-		targets = c.Targets()
-	}
-	nextRec := membership.RecordOf(next, targets)
+	nextRec := membership.RecordOf(next, c.targets())
 	// Carry the committed sharing into the successor record: if this
 	// process dies before the new epoch's reshare publishes, the store
 	// still holds commitments + sealed shares a restart can adopt.
@@ -591,24 +592,24 @@ func (c *Cluster) applyMembership(ctx context.Context, members []string) (*Membe
 }
 
 // propagate installs a membership that is already durable (published by
-// this cluster or discovered in the store): the routing hook first, then
-// every shard — members first, so the joining shard knows the new epoch
-// before the losing shards drain their moved groups into the store.
-// Stale or duplicate memberships are ignored.
+// this cluster or discovered in the store): the view first, so the router
+// sweeping it sends requests toward the new owners while the old owners
+// drain, then every shard — members first, so the joining shard knows the
+// new epoch before the losing shards drain their moved groups into the
+// store. Stale or duplicate memberships are ignored. Caller holds changeMu.
 func (c *Cluster) propagate(ctx context.Context, next *Membership) error {
 	c.mu.Lock()
-	if c.membership != nil && next.Epoch <= c.membership.Epoch {
+	if next.Epoch <= c.applied {
 		c.mu.Unlock()
 		return nil
 	}
-	c.membership = next
+	// Raised before the view adopts next, so the view's OnAdopt hook sees
+	// the epoch as applied and does not re-enter changeMu.
+	c.applied = next.Epoch
 	shards := append([]*Shard(nil), c.shards...)
-	hook := c.OnMembership
 	c.mu.Unlock()
 
-	if hook != nil {
-		hook(next)
-	}
+	c.view.Adopt(next, c.targets())
 	var firstErr error
 	apply := func(s *Shard) {
 		if err := s.ApplyMembership(ctx, next); err != nil && firstErr == nil {
@@ -638,11 +639,10 @@ func (c *Cluster) propagate(ctx context.Context, next *Membership) error {
 // PublishTargets re-publishes the current membership record with the
 // freshest URLs from the Targets hook. New publishes the bootstrap record
 // before the caller can serve any shard (so its Targets are empty);
-// calling this once the listeners are up lets a store-watching router —
-// or a NewRouterFromStore restart — resolve every member without ever
-// having talked to this gateway. A CAS loss means a membership change is
-// in flight; that change's own record carries fresh targets, so the loss
-// is ignored.
+// calling this once the listeners are up lets a direct-routing client or a
+// second gateway resolve every member without ever having talked to this
+// one. A CAS loss means a membership change is in flight; that change's
+// own record carries fresh targets, so the loss is ignored.
 func (c *Cluster) PublishTargets(ctx context.Context) error {
 	if c.Targets == nil {
 		return nil
@@ -664,16 +664,44 @@ func (c *Cluster) PublishTargets(ctx context.Context) error {
 	return err
 }
 
-// adoptDiscovered propagates a membership the view adopted from the store
-// (published by another writer, or read back after a fenced write) under
-// the transition lock, so a discovery cannot interleave with an
-// operator-driven change mid-apply.
+// adoptDiscovered is the view's OnAdopt hook, run by whoever made the view
+// adopt a record from the store: the watch loop, a shard's fenced-write
+// refresh, or a router request's sweep. It never waits: an epoch already
+// applied (propagate's own adoption, made under changeMu) returns at once,
+// and a newer one starts catchUp unless one is already running.
 func (c *Cluster) adoptDiscovered(m *Membership) {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
+	c.mu.Lock()
+	start := m.Epoch > c.applied && !c.catchingUp
+	if start {
+		c.catchingUp = true
+	}
+	c.mu.Unlock()
+	if start {
+		go c.catchUp()
+	}
+}
+
+// catchUp propagates the view's latest membership under the transition
+// lock, so a discovery cannot interleave with an operator-driven change
+// mid-apply, until the shards hold the view's epoch. The view is read under
+// c.mu, the lock adoptDiscovered checks catchingUp under: an epoch adopted
+// after the last read finds catchingUp clear and starts a new catchUp.
+func (c *Cluster) catchUp() {
 	c.changeMu.Lock()
 	defer c.changeMu.Unlock()
-	_ = c.propagate(ctx, m)
+	for {
+		c.mu.Lock()
+		m := c.view.Membership()
+		if m.Epoch <= c.applied {
+			c.catchingUp = false
+			c.mu.Unlock()
+			return
+		}
+		c.mu.Unlock()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		_ = c.propagate(ctx, m)
+		cancel()
+	}
 }
 
 // RemoveShard drains one member out of the cluster: the successor
@@ -683,18 +711,24 @@ func (c *Cluster) adoptDiscovered(m *Membership) {
 func (c *Cluster) RemoveShard(ctx context.Context, id string) (*Membership, error) {
 	c.changeMu.Lock()
 	defer c.changeMu.Unlock()
-	next, err := c.Membership().RemoveShard(id)
+	m := c.Membership()
+	next, err := m.RemoveShard(id)
 	if err != nil {
 		return nil, err
 	}
-	return c.applyMembership(ctx, next.Members())
+	return c.applyMembership(ctx, m.Epoch, next.Members())
 }
 
-// Membership returns the cluster's current membership.
-func (c *Cluster) Membership() *Membership {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.membership
+// Membership returns the cluster's current membership: its view's, which
+// moves before the shards drain.
+func (c *Cluster) Membership() *Membership { return c.view.Membership() }
+
+// targets returns the Targets hook's URLs (nil when unset).
+func (c *Cluster) targets() map[string]string {
+	if c.Targets == nil {
+		return nil
+	}
+	return c.Targets()
 }
 
 // Ring returns the current membership's ring (owner lookups).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/ecdh"
 	"crypto/rand"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -14,14 +15,14 @@ import (
 	"github.com/ibbesgx/ibbesgx/internal/admin"
 	"github.com/ibbesgx/ibbesgx/internal/client"
 	"github.com/ibbesgx/ibbesgx/internal/kdf"
+	"github.com/ibbesgx/ibbesgx/internal/pairing"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
 
 // testCluster is a full in-process deployment: N shards behind real HTTP
 // servers, a router gateway in front, and an AdminAPI client driving it.
-// Shards minted at runtime (addShard) get their own servers, and membership
-// changes reach the router through the cluster's OnMembership hook exactly
-// as in cmd/ibbe-cluster.
+// Shards minted at runtime (addShard) get their own servers, and the router
+// routes on the cluster's own view exactly as in cmd/ibbe-cluster.
 type testCluster struct {
 	c      *Cluster
 	router *Router
@@ -59,7 +60,7 @@ func startCluster(t testing.TB, opts Options) *testCluster {
 	if err := c.PublishTargets(context.Background()); err != nil {
 		t.Fatalf("publishing boot targets: %v", err)
 	}
-	rt, err := NewRouter(c.Membership(), tc.targetSnapshot())
+	rt, err := c.NewRouter()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +69,6 @@ func startCluster(t testing.TB, opts Options) *testCluster {
 	// Mirror cmd/ibbe-cluster: a cluster built with an obs registry gets an
 	// instrumented router too (nil-safe when the options carry none).
 	rt.Instrument(opts.Registry, opts.Tracer)
-	c.OnMembership = func(m *Membership) {
-		if err := rt.ApplyMembership(m, tc.targetSnapshot()); err != nil {
-			t.Errorf("router rejected membership %d: %v", m.Epoch, err)
-		}
-	}
 	rtSrv := httptest.NewServer(rt)
 	t.Cleanup(rtSrv.Close)
 	tc.router = rt
@@ -412,6 +408,34 @@ func TestClusterProvisionThroughRouter(t *testing.T) {
 	}
 	if _, err := cl.GroupKey(ctx); err != nil {
 		t.Fatalf("router-provisioned user cannot decrypt: %v", err)
+	}
+}
+
+// TestClusterAdvertisesItsParams: /info names the parameters the shards
+// run, so a client builds the matching scheme, and a ParamsName that names
+// other parameters is refused rather than advertised.
+func TestClusterAdvertisesItsParams(t *testing.T) {
+	c, err := New(Options{Shards: 1, Capacity: 2, Params: pairing.TypeA256()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown(context.Background())
+	srv := httptest.NewServer(c.Shards()[0])
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info admin.SystemInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Params != "type-a-256" {
+		t.Fatalf("advertised %q for type-a-256 parameters", info.Params)
+	}
+	if _, err := New(Options{Shards: 1, Capacity: 2, Params: pairing.TypeA256(), ParamsName: "type-a-160"}); err == nil {
+		t.Fatal("a ParamsName disagreeing with the parameters was accepted")
 	}
 }
 

@@ -4,12 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"github.com/ibbesgx/ibbesgx/internal/client"
 	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
@@ -43,15 +44,12 @@ func TestClusterBootstrapPublishesMembership(t *testing.T) {
 		t.Fatalf("bootstrap record: epoch %d members %v", rec.Epoch, rec.Members)
 	}
 	// PublishTargets stamped the live URLs into the boot record, so a
-	// router can be built from the untouched store alone — no membership
-	// change needed first.
+	// direct-routing client can resolve every member from the untouched
+	// store alone — no membership change needed first.
 	for _, id := range rec.Members {
 		if rec.Targets[id] == "" {
 			t.Fatalf("boot record has no target URL for %s: %v", id, rec.Targets)
 		}
-	}
-	if _, err := NewRouterFromStore(ctx, store, nil); err != nil {
-		t.Fatalf("router from a freshly bootstrapped store: %v", err)
 	}
 
 	tc.addShard(t, ctx)
@@ -122,114 +120,12 @@ func TestClusterRestartAdoptsPersistedMembership(t *testing.T) {
 	}
 }
 
-// TestRouterRestartRecoversFromStore kills and rebuilds the ROUTER mid-load:
-// the replacement is constructed purely from the persisted record
-// (NewRouterFromStore), re-adopts the current epoch, and serves the same
-// workload with zero failed operations; its watch loop then follows the
-// next epoch bump without anyone calling ApplyMembership on it.
-func TestRouterRestartRecoversFromStore(t *testing.T) {
-	store := storage.NewMemStore(storage.Latency{})
-	tc := startCluster(t, Options{Shards: 3, Capacity: 4, LeaseTTL: 5 * time.Second, Seed: 7, Store: store})
-	ctx := context.Background()
-
-	const groups = 4
-	groupName := func(i int) string { return fmt.Sprintf("rtrestart-%d", i) }
-	for i := 0; i < groups; i++ {
-		g := groupName(i)
-		if err := tc.api.CreateGroup(ctx, g, groupUsers(g, 4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Continuous load through the ORIGINAL gateway for the whole test.
-	stop := make(chan struct{})
-	errc := make(chan error, groups)
-	var wg sync.WaitGroup
-	for i := 0; i < groups; i++ {
-		g := groupName(i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; ; k++ {
-				select {
-				case <-stop:
-					errc <- nil
-					return
-				default:
-				}
-				u := fmt.Sprintf("%s-churn%03d@example.com", g, k)
-				if err := tc.api.AddUser(ctx, g, u); err != nil {
-					errc <- fmt.Errorf("%s add: %w", g, err)
-					return
-				}
-				if err := tc.api.RemoveUser(ctx, g, u); err != nil {
-					errc <- fmt.Errorf("%s remove: %w", g, err)
-					return
-				}
-			}
-		}()
-	}
-
-	// The restarted gateway: a second router built ONLY from the store
-	// record plus the locally served shard URLs.
-	rt2, err := NewRouterFromStore(ctx, store, tc.targetSnapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt2.RetryInterval = 20 * time.Millisecond
-	rt2.RouteTimeout = 20 * time.Second
-	if got, want := rt2.Membership().Epoch, tc.c.Epoch(); got != want {
-		t.Fatalf("restarted router at epoch %d, want %d", got, want)
-	}
-	wctx, wcancel := context.WithCancel(ctx)
-	defer wcancel()
-	go rt2.Watch(wctx)
-	srv2 := httptest.NewServer(rt2)
-	defer srv2.Close()
-	api2 := client.NewAdminAPI(nil, srv2.URL)
-
-	// The replacement serves every group mid-load.
-	for i := 0; i < groups; i++ {
-		g := groupName(i)
-		if err := api2.AddUser(ctx, g, g+"-via-rt2@example.com"); err != nil {
-			t.Fatalf("op through restarted router: %v", err)
-		}
-	}
-
-	// A membership change lands while rt2 only watches the store: the grow
-	// goes through the CLUSTER (which publishes the record); rt2 must adopt
-	// the new epoch from the record alone. The new shard's URL travels
-	// inside the record's target map.
-	s := tc.addShard(t, ctx)
-	waitUntil(t, 10*time.Second, "router watch to adopt the grown epoch", func() bool {
-		return rt2.Membership().Epoch == tc.c.Epoch()
-	})
-	if !rt2.Membership().Has(s.ID) {
-		t.Fatalf("restarted router never learned member %s", s.ID)
-	}
-	for i := 0; i < groups; i++ {
-		g := groupName(i)
-		if err := api2.AddUser(ctx, g, g+"-post-grow@example.com"); err != nil {
-			t.Fatalf("op through restarted router after grow: %v", err)
-		}
-	}
-
-	close(stop)
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		if err != nil {
-			t.Fatal(err) // zero failed ops across the router restart
-		}
-	}
-}
-
 // TestShardDiscoversMembershipFromStore publishes a drain straight into
 // the store — no ApplyMembership call ever reaches the drained shard, as
 // if it had been partitioned away when the operator acted. The shard's
 // watch loop must discover the epoch bump and run the hand-off itself:
 // leases released for the new owners, its epoch caught up, the cluster and
-// router following through their own watchers.
+// router following through the cluster's one view.
 func TestShardDiscoversMembershipFromStore(t *testing.T) {
 	store := storage.NewMemStore(storage.Latency{})
 	tc := startCluster(t, Options{Shards: 3, Capacity: 4, LeaseTTL: time.Hour, Seed: 7, Store: store})
@@ -373,4 +269,228 @@ func TestMembershipDiscoveryVsOperatorRace(t *testing.T) {
 	if finalRec.Epoch <= rec.Epoch {
 		t.Fatalf("epoch did not advance: %d after base %d", finalRec.Epoch, rec.Epoch)
 	}
+}
+
+// TestRouterRoutesOnTheClusterView: the gateway router reads the cluster's
+// own view, so after every kind of membership change — ApplyMembership,
+// Admit, RemoveShard, and an epoch discovered in the store — it routes by
+// exactly the membership the cluster reports, with no second copy to catch
+// up.
+func TestRouterRoutesOnTheClusterView(t *testing.T) {
+	store := storage.NewMemStore(storage.Latency{})
+	tc := startCluster(t, Options{Shards: 2, Capacity: 4, LeaseTTL: 5 * time.Second, Seed: 7, Store: store})
+	ctx := context.Background()
+	same := func(step string, want *Membership) {
+		t.Helper()
+		got := tc.router.Membership()
+		if got != tc.c.Membership() || got.Epoch != want.Epoch {
+			t.Fatalf("after %s: router at epoch %d, cluster at %d, change made %d", step, got.Epoch, tc.c.Epoch(), want.Epoch)
+		}
+	}
+	same("boot", tc.c.Membership())
+
+	m, err := tc.c.ApplyMembership(ctx, tc.c.Membership().Members())
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("ApplyMembership", m)
+
+	s, err := tc.c.AddShard()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.serveShard(t, s)
+	if m, err = tc.c.Admit(ctx, s.ID); err != nil {
+		t.Fatal(err)
+	}
+	same("Admit", m)
+
+	if m, err = tc.c.RemoveShard(ctx, s.ID); err != nil {
+		t.Fatal(err)
+	}
+	same("RemoveShard", m)
+
+	rec, ver, err := membership.Load(ctx, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := rec.Membership()
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := cur.AddShard(s.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := membership.Publish(ctx, store, membership.RecordOf(next, nil), ver); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 10*time.Second, "cluster to adopt the discovered epoch", func() bool {
+		return tc.c.Epoch() == next.Epoch
+	})
+	same("discovery", next)
+	if err := tc.api.CreateGroup(ctx, "view-g", groupUsers("view-g", 4)); err != nil {
+		t.Fatalf("routing after the discovered epoch: %v", err)
+	}
+}
+
+// TestStaleChangeRefusedWhileViewIsAhead: the view adopts records without
+// the transition lock, so it can move between the moment a change computes
+// its member list and the moment it checks the store. A change computed at
+// epoch N must still be refused once another writer's N+1 is in the store,
+// even when the view has already adopted N+1: publishing N+2 from N's member
+// list would silently drop the other writer's change.
+func TestStaleChangeRefusedWhileViewIsAhead(t *testing.T) {
+	store := storage.NewMemStore(storage.Latency{})
+	tc := startCluster(t, Options{Shards: 3, Capacity: 4, LeaseTTL: 5 * time.Second, Seed: 7, Store: store})
+	ctx := context.Background()
+	c := tc.c
+
+	base := c.Membership()
+	stale, err := base.RemoveShard("shard-2") // the operator's change, computed at N
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The operator's change is in flight (it holds changeMu) when another
+	// writer's N+1 lands in the store and the view adopts it.
+	c.changeMu.Lock()
+	rec, ver, err := membership.Load(ctx, store)
+	if err != nil {
+		c.changeMu.Unlock()
+		t.Fatal(err)
+	}
+	cur, err := rec.Membership()
+	if err != nil {
+		c.changeMu.Unlock()
+		t.Fatal(err)
+	}
+	theirs, err := cur.RemoveShard("shard-1")
+	if err != nil {
+		c.changeMu.Unlock()
+		t.Fatal(err)
+	}
+	if err := membership.Publish(ctx, store, membership.RecordOf(theirs, tc.targetSnapshot()), ver); err != nil {
+		c.changeMu.Unlock()
+		t.Fatal(err)
+	}
+	if err := c.view.Reload(ctx); err != nil {
+		c.changeMu.Unlock()
+		t.Fatal(err)
+	}
+	viewEpoch := c.Epoch()
+	_, err = c.applyMembership(ctx, base.Epoch, stale.Members())
+	c.changeMu.Unlock()
+
+	if viewEpoch != theirs.Epoch {
+		t.Fatalf("view at epoch %d after the reload, want %d", viewEpoch, theirs.Epoch)
+	}
+	if err == nil || !strings.Contains(err.Error(), "superseded") {
+		t.Fatalf("change computed at epoch %d with the store at %d: err = %v, want a supersession refusal", base.Epoch, theirs.Epoch, err)
+	}
+	rec, _, err = membership.Load(ctx, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Epoch != theirs.Epoch || !sameMembers(rec.Members, theirs.Members()) {
+		t.Fatalf("store holds epoch %d %v, want the other writer's epoch %d %v", rec.Epoch, rec.Members, theirs.Epoch, theirs.Members())
+	}
+	// The other writer's change still reaches the shards once the lock is
+	// free.
+	waitUntil(t, 10*time.Second, "shards to apply the other writer's epoch", func() bool {
+		return c.Shard("shard-1").Epoch() == theirs.Epoch && c.Shard("shard-0").Epoch() == theirs.Epoch
+	})
+}
+
+// pollGatedStore is a MemStore whose long-poll on the membership directory
+// never wakes: the cluster's watch loop reads the record once and then
+// waits, so a later record is only found by an explicit refresh. polling is
+// closed when the first such poll starts.
+type pollGatedStore struct {
+	*storage.MemStore
+	once    sync.Once
+	polling chan struct{}
+}
+
+func (s *pollGatedStore) Poll(ctx context.Context, dir string, since uint64) (uint64, error) {
+	if dir != membership.Dir {
+		return s.MemStore.Poll(ctx, dir, since)
+	}
+	s.once.Do(func() { close(s.polling) })
+	<-ctx.Done()
+	return 0, ctx.Err()
+}
+
+// TestRouterRefreshDoesNotWaitForChangeMu: a router request whose sweep
+// refreshes the shared view and finds a newer record must not run that
+// epoch's propagation (shard hand-offs, a reshare) on the request path, nor
+// wait behind an operator change holding the transition lock. It re-routes
+// on the new record and answers within its RouteTimeout; the shards catch
+// up once the lock is free.
+func TestRouterRefreshDoesNotWaitForChangeMu(t *testing.T) {
+	store := &pollGatedStore{MemStore: storage.NewMemStore(storage.Latency{}), polling: make(chan struct{})}
+	tc := startCluster(t, Options{Shards: 2, Capacity: 4, LeaseTTL: 5 * time.Second, Seed: 7, Store: store})
+	ctx := context.Background()
+	c := tc.c
+	<-store.polling // the watch loop has read epoch N and waits
+
+	// At epoch N every shard URL leads to a server that answers "not the
+	// owner", so the router's first pass fails and its sweep refreshes.
+	notOwner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "not the owner", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(notOwner.Close)
+	cur := c.Membership()
+	wrong := make(map[string]string)
+	for _, id := range cur.Members() {
+		wrong[id] = notOwner.URL
+	}
+	c.view.Adopt(cur, wrong)
+
+	// An operator change holds the transition lock while another writer
+	// publishes N+1 with the real URLs.
+	c.changeMu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			c.changeMu.Unlock()
+		}
+	}()
+	rec, ver, err := membership.Load(ctx, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := membership.At(rec.Epoch+1, rec.Members, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := membership.Publish(ctx, store, membership.RecordOf(next, tc.targetSnapshot()), ver); err != nil {
+		t.Fatal(err)
+	}
+
+	tc.router.RouteTimeout = 3 * time.Second
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() { done <- tc.api.CreateGroup(ctx, "refresh-g", groupUsers("refresh-g", 4)) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("request after the refresh: %v", err)
+		}
+	case <-time.After(tc.router.RouteTimeout + 2*time.Second):
+		t.Fatalf("request still running after %v, its RouteTimeout is %v: it waits for the transition lock", time.Since(start), tc.router.RouteTimeout)
+	}
+	if got := tc.router.Membership().Epoch; got != next.Epoch {
+		t.Fatalf("router at epoch %d after the refresh, want %d", got, next.Epoch)
+	}
+
+	c.changeMu.Unlock()
+	locked = false
+	waitUntil(t, 10*time.Second, "shards to apply the refreshed epoch", func() bool {
+		for _, s := range c.Shards() {
+			if s.Epoch() != next.Epoch {
+				return false
+			}
+		}
+		return true
+	})
 }

@@ -62,7 +62,8 @@ type routerMetrics struct {
 
 // Instrument attaches the router to an observability registry and tracer
 // (either may be nil). Metric families are registered immediately so an
-// idle router still exposes them.
+// idle router still exposes them. Call it before the router serves: it
+// sets the view's OnSkip hook.
 func (rt *Router) Instrument(r *obs.Registry, tracer *obs.Tracer) {
 	rt.tracer = tracer
 	if r == nil {
@@ -86,15 +87,35 @@ func (rt *Router) Instrument(r *obs.Registry, tracer *obs.Tracer) {
 // the autoscaler's queue-pressure signal.
 func (rt *Router) QueueDepth() int64 { return rt.inflight.Load() }
 
-// NewRouter builds a gateway over the membership; targets must provide a
-// base URL for every member.
+// NewRouter builds a static gateway over the membership: it never follows
+// the store. targets must provide a base URL for every member.
 func NewRouter(m *Membership, targets map[string]string) (*Router, error) {
 	if err := requireTargets(m, targets); err != nil {
 		return nil, err
 	}
-	v := membership.NewView(nil, nil)
+	v := membership.NewView(nil)
 	v.Adopt(m, targets)
 	return newRouter(v), nil
+}
+
+// NewRouter builds the gateway over the cluster's own view, so routing
+// moves with every membership change the cluster applies or discovers,
+// before any shard drains, and a fenced answer refreshes that one view. The
+// URLs of the Targets hook are merged into the view first: set Targets and
+// serve every shard before calling it. Call Instrument before serving.
+func (c *Cluster) NewRouter() (*Router, error) {
+	targets := c.targets()
+	for {
+		m := c.view.Membership()
+		c.view.Adopt(m, targets) // the current epoch: merges the URLs only
+		if c.view.Membership() == m {
+			break
+		}
+	}
+	if err := requireTargets(c.view.Snapshot()); err != nil {
+		return nil, err
+	}
+	return newRouter(c.view), nil
 }
 
 func newRouter(v *membership.View) *Router {
@@ -105,24 +126,6 @@ func newRouter(v *membership.View) *Router {
 	}
 }
 
-// NewRouterFromStore builds a gateway from the membership record persisted
-// in the store — the restart path: a router process that crashed re-adopts
-// the current epoch and member set instead of resetting to whatever a
-// static config said. localTargets (may be nil) names the shards the
-// caller serves itself: those URLs win over the record's now and on every
-// future discovery. Discovery is enabled on the returned router; call
-// Watch to also follow future epoch bumps.
-func NewRouterFromStore(ctx context.Context, store storage.Store, localTargets map[string]string) (*Router, error) {
-	v := membership.NewView(store, localTargets)
-	if err := v.Reload(ctx); err != nil {
-		return nil, err
-	}
-	if err := requireTargets(v.Snapshot()); err != nil {
-		return nil, err
-	}
-	return newRouter(v), nil
-}
-
 // requireTargets checks that every member has a URL.
 func requireTargets(m *Membership, targets map[string]string) error {
 	for _, id := range m.Members() {
@@ -130,31 +133,6 @@ func requireTargets(m *Membership, targets map[string]string) error {
 			return fmt.Errorf("cluster: router has no target URL for %s", id)
 		}
 	}
-	return nil
-}
-
-// EnableDiscovery points the router at the store carrying the persisted
-// membership record, so fenced answers refresh its view and Watch can
-// follow epoch bumps.
-func (rt *Router) EnableDiscovery(store storage.Store) { rt.view.SetStore(store) }
-
-// Watch follows the persisted membership record until ctx ends, so
-// membership changes published by anyone (operator, autoscaler, second
-// gateway) reach routing without a call into this process.
-func (rt *Router) Watch(ctx context.Context) { rt.view.Watch(ctx) }
-
-// ApplyMembership swaps the router onto a newer membership and target set;
-// a stale epoch is ignored, the current one only updates URLs. A newer
-// epoch clears the health cache: a membership change is exactly the moment
-// liveness verdicts stop being trustworthy (shards join, drain, restart).
-func (rt *Router) ApplyMembership(m *Membership, targets map[string]string) error {
-	if m == nil {
-		return nil
-	}
-	if err := requireTargets(m, targets); err != nil {
-		return err
-	}
-	rt.view.Adopt(m, targets)
 	return nil
 }
 

@@ -323,22 +323,17 @@ func (s *Shard) renewAll() {
 	}
 }
 
-// EnsureOwnership makes this shard the serving owner of a group: fast-path
+// ensureOwnership makes this shard the serving owner of a group: fast-path
 // if a live lease is already held, otherwise it tries to acquire one (which
 // succeeds only if the lease is free or expired) and then adopts the
 // group's cloud state. ErrLeaseHeld means another shard owns the group.
+// absent reports whether this call adopted the group and found no cloud
+// state for it (the create path).
 //
 // Before racing for a lease it does not hold, the shard serves its steal
 // backoff: ring-order priority staggers the contenders (the rightful owner
 // under the current membership waits nothing) and consecutive losses grow
 // the wait exponentially, cutting CAS conflict churn during mass failover.
-func (s *Shard) EnsureOwnership(ctx context.Context, group string) error {
-	_, err := s.ensureOwnership(ctx, group)
-	return err
-}
-
-// ensureOwnership is EnsureOwnership, also reporting whether this call
-// adopted the group and found no cloud state for it (the create path).
 func (s *Shard) ensureOwnership(ctx context.Context, group string) (absent bool, err error) {
 	s.mu.Lock()
 	l, held := s.leases[group]
@@ -601,10 +596,11 @@ func (s *Shard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.Service.ServeHTTP(buf, r2)
 	if buf.header.Get(storage.FencedHeader) != "" {
 		// A fenced write: this shard operated under a superseded membership.
-		// Surface the fence verdict unmasked — the router refreshes its own
-		// membership from the store and re-routes — and refresh the
-		// cluster's view (rate-limited across all its shards) without
-		// waiting for the watch loop's next wake-up.
+		// Surface the fence verdict unmasked — the router refreshes the
+		// same view and re-routes — and refresh the cluster's view
+		// without waiting for the watch loop's next wake-up. The refresh is
+		// rate-limited across the shards and the gateway router; a router
+		// refresh that lands inside the window waits for this one's read.
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()

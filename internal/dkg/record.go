@@ -57,15 +57,6 @@ func (r *Record) ParseCommitments(g *curve.Curve) ([]*curve.Point, error) {
 // Index returns the share index of a holder (0 if the shard holds none).
 func (r *Record) Index(shardID string) int { return r.Holders[shardID] }
 
-// Indices returns every holder's share index, in no particular order.
-func (r *Record) Indices() []int {
-	out := make([]int, 0, len(r.Holders))
-	for _, i := range r.Holders {
-		out = append(out, i)
-	}
-	return out
-}
-
 // Clone deep-copies the record (maps and blobs included), so provisioner
 // snapshots never alias a record a concurrent reshare mutates.
 func (r *Record) Clone() *Record {

@@ -83,9 +83,6 @@ func newMont(p *big.Int) *Mont {
 // K returns the significant limb count.
 func (m *Mont) K() int { return m.k }
 
-// Modulus returns a copy of the modulus.
-func (m *Mont) Modulus() *big.Int { return new(big.Int).Set(m.p) }
-
 // bigToLimbs writes the canonical little-endian limb form of v (< 2^(64k))
 // into dst.
 func bigToLimbs(dst *Fel, k int, v *big.Int) {

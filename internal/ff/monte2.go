@@ -20,9 +20,6 @@ func (m *Mont) E2SetOne(dst *E2Fel) {
 	m.SetZero(&dst.B)
 }
 
-// E2IsZero reports whether x == 0.
-func (m *Mont) E2IsZero(x *E2Fel) bool { return m.IsZero(&x.A) && m.IsZero(&x.B) }
-
 // E2FromE2 encodes a big.Int-backed extension element into the domain.
 func (m *Mont) E2FromE2(dst *E2Fel, x *E2) {
 	m.FromBig(&dst.A, x.A)

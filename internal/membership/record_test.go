@@ -155,6 +155,6 @@ func FuzzLoadRecord(f *testing.F) {
 		if owner := m.Owner("g"); !m.Has(owner) {
 			t.Fatalf("owner %q is not a member", owner)
 		}
-		NewView(nil, nil).adoptRecord(rec)
+		NewView(nil).adoptRecord(rec)
 	})
 }

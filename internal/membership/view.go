@@ -40,9 +40,8 @@ var ErrNoRoute = errors.New("no shard could serve")
 // Adoption is epoch-monotone. A newer record replaces the membership and
 // clears the health cache; a record at the current epoch only updates URLs
 // (a bootstrap record re-published with its targets, a shard restarted on
-// a new port); an older one is ignored. URL precedence: a record's URLs
-// override earlier ones, and the local URLs given to NewView — shards this
-// process serves itself — override both.
+// a new port); an older one is ignored. A record's URLs override earlier
+// ones; a shard a record gives no URL keeps the one it had.
 type View struct {
 	// OnAdopt, when set before the view is shared, runs after every epoch
 	// advance over an earlier membership (not on the first adoption, and not
@@ -52,31 +51,24 @@ type View struct {
 	// sweep skips on a cached down verdict.
 	OnSkip func(id string)
 
+	store storage.Store
+
 	mu          sync.Mutex
-	store       storage.Store
-	local       map[string]string
 	m           *Membership
 	targets     map[string]string
 	downUntil   map[string]time.Time
 	lastRefresh time.Time
+	// refreshed is closed when the reload of the latest Refresh ends.
+	refreshed chan struct{}
 }
 
-// NewView returns an empty view following store (nil: no Refresh or Watch
-// until SetStore). local pins the URLs of shards this process serves.
-func NewView(store storage.Store, local map[string]string) *View {
+// NewView returns an empty view following store (nil: a static view that
+// never refreshes).
+func NewView(store storage.Store) *View {
 	return &View{
 		store:     store,
-		local:     maps.Clone(local),
-		targets:   maps.Clone(local),
 		downUntil: make(map[string]time.Time),
 	}
-}
-
-// SetStore points the view at the store carrying the membership record.
-func (v *View) SetStore(store storage.Store) {
-	v.mu.Lock()
-	v.store = store
-	v.mu.Unlock()
 }
 
 // Membership returns the adopted membership (nil before any adoption).
@@ -114,13 +106,12 @@ func (v *View) Adopt(m *Membership, targets map[string]string) {
 	}
 }
 
-// mergeTargets layers record URLs over the current map, and local URLs over
-// both; a shard whose URL changed loses its down verdict. Caller holds v.mu.
+// mergeTargets layers record URLs over the current map; a shard whose URL
+// changed loses its down verdict. Caller holds v.mu.
 func (v *View) mergeTargets(record map[string]string) {
 	next := make(map[string]string, len(v.targets)+len(record))
 	maps.Copy(next, v.targets)
 	maps.Copy(next, record)
-	maps.Copy(next, v.local)
 	for id, u := range next {
 		if v.targets[id] != u {
 			delete(v.downUntil, id)
@@ -144,13 +135,10 @@ func (v *View) adoptRecord(rec *Record) {
 
 // Reload reads the record from the store and adopts it.
 func (v *View) Reload(ctx context.Context) error {
-	v.mu.Lock()
-	store := v.store
-	v.mu.Unlock()
-	if store == nil {
+	if v.store == nil {
 		return ErrNoRecord
 	}
-	rec, _, err := Load(ctx, store)
+	rec, _, err := Load(ctx, v.store)
 	if err != nil {
 		return err
 	}
@@ -159,27 +147,35 @@ func (v *View) Reload(ctx context.Context) error {
 }
 
 // Refresh is Reload at most once per refreshInterval — the reaction to an
-// answer proving the view stale. Errors are dropped: the next sweep or the
-// watch loop retries.
+// answer proving the view stale. A call inside the window waits for the
+// window's reload if it is still in flight (or for ctx), so whoever shares
+// the view — a gateway router and its cluster's shards — sees the record
+// that reload read. Errors are dropped: the next sweep or the watch loop
+// retries.
 func (v *View) Refresh(ctx context.Context) {
 	v.mu.Lock()
 	if time.Since(v.lastRefresh) < refreshInterval {
+		inFlight := v.refreshed
 		v.mu.Unlock()
+		select {
+		case <-inFlight:
+		case <-ctx.Done():
+		}
 		return
 	}
 	v.lastRefresh = time.Now()
+	done := make(chan struct{})
+	v.refreshed = done
 	v.mu.Unlock()
+	defer close(done)
 	_ = v.Reload(ctx)
 }
 
 // Watch adopts every record the store publishes until ctx ends (returning
 // at once when the view has no store).
 func (v *View) Watch(ctx context.Context) {
-	v.mu.Lock()
-	store := v.store
-	v.mu.Unlock()
-	if store != nil {
-		Watch(ctx, store, v.adoptRecord)
+	if v.store != nil {
+		Watch(ctx, v.store, v.adoptRecord)
 	}
 }
 

@@ -24,7 +24,7 @@ func mustAt(t *testing.T, epoch uint64, members ...string) *Membership {
 // and runs OnAdopt; an older or equal one never replaces it; the first
 // adoption is not an advance.
 func TestViewAdoptionIsEpochMonotone(t *testing.T) {
-	v := NewView(nil, nil)
+	v := NewView(nil)
 	var adopted []uint64
 	v.OnAdopt = func(m *Membership) { adopted = append(adopted, m.Epoch) }
 	m1, m2 := mustAt(t, 1, "a"), mustAt(t, 2, "a", "b")
@@ -40,12 +40,31 @@ func TestViewAdoptionIsEpochMonotone(t *testing.T) {
 	}
 }
 
+// TestViewEpochBumpClearsHealthCache: a newer epoch drops every cached down
+// verdict — a membership change is when liveness verdicts stop being
+// trustworthy (shards join, drain, restart) — while a same-epoch URL update
+// keeps the verdicts of shards whose URL did not change.
+func TestViewEpochBumpClearsHealthCache(t *testing.T) {
+	v := NewView(nil)
+	targets := map[string]string{"a": "http://a", "b": "http://b", "c": "http://c"}
+	v.Adopt(mustAt(t, 1, "a", "b", "c"), targets)
+	v.markDown("b", time.Hour)
+	v.Adopt(mustAt(t, 1, "a", "b", "c"), targets)
+	if live := v.live([]string{"a", "b", "c"}); !slices.Equal(live, []string{"a", "c"}) {
+		t.Fatalf("same-epoch adoption cleared the health cache: live = %v", live)
+	}
+	v.Adopt(mustAt(t, 2, "a", "b", "c", "d"), map[string]string{"d": "http://d"})
+	if live := v.live([]string{"a", "b", "c", "d"}); len(live) != 4 {
+		t.Fatalf("health cache survived the epoch bump: live = %v", live)
+	}
+}
+
 // TestViewSameEpochRecordUpdatesURLs is the bootstrap window: the cluster
 // publishes its first record without URLs and re-publishes it at the same
 // epoch with them. The view takes the URLs without treating the record as
 // a membership change.
 func TestViewSameEpochRecordUpdatesURLs(t *testing.T) {
-	v := NewView(nil, nil)
+	v := NewView(nil)
 	adopts := 0
 	v.OnAdopt = func(*Membership) { adopts++ }
 	v.adoptRecord(&Record{Epoch: 1, Members: []string{"a", "b"}})
@@ -60,14 +79,14 @@ func TestViewSameEpochRecordUpdatesURLs(t *testing.T) {
 	}
 }
 
-// TestViewLocalURLsWin: record URLs override earlier ones, and the URLs of
-// shards the process serves itself override both.
-func TestViewLocalURLsWin(t *testing.T) {
-	v := NewView(nil, map[string]string{"a": "http://local-a"})
-	v.adoptRecord(&Record{Epoch: 1, Members: []string{"a", "b"}, Targets: map[string]string{"a": "http://remote-a", "b": "http://b1"}})
+// TestViewRecordURLsOverrideEarlier: a record's URLs override earlier ones,
+// and a shard the record gives no URL keeps the one it had.
+func TestViewRecordURLsOverrideEarlier(t *testing.T) {
+	v := NewView(nil)
+	v.adoptRecord(&Record{Epoch: 1, Members: []string{"a", "b"}, Targets: map[string]string{"a": "http://a", "b": "http://b1"}})
 	v.adoptRecord(&Record{Epoch: 2, Members: []string{"a", "b", "c"}, Targets: map[string]string{"b": "http://b2", "c": "http://c"}})
 	_, targets := v.Snapshot()
-	want := map[string]string{"a": "http://local-a", "b": "http://b2", "c": "http://c"}
+	want := map[string]string{"a": "http://a", "b": "http://b2", "c": "http://c"}
 	if !maps.Equal(targets, want) {
 		t.Fatalf("targets = %v, want %v", targets, want)
 	}
@@ -78,7 +97,7 @@ func TestViewRefreshIsRateLimited(t *testing.T) {
 	ctx := context.Background()
 	store := storage.NewMemStore(storage.Latency{})
 	publish(t, store, &Record{Epoch: 1, Members: []string{"a"}})
-	v := NewView(store, nil)
+	v := NewView(store)
 	before := store.Stats().Gets
 	for i := 0; i < 5; i++ {
 		v.Refresh(ctx)
@@ -91,8 +110,60 @@ func TestViewRefreshIsRateLimited(t *testing.T) {
 	}
 }
 
+// gatedGetStore is a MemStore whose Gets each wait for release; entered
+// receives one value per Get that started.
+type gatedGetStore struct {
+	*storage.MemStore
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *gatedGetStore) Get(ctx context.Context, dir, name string) ([]byte, error) {
+	s.entered <- struct{}{}
+	<-s.release
+	return s.MemStore.Get(ctx, dir, name)
+}
+
+// TestViewRefreshWaitsForTheReloadInFlight: a refresh inside the rate-limit
+// window does not skip a reload that is still reading — a router sharing the
+// view with shards would otherwise sweep the stale owner again — but waits
+// for it and sees what it adopted, still at one store read. A cancelled
+// context ends the wait.
+func TestViewRefreshWaitsForTheReloadInFlight(t *testing.T) {
+	ctx := context.Background()
+	mem := storage.NewMemStore(storage.Latency{})
+	publish(t, mem, &Record{Epoch: 1, Members: []string{"a"}})
+	store := &gatedGetStore{MemStore: mem, entered: make(chan struct{}, 2), release: make(chan struct{})}
+	v := NewView(store)
+	go v.Refresh(ctx)
+	<-store.entered
+
+	second := make(chan struct{})
+	go func() {
+		v.Refresh(ctx)
+		close(second)
+	}()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	v.Refresh(cancelled) // returns: its context is done
+	select {
+	case <-second:
+		t.Fatal("a refresh returned while the window's reload was still reading")
+	case <-time.After(50 * time.Millisecond):
+	}
+	before := mem.Stats().Gets
+	close(store.release)
+	<-second
+	if m := v.Membership(); m == nil || m.Epoch != 1 {
+		t.Fatal("the waiting refresh returned before the reload adopted the record")
+	}
+	if got := mem.Stats().Gets - before; got != 1 {
+		t.Fatalf("three refreshes cost %d reads, want 1", got)
+	}
+}
+
 func TestViewHealthCacheSkipsDownShards(t *testing.T) {
-	v := NewView(nil, nil)
+	v := NewView(nil)
 	var skipped []string
 	v.OnSkip = func(id string) { skipped = append(skipped, id) }
 	v.markDown("b", time.Hour)
@@ -118,7 +189,7 @@ func TestViewHealthCacheSkipsDownShards(t *testing.T) {
 }
 
 func TestViewHealthCacheExpires(t *testing.T) {
-	v := NewView(nil, nil)
+	v := NewView(nil)
 	v.markDown("b", time.Millisecond)
 	time.Sleep(5 * time.Millisecond)
 	if live := v.live([]string{"a", "b"}); len(live) != 2 {
@@ -130,7 +201,7 @@ func TestViewHealthCacheExpires(t *testing.T) {
 // the next sweep, but a sweep whose every candidate is down probes them all.
 func TestSweepSkipsCachedDownUnlessAllDown(t *testing.T) {
 	ctx := context.Background()
-	v := NewView(nil, nil)
+	v := NewView(nil)
 	v.adoptRecord(&Record{Epoch: 1, Members: []string{"a", "b"}, Targets: map[string]string{"a": "http://a", "b": "http://b"}})
 	pace := Pace{RouteTimeout: 50 * time.Millisecond, RetryInterval: time.Millisecond, HealthTTL: time.Hour}
 	var tried []string
@@ -165,7 +236,7 @@ func TestSweepFencedRefreshesAndResweeps(t *testing.T) {
 	ctx := context.Background()
 	store := storage.NewMemStore(storage.Latency{})
 	publish(t, store, &Record{Epoch: 1, Members: []string{"a", "b"}, Targets: map[string]string{"a": "http://old-a", "b": "http://old-b"}})
-	v := NewView(store, nil)
+	v := NewView(store)
 	if err := v.Reload(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +267,10 @@ func TestSweepEndsAtDeadline(t *testing.T) {
 	ctx := context.Background()
 	notOwner := errors.New("not owner")
 	try := func(context.Context, Candidate) (Verdict, error) { return NotOwner, notOwner }
-	if err := NewView(nil, nil).Sweep(ctx, "g", Pace{}, try); !errors.Is(err, ErrNoRoute) {
+	if err := NewView(nil).Sweep(ctx, "g", Pace{}, try); !errors.Is(err, ErrNoRoute) {
 		t.Fatalf("sweep without a membership: %v, want ErrNoRoute", err)
 	}
-	v := NewView(nil, nil)
+	v := NewView(nil)
 	v.adoptRecord(&Record{Epoch: 1, Members: []string{"a"}, Targets: map[string]string{"a": "http://a"}})
 	t0 := time.Now()
 	err := v.Sweep(ctx, "g", Pace{RouteTimeout: 50 * time.Millisecond, RetryInterval: 5 * time.Millisecond}, try)

@@ -256,3 +256,18 @@ func TestByName(t *testing.T) {
 		t.Fatal("ByName returned params for unknown name")
 	}
 }
+
+func TestByScale(t *testing.T) {
+	for scale, want := range map[string]*Params{
+		"": TypeA160(), "fast-160": TypeA160(), "medium-256": TypeA256(), "paper-512": TypeA512(),
+	} {
+		if p, err := ByScale(scale); err != nil || p != want {
+			t.Fatalf("ByScale(%q) = %v, %v; want %s", scale, p, err, want.Name())
+		}
+	}
+	for _, scale := range []string{"type-a-160", "quantum-9000"} {
+		if _, err := ByScale(scale); err == nil {
+			t.Fatalf("ByScale(%q) accepted", scale)
+		}
+	}
+}

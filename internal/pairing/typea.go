@@ -1,6 +1,9 @@
 package pairing
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Pre-generated Type-A parameter sets (outputs of cmd/paramgen). All share
 // the PBC a.param construction: r a Solinas prime, q = h·r − 1 ≡ 3 (mod 4).
@@ -75,4 +78,19 @@ func ByName(name string) *Params {
 	default:
 		return nil
 	}
+}
+
+// ByScale returns the built-in parameter set for an operator-facing scale
+// name: "fast-160" (also the empty name), "medium-256" or "paper-512". The
+// wire names ByName accepts are the sets' own Names.
+func ByScale(scale string) (*Params, error) {
+	switch scale {
+	case "", "fast-160":
+		return TypeA160(), nil
+	case "medium-256":
+		return TypeA256(), nil
+	case "paper-512":
+		return TypeA512(), nil
+	}
+	return nil, fmt.Errorf("pairing: unknown parameter scale %q (want fast-160, medium-256 or paper-512)", scale)
 }

@@ -141,13 +141,6 @@ func (c *Pages) SetSource(src PageSource) {
 // the cache may evict).
 func (c *Pages) HasSource() bool { return c.src != nil }
 
-// SetLimit changes the residency bound and trims immediately.
-func (c *Pages) SetLimit(limit int) {
-	c.limit = limit
-	c.evict()
-	c.resident.Store(int64(c.ll.Len()))
-}
-
 // Limit returns the residency bound (<=0 means unlimited).
 func (c *Pages) Limit() int { return c.limit }
 

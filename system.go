@@ -54,16 +54,9 @@ type System struct {
 // enclave through the simulated IAS, and have the auditor/CA certify the
 // enclave identity key (Fig. 3).
 func NewSystem(opts Options) (*System, error) {
-	params := pairing.TypeA160()
-	switch opts.Params {
-	case "", "fast-160":
-		// default
-	case "medium-256":
-		params = pairing.TypeA256()
-	case "paper-512":
-		params = pairing.TypeA512()
-	default:
-		return nil, fmt.Errorf("ibbesgx: unknown parameter scale %q", opts.Params)
+	params, err := pairing.ByScale(opts.Params)
+	if err != nil {
+		return nil, fmt.Errorf("ibbesgx: %w", err)
 	}
 	capacity := opts.PartitionCapacity
 	if capacity == 0 {
