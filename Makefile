@@ -25,7 +25,7 @@ fmt:
 test:
 	$(GO) test ./...
 
-## short: the fast suite CI's test job runs (slow sweeps are Short-guarded)
+## short: the fast local suite (slow sweeps are Short-guarded); CI's test job runs the full suite, make test
 short:
 	$(GO) test -short ./...
 

@@ -201,15 +201,7 @@ func start(ctx context.Context, o options) (*gateway, error) {
 	}
 
 	log.Printf("ibbe-cluster: setting up %d shards (m=%d, %s)…", shards, capacity, params.Name())
-	var provisioning cluster.ProvisioningMode
-	switch o.provision {
-	case "sealed":
-		provisioning = cluster.ProvisionSealed
-	case "threshold":
-		provisioning = cluster.ProvisionThreshold
-	default:
-		return nil, fmt.Errorf("unknown -provisioning %q (want sealed or threshold)", o.provision)
-	}
+	provisioning := cluster.ProvisioningMode(o.provision)
 	platform, err := loadOrCreatePlatform(o.platformState)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -204,5 +205,17 @@ func TestGatewayRunsOneMembershipWatch(t *testing.T) {
 	time.Sleep(300 * time.Millisecond)
 	if _, peak := store.counts(); peak != 1 {
 		t.Fatalf("%d concurrent polls on the membership record, want 1", peak)
+	}
+}
+
+// TestUnknownProvisioningRefused: a -provisioning value that names no mode
+// fails the boot with the cluster's own error.
+func TestUnknownProvisioningRefused(t *testing.T) {
+	_, err := start(t.Context(), options{
+		shards: 1, shardHost: "127.0.0.1", capacity: 2,
+		paramsName: "fast-160", leaseTTL: 5 * time.Second, provision: "shared",
+	})
+	if err == nil || !strings.Contains(err.Error(), `unknown provisioning mode "shared"`) {
+		t.Fatalf("boot with -provisioning shared: %v", err)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -225,9 +227,10 @@ func TestIntegrationConcurrentAdminsOneManager(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end integration: skipped in -short CI runs")
 	}
-	// Several administrator frontends share one manager (the paper's model:
-	// few admins serving many groups). Concurrent operations on different
-	// groups must serialise safely and leave every group decryptable.
+	// Several administrator frontends over one system (the paper's model:
+	// few admins serving many groups), each with its own group state over
+	// the shared enclave. Concurrent operations on different groups must
+	// serialise safely and leave every group decryptable.
 	sys := newTestSystem(t, 3)
 	store := ibbesgx.NewMemStore()
 	ctx := context.Background()
@@ -289,6 +292,108 @@ func TestIntegrationConcurrentAdminsOneManager(t *testing.T) {
 	// The shared certified log saw all 12 operations, chain intact.
 	if sys.Log().Len() != 3*admins {
 		t.Fatalf("log entries = %d, want %d", sys.Log().Len(), 3*admins)
+	}
+}
+
+// holdingStore is a MemStore whose next commit, once armed, waits until it
+// is released.
+type holdingStore struct {
+	*storage.MemStore
+	mu      sync.Mutex
+	reached chan struct{} // closed when the armed commit arrives
+	release chan struct{}
+}
+
+// arm holds the next commit: reached closes when it arrives, and it goes
+// ahead once release is closed.
+func (s *holdingStore) arm() (reached, release chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reached, s.release = make(chan struct{}), make(chan struct{})
+	return s.reached, s.release
+}
+
+func (s *holdingStore) Commit(ctx context.Context, dir string, objs []storage.Object, ifDirVersion, epoch uint64) (uint64, error) {
+	s.mu.Lock()
+	reached, release := s.reached, s.release
+	s.reached = nil
+	s.mu.Unlock()
+	if reached != nil {
+		close(reached)
+		<-release
+	}
+	return s.MemStore.Commit(ctx, dir, objs, ifDirVersion, epoch)
+}
+
+// TestIntegrationTwoAdminsShareAGroup: two admins of one system operate on
+// the same group. With capacity 1 every add opens a fresh partition. Admin
+// A's add is held at its commit while admin B, which restored the group,
+// adds a user and commits; then A's commit goes ahead. Every acknowledged
+// member must derive the group key, and a fresh admin must find exactly the
+// acknowledged members.
+func TestIntegrationTwoAdminsShareAGroup(t *testing.T) {
+	sys := newTestSystem(t, 1)
+	mem := storage.NewMemStore(storage.Latency{})
+	held := &holdingStore{MemStore: mem}
+	ctx := context.Background()
+
+	a, err := sys.NewAdmin("a", held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.CreateGroup(ctx, "g", []string{"m0@int.example"}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := sys.NewAdmin("b", mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.RestoreGroup(ctx, "g"); err != nil {
+		t.Fatalf("admin b restoring the group: %v", err)
+	}
+
+	reached, release := held.arm()
+	aDone := make(chan error, 1)
+	go func() { aDone <- a.AddUser(ctx, "g", "a1@int.example") }()
+	<-reached
+	bErr := b.AddUser(ctx, "g", "b1@int.example")
+	close(release)
+	aErr := <-aDone
+	if bErr != nil {
+		t.Fatalf("admin b's add with a's commit held: %v", bErr)
+	}
+
+	acked := []string{"m0@int.example", "b1@int.example"}
+	if aErr == nil {
+		acked = append(acked, "a1@int.example")
+	}
+	for _, u := range acked {
+		creds, err := sys.ProvisionUser(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := sys.NewClient(creds, mem, "g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.GroupKey(ctx); err != nil {
+			t.Fatalf("acknowledged member %s cannot derive the key: %v", u, err)
+		}
+	}
+	fresh, err := sys.NewAdmin("fresh", mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.RestoreGroup(ctx, "g"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fresh.Manager().Members("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(acked)
+	if !slices.Equal(got, acked) {
+		t.Fatalf("a fresh admin lists %v, want the acknowledged %v (a's add: %v)", got, acked, aErr)
 	}
 }
 

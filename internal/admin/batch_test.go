@@ -3,13 +3,9 @@ package admin
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 
-	"github.com/ibbesgx/ibbesgx/internal/client"
 	"github.com/ibbesgx/ibbesgx/internal/core"
 )
 
@@ -66,44 +62,6 @@ func TestBatchedMembershipEndToEnd(t *testing.T) {
 	}
 	if adds != len(joiners) || removes != 2 {
 		t.Fatalf("certified adds=%d removes=%d, want %d and 2", adds, removes, len(joiners))
-	}
-}
-
-func TestBatchRoutesOverHTTP(t *testing.T) {
-	svc, s := newService(t)
-	ts := httptest.NewServer(svc)
-	defer ts.Close()
-
-	api := client.NewAdminAPI(nil, ts.URL)
-	ctx := context.Background()
-	if err := api.CreateGroup(ctx, "g", users(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := api.AddUsers(ctx, "g", []string{"a@x", "b@x"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := api.RemoveUsers(ctx, "g", []string{"a@x", users(4)[0]}); err != nil {
-		t.Fatal(err)
-	}
-	members, err := s.admin.Manager().Members("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(members) != 4 { // 4 + 2 − 2
-		t.Fatalf("members after batch routes = %v", members)
-	}
-	// A batch touching an unknown member maps to an error status.
-	if err := api.RemoveUsers(ctx, "g", []string{"ghost@x"}); err == nil {
-		t.Fatal("batch removal of unknown member accepted over HTTP")
-	}
-	// Unknown routes 404.
-	resp, err := http.Post(ts.URL+"/admin/bogus", "application/json", strings.NewReader(`{"group":"g"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown admin route: %d", resp.StatusCode)
 	}
 }
 

@@ -1,61 +1,13 @@
 package admin
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"github.com/ibbesgx/ibbesgx/internal/client"
 )
-
-// TestAdminErrorsCarryEnvelope: admin-operation failures answer with the
-// typed JSON envelope — code, message, and the serving epoch — and
-// client.AdminAPI surfaces them as *APIError.
-func TestAdminErrorsCarryEnvelope(t *testing.T) {
-	svc, _ := newService(t)
-	svc.Epoch = func() uint64 { return 7 }
-	ts := httptest.NewServer(svc)
-	defer ts.Close()
-
-	// Removing a user from a group that does not exist is a genuine
-	// conflict: the envelope must say so, typed.
-	resp, err := http.Post(ts.URL+"/admin/remove", "application/json",
-		strings.NewReader(`{"group":"nope","user":"u"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("status = %d, want 409", resp.StatusCode)
-	}
-	var env Envelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatalf("error body is not the envelope: %v", err)
-	}
-	if env.Status != "error" || env.Error == nil || env.Error.Code != CodeConflict {
-		t.Fatalf("envelope = %+v, want status=error code=%s", env, CodeConflict)
-	}
-	if env.Epoch != 7 {
-		t.Fatalf("envelope epoch = %d, want 7", env.Epoch)
-	}
-
-	// The typed client decodes the same envelope into an *APIError.
-	api := client.NewAdminAPI(nil, ts.URL)
-	opErr := api.RemoveUser(t.Context(), "nope", "u")
-	var apiErr *client.APIError
-	if !errors.As(opErr, &apiErr) {
-		t.Fatalf("error %T is not *client.APIError: %v", opErr, opErr)
-	}
-	if apiErr.Code != CodeConflict || apiErr.Epoch != 7 || apiErr.StatusCode != http.StatusConflict {
-		t.Fatalf("APIError = %+v", apiErr)
-	}
-	if errors.Is(opErr, client.ErrFencedEpoch) || errors.Is(opErr, client.ErrNotOwner) {
-		t.Fatal("a plain conflict matched a routing sentinel")
-	}
-}
 
 // TestClientDecodesTypedSentinels: fenced_epoch and not_owner envelopes map
 // to the package sentinels via errors.Is, and plain-text error bodies (a

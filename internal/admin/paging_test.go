@@ -5,13 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"sort"
 	"strings"
 	"testing"
 
-	"github.com/ibbesgx/ibbesgx/internal/client"
 	"github.com/ibbesgx/ibbesgx/internal/core"
 	"github.com/ibbesgx/ibbesgx/internal/partition"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
@@ -149,77 +145,6 @@ func TestEvictionRehydrateBitIdentical(t *testing.T) {
 		if !bytes.Equal(blobA, durable) {
 			t.Fatalf("partition %s diverges from its durable record", id)
 		}
-	}
-}
-
-// TestMembersPagingHTTP walks GET /admin/members with a small page size and
-// must reassemble exactly the manager's member list; the AdminAPI client
-// does the same through its cursor helper.
-func TestMembersPagingHTTP(t *testing.T) {
-	s := newSys(t, 3)
-	ctx := context.Background()
-	members := users(10)
-	if err := s.admin.CreateGroup(ctx, "g", members); err != nil {
-		t.Fatal(err)
-	}
-	svc := &Service{Admin: s.admin}
-	srv := httptest.NewServer(svc)
-	defer srv.Close()
-	api := client.NewAdminAPI(http.DefaultClient, srv.URL)
-
-	// Page by hand with limit 3: ceil(10/3) = 4 pages.
-	var walked []string
-	after := ""
-	pages := 0
-	for {
-		page, next, err := api.Members(ctx, "g", after, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(page) > 3 {
-			t.Fatalf("page of %d exceeds limit 3", len(page))
-		}
-		walked = append(walked, page...)
-		pages++
-		if next == "" {
-			break
-		}
-		after = next
-	}
-	if pages < 4 {
-		t.Fatalf("10 members at limit 3 walked in %d pages", pages)
-	}
-	want, err := s.admin.Manager().Members("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sort.StringsAreSorted(walked) {
-		t.Fatal("paged walk out of order")
-	}
-	if len(walked) != len(want) {
-		t.Fatalf("paged walk found %d members, want %d", len(walked), len(want))
-	}
-	for i := range want {
-		if walked[i] != want[i] {
-			t.Fatalf("paged walk[%d] = %s, want %s", i, walked[i], want[i])
-		}
-	}
-
-	// The cursor helper reassembles the same listing.
-	all, err := api.AllMembers(ctx, "g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != len(want) {
-		t.Fatalf("AllMembers = %d members, want %d", len(all), len(want))
-	}
-
-	// Unknown group and missing group surface typed envelope errors.
-	if _, _, err := api.Members(ctx, "nope", "", 0); err == nil {
-		t.Fatal("listing an unknown group succeeded")
-	}
-	if _, _, err := api.Members(ctx, "", "", 0); err == nil {
-		t.Fatal("listing without a group succeeded")
 	}
 }
 

@@ -73,14 +73,15 @@ type envelope struct {
 	} `json:"error"`
 }
 
-// AdminAPI is a thin HTTP client for the administrator service
-// (internal/admin.Service): it drives membership operations — including the
+// AdminAPI is a thin HTTP client for the administrator API a cluster shard
+// serves (internal/cluster.Shard), directly or through the cluster's
+// gateway router: it drives membership operations — including the
 // batched add/remove routes that coalesce N changes into one re-key pass per
 // touched partition — over the same wire surface curl uses.
 type AdminAPI struct {
 	// HTTP is the transport; nil selects http.DefaultClient.
 	HTTP *http.Client
-	// BaseURL is the admin service root, e.g. "http://127.0.0.1:9090".
+	// BaseURL is the gateway's (or one shard's) root, e.g. "http://127.0.0.1:9091".
 	BaseURL string
 }
 

@@ -28,6 +28,7 @@ import (
 	"context"
 	"crypto/ecdh"
 	"crypto/rand"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"sync"
@@ -71,8 +72,6 @@ type Options struct {
 	// is O(index + bound × page), not O(group): untouched pages evict and
 	// rehydrate from the store on demand.
 	MaxResidentPages int
-	// VirtualNodes per shard on the ring (0 = default).
-	VirtualNodes int
 	// Provisioning selects how shards obtain master-key material: sealed
 	// exchange (default) or threshold DKG. A store that already carries a
 	// DKG record forces threshold mode regardless — shares in the store
@@ -171,6 +170,14 @@ func New(opts Options) (*Cluster, error) {
 	}
 	if opts.Capacity < 1 {
 		return nil, fmt.Errorf("cluster: capacity must be positive, got %d", opts.Capacity)
+	}
+	mode := opts.Provisioning
+	switch mode {
+	case "":
+		mode = ProvisionSealed
+	case ProvisionSealed, ProvisionThreshold:
+	default:
+		return nil, fmt.Errorf("cluster: unknown provisioning mode %q (want %s or %s)", mode, ProvisionSealed, ProvisionThreshold)
 	}
 	params := opts.Params
 	if params == nil {
@@ -273,19 +280,12 @@ func New(opts Options) (*Cluster, error) {
 	// record forces threshold mode (the shares in the store are the master
 	// secret — a fresh sealed setup would fork the key), otherwise the
 	// operator's option decides.
-	mode := opts.Provisioning
-	if mode == "" {
-		mode = ProvisionSealed
-	}
 	var dkgRec *dkg.Record
 	if rec != nil && rec.DKG != nil {
 		dkgRec = rec.DKG
 		mode = ProvisionThreshold
 	}
-	switch mode {
-	case ProvisionSealed:
-		c.prov = newSealedProvisioner(opts.Capacity, c.shardAlive)
-	case ProvisionThreshold:
+	if mode == ProvisionThreshold {
 		tp, perr := newThresholdProvisioner(opts.Capacity, ibbe.NewScheme(params), store, c.shardAlive, c.Epoch, dkgRec)
 		if perr != nil {
 			return nil, perr
@@ -293,8 +293,8 @@ func New(opts Options) (*Cluster, error) {
 		tp.obs = c.co
 		tp.noteCommitted()
 		c.prov = tp
-	default:
-		return nil, fmt.Errorf("cluster: unknown provisioning mode %q", mode)
+	} else {
+		c.prov = newSealedProvisioner(opts.Capacity, c.shardAlive)
 	}
 
 	var boot *Membership
@@ -320,7 +320,7 @@ func New(opts Options) (*Cluster, error) {
 		for i := range ids {
 			ids[i] = ShardID(i)
 		}
-		m, err := membership.New(ids, opts.VirtualNodes)
+		m, err := membership.New(ids, membership.DefaultVirtualNodes)
 		if err != nil {
 			return nil, err
 		}
@@ -460,26 +460,24 @@ func (c *Cluster) mintShardID(id string, m *Membership) (*Shard, error) {
 		return nil, err
 	}
 	adm := admin.New(id, mgr, c.Store, opLog)
-	svc := &admin.Service{
-		Admin:          adm,
-		Encl:           encl,
-		EnclaveCertDER: cert.Raw,
-		RootCertDER:    c.auditor.RootDER(),
-		ParamsName:     c.params.Name(),
-		Epoch:          c.Epoch,
-	}
+	// /provision on a threshold shard routes through the provisioner's
+	// quorum protocol instead of the (share-less) local enclave; this
+	// shard's own enclave does the combine, so the signature verifies
+	// against the certificate the shard serves.
+	extract := encl.EcallExtractUserKey
 	if tp, threshold := c.prov.(*thresholdProvisioner); threshold {
-		// /provision on a threshold shard routes through the provisioner's
-		// quorum protocol instead of the (share-less) local enclave; this
-		// shard's own enclave does the combine, so the signature verifies
-		// against the certificate the shard serves.
-		svc.Extract = func(uid string, userPub *ecdh.PublicKey) (*enclave.ProvisionedKey, error) {
+		extract = func(uid string, userPub *ecdh.PublicKey) (*enclave.ProvisionedKey, error) {
 			return tp.extractVia(id, uid, userPub)
 		}
 	}
-	svc.Instrument(c.co.obsRegistry(), id)
-	s := newShard(id, adm, svc, encl, c.Store, c.opts.LeaseTTL, c.opts.now, m, c.view)
-	s.obs = c.co
+	info := admin.SystemInfo{
+		Params:         c.params.Name(),
+		PublicKey:      base64.StdEncoding.EncodeToString(mgr.Scheme().MarshalPublicKey(mgr.PublicKey())),
+		EnclaveCertDER: base64.StdEncoding.EncodeToString(cert.Raw),
+		RootCertDER:    base64.StdEncoding.EncodeToString(c.auditor.RootDER()),
+		Capacity:       mgr.Capacity(),
+	}
+	s := c.newShard(id, adm, encl, m, info, extract)
 	// started is read in the SAME critical section as the append: a
 	// concurrent Cluster.Start() either sees this shard in its snapshot or
 	// has already set started — either way exactly one Start reaches it
@@ -573,7 +571,7 @@ func (c *Cluster) applyMembership(ctx context.Context, base uint64, members []st
 		// recomputes against it.
 		return nil, fmt.Errorf("cluster: membership change computed against epoch %d but the store is at %d — superseded, recompute and retry", base, rec.Epoch)
 	}
-	next, err := membership.At(base+1, members, c.opts.VirtualNodes)
+	next, err := membership.At(base+1, members, membership.DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
 	}

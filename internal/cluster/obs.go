@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"sync/atomic"
+	"time"
 
 	"github.com/ibbesgx/ibbesgx/internal/obs"
 )
@@ -20,6 +21,11 @@ type clusterObs struct {
 	// steals mirrors the "steal" lease events as a plain atomic so the
 	// autoscaler can sample churn without scraping its own registry.
 	steals atomic.Int64
+
+	// opSeconds times admin ops per shard and op (create/add/remove/
+	// add-batch/remove-batch/rekey/extract); opErrors counts the failed ones.
+	opSeconds *obs.HistogramVec
+	opErrors  *obs.CounterVec
 
 	// ecallSeconds times group-state ECALLs per shard and call name.
 	ecallSeconds *obs.HistogramVec
@@ -45,6 +51,8 @@ func newClusterObs(r *obs.Registry, tracer *obs.Tracer) *clusterObs {
 		registry:       r,
 		tracer:         tracer,
 		leaseEvents:    r.CounterVec("ibbe_lease_events_total", "Lease lifecycle events by shard and event (acquire/reacquire/steal/renew/expire/handoff/release).", "shard", "event"),
+		opSeconds:      r.HistogramVec("ibbe_admin_op_seconds", "Admin operation latency by shard and op kind.", nil, "shard", "op"),
+		opErrors:       r.CounterVec("ibbe_admin_op_errors_total", "Failed admin operations by shard and op kind.", "shard", "op"),
 		ecallSeconds:   r.HistogramVec("ibbe_ecall_seconds", "Enclave ECALL latency by shard and call.", nil, "shard", "call"),
 		dkgGeneration:  r.Gauge("ibbe_dkg_generation", "Committed threshold share generation."),
 		reshareSeconds: r.HistogramVec("ibbe_dkg_reshare_phase_seconds", "DKG reshare phase durations.", nil, "phase"),
@@ -61,6 +69,17 @@ func (co *clusterObs) leaseEvent(shard, event string) {
 	co.leaseEvents.With(shard, event).Inc()
 	if event == "steal" {
 		co.steals.Add(1)
+	}
+}
+
+// adminOp records one admin op that started at t0, and its failure.
+func (co *clusterObs) adminOp(shard, op string, t0 time.Time, err error) {
+	if co == nil {
+		return
+	}
+	co.opSeconds.With(shard, op).ObserveSince(t0)
+	if err != nil {
+		co.opErrors.With(shard, op).Inc()
 	}
 }
 

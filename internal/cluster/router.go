@@ -23,7 +23,7 @@ import (
 const ServedByHeader = "X-Served-By"
 
 // Router is the cluster gateway: it exposes the exact HTTP surface of a
-// single admin.Service and forwards each request to the shard owning the
+// single shard and forwards each request to the shard owning the
 // requested group, sweeping its routing view (membership.View.Sweep) in
 // ring order — failing over when the owner is unreachable or answers 503,
 // refreshing from the store on a fenced answer. client.AdminAPI pointed at

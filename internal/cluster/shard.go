@@ -1,15 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"crypto/ecdh"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,7 +13,6 @@ import (
 	"github.com/ibbesgx/ibbesgx/internal/core"
 	"github.com/ibbesgx/ibbesgx/internal/enclave"
 	"github.com/ibbesgx/ibbesgx/internal/membership"
-	"github.com/ibbesgx/ibbesgx/internal/obs"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
 
@@ -55,10 +50,16 @@ type Shard struct {
 	ID string
 	// Admin is the CAS-mode administrator applying to the shared store.
 	Admin *admin.Admin
-	// Service is the HTTP surface (admin ops + provisioning + info).
-	Service *admin.Service
 	// Encl is the shard's enclave (sharing the cluster master secret).
 	Encl *enclave.IBBEEnclave
+
+	// info is what /info serves and every /provision answer repeats: the
+	// shard's params, master public key, certificate chain and capacity.
+	info admin.SystemInfo
+	// extract derives a user's wrapped key for /provision, fixed when the
+	// shard is minted: its own enclave in sealed mode, the quorum it
+	// coordinates in threshold mode.
+	extract func(id string, userPub *ecdh.PublicKey) (*enclave.ProvisionedKey, error)
 
 	// StealBackoffStep overrides DefaultStealBackoffStep (tests).
 	StealBackoffStep time.Duration
@@ -86,34 +87,41 @@ type Shard struct {
 	done      chan struct{}
 }
 
-func newShard(id string, adm *admin.Admin, svc *admin.Service, encl *enclave.IBBEEnclave, store storage.Store, ttl time.Duration, now func() time.Time, m *Membership, view *membership.View) *Shard {
+// newShard builds the shard named id over its minted enclave, admin,
+// /info contents and extraction path. Every conditional write the admin
+// issues carries the shard's applied membership epoch as a fencing token.
+func (c *Cluster) newShard(id string, adm *admin.Admin, encl *enclave.IBBEEnclave, m *Membership, info admin.SystemInfo, extract func(string, *ecdh.PublicKey) (*enclave.ProvisionedKey, error)) *Shard {
+	ttl := c.opts.LeaseTTL
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
+	now := c.opts.now
 	if now == nil {
 		now = time.Now
 	}
 	s := &Shard{
 		ID:         id,
 		Admin:      adm,
-		Service:    svc,
 		Encl:       encl,
-		ls:         &leaseStore{store: store, now: now},
+		info:       info,
+		extract:    extract,
+		ls:         &leaseStore{store: c.Store, now: now},
 		ttl:        ttl,
+		obs:        c.co,
 		leases:     make(map[string]Lease),
 		membership: m,
 		stealFail:  make(map[string]int),
-		view:       view,
+		view:       c.view,
 		stopc:      make(chan struct{}),
 		done:       make(chan struct{}),
 	}
-	// Every conditional write this shard's admin issues carries the
-	// membership epoch as a fencing token.
 	adm.SetFence(s.Epoch)
 	return s
 }
 
-// Epoch returns the membership epoch this shard currently operates under.
+// Epoch returns the membership epoch this shard has applied: the fencing
+// token on every commit of its admin, and the epoch stamped on every
+// envelope it writes.
 func (s *Shard) Epoch() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -500,195 +508,6 @@ func (s *Shard) holdsLive(group string) bool {
 	l, held := s.leases[group]
 	s.mu.Unlock()
 	return held && s.ls.now().Before(l.Expires)
-}
-
-// ServeHTTP gates /admin/* behind group ownership and delegates everything
-// (including /provision and /info, which any shard serves — all enclaves
-// share the master secret) to the embedded admin.Service.
-func (s *Shard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/metrics" {
-		s.obs.obsRegistry().Handler().ServeHTTP(w, r)
-		return
-	}
-	s.mu.Lock()
-	stopped := s.stopped
-	s.mu.Unlock()
-	if stopped {
-		http.Error(w, "cluster: shard stopped", http.StatusServiceUnavailable)
-		return
-	}
-	// Join the router's trace (or any caller carrying the header): the
-	// shard's admin and store spans then land in the same trace dump.
-	if tid := r.Header.Get(obs.TraceHeader); tid != "" {
-		trace, root := s.obs.obsTracer().JoinTrace(tid, "shard "+s.ID+" "+r.URL.Path)
-		if root != nil {
-			var code *bufferedCode
-			w, code = withCode(w)
-			defer func() { root.End(code.err()) }()
-			r = r.WithContext(obs.ContextWithTrace(r.Context(), trace, root))
-		}
-	}
-	if !strings.HasPrefix(r.URL.Path, "/admin/") {
-		s.Service.ServeHTTP(w, r)
-		return
-	}
-	// Reads (the paged member listing) carry the group in the query string;
-	// mutations carry it in the JSON body. Both gate on ownership below.
-	var body []byte
-	group := ""
-	if r.Method == http.MethodGet {
-		group = r.URL.Query().Get("group")
-	} else {
-		var err error
-		body, err = io.ReadAll(io.LimitReader(r.Body, 8<<20))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var req struct {
-			Group string `json:"group"`
-		}
-		if err := json.Unmarshal(body, &req); err == nil {
-			group = req.Group
-		}
-	}
-	if group == "" {
-		http.Error(w, "cluster: missing group", http.StatusBadRequest)
-		return
-	}
-	absent, err := s.ensureOwnership(r.Context(), group)
-	if err != nil {
-		if errors.Is(err, ErrLeaseHeld) {
-			w.Header().Set("Retry-After", "1")
-			admin.WriteEnvelopeError(w, http.StatusServiceUnavailable, s.epoch(), admin.CodeNotOwner, err.Error())
-			return
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	// If an op for an owned group finds no local state, the cache was
-	// dropped by a failed apply — possibly OUR OWN, which can have left a
-	// partial write in the cloud. Rebuild WITH the healing key rotation
-	// (takeover=true), exactly as if the group were reclaimed from a
-	// crashed peer. The one exception: the ownership gate has just adopted
-	// the group in this request and found nothing in the cloud, and a
-	// second restore would read the same nothing.
-	if !absent && !s.Admin.Manager().HasGroup(group) {
-		if _, err := s.adopt(r.Context(), group, true); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	}
-	r2 := r.Clone(r.Context())
-	if body != nil {
-		r2.Body = io.NopCloser(bytes.NewReader(body))
-		r2.ContentLength = int64(len(body))
-	}
-	// Buffer the response: if the operation failed and the lease is gone,
-	// the likely cause is a hand-off mid-request (a membership change
-	// drained the group between the ownership gate above and the apply) —
-	// answer 503 so the gateway retries on the new owner instead of
-	// surfacing a spurious error. A failure with its OWN cause (say, a
-	// duplicate user) that merely coincided with losing the lease is
-	// re-run once on the new owner, which returns the same genuine error
-	// to the client — nothing is masked, at the cost of one extra hop.
-	buf := &bufferedResponse{header: make(http.Header)}
-	s.Service.ServeHTTP(buf, r2)
-	if buf.header.Get(storage.FencedHeader) != "" {
-		// A fenced write: this shard operated under a superseded membership.
-		// Surface the fence verdict unmasked — the router refreshes the
-		// same view and re-routes — and refresh the cluster's view
-		// without waiting for the watch loop's next wake-up. The refresh is
-		// rate-limited across the shards and the gateway router; a router
-		// refresh that lands inside the window waits for this one's read.
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-			s.view.Refresh(ctx)
-		}()
-		buf.flush(w)
-		return
-	}
-	if buf.code >= 400 && !s.holdsLive(group) {
-		w.Header().Set("Retry-After", "1")
-		admin.WriteEnvelopeError(w, http.StatusServiceUnavailable, s.epoch(), admin.CodeNotOwner, "cluster: group handed off mid-operation")
-		return
-	}
-	buf.flush(w)
-}
-
-// epoch reports the shard's view of the membership epoch for error
-// envelopes (0 before any membership is applied).
-func (s *Shard) epoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.membership == nil {
-		return 0
-	}
-	return s.membership.Epoch
-}
-
-// bufferedResponse captures a handler's response so the shard can decide to
-// replace it (hand-off race) before anything reaches the wire. Bodies on
-// this path are already capped at 8 MiB by the read above.
-type bufferedResponse struct {
-	header http.Header
-	code   int
-	body   bytes.Buffer
-}
-
-func (b *bufferedResponse) Header() http.Header { return b.header }
-
-func (b *bufferedResponse) WriteHeader(code int) {
-	if b.code == 0 {
-		b.code = code
-	}
-}
-
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	if b.code == 0 {
-		b.code = http.StatusOK
-	}
-	return b.body.Write(p)
-}
-
-func (b *bufferedResponse) flush(w http.ResponseWriter) {
-	for k, vs := range b.header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	if b.code == 0 {
-		b.code = http.StatusOK
-	}
-	w.WriteHeader(b.code)
-	_, _ = w.Write(b.body.Bytes())
-}
-
-// bufferedCode wraps a ResponseWriter just enough to know the status code
-// afterwards (for ending the shard's root span with an error on 5xx).
-type bufferedCode struct {
-	http.ResponseWriter
-	code int
-}
-
-func withCode(w http.ResponseWriter) (http.ResponseWriter, *bufferedCode) {
-	bc := &bufferedCode{ResponseWriter: w}
-	return bc, bc
-}
-
-func (b *bufferedCode) WriteHeader(code int) {
-	if b.code == 0 {
-		b.code = code
-	}
-	b.ResponseWriter.WriteHeader(code)
-}
-
-func (b *bufferedCode) err() error {
-	if b.code >= 500 {
-		return fmt.Errorf("status %d", b.code)
-	}
-	return nil
 }
 
 // sleepCtx sleeps for dur unless the context ends first.

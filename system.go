@@ -44,9 +44,9 @@ type System struct {
 	ias      *attest.IAS
 	auditor  *pki.Auditor
 	cert     *x509.Certificate
-	manager  *core.Manager
 	log      *core.OpLog
 	capacity int
+	seed     int64
 }
 
 // NewSystem performs the paper's full bootstrap: create the platform,
@@ -61,6 +61,9 @@ func NewSystem(opts Options) (*System, error) {
 	capacity := opts.PartitionCapacity
 	if capacity == 0 {
 		capacity = 1000
+	}
+	if capacity < 1 {
+		return nil, fmt.Errorf("ibbesgx: partition capacity must be positive, got %d", capacity)
 	}
 	platformID := opts.PlatformID
 	if platformID == "" {
@@ -94,10 +97,6 @@ func NewSystem(opts Options) (*System, error) {
 		return nil, fmt.Errorf("ibbesgx: enclave attestation failed: %w", err)
 	}
 
-	mgr, err := core.NewManager(encl, capacity, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
 	log, err := core.NewOpLog()
 	if err != nil {
 		return nil, err
@@ -108,19 +107,26 @@ func NewSystem(opts Options) (*System, error) {
 		ias:      ias,
 		auditor:  auditor,
 		cert:     cert,
-		manager:  mgr,
 		log:      log,
 		capacity: capacity,
+		seed:     opts.Seed,
 	}, nil
 }
 
 // NewAdmin returns an administrator frontend publishing to the given store.
-// All admins share the system's manager state and certified operation log.
+// Every admin has its own group state over the system's enclave, as each
+// cluster shard does, and all admins share the certified operation log. An
+// admin serialises the operations on the groups it holds; to operate on a
+// group another admin created, call RestoreGroup on it first.
 func (s *System) NewAdmin(name string, store Store) (*Admin, error) {
 	if store == nil {
 		return nil, errors.New("ibbesgx: nil store")
 	}
-	return admin.New(name, s.manager, store, s.log), nil
+	mgr, err := core.NewManager(s.encl, s.capacity, s.seed)
+	if err != nil {
+		return nil, err
+	}
+	return admin.New(name, mgr, store, s.log), nil
 }
 
 // UserCredentials is the outcome of provisioning: the user's identity and
@@ -161,7 +167,7 @@ func (s *System) NewClient(creds *UserCredentials, store Store, group string) (*
 	if creds == nil || creds.sys != s {
 		return nil, errors.New("ibbesgx: credentials were not provisioned by this system")
 	}
-	return client.New(s.encl.Scheme(), s.manager.PublicKey(), creds.ID, creds.key, store, group)
+	return client.New(s.encl.Scheme(), s.encl.PublicKey(), creds.ID, creds.key, store, group)
 }
 
 // Log returns the certified membership-operation log.
