@@ -53,13 +53,15 @@ bench-smoke:
 	$(GO) run ./bench -workload big_group_paged -seconds 3 -trace 0
 	$(GO) run ./bench -workload big_group_paged -seconds 3 -trace 1
 
-## fuzz: the 15s smokes CI runs — Montgomery limb core vs big.Int, the public-key multi-exp table and
+## fuzz: the 15s smokes CI runs — Montgomery limb core vs big.Int, the limb identity hash and its Barrett
+# reducer vs the big.Int reference, the public-key multi-exp table and
 # limb w-NAF recoding vs the binary ladder and the big.Int recoding, the constant-time fixed-base walk vs
 # ScalarMultReduced, the /v1/commit request decoder, the durable store's log replay, the
 # three decoders of a group directory (partition record, group header, directory bucket), the group index
 # under random operations vs the map-and-sort encoders it replaced, and the membership record
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMontFieldVsBigInt$$' -fuzztime=15s ./internal/ff
+	$(GO) test -run='^$$' -fuzz='^FuzzHashID$$' -fuzztime=15s ./internal/ibbe
 	$(GO) test -run='^$$' -fuzz='^FuzzMultiExpTable$$' -fuzztime=15s ./internal/curve
 	$(GO) test -run='^$$' -fuzz='^FuzzMulConstTimeEach$$' -fuzztime=15s ./internal/curve
 	$(GO) test -run='^$$' -fuzz='^FuzzCommitRequest$$' -fuzztime=15s ./internal/storage

@@ -207,12 +207,15 @@ func (a *Admin) prepareCreate(ctx context.Context, group string) error {
 	if err != nil {
 		return err
 	}
-	names, err := a.store.List(ctx, group)
-	if err != nil && !errors.Is(err, storage.ErrNotFound) {
-		return err
-	}
-	if len(names) > 0 {
-		return fmt.Errorf("%w: %s (records already in the cloud)", core.ErrGroupExists, group)
+	// Version 0 is a directory that was never written: nothing to list.
+	if v0 != 0 {
+		names, err := a.store.List(ctx, group)
+		if err != nil && !errors.Is(err, storage.ErrNotFound) {
+			return err
+		}
+		if len(names) > 0 {
+			return fmt.Errorf("%w: %s (records already in the cloud)", core.ErrGroupExists, group)
+		}
 	}
 	a.trackVersion(group, v0)
 	return nil
@@ -489,6 +492,11 @@ func (a *Admin) RestoreGroup(ctx context.Context, group string) error {
 	ver, err := a.store.Version(ctx, group)
 	if err != nil {
 		return err
+	}
+	if ver == 0 {
+		// Never written, so there is no header to read: the group does not
+		// exist yet, and a fresh create skips the read round trip.
+		return fmt.Errorf("%w: %s", storage.ErrNotFound, group)
 	}
 	// The header and the sealed key are independent reads, both after the
 	// version: one round trip for the two.

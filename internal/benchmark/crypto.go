@@ -12,10 +12,11 @@ import (
 // CryptoRow is one cell of the crypto fast-path figure: a single IBBE
 // operation at receiver-set size m, timed through the reference arithmetic
 // ("slow": double-and-add scalar multiplication, per-coefficient HPowers
-// loop, square-and-multiply GT ladder, uncached identity hashing) and
-// through the fast path (w-NAF windows, fixed-base tables, interleaved
-// Straus multi-exponentiation, batch normalisation, hash memo) that now
-// underlies every partition ECALL.
+// loop, square-and-multiply GT ladder, big.Int identity hashing with no
+// memo) and through the fast path (w-NAF windows, fixed-base tables,
+// interleaved Straus multi-exponentiation, batch normalisation, identity
+// hashes reduced straight into Z_r's limbs behind a fixed two-way memo) that
+// now underlies every partition ECALL.
 type CryptoRow struct {
 	Op    string `json:"op"`
 	M     int    `json:"m"`

@@ -464,12 +464,20 @@ func TestClusterGracefulShutdownHandsOver(t *testing.T) {
 }
 
 // callCountingStore is a MemStore that counts lease reads (Get on a lease
-// directory) and batched group reads (GetMany), per directory.
+// directory), batched group reads (GetMany) and listings, per directory.
 type callCountingStore struct {
 	*storage.MemStore
 	mu       sync.Mutex
 	gets     map[string]int
 	getManys map[string]int
+	lists    map[string]int
+}
+
+func (c *callCountingStore) List(ctx context.Context, dir string) ([]string, error) {
+	c.mu.Lock()
+	c.lists[dir]++
+	c.mu.Unlock()
+	return c.MemStore.List(ctx, dir)
 }
 
 func (c *callCountingStore) Get(ctx context.Context, dir, name string) ([]byte, error) {
@@ -489,10 +497,11 @@ func (c *callCountingStore) GetMany(ctx context.Context, dir string, names []str
 // TestFreshCreateStoreRoundTrips counts the reads of a create through one
 // shard for a group nobody has leased: the lease acquisition reads the lease
 // once (the replaced lease comes from the snapshot the CAS is conditioned
-// on), and the group is restored once (the ownership gate found it absent,
-// so the heal does not look again). A dropped cache still heals.
+// on), and the group's directory, at version 0, is neither read by the
+// restore nor listed by the create. A dropped cache still heals, through one
+// restore read.
 func TestFreshCreateStoreRoundTrips(t *testing.T) {
-	store := &callCountingStore{MemStore: storage.NewMemStore(storage.Latency{}), gets: map[string]int{}, getManys: map[string]int{}}
+	store := &callCountingStore{MemStore: storage.NewMemStore(storage.Latency{}), gets: map[string]int{}, getManys: map[string]int{}, lists: map[string]int{}}
 	c, err := New(Options{Shards: 1, Capacity: 4, LeaseTTL: time.Hour, Seed: 33, Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -509,17 +518,17 @@ func TestFreshCreateStoreRoundTrips(t *testing.T) {
 	}
 	serve("/admin/create", `{"group":"g","members":["alice@x","bob@x"]}`)
 	store.mu.Lock()
-	leaseGets, restores := store.gets[leaseDir("g")], store.getManys["g"]
+	leaseGets, restores, lists := store.gets[leaseDir("g")], store.getManys["g"], store.lists["g"]
 	store.mu.Unlock()
-	if leaseGets != 1 || restores != 1 {
-		t.Fatalf("fresh create: %d lease Gets, %d restore GetManys; want 1 and 1", leaseGets, restores)
+	if leaseGets != 1 || restores != 0 || lists != 0 {
+		t.Fatalf("fresh create: %d lease Gets, %d restore GetManys, %d group Lists; want 1, 0 and 0", leaseGets, restores, lists)
 	}
 	shard.Admin.DropGroup("g")
 	serve("/admin/add", `{"group":"g","user":"carol@x"}`)
 	store.mu.Lock()
 	restores = store.getManys["g"]
 	store.mu.Unlock()
-	if restores != 2 || !shard.Admin.Manager().HasGroup("g") {
-		t.Fatalf("dropped cache: %d restore GetManys in all (want 2), group resident %v", restores, shard.Admin.Manager().HasGroup("g"))
+	if restores != 1 || !shard.Admin.Manager().HasGroup("g") {
+		t.Fatalf("dropped cache: %d restore GetManys in all (want 1), group resident %v", restores, shard.Admin.Manager().HasGroup("g"))
 	}
 }

@@ -307,8 +307,12 @@ func (m *Mont) FromBig(dst *Fel, v *big.Int) {
 	}
 	var nat Fel
 	bigToLimbs(&nat, m.k, red)
-	m.Mul(dst, &nat, &m.rr)
+	m.ToMont(dst, &nat)
 }
+
+// ToMont encodes a canonical limb value a < q into the Montgomery domain:
+// one product by R². dst may alias a.
+func (m *Mont) ToMont(dst, a *Fel) { m.Mul(dst, a, &m.rr) }
 
 // ToBig decodes a Montgomery-domain element back to a canonical big.Int.
 func (m *Mont) ToBig(a *Fel) *big.Int {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/ibbesgx/ibbesgx/internal/ff"
 	"github.com/ibbesgx/ibbesgx/internal/pairing"
 )
 
@@ -193,11 +194,33 @@ func TestFastPathDecryptsReferenceCiphertext(t *testing.T) {
 	}
 }
 
+// setOf is the memo set id maps to.
+func (hs *idHasher) setOf(id string) *hashSet { return &hs.sets[hs.tag(id)%hashMemoSets] }
+
+// memoHolds reports whether id's memo set holds an entry for it.
+func (hs *idHasher) memoHolds(id string) bool {
+	set := hs.setOf(id)
+	set.mu.Lock()
+	defer set.mu.Unlock()
+	for w := range set.id {
+		if set.full[w] && set.id[w] == id {
+			return true
+		}
+	}
+	return false
+}
+
+// TestHashIDMemoMatchesUncachedAndCopies checks that a memo hit returns the
+// reference value and that no returned big.Int aliases the table.
 func TestHashIDMemoMatchesUncachedAndCopies(t *testing.T) {
 	s := testScheme(t)
+	hs := s.hasher()
 	for i := 0; i < 64; i++ {
 		id := fmt.Sprintf("memo-%03d@example.com", i)
-		first := s.HashID(id)  // fills the memo
+		first := s.HashID(id) // fills an entry of the id's set
+		if !hs.memoHolds(id) {
+			t.Fatalf("%s: miss did not fill its set", id)
+		}
 		second := s.HashID(id) // memo hit
 		if first.Cmp(second) != 0 {
 			t.Fatalf("memoized hash differs for %s", id)
@@ -213,26 +236,66 @@ func TestHashIDMemoMatchesUncachedAndCopies(t *testing.T) {
 	}
 }
 
+// TestHashIDMemoBounded sweeps more fresh ids than the table has entries: a
+// miss must allocate nothing (no growth, no per-entry value), and every
+// filled entry must sit in its id's set and hold its id's hash.
 func TestHashIDMemoBounded(t *testing.T) {
 	s := testScheme(t)
-	for i := 0; i < hashMemoCap+64; i++ {
-		s.HashID(fmt.Sprintf("bound-%05d@example.com", i))
+	hs := s.hasher()
+	fresh := make([]string, 4*hashMemoSets)
+	for i := range fresh {
+		fresh[i] = fmt.Sprintf("bound-%05d@example.com", i)
 	}
-	s.hashMu.RLock()
-	n := len(s.hashMemo)
-	s.hashMu.RUnlock()
-	if n > hashMemoCap {
-		t.Fatalf("hash memo grew to %d entries, cap is %d", n, hashMemoCap)
+	var h ff.Fel
+	next := 0
+	allocs := testing.AllocsPerRun(len(fresh)-1, func() {
+		s.hashMont(&h, fresh[next])
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("a memo miss allocates %.1f times; want 0", allocs)
+	}
+	m := s.P.Zr.Mont()
+	filled := 0
+	for i := range hs.sets {
+		set := &hs.sets[i]
+		for w := range set.id {
+			if !set.full[w] {
+				continue
+			}
+			filled++
+			if hs.setOf(set.id[w]) != set || m.ToBig(&set.v[w]).Cmp(s.hashIDUncached(set.id[w])) != 0 {
+				t.Fatalf("set %d holds a wrong entry for %s", i, set.id[w])
+			}
+		}
+	}
+	if filled > 2*hashMemoSets || filled < hashMemoSets {
+		t.Fatalf("%d entries filled after %d fresh ids into %d", filled, len(fresh), 2*hashMemoSets)
 	}
 }
 
-// TestHashIDConcurrent hammers the memo from many goroutines over an id set
-// that deliberately wraps the cap mid-run (forcing resets under load) and
-// checks every result; run under -race this proves the memo is race-clean.
+// TestHashIDConcurrent hammers the memo from many goroutines over ids picked
+// to collide: more ids share each of a few sets than the set has ways, so
+// workers overwrite the same entries while others read them. Every result
+// is checked against the reference; run under -race this proves the table
+// is race-clean.
 func TestHashIDConcurrent(t *testing.T) {
 	s := testScheme(t)
 	slow := NewScheme(s.P)
 	slow.DisableFastPath = true
+	hs := s.hasher()
+	const sets, perSet = 8, 6
+	bySet := map[*hashSet][]string{}
+	var shared []string
+	for i := 0; len(shared) < sets*perSet; i++ {
+		id := fmt.Sprintf("conc-%05d@example.com", i)
+		set := hs.setOf(id)
+		if len(bySet[set]) == perSet || (len(bySet) == sets && bySet[set] == nil) {
+			continue
+		}
+		bySet[set] = append(bySet[set], id)
+		shared = append(shared, id)
+	}
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -241,7 +304,7 @@ func TestHashIDConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
-				id := fmt.Sprintf("conc-%03d@example.com", (i+w)%97)
+				id := shared[(i*(w+1))%len(shared)]
 				if s.HashID(id).Cmp(slow.HashID(id)) != 0 {
 					errs <- fmt.Errorf("worker %d: hash mismatch for %s", w, id)
 					return

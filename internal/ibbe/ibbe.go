@@ -22,8 +22,6 @@
 package ibbe
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -64,9 +62,10 @@ type Scheme struct {
 	// "old path" arm. Leave it false in production.
 	DisableFastPath bool
 
-	// Identity-hash memo (HashID is deterministic, so caching is safe).
-	hashMu   sync.RWMutex
-	hashMemo map[string]*hashEntry
+	// Identity-hash state: the reducer modulo r − 1 and the memo, built on
+	// the first fast-path hash (HashID is deterministic, so caching is safe).
+	hashOnce sync.Once
+	hash     *idHasher
 
 	// rMinus1 = r − 1, hoisted out of HashID.
 	rm1Once sync.Once
@@ -185,79 +184,6 @@ type PartitionState struct {
 
 // BroadcastKey is bk = v^k ∈ GT; its hash is used as a symmetric key.
 type BroadcastKey = pairing.GT
-
-// hashMemoCap bounds the identity-hash memo. Partitions top out in the low
-// thousands of members (the paper's sweet spot is 1000–2000), so 4096
-// entries cover every working set; when the cap is hit the memo is dropped
-// wholesale, keeping memory bounded with zero bookkeeping on the hot path.
-const hashMemoCap = 4096
-
-// HashID maps an identity string into Z_r* (the function H of the paper).
-// It is deterministic, never returns zero, and oversamples SHA-256 output to
-// keep the modular bias negligible.
-//
-// Because the map is deterministic, results are memoized per Scheme (bounded
-// by hashMemoCap, safe for concurrent use): every partition operation
-// re-derives the same member hashes, so the repeated SHA-256 expansion and
-// wide reduction collapse to one map lookup after first sight of an id.
-func (s *Scheme) HashID(id string) *big.Int {
-	if s.DisableFastPath {
-		return s.hashIDUncached(id)
-	}
-	// Hand out a copy: big.Ints are mutable and the cached value must stay
-	// pristine no matter what a caller does with the result.
-	return new(big.Int).Set(s.hashMemoized(id).v)
-}
-
-// hashEntry is one memoised identity hash, kept in both forms its readers
-// want: the big.Int HashID copies out, and the Montgomery form the roster
-// products multiply by directly.
-type hashEntry struct {
-	v    *big.Int
-	mont ff.Fel
-}
-
-// hashMemoized returns the memo entry for id, computing and inserting it on
-// first sight. Entries are immutable once inserted, so the pointer stays
-// valid even after a cap reset drops the map holding it.
-func (s *Scheme) hashMemoized(id string) *hashEntry {
-	s.hashMu.RLock()
-	e, ok := s.hashMemo[id]
-	s.hashMu.RUnlock()
-	if ok {
-		return e
-	}
-	e = &hashEntry{v: s.hashIDUncached(id)}
-	s.P.Zr.Mont().FromBig(&e.mont, e.v)
-	s.hashMu.Lock()
-	if s.hashMemo == nil || len(s.hashMemo) >= hashMemoCap {
-		s.hashMemo = make(map[string]*hashEntry, 64)
-	}
-	s.hashMemo[id] = e
-	s.hashMu.Unlock()
-	return e
-}
-
-// hashIDUncached is the actual hash computation behind HashID.
-func (s *Scheme) hashIDUncached(id string) *big.Int {
-	r := s.P.R
-	need := (r.BitLen()+7)/8 + 16
-	out := make([]byte, 0, need+sha256.Size)
-	var block uint32
-	for len(out) < need {
-		h := sha256.New()
-		var pre [4]byte
-		binary.BigEndian.PutUint32(pre[:], block)
-		h.Write(pre[:])
-		h.Write([]byte(id))
-		out = h.Sum(out)
-		block++
-	}
-	v := new(big.Int).SetBytes(out[:need])
-	v.Mod(v, s.rMinus1())
-	v.Add(v, bigOne) // uniform in [1, r−1]
-	return v
-}
 
 // rMinus1 returns r − 1, computed once per Scheme instead of once per hash.
 func (s *Scheme) rMinus1() *big.Int {
@@ -657,13 +583,13 @@ func (s *Scheme) expandProductPoly(ids []string) []*big.Int {
 // expandProductPolyMont is the limb-domain expansion: the same recurrence,
 // updated in place from the top coefficient downward so each round is one
 // append plus n multiply-accumulates on fixed-width limb values. The hashes
-// come out of the memo already in Montgomery form.
+// arrive in Montgomery form.
 func (s *Scheme) expandProductPolyMont(m *ff.Mont, ids []string) []*big.Int {
 	coeffs := make([]ff.Fel, 1, len(ids)+1)
 	m.SetOne(&coeffs[0])
-	var t ff.Fel
+	var t, h ff.Fel
 	for _, id := range ids {
-		h := &s.hashMemoized(id).mont
+		s.hashMont(&h, id)
 		n := len(coeffs)
 		if s.Metrics != nil {
 			s.Metrics.ZrMul.Add(int64(n)) // one mul per existing coefficient
@@ -672,10 +598,10 @@ func (s *Scheme) expandProductPolyMont(m *ff.Mont, ids []string) []*big.Int {
 		coeffs = append(coeffs, top)
 		coeffs[n] = coeffs[n-1] // leading coefficient stays 1
 		for i := n - 1; i >= 1; i-- {
-			m.Mul(&t, &coeffs[i], h)
+			m.Mul(&t, &coeffs[i], &h)
 			m.Add(&coeffs[i], &t, &coeffs[i-1])
 		}
-		m.Mul(&coeffs[0], &coeffs[0], h)
+		m.Mul(&coeffs[0], &coeffs[0], &h)
 	}
 	out := make([]*big.Int, len(coeffs))
 	for i := range coeffs {
@@ -686,9 +612,9 @@ func (s *Scheme) expandProductPolyMont(m *ff.Mont, ids []string) []*big.Int {
 
 // prodGammaPlusHash returns Π_{u∈ids} (γ + H(u)) mod r — the linear-cost
 // exponent aggregation of EncryptMSK, AddUsers and RemoveUsers. The fast
-// path accumulates in the Montgomery limb domain of Z_r over the memo's
-// Montgomery-form hashes; the reference arm multiplies big.Ints. Both count
-// one Z_r multiplication per identity.
+// path accumulates in the Montgomery limb domain of Z_r over Montgomery-form
+// hashes and allocates nothing per identity; the reference arm multiplies
+// big.Ints. Both count one Z_r multiplication per identity.
 func (s *Scheme) prodGammaPlusHash(gamma *big.Int, ids []string) *big.Int {
 	zr := s.P.Zr
 	if !s.DisableFastPath {
@@ -697,7 +623,8 @@ func (s *Scheme) prodGammaPlusHash(gamma *big.Int, ids []string) *big.Int {
 		m.SetOne(&acc)
 		m.FromBig(&g, gamma)
 		for _, id := range ids {
-			m.Add(&t, &s.hashMemoized(id).mont, &g)
+			s.hashMont(&t, id)
+			m.Add(&t, &t, &g)
 			m.Mul(&acc, &acc, &t)
 		}
 		if s.Metrics != nil {
