@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test short test-386 race bench bench-smoke fuzz benchdiff ci
+.PHONY: all build vet fmt test short test-386 race bench bench-smoke fuzz benchdiff loc ci
 
 all: build
 
@@ -80,6 +80,18 @@ benchdiff:
 	$(GO) run ./cmd/benchdiff -old BENCH_readpath.json -new BENCH_readpath.fresh.json -max-regress 0.15
 	$(GO) run ./cmd/ibbe-bench -json BENCH_millionuser.fresh.json millionuser
 	$(GO) run ./cmd/benchdiff -old BENCH_millionuser.json -new BENCH_millionuser.fresh.json
+
+## loc: non-test Go code lines per package, blank and comment-only lines excluded — the figure a
+# simplicity change reports as net LOC; not part of ci
+loc:
+	@find . -name '*.go' ! -name '*_test.go' | LC_ALL=C sort | xargs awk ' \
+		FNR == 1 { blk = 0 } \
+		{ s = $$0; sub(/^[ \t]+/, "", s) } \
+		blk { if (index(s, "*/")) blk = 0; next } \
+		s == "" || s ~ /^\/\// { next } \
+		s ~ /^\/\*/ { if (!index(s, "*/")) blk = 1; next } \
+		{ d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d]++; total++ } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "LC_ALL=C sort -k2"; close("LC_ALL=C sort -k2"); printf "%7d  total\n", total }'
 
 ## ci: everything the workflow gates on
 ci: build vet fmt test race

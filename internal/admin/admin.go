@@ -410,8 +410,12 @@ func (a *Admin) updateObjects(up *core.Update) (puts, closing []storage.Object, 
 // commits, the closing objects in the final one, so the same arbiter covers a
 // failure between them. Any failure invalidates the tracked version: it may
 // no longer match the directory, and the next mutate re-syncs through
-// restore.
+// restore. An update with no header changed nothing (an empty batch) and is
+// not committed at all.
 func (a *Admin) apply(ctx context.Context, up *core.Update) error {
+	if up.Header == nil {
+		return nil
+	}
 	v, err := a.baseVersion(ctx, up.Group)
 	if err != nil {
 		return err

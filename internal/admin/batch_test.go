@@ -114,3 +114,42 @@ func TestConcurrentAdminGroups(t *testing.T) {
 		}
 	}
 }
+
+// TestEmptyBatchesCommitNothing: a batch with no users changes nothing, so
+// it must not rewrite the header, bump the directory version (which wakes
+// every polling reader) or certify anything.
+func TestEmptyBatchesCommitNothing(t *testing.T) {
+	s := newSys(t, 3)
+	ctx := context.Background()
+	if err := s.admin.CreateGroup(ctx, "g", users(4)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := s.store.Version(ctx, "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := len(s.log.Entries())
+	if err := s.admin.AddUsers(ctx, "g", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.admin.RemoveUsers(ctx, "g", nil); err != nil {
+		t.Fatal(err)
+	}
+	after, err := s.store.Version(ctx, "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Fatalf("empty batches moved the directory version from %d to %d", before, after)
+	}
+	if got := len(s.log.Entries()); got != entries {
+		t.Fatalf("empty batches certified %d operations", got-entries)
+	}
+	// The group is still served: the next real op commits on top.
+	if err := s.admin.AddUser(ctx, "g", "j@x"); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := s.store.Version(ctx, "g"); v != before+1 {
+		t.Fatalf("add after the empty batches left version %d, want %d", v, before+1)
+	}
+}

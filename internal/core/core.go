@@ -10,31 +10,37 @@
 // the objects to delete. The admin package applies updates to a cloud Store;
 // benchmarks apply them to byte-counters only.
 //
-// Partition ciphertexts are mutually independent (§IV-C), so the Manager is
-// a parallel partition engine: per-partition enclave work — encryption at
-// group creation, re-keying on rotation, re-partitioning — fans out across a
-// bounded worker pool, and groups are locked individually so
-// membership operations on independent groups proceed concurrently.
+// Partition ciphertexts are mutually independent (§IV-C), so every mutator is
+// one pipeline over a per-partition task list. The plan validates the
+// operation and places it in the index; it yields the tasks — each a
+// partition to create, extend or re-key — and, for a revocation, the
+// partitions that only take the new group key. Compute runs one ECALL per
+// task across a bounded worker pool and installs nothing. Install cannot
+// fail, and yields the Update. A failure before install reverts the plan's
+// index changes, so a failed operation leaves its group as it was. Groups are
+// locked individually, so operations on independent groups run concurrently.
 //
 // Group state is paged: each group keeps a partition.Index (the group header:
 // per-partition occupancy, wrapped group key and re-wrap handle, always
 // resident; behind it the hashed member directory, loaded bucket by bucket on
 // first use) plus an LRU cache of partition.Pages (roster and ciphertext)
 // hydrated on demand from PartitionRecords through a store-backed
-// RecordFetch. Operations pin only the pages they touch — a revocation the
-// pages that lost a member, nothing else — and the full-group sweeps
-// (rotation, re-partitioning) stream in bounded chunks, so no operation needs
-// more than O(pages touched) resident memory and no operation writes more
-// than O(change) objects. Eviction is only enabled once a
+// RecordFetch. An operation hydrates only the pages its tasks need, and no
+// operation writes more than O(change) objects. Eviction is only enabled once a
 // RecordFetch is installed (SetPageSource / RestoreGroupPaged); without one
 // — pure in-memory use, as in tests and benchmarks driving the Manager
 // directly — every page stays resident and behaviour matches the historic
 // fully-materialised table.
 //
-// The pin protocol leans on the admin's per-group op+apply serialisation: a
-// page written by operation N stays pinned (unevictable) until operation
-// N+1 begins, by which time N's update has been applied, so the store can
-// always rebuild exactly what the cache dropped.
+// The pin rule: a page is pinned only while the compute chunk that hydrated
+// it runs. Compute streams the tasks in chunks of at most min(parallelism,
+// bound) pages and unpins each chunk before hydrating the next; install
+// enters the new pages unpinned, and reads pin nothing. So no operation holds
+// more than the bound resident. An installed page may be evicted before its
+// update is applied; nothing rehydrates it before then, because an operation
+// visits each partition once, reads never enter pages into the cache, and
+// the admin starts the group's next operation only once this one's update is
+// applied.
 package core
 
 import (
@@ -42,7 +48,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -168,8 +176,8 @@ func (m *Manager) Parallelism() int { return int(m.workers.Load()) }
 // SetMaxResidentPages bounds each group's resident page cache; n <= 0 keeps
 // pages unbounded. The bound applies to groups created or restored after the
 // call, so deployments set it at wiring time (before any group exists).
-// Full-group sweeps stream in chunks no larger than the bound, keeping
-// per-operation resident memory at O(min(parallelism, bound)) pages.
+// Operations stream their partitions in chunks no larger than the bound, so
+// none holds more than the bound resident.
 func (m *Manager) SetMaxResidentPages(n int) {
 	if n < 0 {
 		n = 0
@@ -232,7 +240,9 @@ type Update struct {
 	// keyed by object name.
 	Buckets map[string][]byte
 	// Header is the encoded group header (partition.HeaderObject), which
-	// every operation rewrites.
+	// every operation that changes anything rewrites. It is nil for an
+	// operation that changed nothing (an empty batch): that update needs no
+	// commit.
 	Header []byte
 	// SealedGK is the sealed group key when the operation changed it (nil
 	// otherwise) — Algorithm 1 line 7's "Store: (1) sealed gk".
@@ -245,14 +255,14 @@ func newUpdate(group string) *Update {
 }
 
 // finish closes an operation's update with what the index accumulated: the
-// buckets the operation dirtied, the header, and the sealed group key when
-// the operation drew a new one.
-func (g *groupState) finish(up *Update, newKey bool) *Update {
+// buckets the operation dirtied and, unless the operation changed nothing,
+// the header.
+func (g *groupState) finish(up *Update) *Update {
 	up.Buckets = g.idx.TakeDirty()
-	up.Header = g.idx.Marshal()
-	if newKey {
-		up.SealedGK = append([]byte(nil), g.sealedGK...)
+	if len(up.Put) > 0 || len(up.Delete) > 0 || len(up.Buckets) > 0 || up.SealedGK != nil {
+		up.Header = g.idx.Marshal()
 	}
+	sort.Strings(up.Delete)
 	return up
 }
 
@@ -270,7 +280,7 @@ type recordSource struct {
 
 // LoadPage rehydrates a page from its stored record. The bytes come from the
 // store, so the roster is bounded here; the operation that asked for the page
-// checks its length against the header's count (rosterMatches).
+// checks its length against the header's count (see compute).
 func (s recordSource) LoadPage(id string) (*partition.Page, error) {
 	rec, err := s.fetch(id)
 	if err != nil {
@@ -298,29 +308,281 @@ func (g *groupState) record(p *partition.Page) *PartitionRecord {
 	}
 }
 
-// install makes a partition's new roster and ciphertext current: cached (and
-// pinned) as its page, and queued in up as its record.
-func (g *groupState) install(id string, members []string, ct *ibbe.Ciphertext, up *Update) {
-	p := &partition.Page{ID: id, Members: members, Payload: ct}
-	g.pages.Put(p)
-	up.Put[id] = g.record(p)
+// taskKind is what a task does to its partition.
+type taskKind uint8
+
+const (
+	// create builds the partition afresh from its roster: Algorithm 1, and
+	// Algorithm 2's new-partition arm.
+	create taskKind = iota
+	// extend adds joiners and keeps the broadcast key: Algorithm 2's
+	// existing-partition arm.
+	extend
+	// rekey draws a fresh broadcast key, dropping any leavers: Algorithm 3
+	// and §A-G.
+	rekey
+)
+
+// task is one partition's share of an operation: one ECALL in compute, one
+// record in install.
+type task struct {
+	id    string
+	kind  taskKind
+	users []string // create: the roster; extend: the joiners; rekey: the leavers
+
+	// Set by compute.
+	roster []string                 // the post-op member list
+	pc     *enclave.PartitionCrypto // the new ciphertext and envelope
 }
 
-// installFresh is install for a partition whose broadcast key was just
-// minted: its wrapped group key and re-wrap handle are new as well.
-func (g *groupState) installFresh(id string, members []string, pc *enclave.PartitionCrypto, up *Update) {
-	g.idx.SetEnvelope(id, pc.WrappedGK, pc.WrapHandle)
-	g.install(id, members, pc.CT, up)
+// rosterFrom is the task's post-op member list, given its partition's
+// current one.
+func (t *task) rosterFrom(members []string) []string {
+	switch {
+	case t.kind == extend:
+		return append(slices.Clone(members), t.users...)
+	case len(t.users) == 0:
+		return members
+	}
+	gone := make(map[string]bool, len(t.users))
+	for _, u := range t.users {
+		gone[u] = true
+	}
+	return slices.DeleteFunc(slices.Clone(members), func(u string) bool { return gone[u] })
 }
 
-// rosterMatches checks a roster an operation computed against the header's
-// count for its partition: the two are stored in different objects, and an
-// operation must not build on a pair that disagrees.
-func (g *groupState) rosterMatches(id string, members []string) error {
-	if len(members) != g.idx.Count(id) {
-		return fmt.Errorf("%w: %s has %d members, the group header counts %d", ErrBadRecord, id, len(members), g.idx.Count(id))
+// plan is one operation on one group as decided before any ECALL.
+type plan struct {
+	name string
+	g    *groupState
+	// idx is the index the plan writes: the group's own, changed in place
+	// and logged so revert can undo it, or for a layout a fresh one, which
+	// install swaps in for replaces.
+	idx, replaces *partition.Index
+	log           []change
+	newKey        bool                  // draw a fresh group key
+	tasks         []task                // one ECALL each
+	rewrap        []partition.PageEntry // take the new key only, in one EcallRewrapPartitions
+	emptied       []string              // dropped at install
+	grow          bool                  // double the directory at install
+
+	// Set by compute.
+	sealedGK []byte
+	ys       [][]byte // rewrap's new wrapped keys, in order
+}
+
+// change is one logged index edit of a plan: a bind, an unbind, or (user
+// "") a partition opened.
+type change struct {
+	pid, user string
+	bound     bool
+}
+
+// revert is the one rollback: it undoes the plan's logged index changes,
+// newest first, and clears the buckets they dirtied. Every bucket they
+// touched is resident, so undoing cannot fail. A layout's fresh index is
+// simply never installed.
+func (p *plan) revert() {
+	for i := len(p.log) - 1; i >= 0; i-- {
+		c := p.log[i]
+		var err error
+		switch {
+		case c.user == "":
+			p.idx.DropPage(c.pid)
+		case c.bound:
+			_, err = p.idx.Unbind(c.user)
+		default:
+			err = p.idx.Bind(c.pid, c.user)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("core: reverting an operation on %s: %v", p.name, err))
+		}
+	}
+	p.idx.ClearDirty()
+}
+
+// sweep plans a fresh group key for every partition. lost names the users
+// each partition loses. A partition emptied is dropped. With rewrap set (a
+// revocation), a partition that loses nobody keeps its broadcast key — the
+// revoked users never held it — and only takes a new yᵢ, written to the
+// header: its page is not touched. Every other partition is re-keyed.
+func (p *plan) sweep(lost map[string][]string, rewrap bool) {
+	p.newKey = true
+	for e := range p.idx.Entries() {
+		switch {
+		case e.Count == 0:
+			if lost[e.ID] != nil {
+				p.emptied = append(p.emptied, e.ID)
+			}
+		case rewrap && lost[e.ID] == nil:
+			p.rewrap = append(p.rewrap, e)
+		default:
+			p.tasks = append(p.tasks, task{id: e.ID, kind: rekey, users: lost[e.ID]})
+		}
+	}
+}
+
+// planLayout plans members' dense layout into the fresh index idx under a
+// fresh group key: capacity-sized partitions in the given order, each a
+// create task. It is Algorithm 1 and the re-partitioning alike. Nothing is
+// logged: on failure idx is discarded.
+func (m *Manager) planLayout(name string, g *groupState, idx *partition.Index, members []string) (*plan, error) {
+	p := &plan{name: name, g: g, idx: idx, newKey: true}
+	for _, chunk := range partition.Split(members, m.capacity) {
+		pid := idx.NewPage()
+		for _, u := range chunk {
+			if err := idx.Bind(pid, u); err != nil {
+				return nil, err
+			}
+		}
+		p.tasks = append(p.tasks, task{id: pid, kind: create, users: chunk})
+	}
+	return p, nil
+}
+
+// run takes a plan through compute and install. A plan that fails to compute
+// is reverted, and the group is as it was.
+func (m *Manager) run(p *plan, up *Update) error {
+	if err := m.compute(p); err != nil {
+		p.revert()
+		return err
+	}
+	p.g.install(p, up)
+	return nil
+}
+
+// compute runs a plan's ECALLs and installs nothing: a fresh group key when
+// the plan draws one, one EcallRewrapPartitions for the partitions that only
+// take it, then one ECALL per task. The tasks stream through fanOut in
+// chunks. While the group cannot evict, the chunk is every task, so creation
+// is a single fan-out. Otherwise a chunk is at most min(parallelism, bound)
+// tasks, whose pages are hydrated and pinned before its fan-out and unpinned
+// after it.
+//
+// Per task, compute derives the post-op roster and checks it against the
+// header's count (roster and count live in different objects, and an
+// operation must not build on a pair that disagrees), then makes the one
+// ECALL that yields the partition's new ciphertext and envelope. An enclave
+// with the master secret extends and re-keys from the exponents the
+// partition's handle seals. A threshold shard has no γ, so it cannot
+// multiply or divide (γ+H(id)) terms into a ciphertext: it re-keys a
+// partition that lost nobody from its ciphertext and rebuilds every other one
+// from its roster by classic encryption. Same records, different cost.
+func (m *Manager) compute(p *plan) (err error) {
+	pages := p.g.pages
+	defer pages.ReleasePins()
+	p.sealedGK = p.g.sealedGK
+	if p.newKey {
+		if p.sealedGK, err = m.encl.EcallNewGroupKey(p.name); err != nil {
+			return err
+		}
+	}
+	if len(p.rewrap) > 0 {
+		handles := make([][]byte, len(p.rewrap))
+		for i, e := range p.rewrap {
+			handles[i] = e.Handle
+		}
+		if p.ys, err = m.encl.EcallRewrapPartitions(p.name, p.sealedGK, handles); err != nil {
+			return err
+		}
+	}
+	hasMSK := m.encl.HasMasterSecret()
+	ecall := func(t *task, page *partition.Page) (err error) {
+		t.roster = t.users
+		if page != nil {
+			t.roster = t.rosterFrom(page.Members)
+			if n := p.idx.Count(t.id); len(t.roster) != n {
+				return fmt.Errorf("%w: %s has %d members, the group header counts %d", ErrBadRecord, t.id, len(t.roster), n)
+			}
+		}
+		wrapped, handle := p.idx.Envelope(t.id)
+		switch {
+		case t.kind == extend && hasMSK:
+			// bk, and with it yᵢ, is unchanged; the handle now seals the grown Π.
+			t.pc = &enclave.PartitionCrypto{WrappedGK: wrapped}
+			t.pc.CT, t.pc.WrapHandle, err = m.encl.EcallAddUsersWithHandle(p.name, pageCT(page), handle, t.users)
+		case t.kind == rekey && hasMSK:
+			t.pc, err = m.encl.EcallRekeyWithHandle(p.name, p.sealedGK, handle, t.users)
+		case t.kind == rekey && len(t.users) == 0:
+			t.pc, err = m.encl.EcallRekeyPartition(p.name, p.sealedGK, pageCT(page))
+		default:
+			t.pc, err = m.encl.EcallCreatePartition(p.name, p.sealedGK, t.roster)
+		}
+		return err
+	}
+	chunk := len(p.tasks)
+	if lim := pages.Limit(); pages.HasSource() && lim > 0 {
+		chunk = min(m.Parallelism(), lim)
+	}
+	for start := 0; start < len(p.tasks); start += chunk {
+		cur := p.tasks[start:min(start+chunk, len(p.tasks))]
+		hydrated := make([]*partition.Page, len(cur))
+		for i := range cur {
+			if cur[i].kind != create {
+				if hydrated[i], err = pages.Get(cur[i].id); err != nil {
+					return err
+				}
+			}
+		}
+		if err = m.fanOut(len(cur), func(i int) error { return ecall(&cur[i], hydrated[i]) }); err != nil {
+			return err
+		}
+		pages.ReleasePins()
 	}
 	return nil
+}
+
+// install makes a computed plan the group's state and writes it into up. It
+// cannot fail. New pages enter the cache unpinned (see the pin rule).
+func (g *groupState) install(p *plan, up *Update) {
+	if old := p.replaces; old != nil {
+		// A layout replaces every partition: the update's records of the old
+		// ones give way, and their objects and any surplus bucket go.
+		clear(up.Put)
+		for e := range old.Entries() {
+			g.pages.Drop(e.ID)
+			up.Delete = append(up.Delete, e.ID)
+		}
+		for i := p.idx.Fanout(); i < old.Fanout(); i++ {
+			up.Delete = append(up.Delete, partition.BucketObject(i))
+		}
+	}
+	g.idx = p.idx
+	for j, e := range p.rewrap {
+		g.idx.SetEnvelope(e.ID, p.ys[j], e.Handle)
+	}
+	for _, t := range p.tasks {
+		g.idx.SetEnvelope(t.id, t.pc.WrappedGK, t.pc.WrapHandle)
+		page := &partition.Page{ID: t.id, Members: t.roster, Payload: t.pc.CT}
+		g.pages.Put(page)
+		up.Put[t.id] = g.record(page)
+	}
+	for _, id := range p.emptied {
+		g.idx.DropPage(id)
+		g.pages.Drop(id)
+		up.Delete = append(up.Delete, id)
+	}
+	if p.grow {
+		g.idx.Grow()
+	}
+	if p.newKey {
+		g.sealedGK = p.sealedGK
+		up.SealedGK = append([]byte(nil), p.sealedGK...)
+	}
+}
+
+// mutate runs one operation on a group under its lock and closes its update.
+func (m *Manager) mutate(name string, op func(g *groupState, up *Update) error) (*Update, error) {
+	g, err := m.lockGroup(name)
+	if err != nil {
+		return nil, err
+	}
+	defer g.mu.Unlock()
+	up := newUpdate(name)
+	if err := op(g, up); err != nil {
+		return nil, err
+	}
+	return g.finish(up), nil
 }
 
 // CreateGroup implements Algorithm 1: split members into fixed-size
@@ -332,25 +594,11 @@ func (m *Manager) CreateGroup(name string, members []string) (*Update, error) {
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool, len(members))
-	for _, u := range members {
-		if seen[u] {
-			return nil, fmt.Errorf("%w: %s", partition.ErrMemberExists, u)
-		}
-		seen[u] = true
+	g := &groupState{idx: idx, pages: partition.NewPages(m.MaxResidentPages(), nil)}
+	p, err := m.planLayout(name, g, idx, members)
+	if err != nil {
+		return nil, err
 	}
-	pages := partition.NewPages(m.MaxResidentPages(), nil)
-	var created []*partition.Page
-	for _, chunk := range partition.Split(members, m.capacity) {
-		pid := idx.NewPage()
-		for _, u := range chunk {
-			if err := idx.Bind(pid, u); err != nil {
-				return nil, err
-			}
-		}
-		created = append(created, &partition.Page{ID: pid, Members: chunk})
-	}
-	g := &groupState{idx: idx, pages: pages}
 	// Publish the group (locked) before the slow enclave work, so concurrent
 	// creates of the same name fail fast and concurrent member operations
 	// queue on the group lock instead of racing the creation.
@@ -365,28 +613,15 @@ func (m *Manager) CreateGroup(name string, members []string) (*Update, error) {
 	m.mu.Unlock()
 	defer g.mu.Unlock()
 
-	outs := make([]*enclave.PartitionCrypto, len(created))
-	sealedGK, err := m.encl.EcallNewGroupKey(name)
-	if err == nil {
-		err = m.fanOut(len(created), func(i int) error {
-			pc, e := m.encl.EcallCreatePartition(name, sealedGK, created[i].Members)
-			outs[i] = pc
-			return e
-		})
-	}
-	if err != nil {
+	up := newUpdate(name)
+	if err := m.run(p, up); err != nil {
 		g.invalid = true
 		m.mu.Lock()
 		delete(m.groups, name)
 		m.mu.Unlock()
 		return nil, err
 	}
-	up := newUpdate(name)
-	for i, p := range created {
-		g.installFresh(p.ID, p.Members, outs[i], up)
-	}
-	g.sealedGK = sealedGK
-	return g.finish(up, true), nil
+	return g.finish(up), nil
 }
 
 // AddUser implements Algorithm 2: place the user in a random partition with
@@ -401,151 +636,67 @@ func (m *Manager) AddUser(name, user string) (*Update, error) {
 // touched partition — an existing partition absorbs all its joiners in a
 // single ciphertext extension, and each freshly opened partition is built
 // once with its full member list. The batch is atomic: on any failure the
-// index is rolled back and no crypto material changes. Only the touched
+// index is reverted and no crypto material changes. Only the touched
 // pages and directory buckets are hydrated and written, so a small batch on
 // a huge group stays O(touched), not O(group).
 func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
-	g, err := m.lockGroup(name)
-	if err != nil {
-		return nil, err
-	}
-	defer g.mu.Unlock()
-	// The previous operation's update was applied before this one was
-	// admitted (the admin serialises op+apply per group), so its pinned
-	// pages are rehydratable now and may be released.
-	g.pages.ReleasePins()
+	return m.mutate(name, func(g *groupState, up *Update) error {
+		p, err := m.planAdd(name, g, users)
+		if err != nil {
+			return err
+		}
+		return m.run(p, up)
+	})
+}
 
+// planAdd places the joiners: random open partitions first, then fresh
+// ones. A partition opened by this batch keeps absorbing later users of the
+// batch, so n overflow joins open ⌈n/capacity⌉ partitions, not n. A
+// directory the adds outgrow is doubled at install; the part of that which
+// can fail — loading every bucket — happens here.
+func (m *Manager) planAdd(name string, g *groupState, users []string) (*plan, error) {
 	seen := make(map[string]bool, len(users))
 	for _, u := range users {
-		has, cerr := g.idx.Contains(u)
-		if cerr != nil {
-			return nil, cerr
+		has, err := g.idx.Contains(u)
+		if err != nil {
+			return nil, err
 		}
 		if seen[u] || has {
 			return nil, fmt.Errorf("%w: %s", partition.ErrMemberExists, u)
 		}
 		seen[u] = true
 	}
-
-	// Placement pass (pure index work): fill random open partitions first,
-	// spill into fresh ones. Partitions opened by this batch keep absorbing
-	// later users of the batch, so n overflow joins open ⌈n/capacity⌉
-	// partitions, not n.
-	var (
-		added      []string
-		joiners    = make(map[string][]string) // partition ID → joiners
-		freshParts = make(map[string]bool)     // opened by this batch
-	)
-	rollback := func() {
-		for i := len(added) - 1; i >= 0; i-- {
-			if _, err := g.idx.Unbind(added[i]); err != nil {
-				panic(fmt.Sprintf("core: add rollback: %v", err))
-			}
-		}
-		for pid := range freshParts {
-			g.idx.DropPage(pid)
-		}
-		g.idx.ClearDirty()
-		g.pages.ReleasePins()
-	}
+	p := &plan{name: name, g: g, idx: g.idx}
+	at := make(map[string]int) // partition ID → its task
 	for _, u := range users {
 		m.rngMu.Lock()
 		pid, ok := g.idx.PickOpen(m.rng)
 		m.rngMu.Unlock()
+		kind := extend
 		if !ok {
-			pid = g.idx.NewPage()
-			freshParts[pid] = true
+			pid, kind = g.idx.NewPage(), create
+			p.log = append(p.log, change{pid: pid, bound: true})
 		}
 		if err := g.idx.Bind(pid, u); err != nil {
-			rollback()
+			p.revert()
 			return nil, err
 		}
-		added = append(added, u)
-		joiners[pid] = append(joiners[pid], u)
+		p.log = append(p.log, change{pid, u, true})
+		i, ok := at[pid]
+		if !ok {
+			i, at[pid] = len(p.tasks), len(p.tasks)
+			p.tasks = append(p.tasks, task{id: pid, kind: kind})
+		}
+		p.tasks[i].users = append(p.tasks[i].users, u)
 	}
-	// A directory the adds outgrow is doubled once they have succeeded; the
-	// part of that which can fail — loading every bucket — happens up front.
-	grow := g.idx.NeedsGrow()
-	if grow {
+	slices.SortFunc(p.tasks, func(a, b task) int { return strings.Compare(a.id, b.id) })
+	if p.grow = g.idx.NeedsGrow(); p.grow {
 		if err := g.idx.LoadAll(); err != nil {
-			rollback()
+			p.revert()
 			return nil, err
 		}
 	}
-
-	// Hydrate only the touched partitions and build each one's post-add
-	// member list. Fresh partitions have no page yet; their joiners are
-	// their full member list.
-	type task struct {
-		id     string
-		fresh  bool
-		ct     *ibbe.Ciphertext // nil for fresh partitions
-		handle []byte           // the header's re-wrap handle; nil for fresh partitions
-		newMem []string
-	}
-	ids := make([]string, 0, len(joiners))
-	for id := range joiners {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	tasks := make([]task, 0, len(ids))
-	for _, id := range ids {
-		t := task{id: id, fresh: freshParts[id], newMem: joiners[id]}
-		if !t.fresh {
-			p, perr := g.pages.Get(id)
-			if perr == nil {
-				t.ct = pageCT(p)
-				_, t.handle = g.idx.Envelope(id)
-				t.newMem = append(append([]string(nil), p.Members...), joiners[id]...)
-				perr = g.rosterMatches(id, t.newMem)
-			}
-			if perr != nil {
-				rollback()
-				return nil, perr
-			}
-		}
-		tasks = append(tasks, t)
-	}
-
-	// Enclave pass: one ECALL per touched partition, fanned out. An existing
-	// partition is extended from the exponents its handle seals. A threshold
-	// shard has no γ, so the O(1) extension is unavailable; it rebuilds each
-	// touched partition from its full member list via classic encryption
-	// instead. Same records, different cost.
-	hasMSK := m.encl.HasMasterSecret()
-	outs := make([]*enclave.PartitionCrypto, len(tasks))
-	newCTs := make([]*ibbe.Ciphertext, len(tasks))
-	handles := make([][]byte, len(tasks))
-	err = m.fanOut(len(tasks), func(i int) (e error) {
-		t := tasks[i]
-		if t.fresh || !hasMSK {
-			outs[i], e = m.encl.EcallCreatePartition(name, g.sealedGK, t.newMem)
-			return e
-		}
-		newCTs[i], handles[i], e = m.encl.EcallAddUsersWithHandle(name, t.ct, t.handle, joiners[t.id])
-		return e
-	})
-	if err != nil {
-		rollback()
-		return nil, err
-	}
-
-	up := newUpdate(name)
-	for i, t := range tasks {
-		if outs[i] != nil {
-			g.installFresh(t.id, t.newMem, outs[i], up)
-			continue
-		}
-		// Extension: bk, and with it yᵢ, is unchanged; the handle now seals
-		// the grown Π.
-		wrapped, _ := g.idx.Envelope(t.id)
-		g.idx.SetEnvelope(t.id, wrapped, handles[i])
-		g.install(t.id, t.newMem, newCTs[i], up)
-	}
-	if grow {
-		g.idx.Grow()
-	}
-	return g.finish(up, false), nil
+	return p, nil
 }
 
 // RemoveUser implements Algorithm 3: drop the user from her partition,
@@ -553,7 +704,7 @@ func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
 // O(1), publish the new key to every other partition, and push all affected
 // objects. The paper re-keys the other partitions too; here they keep their
 // broadcast key — the revoked user never held it — and only their wrapped
-// group key yᵢ changes, in the group header (see rekeySweep; DisableRewrap
+// group key yᵢ changes, in the group header (see sweep; DisableRewrap
 // selects the paper's sweep). When the occupancy heuristic fires, the group
 // is re-partitioned (re-created per Algorithm 1).
 func (m *Manager) RemoveUser(name, user string) (*Update, error) {
@@ -566,329 +717,93 @@ func (m *Manager) RemoveUser(name, user string) (*Update, error) {
 // untouched partitions are re-wrapped together in one ECALL without their
 // pages being touched.
 func (m *Manager) RemoveUsers(name string, users []string) (*Update, error) {
-	g, err := m.lockGroup(name)
-	if err != nil {
-		return nil, err
-	}
-	defer g.mu.Unlock()
-	g.pages.ReleasePins()
-
-	seen := make(map[string]bool, len(users))
-	for _, u := range users {
-		if seen[u] {
-			return nil, fmt.Errorf("core: duplicate user in removal batch: %s", u)
-		}
-		seen[u] = true
-		has, cerr := g.idx.Contains(u)
-		if cerr != nil {
-			return nil, cerr
-		}
-		if !has {
-			return nil, fmt.Errorf("%w: %s", partition.ErrNoSuchMember, u)
-		}
-	}
-	if len(users) == 0 {
-		return g.finish(newUpdate(name), false), nil
-	}
-
-	// Index pass: unbind everyone, tracking which partition lost whom. A
-	// partition emptied here stays registered (count 0) until the sweep
-	// succeeds, so a failure below can rebind every user.
-	removedBy := make(map[string][]string)
-	unbound := make([]string, 0, len(users))
-	pidOf := make(map[string]string, len(users))
-	rollbackIdx := func() {
-		for i := len(unbound) - 1; i >= 0; i-- {
-			u := unbound[i]
-			if err := g.idx.Bind(pidOf[u], u); err != nil {
-				panic(fmt.Sprintf("core: remove rollback: %v", err))
+	return m.mutate(name, func(g *groupState, up *Update) error {
+		seen := make(map[string]bool, len(users))
+		for _, u := range users {
+			if seen[u] {
+				return fmt.Errorf("core: duplicate user in removal batch: %s", u)
 			}
-		}
-		g.idx.ClearDirty()
-	}
-	for _, u := range users {
-		pid, uerr := g.idx.Unbind(u)
-		if uerr != nil {
-			rollbackIdx()
-			return nil, uerr
-		}
-		unbound = append(unbound, u)
-		pidOf[u] = pid
-		removedBy[pid] = append(removedBy[pid], u)
-	}
-
-	// Enclave pass: one sealed fresh group key, then the sweep — removal and
-	// re-key for partitions that lost members, re-wrap for the rest.
-	sealedGK, err := m.encl.EcallNewGroupKey(name)
-	if err != nil {
-		rollbackIdx()
-		return nil, err
-	}
-	up := newUpdate(name)
-	if err := m.rekeySweep(name, g, sealedGK, removedBy, !m.DisableRewrap, up); err != nil {
-		rollbackIdx()
-		return nil, err
-	}
-	g.sealedGK = sealedGK
-	for pid := range removedBy {
-		if g.idx.Has(pid) && g.idx.Count(pid) == 0 { // partition emptied: drop it
-			g.idx.DropPage(pid)
-			g.pages.Drop(pid)
-			up.Delete = append(up.Delete, pid)
-		}
-	}
-	sort.Strings(up.Delete)
-
-	if !m.DisableRepartition && g.idx.NeedsRepartition() && g.idx.Len() > 0 {
-		// The removal stands on its own: a re-partition that fails leaves
-		// the old layout in place, counted, and the heuristic fires again on
-		// the next removal.
-		if err := m.repartitionLocked(name, g, up); err != nil {
-			m.repartitionFailures.Add(1)
-		}
-	}
-	return g.finish(up, true), nil
-}
-
-// rekeySweep publishes sealedGK to every non-empty partition of the group.
-// removedBy names the users each partition loses.
-//
-// With rewrap set (a revocation), the partitions that lose nobody keep their
-// broadcast key — the revoked users never held it — and only get a new yᵢ:
-// one EcallRewrapPartitions over the handles the index holds, written back to
-// the index. No page is touched and no record is queued for them; the group
-// header carries the change.
-//
-// A partition that loses members is re-keyed with the removal, and without
-// rewrap (RekeyGroup, DisableRewrap) every partition takes the paper's
-// per-partition re-key. The sweep computes first and commits after: the
-// ECALLs stream in chunks of at most min(parallelism, page limit) pages,
-// releasing each chunk's pins before the next, and only once every ECALL has
-// succeeded are the new envelopes and pages installed — a step that cannot
-// fail, pinning at most one chunk at a time. An installed page is evictable
-// once its chunk is done: nothing revisits it within this operation, and the
-// next operation on the group only starts after this update is applied. A
-// failed sweep leaves envelopes and pages as they were; the caller restores
-// index bindings and discards sealedGK.
-func (m *Manager) rekeySweep(name string, g *groupState, sealedGK []byte, removedBy map[string][]string, rewrap bool, up *Update) error {
-	var rekey, wrapped []string
-	var wrapHandles, ys [][]byte
-	for e := range g.idx.Entries() {
-		if e.Count == 0 {
-			continue
-		}
-		if rewrap && len(removedBy[e.ID]) == 0 {
-			wrapped = append(wrapped, e.ID)
-			wrapHandles = append(wrapHandles, e.Handle)
-		} else {
-			rekey = append(rekey, e.ID)
-		}
-	}
-	if len(wrapped) > 0 {
-		var err error
-		if ys, err = m.encl.EcallRewrapPartitions(name, sealedGK, wrapHandles); err != nil {
-			return err
-		}
-	}
-
-	hasMSK := m.encl.HasMasterSecret()
-	chunk := m.sweepChunk(g)
-	outs := make([]*enclave.PartitionCrypto, len(rekey))
-	kept := make([][]string, len(rekey))
-	for start := 0; start < len(rekey); start += chunk {
-		end := min(start+chunk, len(rekey))
-		cur := make([]*partition.Page, end-start)
-		handles := make([][]byte, end-start)
-		for i := range cur {
-			pid := rekey[start+i]
-			p, err := g.pages.Get(pid)
+			seen[u] = true
+			has, err := g.idx.Contains(u)
 			if err != nil {
 				return err
 			}
-			cur[i], kept[start+i] = p, p.Members
-			_, handles[i] = g.idx.Envelope(pid)
-			if rem := removedBy[pid]; len(rem) > 0 {
-				gone := make(map[string]bool, len(rem))
-				for _, u := range rem {
-					gone[u] = true
-				}
-				kept[start+i] = make([]string, 0, len(p.Members))
-				for _, u := range p.Members {
-					if !gone[u] {
-						kept[start+i] = append(kept[start+i], u)
-					}
-				}
+			if !has {
+				return fmt.Errorf("%w: %s", partition.ErrNoSuchMember, u)
 			}
-			if err := g.rosterMatches(pid, kept[start+i]); err != nil {
+		}
+		if len(users) == 0 {
+			return nil
+		}
+		// A partition emptied here stays registered (count 0) until install,
+		// so a revert can rebind every user.
+		p := &plan{name: name, g: g, idx: g.idx}
+		lost := make(map[string][]string)
+		for _, u := range users {
+			pid, err := g.idx.Unbind(u)
+			if err != nil {
+				p.revert()
 				return err
 			}
+			p.log = append(p.log, change{pid, u, false})
+			lost[pid] = append(lost[pid], u)
 		}
-		err := m.fanOut(len(cur), func(i int) (e error) {
-			rem := removedBy[rekey[start+i]]
-			switch {
-			case hasMSK:
-				// Removal and re-key alike derive the new header from the
-				// exponents the partition's handle seals.
-				outs[start+i], e = m.encl.EcallRekeyWithHandle(name, sealedGK, handles[i], rem)
-			case len(rem) == 0:
-				outs[start+i], e = m.encl.EcallRekeyPartition(name, sealedGK, pageCT(cur[i]))
-			default:
-				// Threshold shards cannot divide (γ+H(id)) terms out of a
-				// ciphertext; partitions that lost members are rebuilt
-				// classically from the post-removal member list instead.
-				outs[start+i], e = m.encl.EcallCreatePartition(name, sealedGK, kept[start+i])
-			}
-			return e
-		})
-		if err != nil {
+		p.sweep(lost, !m.DisableRewrap)
+		if err := m.run(p, up); err != nil {
 			return err
 		}
-		g.pages.ReleasePins()
-	}
-
-	for j, pid := range wrapped {
-		g.idx.SetEnvelope(pid, ys[j], wrapHandles[j])
-	}
-	for i, pid := range rekey {
-		g.installFresh(pid, kept[i], outs[i], up)
-		if (i+1)%chunk == 0 {
-			g.pages.ReleasePins()
+		if !m.DisableRepartition && g.idx.NeedsRepartition() && g.idx.Len() > 0 {
+			// The removal stands on its own: a re-partition that fails leaves
+			// the old layout in place, counted, and the heuristic fires again on
+			// the next removal.
+			if err := m.repartition(name, g, up); err != nil {
+				m.repartitionFailures.Add(1)
+			}
 		}
-	}
-	g.pages.ReleasePins()
-	return nil
-}
-
-// sweepChunk is how many pages a streaming sweep holds at once: the width of
-// the worker pool, capped by the page limit once pages can evict.
-func (m *Manager) sweepChunk(g *groupState) int {
-	chunk := m.Parallelism()
-	if lim := g.pages.Limit(); g.pages.HasSource() && lim > 0 && chunk > lim {
-		chunk = lim
-	}
-	return chunk
+		return nil
+	})
 }
 
 // RekeyGroup rotates the group key without membership changes (§A-G): every
 // partition gets a fresh broadcast key, exactly as the paper's Algorithm 3
-// sweep does. The per-partition O(1) re-keys stream across the worker pool
-// in bounded chunks.
+// sweep does.
 func (m *Manager) RekeyGroup(name string) (*Update, error) {
-	g, err := m.lockGroup(name)
-	if err != nil {
-		return nil, err
-	}
-	defer g.mu.Unlock()
-	g.pages.ReleasePins()
-	sealedGK, err := m.encl.EcallNewGroupKey(name)
-	if err != nil {
-		return nil, err
-	}
-	up := newUpdate(name)
-	if err := m.rekeySweep(name, g, sealedGK, nil, false, up); err != nil {
-		return nil, err
-	}
-	g.sealedGK = sealedGK
-	return g.finish(up, true), nil
+	return m.mutate(name, func(g *groupState, up *Update) error {
+		p := &plan{name: name, g: g, idx: g.idx}
+		p.sweep(nil, false)
+		return m.run(p, up)
+	})
 }
 
 // Repartition forces a group re-creation per Algorithm 1 (normally driven
 // by the occupancy heuristic inside RemoveUser).
 func (m *Manager) Repartition(name string) (*Update, error) {
-	g, err := m.lockGroup(name)
-	if err != nil {
-		return nil, err
-	}
-	defer g.mu.Unlock()
-	g.pages.ReleasePins()
-	up := newUpdate(name)
-	if err := m.repartitionLocked(name, g, up); err != nil {
-		return nil, err
-	}
-	return g.finish(up, true), nil
+	return m.mutate(name, func(g *groupState, up *Update) error {
+		return m.repartition(name, g, up)
+	})
 }
 
-// repartitionLocked rebuilds the group into dense partitions under a fresh
-// group key and a fresh index — new partition IDs, a directory sized for the
-// current membership — and rewrites up to match: the new records replace
-// whatever was queued, and every old partition object and surplus directory
-// bucket is deleted. The caller holds g.mu. The rebuild streams member chunks
-// through the page cache, so even a full re-partition keeps only O(chunk)
-// pages resident (the update itself necessarily holds every new record). On
-// failure the old index is back in place and up is untouched, so the group
-// stays operable with its previous crypto material.
-func (m *Manager) repartitionLocked(name string, g *groupState, up *Update) error {
-	oldIdx := g.idx
-	members, err := oldIdx.Members() // sorted, the canonical re-pack order
+// repartition rebuilds the group as a dense layout of its sorted members
+// under a fresh group key and a fresh index: new partition IDs, continuing
+// the old numbering so that old and new objects never collide, and a
+// directory sized for the current membership. Install deletes every old
+// partition object and surplus directory bucket, and replaces whatever
+// records up held. On failure the group keeps its old layout and up is
+// untouched.
+func (m *Manager) repartition(name string, g *groupState, up *Update) error {
+	members, err := g.idx.Members()
 	if err != nil {
 		return err
 	}
-	sealedGK, err := m.encl.EcallNewGroupKey(name)
+	p, err := m.planLayout(name, g, g.idx.Repacked(len(members)), members)
 	if err != nil {
 		return err
 	}
-	// The new index continues the old ID numbering, so the new partitions
-	// are unknown to the page cache and to the store until this commits.
-	g.idx = oldIdx.Repacked(len(members))
-	var newPIDs []string
-	fresh := newUpdate(name)
-	undo := func() {
-		g.idx = oldIdx
-		for _, pid := range newPIDs {
-			g.pages.Drop(pid)
-		}
-		g.pages.ReleasePins()
-	}
-	chunks := partition.Split(members, m.capacity)
-	stride := m.sweepChunk(g)
-	for start := 0; start < len(chunks); start += stride {
-		end := start + stride
-		if end > len(chunks) {
-			end = len(chunks)
-		}
-		batch := chunks[start:end]
-		pids := make([]string, len(batch))
-		for i, cm := range batch {
-			pids[i] = g.idx.NewPage()
-			for _, u := range cm {
-				if berr := g.idx.Bind(pids[i], u); berr != nil {
-					undo()
-					return berr
-				}
-			}
-			newPIDs = append(newPIDs, pids[i])
-		}
-		outs := make([]*enclave.PartitionCrypto, len(batch))
-		ferr := m.fanOut(len(batch), func(i int) (e error) {
-			outs[i], e = m.encl.EcallCreatePartition(name, sealedGK, batch[i])
-			return e
-		})
-		if ferr != nil {
-			undo()
-			return ferr
-		}
-		for i, pid := range pids {
-			g.installFresh(pid, batch[i], outs[i], fresh)
-		}
-		g.pages.ReleasePins()
+	p.replaces = g.idx
+	if err := m.run(p, up); err != nil {
+		return err
 	}
 	m.repartitions.Add(1)
-	g.sealedGK = sealedGK
-	up.Put = fresh.Put
-	deleted := make(map[string]bool, len(up.Delete))
-	for _, id := range up.Delete {
-		deleted[id] = true
-	}
-	for e := range oldIdx.Entries() {
-		g.pages.Drop(e.ID)
-		if !deleted[e.ID] {
-			up.Delete = append(up.Delete, e.ID)
-		}
-	}
-	for i := g.idx.Fanout(); i < oldIdx.Fanout(); i++ {
-		up.Delete = append(up.Delete, partition.BucketObject(i))
-	}
-	sort.Strings(up.Delete)
 	return nil
 }
 
@@ -932,7 +847,6 @@ func (m *Manager) SetPageSource(name string, fetch RecordFetch) error {
 		return err
 	}
 	defer g.mu.Unlock()
-	g.pages.ReleasePins()
 	g.pages.SetSource(recordSource{fetch, m.capacity})
 	g.pages.ResetHighWater()
 	return nil
@@ -1043,9 +957,9 @@ func (m *Manager) MetadataSize(name string) (int, error) {
 }
 
 // Records returns the current partition records of a group (e.g. to seed a
-// storage backend or a late-joining mirror). This hydrates every page —
-// O(group) by definition — so it is a seeding/debugging API, not an
-// operational one.
+// storage backend or a late-joining mirror). It reads every page — O(group)
+// by definition — so it is a seeding/debugging API, not an operational one.
+// Like Record, it leaves the page cache as it was.
 func (m *Manager) Records(name string) (map[string]*PartitionRecord, error) {
 	g, err := m.lockGroup(name)
 	if err != nil {
@@ -1054,7 +968,7 @@ func (m *Manager) Records(name string) (map[string]*PartitionRecord, error) {
 	defer g.mu.Unlock()
 	out := make(map[string]*PartitionRecord, g.idx.PageCount())
 	for e := range g.idx.Entries() {
-		p, perr := g.pages.Get(e.ID)
+		p, perr := g.pages.Read(e.ID)
 		if perr != nil {
 			return nil, perr
 		}
@@ -1076,8 +990,9 @@ func (m *Manager) MarshalIndex(name string) ([]byte, error) {
 }
 
 // Record returns the partition record covering one member — the single-page
-// read behind decrypt sampling and client bootstraps. Exactly one page is
-// hydrated.
+// read behind decrypt sampling and client bootstraps. A resident page is
+// served from the cache; any other is read straight from the page source
+// without entering the cache, so a read never pins, inserts or evicts.
 func (m *Manager) Record(name, user string) (*PartitionRecord, error) {
 	g, err := m.lockGroup(name)
 	if err != nil {
@@ -1091,7 +1006,7 @@ func (m *Manager) Record(name, user string) (*PartitionRecord, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", partition.ErrNoSuchMember, user)
 	}
-	p, err := g.pages.Get(pid)
+	p, err := g.pages.Read(pid)
 	if err != nil {
 		return nil, err
 	}
@@ -1125,18 +1040,16 @@ func (m *Manager) GroupPageStats(name string) (PageStats, error) {
 	}, nil
 }
 
-// ResetGroupHighWater restarts the group's peak-residency measurement (the
-// million-user benchmark resets it before asserting on a sweep). It marks an
-// operation boundary: pins held by completed reads are released (the next
-// mutating op would release them anyway) and the cache trims to its limit,
-// so the new measurement starts from bounded residency.
+// ResetGroupHighWater restarts the group's peak-residency measurement at the
+// current residency (the million-user benchmark resets it before asserting
+// on a sweep). Between operations nothing is pinned and the cache is within
+// its bound, so the new measurement starts from bounded residency.
 func (m *Manager) ResetGroupHighWater(name string) error {
 	g, err := m.lockGroup(name)
 	if err != nil {
 		return err
 	}
 	defer g.mu.Unlock()
-	g.pages.ReleasePins()
 	g.pages.ResetHighWater()
 	return nil
 }

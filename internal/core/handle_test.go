@@ -137,7 +137,7 @@ func TestMembershipOpsTakeOnlyConstantTimeFixedBase(t *testing.T) {
 
 // The handle sits in the group header and the roster in the partition
 // record. A pair torn between two operations — header after an add, record
-// before it — must be refused by rosterMatches before the partition's ECALL
+// before it — must be refused by the roster check before the partition's ECALL
 // could derive a header from a Π the roster does not match.
 func TestTornHeaderRecordPairRefusedBeforeECALL(t *testing.T) {
 	e := newEnv(t, 4)

@@ -23,13 +23,13 @@ type PageSource interface {
 	LoadPage(id string) (*Page, error)
 }
 
-// Pages is an LRU cache of resident partition pages with pin semantics. An
-// operation pins every page it touches (Get and Put pin implicitly) and
-// releases all pins when it commits or rolls back, so eviction can never
-// drop a page mid-operation. With internal/core serialising operations per
-// group, a page written by operation N is only evictable from operation N+1
-// on — by which time the admin has persisted N's records, so the source can
-// always rebuild it.
+// Pages is an LRU cache of resident partition pages with pin semantics.
+// Get hydrates a page and pins it while the work that needs it runs;
+// ReleasePins ends that work, so eviction never drops a page from under it.
+// Put installs a computed page unpinned, and Read serves a page without
+// changing the cache at all. internal/core keeps the one pin rule: a page is
+// pinned only while the compute chunk that hydrated it runs, and a chunk is
+// never larger than the limit, so the cache never grows past it.
 //
 // Not safe for concurrent use; the owning group's lock serialises access.
 type Pages struct {
@@ -66,6 +66,25 @@ func (c *Pages) Get(id string) (*Page, error) {
 		c.pinned[id] = true
 		return e.Value.(*Page), nil
 	}
+	p, err := c.load(id)
+	if err != nil {
+		return nil, err
+	}
+	c.insert(p, true)
+	return p, nil
+}
+
+// Read returns the page without changing the cache: a resident page as it
+// is, any other straight from the source, not kept. Nothing is pinned,
+// inserted or evicted, so a read never displaces an operation's pages.
+func (c *Pages) Read(id string) (*Page, error) {
+	if p, ok := c.Peek(id); ok {
+		return p, nil
+	}
+	return c.load(id)
+}
+
+func (c *Pages) load(id string) (*Page, error) {
 	if c.src == nil {
 		return nil, fmt.Errorf("partition: page %s not resident and no page source", id)
 	}
@@ -73,7 +92,6 @@ func (c *Pages) Get(id string) (*Page, error) {
 	if err != nil {
 		return nil, fmt.Errorf("partition: load page %s: %w", id, err)
 	}
-	c.insert(p)
 	return p, nil
 }
 
@@ -86,20 +104,22 @@ func (c *Pages) Peek(id string) (*Page, bool) {
 	return e.Value.(*Page), true
 }
 
-// Put inserts or replaces the page and pins it until ReleasePins.
+// Put inserts or replaces the page, unpinned: it is a page an operation
+// computed and does not read again.
 func (c *Pages) Put(p *Page) {
 	if e, ok := c.ent[p.ID]; ok {
 		e.Value = p
 		c.ll.MoveToFront(e)
-		c.pinned[p.ID] = true
 		return
 	}
-	c.insert(p)
+	c.insert(p, false)
 }
 
-func (c *Pages) insert(p *Page) {
+func (c *Pages) insert(p *Page, pin bool) {
 	c.ent[p.ID] = c.ll.PushFront(p)
-	c.pinned[p.ID] = true
+	if pin {
+		c.pinned[p.ID] = true
+	}
 	// Evict before accounting the high-water mark: a full cache momentarily
 	// holds limit+1 entries between the insert and the displacement, which
 	// is not real residency.
@@ -110,7 +130,7 @@ func (c *Pages) insert(p *Page) {
 	}
 }
 
-// ReleasePins unpins every page; the operation that touched them is over.
+// ReleasePins unpins every page; the work that needed them is over.
 // Trims back to the limit in case pins forced the cache over it.
 func (c *Pages) ReleasePins() {
 	c.pinned = make(map[string]bool)

@@ -154,3 +154,37 @@ func TestPagesSourceErrorPropagates(t *testing.T) {
 		t.Fatalf("recovery after source error: %v", err)
 	}
 }
+
+func TestPagesReadLeavesCacheAlone(t *testing.T) {
+	src := newMapSource(4)
+	c := NewPages(2, src)
+	for i := 1; i <= 2; i++ {
+		if _, err := c.Get(fmt.Sprintf("p%06d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.ReleasePins()
+	if _, err := c.Get("p000002"); err != nil { // one pin held across the reads
+		t.Fatal(err)
+	}
+	// A resident page is served from the cache, any other from the source.
+	for _, id := range []string{"p000001", "p000003", "p000004"} {
+		loads := src.loads
+		p, err := c.Read(id)
+		if err != nil || p.ID != id {
+			t.Fatalf("Read(%s) = %v, %v", id, p, err)
+		}
+		if _, resident := c.Peek(id); resident == (src.loads != loads) {
+			t.Fatalf("Read(%s): resident %v but %d source loads", id, resident, src.loads-loads)
+		}
+	}
+	if c.Resident() != 2 || c.Evictions() != 0 || c.HighWater() != 2 {
+		t.Fatalf("reads changed the cache: resident %d, evictions %d, high water %d", c.Resident(), c.Evictions(), c.HighWater())
+	}
+	if len(c.pinned) != 1 || !c.pinned["p000002"] {
+		t.Fatalf("reads changed the pin set: %v", c.pinned)
+	}
+	if _, ok := c.Peek("p000003"); ok {
+		t.Fatal("a page read past the cache was kept")
+	}
+}
