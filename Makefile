@@ -2,13 +2,19 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt test short test-386 race bench bench-smoke fuzz benchdiff loc ci
+.PHONY: all build build-arm64 vet fmt test short test-386 race bench bench-smoke fuzz benchdiff loc ci
 
 all: build
 
 ## build: compile every package and command
 build:
 	$(GO) build ./...
+
+## build-arm64: cross-compile for arm64, so the file set without assembly (Go field kernels only) keeps
+# building and vetting; go vet on the host covers the amd64 assembly (asmdecl, framepointer)
+build-arm64:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/ff/...
 
 ## vet: static analysis
 vet:
@@ -94,4 +100,4 @@ loc:
 		END { for (d in n) printf "%7d  %s\n", n[d], d | "LC_ALL=C sort -k2"; close("LC_ALL=C sort -k2"); printf "%7d  total\n", total }'
 
 ## ci: everything the workflow gates on
-ci: build vet fmt test race
+ci: build build-arm64 vet fmt test race

@@ -24,6 +24,12 @@ func FuzzMontFieldVsBigInt(f *testing.F) {
 			f.Add(a.Bytes(), b.Bytes())
 		}
 	}
+	seed512 := q512FuzzSeeds()
+	for _, a := range seed512 {
+		for _, b := range seed512 {
+			f.Add(a.Bytes(), b.Bytes())
+		}
+	}
 
 	fields := montTestFields(f)
 	f.Fuzz(func(t *testing.T, aRaw, bRaw []byte) {
@@ -80,4 +86,41 @@ func FuzzMontFieldVsBigInt(f *testing.F) {
 			}
 		}
 	})
+}
+
+// q512FuzzSeeds returns the paper-width seed operands of
+// FuzzMontFieldVsBigInt: q − 1, q (non-canonical), R mod q, 2⁵¹² − 1, 1, and
+// (2⁵¹¹ − 1)·R⁻¹ mod q, whose Montgomery form 2⁵¹¹ − 1 times that of 1
+// (R mod q) drives a CIOS row to the ninth accumulator word.
+func q512FuzzSeeds() []*big.Int {
+	q, _ := new(big.Int).SetString(montTestModuli["q512"], 10)
+	r := new(big.Int).Lsh(big.NewInt(1), 64*MaxLimbs)
+	half := new(big.Int).Rsh(r, 1)
+	rInv := new(big.Int).ModInverse(r, q)
+	return []*big.Int{
+		new(big.Int).Sub(q, big.NewInt(1)),
+		new(big.Int).Set(q),
+		new(big.Int).Mod(r, q),
+		new(big.Int).Sub(r, big.NewInt(1)),
+		big.NewInt(1),
+		new(big.Int).Mod(new(big.Int).Mul(half.Sub(half, big.NewInt(1)), rInv), q),
+	}
+}
+
+// TestFuzzSeedsReachTopCarry checks that some pair of q512FuzzSeeds, in the
+// Montgomery form FuzzMontFieldVsBigInt multiplies, sets the CIOS word above
+// the 8-limb accumulator, so the plain corpus run covers that carry.
+func TestFuzzSeedsReachTopCarry(t *testing.T) {
+	m := montTestFields(t)["q512"].Mont()
+	for _, a := range q512FuzzSeeds() {
+		for _, b := range q512FuzzSeeds() {
+			var am, bm Fel
+			m.FromBig(&am, a)
+			m.FromBig(&bm, b)
+			if ciosTopWordSet(m, limbsToBig(&am, m.k), limbsToBig(&bm, m.k)) {
+				return
+			}
+		}
+	}
+	t.Fatal("no q512 seed pair reaches the CIOS top word")
 }

@@ -108,13 +108,18 @@ func limbsToBig(a *Fel, k int) *big.Int {
 // Mul sets dst = a·b·R⁻¹ mod q (Montgomery product) using CIOS: the
 // multiplication and the reduction interleave limb by limb, so the widest
 // intermediate is k+2 words and there is no division. dst may alias a or b.
-// The 512-bit paper width runs the unrolled kernel in mont8.go and the
-// 3-limb width (Z_r at type-a-512, q at type-a-160) the one in mont3.go;
+// The 512-bit paper width runs mul8ADX (mont8_amd64.s) on amd64 CPUs with
+// BMI2 and ADX and the unrolled Go mul8 (mont8.go) everywhere else; the
+// 3-limb width (Z_r at type-a-512, q at type-a-160) runs mul3 (mont3.go);
 // every other width runs the generic k-limb loop mulK.
 func (m *Mont) Mul(dst, a, b *Fel) {
 	switch m.k {
 	case MaxLimbs:
-		m.mul8(dst, a, b)
+		if hasADX {
+			mul8ADX(dst, a, b, &m.n, m.n0)
+		} else {
+			m.mul8(dst, a, b)
+		}
 	case 3:
 		m.mul3(dst, a, b)
 	default:
@@ -178,13 +183,18 @@ func (m *Mont) mulK(dst, a, b *Fel) {
 }
 
 // Sqr sets dst = a²·R⁻¹ mod q. At 8 and 3 limbs a dedicated squaring forms
-// each cross product aᵢ·aⱼ once (sqr8: 36 word products and the reduction's
-// 64, against CIOS's 128; sqr3: 6 and 9 against 18); other widths reuse the
-// CIOS multiply.
+// each cross product aᵢ·aⱼ once (36 word products and the reduction's 64,
+// against CIOS's 128; sqr3: 6 and 9 against 18): at 8 limbs sqr8ADX
+// (mont8_amd64.s) on amd64 CPUs with BMI2 and ADX, sqr8 (mont8.go)
+// everywhere else. Other widths reuse the CIOS multiply.
 func (m *Mont) Sqr(dst, a *Fel) {
 	switch m.k {
 	case MaxLimbs:
-		m.sqr8(dst, a)
+		if hasADX {
+			sqr8ADX(dst, a, &m.n, m.n0)
+		} else {
+			m.sqr8(dst, a)
+		}
 	case 3:
 		m.sqr3(dst, a)
 	default:

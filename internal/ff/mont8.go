@@ -2,14 +2,18 @@ package ff
 
 import "math/bits"
 
-// This file holds the paper-width kernels: Mul, Sqr, Add and Sub for
-// k == MaxLimbs, the 512-bit q of type-a-512 that every deployment runs on.
-// Each returns exactly the limbs the generic k-limb loop in mont.go returns,
-// with the same branchless masked final step and the same aliasing rules,
-// but every limb index is a compile-time constant: no loop counters, no
-// bounds checks, no accumulator array in memory. q512 has no spare top bit,
-// so unlike the "no-carry" CIOS variant the carry word above the k-limb
-// accumulator is kept.
+// This file holds the paper-width kernels in Go: Mul, Sqr, Add and Sub for
+// k == MaxLimbs, the 512-bit q of type-a-512 that bench/ and the paper's
+// figures run. Add and Sub run here everywhere. Mul and Sqr run here on 386,
+// arm64 and amd64 CPUs without BMI2 and ADX; on amd64 CPUs with them (every
+// SGX-capable one) mul8ADX and sqr8ADX in mont8_amd64.s run instead, and
+// mul8 and sqr8 are their limb-for-limb reference in the tests. Each returns
+// exactly the limbs the generic k-limb loop in mont.go returns, with the
+// same branchless masked final step and the same aliasing rules, but every
+// limb index is a compile-time constant: no loop counters, no bounds checks,
+// no accumulator array in memory. q512 has no spare top bit, so unlike the
+// "no-carry" CIOS variant the carry word above the k-limb accumulator is
+// kept.
 
 // mul8 is Mul for k == 8: CIOS with each row unrolled into locals. A row's
 // eight 128-bit products are added as two carry chains — the low halves at

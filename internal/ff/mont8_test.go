@@ -3,6 +3,9 @@ package ff
 import (
 	"math/big"
 	"math/rand/v2"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -64,29 +67,50 @@ type kernels struct {
 }
 
 // checkKernels compares a set of unrolled kernels with the generic loops on
-// (a, b), including the aliased forms dst == a and dst == b.
+// (a, b), including the aliased forms dst == a, dst == b and dst == a == b.
+// At 8 limbs the products must also match the Go mul8 and sqr8 limb for limb.
 func checkKernels(t *testing.T, m *Mont, k kernels, a, b *Fel) {
 	t.Helper()
-	var got, want Fel
+	var got, want, go8 Fel
 	k.mul(&got, a, b)
 	m.mulK(&want, a, b)
 	if got != want {
 		t.Fatalf("mul(%x, %x) = %x, generic %x", a, b, got, want)
+	}
+	if m.k == MaxLimbs {
+		if m.mul8(&go8, a, b); got != go8 {
+			t.Fatalf("mul(%x, %x) = %x, mul8 %x", a, b, got, go8)
+		}
 	}
 	got = *a
 	k.mul(&got, &got, b)
 	if got != want {
 		t.Fatalf("mul aliased dst == a = %x, generic %x", got, want)
 	}
+	got = *b
+	k.mul(&got, a, &got)
+	if got != want {
+		t.Fatalf("mul aliased dst == b = %x, generic %x", got, want)
+	}
 	k.sqr(&got, a)
 	m.mulK(&want, a, a)
 	if got != want {
 		t.Fatalf("sqr(%x) = %x, generic %x", a, got, want)
 	}
+	if m.k == MaxLimbs {
+		if m.sqr8(&go8, a); got != go8 {
+			t.Fatalf("sqr(%x) = %x, sqr8 %x", a, got, go8)
+		}
+	}
 	got = *a
 	k.sqr(&got, &got)
 	if got != want {
 		t.Fatalf("sqr aliased = %x, generic %x", got, want)
+	}
+	got = *a
+	k.mul(&got, &got, &got)
+	if got != want {
+		t.Fatalf("mul aliased dst == a == b = %x, generic %x", got, want)
 	}
 	k.add(&got, a, b)
 	m.addK(&want, a, b)
@@ -162,24 +186,121 @@ func checkRandom(t *testing.T, m *Mont, k kernels, rng *rand.Rand) {
 	}
 }
 
-// q512Kernels returns the q512 context and its 8-limb kernel set.
-func q512Kernels(t *testing.T) (*Mont, kernels) {
-	t.Helper()
-	m := montTestFields(t)["q512"].Mont()
-	if m.K() != MaxLimbs {
-		t.Fatalf("q512 has %d limbs, want %d", m.K(), MaxLimbs)
+// go8Kernels is the Go 8-limb kernel set of m.
+func go8Kernels(m *Mont) kernels {
+	return kernels{mul: m.mul8, sqr: m.sqr8, add: m.add8, sub: m.sub8}
+}
+
+// adxKernels is the 8-limb kernel set with Mul and Sqr on mul8ADX and
+// sqr8ADX, as Mont runs them on a CPU with BMI2 and ADX.
+func adxKernels(m *Mont) kernels {
+	return kernels{
+		mul: func(dst, a, b *Fel) { mul8ADX(dst, a, b, &m.n, m.n0) },
+		sqr: func(dst, a *Fel) { sqr8ADX(dst, a, &m.n, m.n0) },
+		add: m.add8,
+		sub: m.sub8,
 	}
-	return m, kernels{mul: m.mul8, sqr: m.sqr8, add: m.add8, sub: m.sub8}
+}
+
+// mont8Moduli are the 8-limb moduli the kernels are checked on: q512, the
+// one the system runs, and p512 = 2⁵¹² − 2⁶⁴ − 1, which fills the top limb.
+// q512 = 2⁵¹¹ + (a 460-bit tail) only ever carries into the ninth
+// accumulator word from a reduction's high-half chain; p512's edges also
+// carry into it from the low-half chain, spill a row's product into the
+// tenth word on both chains, and end a product at or above 2⁵¹², so every
+// carry the ADX kernels keep is exercised.
+func mont8Moduli(t *testing.T) map[string]*Mont {
+	t.Helper()
+	one := big.NewInt(1)
+	p512 := new(big.Int).Lsh(one, 512)
+	p512.Sub(p512, new(big.Int).Lsh(one, 64))
+	p512.Sub(p512, one)
+	out := map[string]*Mont{
+		"q512": montTestFields(t)["q512"].Mont(),
+		"p512": newMont(p512),
+	}
+	for name, m := range out {
+		if m.K() != MaxLimbs {
+			t.Fatalf("%s has %d limbs, want %d", name, m.K(), MaxLimbs)
+		}
+	}
+	return out
+}
+
+// eachMont8Kernels runs check as one subtest per 8-limb modulus and kernel
+// set: "go" (mul8, sqr8) and, where the CPU has BMI2 and ADX, "adx"
+// (mul8ADX, sqr8ADX).
+func eachMont8Kernels(t *testing.T, check func(t *testing.T, m *Mont, k kernels)) {
+	for name, m := range mont8Moduli(t) {
+		t.Run(name+"/go", func(t *testing.T) { check(t, m, go8Kernels(m)) })
+		t.Run(name+"/adx", func(t *testing.T) {
+			if !hasADX {
+				t.Skip("no BMI2/ADX on this CPU or architecture")
+			}
+			check(t, m, adxKernels(m))
+		})
+	}
 }
 
 func TestMont8MatchesGenericOnEdges(t *testing.T) {
-	m, k := q512Kernels(t)
-	checkEdges(t, m, k)
+	eachMont8Kernels(t, checkEdges)
 }
 
 func TestMont8MatchesGenericOnRandom(t *testing.T) {
-	m, k := q512Kernels(t)
-	checkRandom(t, m, k, rand.New(rand.NewPCG(7, 25)))
+	eachMont8Kernels(t, func(t *testing.T, m *Mont, k kernels) {
+		checkRandom(t, m, k, rand.New(rand.NewPCG(7, 25)))
+	})
+}
+
+// TestPaperWidthKernelIsStraightLine holds mont8_amd64.s to constant time by
+// construction: every instruction is from a short list of arithmetic and
+// moves (so no J*, CALL or SETcc), no memory operand is indexed by a
+// register (no address depends on data), and the only select is the final
+// CMOVQCS, one per limb.
+func TestPaperWidthKernelIsStraightLine(t *testing.T) {
+	src, err := os.ReadFile("mont8_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{
+		"MOVQ": true, "MOVL": true, "XORQ": true, "MULXQ": true, "ADCXQ": true, "ADOXQ": true,
+		"ADDQ": true, "ADCQ": true, "IMULQ": true, "SUBQ": true, "SBBQ": true, "CMOVQCS": true, "CPUID": true, "RET": true,
+	}
+	indexed := regexp.MustCompile(`\)\(`)
+	macros := map[string]bool{}
+	cmovs := 0
+	for n, line := range strings.Split(string(src), "\n") {
+		if c := strings.Index(line, "//"); c >= 0 {
+			line = line[:c]
+		}
+		line = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(line), "\\"))
+		if name, ok := strings.CutPrefix(line, "#define "); ok {
+			macros[strings.SplitN(name, "(", 2)[0]] = true
+			continue
+		}
+		if line == "" || strings.HasPrefix(line, "#include") || strings.HasPrefix(line, "TEXT ") {
+			continue
+		}
+		op := strings.Fields(line)[0]
+		if name, _, ok := strings.Cut(op, "("); ok {
+			if !macros[name] {
+				t.Errorf("line %d: %q is not a macro defined above it", n+1, name)
+			}
+			continue
+		}
+		if !allowed[op] {
+			t.Errorf("line %d: %s is not a straight-line instruction: %q", n+1, op, line)
+		}
+		if indexed.MatchString(line) {
+			t.Errorf("line %d: register-indexed memory operand: %q", n+1, line)
+		}
+		if op == "CMOVQCS" {
+			cmovs++
+		}
+	}
+	if cmovs != MaxLimbs {
+		t.Errorf("%d CMOVQCS selects, want one per limb (%d)", cmovs, MaxLimbs)
+	}
 }
 
 var benchFel Fel
@@ -193,7 +314,8 @@ func genericKernels(m *Mont) kernels {
 // BenchmarkMont times the four hot field kernels at each Type-A base-field
 // width and at r160, the 160-bit Z_r of type-a-512 (r512 in the test
 // moduli); the -generic rows run the k-limb loops at the same modulus, the
-// baseline the 8- and 3-limb kernels replace.
+// baseline the 8- and 3-limb kernels replace, and q512-go the Go 8-limb
+// kernels, which the q512 row runs too on a CPU without BMI2 and ADX.
 func BenchmarkMont(b *testing.B) {
 	fields := montTestFields(b)
 	m512, m160, r160 := fields["q512"].Mont(), fields["q160"].Mont(), fields["r512"].Mont()
@@ -208,6 +330,7 @@ func BenchmarkMont(b *testing.B) {
 		{"r160-generic", r160, genericKernels(r160)},
 		{"q256", fields["q256"].Mont(), kernels{}},
 		{"q512", m512, kernels{}},
+		{"q512-go", m512, go8Kernels(m512)},
 		{"q512-generic", m512, genericKernels(m512)},
 	}
 	for _, row := range rows {
