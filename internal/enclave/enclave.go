@@ -166,10 +166,6 @@ func (e *Enclave) Unseal(blob, label []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return unseal(s, blob, label)
-}
-
-func unseal(s *kdf.Sealer, blob, label []byte) ([]byte, error) {
 	out, err := s.Open(blob, label)
 	if err != nil {
 		return nil, ErrSealedDataCorrupt

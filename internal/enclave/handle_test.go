@@ -3,6 +3,7 @@ package enclave
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -197,13 +198,118 @@ func TestThresholdHandlesCarryNoExponents(t *testing.T) {
 	if want := sealOverhead(t, ie) + kdf.KeySize; len(pc.WrapHandle) != want {
 		t.Fatalf("threshold handle is %d bytes, want the sealed wrap key alone = %d", len(pc.WrapHandle), want)
 	}
-	if _, err := ie.EcallRewrapPartitions("g", sealedGK, [][]byte{pc.WrapHandle}); err != nil {
-		t.Fatalf("re-wrap over a threshold handle: %v", err)
+	wk, err := handleWK(ie, "g", pc.WrapHandle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gk := plainGK(t, ie, "g", sealedGK)
+	for _, path := range []string{"miss", "hit"} {
+		ys, err := ie.EcallRewrapPartitions("g", sealedGK, [][]byte{pc.WrapHandle})
+		if err != nil {
+			t.Fatalf("re-wrap over a threshold handle (%s): %v", path, err)
+		}
+		if got, err := UnwrapGKWithKey(wk, ys[0], "g"); err != nil || got != gk {
+			t.Fatalf("threshold yᵢ (%s) does not open under its wrap key: %v", path, err)
+		}
 	}
 	if _, _, err := ie.EcallAddUsersWithHandle("g", pc.CT, pc.WrapHandle, []string{"j@example.com"}); !errors.Is(err, ErrThresholdMode) {
 		t.Fatalf("threshold add from a handle: %v", err)
 	}
 	if _, err := ie.EcallRekeyWithHandle("g", sealedGK, pc.WrapHandle, nil); !errors.Is(err, ErrThresholdMode) {
 		t.Fatalf("threshold re-key from a handle: %v", err)
+	}
+}
+
+// With the re-wrap table warm, the sweep fails closed exactly as it does
+// cold: a handle cached for one group is refused for another, and bit-flipped
+// or truncated copies of a cached handle are refused, all with ErrBadHandle.
+// On a miss and on a hit, for a handle with exponents and a wrap-key-only
+// one, every yᵢ opens under its own partition's wrap key and under no other
+// partition's, the yᵢ of one call carry distinct nonces, and each yᵢ is
+// clipped to its own bytes.
+func TestRewrapWarmTableFailsClosed(t *testing.T) {
+	ie, _, _ := newIBBE(t, 8)
+	sealedGK, err := ie.EcallNewGroupKey("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gk := plainGK(t, ie, "A", sealedGK)
+	pc, err := ie.EcallCreatePartition("A", sealedGK, members(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateless, err := ie.EcallRekeyPartition("A", sealedGK, pc.CT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forms := [][]byte{pc.WrapHandle, stateless.WrapHandle}
+	var wks [2][kdf.KeySize]byte
+	for i, h := range forms {
+		if wks[i], err = handleWK(ie, "A", h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each handle twice: the first call misses on the first copy and hits on
+	// the second; the second call hits on both.
+	handles := [][]byte{forms[0], forms[1], forms[0], forms[1]}
+	for _, warm := range []bool{false, true} {
+		for i, h := range forms {
+			if ie.wraps.cached("A", h) != warm {
+				t.Fatalf("handle form %d cached = %v before the call, want %v", i, !warm, warm)
+			}
+		}
+		ys, err := ie.EcallRewrapPartitions("A", sealedGK, handles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nonces := map[string]bool{}
+		for i, y := range ys {
+			own := i % 2
+			if got, err := UnwrapGKWithKey(wks[own], y, "A"); err != nil || got != gk {
+				t.Fatalf("warm=%v: y%d does not open under its own wrap key: %v", warm, i, err)
+			}
+			if _, err := UnwrapGKWithKey(wks[1-own], y, "A"); err == nil {
+				t.Fatalf("warm=%v: y%d opens under another partition's wrap key", warm, i)
+			}
+			nonces[string(y[:kdf.NonceSize])] = true
+		}
+		if len(nonces) != len(ys) {
+			t.Fatalf("warm=%v: %d yᵢ carry %d distinct nonces", warm, len(ys), len(nonces))
+		}
+		y1 := bytes.Clone(ys[1])
+		_ = append(ys[0], bytes.Repeat([]byte{0xff}, len(y1))...)
+		if !bytes.Equal(ys[1], y1) {
+			t.Fatalf("warm=%v: appending to y0 overwrote y1", warm)
+		}
+	}
+
+	sealedB, err := ie.EcallNewGroupKey("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ys, err := ie.EcallRewrapPartitions("B", sealedB, [][]byte{pc.WrapHandle}); !errors.Is(err, ErrBadHandle) || ys != nil {
+		t.Fatalf("a handle cached for group A re-wrapped for group B: %v", err)
+	}
+	h := pc.WrapHandle
+	tampered := map[string][]byte{
+		"truncated by one byte":  h[:len(h)-1],
+		"truncated to the nonce": h[:kdf.NonceSize],
+		"extended by one byte":   append(bytes.Clone(h), 0),
+	}
+	for _, pos := range []int{0, kdf.NonceSize, len(h) / 2, len(h) - 1} {
+		c := bytes.Clone(h)
+		c[pos] ^= 0x01
+		tampered[fmt.Sprintf("bit flipped at byte %d", pos)] = c
+	}
+	for name, c := range tampered {
+		if ys, err := ie.EcallRewrapPartitions("A", sealedGK, [][]byte{c}); !errors.Is(err, ErrBadHandle) || ys != nil {
+			t.Errorf("re-wrap over the cached handle %s: %v, want ErrBadHandle and no output", name, err)
+		}
+		if ie.wraps.cached("A", c) {
+			t.Errorf("the cached handle %s got an entry", name)
+		}
+	}
+	if !ie.wraps.cached("A", h) {
+		t.Fatal("refusing tampered copies evicted the genuine handle")
 	}
 }

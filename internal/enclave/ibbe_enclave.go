@@ -8,6 +8,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -81,6 +82,10 @@ type IBBEEnclave struct {
 	msk *ibbe.MasterSecretKey
 	pk  *ibbe.PublicKey
 
+	// wraps holds the wrap ciphers of re-wrap handles this enclave has
+	// opened, for EcallRewrapPartitions; each set has its own lock.
+	wraps *wrapTable
+
 	// thr is the enclave's threshold share of γ when the cluster runs in
 	// DKG mode (msk is then nil: the full secret never rests here).
 	// pendingThr stages an adopted-but-uncommitted reshare so a publish
@@ -110,6 +115,7 @@ func NewIBBEEnclave(p *Platform, params *pairing.Params) (*IBBEEnclave, error) {
 	return &IBBEEnclave{
 		enc:    p.Launch(IBBEMeasurement()),
 		scheme: ibbe.NewScheme(params),
+		wraps:  newWrapTable(),
 		idKey:  idKey,
 	}, nil
 }
@@ -446,6 +452,11 @@ func (ie *IBBEEnclave) EcallRemoveUsersFromPartition(groupLabel string, sealedGK
 // revocation over the partitions that lost nobody — the revoked user never
 // held their bkᵢ — and it takes no ciphertext, no member list and does no
 // pairing-group work. Outputs are in handle order.
+//
+// A handle this enclave has opened before takes its wrap cipher from the
+// table (see wrapTable); only the others are unsealed and built. All the
+// nonces come from one read, and every yᵢ is sealed into one slab, each
+// output clipped to its own bytes.
 func (ie *IBBEEnclave) EcallRewrapPartitions(groupLabel string, sealedGK []byte, handles [][]byte) ([][]byte, error) {
 	defer ie.timeEcall("rewrap")()
 	ie.mu.RLock()
@@ -457,26 +468,21 @@ func (ie *IBBEEnclave) EcallRewrapPartitions(groupLabel string, sealedGK []byte,
 	if err != nil {
 		return nil, err
 	}
-	// All |P| handles of a group arrive in one call: fetch the sealing AEAD
-	// once, not once per handle.
-	sealer, err := ie.enc.sealer()
-	if err != nil {
-		return nil, err
+	const ySize = kdf.KeySize + kdf.Overhead
+	nonces := make([]byte, len(handles)*kdf.NonceSize)
+	if _, err := io.ReadFull(rand.Reader, nonces); err != nil {
+		return nil, fmt.Errorf("enclave: drawing nonces: %w", err)
 	}
-	label := wrapHandleLabel(groupLabel)
+	label, aad := wrapHandleLabel(groupLabel), wrapAAD(groupLabel)
+	slab := make([]byte, len(handles)*ySize)
 	out := make([][]byte, len(handles))
 	for i, h := range handles {
-		raw, err := unseal(sealer, h, label)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadHandle, err)
-		}
-		wk, _, err := ie.splitHandle(raw)
+		aead, err := ie.wrapCipherLocked(label, h)
 		if err != nil {
 			return nil, err
 		}
-		if out[i], err = wrapGK(wk, gk, groupLabel); err != nil {
-			return nil, err
-		}
+		nonce := nonces[i*kdf.NonceSize : (i+1)*kdf.NonceSize]
+		out[i] = aead.SealNonce(slab[i*ySize:i*ySize:(i+1)*ySize], nonce, gk[:], aad)
 	}
 	return out, nil
 }
@@ -600,8 +606,11 @@ func (ie *IBBEEnclave) unsealGKLocked(groupLabel string, sealed []byte) ([kdf.Ke
 // wrapGK computes yᵢ = AES-GCM(wk, gk) under a fresh nonce, for the wrap key
 // wk = SHA-256(bkᵢ). UnwrapGK and UnwrapGKWithKey are its user-side inverses.
 func wrapGK(wk, gk [kdf.KeySize]byte, groupLabel string) ([]byte, error) {
-	return kdf.Seal(wk, gk[:], []byte("gk|"+groupLabel), rand.Reader)
+	return kdf.Seal(wk, gk[:], wrapAAD(groupLabel), rand.Reader)
 }
+
+// wrapAAD is the associated data every yᵢ of a group binds.
+func wrapAAD(groupLabel string) []byte { return []byte("gk|" + groupLabel) }
 
 // UnwrapGK recovers the group key from yᵢ with a decrypted partition
 // broadcast key. It runs on the client, outside any enclave.
@@ -614,7 +623,7 @@ func UnwrapGK(p *pairing.Params, bk *ibbe.BroadcastKey, wrapped []byte, groupLab
 // key. It runs on the client, outside any enclave.
 func UnwrapGKWithKey(wk [kdf.KeySize]byte, wrapped []byte, groupLabel string) ([kdf.KeySize]byte, error) {
 	var gk [kdf.KeySize]byte
-	raw, err := kdf.Open(wk, wrapped, []byte("gk|"+groupLabel))
+	raw, err := kdf.Open(wk, wrapped, wrapAAD(groupLabel))
 	if err != nil {
 		return gk, fmt.Errorf("enclave: unwrapping group key: %w", err)
 	}

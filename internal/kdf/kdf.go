@@ -118,6 +118,14 @@ func (s *Sealer) Seal(plaintext, aad []byte, rng io.Reader) ([]byte, error) {
 	return s.aead.Seal(nonce, nonce, plaintext, aad), nil
 }
 
+// SealNonce appends Seal's output layout, nonce ∥ ciphertext, to dst under
+// a nonce the caller drew: for a caller that draws the nonces of many boxes
+// in one read. nonce must be NonceSize random bytes, never reused under the
+// key.
+func (s *Sealer) SealNonce(dst, nonce, plaintext, aad []byte) []byte {
+	return s.aead.Seal(append(dst, nonce...), nonce, plaintext, aad)
+}
+
 // Open reverses Seal, verifying the tag and associated data.
 func (s *Sealer) Open(box, aad []byte) ([]byte, error) {
 	if len(box) < Overhead {

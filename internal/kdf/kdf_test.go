@@ -152,3 +152,26 @@ func TestSealEmptyPlaintext(t *testing.T) {
 		t.Fatalf("empty plaintext round trip failed: %v", err)
 	}
 }
+
+// SealNonce writes Seal's layout under the caller's nonce, after whatever dst
+// already holds, and Open reads it back.
+func TestSealNonceAppendsSealLayout(t *testing.T) {
+	key, _ := RandomKey(nil)
+	s, err := NewSealer(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce := bytes.Repeat([]byte{7}, NonceSize)
+	prefix := []byte("prefix")
+	out := s.SealNonce(append([]byte(nil), prefix...), nonce, []byte("msg"), []byte("aad"))
+	if !bytes.HasPrefix(out, prefix) || len(out) != len(prefix)+len("msg")+Overhead {
+		t.Fatalf("SealNonce wrote %d bytes after the prefix, want %d", len(out)-len(prefix), len("msg")+Overhead)
+	}
+	box := out[len(prefix):]
+	if !bytes.Equal(box[:NonceSize], nonce) {
+		t.Fatal("box does not start with the caller's nonce")
+	}
+	if pt, err := s.Open(box, []byte("aad")); err != nil || string(pt) != "msg" {
+		t.Fatalf("Open(SealNonce box) = %q, %v", pt, err)
+	}
+}
