@@ -63,7 +63,8 @@ bench-smoke:
 # reducer vs the big.Int reference, the public-key multi-exp table and
 # limb w-NAF recoding vs the binary ladder and the big.Int recoding, the constant-time fixed-base walk vs
 # ScalarMultReduced, the /v1/commit request decoder, the durable store's log replay, the
-# three decoders of a group directory (partition record, group header, directory bucket), the group index
+# three decoders of a group directory (partition record, also against its map-per-name reference; group
+# header; directory bucket), the limb point decoder vs big.Int, the group index
 # under random operations vs the map-and-sort encoders it replaced, and the membership record
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMontFieldVsBigInt$$' -fuzztime=15s ./internal/ff
@@ -73,6 +74,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzCommitRequest$$' -fuzztime=15s ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenMemStoreLog$$' -fuzztime=15s ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalRecord$$' -fuzztime=15s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzPointUnmarshal$$' -fuzztime=15s ./internal/curve
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalIndex$$' -fuzztime=15s ./internal/partition
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalBucket$$' -fuzztime=15s ./internal/partition
 	$(GO) test -run='^$$' -fuzz='^FuzzIndexOps$$' -fuzztime=15s ./internal/partition

@@ -486,7 +486,9 @@ func mustGet(w *rewrapWorld, name string) []byte {
 // opens anything published later, and the store holds one consistent
 // directory after every step. The same schedule replayed with every page
 // resident, with two resident pages, and across hand-offs to a standby that
-// restores from header + sealed key leaves the same group in the store.
+// restores from header + sealed key leaves the same group in the store, up
+// to which open partition each add joined; replayed paged twice, it leaves
+// the same bytes.
 func TestRewrapKeepsAccessControlInvariant(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
@@ -509,21 +511,29 @@ func TestRewrapKeepsAccessControlInvariant(t *testing.T) {
 
 			resident := newRewrapWorld(t, seed, modeResident)
 			resident.run()
-			paged := newRewrapWorld(t, seed, modePaged)
-			paged.run()
-			if evictions := paged.r.mgr.PageEvictions(); evictions == 0 {
+			var paged [2]*rewrapWorld
+			for i := range paged {
+				paged[i] = newRewrapWorld(t, seed, modePaged)
+				paged[i].run()
+			}
+			if evictions := paged[0].r.mgr.PageEvictions(); evictions == 0 {
 				t.Fatal("the paged replay never evicted a page")
 			}
-			// One manager, one stream of placement draws: paging must not
-			// show in a single stored byte outside the crypto fields.
-			if a, b := resident.shape(true), paged.shape(true); a != b {
-				t.Fatalf("paged and resident replays diverge:\n resident\n%s paged\n%s", a, b)
+			// A paged manager places a joiner in a resident partition with
+			// room when it can, so its placements depend on what its cache
+			// holds; they are still seeded, so two paged replays leave the
+			// same bytes outside the crypto fields.
+			if a, b := paged[0].shape(true), paged[1].shape(true); a != b {
+				t.Fatalf("two paged replays diverge:\n first\n%s second\n%s", a, b)
 			}
-			// A standby draws its own placements (its own manager, its own
-			// randomness), so across hand-offs the group is the same up to
-			// which open partition each add landed in.
-			if a, b := resident.shape(false), w.shape(false); a != b {
-				t.Fatalf("hand-off and resident replays diverge:\n resident\n%s hand-off\n%s", a, b)
+			// A paged manager, or a standby drawing its own placements (its
+			// own manager, its own randomness) across hand-offs, leaves the
+			// same group as the resident replay up to which open partition
+			// each add landed in.
+			for name, other := range map[string]*rewrapWorld{"paged": paged[0], "hand-off": w} {
+				if a, b := resident.shape(false), other.shape(false); a != b {
+					t.Fatalf("%s and resident replays diverge:\n resident\n%s %s\n%s", name, a, name, b)
+				}
 			}
 		})
 	}

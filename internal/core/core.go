@@ -511,8 +511,8 @@ func (m *Manager) compute(p *plan) (err error) {
 		return err
 	}
 	chunk := len(p.tasks)
-	if lim := pages.Limit(); pages.HasSource() && lim > 0 {
-		chunk = min(m.Parallelism(), lim)
+	if pages.Bounded() {
+		chunk = min(m.Parallelism(), pages.Limit())
 	}
 	for start := 0; start < len(p.tasks); start += chunk {
 		cur := p.tasks[start:min(start+chunk, len(p.tasks))]
@@ -649,9 +649,9 @@ func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
 	})
 }
 
-// planAdd places the joiners: random open partitions first, then fresh
-// ones. A partition opened by this batch keeps absorbing later users of the
-// batch, so n overflow joins open ⌈n/capacity⌉ partitions, not n. A
+// planAdd places the joiners: random open partitions first (see pick), then
+// fresh ones. A partition opened by this batch keeps absorbing later users of
+// the batch, so n overflow joins open ⌈n/capacity⌉ partitions, not n. A
 // directory the adds outgrow is doubled at install; the part of that which
 // can fail — loading every bucket — happens here.
 func (m *Manager) planAdd(name string, g *groupState, users []string) (*plan, error) {
@@ -669,9 +669,7 @@ func (m *Manager) planAdd(name string, g *groupState, users []string) (*plan, er
 	p := &plan{name: name, g: g, idx: g.idx}
 	at := make(map[string]int) // partition ID → its task
 	for _, u := range users {
-		m.rngMu.Lock()
-		pid, ok := g.idx.PickOpen(m.rng)
-		m.rngMu.Unlock()
+		pid, ok := m.pick(p)
 		kind := extend
 		if !ok {
 			pid, kind = g.idx.NewPage(), create
@@ -697,6 +695,35 @@ func (m *Manager) planAdd(name string, g *groupState, users []string) (*plan, er
 		}
 	}
 	return p, nil
+}
+
+// pick draws the open partition the plan's next joiner goes to, with the
+// manager's seeded rng (Algorithm 2's RandomItem). Algorithm 2 needs only a
+// partition with room, so on a group whose page cache evicts the draw is
+// among those that cost no load: the resident pages with room, and the
+// plan's own partitions, which compute hydrates anyway. It draws from every
+// open partition (Index.PickOpen) only when none of those has room, and
+// always on an unbounded cache, where every page is resident.
+func (m *Manager) pick(p *plan) (string, bool) {
+	m.rngMu.Lock()
+	defer m.rngMu.Unlock()
+	if pages := p.g.pages; pages.Bounded() {
+		var near []string
+		for id := range pages.IDs() {
+			if p.idx.Open(id) {
+				near = append(near, id)
+			}
+		}
+		for _, t := range p.tasks {
+			if _, resident := pages.Peek(t.id); !resident && p.idx.Open(t.id) {
+				near = append(near, t.id)
+			}
+		}
+		if len(near) > 0 {
+			return near[m.rng.Intn(len(near))], true
+		}
+	}
+	return p.idx.PickOpen(m.rng)
 }
 
 // RemoveUser implements Algorithm 3: drop the user from her partition,

@@ -16,6 +16,7 @@ type memDir struct {
 	e       *env
 	objects map[string][]byte
 	failGet error // injected: every fetch fails with it
+	loads   int   // partition records fetched
 }
 
 func newMemDir(t *testing.T, e *env) *memDir {
@@ -55,6 +56,7 @@ func (d *memDir) get(name string) ([]byte, error) {
 }
 
 func (d *memDir) record(id string) (*PartitionRecord, error) {
+	d.loads++
 	blob, err := d.get(id)
 	if err != nil {
 		return nil, err

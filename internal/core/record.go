@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 
 	"github.com/ibbesgx/ibbesgx/internal/ibbe"
 	"github.com/ibbesgx/ibbesgx/internal/wire"
@@ -67,25 +68,21 @@ func (r *PartitionRecord) Marshal(s *ibbe.Scheme) ([]byte, error) {
 // names a member twice. The decoder does not know the group's capacity: its
 // callers hold the group header and check the roster's length against the
 // partition's count there.
+//
+// A page rehydrates through here on every cache miss, so the roster costs two
+// allocations whatever its length: the names are sliced out of one string
+// (wire.Reader.Strings), and repeats are found by a probe table over their
+// indices (firstRepeat), not a map of the names.
 func UnmarshalRecord(s *ibbe.Scheme, data []byte) (*PartitionRecord, error) {
 	r := wire.NewReader(data, kindRecord)
 	rec := &PartitionRecord{PartitionID: r.String()}
-	n := r.Count(1)
-	if r.Err() == nil {
-		seen := make(map[string]bool, n)
-		rec.Members = make([]string, 0, n)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			m := r.String()
-			if seen[m] {
-				return nil, fmt.Errorf("%w: %s lists %q twice", ErrBadRecord, rec.PartitionID, m)
-			}
-			seen[m] = true
-			rec.Members = append(rec.Members, m)
-		}
-	}
+	rec.Members = r.Strings(r.Count(1))
 	ctRaw := r.Bytes()
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
+	}
+	if i := firstRepeat(rec.Members); i >= 0 {
+		return nil, fmt.Errorf("%w: %s lists %q twice", ErrBadRecord, rec.PartitionID, rec.Members[i])
 	}
 	ct, err := s.UnmarshalCiphertext(ctRaw)
 	if err != nil {
@@ -93,6 +90,42 @@ func UnmarshalRecord(s *ibbe.Scheme, data []byte) (*PartitionRecord, error) {
 	}
 	rec.CT = ct
 	return rec, nil
+}
+
+// rosterSeed keys firstRepeat's hash. It is drawn per process, so a store
+// cannot pick names that all collide and turn the check quadratic.
+var rosterSeed = maphash.MakeSeed()
+
+// firstRepeat returns the index of the first name equal to an earlier one,
+// or -1. Names go into an open-addressed table of indices, at most half full,
+// under a seeded hash; a probe that meets an occupied slot compares the names
+// in full, so a hash collision is never taken for a repeat.
+func firstRepeat(names []string) int {
+	size := 1
+	for size < 2*len(names) {
+		size <<= 1
+	}
+	var small [512]int32 // a capacity-256 roster stays on the stack
+	var tab []int32
+	if size <= len(small) {
+		tab = small[:size]
+	} else {
+		tab = make([]int32, size)
+	}
+	mask := uint64(size - 1)
+	for i, name := range names {
+		for h := maphash.String(rosterSeed, name) & mask; ; h = (h + 1) & mask {
+			j := tab[h]
+			if j == 0 {
+				tab[h] = int32(i + 1)
+				break
+			}
+			if names[j-1] == name {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // ContainsMember reports whether id appears in the record's member list.

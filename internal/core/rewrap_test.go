@@ -2,11 +2,17 @@ package core
 
 import (
 	"bytes"
+	"crypto/rand"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
+	"github.com/ibbesgx/ibbesgx/internal/curve"
 	"github.com/ibbesgx/ibbesgx/internal/ibbe"
+	"github.com/ibbesgx/ibbesgx/internal/pairing"
+	"github.com/ibbesgx/ibbesgx/internal/wire"
 )
 
 // ecallCounts installs an Obs hook counting ECALLs by name; read the map
@@ -86,6 +92,63 @@ func TestRemovalRekeysOnlyThePartitionThatLostAMember(t *testing.T) {
 	}
 	if gk == decryptAs(t, e, "g", members[0], up.Put) {
 		t.Fatal("removal kept the old group key")
+	}
+}
+
+// TestAddsKeepTheRewrapTableWarm: an add re-seals its partition's handle
+// over the same wrap key and enters the new handle's cipher in the enclave's
+// re-wrap table, so a revocation after one add, or after two, misses only the
+// handle of the partition the previous revocation re-keyed — as a revocation
+// right after a revocation does — and not one more per add.
+func TestAddsKeepTheRewrapTableWarm(t *testing.T) {
+	e := newEnv(t, 4)
+	e.mgr.DisableRepartition = true
+	if _, err := e.mgr.CreateGroup("g", users(24)); err != nil { // six full partitions
+		t.Fatal(err)
+	}
+	ids := []string{"p000001", "p000002", "p000003", "p000004", "p000005", "p000006"}
+	// remove revokes a member of partition pid and returns the handles the
+	// revocation's re-wrap had to unseal.
+	remove := func(pid string) uint64 {
+		t.Helper()
+		_, before := e.encl.WrapTableStats()
+		if _, err := e.mgr.RemoveUser("g", e.records(t, "g")[pid].Members[0]); err != nil {
+			t.Fatal(err)
+		}
+		_, after := e.encl.WrapTableStats()
+		return after - before
+	}
+	// Every partition loses a member, p000006 last: every partition is open,
+	// and every handle but p000006's is in the table.
+	for _, pid := range ids {
+		remove(pid)
+	}
+	rekeyed := ids[5]
+	for adds := 0; adds <= 2; adds++ {
+		touched := map[string]bool{rekeyed: true}
+		for i := 0; i < adds; i++ {
+			up, err := e.mgr.AddUser("g", fmt.Sprintf("joiner-%d-%d@example.com", adds, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pid := range up.Put {
+				if touched[pid] {
+					t.Fatalf("add %d of %d joined %s, which this step already touched: the seeded placement changed, pick another layout", i+1, adds, pid)
+				}
+				touched[pid] = true
+			}
+		}
+		target := ""
+		for _, pid := range ids {
+			if !touched[pid] {
+				target = pid
+				break
+			}
+		}
+		if misses := remove(target); misses != 1 {
+			t.Errorf("a revocation after %d adds unsealed %d handles, want 1 (%s, which the previous revocation re-keyed)", adds, misses, rekeyed)
+		}
+		rekeyed = target
 	}
 }
 
@@ -248,10 +311,43 @@ func TestCryptoSizeCountsTheHandle(t *testing.T) {
 	}
 }
 
+// unmarshalRecordReference is the record decoder as it was before the roster
+// came out of one string: a string and a map insert per name. It stays as
+// FuzzUnmarshalRecord's reference.
+func unmarshalRecordReference(s *ibbe.Scheme, data []byte) (*PartitionRecord, error) {
+	r := wire.NewReader(data, kindRecord)
+	rec := &PartitionRecord{PartitionID: r.String()}
+	n := r.Count(1)
+	if r.Err() == nil {
+		seen := make(map[string]bool, n)
+		rec.Members = make([]string, 0, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			m := r.String()
+			if seen[m] {
+				return nil, fmt.Errorf("%w: %s lists %q twice", ErrBadRecord, rec.PartitionID, m)
+			}
+			seen[m] = true
+			rec.Members = append(rec.Members, m)
+		}
+	}
+	ctRaw := r.Bytes()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
+	}
+	ct, err := s.UnmarshalCiphertext(ctRaw)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
+	}
+	rec.CT = ct
+	return rec, nil
+}
+
 // FuzzUnmarshalRecord feeds the record decoder bytes as the honest-but-curious
 // store could hand them back: it must reject or round-trip to the same bytes
 // (so trailing bytes cannot be accepted), never list a member twice, and
-// never panic or size an allocation from an unchecked length.
+// never panic or size an allocation from an unchecked length. It accepts
+// exactly what the reference decoder accepts, decoding to the same partition,
+// roster and ciphertext.
 func FuzzUnmarshalRecord(f *testing.F) {
 	e := newEnv(f, 3)
 	up, err := e.mgr.CreateGroup("g", users(4))
@@ -267,21 +363,44 @@ func FuzzUnmarshalRecord(f *testing.F) {
 		f.Add(blob)
 		f.Add(append(blob, 0)) // trailing byte
 	}
-	twice := *up.Put["p000002"]
-	twice.Members = append(twice.Members, twice.Members[0])
-	blob, err := twice.Marshal(s)
-	if err != nil {
-		f.Fatal(err)
+	base := up.Put["p000002"]
+	roster := func(members ...string) []byte {
+		rec := *base
+		rec.Members = members
+		blob, err := rec.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return blob
 	}
-	f.Add(blob)
+	f.Add(roster(base.Members[0], base.Members[0]))
+	f.Add(roster("user-a@example.com", "user-b@example.com")) // differ in the last byte only
+	f.Add(roster("user-a@example.com", "user-a@example.co"))  // one a prefix of the other
+	f.Add(roster("", "user-a@example.com"))                   // an empty name
+	f.Add(roster("", ""))
+	f.Add(roster()) // no members
+	full := make([]string, 256)
+	for i := range full {
+		full[i] = fmt.Sprintf("g01-m%06d@bench", i)
+	}
+	f.Add(roster(full...))
+	f.Add(roster(append(full[:255:255], full[17])...))           // a repeat at the end of a 256-name roster
 	f.Add([]byte{kindRecord, 1, 'p', 0xff, 0xff, 0xff, 0xff, 7}) // roster length past the buffer
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := UnmarshalRecord(s, data)
+		ref, refErr := unmarshalRecordReference(s, data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decoder error %v, reference error %v", err, refErr)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrBadRecord) {
 				t.Fatalf("rejection is not ErrBadRecord: %v", err)
 			}
 			return
+		}
+		if rec.PartitionID != ref.PartitionID || !slices.Equal(rec.Members, ref.Members) ||
+			!bytes.Equal(s.MarshalCiphertext(rec.CT), s.MarshalCiphertext(ref.CT)) {
+			t.Fatal("decoder and reference disagree on an accepted record")
 		}
 		seen := make(map[string]bool)
 		for _, m := range rec.Members {
@@ -298,4 +417,36 @@ func FuzzUnmarshalRecord(f *testing.F) {
 			t.Fatal("accepted record is not the canonical encoding of what it decoded to")
 		}
 	})
+}
+
+// BenchmarkUnmarshalRecord512 prices one page rehydration's decode at the
+// paper width: a record of 256 names shaped like the repository benchmark's
+// (gNN-mNNNNNN@bench) behind a type-a-512 ciphertext.
+func BenchmarkUnmarshalRecord512(b *testing.B) {
+	s := ibbe.NewScheme(pairing.TypeA512())
+	g1 := s.P.G1
+	var pts [3]*curve.Point
+	for i := range pts {
+		p, err := g1.RandPoint(rand.Reader)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pts[i] = p
+	}
+	rec := &PartitionRecord{PartitionID: "p000042", CT: &ibbe.Ciphertext{C1: pts[0], C2: pts[1], C3: pts[2]}}
+	for i := 0; i < 256; i++ {
+		rec.Members = append(rec.Members, fmt.Sprintf("g%02d-m%06d@bench", i%16, 4096+i))
+	}
+	blob, err := rec.Marshal(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(blob)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := UnmarshalRecord(s, blob); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -295,7 +295,10 @@ func (c *Curve) Marshal(p *Point) []byte {
 }
 
 // Unmarshal parses an encoding produced by Marshal, validating curve
-// membership.
+// membership. Both checks run on the limbs: each coordinate must be below q,
+// and y² = x³ + x must hold in the Montgomery domain, so decoding divides no
+// big.Int. It accepts exactly what NewPoint accepts of the decoded
+// coordinates.
 func (c *Curve) Unmarshal(b []byte) (*Point, error) {
 	w := c.F.ByteLen()
 	if len(b) != 2*w {
@@ -311,15 +314,22 @@ func (c *Curve) Unmarshal(b []byte) (*Point, error) {
 	if allZero {
 		return c.Infinity(), nil
 	}
-	x, err := c.F.FromBytes(b[:w])
-	if err != nil {
-		return nil, fmt.Errorf("curve: %w", err)
+	m := c.mont()
+	var x, y ff.Fel
+	if !m.SetBytes(&x, b[:w]) || !m.SetBytes(&y, b[w:]) {
+		return nil, fmt.Errorf("curve: %w: value not canonical", ff.ErrBadEncoding)
 	}
-	y, err := c.F.FromBytes(b[w:])
-	if err != nil {
-		return nil, fmt.Errorf("curve: %w", err)
+	var lhs, rhs ff.Fel
+	m.ToMont(&x, &x)
+	m.ToMont(&y, &y)
+	m.Sqr(&lhs, &y)
+	m.Sqr(&rhs, &x)
+	m.Mul(&rhs, &rhs, &x)
+	m.Add(&rhs, &rhs, &x)
+	if !m.Equal(&lhs, &rhs) {
+		return nil, ErrNotOnCurve
 	}
-	return c.NewPoint(x, y)
+	return &Point{X: new(big.Int).SetBytes(b[:w]), Y: new(big.Int).SetBytes(b[w:])}, nil
 }
 
 // PointLen returns the byte length of a marshalled point.

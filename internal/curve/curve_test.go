@@ -245,6 +245,109 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
+// unmarshalReference is Unmarshal as it was before its checks moved to the
+// limbs: big.Int decoding, then NewPoint's big.Int curve equation. It stays
+// as FuzzPointUnmarshal's reference.
+func unmarshalReference(c *Curve, b []byte) (*Point, error) {
+	w := c.F.ByteLen()
+	if len(b) != 2*w {
+		return nil, ErrBadEncoding
+	}
+	if new(big.Int).SetBytes(b).Sign() == 0 {
+		return c.Infinity(), nil
+	}
+	x, err := c.F.FromBytes(b[:w])
+	if err != nil {
+		return nil, err
+	}
+	y, err := c.F.FromBytes(b[w:])
+	if err != nil {
+		return nil, err
+	}
+	return c.NewPoint(x, y)
+}
+
+// FuzzPointUnmarshal: on all three built-in widths, Unmarshal accepts exactly
+// the encodings the big.Int reference accepts, rejects the others for the
+// same reason (bad encoding or off the curve), and decodes to the same point.
+// The fuzzed bytes go in as they are and fitted to the point width (left
+// padded with zeros or cut to their last bytes), so both the length check and
+// the coordinate checks see fuzzed input.
+func FuzzPointUnmarshal(f *testing.F) {
+	curves := fastPathCurves(f)
+	names := make([]string, len(fastPathParams))
+	for i, p := range fastPathParams {
+		names[i] = p.name
+	}
+	rng := mrand.New(mrand.NewSource(11))
+	for sel, name := range names {
+		c := curves[name]
+		w := c.F.ByteLen()
+		p := c.F.P()
+		pm1 := new(big.Int).Sub(p, big.NewInt(1))
+		top := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(8*w)), big.NewInt(1)) // 2^(8w) − 1: 2⁵¹² − 1 at type-a-512
+		enc := func(x, y *big.Int) []byte {
+			out := make([]byte, 2*w)
+			x.FillBytes(out[:w])
+			y.FillBytes(out[w:])
+			return out
+		}
+		g, err := c.RandPoint(rng)
+		if err != nil {
+			f.Fatal(err)
+		}
+		off := curvePointOffG1(f, c)
+		zero, one := big.NewInt(0), big.NewInt(1)
+		for _, seed := range [][]byte{
+			c.Marshal(g),
+			c.Marshal(c.Neg(g)),
+			c.Marshal(off),       // on the curve, outside G1
+			make([]byte, 2*w),    // the infinity encoding
+			enc(zero, one),       // off the curve
+			enc(g.X, pm1),        // off the curve, y = p − 1
+			enc(pm1, g.Y),        // x = p − 1
+			enc(p, g.Y),          // x = p: not canonical
+			enc(g.X, p),          // y = p
+			enc(top, g.Y),        // x = 2^(8w) − 1
+			enc(g.X, top),        // y = 2^(8w) − 1
+			c.Marshal(g)[:2*w-1], // one byte short
+		} {
+			f.Add(byte(sel), seed)
+		}
+	}
+	f.Fuzz(func(t *testing.T, sel byte, data []byte) {
+		c := curves[names[int(sel)%len(names)]]
+		w := c.F.ByteLen()
+		fitted := make([]byte, 2*w)
+		if len(data) >= 2*w {
+			copy(fitted, data[len(data)-2*w:])
+		} else {
+			copy(fitted[2*w-len(data):], data)
+		}
+		for _, b := range [][]byte{data, fitted} {
+			got, err := c.Unmarshal(b)
+			want, refErr := unmarshalReference(c, b)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("Unmarshal error %v, reference error %v on %x", err, refErr, b)
+			}
+			if err != nil {
+				for _, kind := range []error{ErrBadEncoding, ff.ErrBadEncoding, ErrNotOnCurve} {
+					if errors.Is(err, kind) != errors.Is(refErr, kind) {
+						t.Fatalf("Unmarshal error %v, reference error %v on %x", err, refErr, b)
+					}
+				}
+				continue
+			}
+			if got.Inf != want.Inf || !c.Equal(got, want) {
+				t.Fatalf("Unmarshal gives %v, the reference %v on %x", got, want, b)
+			}
+			if !got.Inf && (!c.F.IsCanonical(got.X) || !c.F.IsCanonical(got.Y)) {
+				t.Fatalf("Unmarshal returned unreduced coordinates on %x", b)
+			}
+		}
+	})
+}
+
 func TestNewPointValidates(t *testing.T) {
 	c := testCurve(t)
 	if _, err := c.NewPoint(big.NewInt(0), big.NewInt(1)); !errors.Is(err, ErrNotOnCurve) {

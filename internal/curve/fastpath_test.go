@@ -32,7 +32,7 @@ var fastPathParams = []struct {
 		"9173994463960286046443283581208347763186259956673124494950355357547691504353939232280074212440502746219980"},
 }
 
-func fastPathCurves(t *testing.T) map[string]*Curve {
+func fastPathCurves(t testing.TB) map[string]*Curve {
 	t.Helper()
 	out := make(map[string]*Curve, len(fastPathParams))
 	for _, p := range fastPathParams {

@@ -8,7 +8,7 @@ import (
 // curvePointOffG1 returns a curve point outside G1 (found by walking x from
 // 1), so tables and walks see a point whose multiples can leave the
 // subgroup.
-func curvePointOffG1(t *testing.T, c *Curve) *Point {
+func curvePointOffG1(t testing.TB, c *Curve) *Point {
 	t.Helper()
 	f := c.F
 	for x := int64(1); x < 1000; x++ {

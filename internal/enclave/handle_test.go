@@ -313,3 +313,47 @@ func TestRewrapWarmTableFailsClosed(t *testing.T) {
 		t.Fatal("refusing tampered copies evicted the genuine handle")
 	}
 }
+
+// An add re-seals its partition's handle over the same wrap key and enters
+// that handle's cipher in the re-wrap table, whether or not the old handle
+// had one, so the revocation after the add re-wraps it without an unseal,
+// and the yᵢ it seals opens under the partition's wrap key.
+func TestAddFillsTheRewrapTable(t *testing.T) {
+	ie, _, _ := newIBBE(t, 8)
+	sealedGK, err := ie.EcallNewGroupKey("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gk := plainGK(t, ie, "g", sealedGK)
+	pc, err := ie.EcallCreatePartition("g", sealedGK, members(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk, err := handleWK(ie, "g", pc.WrapHandle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, handle := pc.CT, pc.WrapHandle
+	for i, warm := range []bool{false, true} {
+		if ie.wraps.cached("g", handle) != warm {
+			t.Fatalf("add %d: old handle cached = %v, want %v", i, !warm, warm)
+		}
+		if ct, handle, err = ie.EcallAddUsersWithHandle("g", ct, handle, []string{fmt.Sprintf("joiner-%d@example.com", i)}); err != nil {
+			t.Fatal(err)
+		}
+		if !ie.wraps.cached("g", handle) {
+			t.Fatalf("add %d: the handle it returned has no table entry", i)
+		}
+		hits, misses := ie.WrapTableStats()
+		ys, err := ie.EcallRewrapPartitions("g", sealedGK, [][]byte{handle})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, m := ie.WrapTableStats(); h != hits+1 || m != misses {
+			t.Fatalf("add %d: re-wrap of the new handle took %d hits and %d misses, want 1 hit", i, h-hits, m-misses)
+		}
+		if got, err := UnwrapGKWithKey(wk, ys[0], "g"); err != nil || got != gk {
+			t.Fatalf("add %d: the re-wrapped yᵢ does not open under the partition's wrap key: %v", i, err)
+		}
+	}
+}

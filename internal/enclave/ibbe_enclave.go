@@ -286,7 +286,8 @@ func (ie *IBBEEnclave) EcallAddUsersToPartition(ct *ibbe.Ciphertext, newUsers []
 // off the h table, with C1 kept from ct. k — and with it bkᵢ, the wrap key
 // and yᵢ — is unchanged, so members' kept wrap keys still open yᵢ. It returns
 // the new header and the partition's new handle, which the caller stores in
-// place of the old one.
+// place of the old one. The new handle seals the same wrap key, so its wrap
+// cipher goes into the re-wrap table at once.
 func (ie *IBBEEnclave) EcallAddUsersWithHandle(groupLabel string, ct *ibbe.Ciphertext, handle []byte, newUsers []string) (*ibbe.Ciphertext, []byte, error) {
 	defer ie.timeEcall("add_users")()
 	ie.mu.RLock()
@@ -301,6 +302,9 @@ func (ie *IBBEEnclave) EcallAddUsersWithHandle(groupLabel string, ct *ibbe.Ciphe
 	newCT, next := ie.scheme.AddUsersState(ie.msk, ie.pk, ct, st, newUsers)
 	newHandle, err := ie.sealHandleLocked(groupLabel, wk, next)
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := ie.resealedCipherLocked(wrapHandleLabel(groupLabel), handle, newHandle, wk); err != nil {
 		return nil, nil, err
 	}
 	return newCT, newHandle, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"sync"
+	"sync/atomic"
 
 	"github.com/ibbesgx/ibbesgx/internal/kdf"
 )
@@ -27,13 +28,18 @@ const (
 
 // wrapTable maps (seal label, full handle bytes) to the wrap cipher built
 // from the wrap key that handle seals. An entry goes in only after that exact
-// handle opened under that label to a well-formed wrap key, and a lookup
-// compares the full key bytes, so a hit hands out only a cipher the unseal
-// itself would have built: a tampered, truncated or relabelled handle never
-// matches and takes the unseal, which refuses it.
+// handle opened under that label to a well-formed wrap key, or the enclave
+// itself sealed it under that label over a wrap key it had just opened, and a
+// lookup compares the full key bytes, so a hit hands out only a cipher the
+// unseal itself would have built: a tampered, truncated or relabelled handle
+// never matches and takes the unseal, which refuses it.
 type wrapTable struct {
 	sets [wrapTableSets]wrapSet
 	seed maphash.Seed
+
+	// hits and misses count the re-wrap lookups served from the table and
+	// those that unsealed (see WrapTableStats).
+	hits, misses atomic.Uint64
 }
 
 // wrapSet is one set of the table: eight ways, each a key (seal label ‖
@@ -74,15 +80,19 @@ func (s *wrapSet) touch(w int) {
 	s.used[w] = s.clock
 }
 
-// get returns the cipher cached for label ‖ handle, or nil.
-func (s *wrapSet) get(tag uint64, label, handle []byte) *kdf.Sealer {
+// get returns the cipher cached for label ‖ handle, or nil. touch marks a
+// hit as the set's most recently used way; a lookup of a handle about to go
+// out of use leaves the way to age.
+func (s *wrapSet) get(tag uint64, label, handle []byte, touch bool) *kdf.Sealer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w := s.way(tag, label, handle)
 	if w < 0 {
 		return nil
 	}
-	s.touch(w)
+	if touch {
+		s.touch(w)
+	}
 	return s.aead[w]
 }
 
@@ -112,9 +122,11 @@ func (s *wrapSet) put(tag uint64, label, handle []byte, aead *kdf.Sealer) {
 // open fails with ErrBadHandle, cached or not.
 func (ie *IBBEEnclave) wrapCipherLocked(label, handle []byte) (*kdf.Sealer, error) {
 	set, tag := ie.wraps.set(handle)
-	if aead := set.get(tag, label, handle); aead != nil {
+	if aead := set.get(tag, label, handle, true); aead != nil {
+		ie.wraps.hits.Add(1)
 		return aead, nil
 	}
+	ie.wraps.misses.Add(1)
 	raw, err := ie.enc.Unseal(handle, label)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadHandle, err)
@@ -129,4 +141,30 @@ func (ie *IBBEEnclave) wrapCipherLocked(label, handle []byte) (*kdf.Sealer, erro
 	}
 	set.put(tag, label, handle, aead)
 	return aead, nil
+}
+
+// resealedCipherLocked enters the wrap cipher of sealed, a handle the enclave
+// has just sealed under label over the wrap key wk that the handle old opened
+// to: the cipher the table holds for old, or else one built from wk. An add
+// re-seals its partition's handle without changing the wrap key, so the next
+// revocation finds the new handle here instead of unsealing it.
+func (ie *IBBEEnclave) resealedCipherLocked(label, old, sealed []byte, wk [kdf.KeySize]byte) error {
+	set, tag := ie.wraps.set(old)
+	aead := set.get(tag, label, old, false)
+	if aead == nil {
+		var err error
+		if aead, err = kdf.NewSealer(wk); err != nil {
+			return err
+		}
+	}
+	set, tag = ie.wraps.set(sealed)
+	set.put(tag, label, sealed, aead)
+	return nil
+}
+
+// WrapTableStats returns how many re-wrapped handles took their wrap cipher
+// from the table (hits) and how many were unsealed and built (misses) since
+// the enclave started.
+func (ie *IBBEEnclave) WrapTableStats() (hits, misses uint64) {
+	return ie.wraps.hits.Load(), ie.wraps.misses.Load()
 }

@@ -96,6 +96,29 @@ func bigToLimbs(dst *Fel, k int, v *big.Int) {
 	}
 }
 
+// SetBytes sets dst to the big-endian value b and reports whether it is
+// canonical: at most K() limbs wide and below the modulus. dst is a plain limb
+// value, not yet in the Montgomery domain (ToMont enters it). The bytes go
+// straight into 64-bit limbs, so no big.Int is built and nothing depends on
+// the width of a big.Word.
+func (m *Mont) SetBytes(dst *Fel, b []byte) bool {
+	if len(b) > 8*m.k {
+		return false
+	}
+	var buf [8 * MaxLimbs]byte
+	copy(buf[8*m.k-len(b):8*m.k], b)
+	*dst = Fel{}
+	for i := 0; i < m.k; i++ {
+		dst[i] = binary.BigEndian.Uint64(buf[8*(m.k-1-i):])
+	}
+	for i := m.k - 1; i >= 0; i-- {
+		if dst[i] != m.n[i] {
+			return dst[i] < m.n[i]
+		}
+	}
+	return false // equal to the modulus
+}
+
 // limbsToBig assembles a big.Int from the k significant limbs of a.
 func limbsToBig(a *Fel, k int) *big.Int {
 	var buf [8 * MaxLimbs]byte

@@ -249,3 +249,37 @@ func TestNewFieldRejectsWideModulus(t *testing.T) {
 		}
 	}
 }
+
+// SetBytes agrees with big.Int decoding and Field.FromBytes's range check on
+// every width: the boundary values, a value as wide as the limbs, and inputs
+// shorter than the field width and one byte wider than the limbs.
+func TestMontSetBytesMatchesBigInt(t *testing.T) {
+	for name, f := range montTestFields(t) {
+		m := f.Mont()
+		limbBytes := 8 * m.K()
+		cases := montCases(f.p)
+		cases = append(cases, new(big.Int).Sub(new(big.Int).Lsh(bigOne, uint(8*limbBytes)), bigOne))
+		for _, v := range cases {
+			for _, width := range []int{f.ByteLen(), limbBytes, limbBytes + 1} {
+				if v.BitLen() > 8*width {
+					continue
+				}
+				b := v.FillBytes(make([]byte, width))
+				var got Fel
+				ok := m.SetBytes(&got, b)
+				want := width <= limbBytes && v.Cmp(f.p) < 0
+				if ok != want {
+					t.Fatalf("%s: SetBytes(%d bytes of %s) = %v, want %v", name, width, v, ok, want)
+				}
+				if ok && limbsToBig(&got, m.K()).Cmp(v) != 0 {
+					t.Fatalf("%s: SetBytes(%s) decoded %s", name, v, limbsToBig(&got, m.K()))
+				}
+				if width == f.ByteLen() {
+					if _, err := f.FromBytes(b); (err == nil) != ok {
+						t.Fatalf("%s: SetBytes(%s) = %v, FromBytes error %v", name, v, ok, err)
+					}
+				}
+			}
+		}
+	}
+}

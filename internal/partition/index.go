@@ -365,6 +365,12 @@ func (ix *Index) DropPage(id string) {
 	ix.markFull(id)
 }
 
+// Open reports whether partition id is registered and has spare capacity.
+func (ix *Index) Open(id string) bool {
+	_, ok := ix.openPos[id]
+	return ok
+}
+
 // PickOpen returns a uniformly random partition with remaining capacity, or
 // false when all are full. A nil rng picks deterministically.
 func (ix *Index) PickOpen(rng *rand.Rand) (string, bool) {

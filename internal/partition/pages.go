@@ -3,6 +3,7 @@ package partition
 import (
 	"container/list"
 	"fmt"
+	"iter"
 	"sync/atomic"
 )
 
@@ -160,6 +161,22 @@ func (c *Pages) SetSource(src PageSource) {
 // HasSource reports whether a rehydration source is installed (i.e. whether
 // the cache may evict).
 func (c *Pages) HasSource() bool { return c.src != nil }
+
+// Bounded reports whether the cache evicts: it has both a limit and a source
+// to rehydrate from, so a page that is not resident costs a load.
+func (c *Pages) Bounded() bool { return c.limit > 0 && c.src != nil }
+
+// IDs yields the resident pages' IDs, most recently used first, without
+// touching the cache. The caller must not change the cache while it ranges.
+func (c *Pages) IDs() iter.Seq[string] {
+	return func(yield func(string) bool) {
+		for e := c.ll.Front(); e != nil; e = e.Next() {
+			if !yield(e.Value.(*Page).ID) {
+				return
+			}
+		}
+	}
+}
 
 // Limit returns the residency bound (<=0 means unlimited).
 func (c *Pages) Limit() int { return c.limit }

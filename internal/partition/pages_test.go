@@ -188,3 +188,33 @@ func TestPagesReadLeavesCacheAlone(t *testing.T) {
 		t.Fatal("a page read past the cache was kept")
 	}
 }
+
+// IDs lists the resident pages most recently used first and changes nothing;
+// a cache is Bounded only with both a limit and a source.
+func TestPagesIDsAndBounded(t *testing.T) {
+	src := newMapSource(4)
+	c := NewPages(3, nil)
+	if c.Bounded() {
+		t.Fatal("a cache without a source reports itself bounded")
+	}
+	c.SetSource(src)
+	if !c.Bounded() || NewPages(0, src).Bounded() {
+		t.Fatal("Bounded does not follow limit and source")
+	}
+	for _, id := range []string{"p000001", "p000002", "p000003", "p000004", "p000002"} {
+		if _, err := c.Get(id); err != nil {
+			t.Fatal(err)
+		}
+		c.ReleasePins()
+	}
+	var got []string
+	for id := range c.IDs() {
+		got = append(got, id)
+	}
+	if fmt.Sprint(got) != "[p000002 p000004 p000003]" {
+		t.Fatalf("IDs yielded %v, want the resident pages most recent first", got)
+	}
+	if c.Resident() != 3 || src.loads != 4 {
+		t.Fatalf("after ranging: %d resident, %d loads", c.Resident(), src.loads)
+	}
+}

@@ -12,6 +12,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"strings"
 )
 
 // ErrMalformed reports an encoding that is truncated, overlong or carries a
@@ -53,13 +54,23 @@ func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, w := binary.Uvarint(r.buf)
-	if w <= 0 || (w > 1 && r.buf[w-1] == 0) {
+	v, w := uvarint(r.buf)
+	if w == 0 {
 		r.err = ErrMalformed
 		return 0
 	}
 	r.buf = r.buf[w:]
 	return v
+}
+
+// uvarint decodes the uvarint at the front of buf and its width, or width 0
+// when it is truncated, overlong or not in its shortest form.
+func uvarint(buf []byte) (uint64, int) {
+	v, w := binary.Uvarint(buf)
+	if w <= 0 || (w > 1 && buf[w-1] == 0) {
+		return 0, 0
+	}
+	return v, w
 }
 
 // Int reads a uvarint that must not exceed max.
@@ -86,17 +97,62 @@ func (r *Reader) Count(minSize int) int {
 
 // Bytes reads one length-prefixed byte string. The result aliases the input.
 func (r *Reader) Bytes() []byte {
-	n := r.Count(1)
 	if r.err != nil {
 		return nil
 	}
-	b := r.buf[:n:n]
-	r.buf = r.buf[n:]
+	b, rest, ok := field(r.buf)
+	if !ok {
+		r.err = ErrMalformed
+		return nil
+	}
+	r.buf = rest
 	return b
+}
+
+// field splits the length-prefixed byte string at the front of buf off the
+// rest: a shortest-form uvarint length, then that many bytes, all within buf.
+func field(buf []byte) (b, rest []byte, ok bool) {
+	v, w := uvarint(buf)
+	if w == 0 || v > uint64(len(buf)-w) {
+		return nil, nil, false
+	}
+	end := w + int(v)
+	return buf[w:end:end], buf[end:], true
 }
 
 // String reads one length-prefixed string (a copy).
 func (r *Reader) String() string { return string(r.Bytes()) }
+
+// Strings reads n length-prefixed strings, sliced out of one backing string:
+// a roster of n names costs two allocations, not n + 1. The first pass finds
+// every field within the buffer and sizes the backing string, so nothing is
+// allocated from an n the buffer cannot hold; the second copies the names in.
+func (r *Reader) Strings(n int) []string {
+	if r.err != nil {
+		return nil
+	}
+	buf, total := r.buf, 0
+	for i := 0; i < n; i++ {
+		b, rest, ok := field(buf)
+		if !ok {
+			r.err = ErrMalformed
+			return nil
+		}
+		total, buf = total+len(b), rest
+	}
+	var sb strings.Builder
+	sb.Grow(total)
+	out := make([]string, n)
+	buf = r.buf
+	for i := range out {
+		b, rest, _ := field(buf)
+		start := sb.Len()
+		sb.Write(b)
+		out[i], buf = sb.String()[start:], rest
+	}
+	r.buf = buf
+	return out
+}
 
 // Err returns the first error met so far.
 func (r *Reader) Err() error { return r.err }

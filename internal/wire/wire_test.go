@@ -19,6 +19,33 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// Strings reads what String would, one field at a time, and leaves the
+// reader where String would.
+func TestStrings(t *testing.T) {
+	names := []string{"a", "", "bc", "a"}
+	buf := []byte{'K'}
+	for _, n := range names {
+		buf = AppendString(buf, n)
+	}
+	buf = AppendUvarint(buf, 7)
+	r := NewReader(buf, 'K')
+	got := r.Strings(len(names))
+	if len(got) != len(names) {
+		t.Fatalf("read %d strings, want %d", len(got), len(names))
+	}
+	for i := range names {
+		if got[i] != names[i] {
+			t.Fatalf("string %d is %q, want %q", i, got[i], names[i])
+		}
+	}
+	if v := r.Uvarint(); v != 7 || r.Done() != nil {
+		t.Fatalf("after the strings: %d, %v", v, r.Err())
+	}
+	if got := NewReader([]byte{'K'}, 'K').Strings(0); got == nil || len(got) != 0 {
+		t.Fatalf("no strings read as %#v, want an empty slice", got)
+	}
+}
+
 func TestReaderRejects(t *testing.T) {
 	for name, read := range map[string]func() *Reader{
 		"another kind": func() *Reader { return NewReader([]byte{'X', 1}, 'K') },
@@ -46,6 +73,13 @@ func TestReaderRejects(t *testing.T) {
 		"count past the buffer": func() *Reader {
 			r := NewReader([]byte{'K', 3, 0, 0, 0, 0}, 'K')
 			r.Count(2) // three items of two bytes do not fit in four
+			return r
+		},
+		"string past the buffer": func() *Reader {
+			r := NewReader([]byte{'K', 1, 'a', 3, 'b'}, 'K')
+			if r.Strings(2) != nil {
+				panic("Strings returned names from a truncated run")
+			}
 			return r
 		},
 		"trailing bytes": func() *Reader {
