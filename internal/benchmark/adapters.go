@@ -390,22 +390,6 @@ func NewRawIBBE(params *pairing.Params, maxGroup int) (*RawIBBE, error) {
 	return &RawIBBE{Scheme: s, MSK: msk, PK: pk}, nil
 }
 
-// NewRawIBBEReference is NewRawIBBE on the reference (big.Int) arithmetic.
-// Fig. 2 measures the paper's unaccelerated classic-IBBE baseline — the
-// textbook implementation whose cost motivates the SGX construction — so it
-// must not inherit the Montgomery fast path that the IBBE-SGX system itself
-// runs on (Figs. 6–10). Everything downstream of DisableFastPath is the
-// bit-for-bit-equivalent schoolbook arithmetic.
-func NewRawIBBEReference(params *pairing.Params, maxGroup int) (*RawIBBE, error) {
-	s := ibbe.NewScheme(params)
-	s.DisableFastPath = true
-	msk, pk, err := s.Setup(maxGroup, rand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	return &RawIBBE{Scheme: s, MSK: msk, PK: pk}, nil
-}
-
 // shardOp drives one admin operation through the shard handlers the way
 // the gateway would: candidates in ring order under the CURRENT membership,
 // 503 means "not the owner (or mid hand-off), try the next candidate".

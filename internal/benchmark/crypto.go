@@ -7,16 +7,17 @@ import (
 	"time"
 
 	"github.com/ibbesgx/ibbesgx/internal/ibbe"
+	"github.com/ibbesgx/ibbesgx/internal/ibbe/ibberef"
 )
 
 // CryptoRow is one cell of the crypto fast-path figure: a single IBBE
-// operation at receiver-set size m, timed through the reference arithmetic
-// ("slow": double-and-add scalar multiplication, per-coefficient HPowers
-// loop, square-and-multiply GT ladder, big.Int identity hashing with no
-// memo) and through the fast path (w-NAF windows, fixed-base tables,
-// interleaved Straus multi-exponentiation, batch normalisation, identity
-// hashes reduced straight into Z_r's limbs behind a fixed two-way memo) that
-// now underlies every partition ECALL.
+// operation at receiver-set size m, timed through the reference scheme
+// (package ibberef, "slow": double-and-add scalar multiplication,
+// per-coefficient HPowers loop, square-and-multiply GT ladder, big.Int
+// identity hashing with no memo) and through the product scheme (w-NAF
+// windows, fixed-base tables, interleaved Straus multi-exponentiation, batch
+// normalisation, identity hashes reduced straight into Z_r's limbs behind a
+// fixed two-way memo) that underlies every partition ECALL.
 type CryptoRow struct {
 	Op    string `json:"op"`
 	M     int    `json:"m"`
@@ -52,18 +53,18 @@ func cryptoIters(m int) int {
 	}
 }
 
-// RunCrypto measures Setup, EncryptMSK, Decrypt and Rekey old-path vs
-// fast-path on the same key material. Both arms run against the same
-// msk/pk/ciphertext inputs, so every measured pair computes the identical
-// group elements (the differential tests in internal/ibbe assert exactly
-// that, bit for bit); only the arithmetic route differs. Each arm gets one
+// RunCrypto measures Setup, EncryptMSK, Decrypt and Rekey on the reference
+// scheme vs the product scheme, on the same key material. Both arms run
+// against the same msk/pk/ciphertext inputs, so every measured pair
+// computes the identical group elements (the differential tests in
+// internal/ibbe assert exactly that, bit for bit); only the arithmetic
+// differs. Each arm gets one
 // untimed warm-up call: for the fast arm that builds the per-key tables the
 // steady state of a long-lived partition key runs on.
 func RunCrypto(cfg Config) ([]CryptoRow, error) {
 	rows := make([]CryptoRow, 0, 4*len(cryptoSizes))
 	for _, m := range cryptoSizes {
-		slow := ibbe.NewScheme(cfg.Params)
-		slow.DisableFastPath = true
+		slow := ibberef.New(cfg.Params)
 		fast := ibbe.NewScheme(cfg.Params)
 
 		row := func(op string, iters int, slowFn, fastFn func() error) (CryptoRow, error) {
@@ -111,34 +112,29 @@ func RunCrypto(cfg Config) ([]CryptoRow, error) {
 		// the scheme), so they get a fixed, higher iteration count; Decrypt
 		// is quadratic in m and scales its count down like Setup.
 		ops := []struct {
-			name  string
-			iters int
-			run   func(s *ibbe.Scheme) error
+			name       string
+			iters      int
+			slow, fast func() error
 		}{
-			{"EncryptMSK", 12, func(s *ibbe.Scheme) error {
-				_, _, err := s.EncryptMSK(msk, pk, group, nil)
-				return err
-			}},
-			{"Decrypt", cryptoIters(m), func(s *ibbe.Scheme) error {
-				_, err := s.Decrypt(pk, group[0], uk, group, ct)
-				return err
-			}},
-			{"Rekey", 12, func(s *ibbe.Scheme) error {
-				_, _, err := s.Rekey(pk, ct, nil)
-				return err
-			}},
+			{"EncryptMSK", 12,
+				func() error { _, _, err := slow.EncryptMSK(msk, pk, group, nil); return err },
+				func() error { _, _, err := fast.EncryptMSK(msk, pk, group, nil); return err }},
+			{"Decrypt", cryptoIters(m),
+				func() error { _, err := slow.Decrypt(pk, group[0], uk, group, ct); return err },
+				func() error { _, err := fast.Decrypt(pk, group[0], uk, group, ct); return err }},
+			{"Rekey", 12,
+				func() error { _, _, err := slow.Rekey(pk, ct, nil); return err },
+				func() error { _, _, err := fast.Rekey(pk, ct, nil); return err }},
 		}
 		for _, op := range ops {
 			// Warm up both arms (fast arm: builds the pk tables once).
-			if err := op.run(slow); err != nil {
+			if err := op.slow(); err != nil {
 				return nil, fmt.Errorf("%s m=%d warmup: %w", op.name, m, err)
 			}
-			if err := op.run(fast); err != nil {
+			if err := op.fast(); err != nil {
 				return nil, fmt.Errorf("%s m=%d warmup: %w", op.name, m, err)
 			}
-			r, err := row(op.name, op.iters,
-				func() error { return op.run(slow) },
-				func() error { return op.run(fast) })
+			r, err := row(op.name, op.iters, op.slow, op.fast)
 			if err != nil {
 				return nil, err
 			}

@@ -39,7 +39,7 @@ func RunEPCExperiment(cfg Config) ([]EPCRow, error) {
 				return nil, err
 			}
 		}
-		he := enclave.NewHEEnclave(hePlatform, pki)
+		he := NewHEEnclave(hePlatform, pki)
 		if _, err := he.EcallCreateGroup("g", members); err != nil {
 			return nil, err
 		}

@@ -4,6 +4,9 @@ import (
 	"crypto/rand"
 	"fmt"
 	"time"
+
+	"github.com/ibbesgx/ibbesgx/internal/ibbe"
+	"github.com/ibbesgx/ibbesgx/internal/ibbe/ibberef"
 )
 
 // names generates n deterministic identities.
@@ -40,14 +43,16 @@ func RunFig2(cfg Config) ([]Fig2Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The raw baseline deliberately runs the reference arithmetic: Fig. 2
-	// characterises the classic scheme the paper rejected, not the
-	// limb-optimised path IBBE-SGX runs on (that path is what Figs. 6–10
-	// measure). See NewRawIBBEReference.
-	raw, err := NewRawIBBEReference(cfg.Params, maxN)
+	// The raw baseline deliberately runs the reference scheme (package
+	// ibberef, big.Int arithmetic): Fig. 2 characterises the textbook
+	// classic scheme the paper rejected, not the limb-optimised arithmetic
+	// IBBE-SGX runs on (that is what Figs. 6–10 measure).
+	raw := ibberef.New(cfg.Params)
+	_, rawPK, err := raw.Setup(maxN, rand.Reader)
 	if err != nil {
 		return nil, err
 	}
+	headerLen := ibbe.NewScheme(cfg.Params).HeaderLen() // constant regardless of n
 
 	rows := make([]Fig2Row, 0, len(cfg.GroupSizes))
 	for _, n := range cfg.GroupSizes {
@@ -75,13 +80,13 @@ func RunFig2(cfg Config) ([]Fig2Row, error) {
 		}
 
 		row.IBBECreate, err = Sample(1, func() error {
-			_, _, err := raw.Scheme.EncryptClassic(raw.PK, group, rand.Reader)
+			_, _, err := raw.EncryptClassic(rawPK, group, rand.Reader)
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		row.IBBEBytes = raw.Scheme.HeaderLen() // constant regardless of n
+		row.IBBEBytes = headerLen
 		rows = append(rows, row)
 	}
 	return rows, nil

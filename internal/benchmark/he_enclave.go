@@ -1,10 +1,11 @@
-package enclave
+package benchmark
 
 import (
 	"crypto/rand"
 	"fmt"
 	"sync"
 
+	"github.com/ibbesgx/ibbesgx/internal/enclave"
 	"github.com/ibbesgx/ibbesgx/internal/hybrid"
 	"github.com/ibbesgx/ibbesgx/internal/kdf"
 )
@@ -16,12 +17,12 @@ import (
 // membership, the enclave working set grows with the group and collides
 // with the EPC, whereas IBBE-SGX's working set is constant per partition.
 //
-// This type exists to measure exactly that effect (see the EPC experiment
-// in internal/benchmark): it gives HE the same zero-knowledge guarantee as
+// This type exists to measure exactly that effect (see RunEPCExperiment): it
+// gives HE the same zero-knowledge guarantee as
 // IBBE-SGX, with group keys and metadata processed only inside the
 // boundary, and charges the full metadata working set to the EPC model.
 type HEEnclave struct {
-	enc *Enclave
+	enc *enclave.Enclave
 	he  *hybrid.HEPKI
 
 	mu sync.Mutex
@@ -37,11 +38,11 @@ const (
 )
 
 // HEMeasurement returns the expected measurement of the HE enclave code.
-func HEMeasurement() Measurement { return MeasureCode(HECodeName, HECodeVersion) }
+func HEMeasurement() enclave.Measurement { return enclave.MeasureCode(HECodeName, HECodeVersion) }
 
 // NewHEEnclave launches the HE baseline inside an enclave on the platform,
 // wrapping the given PKI registry.
-func NewHEEnclave(p *Platform, pki *hybrid.PKI) *HEEnclave {
+func NewHEEnclave(p *enclave.Platform, pki *hybrid.PKI) *HEEnclave {
 	return &HEEnclave{
 		enc:    p.Launch(HEMeasurement()),
 		he:     hybrid.NewHEPKI(pki),
@@ -51,7 +52,7 @@ func NewHEEnclave(p *Platform, pki *hybrid.PKI) *HEEnclave {
 }
 
 // Enclave exposes the launched enclave (for attestation and EPC stats).
-func (h *HEEnclave) Enclave() *Enclave { return h.enc }
+func (h *HEEnclave) Enclave() *enclave.Enclave { return h.enc }
 
 // EcallCreateGroup draws gk inside the enclave and wraps it per member.
 // The entire linear metadata is enclave-resident during the call — the EPC
@@ -63,7 +64,7 @@ func (h *HEEnclave) EcallCreateGroup(group string, members []string) (*hybrid.Me
 		md  *hybrid.Metadata
 		err error
 	)
-	h.enc.epcTouch(heWorkingSet(len(members)), func() {
+	h.enc.EPCTouch(heWorkingSet(len(members)), func() {
 		var gk [kdf.KeySize]byte
 		gk, md, err = h.he.CreateGroup(members, rand.Reader)
 		if err == nil {
@@ -83,11 +84,11 @@ func (h *HEEnclave) EcallAddUser(group, user string) (*hybrid.Metadata, error) {
 	defer h.mu.Unlock()
 	gk, ok := h.groups[group]
 	if !ok {
-		return nil, fmt.Errorf("enclave: no HE group %s", group)
+		return nil, fmt.Errorf("benchmark: no HE group %s", group)
 	}
 	md := h.md[group]
 	var err error
-	h.enc.epcTouch(heWorkingSet(len(md.Entries)+1), func() {
+	h.enc.EPCTouch(heWorkingSet(len(md.Entries)+1), func() {
 		err = h.he.AddUser(md, gk, user, rand.Reader)
 	})
 	if err != nil {
@@ -104,13 +105,13 @@ func (h *HEEnclave) EcallRemoveUser(group, user string) (*hybrid.Metadata, error
 	defer h.mu.Unlock()
 	md, ok := h.md[group]
 	if !ok {
-		return nil, fmt.Errorf("enclave: no HE group %s", group)
+		return nil, fmt.Errorf("benchmark: no HE group %s", group)
 	}
 	var (
 		gk  [kdf.KeySize]byte
 		err error
 	)
-	h.enc.epcTouch(heWorkingSet(len(md.Entries)), func() {
+	h.enc.EPCTouch(heWorkingSet(len(md.Entries)), func() {
 		gk, err = h.he.RemoveUser(md, user, rand.Reader)
 	})
 	if err != nil {

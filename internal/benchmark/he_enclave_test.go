@@ -1,9 +1,10 @@
-package enclave
+package benchmark
 
 import (
 	"crypto/rand"
 	"testing"
 
+	"github.com/ibbesgx/ibbesgx/internal/enclave"
 	"github.com/ibbesgx/ibbesgx/internal/hybrid"
 )
 
@@ -15,8 +16,14 @@ func newHEEnclave(t *testing.T, members []string) (*HEEnclave, *hybrid.PKI) {
 			t.Fatal(err)
 		}
 	}
-	return NewHEEnclave(newPlatform(t), pki), pki
+	p, err := enclave.NewPlatform("test-platform", rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewHEEnclave(p, pki), pki
 }
+
+func members(n int) []string { return names(n, "member") }
 
 func TestHEEnclaveLifecycle(t *testing.T) {
 	ms := members(4)
@@ -98,29 +105,5 @@ func TestHEEnclaveWorkingSetLinear(t *testing.T) {
 
 	if peakLarge != 4*peakSmall {
 		t.Fatalf("HE working set not linear: %d vs %d", peakSmall, peakLarge)
-	}
-}
-
-func TestIBBEEnclaveWorkingSetBoundedByPartition(t *testing.T) {
-	// Creating more partitions must not grow the peak working set: the
-	// enclave streams one partition at a time.
-	ie1, _, _ := newIBBE(t, 4)
-	createGroup(t, ie1, "g", [][]string{members(4)})
-	peak1 := ie1.Enclave().Platform().EPC().PeakResident
-
-	ie8, _, _ := newIBBE(t, 4)
-	parts := make([][]string, 8)
-	all := make([]string, 32)
-	for i := range all {
-		all[i] = members(32)[i]
-	}
-	for i := range parts {
-		parts[i] = all[i*4 : (i+1)*4]
-	}
-	createGroup(t, ie8, "g", parts)
-	peak8 := ie8.Enclave().Platform().EPC().PeakResident
-
-	if peak8 > 2*peak1 {
-		t.Fatalf("IBBE working set grew with partition count: %d vs %d", peak1, peak8)
 	}
 }

@@ -97,9 +97,10 @@ func TestRemovalRekeysOnlyThePartitionThatLostAMember(t *testing.T) {
 
 // TestAddsKeepTheRewrapTableWarm: an add re-seals its partition's handle
 // over the same wrap key and enters the new handle's cipher in the enclave's
-// re-wrap table, so a revocation after one add, or after two, misses only the
-// handle of the partition the previous revocation re-keyed — as a revocation
-// right after a revocation does — and not one more per add.
+// re-wrap table, and a create or re-key enters the handle it seals over its
+// fresh wrap key, so a revocation after one add, or after two, unseals no
+// handle at all — not the one the previous revocation re-keyed, and not one
+// more per add.
 func TestAddsKeepTheRewrapTableWarm(t *testing.T) {
 	e := newEnv(t, 4)
 	e.mgr.DisableRepartition = true
@@ -119,7 +120,7 @@ func TestAddsKeepTheRewrapTableWarm(t *testing.T) {
 		return after - before
 	}
 	// Every partition loses a member, p000006 last: every partition is open,
-	// and every handle but p000006's is in the table.
+	// and every handle is in the table.
 	for _, pid := range ids {
 		remove(pid)
 	}
@@ -145,8 +146,8 @@ func TestAddsKeepTheRewrapTableWarm(t *testing.T) {
 				break
 			}
 		}
-		if misses := remove(target); misses != 1 {
-			t.Errorf("a revocation after %d adds unsealed %d handles, want 1 (%s, which the previous revocation re-keyed)", adds, misses, rekeyed)
+		if misses := remove(target); misses != 0 {
+			t.Errorf("a revocation after %d adds unsealed %d handles, want 0 (%s was re-keyed by the previous revocation)", adds, misses, rekeyed)
 		}
 		rekeyed = target
 	}

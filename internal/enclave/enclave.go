@@ -174,7 +174,7 @@ func (e *Enclave) Unseal(blob, label []byte) ([]byte, error) {
 }
 
 // EPCStats models Enclave Page Cache pressure. Writes inside the enclave
-// call epcTouch, which tracks the resident set and counts paging events
+// call EPCTouch, which tracks the resident set and counts paging events
 // once the limit is exceeded — the effect §III-B fears for HE-style
 // metadata expansion inside enclaves.
 type EPCStats struct {
@@ -191,9 +191,11 @@ type EPCStats struct {
 	PageFaults int64
 }
 
-// epcTouch records that the enclave holds n additional bytes while running
-// an ECALL and releases them at the end (working-set model).
-func (e *Enclave) epcTouch(n int64, run func()) {
+// EPCTouch records that the enclave holds n additional bytes while running
+// an ECALL and releases them at the end (working-set model). The wrapping
+// types whose methods are the ECALLs (IBBEEnclave, and the HE baseline the
+// benchmarks run inside an enclave) charge their working sets through it.
+func (e *Enclave) EPCTouch(n int64, run func()) {
 	p := e.platform
 	p.mu.Lock()
 	p.epc.Resident += n

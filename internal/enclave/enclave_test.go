@@ -442,7 +442,7 @@ func TestEPCAccounting(t *testing.T) {
 func TestEPCPaging(t *testing.T) {
 	p := newPlatform(t)
 	e := p.Launch(MeasureCode("x", "1"))
-	e.epcTouch(DefaultEPCBytes+4096, func() {})
+	e.EPCTouch(DefaultEPCBytes+4096, func() {})
 	stats := p.EPC()
 	if stats.PageFaults == 0 || stats.PagedBytes == 0 {
 		t.Fatal("exceeding the EPC limit did not record paging")
@@ -453,5 +453,29 @@ func TestMSKSerdeRejectsGarbage(t *testing.T) {
 	s := ibbe.NewScheme(pairing.TypeA160())
 	if _, err := unmarshalMSK(s, []byte{1, 2, 3}); err == nil {
 		t.Fatal("short MSK accepted")
+	}
+}
+
+func TestIBBEEnclaveWorkingSetBoundedByPartition(t *testing.T) {
+	// Creating more partitions must not grow the peak working set: the
+	// enclave streams one partition at a time.
+	ie1, _, _ := newIBBE(t, 4)
+	createGroup(t, ie1, "g", [][]string{members(4)})
+	peak1 := ie1.Enclave().Platform().EPC().PeakResident
+
+	ie8, _, _ := newIBBE(t, 4)
+	parts := make([][]string, 8)
+	all := make([]string, 32)
+	for i := range all {
+		all[i] = members(32)[i]
+	}
+	for i := range parts {
+		parts[i] = all[i*4 : (i+1)*4]
+	}
+	createGroup(t, ie8, "g", parts)
+	peak8 := ie8.Enclave().Platform().EPC().PeakResident
+
+	if peak8 > 2*peak1 {
+		t.Fatalf("IBBE working set grew with partition count: %d vs %d", peak1, peak8)
 	}
 }

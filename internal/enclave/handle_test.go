@@ -248,7 +248,12 @@ func TestRewrapWarmTableFailsClosed(t *testing.T) {
 		if wks[i], err = handleWK(ie, "A", h); err != nil {
 			t.Fatal(err)
 		}
+		if !ie.wraps.cached("A", h) {
+			t.Fatalf("handle form %d has no table entry after the ECALL that sealed it", i)
+		}
 	}
+	// As a restarted enclave holds it: the handles in the store, none cached.
+	ie.wraps.reset()
 	// Each handle twice: the first call misses on the first copy and hits on
 	// the second; the second call hits on both.
 	handles := [][]byte{forms[0], forms[1], forms[0], forms[1]}
@@ -334,6 +339,7 @@ func TestAddFillsTheRewrapTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct, handle := pc.CT, pc.WrapHandle
+	ie.wraps.reset() // the create entered its handle; start the first add cold
 	for i, warm := range []bool{false, true} {
 		if ie.wraps.cached("g", handle) != warm {
 			t.Fatalf("add %d: old handle cached = %v, want %v", i, !warm, warm)

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/ibbesgx/ibbesgx/internal/hybrid"
 	"github.com/ibbesgx/ibbesgx/internal/ibbe"
 	"github.com/ibbesgx/ibbesgx/internal/kdf"
 	"github.com/ibbesgx/ibbesgx/internal/pairing"
@@ -161,7 +160,7 @@ func (ie *IBBEEnclave) EcallSetup(m int) (*ibbe.PublicKey, []byte, error) {
 		pk  *ibbe.PublicKey
 		err error
 	)
-	ie.enc.epcTouch(int64(m)*int64(ie.scheme.P.G1.PointLen()), func() {
+	ie.enc.EPCTouch(int64(m)*int64(ie.scheme.P.G1.PointLen()), func() {
 		msk, pk, err = ie.scheme.Setup(m, rand.Reader)
 	})
 	if err != nil {
@@ -219,7 +218,7 @@ func (ie *IBBEEnclave) EcallExtractUserKey(id string, userPub *ecdh.PublicKey) (
 // user's public key, then an ECDSA signature by the enclave identity key.
 // Callers hold ie.mu (read or write).
 func (ie *IBBEEnclave) provisionLocked(id string, uk *ibbe.UserKey, userPub *ecdh.PublicKey) (*ProvisionedKey, error) {
-	box, err := hybrid.SealECIES(userPub, ie.scheme.MarshalUserKey(uk), []byte("usk|"+id), rand.Reader)
+	box, err := kdf.SealECIES(userPub, ie.scheme.MarshalUserKey(uk), []byte("usk|"+id), rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("enclave: wrapping user key: %w", err)
 	}
@@ -249,7 +248,7 @@ func (ie *IBBEEnclave) EcallCreatePartition(groupLabel string, sealedGK []byte, 
 		pc       *PartitionCrypto
 		innerErr error
 	)
-	ie.enc.epcTouch(workingSet(members), func() {
+	ie.enc.EPCTouch(workingSet(members), func() {
 		pc, innerErr = ie.createPartitionLocked(groupLabel, members, gk)
 	})
 	if innerErr != nil {
@@ -338,7 +337,7 @@ func (ie *IBBEEnclave) EcallRekeyWithHandle(groupLabel string, sealedGK, handle 
 		pc       *PartitionCrypto
 		innerErr error
 	)
-	ie.enc.epcTouch(int64(ie.scheme.CiphertextLen()), func() {
+	ie.enc.EPCTouch(int64(ie.scheme.CiphertextLen()), func() {
 		bk, ct, next, err := ie.scheme.RemoveUsersState(ie.msk, ie.pk, st, removed, rand.Reader)
 		if err != nil {
 			innerErr = err
@@ -403,7 +402,7 @@ func (ie *IBBEEnclave) EcallRekeyPartition(groupLabel string, sealedGK []byte, c
 		pc       *PartitionCrypto
 		innerErr error
 	)
-	ie.enc.epcTouch(int64(ie.scheme.CiphertextLen()), func() {
+	ie.enc.EPCTouch(int64(ie.scheme.CiphertextLen()), func() {
 		bk, newCT, err := ie.scheme.Rekey(ie.pk, ct, rand.Reader)
 		if err != nil {
 			innerErr = err
@@ -436,7 +435,7 @@ func (ie *IBBEEnclave) EcallRemoveUsersFromPartition(groupLabel string, sealedGK
 		pc       *PartitionCrypto
 		innerErr error
 	)
-	ie.enc.epcTouch(int64(ie.scheme.CiphertextLen()), func() {
+	ie.enc.EPCTouch(int64(ie.scheme.CiphertextLen()), func() {
 		bk, newCT, err := ie.scheme.RemoveUsers(ie.msk, ie.pk, ct, removed, rand.Reader)
 		if err != nil {
 			innerErr = err
@@ -524,9 +523,15 @@ func (ie *IBBEEnclave) createPartitionLocked(groupLabel string, members []string
 // ciphertext ct: yᵢ = AES-GCM(SHA-256(bk), gk) — the sgx_aes(sgx_sha(b), gk)
 // step of Algorithms 1–3 — plus the partition's re-wrap handle: the wrap key
 // and, when the caller has it, the exponent state st the header derives from.
+// The wrap cipher that sealed yᵢ goes into the re-wrap table under the new
+// handle, so the next revocation's re-wrap of this partition unseals nothing.
 func (ie *IBBEEnclave) wrapPartitionLocked(groupLabel string, bk *ibbe.BroadcastKey, ct *ibbe.Ciphertext, st *ibbe.PartitionState, gk [kdf.KeySize]byte) (*PartitionCrypto, error) {
 	wk := ie.scheme.P.GTHash(bk)
-	y, err := wrapGK(wk, gk, groupLabel)
+	aead, err := kdf.NewSealer(wk)
+	if err != nil {
+		return nil, err
+	}
+	y, err := aead.Seal(gk[:], wrapAAD(groupLabel), rand.Reader)
 	if err != nil {
 		return nil, err
 	}
@@ -534,6 +539,7 @@ func (ie *IBBEEnclave) wrapPartitionLocked(groupLabel string, bk *ibbe.Broadcast
 	if err != nil {
 		return nil, err
 	}
+	ie.wraps.enter(wrapHandleLabel(groupLabel), handle, aead)
 	return &PartitionCrypto{CT: ct, WrappedGK: y, WrapHandle: handle}, nil
 }
 
@@ -607,17 +613,12 @@ func (ie *IBBEEnclave) unsealGKLocked(groupLabel string, sealed []byte) ([kdf.Ke
 	return gk, nil
 }
 
-// wrapGK computes yᵢ = AES-GCM(wk, gk) under a fresh nonce, for the wrap key
-// wk = SHA-256(bkᵢ). UnwrapGK and UnwrapGKWithKey are its user-side inverses.
-func wrapGK(wk, gk [kdf.KeySize]byte, groupLabel string) ([]byte, error) {
-	return kdf.Seal(wk, gk[:], wrapAAD(groupLabel), rand.Reader)
-}
-
 // wrapAAD is the associated data every yᵢ of a group binds.
 func wrapAAD(groupLabel string) []byte { return []byte("gk|" + groupLabel) }
 
-// UnwrapGK recovers the group key from yᵢ with a decrypted partition
-// broadcast key. It runs on the client, outside any enclave.
+// UnwrapGK recovers the group key from yᵢ = AES-GCM(SHA-256(bkᵢ), gk) with a
+// decrypted partition broadcast key. It runs on the client, outside any
+// enclave.
 func UnwrapGK(p *pairing.Params, bk *ibbe.BroadcastKey, wrapped []byte, groupLabel string) ([kdf.KeySize]byte, error) {
 	return UnwrapGKWithKey(p.GTHash(bk), wrapped, groupLabel)
 }
@@ -661,7 +662,7 @@ func (pk *ProvisionedKey) Open(s *ibbe.Scheme, enclaveKey *ecdsa.PublicKey, user
 	if err := pk.Verify(enclaveKey); err != nil {
 		return nil, err
 	}
-	raw, err := hybrid.OpenECIES(userPriv, pk.Box, []byte("usk|"+pk.ID))
+	raw, err := kdf.OpenECIES(userPriv, pk.Box, []byte("usk|"+pk.ID))
 	if err != nil {
 		return nil, fmt.Errorf("enclave: unwrapping user key: %w", err)
 	}

@@ -29,8 +29,8 @@ const (
 // wrapTable maps (seal label, full handle bytes) to the wrap cipher built
 // from the wrap key that handle seals. An entry goes in only after that exact
 // handle opened under that label to a well-formed wrap key, or the enclave
-// itself sealed it under that label over a wrap key it had just opened, and a
-// lookup compares the full key bytes, so a hit hands out only a cipher the
+// itself sealed it under that label over a wrap key it had just derived or
+// opened, and a lookup compares the full key bytes, so a hit hands out only a cipher the
 // unseal itself would have built: a tampered, truncated or relabelled handle
 // never matches and takes the unseal, which refuses it.
 type wrapTable struct {
@@ -143,6 +143,13 @@ func (ie *IBBEEnclave) wrapCipherLocked(label, handle []byte) (*kdf.Sealer, erro
 	return aead, nil
 }
 
+// enter enters aead, the wrap cipher of a handle the enclave has just sealed
+// under label, for that handle.
+func (t *wrapTable) enter(label, handle []byte, aead *kdf.Sealer) {
+	set, tag := t.set(handle)
+	set.put(tag, label, handle, aead)
+}
+
 // resealedCipherLocked enters the wrap cipher of sealed, a handle the enclave
 // has just sealed under label over the wrap key wk that the handle old opened
 // to: the cipher the table holds for old, or else one built from wk. An add
@@ -157,8 +164,7 @@ func (ie *IBBEEnclave) resealedCipherLocked(label, old, sealed []byte, wk [kdf.K
 			return err
 		}
 	}
-	set, tag = ie.wraps.set(sealed)
-	set.put(tag, label, sealed, aead)
+	ie.wraps.enter(label, sealed, aead)
 	return nil
 }
 

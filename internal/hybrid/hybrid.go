@@ -201,7 +201,7 @@ func (h *HEPKI) Decrypt(md *Metadata, id string) ([kdf.KeySize]byte, error) {
 	if err != nil {
 		return gk, err
 	}
-	pt, err := OpenECIES(priv, md.Entries[i].Box, []byte(id))
+	pt, err := kdf.OpenECIES(priv, md.Entries[i].Box, []byte(id))
 	if err != nil {
 		return gk, err
 	}
@@ -218,49 +218,7 @@ func (h *HEPKI) wrap(id string, gk [kdf.KeySize]byte, rng io.Reader) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	return SealECIES(pub, gk[:], []byte(id), rng)
-}
-
-// SealECIES encrypts msg to pub with ephemeral ECDH P-256 + HKDF + AES-256-GCM.
-// Wire: ephemeralPub ∥ box. It is shared by the HE-PKI baseline and the
-// enclave user-key provisioning channel.
-func SealECIES(pub *ecdh.PublicKey, msg, aad []byte, rng io.Reader) ([]byte, error) {
-	if rng == nil {
-		rng = rand.Reader
-	}
-	eph, err := ecdh.P256().GenerateKey(rng)
-	if err != nil {
-		return nil, fmt.Errorf("hybrid: ephemeral key: %w", err)
-	}
-	shared, err := eph.ECDH(pub)
-	if err != nil {
-		return nil, fmt.Errorf("hybrid: ECDH: %w", err)
-	}
-	ephPub := eph.PublicKey().Bytes()
-	key := kdf.DeriveKey(shared, ephPub, []byte("he-pki-ecies-v1"))
-	box, err := kdf.Seal(key, msg, aad, rng)
-	if err != nil {
-		return nil, err
-	}
-	return append(ephPub, box...), nil
-}
-
-// OpenECIES reverses SealECIES with the recipient private key.
-func OpenECIES(priv *ecdh.PrivateKey, ct, aad []byte) ([]byte, error) {
-	pubLen := len(priv.PublicKey().Bytes())
-	if len(ct) < pubLen+kdf.Overhead {
-		return nil, errors.New("hybrid: ECIES ciphertext too short")
-	}
-	ephPub, err := ecdh.P256().NewPublicKey(ct[:pubLen])
-	if err != nil {
-		return nil, fmt.Errorf("hybrid: parsing ephemeral key: %w", err)
-	}
-	shared, err := priv.ECDH(ephPub)
-	if err != nil {
-		return nil, fmt.Errorf("hybrid: ECDH: %w", err)
-	}
-	key := kdf.DeriveKey(shared, ct[:pubLen], []byte("he-pki-ecies-v1"))
-	return kdf.Open(key, ct[pubLen:], aad)
+	return kdf.SealECIES(pub, gk[:], []byte(id), rng)
 }
 
 // HEIBE is the HE-IBE baseline: hybrid encryption with identity-based

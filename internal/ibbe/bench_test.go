@@ -43,22 +43,6 @@ func BenchmarkEncryptMSK(b *testing.B) {
 	}
 }
 
-func BenchmarkEncryptMSKReference(b *testing.B) {
-	for _, n := range []int{8, 32, 128} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s, msk, pk, group := benchSetup(b, n)
-			s.DisableFastPath = true
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := s.EncryptMSK(msk, pk, group, rand.Reader); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkEncryptClassic(b *testing.B) {
 	for _, n := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -1,44 +1,22 @@
-package ibbe
+package ibbe_test
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
+	"crypto/rand"
 	"fmt"
+	"math/big"
+	mrand "math/rand"
+	"strings"
 	"sync"
 	"testing"
 
-	"github.com/ibbesgx/ibbesgx/internal/ff"
+	"github.com/ibbesgx/ibbesgx/internal/ibbe"
+	"github.com/ibbesgx/ibbesgx/internal/ibbe/ibberef"
 	"github.com/ibbesgx/ibbesgx/internal/pairing"
 )
 
-// detRand is a deterministic byte stream (SHA-256 in counter mode). Feeding
-// two scheme instances the same seed makes them draw identical scalars and
-// points, which is what lets the differential tests demand bit-identical
-// outputs rather than just "both decrypt".
-type detRand struct {
-	seed [32]byte
-	ctr  uint64
-	buf  []byte
-}
-
-func newDetRand(seed string) *detRand {
-	return &detRand{seed: sha256.Sum256([]byte(seed))}
-}
-
-func (d *detRand) Read(p []byte) (int, error) {
-	for len(d.buf) < len(p) {
-		var block [40]byte
-		copy(block[:32], d.seed[:])
-		binary.BigEndian.PutUint64(block[32:], d.ctr)
-		d.ctr++
-		sum := sha256.Sum256(block[:])
-		d.buf = append(d.buf, sum[:]...)
-	}
-	n := copy(p, d.buf)
-	d.buf = d.buf[n:]
-	return n, nil
-}
+// The differential suite: package ibbe's one arithmetic against the textbook
+// transcription in ibberef, bit for bit, on the same random streams.
 
 // fastPathParamSets returns the parameter sets the differential suite runs
 // on; the larger two only outside -short to keep local iteration quick.
@@ -51,132 +29,205 @@ func fastPathParamSets(t *testing.T) []*pairing.Params {
 	return sets
 }
 
-// TestFastPathMatchesReference pins every operation of the table-driven fast
-// path against the reference arithmetic, bit for bit: same deterministic
-// randomness in, byte-identical keys, headers and broadcast keys out.
+// hashTestParams are the parameter sets the limb hash is pinned on: Z_r of
+// 81, 122 and 160 bits, reducing 27-, 32- and 36-byte digests.
+var hashTestParams = []func() *pairing.Params{pairing.TypeA160, pairing.TypeA256, pairing.TypeA512}
+
+func ids(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("user-%04d@example.com", i)
+	}
+	return out
+}
+
+// hashEdgeIDs are the empty id and the ids at the stack buffer's edges and
+// beyond it, which the product hashes through big.Int itself.
+func hashEdgeIDs() []string {
+	out := []string{"", "a", "alice@example.com"}
+	for _, n := range []int{ibbe.IDStackBytes - 1, ibbe.IDStackBytes, ibbe.IDStackBytes + 1, 200, 1000} {
+		out = append(out, strings.Repeat("x", n), strings.Repeat("é", n/2+1))
+	}
+	return out
+}
+
+func setup(t *testing.T, s *ibbe.Scheme, m int) (*ibbe.MasterSecretKey, *ibbe.PublicKey) {
+	t.Helper()
+	msk, pk, err := s.Setup(m, rand.Reader)
+	if err != nil {
+		t.Fatalf("Setup: %v", err)
+	}
+	return msk, pk
+}
+
+// TestFastPathMatchesReference pins every operation of the table-driven
+// scheme against the reference scheme, bit for bit: same deterministic
+// randomness in, byte-identical keys, headers, broadcast keys and identity
+// hashes out.
 func TestFastPathMatchesReference(t *testing.T) {
 	for _, params := range fastPathParamSets(t) {
 		t.Run(params.Name(), func(t *testing.T) {
 			const m = 12
-			slow := NewScheme(params)
-			slow.DisableFastPath = true
-			fast := NewScheme(params)
+			ref := ibberef.New(params)
+			fast := ibbe.NewScheme(params)
 			group := ids(m)
 
 			// Setup: identical rng stream must yield identical key material.
-			mskS, pkS, err := slow.Setup(m, newDetRand("setup"))
+			mskS, pkS, err := ref.Setup(m, ibbe.NewDetRand("setup"))
 			if err != nil {
-				t.Fatalf("slow Setup: %v", err)
+				t.Fatalf("reference Setup: %v", err)
 			}
-			mskF, pkF, err := fast.Setup(m, newDetRand("setup"))
+			mskF, pkF, err := fast.Setup(m, ibbe.NewDetRand("setup"))
 			if err != nil {
 				t.Fatalf("fast Setup: %v", err)
 			}
-			if !bytes.Equal(slow.MarshalPublicKey(pkS), fast.MarshalPublicKey(pkF)) {
-				t.Fatal("Setup public keys differ between fast and reference paths")
+			if !bytes.Equal(fast.MarshalPublicKey(pkS), fast.MarshalPublicKey(pkF)) {
+				t.Fatal("Setup public keys differ between fast and reference schemes")
 			}
 			if !params.G1.Equal(mskS.G, mskF.G) || mskS.Gamma.Cmp(mskF.Gamma) != 0 {
-				t.Fatal("Setup master secrets differ between fast and reference paths")
+				t.Fatal("Setup master secrets differ between fast and reference schemes")
 			}
 
-			// From here on both paths share one key set; only the arithmetic
-			// route differs.
+			// From here on both schemes share one key set; only the
+			// arithmetic differs.
 			msk, pk := mskF, pkF
 
-			ukS, err := slow.Extract(msk, group[0])
+			ukS, err := ref.Extract(msk, group[0])
 			if err != nil {
-				t.Fatalf("slow Extract: %v", err)
+				t.Fatalf("reference Extract: %v", err)
 			}
 			ukF, err := fast.Extract(msk, group[0])
 			if err != nil {
 				t.Fatalf("fast Extract: %v", err)
 			}
-			if !bytes.Equal(slow.MarshalUserKey(ukS), fast.MarshalUserKey(ukF)) {
-				t.Fatal("Extract differs between fast and reference paths")
+			if !bytes.Equal(fast.MarshalUserKey(ukS), fast.MarshalUserKey(ukF)) {
+				t.Fatal("Extract differs between fast and reference schemes")
 			}
 
-			type op struct {
-				name string
-				run  func(s *Scheme) ([]byte, []byte, error)
+			for _, id := range hashEdgeIDs() {
+				if got, want := fast.HashID(id), ref.HashID(id); got.Cmp(want) != 0 {
+					t.Fatalf("HashID(%q) of %d bytes: %v, reference %v", id, len(id), got, want)
+				}
 			}
-			_, baseCt, err := fast.EncryptMSK(msk, pk, group, newDetRand("base"))
+
+			_, baseCt, err := fast.EncryptMSK(msk, pk, group, ibbe.NewDetRand("base"))
 			if err != nil {
 				t.Fatalf("base EncryptMSK: %v", err)
 			}
-			ops := []op{
-				{"EncryptMSK", func(s *Scheme) ([]byte, []byte, error) {
-					bk, ct, err := s.EncryptMSK(msk, pk, group, newDetRand("enc"))
-					if err != nil {
-						return nil, nil, err
-					}
-					return params.GTMarshal(bk), s.MarshalCiphertext(ct), nil
-				}},
-				{"EncryptClassic", func(s *Scheme) ([]byte, []byte, error) {
-					bk, ct, err := s.EncryptClassic(pk, group, newDetRand("classic"))
-					if err != nil {
-						return nil, nil, err
-					}
-					return params.GTMarshal(bk), s.MarshalCiphertext(ct), nil
-				}},
-				{"Decrypt", func(s *Scheme) ([]byte, []byte, error) {
-					bk, err := s.Decrypt(pk, group[0], ukF, group, baseCt)
-					if err != nil {
-						return nil, nil, err
-					}
-					return params.GTMarshal(bk), nil, nil
-				}},
-				{"AddUsers", func(s *Scheme) ([]byte, []byte, error) {
-					ct := s.AddUsers(msk, baseCt, []string{"new-a@x", "new-b@x"})
-					return nil, s.MarshalCiphertext(ct), nil
-				}},
-				{"RemoveUsers", func(s *Scheme) ([]byte, []byte, error) {
-					bk, ct, err := s.RemoveUsers(msk, pk, baseCt, group[:2], newDetRand("rm"))
-					if err != nil {
-						return nil, nil, err
-					}
-					return params.GTMarshal(bk), s.MarshalCiphertext(ct), nil
-				}},
-				{"Rekey", func(s *Scheme) ([]byte, []byte, error) {
-					bk, ct, err := s.Rekey(pk, baseCt, newDetRand("rekey"))
-					if err != nil {
-						return nil, nil, err
-					}
-					return params.GTMarshal(bk), s.MarshalCiphertext(ct), nil
-				}},
+			// edge is a roster holding the empty id and ids past the stack
+			// buffer, so their hashes run through every roster product.
+			edge := append(hashEdgeIDs()[:m-4], group[:4]...)
+			type result struct {
+				bk *ibbe.BroadcastKey
+				ct *ibbe.Ciphertext
+			}
+			ops := []struct {
+				name      string
+				ref, fast func() (result, error)
+			}{
+				{"EncryptMSK",
+					func() (result, error) {
+						bk, ct, err := ref.EncryptMSK(msk, pk, group, ibbe.NewDetRand("enc"))
+						return result{bk, ct}, err
+					},
+					func() (result, error) {
+						bk, ct, err := fast.EncryptMSK(msk, pk, group, ibbe.NewDetRand("enc"))
+						return result{bk, ct}, err
+					}},
+				{"EncryptMSK/edge-ids",
+					func() (result, error) {
+						bk, ct, err := ref.EncryptMSK(msk, pk, edge, ibbe.NewDetRand("enc-edge"))
+						return result{bk, ct}, err
+					},
+					func() (result, error) {
+						bk, ct, err := fast.EncryptMSK(msk, pk, edge, ibbe.NewDetRand("enc-edge"))
+						return result{bk, ct}, err
+					}},
+				{"EncryptClassic",
+					func() (result, error) {
+						bk, ct, err := ref.EncryptClassic(pk, group, ibbe.NewDetRand("classic"))
+						return result{bk, ct}, err
+					},
+					func() (result, error) {
+						bk, ct, err := fast.EncryptClassic(pk, group, ibbe.NewDetRand("classic"))
+						return result{bk, ct}, err
+					}},
+				{"EncryptClassic/edge-ids",
+					func() (result, error) {
+						bk, ct, err := ref.EncryptClassic(pk, edge, ibbe.NewDetRand("classic-edge"))
+						return result{bk, ct}, err
+					},
+					func() (result, error) {
+						bk, ct, err := fast.EncryptClassic(pk, edge, ibbe.NewDetRand("classic-edge"))
+						return result{bk, ct}, err
+					}},
+				{"Decrypt",
+					func() (result, error) {
+						bk, err := ref.Decrypt(pk, group[0], ukF, group, baseCt)
+						return result{bk: bk}, err
+					},
+					func() (result, error) {
+						bk, err := fast.Decrypt(pk, group[0], ukF, group, baseCt)
+						return result{bk: bk}, err
+					}},
+				{"AddUsers",
+					func() (result, error) {
+						return result{ct: ref.AddUsers(msk, baseCt, []string{"new-a@x", "new-b@x"})}, nil
+					},
+					func() (result, error) {
+						return result{ct: fast.AddUsers(msk, baseCt, []string{"new-a@x", "new-b@x"})}, nil
+					}},
+				{"RemoveUsers",
+					func() (result, error) {
+						bk, ct, err := ref.RemoveUsers(msk, pk, baseCt, group[:2], ibbe.NewDetRand("rm"))
+						return result{bk, ct}, err
+					},
+					func() (result, error) {
+						bk, ct, err := fast.RemoveUsers(msk, pk, baseCt, group[:2], ibbe.NewDetRand("rm"))
+						return result{bk, ct}, err
+					}},
+				{"Rekey",
+					func() (result, error) {
+						bk, ct, err := ref.Rekey(pk, baseCt, ibbe.NewDetRand("rekey"))
+						return result{bk, ct}, err
+					},
+					func() (result, error) {
+						bk, ct, err := fast.Rekey(pk, baseCt, ibbe.NewDetRand("rekey"))
+						return result{bk, ct}, err
+					}},
 			}
 			for _, o := range ops {
-				bkS, ctS, err := o.run(slow)
+				want, err := o.ref()
 				if err != nil {
-					t.Fatalf("slow %s: %v", o.name, err)
+					t.Fatalf("reference %s: %v", o.name, err)
 				}
-				bkF, ctF, err := o.run(fast)
+				got, err := o.fast()
 				if err != nil {
 					t.Fatalf("fast %s: %v", o.name, err)
 				}
-				if !bytes.Equal(bkS, bkF) {
-					t.Fatalf("%s: broadcast keys differ between fast and reference paths", o.name)
+				if (want.bk == nil) != (got.bk == nil) || want.bk != nil && !bytes.Equal(params.GTMarshal(want.bk), params.GTMarshal(got.bk)) {
+					t.Fatalf("%s: broadcast keys differ between fast and reference schemes", o.name)
 				}
-				if !bytes.Equal(ctS, ctF) {
-					t.Fatalf("%s: ciphertexts differ between fast and reference paths", o.name)
+				if (want.ct == nil) != (got.ct == nil) || want.ct != nil && !bytes.Equal(fast.MarshalCiphertext(want.ct), fast.MarshalCiphertext(got.ct)) {
+					t.Fatalf("%s: ciphertexts differ between fast and reference schemes", o.name)
 				}
 			}
 		})
 	}
 }
 
-// TestFastPathDecryptsReferenceCiphertext crosses the paths: reference
+// TestFastPathDecryptsReferenceCiphertext crosses the schemes: reference
 // encrypt / fast decrypt and vice versa, on a shared key set.
 func TestFastPathDecryptsReferenceCiphertext(t *testing.T) {
-	slow := NewScheme(pairing.TypeA160())
-	slow.DisableFastPath = true
-	fast := NewScheme(pairing.TypeA160())
+	ref := ibberef.New(pairing.TypeA160())
+	fast := ibbe.NewScheme(pairing.TypeA160())
 	msk, pk := setup(t, fast, 8)
 	group := ids(8)
 	uk, err := fast.Extract(msk, group[3])
 	if err != nil {
 		t.Fatal(err)
 	}
-	bk, ct, err := slow.EncryptMSK(msk, pk, group, newDetRand("cross-1"))
+	bk, ct, err := ref.EncryptMSK(msk, pk, group, ibbe.NewDetRand("cross-1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,94 +235,72 @@ func TestFastPathDecryptsReferenceCiphertext(t *testing.T) {
 	if err != nil || !fast.P.GTEqual(got, bk) {
 		t.Fatalf("fast Decrypt of reference ciphertext: %v", err)
 	}
-	bk, ct, err = fast.EncryptMSK(msk, pk, group, newDetRand("cross-2"))
+	bk, ct, err = fast.EncryptMSK(msk, pk, group, ibbe.NewDetRand("cross-2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = slow.Decrypt(pk, group[3], uk, group, ct)
-	if err != nil || !slow.P.GTEqual(got, bk) {
+	got, err = ref.Decrypt(pk, group[3], uk, group, ct)
+	if err != nil || !ref.P.GTEqual(got, bk) {
 		t.Fatalf("reference Decrypt of fast ciphertext: %v", err)
 	}
 }
 
-// setOf is the memo set id maps to.
-func (hs *idHasher) setOf(id string) *hashSet { return &hs.sets[hs.tag(id)%hashMemoSets] }
-
-// memoHolds reports whether id's memo set holds an entry for it.
-func (hs *idHasher) memoHolds(id string) bool {
-	set := hs.setOf(id)
-	set.mu.Lock()
-	defer set.mu.Unlock()
-	for w := range set.id {
-		if set.full[w] && set.id[w] == id {
-			return true
-		}
-	}
-	return false
-}
-
-// TestHashIDMemoMatchesUncachedAndCopies checks that a memo hit returns the
-// reference value and that no returned big.Int aliases the table.
-func TestHashIDMemoMatchesUncachedAndCopies(t *testing.T) {
-	s := testScheme(t)
-	hs := s.hasher()
-	for i := 0; i < 64; i++ {
-		id := fmt.Sprintf("memo-%03d@example.com", i)
-		first := s.HashID(id) // fills an entry of the id's set
-		if !hs.memoHolds(id) {
-			t.Fatalf("%s: miss did not fill its set", id)
-		}
-		second := s.HashID(id) // memo hit
-		if first.Cmp(second) != 0 {
-			t.Fatalf("memoized hash differs for %s", id)
-		}
-		if first.Cmp(s.hashIDUncached(id)) != 0 {
-			t.Fatalf("memoized hash differs from uncached for %s", id)
-		}
-		// Mutating a returned value must not poison the cache.
-		second.SetInt64(1)
-		if s.HashID(id).Cmp(first) != 0 {
-			t.Fatalf("cache poisoned through returned value for %s", id)
-		}
+// TestHashIDMontMatchesReference is the differential test of the identity
+// hash against the reference: ≥ 20 000 ids per parameter set, plus the
+// empty id and ids longer than the stack buffer, through the limb function
+// alone and through the memo.
+func TestHashIDMontMatchesReference(t *testing.T) {
+	for _, params := range hashTestParams {
+		p := params()
+		t.Run(p.Name(), func(t *testing.T) {
+			s, ref := ibbe.NewScheme(p), ibberef.New(p)
+			ids := hashEdgeIDs()
+			rng := mrand.New(mrand.NewSource(40))
+			for i := 0; i < 20000; i++ {
+				ids = append(ids, fmt.Sprintf("user-%d-%x@example.com", i, rng.Uint64()))
+			}
+			for _, id := range ids {
+				want := ref.HashID(id)
+				if got := ibbe.LimbHash(s, id); got.Cmp(want) != 0 {
+					t.Fatalf("H(%q): limb %v, reference %v", id, got, want)
+				}
+				if got := s.HashID(id); got.Cmp(want) != 0 {
+					t.Fatalf("HashID(%q): %v, reference %v", id, got, want)
+				}
+			}
+		})
 	}
 }
 
-// TestHashIDMemoBounded sweeps more fresh ids than the table has entries: a
-// miss must allocate nothing (no growth, no per-entry value), and every
-// filled entry must sit in its id's set and hold its id's hash.
-func TestHashIDMemoBounded(t *testing.T) {
-	s := testScheme(t)
-	hs := s.hasher()
-	fresh := make([]string, 4*hashMemoSets)
-	for i := range fresh {
-		fresh[i] = fmt.Sprintf("bound-%05d@example.com", i)
+// FuzzHashID cross-checks the identity hash against the reference on
+// fuzzer-chosen ids at every built-in width, and the reducer against
+// big.Int Mod on fuzzer-chosen digests. CI runs it as a short smoke
+// (`make fuzz`).
+func FuzzHashID(f *testing.F) {
+	f.Add("", []byte{})
+	f.Add("alice@example.com", []byte{0xff, 0xff, 0xff})
+	f.Add(strings.Repeat("x", ibbe.IDStackBytes+1), []byte(strings.Repeat("\xff", 36)))
+	schemes := make([]*ibbe.Scheme, len(hashTestParams))
+	for i, params := range hashTestParams {
+		schemes[i] = ibbe.NewScheme(params())
 	}
-	var h ff.Fel
-	next := 0
-	allocs := testing.AllocsPerRun(len(fresh)-1, func() {
-		s.hashMont(&h, fresh[next])
-		next++
+	f.Fuzz(func(t *testing.T, id string, digest []byte) {
+		for _, s := range schemes {
+			want := ibberef.New(s.P).HashID(id)
+			if got := ibbe.LimbHash(s, id); got.Cmp(want) != 0 {
+				t.Fatalf("%s: H(%q): limb %v, reference %v", s.P.Name(), id, got, want)
+			}
+			if got := s.HashID(id); got.Cmp(want) != 0 {
+				t.Fatalf("%s: HashID(%q) through the memo: %v, reference %v", s.P.Name(), id, got, want)
+			}
+			need := (s.P.R.BitLen()+7)/8 + 16
+			v := new(big.Int).SetBytes(digest[:min(len(digest), need)])
+			rm1 := new(big.Int).Sub(s.P.R, big.NewInt(1))
+			if got, want := ibbe.ReduceModRMinus1(s, v), new(big.Int).Mod(v, rm1); got.Cmp(want) != 0 {
+				t.Fatalf("%s: %v mod r−1: got %v, want %v", s.P.Name(), v, got, want)
+			}
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("a memo miss allocates %.1f times; want 0", allocs)
-	}
-	m := s.P.Zr.Mont()
-	filled := 0
-	for i := range hs.sets {
-		set := &hs.sets[i]
-		for w := range set.id {
-			if !set.full[w] {
-				continue
-			}
-			filled++
-			if hs.setOf(set.id[w]) != set || m.ToBig(&set.v[w]).Cmp(s.hashIDUncached(set.id[w])) != 0 {
-				t.Fatalf("set %d holds a wrong entry for %s", i, set.id[w])
-			}
-		}
-	}
-	if filled > 2*hashMemoSets || filled < hashMemoSets {
-		t.Fatalf("%d entries filled after %d fresh ids into %d", filled, len(fresh), 2*hashMemoSets)
-	}
 }
 
 // TestHashIDConcurrent hammers the memo from many goroutines over ids picked
@@ -280,16 +309,14 @@ func TestHashIDMemoBounded(t *testing.T) {
 // is checked against the reference; run under -race this proves the table
 // is race-clean.
 func TestHashIDConcurrent(t *testing.T) {
-	s := testScheme(t)
-	slow := NewScheme(s.P)
-	slow.DisableFastPath = true
-	hs := s.hasher()
+	p := pairing.TypeA160()
+	s, ref := ibbe.NewScheme(p), ibberef.New(p)
 	const sets, perSet = 8, 6
-	bySet := map[*hashSet][]string{}
+	bySet := map[uint64][]string{}
 	var shared []string
 	for i := 0; len(shared) < sets*perSet; i++ {
 		id := fmt.Sprintf("conc-%05d@example.com", i)
-		set := hs.setOf(id)
+		set := ibbe.MemoSet(s, id)
 		if len(bySet[set]) == perSet || (len(bySet) == sets && bySet[set] == nil) {
 			continue
 		}
@@ -305,7 +332,7 @@ func TestHashIDConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
 				id := shared[(i*(w+1))%len(shared)]
-				if s.HashID(id).Cmp(slow.HashID(id)) != 0 {
+				if s.HashID(id).Cmp(ref.HashID(id)) != 0 {
 					errs <- fmt.Errorf("worker %d: hash mismatch for %s", w, id)
 					return
 				}
@@ -320,19 +347,18 @@ func TestHashIDConcurrent(t *testing.T) {
 }
 
 // TestPrecomputeConcurrent exercises the lazy per-key tables from many
-// goroutines at once: every operation must agree with the reference path no
-// matter which goroutine wins the sync.Once races.
+// goroutines at once: every operation must agree with the reference scheme
+// no matter which goroutine wins the sync.Once races.
 func TestPrecomputeConcurrent(t *testing.T) {
-	fast := NewScheme(pairing.TypeA160())
-	slow := NewScheme(pairing.TypeA160())
-	slow.DisableFastPath = true
+	fast := ibbe.NewScheme(pairing.TypeA160())
+	ref := ibberef.New(pairing.TypeA160())
 	msk, pk := setup(t, fast, 8)
 	group := ids(8)
 	uk, err := fast.Extract(msk, group[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	bk, ct, err := slow.EncryptMSK(msk, pk, group, newDetRand("pre"))
+	bk, ct, err := ref.EncryptMSK(msk, pk, group, ibbe.NewDetRand("pre"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +369,7 @@ func TestPrecomputeConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			seed := fmt.Sprintf("pre-%d", w)
-			if _, _, err := fast.EncryptMSK(msk, pk, group, newDetRand(seed)); err != nil {
+			if _, _, err := fast.EncryptMSK(msk, pk, group, ibbe.NewDetRand(seed)); err != nil {
 				errs <- err
 				return
 			}
@@ -361,5 +387,30 @@ func TestPrecomputeConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkEncryptMSKReference prices EncryptMSK on the reference scheme,
+// beside BenchmarkEncryptMSK on the product one.
+func BenchmarkEncryptMSKReference(b *testing.B) {
+	for _, n := range []int{8, 32, 128} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ref := ibberef.New(pairing.TypeA160())
+			msk, pk, err := ref.Setup(n, rand.Reader)
+			if err != nil {
+				b.Fatal(err)
+			}
+			group := make([]string, n)
+			for i := range group {
+				group[i] = fmt.Sprintf("user-%04d@bench", i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ref.EncryptMSK(msk, pk, group, rand.Reader); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

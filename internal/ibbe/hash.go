@@ -23,19 +23,20 @@ import (
 // allocation.
 const hashMemoSets = 2048
 
-// idStackBytes bounds the ids hashed off the stack; a longer id takes the
-// big.Int reference.
+// idStackBytes bounds the ids hashed off the stack; a longer id takes
+// hashIDBig.
 const idStackBytes = 124
 
 // wideBytes is the byte width of the reducer's widest input, 2·MaxLimbs
 // limbs; every digest H reduces (bytes(r) + 16) fits in it.
 const wideBytes = 16 * ff.MaxLimbs
 
-// idHasher is a Scheme's identity-hash state, built on the first fast-path
-// hash: the digest width, the Barrett reducer modulo r − 1 and the memo.
+// idHasher is a Scheme's identity-hash state, built on the first hash: the
+// digest width, r − 1, its Barrett reducer and the memo.
 type idHasher struct {
 	sets [hashMemoSets]hashSet // first, so every set starts on a cache line
 	need int                   // digest bytes reduced: bytes(r) + 16
+	rm1  *big.Int              // r − 1
 	red  *barrett              // the reducer modulo r − 1
 	seed maphash.Seed
 }
@@ -53,12 +54,15 @@ type hashSet struct {
 	v    [2]ff.Fel
 }
 
-// hasher returns the Scheme's identity-hash state, building it once. Only
-// the fast path builds it; the reference arm needs none of it.
+// hasher returns the Scheme's identity-hash state, building it once.
 func (s *Scheme) hasher() *idHasher {
 	s.hashOnce.Do(func() {
-		hs := &idHasher{need: (s.P.R.BitLen()+7)/8 + 16, seed: maphash.MakeSeed()}
-		if hs.red = newBarrett(s.rMinus1(), (hs.need+7)/8); hs.red == nil {
+		hs := &idHasher{
+			need: (s.P.R.BitLen()+7)/8 + 16,
+			rm1:  new(big.Int).Sub(s.P.R, bigOne),
+			seed: maphash.MakeSeed(),
+		}
+		if hs.red = newBarrett(hs.rm1, (hs.need+7)/8); hs.red == nil {
 			panic(fmt.Sprintf("ibbe: no fixed-limb reducer modulo r − 1 for a %d-bit r", s.P.R.BitLen()))
 		}
 		s.hash = hs
@@ -71,9 +75,6 @@ func (s *Scheme) hasher() *idHasher {
 // keep the modular bias negligible. The result is a fresh big.Int the caller
 // owns.
 func (s *Scheme) HashID(id string) *big.Int {
-	if s.DisableFastPath {
-		return s.hashIDUncached(id)
-	}
 	var h ff.Fel
 	s.hashMont(&h, id)
 	return s.P.Zr.Mont().ToBig(&h)
@@ -111,12 +112,12 @@ func (hs *idHasher) tag(id string) uint64 { return maphash.String(hs.seed, id) }
 // the digest blocks SHA-256(block ‖ id) are hashed off a stack buffer, the
 // first need bytes are reduced modulo r − 1 by the fixed-limb Barrett step,
 // 1 is added, and one product by R² takes the value into the Montgomery
-// domain. It equals hashIDUncached bit for bit and allocates nothing for ids
-// up to idStackBytes; a longer id takes hashIDUncached itself.
+// domain. It allocates nothing for ids up to idStackBytes; a longer id takes
+// hashIDBig.
 func (s *Scheme) hashIDMont(hs *idHasher, dst *ff.Fel, id string) {
 	m := s.P.Zr.Mont()
 	if len(id) > idStackBytes {
-		m.FromBig(dst, s.hashIDUncached(id))
+		m.FromBig(dst, hs.hashIDBig(id))
 		return
 	}
 	// The digest is written right-aligned in wide, so its need bytes end on
@@ -143,27 +144,23 @@ func (s *Scheme) hashIDMont(hs *idHasher, dst *ff.Fel, id string) {
 	m.ToMont(dst, &v)
 }
 
-// hashIDUncached is the big.Int reference for H: the DisableFastPath arm,
-// and the oracle the limb function is tested against.
-func (s *Scheme) hashIDUncached(id string) *big.Int {
-	r := s.P.R
-	need := (r.BitLen()+7)/8 + 16
-	out := make([]byte, 0, need+sha256.Size)
-	var block uint32
-	for len(out) < need {
-		h := sha256.New()
-		var pre [4]byte
-		binary.BigEndian.PutUint32(pre[:], block)
-		h.Write(pre[:])
-		h.Write([]byte(id))
-		out = h.Sum(out)
-		block++
+// hashIDBig is H for an id longer than idStackBytes: the same digest blocks
+// off a heap buffer, reduced modulo r − 1 with big.Int, plus 1.
+func (hs *idHasher) hashIDBig(id string) *big.Int {
+	buf := make([]byte, 4+len(id))
+	copy(buf[4:], id)
+	out := make([]byte, 0, hs.need+sha256.Size)
+	for block := uint32(0); len(out) < hs.need; block++ {
+		binary.BigEndian.PutUint32(buf[:4], block)
+		sum := sha256.Sum256(buf)
+		out = append(out, sum[:]...)
 	}
-	v := new(big.Int).SetBytes(out[:need])
-	v.Mod(v, s.rMinus1())
-	v.Add(v, bigOne) // uniform in [1, r−1]
-	return v
+	v := new(big.Int).SetBytes(out[:hs.need])
+	v.Mod(v, hs.rm1)
+	return v.Add(v, bigOne) // uniform in [1, r−1]
 }
+
+var bigOne = big.NewInt(1)
 
 // barrett reduces wide values modulo a fixed d by Barrett's method (HAC
 // Alg. 14.42, base b = 2⁶⁴). For d of k limbs with a non-zero top limb and

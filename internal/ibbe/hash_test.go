@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"math/big"
 	mrand "math/rand"
-	"strings"
 	"testing"
 
 	"github.com/ibbesgx/ibbesgx/internal/ff"
 	"github.com/ibbesgx/ibbesgx/internal/pairing"
 )
 
-// hashTestParams are the parameter sets the limb hash is pinned on: Z_r of
+// hashTestParams are the parameter sets the reducer is pinned on: Z_r of
 // 81, 122 and 160 bits, reducing 27-, 32- and 36-byte digests.
 var hashTestParams = []func() *pairing.Params{pairing.TypeA160, pairing.TypeA256, pairing.TypeA512}
 
@@ -23,38 +22,83 @@ func limbHash(s *Scheme, id string) *big.Int {
 	return s.P.Zr.Mont().ToBig(&h)
 }
 
-// hashEdgeIDs are the ids at the stack buffer's edges and beyond it.
-func hashEdgeIDs() []string {
-	out := []string{"", "a", "alice@example.com"}
-	for _, n := range []int{idStackBytes - 1, idStackBytes, idStackBytes + 1, 200, 1000} {
-		out = append(out, strings.Repeat("x", n), strings.Repeat("é", n/2+1))
+// setOf is the memo set id maps to.
+func (hs *idHasher) setOf(id string) *hashSet { return &hs.sets[hs.tag(id)%hashMemoSets] }
+
+// memoHolds reports whether id's memo set holds an entry for it.
+func (hs *idHasher) memoHolds(id string) bool {
+	set := hs.setOf(id)
+	set.mu.Lock()
+	defer set.mu.Unlock()
+	for w := range set.id {
+		if set.full[w] && set.id[w] == id {
+			return true
+		}
 	}
-	return out
+	return false
 }
 
-// TestHashIDMontMatchesReference is the differential test of the limb hash
-// against the big.Int reference: ≥ 20 000 ids per parameter set, plus the
-// empty id and ids longer than the stack buffer.
-func TestHashIDMontMatchesReference(t *testing.T) {
-	for _, params := range hashTestParams {
-		p := params()
-		t.Run(p.Name(), func(t *testing.T) {
-			s := NewScheme(p)
-			ids := hashEdgeIDs()
-			rng := mrand.New(mrand.NewSource(40))
-			for i := 0; i < 20000; i++ {
-				ids = append(ids, fmt.Sprintf("user-%d-%x@example.com", i, rng.Uint64()))
+// TestHashIDMemoMatchesUncachedAndCopies checks that a memo hit returns the
+// limb function's value and that no returned big.Int aliases the table.
+func TestHashIDMemoMatchesUncachedAndCopies(t *testing.T) {
+	s := testScheme(t)
+	hs := s.hasher()
+	for i := 0; i < 64; i++ {
+		id := fmt.Sprintf("memo-%03d@example.com", i)
+		first := s.HashID(id) // fills an entry of the id's set
+		if !hs.memoHolds(id) {
+			t.Fatalf("%s: miss did not fill its set", id)
+		}
+		second := s.HashID(id) // memo hit
+		if first.Cmp(second) != 0 {
+			t.Fatalf("memoized hash differs for %s", id)
+		}
+		if first.Cmp(limbHash(s, id)) != 0 {
+			t.Fatalf("memoized hash differs from uncached for %s", id)
+		}
+		// Mutating a returned value must not poison the cache.
+		second.SetInt64(1)
+		if s.HashID(id).Cmp(first) != 0 {
+			t.Fatalf("cache poisoned through returned value for %s", id)
+		}
+	}
+}
+
+// TestHashIDMemoBounded sweeps more fresh ids than the table has entries: a
+// miss must allocate nothing (no growth, no per-entry value), and every
+// filled entry must sit in its id's set and hold its id's hash.
+func TestHashIDMemoBounded(t *testing.T) {
+	s := testScheme(t)
+	hs := s.hasher()
+	fresh := make([]string, 4*hashMemoSets)
+	for i := range fresh {
+		fresh[i] = fmt.Sprintf("bound-%05d@example.com", i)
+	}
+	var h ff.Fel
+	next := 0
+	allocs := testing.AllocsPerRun(len(fresh)-1, func() {
+		s.hashMont(&h, fresh[next])
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("a memo miss allocates %.1f times; want 0", allocs)
+	}
+	m := s.P.Zr.Mont()
+	filled := 0
+	for i := range hs.sets {
+		set := &hs.sets[i]
+		for w := range set.id {
+			if !set.full[w] {
+				continue
 			}
-			for _, id := range ids {
-				want := s.hashIDUncached(id)
-				if got := limbHash(s, id); got.Cmp(want) != 0 {
-					t.Fatalf("H(%q): limb %v, reference %v", id, got, want)
-				}
-				if got := s.HashID(id); got.Cmp(want) != 0 {
-					t.Fatalf("HashID(%q): %v, reference %v", id, got, want)
-				}
+			filled++
+			if hs.setOf(set.id[w]) != set || m.ToBig(&set.v[w]).Cmp(limbHash(s, set.id[w])) != 0 {
+				t.Fatalf("set %d holds a wrong entry for %s", i, set.id[w])
 			}
-		})
+		}
+	}
+	if filled > 2*hashMemoSets || filled < hashMemoSets {
+		t.Fatalf("%d entries filled after %d fresh ids into %d", filled, len(fresh), 2*hashMemoSets)
 	}
 }
 
@@ -71,7 +115,7 @@ func TestBarrettReduceEdges(t *testing.T) {
 	for _, params := range hashTestParams {
 		p := params()
 		s := NewScheme(p)
-		mods = append(mods, mod{p.Name() + "/r-1", s.rMinus1(), s.hasher().need})
+		mods = append(mods, mod{p.Name() + "/r-1", s.hasher().rm1, s.hasher().need})
 	}
 	fullTop := new(big.Int).Sub(new(big.Int).Lsh(bigOne, 192), big.NewInt(237)) // top limb all ones
 	lowTop := new(big.Int).Add(new(big.Int).Lsh(bigOne, 128), big.NewInt(51))   // top limb 1
@@ -133,39 +177,4 @@ func TestBarrettRefuses(t *testing.T) {
 	if newBarrett(big.NewInt(1<<40), 3) != nil {
 		t.Fatal("reducer accepted inputs wider than 2k limbs")
 	}
-}
-
-// FuzzHashID cross-checks the limb hash against the big.Int reference on
-// fuzzer-chosen ids at every built-in width, and the reducer against
-// big.Int Mod on fuzzer-chosen digests. CI runs it as a short smoke
-// (`make fuzz`).
-func FuzzHashID(f *testing.F) {
-	f.Add("", []byte{})
-	f.Add("alice@example.com", []byte{0xff, 0xff, 0xff})
-	f.Add(strings.Repeat("x", idStackBytes+1), []byte(strings.Repeat("\xff", 36)))
-	schemes := make([]*Scheme, len(hashTestParams))
-	for i, params := range hashTestParams {
-		schemes[i] = NewScheme(params())
-	}
-	f.Fuzz(func(t *testing.T, id string, digest []byte) {
-		for _, s := range schemes {
-			want := s.hashIDUncached(id)
-			if got := limbHash(s, id); got.Cmp(want) != 0 {
-				t.Fatalf("%s: H(%q): limb %v, reference %v", s.P.Name(), id, got, want)
-			}
-			if got := s.HashID(id); got.Cmp(want) != 0 {
-				t.Fatalf("%s: HashID(%q) through the memo: %v, reference %v", s.P.Name(), id, got, want)
-			}
-			hs := s.hasher()
-			v := new(big.Int).SetBytes(digest[:min(len(digest), hs.need)])
-			var x [2 * ff.MaxLimbs]uint64
-			bigLimbs(x[:], v)
-			var got, want2 ff.Fel
-			hs.red.reduce(&got, &x)
-			bigLimbs(want2[:], new(big.Int).Mod(v, s.rMinus1()))
-			if got != want2 {
-				t.Fatalf("%s: %v mod r−1: got %x, want %x", s.P.Name(), v, got, want2)
-			}
-		}
-	})
 }

@@ -48,28 +48,21 @@ var (
 // Scheme binds the IBBE algorithms to a pairing parameter set. Metrics, when
 // non-nil, receives operation counts (used by the Table I reproduction).
 //
+// Every operation runs one arithmetic: Montgomery limbs for Z_r, fixed-base
+// and multi-exponentiation tables for G1, the windowed GT ladder and the
+// projective Miller loop. The textbook big.Int transcription it is tested
+// against bit for bit is package ibberef.
+//
 // A Scheme must not be copied after first use (it carries the identity-hash
 // memo); share it by pointer, as NewScheme hands it out.
 type Scheme struct {
 	P       *pairing.Params
 	Metrics *Metrics
 
-	// DisableFastPath forces the reference arithmetic everywhere: plain
-	// double-and-add scalar multiplication, the coefficient-by-coefficient
-	// HPowers loop, square-and-multiply GT exponentiation, and uncached
-	// identity hashing. The differential tests pin the fast path against
-	// this mode bit-for-bit, and the crypto benchmark uses it as the
-	// "old path" arm. Leave it false in production.
-	DisableFastPath bool
-
 	// Identity-hash state: the reducer modulo r − 1 and the memo, built on
-	// the first fast-path hash (HashID is deterministic, so caching is safe).
+	// the first hash (HashID is deterministic, so caching is safe).
 	hashOnce sync.Once
 	hash     *idHasher
-
-	// rMinus1 = r − 1, hoisted out of HashID.
-	rm1Once sync.Once
-	rm1     *big.Int
 }
 
 // NewScheme returns an IBBE scheme over the given pairing parameters.
@@ -110,7 +103,7 @@ type PublicKey struct {
 	pre pkPrecomp
 }
 
-// pkPrecomp holds the per-public-key table caches behind the fast paths.
+// pkPrecomp holds the per-public-key table caches the operations run on.
 // Each table is built at most once (computed lazily under its own sync.Once,
 // so e.g. an encrypt-only workload never pays for the Straus table) and then
 // reused across every operation on the key — including the per-partition
@@ -185,12 +178,6 @@ type PartitionState struct {
 // BroadcastKey is bk = v^k ∈ GT; its hash is used as a symmetric key.
 type BroadcastKey = pairing.GT
 
-// rMinus1 returns r − 1, computed once per Scheme instead of once per hash.
-func (s *Scheme) rMinus1() *big.Int {
-	s.rm1Once.Do(func() { s.rm1 = new(big.Int).Sub(s.P.R, bigOne) })
-	return s.rm1
-}
-
 // Setup runs the system setup for maximal group size m: it draws
 // MSK = (g, γ) and computes PK = (w, v, h, h^γ, …, h^γ^m). Cost is O(m)
 // G1 exponentiations — the paper's Fig. 6a measures exactly this loop.
@@ -214,17 +201,7 @@ func (s *Scheme) Setup(m int, rng io.Reader) (*MasterSecretKey, *PublicKey, erro
 	msk := &MasterSecretKey{G: g, Gamma: gamma}
 
 	pk := &PublicKey{V: s.pair(g, h)}
-	if s.DisableFastPath {
-		pk.W = s.expG1(g, gamma)
-		pk.HPowers = make([]*curve.Point, m+1)
-		acc := big.NewInt(1)
-		for i := 0; i <= m; i++ {
-			pk.HPowers[i] = s.expG1(h, acc)
-			acc = s.P.Zr.Mul(acc, gamma)
-		}
-		return msk, pk, nil
-	}
-	// Fast path: γ and every γ^i are secret exponents. w = g^γ takes the
+	// γ and every γ^i are secret exponents. w = g^γ takes the
 	// constant-time walk over msk's table for g, which Extract then reuses,
 	// and the powers take it over one fixed-base table for h (≈ bits(r)/6
 	// mixed additions each, no doublings), sharing a single normalisation.
@@ -244,8 +221,7 @@ func (s *Scheme) Setup(m int, rng io.Reader) (*MasterSecretKey, *PublicKey, erro
 }
 
 // Extract derives the user secret key USK = g^(1/(γ+H(u))). This is the
-// O(1) key-extraction operation benchmarked in Fig. 6b. On the fast path the
-// exponentiation is the constant-time walk over msk's fixed-base table for
+// O(1) key-extraction operation benchmarked in Fig. 6b. The exponentiation is the constant-time walk over msk's fixed-base table for
 // g, built on the first extraction: ≈ bits(r)/6 table additions and no
 // doublings per key.
 func (s *Scheme) Extract(msk *MasterSecretKey, id string) (*UserKey, error) {
@@ -258,9 +234,6 @@ func (s *Scheme) Extract(msk *MasterSecretKey, id string) (*UserKey, error) {
 	if err != nil {
 		// Happens only if H(u) = −γ, probability ~ 2^−160.
 		return nil, fmt.Errorf("ibbe: identity collides with master secret: %w", err)
-	}
-	if s.DisableFastPath {
-		return &UserKey{D: s.expG1(msk.G, inv)}, nil
 	}
 	return &UserKey{D: s.expFixed(s.fbG(msk), inv)}, nil
 }
@@ -297,16 +270,12 @@ func (s *Scheme) EncryptMSKState(msk *MasterSecretKey, pk *PublicKey, ids []stri
 // its exponent state: C1 = w^−k, C2 = h^{k·Π}, C3 = h^Π, bk = v^k. bk takes
 // the (variable-time) GT table of v.
 func (s *Scheme) headerFromState(pk *PublicKey, st *PartitionState) (*BroadcastKey, *Ciphertext) {
-	ct := s.stateHeader(pk, st, nil)
-	if s.DisableFastPath {
-		return s.expGT(pk.V, st.K), ct
-	}
-	return s.expGTFixed(s.fbV(pk), st.K), ct
+	return s.expGTFixed(s.fbV(pk), st.K), s.stateHeader(pk, st, nil)
 }
 
 // stateHeader derives the header points of st: C2 = h^{k·Π}, C3 = h^Π and
 // C1 = w^−k, or a copy of keepC1 when given (an add keeps k, and with it C1).
-// On the fast path every point takes the constant-time fixed-base walk over
+// Every point takes the constant-time fixed-base walk over
 // the h and w tables, and they share one normalisation.
 func (s *Scheme) stateHeader(pk *PublicKey, st *PartitionState, keepC1 *curve.Point) *Ciphertext {
 	fbH := s.fbH(pk)
@@ -339,15 +308,6 @@ func (s *Scheme) EncryptClassic(pk *PublicKey, ids []string, rng io.Reader) (*Br
 	coeffs := s.expandProductPoly(ids) // O(n²)
 	// C3 = h^Π(γ+H(u)) = Σ_i coeffs[i]·HPowers[i] in additive notation.
 	c3 := s.multiExpHPowers(pk, coeffs, 0)
-	if s.DisableFastPath {
-		ct := &Ciphertext{
-			C1: s.expG1(pk.W, s.P.Zr.Neg(k)),
-			C2: s.expG1(c3, k),
-			C3: c3,
-		}
-		bk := s.expGT(pk.V, k)
-		return bk, ct, nil
-	}
 	ct := &Ciphertext{
 		C1: s.expFixed(s.fbW(pk), s.P.Zr.Neg(k)),
 		C2: s.expG1(c3, k), // fresh base: no table pays off for one use
@@ -470,12 +430,7 @@ func (s *Scheme) RemoveUsers(msk *MasterSecretKey, pk *PublicKey, ct *Ciphertext
 // and both Remove operations. C1 and bk ride the w and v fixed-base tables;
 // C2's base C3 changes every call, so it takes the generic windowed path.
 func (s *Scheme) rotateHeader(pk *PublicKey, c3 *curve.Point, k *big.Int) (*BroadcastKey, *Ciphertext) {
-	zr := s.P.Zr
-	if s.DisableFastPath {
-		out := &Ciphertext{C1: s.expG1(pk.W, zr.Neg(k)), C2: s.expG1(c3, k), C3: c3}
-		return s.expGT(pk.V, k), out
-	}
-	out := &Ciphertext{C1: s.expFixed(s.fbW(pk), zr.Neg(k)), C2: s.expG1(c3, k), C3: c3}
+	out := &Ciphertext{C1: s.expFixed(s.fbW(pk), s.P.Zr.Neg(k)), C2: s.expG1(c3, k), C3: c3}
 	return s.expGTFixed(s.fbV(pk), k), out
 }
 
@@ -551,40 +506,15 @@ func (s *Scheme) RekeyState(pk *PublicKey, st *PartitionState, rng io.Reader) (*
 // expandProductPoly returns the coefficients a_0..a_n of
 // Π_{u∈ids}(x + H(u)), with a_n = 1. This is the quadratic polynomial
 // expansion at the heart of both classic encryption and user decryption.
-// The fast path runs the whole O(n²) recurrence in the Montgomery limb
-// domain of Z_r — the hashes convert in once each, the coefficients convert
-// out once at the end, and the n²/2 interior multiplications never touch
-// big.Int. Metrics still count one Z_r multiplication per interior step, so
-// the Table I complexity shapes are unchanged.
-func (s *Scheme) expandProductPoly(ids []string) []*big.Int {
-	zr := s.P.Zr
-	if !s.DisableFastPath {
-		return s.expandProductPolyMont(zr.Mont(), ids)
-	}
-	coeffs := make([]*big.Int, 1, len(ids)+1)
-	coeffs[0] = big.NewInt(1)
-	for _, id := range ids {
-		h := s.HashID(id)
-		next := make([]*big.Int, len(coeffs)+1)
-		next[len(coeffs)] = big.NewInt(0)
-		for i := range next {
-			next[i] = big.NewInt(0)
-		}
-		for i, c := range coeffs {
-			// (Σ c_i x^i)(x + h) contributes c_i to x^{i+1} and c_i·h to x^i.
-			next[i+1] = zr.Add(next[i+1], c)
-			next[i] = zr.Add(next[i], s.mulZr(c, h))
-		}
-		coeffs = next
-	}
-	return coeffs
-}
-
-// expandProductPolyMont is the limb-domain expansion: the same recurrence,
+// The whole O(n²) recurrence runs in the Montgomery limb domain of Z_r,
 // updated in place from the top coefficient downward so each round is one
-// append plus n multiply-accumulates on fixed-width limb values. The hashes
-// arrive in Montgomery form.
-func (s *Scheme) expandProductPolyMont(m *ff.Mont, ids []string) []*big.Int {
+// append plus n multiply-accumulates on fixed-width limb values: the hashes
+// arrive in Montgomery form, the coefficients convert out once at the end,
+// and the n²/2 interior multiplications never touch big.Int. Metrics still
+// count one Z_r multiplication per interior step, so the Table I complexity
+// shapes are unchanged.
+func (s *Scheme) expandProductPoly(ids []string) []*big.Int {
+	m := s.P.Zr.Mont()
 	coeffs := make([]ff.Fel, 1, len(ids)+1)
 	m.SetOne(&coeffs[0])
 	var t, h ff.Fel
@@ -611,53 +541,35 @@ func (s *Scheme) expandProductPolyMont(m *ff.Mont, ids []string) []*big.Int {
 }
 
 // prodGammaPlusHash returns Π_{u∈ids} (γ + H(u)) mod r — the linear-cost
-// exponent aggregation of EncryptMSK, AddUsers and RemoveUsers. The fast
-// path accumulates in the Montgomery limb domain of Z_r over Montgomery-form
-// hashes and allocates nothing per identity; the reference arm multiplies
-// big.Ints. Both count one Z_r multiplication per identity.
+// exponent aggregation of EncryptMSK, AddUsers and RemoveUsers. It
+// accumulates in the Montgomery limb domain of Z_r over Montgomery-form
+// hashes, allocates nothing per identity and counts one Z_r multiplication
+// per identity.
 func (s *Scheme) prodGammaPlusHash(gamma *big.Int, ids []string) *big.Int {
-	zr := s.P.Zr
-	if !s.DisableFastPath {
-		m := zr.Mont()
-		var acc, g, t ff.Fel
-		m.SetOne(&acc)
-		m.FromBig(&g, gamma)
-		for _, id := range ids {
-			s.hashMont(&t, id)
-			m.Add(&t, &t, &g)
-			m.Mul(&acc, &acc, &t)
-		}
-		if s.Metrics != nil {
-			s.Metrics.ZrMul.Add(int64(len(ids)))
-		}
-		return m.ToBig(&acc)
-	}
-	prod := big.NewInt(1)
+	m := s.P.Zr.Mont()
+	var acc, g, t ff.Fel
+	m.SetOne(&acc)
+	m.FromBig(&g, gamma)
 	for _, id := range ids {
-		prod = s.mulZr(prod, zr.Add(gamma, s.HashID(id)))
+		s.hashMont(&t, id)
+		m.Add(&t, &t, &g)
+		m.Mul(&acc, &acc, &t)
 	}
-	return prod
+	if s.Metrics != nil {
+		s.Metrics.ZrMul.Add(int64(len(ids)))
+	}
+	return m.ToBig(&acc)
 }
 
 // multiExpHPowers computes Σ_i coeffs[i] · HPowers[i+offset].
 //
-// The fast path runs the interleaved Straus evaluation over the public key's
+// It runs the interleaved Straus evaluation over the public key's
 // precomputed odd-multiple table: one shared doubling chain for every base
 // plus one batched affine addition per non-zero w-NAF digit, instead of a
 // full scalar multiplication per coefficient. Metrics still count one G1
 // exponentiation per non-zero coefficient — the complexity the Table I
 // reproduction asserts is about operation counts, not their unit price.
 func (s *Scheme) multiExpHPowers(pk *PublicKey, coeffs []*big.Int, offset int) *curve.Point {
-	if s.DisableFastPath {
-		acc := s.P.G1.Infinity()
-		for i, c := range coeffs {
-			if c.Sign() == 0 {
-				continue
-			}
-			acc = s.P.G1.Add(acc, s.expG1(pk.HPowers[i+offset], c))
-		}
-		return acc
-	}
 	if s.Metrics != nil {
 		nz := int64(0)
 		for _, c := range coeffs {
@@ -669,5 +581,3 @@ func (s *Scheme) multiExpHPowers(pk *PublicKey, coeffs []*big.Int, offset int) *
 	}
 	return s.hTable(pk).MultiExp(coeffs, offset)
 }
-
-var bigOne = big.NewInt(1)

@@ -69,9 +69,6 @@ func (s *Scheme) expG1(p *curve.Point, k *big.Int) *curve.Point {
 	if s.Metrics != nil {
 		s.Metrics.G1Exp.Add(1)
 	}
-	if s.DisableFastPath {
-		return s.P.G1.ScalarMultBinary(p, new(big.Int).Mod(k, s.P.R))
-	}
 	return s.P.G1.ScalarMultReduced(p, k)
 }
 
@@ -88,16 +85,8 @@ func (s *Scheme) expFixed(fb *curve.FixedBase, k *big.Int) *curve.Point {
 // expFixedSecret is expFixed for exponents derived from γ or from a
 // broadcast secret k, one per table: the constant-time signed-window walks
 // (the same operation sequence and table scans for every scalar), sharing
-// one normalisation. Each result counts as one G1 exponentiation. The
-// reference arm raises each table's base with the binary ladder instead.
+// one normalisation. Each result counts as one G1 exponentiation.
 func (s *Scheme) expFixedSecret(fbs []*curve.FixedBase, ks []*big.Int) []*curve.Point {
-	if s.DisableFastPath {
-		out := make([]*curve.Point, len(fbs))
-		for i, fb := range fbs {
-			out[i] = s.expG1(fb.Point(), ks[i])
-		}
-		return out
-	}
 	if s.Metrics != nil {
 		s.Metrics.G1Exp.Add(int64(len(fbs)))
 		s.Metrics.G1ExpFixedCT.Add(int64(len(fbs)))
@@ -108,9 +97,6 @@ func (s *Scheme) expFixedSecret(fbs []*curve.FixedBase, ks []*big.Int) []*curve.
 func (s *Scheme) expGT(a *pairing.GT, k *big.Int) *pairing.GT {
 	if s.Metrics != nil {
 		s.Metrics.GTExp.Add(1)
-	}
-	if s.DisableFastPath {
-		return s.P.GTExpBinary(a, k)
 	}
 	return s.P.GTExp(a, k)
 }
@@ -127,9 +113,6 @@ func (s *Scheme) expGTFixed(t *pairing.GTFixedBase, k *big.Int) *pairing.GT {
 func (s *Scheme) pair(p, q *curve.Point) *pairing.GT {
 	if s.Metrics != nil {
 		s.Metrics.Pairings.Add(1)
-	}
-	if s.DisableFastPath {
-		return s.P.PairReference(p, q)
 	}
 	return s.P.Pair(p, q)
 }

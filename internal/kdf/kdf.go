@@ -1,6 +1,7 @@
 // Package kdf provides the symmetric-crypto glue the system needs: an
-// HKDF-SHA256 implementation (the standard library has none) and AES-256-GCM
-// sealing helpers with a uniform wire format.
+// HKDF-SHA256 implementation (the standard library has none), AES-256-GCM
+// sealing helpers with a uniform wire format, and ECIES over P-256 on top of
+// them.
 //
 // The paper's construction wraps the group key gk under partition broadcast
 // keys with AES-256 (using Intel's SGX-SSL port); here the same wrapping is
@@ -10,6 +11,7 @@ package kdf
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/ecdh"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
@@ -167,4 +169,46 @@ func RandomKey(rng io.Reader) ([KeySize]byte, error) {
 		return k, fmt.Errorf("kdf: drawing key: %w", err)
 	}
 	return k, nil
+}
+
+// SealECIES encrypts msg to pub with ephemeral ECDH P-256 + HKDF + AES-256-GCM.
+// Wire: ephemeralPub ∥ box. It is shared by the HE-PKI baseline (package
+// hybrid) and the enclave user-key provisioning channel.
+func SealECIES(pub *ecdh.PublicKey, msg, aad []byte, rng io.Reader) ([]byte, error) {
+	if rng == nil {
+		rng = rand.Reader
+	}
+	eph, err := ecdh.P256().GenerateKey(rng)
+	if err != nil {
+		return nil, fmt.Errorf("kdf: ephemeral key: %w", err)
+	}
+	shared, err := eph.ECDH(pub)
+	if err != nil {
+		return nil, fmt.Errorf("kdf: ECDH: %w", err)
+	}
+	ephPub := eph.PublicKey().Bytes()
+	key := DeriveKey(shared, ephPub, []byte("he-pki-ecies-v1"))
+	box, err := Seal(key, msg, aad, rng)
+	if err != nil {
+		return nil, err
+	}
+	return append(ephPub, box...), nil
+}
+
+// OpenECIES reverses SealECIES with the recipient private key.
+func OpenECIES(priv *ecdh.PrivateKey, ct, aad []byte) ([]byte, error) {
+	pubLen := len(priv.PublicKey().Bytes())
+	if len(ct) < pubLen+Overhead {
+		return nil, errors.New("kdf: ECIES ciphertext too short")
+	}
+	ephPub, err := ecdh.P256().NewPublicKey(ct[:pubLen])
+	if err != nil {
+		return nil, fmt.Errorf("kdf: parsing ephemeral key: %w", err)
+	}
+	shared, err := priv.ECDH(ephPub)
+	if err != nil {
+		return nil, fmt.Errorf("kdf: ECDH: %w", err)
+	}
+	key := DeriveKey(shared, ct[:pubLen], []byte("he-pki-ecies-v1"))
+	return Open(key, ct[pubLen:], aad)
 }

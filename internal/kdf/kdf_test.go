@@ -2,6 +2,8 @@ package kdf
 
 import (
 	"bytes"
+	"crypto/ecdh"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -173,5 +175,39 @@ func TestSealNonceAppendsSealLayout(t *testing.T) {
 	}
 	if pt, err := s.Open(box, []byte("aad")); err != nil || string(pt) != "msg" {
 		t.Fatalf("Open(SealNonce box) = %q, %v", pt, err)
+	}
+}
+
+// TestECIESRoundTrip checks the ECIES wire layout (65-byte ephemeral P-256
+// point, then a Seal box) and that a box opens only under its recipient's
+// key and associated data.
+func TestECIESRoundTrip(t *testing.T) {
+	priv, err := ecdh.P256().GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := ecdh.P256().GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("user secret key")
+	box, err := SealECIES(priv.PublicKey(), msg, []byte("usk|alice"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(box) != 65+len(msg)+Overhead {
+		t.Fatalf("ECIES box is %d bytes, want %d", len(box), 65+len(msg)+Overhead)
+	}
+	if got, err := OpenECIES(priv, box, []byte("usk|alice")); err != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("OpenECIES = %q, %v", got, err)
+	}
+	if _, err := OpenECIES(priv, box, []byte("usk|bob")); !errors.Is(err, ErrDecrypt) {
+		t.Fatalf("wrong AAD: %v, want ErrDecrypt", err)
+	}
+	if _, err := OpenECIES(other, box, []byte("usk|alice")); !errors.Is(err, ErrDecrypt) {
+		t.Fatalf("wrong recipient: %v, want ErrDecrypt", err)
+	}
+	if _, err := OpenECIES(priv, box[:65+Overhead-1], []byte("usk|alice")); err == nil {
+		t.Fatal("a box shorter than point plus overhead opened")
 	}
 }

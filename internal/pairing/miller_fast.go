@@ -36,7 +36,8 @@ func (p *Params) Pair(P, Q *curve.Point) *GT {
 
 // PairReference computes ê(P, Q) through the affine Miller loop with
 // per-step slope inversions — the reference arithmetic the differential
-// tests and Scheme.DisableFastPath pin the fast path against.
+// tests pin the fast path against, and the pairing of the reference IBBE
+// scheme (package ibberef).
 func (p *Params) PairReference(P, Q *curve.Point) *GT {
 	if P.Inf || Q.Inf {
 		return p.GTOne()
