@@ -10,11 +10,11 @@ all: build
 build:
 	$(GO) build ./...
 
-## build-arm64: cross-compile for arm64, so the file set without assembly (Go field kernels only) keeps
-# building and vetting; go vet on the host covers the amd64 assembly (asmdecl, framepointer)
+## build-arm64: cross-compile for arm64, so the file set without assembly (Go field kernels and row scan
+# only) keeps building and vetting; go vet on the host covers the amd64 assembly (asmdecl, framepointer)
 build-arm64:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/ff/...
+	GOARCH=arm64 $(GO) vet ./internal/ff/... ./internal/curve/...
 
 ## vet: static analysis
 vet:

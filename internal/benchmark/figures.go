@@ -92,12 +92,29 @@ func RunFig2(cfg Config) ([]Fig2Row, error) {
 	return rows, nil
 }
 
+// OpCount is the primitive operations one scheme call performed, read off
+// ibbe.Metrics around it: exact, where the call's wall-clock time is not.
+type OpCount struct {
+	G1Exp, G1ExpFixedCT, Pairings int64
+}
+
+// countOps runs call and returns the operations it added to m; calls on m
+// must not overlap.
+func countOps(m *ibbe.Metrics, call func() error) (OpCount, error) {
+	g1, ct, pr := m.G1Exp.Load(), m.G1ExpFixedCT.Load(), m.Pairings.Load()
+	err := call()
+	return OpCount{G1Exp: m.G1Exp.Load() - g1, G1ExpFixedCT: m.G1ExpFixedCT.Load() - ct, Pairings: m.Pairings.Load() - pr}, err
+}
+
 // Fig6Row is one partition size of Fig. 6: system-setup latency (a) and
 // user-key extraction throughput (b).
 type Fig6Row struct {
 	M                int
 	SetupLatency     time.Duration
 	ExtractOpsPerSec float64
+	// ExtractOps is each sampled extraction's operation count: the reason
+	// the throughput is flat in M.
+	ExtractOps []OpCount
 }
 
 // RunFig6 regenerates Fig. 6 on the configured partition-size grid. The
@@ -120,11 +137,18 @@ func RunFig6(cfg Config) ([]Fig6Row, error) {
 		row.SetupLatency = lat
 
 		ids := names(cfg.ExtractSamples, fmt.Sprintf("fig6-%d", m))
+		ops := &ibbe.Metrics{}
+		raw.Scheme.Metrics = ops
 		start := time.Now()
 		for _, id := range ids {
-			if _, err := raw.Scheme.Extract(raw.MSK, id); err != nil {
+			n, err := countOps(ops, func() error {
+				_, err := raw.Scheme.Extract(raw.MSK, id)
+				return err
+			})
+			if err != nil {
 				return nil, err
 			}
+			row.ExtractOps = append(row.ExtractOps, n)
 		}
 		elapsed := time.Since(start)
 		row.ExtractOpsPerSec = float64(len(ids)) / elapsed.Seconds()
@@ -257,6 +281,12 @@ type Fig8aResult struct {
 	// NewPartitionAdds counts IBBE adds that had to open a partition (the
 	// slow mode of the bimodal CDF).
 	NewPartitionAdds int
+	// IBBEAddOps is each IBBE-SGX add's operation count in stream order,
+	// and NewPartition marks the adds that opened a partition.
+	IBBEAddOps   []OpCount
+	NewPartition []bool
+	// HEAddBytes is the metadata each HE add wrote: one ECIES box.
+	HEAddBytes []int
 }
 
 // RunFig8a regenerates Fig. 8a: the CDF of add-user latency. The group
@@ -287,33 +317,51 @@ func RunFig8a(cfg Config) (*Fig8aResult, error) {
 		ibbeLat []time.Duration
 		heLat   []time.Duration
 	)
-	newParts := 0
+	res := &Fig8aResult{}
 	for i := 0; i < cfg.AddSamples; i++ {
 		user := members[n+i]
 		before, err := ctl.Mgr.PartitionCount("g")
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		if err := ctl.AddUser("g", user); err != nil {
+		var lat time.Duration
+		ops, err := countOps(ctl.ops, func() error {
+			start := time.Now()
+			err := ctl.AddUser("g", user)
+			lat = time.Since(start)
+			return err
+		})
+		if err != nil {
 			return nil, err
 		}
-		ibbeLat = append(ibbeLat, time.Since(start))
+		ibbeLat = append(ibbeLat, lat)
 		after, err := ctl.Mgr.PartitionCount("g")
 		if err != nil {
 			return nil, err
 		}
+		res.IBBEAddOps = append(res.IBBEAddOps, ops)
+		res.NewPartition = append(res.NewPartition, after > before)
 		if after > before {
-			newParts++
+			res.NewPartitionAdds++
 		}
 
-		start = time.Now()
+		heBefore, err := hepki.MetadataSize("g")
+		if err != nil {
+			return nil, err
+		}
+		start := time.Now()
 		if err := hepki.AddUser("g", user); err != nil {
 			return nil, err
 		}
 		heLat = append(heLat, time.Since(start))
+		heAfter, err := hepki.MetadataSize("g")
+		if err != nil {
+			return nil, err
+		}
+		res.HEAddBytes = append(res.HEAddBytes, heAfter-heBefore)
 	}
-	return &Fig8aResult{IBBE: NewCDF(ibbeLat), HE: NewCDF(heLat), NewPartitionAdds: newParts}, nil
+	res.IBBE, res.HE = NewCDF(ibbeLat), NewCDF(heLat)
+	return res, nil
 }
 
 // Fig8bRow is one partition size of Fig. 8b: client decryption latency.

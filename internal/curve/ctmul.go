@@ -21,7 +21,12 @@ import (
 //     digits — no digit is ever zero, so every window does exactly one table
 //     load and one addition;
 //   - table loads scan the whole row, ORing every entry's limbs under a
-//     mask that is all-ones only at the wanted index;
+//     mask that is all-ones only at the wanted index. Which scan runs is
+//     fixed at package init: on amd64 CPUs with AVX2 (and OS-enabled YMM
+//     state) ctSelectAVX2 in ctmul_amd64.s, one vector pass over the row
+//     for both coordinates; on 386, arm64 and amd64 without AVX2 the Go
+//     ctScan, which the tests hold the kernel to. Both read every entry
+//     and branch only on the row length;
 //   - digit signs apply through a masked conditional negation;
 //   - the final inversion to affine, a variable-time big.Int.ModInverse, is
 //     blinded: it inverts Z·ρ for a fresh random non-zero ρ, a value
@@ -96,10 +101,22 @@ func digitIdxMask(d int8) (idx uint64, negMask uint64) {
 }
 
 // ctSelect copies table[idx] into dst by scanning every entry, so the
-// access pattern is independent of idx: one pass per coordinate ORs each
-// entry's limbs, masked to all-ones exactly at idx, into eight local
-// accumulators and writes the coordinate once, with no per-entry store.
+// access pattern is independent of idx. On CPUs with AVX2 it is one vector
+// pass over the row (ctSelectAVX2); elsewhere ctSelectGo. ff.HasAVX2 is
+// fixed at package init, so every call takes the same kernel.
 func ctSelect(dst *montAffine, table []montAffine, idx uint64) {
+	if ff.HasAVX2 {
+		ctSelectAVX2(dst, table, idx)
+		return
+	}
+	ctSelectGo(dst, table, idx)
+}
+
+// ctSelectGo is ctSelect in Go, and the reference the AVX2 kernel is tested
+// against: one pass per coordinate ORs each entry's limbs, masked to
+// all-ones exactly at idx, into eight local accumulators and writes the
+// coordinate once, with no per-entry store.
+func ctSelectGo(dst *montAffine, table []montAffine, idx uint64) {
 	dst.x = ctScan(table, idx, false)
 	dst.y = ctScan(table, idx, true)
 }

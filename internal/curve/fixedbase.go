@@ -8,19 +8,21 @@ import (
 // every exponent recodes into ⌈(bits(r)+1)/w⌉ + 1 digits in ±{1, 3, …,
 // 2^w − 1}, one masked row scan and one mixed addition each. A wider window
 // means fewer additions but longer row scans. At type-a-512 the table holds
-// 28 rows × 32 odd multiples at w = 6, 896 affine points or ≈ 120 KB in the
-// limb domain. Sweep with the register-resident row scan (2-vCPU box, one
-// thread, min of ten alternating runs for the first two columns, of five
-// for the last two; README, Performance):
+// 24 rows × 64 odd multiples at w = 7, 1 536 affine points or ≈ 209 KB in
+// the limb domain. Sweep with the AVX2 row scan (2-vCPU box, one thread,
+// median (min) of twenty alternating rounds; README, Performance):
 //
-//	w   FixedBase.Mul   3-exponent batch   add/state   remove/state
-//	5   56.3 µs         151.8 µs           108.4 µs    186.6 µs
-//	6   50.6 µs         133.1 µs            96.0 µs    159.0 µs
-//	7   50.3 µs         133.2 µs            95.5 µs    161.5 µs
+//	w   FixedBase.Mul   3-exponent batch   add/state      remove/state
+//	5   58.6 (42.4) µs  158.0 (108.3) µs   108.9 (84.3) µs  181.9 (124.6) µs
+//	6   54.0 (34.7) µs  134.2 (93.1) µs    100.1 (69.3) µs  165.5 (114.7) µs
+//	7   51.4 (39.5) µs  128.8 (93.3) µs     95.2 (65.8) µs  157.5 (119.3) µs
 //
-// w = 7 only ties w = 6, at 1.7× the table (209 KB per generator), so the
-// window stays at 6.
-const fixedBaseWindow = 6
+// With the Go scan a 64-entry row cost ≈ 2.6× a 32-entry one and w = 7
+// only tied w = 6. The AVX2 scan makes the longer row cheap enough that
+// w = 7's four fewer additions win, at 1.7× the table: end to end, both
+// widths on the AVX2 scan, w = 7 cut local_compute's add_p50_ms by 4.5 %
+// and remove_p50_ms by 3.5 % (six alternating pairs, all six).
+const fixedBaseWindow = 7
 
 // FixedBase is a precomputed table for repeated scalar multiplication of one
 // long-lived r-torsion base point (the scheme's generators g, h, w). Row i

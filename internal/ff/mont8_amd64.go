@@ -12,8 +12,31 @@ var hasADX = func() bool {
 	return ebx&(1<<8) != 0 && ebx&(1<<19) != 0
 }()
 
+// HasAVX2 reports whether the CPU implements AVX2 (CPUID leaf 7, sub-leaf
+// 0, EBX bit 5) and the OS saves the YMM state across context switches
+// (CPUID leaf 1 ECX bit 27, OSXSAVE, then XCR0 bits 1 and 2 via XGETBV).
+// internal/curve reads it once to pick its vector row scan; it lives here
+// beside hasADX so the module has one CPUID stub.
+var HasAVX2 = func() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	if _, _, ecx, _ := cpuid(1, 0); ecx&(1<<27) == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv0(); xcr0&6 != 6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0
+}()
+
 // cpuid executes CPUID with EAX = leaf and ECX = sub.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv0 reads the extended control register XCR0 (XGETBV with ECX = 0);
+// call it only when CPUID reports OSXSAVE.
+func xgetbv0() (eax, edx uint32)
 
 // mul8ADX sets dst = a·b·R⁻¹ mod q for the 8-limb modulus q with
 // n0 = −q⁻¹ mod 2⁶⁴, limb for limb what mul8 returns; dst may alias a or b.

@@ -264,7 +264,7 @@ func TestPaperWidthKernelIsStraightLine(t *testing.T) {
 	}
 	allowed := map[string]bool{
 		"MOVQ": true, "MOVL": true, "XORQ": true, "MULXQ": true, "ADCXQ": true, "ADOXQ": true,
-		"ADDQ": true, "ADCQ": true, "IMULQ": true, "SUBQ": true, "SBBQ": true, "CMOVQCS": true, "CPUID": true, "RET": true,
+		"ADDQ": true, "ADCQ": true, "IMULQ": true, "SUBQ": true, "SBBQ": true, "CMOVQCS": true, "CPUID": true, "XGETBV": true, "RET": true,
 	}
 	indexed := regexp.MustCompile(`\)\(`)
 	macros := map[string]bool{}
