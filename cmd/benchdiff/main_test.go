@@ -2,6 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -18,7 +21,7 @@ func rep(t *testing.T, rows ...cryptoRow) *report {
 func TestDiffPassesWithinThreshold(t *testing.T) {
 	old := rep(t, cryptoRow{"EncryptMSK", 256, 100_000}, cryptoRow{"Decrypt", 256, 5_000_000})
 	fresh := rep(t, cryptoRow{"EncryptMSK", 256, 110_000}, cryptoRow{"Decrypt", 256, 4_000_000})
-	_, failures, _, err := diffCrypto(old, fresh, 0.15)
+	_, failures, err := diffCrypto(old, fresh, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +33,7 @@ func TestDiffPassesWithinThreshold(t *testing.T) {
 func TestDiffFlagsRegression(t *testing.T) {
 	old := rep(t, cryptoRow{"EncryptMSK", 256, 100_000})
 	fresh := rep(t, cryptoRow{"EncryptMSK", 256, 120_000})
-	_, failures, _, err := diffCrypto(old, fresh, 0.15)
+	_, failures, err := diffCrypto(old, fresh, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +48,7 @@ func TestDiffFlagsRegression(t *testing.T) {
 func TestDiffFailsOnLostCoverage(t *testing.T) {
 	old := rep(t, cryptoRow{"EncryptMSK", 256, 100_000}, cryptoRow{"Rekey", 256, 90_000})
 	fresh := rep(t, cryptoRow{"EncryptMSK", 256, 100_000})
-	_, failures, _, err := diffCrypto(old, fresh, 0.15)
+	_, failures, err := diffCrypto(old, fresh, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +60,7 @@ func TestDiffFailsOnLostCoverage(t *testing.T) {
 func TestDiffSkipsNewOps(t *testing.T) {
 	old := rep(t, cryptoRow{"EncryptMSK", 256, 100_000})
 	fresh := rep(t, cryptoRow{"EncryptMSK", 256, 100_000}, cryptoRow{"Extract", 256, 50_000})
-	lines, failures, _, err := diffCrypto(old, fresh, 0.15)
+	lines, failures, err := diffCrypto(old, fresh, 0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,84 +73,47 @@ func TestDiffSkipsNewOps(t *testing.T) {
 	}
 }
 
-func readPathRep(t *testing.T, rows ...readPathRow) *report {
+// writeReport writes r where run can read it and returns the path.
+func writeReport(t *testing.T, name string, r *report) string {
 	t.Helper()
-	raw, err := json.Marshal(rows)
+	blob, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &report{Experiment: "readpath", Scale: "ci", Rows: raw}
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
-func TestReadPathPassesWithinThreshold(t *testing.T) {
-	old := readPathRep(t,
-		readPathRow{Mode: "baseline", ReadsPerSec: 2_000},
-		readPathRow{Mode: "cached", ReadsPerSec: 60_000},
-		readPathRow{Mode: "rebalance", ReadsPerSec: 55_000})
-	fresh := readPathRep(t,
-		readPathRow{Mode: "baseline", ReadsPerSec: 2_000},
-		readPathRow{Mode: "cached", ReadsPerSec: 54_000},
-		readPathRow{Mode: "rebalance", ReadsPerSec: 50_000, StoreGets: 37})
-	_, failures, err := diffReadPath(old, fresh, 0.15)
-	if err != nil {
-		t.Fatal(err)
+func TestRefusesNonCryptoReport(t *testing.T) {
+	old := writeReport(t, "old.json", rep(t, cryptoRow{"EncryptMSK", 256, 100_000}))
+	other := &report{Experiment: "readpath", Scale: "ci", Rows: json.RawMessage(`[{"mode":"cached"}]`)}
+	fresh := writeReport(t, "fresh.json", other)
+	var stderr strings.Builder
+	if code := run([]string{"-old", old, "-new", fresh}, io.Discard, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2 for a readpath report", code)
 	}
-	if len(failures) != 0 {
-		t.Fatalf("unexpected failures: %v", failures)
-	}
-}
-
-func TestReadPathFlagsSpeedupRegression(t *testing.T) {
-	old := readPathRep(t,
-		readPathRow{Mode: "baseline", ReadsPerSec: 2_000},
-		readPathRow{Mode: "cached", ReadsPerSec: 60_000})
-	fresh := readPathRep(t,
-		readPathRow{Mode: "baseline", ReadsPerSec: 2_000},
-		readPathRow{Mode: "cached", ReadsPerSec: 40_000})
-	_, failures, err := diffReadPath(old, fresh, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(failures) != 1 || !strings.Contains(failures[0], "speedup") {
-		t.Fatalf("speedup regression not flagged: %v", failures)
+	if !strings.Contains(stderr.String(), `experiment "readpath"`) {
+		t.Fatalf("refusal does not name the experiment: %q", stderr.String())
 	}
 }
 
-func TestReadPathEnforcesAbsoluteFloor(t *testing.T) {
-	// Even a baseline report that somehow committed a sub-5x speedup cannot
-	// lower the floor below the acceptance criterion.
-	old := readPathRep(t,
-		readPathRow{Mode: "baseline", ReadsPerSec: 2_000},
-		readPathRow{Mode: "cached", ReadsPerSec: 8_000})
-	fresh := readPathRep(t,
-		readPathRow{Mode: "baseline", ReadsPerSec: 2_000},
-		readPathRow{Mode: "cached", ReadsPerSec: 9_000})
-	_, failures, err := diffReadPath(old, fresh, 0.15)
-	if err != nil {
-		t.Fatal(err)
+func TestRefusesScaleMismatch(t *testing.T) {
+	base := rep(t, cryptoRow{"EncryptMSK", 256, 100_000})
+	old := writeReport(t, "old.json", base)
+	base.Scale = "paper"
+	fresh := writeReport(t, "fresh.json", base)
+	var stderr strings.Builder
+	if code := run([]string{"-old", old, "-new", fresh}, io.Discard, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2 for a ci baseline against a paper run", code)
 	}
-	if len(failures) != 1 || !strings.Contains(failures[0], "below floor") {
-		t.Fatalf("sub-5x speedup not flagged: %v", failures)
+	if !strings.Contains(stderr.String(), "scale mismatch") {
+		t.Fatalf("refusal does not name the scale: %q", stderr.String())
 	}
-}
-
-func TestReadPathFlagsCacheMissesAndFailures(t *testing.T) {
-	old := readPathRep(t,
-		readPathRow{Mode: "baseline", ReadsPerSec: 2_000},
-		readPathRow{Mode: "cached", ReadsPerSec: 60_000})
-	fresh := readPathRep(t,
-		readPathRow{Mode: "baseline", ReadsPerSec: 2_000},
-		readPathRow{Mode: "cached", ReadsPerSec: 60_000, StoreGets: 3},
-		readPathRow{Mode: "rebalance", ReadsPerSec: 50_000, FailedReads: 2})
-	_, failures, err := diffReadPath(old, fresh, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(failures) != 2 {
-		t.Fatalf("failures = %v, want the store-GET and failed-read gates", failures)
-	}
-	joined := strings.Join(failures, "\n")
-	if !strings.Contains(joined, "store GETs") || !strings.Contains(joined, "failed reads") {
-		t.Fatalf("gates not named: %v", failures)
+	// The same reports at one scale compare, and pass.
+	if code := run([]string{"-old", fresh, "-new", fresh}, io.Discard, io.Discard); code != 0 {
+		t.Fatalf("exit %d comparing a report with itself, want 0", code)
 	}
 }

@@ -11,12 +11,17 @@
 // The ci scale (default) runs the whole suite in well under a minute on
 // reduced grids with identical shapes; medium takes minutes; paper runs the
 // full 512-bit, million-user grid of the original evaluation (hours in pure
-// Go — the artifact used GMP assembly).
+// Go — the artifact used GMP assembly). The crypto experiment's m sweep is
+// the same at every scale, so -scale paper only widens it to type-a-512: a
+// few seconds.
 //
-// -json writes the experiment's rows as a machine-readable report (the
-// crypto, readpath and millionuser reports are what cmd/benchdiff compares
-// against the committed BENCH_*.json baselines); it applies to a single
-// experiment, not to "all".
+// -json writes the experiment's rows as a machine-readable report, headed by
+// the env it ran in (Go version, GOOS/GOARCH, GOMAXPROCS, CPU count and
+// model, pairing params); it applies to a single experiment, not to "all".
+// cmd/benchdiff gates a fresh crypto report against the committed
+// BENCH_crypto.json. The readpath and millionuser experiments check their
+// own exact properties and exit non-zero when one fails, so their exit
+// status is the gate and their BENCH_*.json files are records.
 //
 // -cpuprofile writes a pprof CPU profile covering the whole run, for local
 // profiling of the crypto substrate under the real workloads.
@@ -129,7 +134,7 @@ func run(w io.Writer, scale, jsonPath string, args []string) error {
 			return err
 		}
 		if jsonPath != "" {
-			if err := benchmark.WriteJSON(jsonPath, exp, scale, rows); err != nil {
+			if err := benchmark.WriteJSON(jsonPath, exp, scale, cfg.Params.Name(), rows); err != nil {
 				return fmt.Errorf("writing %s: %w", jsonPath, err)
 			}
 			fmt.Fprintf(w, "[rows written to %s]\n", jsonPath)

@@ -7,8 +7,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"github.com/ibbesgx/ibbesgx/internal/benchmark"
 )
 
 func TestUnknownAndRetiredExperimentsAreErrors(t *testing.T) {
@@ -52,6 +55,7 @@ func TestJSONReportParses(t *testing.T) {
 	var report struct {
 		Experiment string            `json:"experiment"`
 		Scale      string            `json:"scale"`
+		Env        benchmark.Env     `json:"env"`
 		Rows       []json.RawMessage `json:"rows"`
 	}
 	if err := json.Unmarshal(blob, &report); err != nil {
@@ -59,6 +63,9 @@ func TestJSONReportParses(t *testing.T) {
 	}
 	if report.Experiment != "fig6" || report.Scale != "ci" || len(report.Rows) == 0 {
 		t.Fatalf("report = %q/%q with %d rows, want fig6/ci with rows", report.Experiment, report.Scale, len(report.Rows))
+	}
+	if env := report.Env; env.Go != runtime.Version() || env.NumCPU < 1 || env.GOMAXPROCS < 1 || env.Params != "type-a-160" {
+		t.Fatalf("env header = %+v, want this build and the ci params", env)
 	}
 }
 

@@ -1,12 +1,15 @@
 package benchmark
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestMillionUserSweep runs the scenario suite at a trimmed CI scale: the
-// full phase set on a live 2-shard cluster, gated on the exact properties
-// the benchdiff guard enforces — every op and every sampled decrypt
-// succeeds, and the mass-revocation sweep over the largest group never
-// holds more resident pages than the configured bound.
+// full phase set on a live 2-shard cluster. RunMillionUser itself fails on
+// a failed op or decrypt, an empty phase, or a resident-page peak over the
+// bound; the test checks the shape around those properties — every phase
+// reported, the bound carried, and paging actually engaged.
 func TestMillionUserSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-cluster sweep: skipped in -short CI runs")
@@ -32,24 +35,8 @@ func TestMillionUserSweep(t *testing.T) {
 		if r.Phase != wantPhases[i] {
 			t.Fatalf("row %d phase = %q, want %q", i, r.Phase, wantPhases[i])
 		}
-		if r.Ops == 0 {
-			t.Fatalf("%s phase replayed no ops", r.Phase)
-		}
-		if r.FailedOps != 0 {
-			t.Fatalf("%s phase: %d failed ops", r.Phase, r.FailedOps)
-		}
-		if r.Decrypts == 0 {
-			t.Fatalf("%s phase sampled no decrypts", r.Phase)
-		}
-		if r.FailedDecrypts != 0 {
-			t.Fatalf("%s phase: %d failed decrypts", r.Phase, r.FailedDecrypts)
-		}
 		if r.MaxResidentLimit != cfg.MaxResidentPages {
 			t.Fatalf("%s phase reports limit %d, want %d", r.Phase, r.MaxResidentLimit, cfg.MaxResidentPages)
-		}
-		if r.Phase == "mass-revocation" && r.ResidentPagesPeak > r.MaxResidentLimit {
-			t.Fatalf("revocation sweep peaked at %d resident pages, bound is %d",
-				r.ResidentPagesPeak, r.MaxResidentLimit)
 		}
 	}
 	// Paging must actually be exercised: the bound is far below the page
@@ -60,5 +47,37 @@ func TestMillionUserSweep(t *testing.T) {
 	}
 	if ev == 0 {
 		t.Fatal("sweep ran without a single page eviction — residency bound not engaged")
+	}
+}
+
+// TestCheckMillionUserFlagsEachProperty feeds the checker rows that each
+// break one property — in phases other than the revocation sweep too — and
+// expects exactly that property named.
+func TestCheckMillionUserFlagsEachProperty(t *testing.T) {
+	good := func() []MillionUserRow {
+		return []MillionUserRow{
+			{Phase: "provision", Ops: 10, Decrypts: 16, ResidentPagesPeak: 8, MaxResidentLimit: 8},
+			{Phase: "flash-crowd", Ops: 10, Decrypts: 16, ResidentPagesPeak: 8, MaxResidentLimit: 8},
+		}
+	}
+	if err := checkMillionUser(good()); err != nil {
+		t.Fatalf("good rows rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		want   string
+		mutate func(rows []MillionUserRow)
+	}{
+		{"provision phase: 0 of 0 ops failed", func(rows []MillionUserRow) { rows[0].Ops = 0 }},
+		{"flash-crowd phase: 1 of 10 ops failed", func(rows []MillionUserRow) { rows[1].FailedOps = 1 }},
+		{"provision phase: 0 decrypts", func(rows []MillionUserRow) { rows[0].Decrypts = 0 }},
+		{"flash-crowd phase: 16 decrypts, 2 failed", func(rows []MillionUserRow) { rows[1].FailedDecrypts = 2 }},
+		{"flash-crowd phase: 9 resident pages", func(rows []MillionUserRow) { rows[1].ResidentPagesPeak = 9 }},
+	} {
+		rows := good()
+		tc.mutate(rows)
+		err := checkMillionUser(rows)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("err = %v, want it to name %q", err, tc.want)
+		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"strings"
 	"time"
 )
 
@@ -151,13 +153,39 @@ func PrintTable1(w io.Writer, rows []Table1Row) {
 	}
 }
 
-// WriteJSON emits one experiment's rows as a machine-readable report.
-func WriteJSON(path, experiment, scale string, rows any) error {
+// Env is the build and machine a report was measured on: an absolute
+// timing means something only next to it, so every report carries one.
+type Env struct {
+	Go         string `json:"go"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	CPU        string `json:"cpu,omitempty"` // model name, where /proc/cpuinfo has one
+	Params     string `json:"params"`
+}
+
+// cpuModel returns the first "model name" in /proc/cpuinfo, or "" where
+// the file or the field is missing.
+func cpuModel() string {
+	data, _ := os.ReadFile("/proc/cpuinfo")
+	_, field, _ := strings.Cut(string(data), "\nmodel name")
+	_, value, _ := strings.Cut(field, ":")
+	line, _, _ := strings.Cut(value, "\n")
+	return strings.TrimSpace(line)
+}
+
+// WriteJSON emits one experiment's rows, measured with the named pairing
+// params, as a machine-readable report headed by this process's Env.
+func WriteJSON(path, experiment, scale, params string, rows any) error {
 	report := struct {
 		Experiment string `json:"experiment"`
 		Scale      string `json:"scale"`
+		Env        Env    `json:"env"`
 		Rows       any    `json:"rows"`
-	}{Experiment: experiment, Scale: scale, Rows: rows}
+	}{experiment, scale, Env{
+		runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0), runtime.NumCPU(), cpuModel(), params,
+	}, rows}
 	blob, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
