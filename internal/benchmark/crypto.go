@@ -15,10 +15,10 @@ import (
 // operation at receiver-set size m, timed through the reference scheme
 // (package ibberef, "slow": double-and-add scalar multiplication,
 // per-coefficient HPowers loop, square-and-multiply GT ladder, big.Int
-// identity hashing with no memo) and through the product scheme (w-NAF
-// windows, fixed-base tables, interleaved Straus multi-exponentiation, batch
-// normalisation, identity hashes reduced straight into Z_r's limbs behind a
-// fixed two-way memo) that underlies every partition ECALL.
+// identity hashing) and through the product scheme (w-NAF windows,
+// fixed-base tables, interleaved Straus multi-exponentiation, batch
+// normalisation, identity hashes reduced straight into Z_r's limbs, computed
+// afresh on every call) that underlies every partition ECALL.
 type CryptoRow struct {
 	Op string `json:"op"`
 	M  int    `json:"m"`
@@ -152,8 +152,8 @@ func cryptoCells(cfg Config) ([]cryptoCell, error) {
 		// the scheme), so they get a fixed, higher iteration count; Decrypt
 		// is quadratic in m and scales its count down like Setup. Every
 		// EncryptMSK call, warm-ups included, hashes a receiver set no
-		// earlier call saw — a new group's ids are new, so no memo may
-		// serve them; its prep draws that set, untimed. The pool covers the
+		// earlier call saw, as a new group's ids are new; its prep draws
+		// that set, untimed. The pool covers the
 		// calls whose allocations are counted: each arm's warm-up and first
 		// encIters calls.
 		const encIters = 12

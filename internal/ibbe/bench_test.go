@@ -268,9 +268,7 @@ func BenchmarkExtract512(b *testing.B) {
 	}
 }
 
-// freshIDs returns n distinct ids; cycled through in order, a ring of far
-// more ids than the memo's 4 096 entries misses on (almost) every hash,
-// since each set is overwritten many times before an id comes round again.
+// freshIDs returns n distinct ids.
 func freshIDs(prefix string, n int) []string {
 	out := make([]string, n)
 	for i := range out {
@@ -280,43 +278,22 @@ func freshIDs(prefix string, n int) []string {
 }
 
 // BenchmarkHashID512 prices H(u) at the paper width (a 36-byte digest
-// reduced mod r − 1, a 160-bit r) through HashID: "fresh" cycles 65 536 ids
-// past the 4 096-entry memo, so every call hashes; "repeated" re-hashes 256
-// ids that own distinct sets, so every call hits. Both include HashID's
-// conversion of the result to a fresh big.Int.
+// reduced mod r − 1, a 160-bit r) through HashID over a ring of 65 536 ids,
+// including HashID's conversion of the result to a fresh big.Int.
 func BenchmarkHashID512(b *testing.B) {
 	s := NewScheme(pairing.TypeA512())
-	b.Run("fresh", func(b *testing.B) {
-		ids := freshIDs("fresh", 1<<16)
-		b.ReportAllocs()
-		i := 0
-		for b.Loop() {
-			s.HashID(ids[i&(len(ids)-1)])
-			i++
-		}
-	})
-	b.Run("repeated", func(b *testing.B) {
-		hs, taken := s.hasher(), map[uint64]bool{}
-		var ids []string
-		for _, id := range freshIDs("repeated", 1024) {
-			if set := hs.tag(id) % hashMemoSets; !taken[set] && len(ids) < 256 {
-				taken[set] = true
-				ids = append(ids, id)
-				s.HashID(id)
-			}
-		}
-		b.ReportAllocs()
-		i := 0
-		for b.Loop() {
-			s.HashID(ids[i&(len(ids)-1)])
-			i++
-		}
-	})
+	ids := freshIDs("fresh", 1<<16)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		s.HashID(ids[i&(len(ids)-1)])
+		i++
+	}
 }
 
 // BenchmarkProdGammaPlusHash512 prices the exponent aggregation of a group
-// creation at the paper width, Π(γ + H(u)) over 32 768 ids: far more than
-// the memo holds, so every hash is computed, as on a large fresh create.
+// creation at the paper width, Π(γ + H(u)) over 32 768 ids, as on a large
+// fresh create.
 func BenchmarkProdGammaPlusHash512(b *testing.B) {
 	s := NewScheme(pairing.TypeA512())
 	gamma, err := s.P.G1.RandScalar(rand.Reader)

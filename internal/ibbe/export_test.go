@@ -41,29 +41,23 @@ func (d *detRand) Read(p []byte) (int, error) {
 // compare this package against ibberef and so cannot live inside it
 // (ibberef imports ibbe).
 
-// IDStackBytes is the longest id hashed off the stack; a longer one takes
-// hashIDBig.
+// IDStackBytes is the longest id hashed off the stack; a longer one is
+// copied into a heap buffer.
 const IDStackBytes = idStackBytes
 
 // NewDetRand returns a deterministic random stream for seed.
 func NewDetRand(seed string) io.Reader { return newDetRand(seed) }
 
-// LimbHash returns H(id) through the limb function alone, bypassing the memo.
-func LimbHash(s *Scheme, id string) *big.Int { return limbHash(s, id) }
-
-// MemoSet returns the index of the memo set id lives in.
-func MemoSet(s *Scheme, id string) uint64 { return s.hasher().tag(id) % hashMemoSets }
-
 // ReduceModRMinus1 reduces v, which must fit the digest width bytes(r) + 16,
 // modulo r − 1 with the Barrett step H uses.
 func ReduceModRMinus1(s *Scheme, v *big.Int) *big.Int {
-	hs := s.hasher()
+	red := s.hash.red
 	var x [2 * ff.MaxLimbs]uint64
 	bigLimbs(x[:], v)
 	var got ff.Fel
-	hs.red.reduce(&got, &x)
+	red.reduce(&got, &x)
 	out := new(big.Int)
-	for i := hs.red.k - 1; i >= 0; i-- {
+	for i := red.k - 1; i >= 0; i-- {
 		out.Lsh(out, 64).Or(out, new(big.Int).SetUint64(got[i]))
 	}
 	return out

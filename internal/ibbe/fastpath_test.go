@@ -42,7 +42,7 @@ func ids(n int) []string {
 }
 
 // hashEdgeIDs are the empty id and the ids at the stack buffer's edges and
-// beyond it, which the product hashes through big.Int itself.
+// beyond it, which the product copies into a heap buffer.
 func hashEdgeIDs() []string {
 	out := []string{"", "a", "alice@example.com"}
 	for _, n := range []int{ibbe.IDStackBytes - 1, ibbe.IDStackBytes, ibbe.IDStackBytes + 1, 200, 1000} {
@@ -247,8 +247,7 @@ func TestFastPathDecryptsReferenceCiphertext(t *testing.T) {
 
 // TestHashIDMontMatchesReference is the differential test of the identity
 // hash against the reference: ≥ 20 000 ids per parameter set, plus the
-// empty id and ids longer than the stack buffer, through the limb function
-// alone and through the memo.
+// empty id and ids longer than the stack buffer.
 func TestHashIDMontMatchesReference(t *testing.T) {
 	for _, params := range hashTestParams {
 		p := params()
@@ -260,11 +259,7 @@ func TestHashIDMontMatchesReference(t *testing.T) {
 				ids = append(ids, fmt.Sprintf("user-%d-%x@example.com", i, rng.Uint64()))
 			}
 			for _, id := range ids {
-				want := ref.HashID(id)
-				if got := ibbe.LimbHash(s, id); got.Cmp(want) != 0 {
-					t.Fatalf("H(%q): limb %v, reference %v", id, got, want)
-				}
-				if got := s.HashID(id); got.Cmp(want) != 0 {
+				if got, want := s.HashID(id), ref.HashID(id); got.Cmp(want) != 0 {
 					t.Fatalf("HashID(%q): %v, reference %v", id, got, want)
 				}
 			}
@@ -286,12 +281,8 @@ func FuzzHashID(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, id string, digest []byte) {
 		for _, s := range schemes {
-			want := ibberef.New(s.P).HashID(id)
-			if got := ibbe.LimbHash(s, id); got.Cmp(want) != 0 {
-				t.Fatalf("%s: H(%q): limb %v, reference %v", s.P.Name(), id, got, want)
-			}
-			if got := s.HashID(id); got.Cmp(want) != 0 {
-				t.Fatalf("%s: HashID(%q) through the memo: %v, reference %v", s.P.Name(), id, got, want)
+			if got, want := s.HashID(id), ibberef.New(s.P).HashID(id); got.Cmp(want) != 0 {
+				t.Fatalf("%s: HashID(%q): %v, reference %v", s.P.Name(), id, got, want)
 			}
 			need := (s.P.R.BitLen()+7)/8 + 16
 			v := new(big.Int).SetBytes(digest[:min(len(digest), need)])
@@ -303,26 +294,13 @@ func FuzzHashID(f *testing.F) {
 	})
 }
 
-// TestHashIDConcurrent hammers the memo from many goroutines over ids picked
-// to collide: more ids share each of a few sets than the set has ways, so
-// workers overwrite the same entries while others read them. Every result
-// is checked against the reference; run under -race this proves the table
-// is race-clean.
+// TestHashIDConcurrent hashes a shared set of ids from many goroutines on
+// one Scheme, each result checked against the reference; run under -race
+// this proves the hash state NewScheme builds is read-only.
 func TestHashIDConcurrent(t *testing.T) {
 	p := pairing.TypeA160()
 	s, ref := ibbe.NewScheme(p), ibberef.New(p)
-	const sets, perSet = 8, 6
-	bySet := map[uint64][]string{}
-	var shared []string
-	for i := 0; len(shared) < sets*perSet; i++ {
-		id := fmt.Sprintf("conc-%05d@example.com", i)
-		set := ibbe.MemoSet(s, id)
-		if len(bySet[set]) == perSet || (len(bySet) == sets && bySet[set] == nil) {
-			continue
-		}
-		bySet[set] = append(bySet[set], id)
-		shared = append(shared, id)
-	}
+	shared := append(hashEdgeIDs(), ids(48)...)
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)

@@ -4,70 +4,37 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"math/big"
 	"math/bits"
-	"sync"
 
 	"github.com/ibbesgx/ibbesgx/internal/ff"
 )
 
-// hashMemoSets sizes the identity-hash memo: 2048 sets of two ways, 4096
-// entries in a fixed table. An id can live only in the set its seeded string
-// hash picks, and a miss overwrites the set's less recently used way, so an
-// id re-hashed on every call (a partition's roster under EncryptMSK or a
-// decrypt) is evicted only when two other ids of the working set share its
-// set. A group creation over far more fresh ids (65 536 in the paged
-// benchmark group, 10⁶ at paper scale) mostly misses and need not do better:
-// each id costs one entry write, with no map growth, no reset and no
-// allocation.
-const hashMemoSets = 2048
-
-// idStackBytes bounds the ids hashed off the stack; a longer id takes
-// hashIDBig.
+// idStackBytes bounds the ids hashed off a stack buffer; a longer id is
+// copied into a heap buffer and takes the same digest blocks and reduction.
 const idStackBytes = 124
 
 // wideBytes is the byte width of the reducer's widest input, 2·MaxLimbs
 // limbs; every digest H reduces (bytes(r) + 16) fits in it.
 const wideBytes = 16 * ff.MaxLimbs
 
-// idHasher is a Scheme's identity-hash state, built on the first hash: the
-// digest width, r − 1, its Barrett reducer and the memo.
+// idHasher is a Scheme's identity-hash state, built by NewScheme: the digest
+// width and the Barrett reducer modulo r − 1.
 type idHasher struct {
-	sets [hashMemoSets]hashSet // first, so every set starts on a cache line
-	need int                   // digest bytes reduced: bytes(r) + 16
-	rm1  *big.Int              // r − 1
-	red  *barrett              // the reducer modulo r − 1
-	seed maphash.Seed
+	need int      // digest bytes reduced: bytes(r) + 16
+	red  *barrett // the reducer modulo r − 1
 }
 
-// hashSet is one set of the memo: two ways, each an id and H(id) in Z_r's
-// Montgomery form, under one lock. The lookup keys fill the set's first 64
-// bytes and the two values the next 128, so a probe reads one cache line and
-// a hit or a fill one more.
-type hashSet struct {
-	mu   sync.Mutex
-	last uint8     // the way hit or filled last, which a miss spares
-	full [2]bool   // the empty id is a valid id, so emptiness needs its own bit
-	tag  [2]uint64 // the ids' seeded string hashes, compared before the ids
-	id   [2]string
-	v    [2]ff.Fel
-}
-
-// hasher returns the Scheme's identity-hash state, building it once.
-func (s *Scheme) hasher() *idHasher {
-	s.hashOnce.Do(func() {
-		hs := &idHasher{
-			need: (s.P.R.BitLen()+7)/8 + 16,
-			rm1:  new(big.Int).Sub(s.P.R, bigOne),
-			seed: maphash.MakeSeed(),
-		}
-		if hs.red = newBarrett(hs.rm1, (hs.need+7)/8); hs.red == nil {
-			panic(fmt.Sprintf("ibbe: no fixed-limb reducer modulo r − 1 for a %d-bit r", s.P.R.BitLen()))
-		}
-		s.hash = hs
-	})
-	return s.hash
+// newIDHasher builds the identity-hash state for the scalar field of order
+// r. It panics when r − 1 has no fixed-limb reducer, which no built-in
+// parameter set hits.
+func newIDHasher(r *big.Int) idHasher {
+	need := (r.BitLen()+7)/8 + 16
+	red := newBarrett(new(big.Int).Sub(r, bigOne), (need+7)/8)
+	if red == nil {
+		panic(fmt.Sprintf("ibbe: no fixed-limb reducer modulo r − 1 for a %d-bit r", r.BitLen()))
+	}
+	return idHasher{need: need, red: red}
 }
 
 // HashID maps an identity string into Z_r* (the function H of the paper).
@@ -80,55 +47,27 @@ func (s *Scheme) HashID(id string) *big.Int {
 	return s.P.Zr.Mont().ToBig(&h)
 }
 
-// hashMont sets dst to H(id) in Z_r's Montgomery form, through the memo.
-// Every roster product (prodGammaPlusHash, expandProductPolyMont) takes its
-// hashes here, allocation-free.
+// hashMont sets dst to H(id) in Z_r's Montgomery form. Every roster product
+// (prodGammaPlusHash, expandProductPoly) takes its hashes here: the
+// digest blocks SHA-256(block ‖ id) are hashed, the first need bytes are
+// reduced modulo r − 1 by the fixed-limb Barrett step, 1 is added, and one
+// product by R² takes the value into the Montgomery domain. It allocates
+// nothing for ids up to idStackBytes.
 func (s *Scheme) hashMont(dst *ff.Fel, id string) {
-	hs := s.hasher()
-	tag := hs.tag(id)
-	set := &hs.sets[tag%hashMemoSets]
-	set.mu.Lock()
-	for w := range set.id {
-		if set.full[w] && set.tag[w] == tag && set.id[w] == id {
-			*dst = set.v[w]
-			set.last = uint8(w)
-			set.mu.Unlock()
-			return
-		}
-	}
-	set.mu.Unlock()
-	s.hashIDMont(hs, dst, id)
-	set.mu.Lock()
-	w := 1 - set.last
-	set.full[w], set.tag[w], set.id[w], set.v[w] = true, tag, id, *dst
-	set.last = w
-	set.mu.Unlock()
-}
-
-// tag is id's seeded string hash; it picks id's memo set.
-func (hs *idHasher) tag(id string) uint64 { return maphash.String(hs.seed, id) }
-
-// hashIDMont computes H(id) straight into Z_r's limbs, bypassing the memo:
-// the digest blocks SHA-256(block ‖ id) are hashed off a stack buffer, the
-// first need bytes are reduced modulo r − 1 by the fixed-limb Barrett step,
-// 1 is added, and one product by R² takes the value into the Montgomery
-// domain. It allocates nothing for ids up to idStackBytes; a longer id takes
-// hashIDBig.
-func (s *Scheme) hashIDMont(hs *idHasher, dst *ff.Fel, id string) {
-	m := s.P.Zr.Mont()
+	hs := &s.hash
+	var stack [4 + idStackBytes]byte
+	buf := stack[:]
 	if len(id) > idStackBytes {
-		m.FromBig(dst, hs.hashIDBig(id))
-		return
+		buf = make([]byte, 4+len(id))
 	}
+	buf = buf[:4+copy(buf[4:], id)]
 	// The digest is written right-aligned in wide, so its need bytes end on
 	// a limb boundary and decode as whole big-endian limbs; the bytes of the
 	// last block past need spill into the slack and are ignored.
 	var wide [wideBytes + sha256.Size]byte
-	var buf [4 + idStackBytes]byte
-	copy(buf[4:], id)
 	for block, off := uint32(0), wideBytes-hs.need; off < wideBytes; block, off = block+1, off+sha256.Size {
 		binary.BigEndian.PutUint32(buf[:4], block)
-		sum := sha256.Sum256(buf[:4+len(id)])
+		sum := sha256.Sum256(buf)
 		copy(wide[off:], sum[:])
 	}
 	var x [2 * ff.MaxLimbs]uint64
@@ -137,27 +76,12 @@ func (s *Scheme) hashIDMont(hs *idHasher, dst *ff.Fel, id string) {
 	}
 	var v ff.Fel
 	hs.red.reduce(&v, &x)
+	m := s.P.Zr.Mont()
 	c := uint64(1) // v + 1 ≤ r − 1: no carry leaves the k limbs
 	for i := 0; i < m.K(); i++ {
 		v[i], c = bits.Add64(v[i], 0, c)
 	}
 	m.ToMont(dst, &v)
-}
-
-// hashIDBig is H for an id longer than idStackBytes: the same digest blocks
-// off a heap buffer, reduced modulo r − 1 with big.Int, plus 1.
-func (hs *idHasher) hashIDBig(id string) *big.Int {
-	buf := make([]byte, 4+len(id))
-	copy(buf[4:], id)
-	out := make([]byte, 0, hs.need+sha256.Size)
-	for block := uint32(0); len(out) < hs.need; block++ {
-		binary.BigEndian.PutUint32(buf[:4], block)
-		sum := sha256.Sum256(buf)
-		out = append(out, sum[:]...)
-	}
-	v := new(big.Int).SetBytes(out[:hs.need])
-	v.Mod(v, hs.rm1)
-	return v.Add(v, bigOne) // uniform in [1, r−1]
 }
 
 var bigOne = big.NewInt(1)

@@ -1,9 +1,12 @@
 package ibbe
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	mrand "math/rand"
+	"strings"
 	"testing"
 
 	"github.com/ibbesgx/ibbesgx/internal/ff"
@@ -14,91 +17,72 @@ import (
 // 81, 122 and 160 bits, reducing 27-, 32- and 36-byte digests.
 var hashTestParams = []func() *pairing.Params{pairing.TypeA160, pairing.TypeA256, pairing.TypeA512}
 
-// limbHash returns H(id) through the limb function alone (no memo), as a
-// big.Int.
-func limbHash(s *Scheme, id string) *big.Int {
-	var h ff.Fel
-	s.hashIDMont(s.hasher(), &h, id)
-	return s.P.Zr.Mont().ToBig(&h)
-}
-
-// setOf is the memo set id maps to.
-func (hs *idHasher) setOf(id string) *hashSet { return &hs.sets[hs.tag(id)%hashMemoSets] }
-
-// memoHolds reports whether id's memo set holds an entry for it.
-func (hs *idHasher) memoHolds(id string) bool {
-	set := hs.setOf(id)
-	set.mu.Lock()
-	defer set.mu.Unlock()
-	for w := range set.id {
-		if set.full[w] && set.id[w] == id {
-			return true
-		}
+// plainHash is H written out in big.Int arithmetic: the digest blocks
+// SHA-256(block ‖ id) concatenated, their first bytes(r) + 16 bytes taken
+// modulo r − 1, plus 1.
+func plainHash(s *Scheme, id string) *big.Int {
+	need := (s.P.R.BitLen()+7)/8 + 16
+	var digest []byte
+	for block := uint32(0); len(digest) < need; block++ {
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], block)
+		sum := sha256.Sum256(append(b[:], id...))
+		digest = append(digest, sum[:]...)
 	}
-	return false
+	v := new(big.Int).SetBytes(digest[:need])
+	v.Mod(v, new(big.Int).Sub(s.P.R, bigOne))
+	return v.Add(v, bigOne)
 }
 
-// TestHashIDMemoMatchesUncachedAndCopies checks that a memo hit returns the
-// limb function's value and that no returned big.Int aliases the table.
+// TestHashIDMemoMatchesUncachedAndCopies checks that HashID, on a first and a
+// repeated call, returns the value hashMont computes in Montgomery form and
+// the value of H written out in big.Int arithmetic, and that no returned
+// big.Int aliases state a later call reads.
 func TestHashIDMemoMatchesUncachedAndCopies(t *testing.T) {
 	s := testScheme(t)
-	hs := s.hasher()
+	m := s.P.Zr.Mont()
 	for i := 0; i < 64; i++ {
 		id := fmt.Sprintf("memo-%03d@example.com", i)
-		first := s.HashID(id) // fills an entry of the id's set
-		if !hs.memoHolds(id) {
-			t.Fatalf("%s: miss did not fill its set", id)
-		}
-		second := s.HashID(id) // memo hit
+		first := s.HashID(id)
+		second := s.HashID(id)
 		if first.Cmp(second) != 0 {
-			t.Fatalf("memoized hash differs for %s", id)
+			t.Fatalf("repeated hash differs for %s", id)
 		}
-		if first.Cmp(limbHash(s, id)) != 0 {
-			t.Fatalf("memoized hash differs from uncached for %s", id)
+		var h ff.Fel
+		s.hashMont(&h, id)
+		if first.Cmp(m.ToBig(&h)) != 0 {
+			t.Fatalf("HashID differs from hashMont for %s", id)
 		}
-		// Mutating a returned value must not poison the cache.
+		if first.Cmp(plainHash(s, id)) != 0 {
+			t.Fatalf("HashID differs from the big.Int definition for %s", id)
+		}
+		// Mutating a returned value must not change the next result.
 		second.SetInt64(1)
 		if s.HashID(id).Cmp(first) != 0 {
-			t.Fatalf("cache poisoned through returned value for %s", id)
+			t.Fatalf("hash changed through a returned value for %s", id)
 		}
 	}
 }
 
-// TestHashIDMemoBounded sweeps more fresh ids than the table has entries: a
-// miss must allocate nothing (no growth, no per-entry value), and every
-// filled entry must sit in its id's set and hold its id's hash.
-func TestHashIDMemoBounded(t *testing.T) {
-	s := testScheme(t)
-	hs := s.hasher()
-	fresh := make([]string, 4*hashMemoSets)
-	for i := range fresh {
-		fresh[i] = fmt.Sprintf("bound-%05d@example.com", i)
-	}
-	var h ff.Fel
-	next := 0
-	allocs := testing.AllocsPerRun(len(fresh)-1, func() {
-		s.hashMont(&h, fresh[next])
-		next++
-	})
-	if allocs != 0 {
-		t.Fatalf("a memo miss allocates %.1f times; want 0", allocs)
-	}
-	m := s.P.Zr.Mont()
-	filled := 0
-	for i := range hs.sets {
-		set := &hs.sets[i]
-		for w := range set.id {
-			if !set.full[w] {
-				continue
-			}
-			filled++
-			if hs.setOf(set.id[w]) != set || m.ToBig(&set.v[w]).Cmp(limbHash(s, set.id[w])) != 0 {
-				t.Fatalf("set %d holds a wrong entry for %s", i, set.id[w])
-			}
+// TestHashMontAllocatesNothing checks that H allocates nothing for ids of
+// up to idStackBytes, at every built-in width: the digest blocks, the
+// reduction and the Montgomery conversion all run off the stack.
+func TestHashMontAllocatesNothing(t *testing.T) {
+	for _, params := range hashTestParams {
+		s := NewScheme(params())
+		ids := []string{"", "alice@example.com", strings.Repeat("x", idStackBytes)}
+		for i := 0; i < 64; i++ {
+			ids = append(ids, fmt.Sprintf("alloc-%05d@example.com", i))
 		}
-	}
-	if filled > 2*hashMemoSets || filled < hashMemoSets {
-		t.Fatalf("%d entries filled after %d fresh ids into %d", filled, len(fresh), 2*hashMemoSets)
+		var h ff.Fel
+		next := 0
+		allocs := testing.AllocsPerRun(len(ids)-1, func() {
+			s.hashMont(&h, ids[next%len(ids)])
+			next++
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: hashMont allocates %.1f times per id; want 0", s.P.Name(), allocs)
+		}
 	}
 }
 
@@ -110,22 +94,26 @@ func TestBarrettReduceEdges(t *testing.T) {
 		name    string
 		d       *big.Int
 		inBytes int
+		red     *barrett // the Scheme's own reducer; nil builds one for d
 	}
 	var mods []mod
 	for _, params := range hashTestParams {
-		p := params()
-		s := NewScheme(p)
-		mods = append(mods, mod{p.Name() + "/r-1", s.hasher().rm1, s.hasher().need})
+		s := NewScheme(params())
+		rm1 := new(big.Int).Sub(s.P.R, bigOne)
+		mods = append(mods, mod{s.P.Name() + "/r-1", rm1, s.hash.need, s.hash.red})
 	}
 	fullTop := new(big.Int).Sub(new(big.Int).Lsh(bigOne, 192), big.NewInt(237)) // top limb all ones
 	lowTop := new(big.Int).Add(new(big.Int).Lsh(bigOne, 128), big.NewInt(51))   // top limb 1
 	wide := new(big.Int).Sub(new(big.Int).Lsh(bigOne, 512), big.NewInt(569))    // eight limbs
-	mods = append(mods, mod{"full-top-limb", fullTop, 48}, mod{"low-top-limb", lowTop, 48}, mod{"512-bit", wide, 128})
+	mods = append(mods, mod{"full-top-limb", fullTop, 48, nil}, mod{"low-top-limb", lowTop, 48, nil}, mod{"512-bit", wide, 128, nil})
 
 	rng := mrand.New(mrand.NewSource(41))
 	for _, md := range mods {
 		t.Run(md.name, func(t *testing.T) {
-			red := newBarrett(md.d, (md.inBytes+7)/8)
+			red := md.red
+			if red == nil {
+				red = newBarrett(md.d, (md.inBytes+7)/8)
+			}
 			if red == nil {
 				t.Fatal("reducer refused a supported modulus")
 			}
@@ -169,7 +157,7 @@ func TestBarrettReduceEdges(t *testing.T) {
 }
 
 // TestBarrettRefuses covers the moduli the fixed-limb step does not take;
-// a Scheme whose r − 1 is one of them panics on its first fast-path hash.
+// NewScheme panics over a Z_r whose r − 1 is one of them.
 func TestBarrettRefuses(t *testing.T) {
 	if newBarrett(new(big.Int).Lsh(bigOne, 128), 6) != nil { // d = b²: µ would need k+2 limbs
 		t.Fatal("reducer accepted a power of the limb base")

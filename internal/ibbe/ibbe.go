@@ -52,21 +52,16 @@ var (
 // and multi-exponentiation tables for G1, the windowed GT ladder and the
 // projective Miller loop. The textbook big.Int transcription it is tested
 // against bit for bit is package ibberef.
-//
-// A Scheme must not be copied after first use (it carries the identity-hash
-// memo); share it by pointer, as NewScheme hands it out.
 type Scheme struct {
 	P       *pairing.Params
 	Metrics *Metrics
 
-	// Identity-hash state: the reducer modulo r − 1 and the memo, built on
-	// the first hash (HashID is deterministic, so caching is safe).
-	hashOnce sync.Once
-	hash     *idHasher
+	hash idHasher // H's digest width and reducer modulo r − 1
 }
 
-// NewScheme returns an IBBE scheme over the given pairing parameters.
-func NewScheme(p *pairing.Params) *Scheme { return &Scheme{P: p} }
+// NewScheme returns an IBBE scheme over the given pairing parameters, with
+// its identity-hash state built.
+func NewScheme(p *pairing.Params) *Scheme { return &Scheme{P: p, hash: newIDHasher(p.R)} }
 
 // MasterSecretKey is MSK = (g, γ). It must never leave the trusted boundary;
 // the enclave package enforces that.
@@ -350,7 +345,7 @@ func (s *Scheme) Decrypt(pk *PublicKey, id string, usk *UserKey, ids []string, c
 
 	if len(others) == 0 {
 		// Singleton group: p ≡ 0 and Δ = 1, so bk = e(USK, C2).
-		return s.pairPt(usk.D, ct.C2), nil
+		return s.pair(usk.D, ct.C2), nil
 	}
 
 	coeffs := s.expandProductPoly(others) // degree n−1 polynomial, O(n²)
@@ -358,7 +353,7 @@ func (s *Scheme) Decrypt(pk *PublicKey, id string, usk *UserKey, ids []string, c
 	// h^{p(γ)} = Σ_{l≥1} coeffs[l] · h^{γ^{l−1}}.
 	hp := s.multiExpHPowers(pk, coeffs[1:], 0)
 
-	num := s.P.GTMul(s.pairPt(ct.C1, hp), s.pairPt(usk.D, ct.C2))
+	num := s.P.GTMul(s.pair(ct.C1, hp), s.pair(usk.D, ct.C2))
 	dInv, err := zr.Inv(delta)
 	if err != nil {
 		return nil, fmt.Errorf("ibbe: degenerate receiver set: %w", err)
@@ -377,12 +372,7 @@ func (s *Scheme) Decrypt(pk *PublicKey, id string, usk *UserKey, ids []string, c
 // AddUsersState / RemoveUsersState / RekeyState, which produce the same
 // values.
 func (s *Scheme) AddUser(msk *MasterSecretKey, ct *Ciphertext, id string) *Ciphertext {
-	e := s.P.Zr.Add(msk.Gamma, s.HashID(id))
-	return &Ciphertext{
-		C1: ct.C1.Clone(),
-		C2: s.expG1(ct.C2, e),
-		C3: s.expG1(ct.C3, e),
-	}
+	return s.AddUsers(msk, ct, []string{id})
 }
 
 // AddUsers extends the receiver set of ct by every id in ids with a constant
@@ -427,7 +417,7 @@ func (s *Scheme) RemoveUsers(msk *MasterSecretKey, pk *PublicKey, ct *Ciphertext
 
 // rotateHeader assembles the rotated header (C1 = w^−k, C2 = C3^k) and fresh
 // broadcast key bk = v^k for an established C3 — the shared tail of Rekey
-// and both Remove operations. C1 and bk ride the w and v fixed-base tables;
+// and RemoveUsers. C1 and bk ride the w and v fixed-base tables;
 // C2's base C3 changes every call, so it takes the generic windowed path.
 func (s *Scheme) rotateHeader(pk *PublicKey, c3 *curve.Point, k *big.Int) (*BroadcastKey, *Ciphertext) {
 	out := &Ciphertext{C1: s.expFixed(s.fbW(pk), s.P.Zr.Neg(k)), C2: s.expG1(c3, k), C3: c3}
@@ -440,19 +430,7 @@ func (s *Scheme) rotateHeader(pk *PublicKey, c3 *curve.Point, k *big.Int) (*Broa
 // The caller must guarantee id is currently in the receiver set; the
 // partition layer tracks membership.
 func (s *Scheme) RemoveUser(msk *MasterSecretKey, pk *PublicKey, ct *Ciphertext, id string, rng io.Reader) (*BroadcastKey, *Ciphertext, error) {
-	zr := s.P.Zr
-	den := zr.Add(msk.Gamma, s.HashID(id))
-	inv, err := zr.Inv(den)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ibbe: identity collides with master secret: %w", err)
-	}
-	c3 := s.expG1(ct.C3, inv)
-	k, err := s.P.G1.RandScalar(rng)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ibbe: drawing k: %w", err)
-	}
-	bk, out := s.rotateHeader(pk, c3, k)
-	return bk, out, nil
+	return s.RemoveUsers(msk, pk, ct, []string{id}, rng)
 }
 
 // Rekey draws a fresh broadcast key for an unchanged receiver set in O(1)

@@ -117,9 +117,6 @@ func (s *Scheme) pair(p, q *curve.Point) *pairing.GT {
 	return s.P.Pair(p, q)
 }
 
-// pairPt is pair with a name that reads better at decryption call sites.
-func (s *Scheme) pairPt(p, q *curve.Point) *pairing.GT { return s.pair(p, q) }
-
 func (s *Scheme) mulZr(a, b *big.Int) *big.Int {
 	if s.Metrics != nil {
 		s.Metrics.ZrMul.Add(1)

@@ -166,7 +166,9 @@ var (
 // Puts counts mutation round trips, so a Commit is ONE put however many
 // objects it carries (puts × injected delay stays the write-latency model);
 // BytesIn counts every payload byte of it and Deletes each object it
-// actually removed.
+// actually removed. Gets and BytesOut count object bodies served, one per
+// object a read returned: a conditional read answered not-modified (304)
+// and a not-found read are round trips that neither counter counts.
 type Stats struct {
 	Puts, Gets, Deletes int64
 	BytesIn, BytesOut   int64
@@ -375,6 +377,9 @@ func (m *MemStore) GetVersionedIf(ctx context.Context, dir, name string, ifVersi
 	return m.getVersioned(ctx, dir, name, ifVersion)
 }
 
+// getVersioned serves GetVersioned and GetVersionedIf. It pays the injected
+// Get latency on every call, but counts Gets and BytesOut only when it
+// serves a body: a not-modified answer and a not-found read count neither.
 func (m *MemStore) getVersioned(ctx context.Context, dir, name string, ifVersion uint64) ([]byte, uint64, error) {
 	if err := sleepCtx(ctx, m.lat.Get); err != nil {
 		return nil, 0, err
