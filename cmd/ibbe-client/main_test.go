@@ -31,7 +31,11 @@ func TestRunPrintsTheGroupKeyFingerprint(t *testing.T) {
 	defer c.Shutdown(ctx)
 	adm := httptest.NewServer(c.Shards()[0])
 	defer adm.Close()
-	if err := client.NewAdminAPI(adm.Client(), adm.URL).CreateGroup(ctx, "g", []string{"alice@x", "bob@x", "carol@x"}); err != nil {
+	api, err := client.NewClusterClient(ctx, nil, adm.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := api.CreateGroup(ctx, "g", []string{"alice@x", "bob@x", "carol@x"}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,7 +3,7 @@
 // platform) plus the routing gateway, against a cloud store. Group
 // ownership is decided by a consistent-hash ring and enforced by lease
 // records in the store; the gateway exposes the exact single-admin HTTP
-// surface, so existing clients (curl, client.AdminAPI, examples) work
+// surface, so existing clients (curl, client.ClusterClient, examples) work
 // unchanged against the whole cluster.
 //
 // Usage:
@@ -15,20 +15,22 @@
 //	             [-provisioning sealed|threshold] [-platform-state cluster.platform]
 //
 // One shard (-shards 1) is the single-administrator deployment. Drive the
-// gateway with curl (or examples/filesharing, or client.AdminAPI), and point
-// ibbe-client's -admin at it for key provisioning (/provision, /info):
+// gateway with curl (or examples/filesharing, or client.ClusterClient built
+// with the gateway as its fallback), and point ibbe-client's -admin at it for
+// key provisioning (/provision, /info):
 //
 //	curl -X POST :9091/admin/create       -d '{"group":"g","members":["a","b"]}'
-//	curl -X POST :9091/admin/add          -d '{"group":"g","user":"c"}'
-//	curl -X POST :9091/admin/remove       -d '{"group":"g","user":"a"}'
+//	curl -X POST :9091/admin/add-batch    -d '{"group":"g","users":["c"]}'
 //	curl -X POST :9091/admin/add-batch    -d '{"group":"g","users":["d","e","f"]}'
 //	curl -X POST :9091/admin/remove-batch -d '{"group":"g","users":["b","c"]}'
+//	curl -X POST :9091/admin/rekey        -d '{"group":"g"}'
 //	curl ':9091/admin/members?group=g&limit=1000'
 //
-// The batch routes coalesce the whole batch into one re-key pass per touched
-// partition; -workers bounds each shard's per-partition fan-out (0 = all
-// CPUs). The members route is paged — walk arbitrarily large groups with the
-// returned "next" cursor (client.AdminAPI.AllMembers does this for you).
+// An add or a removal names one user or many, and coalesces them into one
+// re-key pass per touched partition; -workers bounds each shard's
+// per-partition fan-out (0 = all CPUs). The members route is paged — walk
+// arbitrarily large groups by passing each answer's "next" cursor back as
+// &after= until it comes back empty.
 // -resident-pages bounds each group's in-memory partition-page cache:
 // untouched pages evict and rehydrate from the store on demand, keeping
 // per-op memory O(partition) instead of O(group).

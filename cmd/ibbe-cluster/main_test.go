@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -82,9 +85,10 @@ func TestControlAPIEnvelope(t *testing.T) {
 
 // TestOneShardServesTheSingleAdminAPI: a one-shard deployment, wired as run
 // wires it over a remote store, is the single-administrator service — groups
-// are created, grown and shrunk through client.AdminAPI, users provision their
-// keys through the gateway, members agree on the group key, and a removal
-// rotates it and evicts the removed user.
+// are created, grown and shrunk through a client.ClusterClient that sends
+// every op to the gateway, users provision their keys through the gateway,
+// members agree on the group key, and a removal rotates it and evicts the
+// removed user.
 func TestOneShardServesTheSingleAdminAPI(t *testing.T) {
 	cloud := httptest.NewServer(storage.NewServer(storage.NewMemStore(storage.Latency{})))
 	defer cloud.Close()
@@ -101,7 +105,10 @@ func TestOneShardServesTheSingleAdminAPI(t *testing.T) {
 	gw := httptest.NewServer(g)
 	defer gw.Close()
 
-	api := client.NewAdminAPI(gw.Client(), gw.URL)
+	api, err := client.NewClusterClient(ctx, nil, gw.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := api.CreateGroup(ctx, "g", []string{"alice@x", "bob@x"}); err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +146,66 @@ func TestOneShardServesTheSingleAdminAPI(t *testing.T) {
 	if err := api.RemoveUser(ctx, "g", "bob@x"); err != nil {
 		t.Fatal(err)
 	}
-	if after := agreed("alice@x", "carol@x"); after == before {
+	after := agreed("alice@x", "carol@x")
+	if after == before {
 		t.Fatal("the removal did not rotate the group key")
 	}
 	if _, err := readers["bob@x"].Refresh(ctx); !errors.Is(err, client.ErrEvicted) {
 		t.Fatalf("removed user reads the group: %v", err)
+	}
+	if err := api.RekeyGroup(ctx, "g"); err != nil {
+		t.Fatal(err)
+	}
+	if agreed("alice@x", "carol@x") == after {
+		t.Fatal("the rekey did not rotate the group key")
+	}
+	if st := api.Stats(); st.Proxied != 4 || st.Direct != 0 {
+		t.Fatalf("routes = %+v, want all 4 ops proxied through the gateway", st)
+	}
+}
+
+// docCurl matches a documented admin mutation: curl -X POST :port/admin/<op>
+// -d '<json>'. The gateway's control API (/admin/cluster/v1/…) does not match.
+var docCurl = regexp.MustCompile(`curl -X POST :\d+/admin/([a-z-]+)\s+-d '(\{.*\})'`)
+
+// TestDocumentedAdminCurlsAreServed: every admin mutation README.md and this
+// command's doc comment show names a route a shard serves, with a body its
+// strict admin.OpRequest decoder accepts — a shard answers neither 404 nor
+// 400. A conflict is fine: the examples assume state from their own
+// walkthroughs.
+func TestDocumentedAdminCurlsAreServed(t *testing.T) {
+	c, err := cluster.New(cluster.Options{Shards: 1, Capacity: 4, LeaseTTL: 5 * time.Second, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown(context.Background())
+	shard := c.Shards()[0]
+	for _, doc := range []struct {
+		path string
+		min  int
+	}{{"../../README.md", 4}, {"main.go", 5}} {
+		src, err := os.ReadFile(doc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := docCurl.FindAllStringSubmatch(string(src), -1)
+		if len(found) < doc.min {
+			t.Fatalf("%s: %d admin curls, want at least %d", doc.path, len(found), doc.min)
+		}
+		for _, m := range found {
+			dec := json.NewDecoder(strings.NewReader(m[2]))
+			dec.DisallowUnknownFields()
+			var req admin.OpRequest
+			if err := dec.Decode(&req); err != nil {
+				t.Errorf("%s: %s: body does not decode as admin.OpRequest: %v", doc.path, m[0], err)
+				continue
+			}
+			rec := httptest.NewRecorder()
+			shard.ServeHTTP(rec, httptest.NewRequest("POST", "/admin/"+m[1], strings.NewReader(m[2])))
+			if rec.Code == http.StatusNotFound || rec.Code == http.StatusBadRequest {
+				t.Errorf("%s: %s: shard answered %d %s", doc.path, m[0], rec.Code, strings.TrimSpace(rec.Body.String()))
+			}
+		}
 	}
 }
 

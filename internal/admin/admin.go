@@ -269,21 +269,15 @@ func (a *Admin) CreateGroup(ctx context.Context, group string, members []string)
 	return a.certify(group, core.OpCreateGroup, "")
 }
 
-// AddUser runs Algorithm 2 and publishes the affected partition record.
+// AddUser runs Algorithm 2 for one user: a batch of one.
 func (a *Admin) AddUser(ctx context.Context, group, user string) error {
-	err := a.mutate(ctx, group, func() (*core.Update, error) {
-		return a.mgr.AddUser(group, user)
-	})
-	if err != nil {
-		return err
-	}
-	return a.certify(group, core.OpAddUser, user)
+	return a.AddUsers(ctx, group, []string{user})
 }
 
 // AddUsers runs the batched form of Algorithm 2 — one ciphertext extension
 // per touched partition for the whole batch — and publishes the affected
-// records. Each membership change is still certified individually, so the
-// operation log is identical to looping AddUser.
+// records. Each membership change is certified individually, so the
+// operation log holds one entry per user whatever the batch size.
 func (a *Admin) AddUsers(ctx context.Context, group string, users []string) error {
 	err := a.mutate(ctx, group, func() (*core.Update, error) {
 		return a.mgr.AddUsers(group, users)
@@ -299,16 +293,9 @@ func (a *Admin) AddUsers(ctx context.Context, group string, users []string) erro
 	return nil
 }
 
-// RemoveUser runs Algorithm 3 (and possibly a re-partition) and publishes
-// every affected record.
+// RemoveUser runs Algorithm 3 for one user: a batch of one.
 func (a *Admin) RemoveUser(ctx context.Context, group, user string) error {
-	err := a.mutate(ctx, group, func() (*core.Update, error) {
-		return a.mgr.RemoveUser(group, user)
-	})
-	if err != nil {
-		return err
-	}
-	return a.certify(group, core.OpRemoveUser, user)
+	return a.RemoveUsers(ctx, group, []string{user})
 }
 
 // RemoveUsers runs the batched form of Algorithm 3 — one fresh group key

@@ -1,4 +1,4 @@
-package admin
+package admin_test
 
 import (
 	"context"
@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ibbesgx/ibbesgx/internal/admin"
 	"github.com/ibbesgx/ibbesgx/internal/client"
 	"github.com/ibbesgx/ibbesgx/internal/core"
 	"github.com/ibbesgx/ibbesgx/internal/enclave"
@@ -23,7 +24,7 @@ import (
 // sys is a full in-process deployment: enclave, manager, admin, store, log.
 type sys struct {
 	encl  *enclave.IBBEEnclave
-	admin *Admin
+	admin *admin.Admin
 	store *storage.MemStore
 	log   *core.OpLog
 }
@@ -50,7 +51,7 @@ func newSys(t *testing.T, capacity int) *sys {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &sys{encl: ie, admin: New("admin-1", mgr, store, log), store: store, log: log}
+	return &sys{encl: ie, admin: admin.New("admin-1", mgr, store, log), store: store, log: log}
 }
 
 func (s *sys) clientFor(t *testing.T, id, group string) *client.Client {
@@ -363,6 +364,37 @@ func TestClientCacheAvoidsRescan(t *testing.T) {
 	}
 }
 
+// TestEmptyIdentityIsNeverAMember: the empty identity names no user, so a
+// creation or an add naming it is refused with core.ErrEmptyID and commits
+// nothing.
+func TestEmptyIdentityIsNeverAMember(t *testing.T) {
+	s := newSys(t, 3)
+	ctx := context.Background()
+	if err := s.admin.CreateGroup(ctx, "h", []string{"a@x", ""}); !errors.Is(err, core.ErrEmptyID) {
+		t.Fatalf("create naming the empty identity: %v, want core.ErrEmptyID", err)
+	}
+	if names, _ := s.store.List(ctx, "h"); s.admin.Manager().HasGroup("h") || len(names) != 0 {
+		t.Fatalf("a refused create left its group behind: %v", names)
+	}
+	if err := s.admin.CreateGroup(ctx, "g", []string{"a@x", "b@x"}); err != nil {
+		t.Fatal(err)
+	}
+	version, _ := s.store.Version(ctx, "g")
+	if err := s.admin.AddUser(ctx, "g", ""); !errors.Is(err, core.ErrEmptyID) {
+		t.Fatalf("add of the empty identity: %v, want core.ErrEmptyID", err)
+	}
+	if err := s.admin.AddUsers(ctx, "g", []string{"c@x", ""}); !errors.Is(err, core.ErrEmptyID) {
+		t.Fatalf("batch naming the empty identity: %v, want core.ErrEmptyID", err)
+	}
+	if v, _ := s.store.Version(ctx, "g"); v != version {
+		t.Fatalf("refused adds moved the directory from version %d to %d", version, v)
+	}
+	members, err := s.admin.Manager().Members("g")
+	if err != nil || strings.Join(members, ",") != "a@x,b@x" {
+		t.Fatalf("members = %q %v, want exactly a@x and b@x", members, err)
+	}
+}
+
 func TestAdminErrorsPropagate(t *testing.T) {
 	s := newSys(t, 2)
 	ctx := context.Background()
@@ -385,7 +417,7 @@ func TestEndToEndOverHTTPStore(t *testing.T) {
 	hs := storage.NewHTTPStore(ts.URL)
 
 	mgr := s.admin.Manager()
-	adminHTTP := New("admin-http", mgr, hs, nil)
+	adminHTTP := admin.New("admin-http", mgr, hs, nil)
 	ctx := context.Background()
 	members := users(3)
 	if err := adminHTTP.CreateGroup(ctx, "hg", members); err != nil {

@@ -1,4 +1,4 @@
-package admin
+package admin_test
 
 import (
 	"context"
@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/ibbesgx/ibbesgx/internal/admin"
 	"github.com/ibbesgx/ibbesgx/internal/core"
 	"github.com/ibbesgx/ibbesgx/internal/kdf"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
@@ -14,13 +15,13 @@ import (
 
 // newCASPeer builds a second administrator sharing s's enclave and store,
 // with the given group restored from the cloud.
-func newCASPeer(t *testing.T, s *sys, capacity int, group string) *Admin {
+func newCASPeer(t *testing.T, s *sys, capacity int, group string) *admin.Admin {
 	t.Helper()
 	mgr, err := core.NewManager(s.encl, capacity, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer := New("admin-2", mgr, s.store, nil)
+	peer := admin.New("admin-2", mgr, s.store, nil)
 	if group != "" {
 		if err := peer.RestoreGroup(context.Background(), group); err != nil {
 			t.Fatal(err)
@@ -106,7 +107,7 @@ func TestCASExhaustedRetriesAbortCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adm := New("admin-2", mgr, faulty, nil)
+	adm := admin.New("admin-2", mgr, faulty, nil)
 	if err := adm.RestoreGroup(ctx, "g"); err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package admin
+package admin_test
 
 import (
 	"context"
@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/ibbesgx/ibbesgx/internal/admin"
 	"github.com/ibbesgx/ibbesgx/internal/core"
 	"github.com/ibbesgx/ibbesgx/internal/partition"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
@@ -21,17 +22,17 @@ type chainOnly struct{ storage.Store }
 
 // newCASAdminOn builds an administrator of capacity 3 on s's enclave over
 // its own store.
-func newCASAdminOn(t *testing.T, s *sys, store storage.Store, name string) *Admin {
+func newCASAdminOn(t *testing.T, s *sys, store storage.Store, name string) *admin.Admin {
 	return newCASAdmin(t, s, 3, store, name)
 }
 
-func newCASAdmin(t *testing.T, s *sys, capacity int, store storage.Store, name string) *Admin {
+func newCASAdmin(t *testing.T, s *sys, capacity int, store storage.Store, name string) *admin.Admin {
 	t.Helper()
 	mgr, err := core.NewManager(s.encl, capacity, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(name, mgr, store, nil)
+	return admin.New(name, mgr, store, nil)
 }
 
 // TestCommitPathsAgree drives one seeded op sequence through an admin whose
@@ -50,7 +51,7 @@ func TestCommitPathsAgree(t *testing.T) {
 		name  string
 		mem   *storage.MemStore
 		store storage.Store
-		admin *Admin
+		admin *admin.Admin
 	}{
 		{name: "native", mem: native, store: native},
 		{name: "chain", mem: chained, store: chainOnly{chained}},
@@ -62,8 +63,8 @@ func TestCommitPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	members := users(10)
 	next := len(members)
-	ops := []func(a *Admin) error{
-		func(a *Admin) error { return a.CreateGroup(ctx, "g", users(10)) },
+	ops := []func(a *admin.Admin) error{
+		func(a *admin.Admin) error { return a.CreateGroup(ctx, "g", users(10)) },
 	}
 	for i := 0; i < 24; i++ {
 		switch k := rng.Intn(5); {
@@ -71,20 +72,20 @@ func TestCommitPathsAgree(t *testing.T) {
 			u := fmt.Sprintf("u%03d@example.com", next)
 			next++
 			members = append(members, u)
-			ops = append(ops, func(a *Admin) error { return a.AddUser(ctx, "g", u) })
+			ops = append(ops, func(a *admin.Admin) error { return a.AddUser(ctx, "g", u) })
 		case k < 4:
 			j := rng.Intn(len(members))
 			u := members[j]
 			members = append(members[:j], members[j+1:]...)
-			ops = append(ops, func(a *Admin) error { return a.RemoveUser(ctx, "g", u) })
+			ops = append(ops, func(a *admin.Admin) error { return a.RemoveUser(ctx, "g", u) })
 		default:
 			// A batch removal empties partitions (deletes in the update).
 			batch := append([]string(nil), members[:3]...)
 			members = members[3:]
-			ops = append(ops, func(a *Admin) error { return a.RemoveUsers(ctx, "g", batch) })
+			ops = append(ops, func(a *admin.Admin) error { return a.RemoveUsers(ctx, "g", batch) })
 		}
 	}
-	ops = append(ops, func(a *Admin) error { return a.Repartition(ctx, "g") })
+	ops = append(ops, func(a *admin.Admin) error { return a.Repartition(ctx, "g") })
 
 	for _, sd := range sides {
 		before := sd.mem.Stats().Puts
@@ -127,7 +128,7 @@ func TestCommitPathsAgree(t *testing.T) {
 				for _, id := range idx.PageIDs() {
 					st.header += fmt.Sprintf(" %s=%d", id, idx.Count(id))
 				}
-			case n == sealedGKObject:
+			case n == admin.SealedGKObject:
 			case strings.HasPrefix(n, "_"):
 				st.buckets += fmt.Sprintf("%s=%x ", n, blob)
 			default:
@@ -216,10 +217,7 @@ func TestFailedCommitDropsGroupAndRestores(t *testing.T) {
 	if adm.Manager().HasGroup("g") {
 		t.Fatal("group still cached after a failed commit")
 	}
-	adm.verMu.Lock()
-	_, tracked := adm.dirVer["g"]
-	adm.verMu.Unlock()
-	if tracked {
+	if adm.TracksVersion("g") {
 		t.Fatal("directory version still tracked after a failed commit")
 	}
 	if v, _ := s.store.Version(ctx, "g"); v != version {
@@ -269,11 +267,11 @@ func TestOversizedUpdateSplitsIntoChainedCommits(t *testing.T) {
 	ctx := context.Background()
 	store := &commitLog{MemStore: s.store}
 	adm := newCASAdminOn(t, s, store, "admin-big")
-	up, err := adm.mgr.CreateGroup("g", users(13)) // 5 partitions, 5 buckets
+	up, err := adm.Manager().CreateGroup("g", users(13)) // 5 partitions, 5 buckets
 	if err != nil {
 		t.Fatal(err)
 	}
-	puts, closing, err := adm.updateObjects(up)
+	puts, closing, err := adm.UpdateObjects(up)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +279,7 @@ func TestOversizedUpdateSplitsIntoChainedCommits(t *testing.T) {
 	// records alone need three commits.
 	record := len(puts[len(puts)-1].Data)
 	limit := len(up.Header) + len(up.SealedGK) + 2*record + record/2
-	v, err := adm.commitUpdate(ctx, up, 0, limit)
+	v, err := adm.CommitUpdate(ctx, up, 0, limit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +297,7 @@ func TestOversizedUpdateSplitsIntoChainedCommits(t *testing.T) {
 		t.Fatalf("objects committed in order %v, want %v", got, want)
 	}
 	last := store.commits[len(store.commits)-1]
-	if n := len(last); n < 2 || last[n-2] != partition.HeaderObject || last[n-1] != sealedGKObject {
+	if n := len(last); n < 2 || last[n-2] != partition.HeaderObject || last[n-1] != admin.SealedGKObject {
 		t.Fatalf("final commit does not end with header and sealed key: %v", last)
 	}
 	if len(up.Put) != 5 || len(up.Buckets) != 5 || !sort.StringsAreSorted(want[:5]) || !sort.StringsAreSorted(want[5:10]) {

@@ -6,8 +6,8 @@ import (
 )
 
 // Error codes carried in the control-API envelope. Clients branch on these
-// instead of parsing message strings; client.AdminAPI maps them to typed
-// sentinel errors (ErrFencedEpoch, ErrNotOwner).
+// instead of parsing message strings; client.ClusterClient maps them to
+// typed sentinel errors (ErrFencedEpoch, ErrNotOwner).
 const (
 	// CodeFencedEpoch: the serving process operated under a superseded
 	// membership epoch and the store fenced its write. Refresh membership

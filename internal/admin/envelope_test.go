@@ -1,4 +1,4 @@
-package admin
+package admin_test
 
 import (
 	"errors"
@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"github.com/ibbesgx/ibbesgx/internal/admin"
 	"github.com/ibbesgx/ibbesgx/internal/client"
 )
 
@@ -19,16 +20,16 @@ func TestClientDecodesTypedSentinels(t *testing.T) {
 		status   int
 		sentinel error
 	}{
-		{"fenced", CodeFencedEpoch, http.StatusPreconditionFailed, client.ErrFencedEpoch},
-		{"not-owner", CodeNotOwner, http.StatusServiceUnavailable, client.ErrNotOwner},
+		{"fenced", admin.CodeFencedEpoch, http.StatusPreconditionFailed, client.ErrFencedEpoch},
+		{"not-owner", admin.CodeNotOwner, http.StatusServiceUnavailable, client.ErrNotOwner},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				WriteEnvelopeError(w, tc.status, 42, tc.code, "go away")
+				admin.WriteEnvelopeError(w, tc.status, 42, tc.code, "go away")
 			}))
 			defer ts.Close()
-			err := client.NewAdminAPI(nil, ts.URL).RekeyGroup(t.Context(), "g")
+			err := gatewayClient(t, ts.URL).RekeyGroup(t.Context(), "g")
 			if !errors.Is(err, tc.sentinel) {
 				t.Fatalf("errors.Is(%v, %v) = false", err, tc.sentinel)
 			}
@@ -44,7 +45,7 @@ func TestClientDecodesTypedSentinels(t *testing.T) {
 			http.Error(w, "boom", http.StatusInternalServerError)
 		}))
 		defer ts.Close()
-		err := client.NewAdminAPI(nil, ts.URL).RekeyGroup(t.Context(), "g")
+		err := gatewayClient(t, ts.URL).RekeyGroup(t.Context(), "g")
 		var apiErr *client.APIError
 		if !errors.As(err, &apiErr) {
 			t.Fatalf("error %T is not *client.APIError", err)

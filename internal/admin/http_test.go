@@ -6,7 +6,6 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -45,12 +44,33 @@ func oneShard(t *testing.T) (*cluster.Cluster, *cluster.Shard, string) {
 	return c, s, srv.URL
 }
 
-func users(n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("u%03d@example.com", i)
+// gatewayClient is an admin client with no membership record to route by:
+// it sends every op to url, a gateway or (here) one shard.
+func gatewayClient(t *testing.T, url string) *client.ClusterClient {
+	t.Helper()
+	cc, err := client.NewClusterClient(t.Context(), nil, url)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return cc
+}
+
+// postOp posts one admin mutation and returns the status with the decoded
+// envelope of an error answer.
+func postOp(t *testing.T, url, path, body string) (int, admin.Envelope) {
+	t.Helper()
+	resp, err := http.Post(url+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env admin.Envelope
+	if resp.StatusCode >= 300 {
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatalf("%s %s: error answer is not the envelope: %v", path, body, err)
+		}
+	}
+	return resp.StatusCode, env
 }
 
 func TestServiceInfoAndAdminOps(t *testing.T) {
@@ -66,27 +86,23 @@ func TestServiceInfoAndAdminOps(t *testing.T) {
 	}
 
 	post := func(path, body string) int {
-		resp, err := http.Post(url+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
+		code, _ := postOp(t, url, path, body)
+		return code
 	}
 	if code := post("/admin/create", `{"group":"g","members":["a@x","b@x"]}`); code != 204 {
 		t.Fatalf("create: %d", code)
 	}
-	if code := post("/admin/add", `{"group":"g","user":"c@x"}`); code != 204 {
+	if code := post("/admin/add-batch", `{"group":"g","users":["c@x"]}`); code != 204 {
 		t.Fatalf("add: %d", code)
 	}
-	if code := post("/admin/remove", `{"group":"g","user":"a@x"}`); code != 204 {
+	if code := post("/admin/remove-batch", `{"group":"g","users":["a@x"]}`); code != 204 {
 		t.Fatalf("remove: %d", code)
 	}
 	if code := post("/admin/rekey", `{"group":"g"}`); code != 204 {
 		t.Fatalf("rekey: %d", code)
 	}
 	// Errors surface as 409.
-	if code := post("/admin/remove", `{"group":"g","user":"ghost@x"}`); code != 409 {
+	if code := post("/admin/remove-batch", `{"group":"g","users":["ghost@x"]}`); code != 409 {
 		t.Fatalf("bad remove: %d", code)
 	}
 	if code := post("/admin/create", `{}`); code != 400 {
@@ -98,9 +114,48 @@ func TestServiceInfoAndAdminOps(t *testing.T) {
 	}
 }
 
+// TestStrictMutationBodies: mutation bodies decode strictly. A field the
+// request does not know — the retired single-user "user" among them — an
+// add or a removal naming no user, and a creation or an add naming the empty
+// identity are refused with 400 bad_request, and nothing is committed.
+func TestStrictMutationBodies(t *testing.T) {
+	c, s, url := oneShard(t)
+	ctx := context.Background()
+	if code, env := postOp(t, url, "/admin/create", `{"group":"g","members":["a@x","b@x"]}`); code != 204 {
+		t.Fatalf("create: %d %+v", code, env)
+	}
+	version, err := c.Store.Version(ctx, "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []struct{ path, body string }{
+		{"/admin/remove-batch", `{"group":"g","user":"a@x"}`},
+		{"/admin/add-batch", `{"group":"g","user":"c@x"}`},
+		{"/admin/add-batch", `{"group":"g","users":[]}`},
+		{"/admin/remove-batch", `{"group":"g"}`},
+		{"/admin/rekey", `{"group":"g","force":true}`},
+		{"/admin/add-batch", `{"group":"g","users":["c@x",""]}`},
+		{"/admin/create", `{"group":"h","members":["a@x",""]}`},
+	} {
+		code, env := postOp(t, url, req.path, req.body)
+		if code != http.StatusBadRequest || env.Error == nil || env.Error.Code != admin.CodeBadRequest {
+			t.Errorf("%s %s: %d %+v, want 400 %s", req.path, req.body, code, env, admin.CodeBadRequest)
+		}
+	}
+	if v, err := c.Store.Version(ctx, "g"); err != nil || v != version {
+		t.Fatalf("refused bodies moved the directory from version %d to %d (%v)", version, v, err)
+	}
+	if members, err := s.Admin.Manager().Members("g"); err != nil || strings.Join(members, ",") != "a@x,b@x" {
+		t.Fatalf("members after refused bodies: %q %v", members, err)
+	}
+	if s.Admin.Manager().HasGroup("h") {
+		t.Fatal("a refused create left its group behind")
+	}
+}
+
 func TestBatchRoutesOverHTTP(t *testing.T) {
 	_, s, url := oneShard(t)
-	api := client.NewAdminAPI(nil, url)
+	api := gatewayClient(t, url)
 	ctx := context.Background()
 	if err := api.CreateGroup(ctx, "g", users(4)); err != nil {
 		t.Fatal(err)
@@ -135,7 +190,7 @@ func TestBatchRoutesOverHTTP(t *testing.T) {
 
 // TestAdminErrorsCarryEnvelope: admin-operation failures answer with the
 // typed JSON envelope — code, message, and the serving epoch — and
-// client.AdminAPI surfaces them as *APIError.
+// client.ClusterClient surfaces them as *APIError.
 func TestAdminErrorsCarryEnvelope(t *testing.T) {
 	c, s, url := oneShard(t)
 	// Six membership changes bring the shard to epoch 7.
@@ -147,8 +202,8 @@ func TestAdminErrorsCarryEnvelope(t *testing.T) {
 
 	// Removing a user from a group that does not exist is a genuine
 	// conflict: the envelope must say so, typed.
-	resp, err := http.Post(url+"/admin/remove", "application/json",
-		strings.NewReader(`{"group":"nope","user":"u"}`))
+	resp, err := http.Post(url+"/admin/remove-batch", "application/json",
+		strings.NewReader(`{"group":"nope","users":["u"]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +223,7 @@ func TestAdminErrorsCarryEnvelope(t *testing.T) {
 	}
 
 	// The typed client decodes the same envelope into an *APIError.
-	api := client.NewAdminAPI(nil, url)
-	opErr := api.RemoveUser(t.Context(), "nope", "u")
+	opErr := gatewayClient(t, url).RemoveUser(t.Context(), "nope", "u")
 	var apiErr *client.APIError
 	if !errors.As(opErr, &apiErr) {
 		t.Fatalf("error %T is not *client.APIError: %v", opErr, opErr)
@@ -182,15 +236,32 @@ func TestAdminErrorsCarryEnvelope(t *testing.T) {
 	}
 }
 
-// TestMembersPagingHTTP walks GET /admin/members with a small page size and
-// must reassemble exactly the manager's member list; the AdminAPI client
-// does the same through its cursor helper.
+// TestMembersPagingHTTP walks GET /admin/members with plain GETs through
+// its next cursor at a small page size and must reassemble exactly the
+// manager's member list.
 func TestMembersPagingHTTP(t *testing.T) {
 	_, s, url := oneShard(t)
-	api := client.NewAdminAPI(http.DefaultClient, url)
-	ctx := context.Background()
-	if err := api.CreateGroup(ctx, "g", users(10)); err != nil {
+	if err := gatewayClient(t, url).CreateGroup(context.Background(), "g", users(10)); err != nil {
 		t.Fatal(err)
+	}
+	get := func(query string) (int, admin.MembersResult, admin.Envelope) {
+		t.Helper()
+		resp, err := http.Get(url + "/admin/members?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var page admin.MembersResult
+		var env admin.Envelope
+		if resp.StatusCode == http.StatusOK {
+			err = json.NewDecoder(resp.Body).Decode(&page)
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(&env)
+		}
+		if err != nil {
+			t.Fatalf("GET members?%s: %v", query, err)
+		}
+		return resp.StatusCode, page, env
 	}
 
 	// Page by hand with limit 3: ceil(10/3) = 4 pages.
@@ -198,19 +269,19 @@ func TestMembersPagingHTTP(t *testing.T) {
 	after := ""
 	pages := 0
 	for {
-		page, next, err := api.Members(ctx, "g", after, 3)
-		if err != nil {
-			t.Fatal(err)
+		code, page, _ := get("group=g&limit=3&after=" + after)
+		if code != http.StatusOK {
+			t.Fatalf("page after %q: status %d", after, code)
 		}
-		if len(page) > 3 {
-			t.Fatalf("page of %d exceeds limit 3", len(page))
+		if len(page.Members) > 3 {
+			t.Fatalf("page of %d exceeds limit 3", len(page.Members))
 		}
-		walked = append(walked, page...)
+		walked = append(walked, page.Members...)
 		pages++
-		if next == "" {
+		if page.Next == "" {
 			break
 		}
-		after = next
+		after = page.Next
 	}
 	if pages < 4 {
 		t.Fatalf("10 members at limit 3 walked in %d pages", pages)
@@ -231,21 +302,12 @@ func TestMembersPagingHTTP(t *testing.T) {
 		}
 	}
 
-	// The cursor helper reassembles the same listing.
-	all, err := api.AllMembers(ctx, "g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != len(want) {
-		t.Fatalf("AllMembers = %d members, want %d", len(all), len(want))
-	}
-
 	// Unknown group and missing group surface typed envelope errors.
-	if _, _, err := api.Members(ctx, "nope", "", 0); err == nil {
-		t.Fatal("listing an unknown group succeeded")
+	if code, _, env := get("group=nope"); code != http.StatusConflict || env.Error == nil || env.Error.Code != admin.CodeConflict {
+		t.Fatalf("listing an unknown group: %d %+v", code, env)
 	}
-	if _, _, err := api.Members(ctx, "", "", 0); err == nil {
-		t.Fatal("listing without a group succeeded")
+	if code, _, env := get(""); code != http.StatusBadRequest || env.Error == nil || env.Error.Code != admin.CodeBadRequest {
+		t.Fatalf("listing without a group: %d %+v", code, env)
 	}
 }
 
@@ -253,7 +315,7 @@ func TestProvisionOverHTTPEndToEnd(t *testing.T) {
 	c, _, url := oneShard(t)
 	ctx := context.Background()
 
-	if err := client.NewAdminAPI(nil, url).CreateGroup(ctx, "g", []string{"alice@x", "bob@x"}); err != nil {
+	if err := gatewayClient(t, url).CreateGroup(ctx, "g", []string{"alice@x", "bob@x"}); err != nil {
 		t.Fatal(err)
 	}
 	scheme, pk, userKey, err := admin.ProvisionOverHTTP(nil, url, "alice@x", nil)
@@ -343,12 +405,15 @@ func TestServiceUnknownRoutes(t *testing.T) {
 	if resp.StatusCode != 404 {
 		t.Fatalf("unknown route: %d", resp.StatusCode)
 	}
-	resp, err = http.Post(url+"/admin/frobnicate", "application/json", strings.NewReader(`{"group":"g"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Fatalf("unknown admin op: %d", resp.StatusCode)
+	// The single-user routes are gone: one user is a batch of one.
+	for _, path := range []string{"/admin/frobnicate", "/admin/add", "/admin/remove"} {
+		resp, err = http.Post(url+path, "application/json", strings.NewReader(`{"group":"g","users":["u@x"]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 404 {
+			t.Fatalf("%s: %d, want 404", path, resp.StatusCode)
+		}
 	}
 }

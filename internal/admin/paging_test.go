@@ -1,4 +1,4 @@
-package admin
+package admin_test
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/ibbesgx/ibbesgx/internal/admin"
 	"github.com/ibbesgx/ibbesgx/internal/core"
 	"github.com/ibbesgx/ibbesgx/internal/partition"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
@@ -31,7 +32,7 @@ func TestKillMidRestoreLeavesGroupLoadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	admin2 := New("admin-2", mgr2, faulty, nil)
+	admin2 := admin.New("admin-2", mgr2, faulty, nil)
 
 	// The streaming restore's object reads are the group header and the
 	// sealed group key, issued together; List/Version/Poll are exempt from
@@ -250,7 +251,7 @@ func TestOpsTouchOnlyWhatChanged(t *testing.T) {
 	}
 
 	step("RemoveUser", 1, func() error { return adm.RemoveUser(ctx, "g", members[4]) },
-		"bucket", "record", partition.HeaderObject, sealedGKObject)
+		"bucket", "record", partition.HeaderObject, admin.SealedGKObject)
 	// The add joins a resident partition with room — the one the removal
 	// re-keyed, or another — so it reads nothing.
 	step("AddUser", 0, func() error { return adm.AddUser(ctx, "g", "joiner@example.com") },

@@ -1,4 +1,4 @@
-package admin
+package admin_test
 
 import (
 	"context"
@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ibbesgx/ibbesgx/internal/admin"
 	"github.com/ibbesgx/ibbesgx/internal/core"
 	"github.com/ibbesgx/ibbesgx/internal/partition"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
@@ -33,7 +34,7 @@ func TestRestoreGroupAfterAdminRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	admin2 := New("admin-2", mgr2, s.store, nil)
+	admin2 := admin.New("admin-2", mgr2, s.store, nil)
 	if err := admin2.RestoreGroup(ctx, "g"); err != nil {
 		t.Fatalf("RestoreGroup: %v", err)
 	}
@@ -89,7 +90,7 @@ func TestRestoreGroupRequiresSealedKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	admin2 := New("admin-2", mgr2, s.store, nil)
+	admin2 := admin.New("admin-2", mgr2, s.store, nil)
 	if err := admin2.RestoreGroup(ctx, "g"); err == nil {
 		t.Fatal("restore without sealed key succeeded")
 	}
@@ -114,7 +115,7 @@ func TestRestoreGroupRejectsCorruptRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	admin2 := New("admin-2", mgr2, s.store, nil)
+	admin2 := admin.New("admin-2", mgr2, s.store, nil)
 	// The streaming restore reads only the index and the sealed key, so it
 	// succeeds; the corruption surfaces the moment the record hydrates.
 	if err := admin2.RestoreGroup(ctx, "g"); err != nil {
@@ -146,7 +147,7 @@ type overlapStore struct {
 }
 
 func (s *overlapStore) Get(ctx context.Context, dir, name string) ([]byte, error) {
-	if name != partition.HeaderObject && name != sealedGKObject {
+	if name != partition.HeaderObject && name != admin.SealedGKObject {
 		return s.Store.Get(ctx, dir, name)
 	}
 	select {
@@ -170,7 +171,7 @@ func TestRestoreReadsHeaderAndKeyTogether(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	admin2 := New("admin-2", mgr2, &overlapStore{Store: s.store, arrived: make(chan struct{})}, nil)
+	admin2 := admin.New("admin-2", mgr2, &overlapStore{Store: s.store, arrived: make(chan struct{})}, nil)
 	if err := admin2.RestoreGroup(ctx, "g"); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -213,7 +214,7 @@ func TestRestoreWithWriterMidRestore(t *testing.T) {
 			t.Errorf("writer during the restore: %v", err)
 		}
 	}}
-	admin2 := New("admin-2", mgr2, hooked, nil)
+	admin2 := admin.New("admin-2", mgr2, hooked, nil)
 	if err := admin2.RestoreGroup(ctx, "g"); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestRestoreWithWriterMidRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := New("admin-3", mgr3, s.store, nil).RestoreGroup(ctx, "g"); err != nil {
+	if err := admin.New("admin-3", mgr3, s.store, nil).RestoreGroup(ctx, "g"); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := mgr3.Members("g"); !slices.Equal(got, want) {

@@ -49,10 +49,10 @@ type ProvisionResponse struct {
 }
 
 // OpRequest is the body of every admin mutation (POST /admin/<op>): the
-// group, plus the user, initial members or batch the op names.
+// group, plus the initial members of a creation or the users an add or a
+// removal names (one user is a batch of one).
 type OpRequest struct {
 	Group   string   `json:"group"`
-	User    string   `json:"user,omitempty"`
 	Members []string `json:"members,omitempty"`
 	Users   []string `json:"users,omitempty"`
 }

@@ -288,30 +288,18 @@ func replayGroups[T any](items []T, fn func(T) (ops, failed int)) (int, int, err
 
 // replayGroupOps replays one group's ops in order, coalescing runs of
 // same-kind ops into add-batch/remove-batch requests of at most chunk users
-// (one request stays inside the residency budget); isolated ops go through
-// the single-user routes, exercising both paths.
+// (one request stays inside the residency budget); an isolated op is a
+// batch of one.
 func replayGroupOps(c *cluster.Cluster, b groupBatch, chunk int) (ops, failed int) {
 	flush := func(kind trace.OpKind, users []string) {
 		if len(users) == 0 {
 			return
 		}
-		var route string
-		body := map[string]any{"group": b.Group}
-		if len(users) == 1 {
-			if kind == trace.OpAdd {
-				route = "add"
-			} else {
-				route = "remove"
-			}
-			body["user"] = users[0]
-		} else {
-			if kind == trace.OpAdd {
-				route = "add-batch"
-			} else {
-				route = "remove-batch"
-			}
-			body["users"] = users
+		route := "remove-batch"
+		if kind == trace.OpAdd {
+			route = "add-batch"
 		}
+		body := map[string]any{"group": b.Group, "users": users}
 		ops++
 		if err := shardOp(c, b.Group, route, body); err != nil {
 			failed++

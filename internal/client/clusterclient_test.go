@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ibbesgx/ibbesgx/internal/admin"
 	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
@@ -276,16 +277,19 @@ func TestClusterClientEpochBumpEvictsCache(t *testing.T) {
 	}
 }
 
-// sanity: the adminOpRequest wire form the stubs receive is the same one
-// AdminAPI sends (shared postAdminOp).
+// TestClusterClientWireFormat: a single-user add goes out as a batch of one
+// on the add-batch route, in a body the shard's strict admin.OpRequest
+// decoder accepts.
 func TestClusterClientWireFormat(t *testing.T) {
 	ctx := context.Background()
-	var got adminOpRequest
+	var got admin.OpRequest
 	stub := newAdminStub(t, func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/admin/add" {
+		if r.URL.Path != "/admin/add-batch" {
 			t.Errorf("path = %s", r.URL.Path)
 		}
-		if err := json.NewDecoder(r.Body).Decode(&got); err != nil {
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&got); err != nil {
 			t.Error(err)
 		}
 		w.WriteHeader(http.StatusOK)
@@ -303,7 +307,7 @@ func TestClusterClientWireFormat(t *testing.T) {
 	if err := cc.AddUser(ctx, "team-x", "alice@example.com"); err != nil {
 		t.Fatal(err)
 	}
-	if got.Group != "team-x" || got.User != "alice@example.com" {
+	if got.Group != "team-x" || len(got.Users) != 1 || got.Users[0] != "alice@example.com" || got.Members != nil {
 		t.Fatalf("wire request = %+v", got)
 	}
 }

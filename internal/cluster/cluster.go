@@ -7,8 +7,8 @@
 // shards); ownership is enforced by per-group lease records in the cloud
 // store, acquired and renewed with compare-and-swap writes; and a Router
 // gateway exposes the unchanged /admin/* surface, forwarding each request
-// to the owning shard — client.AdminAPI drives a whole cluster exactly
-// like a single admin.
+// to the owning shard — a client.ClusterClient with the router as its
+// fallback drives a whole cluster exactly like a single admin.
 //
 // The member set is ELASTIC: a Membership (epoch + ring) versions it, and
 // ApplyMembership moves a live cluster to a new member set — shards losing

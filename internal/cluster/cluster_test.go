@@ -20,13 +20,15 @@ import (
 )
 
 // testCluster is a full in-process deployment: N shards behind real HTTP
-// servers, a router gateway in front, and an AdminAPI client driving it.
+// servers, a router gateway in front, and an admin client driving it through
+// the gateway (a ClusterClient with no store to route by).
 // Shards minted at runtime (addShard) get their own servers, and the router
 // routes on the cluster's own view exactly as in cmd/ibbe-cluster.
 type testCluster struct {
 	c      *Cluster
 	router *Router
-	api    *client.AdminAPI
+	url    string // the router's
+	api    *client.ClusterClient
 	srvs   map[string]*httptest.Server
 
 	mu      sync.Mutex
@@ -71,8 +73,10 @@ func startCluster(t testing.TB, opts Options) *testCluster {
 	rt.Instrument(opts.Registry, opts.Tracer)
 	rtSrv := httptest.NewServer(rt)
 	t.Cleanup(rtSrv.Close)
-	tc.router = rt
-	tc.api = client.NewAdminAPI(nil, rtSrv.URL)
+	tc.router, tc.url = rt, rtSrv.URL
+	if tc.api, err = client.NewClusterClient(context.Background(), nil, rtSrv.URL); err != nil {
+		t.Fatal(err)
+	}
 	return tc
 }
 
@@ -192,6 +196,10 @@ func TestClusterDisjointGroupsConcurrentAdmins(t *testing.T) {
 				errc <- fmt.Errorf("%s remove: %w", g, err)
 				return
 			}
+			if err := tc.api.RekeyGroup(ctx, g); err != nil {
+				errc <- fmt.Errorf("%s rekey: %w", g, err)
+				return
+			}
 			errc <- nil
 		}()
 	}
@@ -201,6 +209,11 @@ func TestClusterDisjointGroupsConcurrentAdmins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	// With no store to route by, the admin client sent every op through the
+	// router.
+	if st := tc.api.Stats(); st.Proxied != 4*groups || st.Direct != 0 {
+		t.Fatalf("routes = %+v, want all %d ops proxied", st, 4*groups)
 	}
 
 	// Every group converged: survivors share one key, revoked users are out.
@@ -398,7 +411,7 @@ func TestClusterProvisionThroughRouter(t *testing.T) {
 	}
 	// The full user-side handshake against the gateway: whatever shard the
 	// router picks, the provisioned key must decrypt the group records.
-	scheme, pk, uk, err := admin.ProvisionOverHTTP(nil, tc.api.BaseURL, members[0], nil)
+	scheme, pk, uk, err := admin.ProvisionOverHTTP(nil, tc.url, members[0], nil)
 	if err != nil {
 		t.Fatalf("provision via router: %v", err)
 	}
@@ -524,7 +537,7 @@ func TestFreshCreateStoreRoundTrips(t *testing.T) {
 		t.Fatalf("fresh create: %d lease Gets, %d restore GetManys, %d group Lists; want 1, 0 and 0", leaseGets, restores, lists)
 	}
 	shard.Admin.DropGroup("g")
-	serve("/admin/add", `{"group":"g","user":"carol@x"}`)
+	serve("/admin/add-batch", `{"group":"g","users":["carol@x"]}`)
 	store.mu.Lock()
 	restores = store.getManys["g"]
 	store.mu.Unlock()

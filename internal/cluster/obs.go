@@ -22,8 +22,8 @@ type clusterObs struct {
 	// autoscaler can sample churn without scraping its own registry.
 	steals atomic.Int64
 
-	// opSeconds times admin ops per shard and op (create/add/remove/
-	// add-batch/remove-batch/rekey/extract); opErrors counts the failed ones.
+	// opSeconds times admin ops per shard and op (create/add-batch/
+	// remove-batch/rekey/extract); opErrors counts the failed ones.
 	opSeconds *obs.HistogramVec
 	opErrors  *obs.CounterVec
 

@@ -194,13 +194,13 @@ func TestTraceIDPropagation(t *testing.T) {
 
 	var addTrace *obs.TraceDump
 	for _, tr := range tracer.Snapshot() {
-		if tr.Name == "route /admin/add" {
+		if tr.Name == "route /admin/add-batch" {
 			addTrace = &tr
 			break
 		}
 	}
 	if addTrace == nil {
-		t.Fatal("no trace recorded for route /admin/add")
+		t.Fatal("no trace recorded for route /admin/add-batch")
 	}
 	names := make(map[string]int)
 	byID := make(map[int64]obs.Span, len(addTrace.Spans))
@@ -212,7 +212,7 @@ func TestTraceIDPropagation(t *testing.T) {
 		names[key]++
 		byID[sp.ID] = sp
 	}
-	for _, want := range []string{"route /admin/add", "forward shard", "shard shard", "admin.add", "store.commit"} {
+	for _, want := range []string{"route /admin/add-batch", "forward shard", "shard shard", "admin.add-batch", "store.commit"} {
 		found := false
 		for name := range names {
 			if strings.HasPrefix(name, want) {

@@ -26,8 +26,8 @@ const ServedByHeader = "X-Served-By"
 // single shard and forwards each request to the shard owning the
 // requested group, sweeping its routing view (membership.View.Sweep) in
 // ring order — failing over when the owner is unreachable or answers 503,
-// refreshing from the store on a fenced answer. client.AdminAPI pointed at
-// a Router drives the whole cluster transparently.
+// refreshing from the store on a fenced answer. A client.ClusterClient with
+// a Router as its fallback drives the whole cluster transparently.
 type Router struct {
 	// Client is the forwarding HTTP client (http.DefaultClient if nil).
 	Client *http.Client

@@ -29,8 +29,6 @@ import (
 // Routes:
 //
 //	POST /admin/create        {"group": g, "members": [...]}
-//	POST /admin/add           {"group": g, "user": u}
-//	POST /admin/remove        {"group": g, "user": u}
 //	POST /admin/add-batch     {"group": g, "users": [...]}
 //	POST /admin/remove-batch  {"group": g, "users": [...]}
 //	POST /admin/rekey         {"group": g}
@@ -41,20 +39,16 @@ import (
 //
 // The /admin/* routes are served only for groups whose lease the shard
 // holds; /provision and /info are served by any shard, as all enclaves share
-// the master secret. The batch routes coalesce N membership changes into one
-// re-key pass per touched partition (amortising the paper's dominant
-// administrator cost); the singular routes remain for compatibility.
+// the master secret. An add or a removal names one user or many: a batch
+// coalesces N membership changes into one re-key pass per touched partition
+// (amortising the paper's dominant administrator cost), and one user is a
+// batch of one. A mutation body with a field admin.OpRequest does not know,
+// or an add or removal naming no user, is refused with 400 bad_request.
 
 // ops maps each mutation route to the admin call it runs.
 var ops = map[string]func(a *admin.Admin, ctx context.Context, req *admin.OpRequest) error{
 	"create": func(a *admin.Admin, ctx context.Context, q *admin.OpRequest) error {
 		return a.CreateGroup(ctx, q.Group, q.Members)
-	},
-	"add": func(a *admin.Admin, ctx context.Context, q *admin.OpRequest) error {
-		return a.AddUser(ctx, q.Group, q.User)
-	},
-	"remove": func(a *admin.Admin, ctx context.Context, q *admin.OpRequest) error {
-		return a.RemoveUser(ctx, q.Group, q.User)
 	},
 	"add-batch": func(a *admin.Admin, ctx context.Context, q *admin.OpRequest) error {
 		return a.AddUsers(ctx, q.Group, q.Users)
@@ -111,12 +105,18 @@ func (s *Shard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // serveOp decodes one mutation, gates it on ownership and runs it.
 func (s *Shard) serveOp(w http.ResponseWriter, r *http.Request, kind string) {
 	var req admin.OpRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	dec := json.NewDecoder(io.LimitReader(r.Body, 8<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		admin.WriteEnvelopeError(w, http.StatusBadRequest, s.Epoch(), admin.CodeBadRequest, "bad request: "+err.Error())
 		return
 	}
 	if req.Group == "" {
-		http.Error(w, "cluster: missing group", http.StatusBadRequest)
+		admin.WriteEnvelopeError(w, http.StatusBadRequest, s.Epoch(), admin.CodeBadRequest, "missing group")
+		return
+	}
+	if strings.HasSuffix(kind, "-batch") && len(req.Users) == 0 {
+		admin.WriteEnvelopeError(w, http.StatusBadRequest, s.Epoch(), admin.CodeBadRequest, "no users")
 		return
 	}
 	if !s.gate(r.Context(), w, req.Group) {
@@ -187,7 +187,7 @@ func (s *Shard) gate(ctx context.Context, w http.ResponseWriter, group string) b
 		_, err = s.adopt(ctx, group, true)
 	}
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		admin.WriteEnvelopeError(w, http.StatusInternalServerError, s.Epoch(), admin.CodeInternal, err.Error())
 		return false
 	}
 	return true
@@ -226,6 +226,10 @@ func (s *Shard) writeOpError(w http.ResponseWriter, group string, err error) {
 		// cost of one extra hop.
 		w.Header().Set("Retry-After", "1")
 		admin.WriteEnvelopeError(w, http.StatusServiceUnavailable, s.Epoch(), admin.CodeNotOwner, "cluster: group handed off mid-operation")
+		return
+	}
+	if errors.Is(err, core.ErrEmptyID) {
+		admin.WriteEnvelopeError(w, http.StatusBadRequest, s.Epoch(), admin.CodeBadRequest, err.Error())
 		return
 	}
 	admin.WriteEnvelopeError(w, http.StatusConflict, s.Epoch(), admin.CodeConflict, err.Error())

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/ibbesgx/ibbesgx/internal/admin"
+	"github.com/ibbesgx/ibbesgx/internal/client"
 	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
@@ -122,11 +123,11 @@ func TestShardAnswersAdminErrors(t *testing.T) {
 	n := owner.Epoch()
 
 	// A duplicate add on the owner is the op's own error.
-	tc.callShard(t, owner, "/admin/add", `{"group":"`+g+`","user":"`+users[0]+`"}`).
+	tc.callShard(t, owner, "/admin/add-batch", `{"group":"`+g+`","users":["`+users[0]+`"]}`).
 		expect(t, "duplicate add on the owner", http.StatusConflict, admin.CodeConflict, n)
 
 	// A shard that does not hold the lease sends the caller elsewhere.
-	r := tc.callShard(t, other, "/admin/add", `{"group":"`+g+`","user":"elsewhere@x"}`)
+	r := tc.callShard(t, other, "/admin/add-batch", `{"group":"`+g+`","users":["elsewhere@x"]}`)
 	r.expect(t, "add on a non-owner", http.StatusServiceUnavailable, admin.CodeNotOwner, n)
 	if r.header.Get("Retry-After") == "" {
 		t.Fatal("non-owner answer carries no Retry-After")
@@ -163,7 +164,7 @@ func TestShardAnswersAdminErrors(t *testing.T) {
 	if err := store.MemStore.PutFenced(ctx, g, names[0], blob, dirVer, next.Epoch); err != nil {
 		t.Fatal(err)
 	}
-	r = tc.callShard(t, owner, "/admin/add", `{"group":"`+g+`","user":"fenced@x"}`)
+	r = tc.callShard(t, owner, "/admin/add-batch", `{"group":"`+g+`","users":["fenced@x"]}`)
 	r.expect(t, "add fenced by a newer epoch", http.StatusPreconditionFailed, admin.CodeFencedEpoch, n)
 	if r.header.Get(storage.FencedHeader) == "" {
 		t.Fatal("fenced answer carries no X-Fenced")
@@ -179,11 +180,11 @@ func TestShardAnswersAdminErrors(t *testing.T) {
 
 	// The owner rebuilds the group its fenced op dropped; then a commit
 	// fails after the lease has lapsed, and the caller is sent to retry.
-	if r := tc.callShard(t, owner, "/admin/add", `{"group":"`+g+`","user":"healed@x"}`); r.code != http.StatusNoContent {
+	if r := tc.callShard(t, owner, "/admin/add-batch", `{"group":"`+g+`","users":["healed@x"]}`); r.code != http.StatusNoContent {
 		t.Fatalf("add after the epoch change: status %d %+v", r.code, r.env)
 	}
 	store.arm(g, func() { clk.advance(2 * ttl) })
-	r = tc.callShard(t, owner, "/admin/add", `{"group":"`+g+`","user":"lapsed@x"}`)
+	r = tc.callShard(t, owner, "/admin/add-batch", `{"group":"`+g+`","users":["lapsed@x"]}`)
 	r.expect(t, "add failing after its lease lapsed", http.StatusServiceUnavailable, admin.CodeNotOwner, next.Epoch)
 	if r.header.Get("Retry-After") == "" {
 		t.Fatal("lapsed-lease answer carries no Retry-After")
@@ -227,8 +228,59 @@ func TestShardEnvelopesCarryItsAppliedEpoch(t *testing.T) {
 		t.Fatalf("view at %d, shard at %d: want the view one epoch ahead of the shard's %d", c.Epoch(), owner.Epoch(), applied)
 	}
 
-	tc.callShard(t, owner, "/admin/add", `{"group":"`+g+`","user":"`+users[0]+`"}`).
+	tc.callShard(t, owner, "/admin/add-batch", `{"group":"`+g+`","users":["`+users[0]+`"]}`).
 		expect(t, "duplicate add", http.StatusConflict, admin.CodeConflict, applied)
 	tc.callShard(t, owner, "/admin/members?group="+g+"&limit=0", "").
 		expect(t, "members with a bad limit", http.StatusBadRequest, admin.CodeBadRequest, applied)
+}
+
+// TestShardErrorsAreTypedEnvelopes: the shard's own refusals — a malformed
+// body, a missing group, an add naming no user or the empty identity, and
+// an ownership gate failing on the store — answer with the typed envelope,
+// so a ClusterClient's *APIError carries their code and the shard's epoch.
+func TestShardErrorsAreTypedEnvelopes(t *testing.T) {
+	store := storage.NewMemStore(storage.Latency{})
+	tc := startCluster(t, Options{Shards: 1, Capacity: 4, LeaseTTL: 5 * time.Second, Seed: 7, Store: store})
+	ctx := context.Background()
+	shard := tc.c.Shards()[0]
+	if err := tc.api.CreateGroup(ctx, "g", groupUsers("g", 2)); err != nil {
+		t.Fatal(err)
+	}
+	// An unreadable lease: the gate cannot tell who owns "broken".
+	if err := store.Put(ctx, leaseDir("broken"), leaseObject, []byte("{")); err != nil {
+		t.Fatal(err)
+	}
+	epoch := shard.Epoch()
+	if epoch == 0 {
+		t.Fatal("shard operates under epoch 0")
+	}
+	tc.callShard(t, shard, "/admin/rekey", `{"group":`).
+		expect(t, "malformed body", http.StatusBadRequest, admin.CodeBadRequest, epoch)
+
+	tc.mu.Lock()
+	cc, err := client.NewClusterClient(ctx, nil, tc.srvs[shard.ID].URL)
+	tc.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []struct {
+		name   string
+		run    func() error
+		status int
+		code   string
+	}{
+		{"missing group", func() error { return cc.RekeyGroup(ctx, "") }, http.StatusBadRequest, admin.CodeBadRequest},
+		{"no users", func() error { return cc.AddUsers(ctx, "g", nil) }, http.StatusBadRequest, admin.CodeBadRequest},
+		{"empty identity", func() error { return cc.AddUser(ctx, "g", "") }, http.StatusBadRequest, admin.CodeBadRequest},
+		{"gate failing on the store", func() error { return cc.RekeyGroup(ctx, "broken") }, http.StatusInternalServerError, admin.CodeInternal},
+	} {
+		var apiErr *client.APIError
+		if err := op.run(); !errors.As(err, &apiErr) || apiErr.StatusCode != op.status || apiErr.Code != op.code || apiErr.Epoch != epoch {
+			t.Errorf("%s: %v, want a %d %s APIError at epoch %d", op.name, err, op.status, op.code, epoch)
+		}
+	}
+	members, err := shard.Admin.Manager().Members("g")
+	if err != nil || len(members) != 2 {
+		t.Fatalf("members after the refusals: %v %v", members, err)
+	}
 }

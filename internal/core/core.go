@@ -69,6 +69,9 @@ var (
 	// ErrTooManyMembers reports an unpaged member listing of a group larger
 	// than MaxUnpagedMembers; callers must page with MembersPage instead.
 	ErrTooManyMembers = errors.New("core: member list exceeds the unpaged cap")
+	// ErrEmptyID reports the empty identity in a creation or an add: it
+	// names no user, so it is never a member.
+	ErrEmptyID = errors.New("core: empty user identity")
 )
 
 // MaxUnpagedMembers caps Manager.Members: a group above this size only
@@ -431,6 +434,9 @@ func (m *Manager) planLayout(name string, g *groupState, idx *partition.Index, m
 	for _, chunk := range partition.Split(members, m.capacity) {
 		pid := idx.NewPage()
 		for _, u := range chunk {
+			if u == "" {
+				return nil, ErrEmptyID
+			}
 			if err := idx.Bind(pid, u); err != nil {
 				return nil, err
 			}
@@ -657,6 +663,9 @@ func (m *Manager) AddUsers(name string, users []string) (*Update, error) {
 func (m *Manager) planAdd(name string, g *groupState, users []string) (*plan, error) {
 	seen := make(map[string]bool, len(users))
 	for _, u := range users {
+		if u == "" {
+			return nil, ErrEmptyID
+		}
 		has, err := g.idx.Contains(u)
 		if err != nil {
 			return nil, err
