@@ -2,10 +2,10 @@ package ibbesgx_test
 
 // One testing.B benchmark per table and figure of the paper's evaluation
 // (§VI), each delegating to the shared runner in internal/benchmark that
-// cmd/ibbe-bench also uses, plus ablation benchmarks for the design choices
-// DESIGN.md calls out (the C3 augmentation and the re-partitioning
-// heuristic). Benchmarks run on reduced grids so `go test -bench=.`
-// finishes in minutes; cmd/ibbe-bench -scale=paper runs the full grid.
+// cmd/ibbe-bench also uses, plus ablation benchmarks for two design choices
+// (the C3 augmentation and the re-partitioning heuristic). Benchmarks run on
+// reduced grids so `go test -bench=.` finishes in minutes; cmd/ibbe-bench
+// -scale=paper runs the full grid (README's Benchmarks section).
 
 import (
 	"crypto/rand"

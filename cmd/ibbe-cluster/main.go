@@ -52,12 +52,13 @@
 // Restart the whole process against a durable store (-store pointing at a
 // cloudsim run with -data) and it re-adopts the persisted epoch and member
 // set instead of resetting — the -shards flag only sizes a FRESH store. For
-// the sealed blobs to survive that restart too (above all the threshold
-// share blobs in the membership record), pass -platform-state FILE: the
-// simulated platform's sealing keys persist there, standing in for the
-// hardware fuses a real SGX machine keeps across reboots. Without it a
-// restarted process is a NEW machine and cannot unseal anything the old one
-// sealed.
+// the sealed blobs to survive that restart too (the sealed master key or
+// the threshold share blobs in the membership record, and every group's
+// sealed key), pass -platform-state FILE: the simulated platform's sealing
+// keys persist there, standing in for the hardware fuses a real SGX machine
+// keeps across reboots. Without it a restarted process is a NEW machine,
+// cannot unseal anything the old one sealed, and exits instead of minting a
+// second master secret.
 //
 // An optional autoscaler (-autoscale) watches per-shard load (groups
 // owned × weighted crypto-op rate) and drives the same grow/drain path
@@ -221,7 +222,7 @@ func start(ctx context.Context, o options) (*gateway, error) {
 		tracer.Logf = log.Printf
 	}
 	if o.platformState == "" && (provisioning == cluster.ProvisionThreshold || storeURL != "") {
-		log.Printf("ibbe-cluster: WARNING: no -platform-state; sealed blobs (threshold shares, MSK) die with this process — a restart against the same store cannot re-adopt them")
+		log.Printf("ibbe-cluster: WARNING: no -platform-state; sealed blobs (threshold shares, MSK) die with this process — a restart against the same store cannot open them and exits")
 	}
 	c, err := cluster.New(cluster.Options{
 		Shards:           shards,

@@ -25,7 +25,8 @@
 //	cli, _ := sys.NewClient(creds, store, "designers")
 //	gk, _ := cli.GroupKey(ctx)                   // 32-byte AES group key
 //
-// See examples/ for complete programs and DESIGN.md for the system map.
+// See examples/ for complete programs and README's Architecture section for
+// the system map.
 package ibbesgx
 
 import (

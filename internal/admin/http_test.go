@@ -115,9 +115,10 @@ func TestServiceInfoAndAdminOps(t *testing.T) {
 }
 
 // TestStrictMutationBodies: mutation bodies decode strictly. A field the
-// request does not know — the retired single-user "user" among them — an
-// add or a removal naming no user, and a creation or an add naming the empty
-// identity are refused with 400 bad_request, and nothing is committed.
+// request does not know — the retired single-user "user" among them — a
+// list the route does not read, an add or a removal naming no user, and a
+// creation or an add naming the empty identity are refused with 400
+// bad_request, and nothing is committed.
 func TestStrictMutationBodies(t *testing.T) {
 	c, s, url := oneShard(t)
 	ctx := context.Background()
@@ -136,6 +137,10 @@ func TestStrictMutationBodies(t *testing.T) {
 		{"/admin/rekey", `{"group":"g","force":true}`},
 		{"/admin/add-batch", `{"group":"g","users":["c@x",""]}`},
 		{"/admin/create", `{"group":"h","members":["a@x",""]}`},
+		{"/admin/create", `{"group":"h","users":["a@x","b@x"]}`},
+		{"/admin/add-batch", `{"group":"g","members":["c@x"],"users":["d@x"]}`},
+		{"/admin/remove-batch", `{"group":"g","members":[],"users":["a@x"]}`},
+		{"/admin/rekey", `{"group":"g","users":["a@x"]}`},
 	} {
 		code, env := postOp(t, url, req.path, req.body)
 		if code != http.StatusBadRequest || env.Error == nil || env.Error.Code != admin.CodeBadRequest {

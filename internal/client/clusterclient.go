@@ -32,9 +32,10 @@ var (
 )
 
 // APIError is a non-2xx admin-API response. Code and Epoch are populated
-// when the service answered with the typed JSON envelope (admin.Envelope);
-// plain-text error bodies (a proxy, the router's own refusals) leave Code
-// empty and carry the body in Msg, so the error is useful either way.
+// when the service answered with the typed JSON envelope (admin.Envelope),
+// as shards and the cluster router do; a plain-text error body (a proxy in
+// between) leaves Code empty and carries the body in Msg, so the error is
+// useful either way.
 type APIError struct {
 	Op         string // admin operation ("create", "add-batch", …)
 	StatusCode int    // HTTP status

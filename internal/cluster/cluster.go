@@ -31,6 +31,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"time"
 
@@ -74,12 +75,14 @@ type Options struct {
 	MaxResidentPages int
 	// Provisioning selects how shards obtain master-key material: sealed
 	// exchange (default) or threshold DKG. A store that already carries a
-	// DKG record forces threshold mode regardless — shares in the store
-	// must be re-adopted, never clobbered by a fresh full-secret setup.
+	// DKG record forces threshold mode regardless, and one carrying a
+	// sealed master key sealed mode — the key material in the store must be
+	// re-adopted, never clobbered by a fresh setup.
 	Provisioning ProvisioningMode
 	// Platform, when set, hosts the shard enclaves instead of a freshly
-	// generated one. A restarted threshold cluster MUST reuse its original
-	// platform: the persisted share blobs are sealed to it.
+	// generated one. A restarted cluster MUST reuse its original platform:
+	// the persisted master key (sealed mode) or share blobs (threshold) are
+	// sealed to it, and New fails on any other.
 	Platform *enclave.Platform
 
 	// Registry, when set, receives the cluster's operational metrics
@@ -101,6 +104,8 @@ type Options struct {
 // MSK; the sealed blob only opens inside the same enclave code on the same
 // platform, which is exactly the paper's multi-admin trust story. User keys
 // provisioned by any shard therefore decrypt records written by any other.
+// The blob rides in the membership record, so a restarted cluster restores
+// the same key on every shard.
 type Cluster struct {
 	Store storage.Store
 
@@ -277,80 +282,41 @@ func New(opts Options) (*Cluster, error) {
 	}
 
 	// The provisioner is chosen BEFORE any shard is minted: a persisted DKG
-	// record forces threshold mode (the shares in the store are the master
-	// secret — a fresh sealed setup would fork the key), otherwise the
-	// operator's option decides.
-	var dkgRec *dkg.Record
-	if rec != nil && rec.DKG != nil {
-		dkgRec = rec.DKG
-		mode = ProvisionThreshold
+	// record forces threshold mode and a persisted sealed key sealed mode
+	// (what the store holds IS the master secret — a fresh setup would fork
+	// the key); otherwise the operator's option decides.
+	var (
+		dkgRec *dkg.Record
+		key    *membership.MasterKey
+	)
+	switch {
+	case rec == nil:
+	case rec.DKG != nil:
+		dkgRec, mode = rec.DKG, ProvisionThreshold
+	case rec.MasterKey != nil:
+		key, mode = rec.MasterKey, ProvisionSealed
+	case mode == ProvisionSealed:
+		log.Printf("cluster: WARNING: the membership record (epoch %d) carries no sealed master key; minting a fresh master secret, so groups written before this restart will not decrypt", rec.Epoch)
 	}
-	if mode == ProvisionThreshold {
-		tp, perr := newThresholdProvisioner(opts.Capacity, ibbe.NewScheme(params), store, c.shardAlive, c.Epoch, dkgRec)
-		if perr != nil {
-			return nil, perr
-		}
-		tp.obs = c.co
-		tp.noteCommitted()
-		c.prov = tp
-	} else {
-		c.prov = newSealedProvisioner(opts.Capacity, c.shardAlive)
+	if err := c.newProvisioner(mode, dkgRec, key); err != nil {
+		return nil, err
 	}
 
 	var boot *Membership
-	switch {
-	case err == nil:
+	if rec != nil {
 		// Restart: the persisted record, not opts.Shards, names the member
 		// set and epoch. Every write this incarnation issues is fenced at
 		// (or above) the adopted epoch, so nothing it does can race a
 		// predecessor's leftovers.
-		m, err := rec.Membership()
-		if err != nil {
+		if boot, err = rec.Membership(); err != nil {
 			return nil, err
 		}
-		boot = m
 		c.nextShard = nextShardIndex(rec.Members)
-		for _, id := range rec.Members {
-			if _, err := c.mintShardID(id, m); err != nil {
-				return nil, err
-			}
-		}
-	case errors.Is(err, membership.ErrNoRecord):
-		ids := make([]string, opts.Shards)
-		for i := range ids {
-			ids[i] = ShardID(i)
-		}
-		m, err := membership.New(ids, membership.DefaultVirtualNodes)
-		if err != nil {
+		if err := c.mintShards(rec.Members, boot); err != nil {
 			return nil, err
 		}
-		boot = m
-		c.nextShard = nextShardIndex(ids)
-		for _, id := range ids {
-			if _, err := c.mintShardID(id, m); err != nil {
-				return nil, err
-			}
-		}
-		if err := membership.Publish(ctx, store, membership.RecordOf(m, nil), ver); err != nil {
-			if !errors.Is(err, storage.ErrVersionConflict) && !errors.Is(err, storage.ErrFenced) {
-				return nil, fmt.Errorf("cluster: bootstrapping membership record: %w", err)
-			}
-			// A peer bootstrapped the same store first. Identical member
-			// sets merely lost a harmless race; anything else is a real
-			// configuration conflict the operator must resolve.
-			won, _, rerr := membership.Load(ctx, store)
-			if rerr != nil {
-				return nil, fmt.Errorf("cluster: membership bootstrap race: %w", rerr)
-			}
-			theirs, rerr := won.Membership()
-			if rerr != nil {
-				return nil, rerr
-			}
-			if !sameMembers(theirs.Members(), m.Members()) {
-				return nil, fmt.Errorf("cluster: store already holds membership epoch %d over %v", won.Epoch, won.Members)
-			}
-			boot = theirs
-		}
+	} else if boot, err = c.bootstrap(ctx, opts.Shards, ver); err != nil {
+		return nil, err
 	}
 	c.view.Adopt(boot, nil)
 	c.applied = boot.Epoch
@@ -363,6 +329,94 @@ func New(opts Options) (*Cluster, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// newProvisioner installs the key provisioner for mode, built from the
+// persisted sharing or sealed key when the store holds one.
+func (c *Cluster) newProvisioner(mode ProvisioningMode, dkgRec *dkg.Record, key *membership.MasterKey) error {
+	scheme := ibbe.NewScheme(c.params)
+	if mode == ProvisionSealed {
+		sp, err := newSealedProvisioner(c.opts.Capacity, scheme, c.shardAlive, key)
+		if err != nil {
+			return err
+		}
+		c.prov = sp
+		return nil
+	}
+	tp, err := newThresholdProvisioner(c.opts.Capacity, scheme, c.Store, c.shardAlive, c.Epoch, dkgRec)
+	if err != nil {
+		return err
+	}
+	tp.obs = c.co
+	tp.noteCommitted()
+	c.prov = tp
+	return nil
+}
+
+// bootstrap mints n shards over a fresh store and publishes the epoch-1
+// record, carrying the sealed master key in sealed mode, CAS-guarded
+// against a concurrently bootstrapping peer. A peer that won with the same
+// member set is adopted — its sealed key restored on freshly minted shards,
+// so this process never keeps a second master secret; anything else fails.
+func (c *Cluster) bootstrap(ctx context.Context, n int, ver uint64) (*Membership, error) {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = ShardID(i)
+	}
+	m, err := membership.New(ids, membership.DefaultVirtualNodes)
+	if err != nil {
+		return nil, err
+	}
+	c.nextShard = nextShardIndex(ids)
+	if err := c.mintShards(ids, m); err != nil {
+		return nil, err
+	}
+	rec := membership.RecordOf(m, nil)
+	rec.MasterKey = c.prov.MasterKey()
+	err = membership.Publish(ctx, c.Store, rec, ver)
+	if err == nil {
+		return m, nil
+	}
+	if !errors.Is(err, storage.ErrVersionConflict) && !errors.Is(err, storage.ErrFenced) {
+		return nil, fmt.Errorf("cluster: bootstrapping membership record: %w", err)
+	}
+	// A peer bootstrapped the same store first. Identical member sets
+	// merely lost a harmless race; anything else is a real configuration
+	// conflict the operator must resolve.
+	won, _, err := membership.Load(ctx, c.Store)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: membership bootstrap race: %w", err)
+	}
+	theirs, err := won.Membership()
+	if err != nil {
+		return nil, err
+	}
+	if !sameMembers(theirs.Members(), m.Members()) {
+		return nil, fmt.Errorf("cluster: store already holds membership epoch %d over %v", won.Epoch, won.Members)
+	}
+	if rec.MasterKey == nil && won.MasterKey == nil {
+		return theirs, nil // threshold: Complete's publish settles the sharing
+	}
+	if rec.MasterKey == nil || won.MasterKey == nil {
+		return nil, fmt.Errorf("cluster: lost the bootstrap race to a peer provisioning the master key another way")
+	}
+	if err := c.newProvisioner(ProvisionSealed, nil, won.MasterKey); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	c.shards = nil
+	c.mu.Unlock()
+	return theirs, c.mintShards(ids, theirs)
+}
+
+// mintShards mints one shard per id under membership m.
+func (c *Cluster) mintShards(ids []string, m *Membership) error {
+	for _, id := range ids {
+		if _, err := c.mintShardID(id, m); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // shardAlive reports whether a shard is minted and still serving — the
@@ -579,7 +633,7 @@ func (c *Cluster) applyMembership(ctx context.Context, base uint64, members []st
 	// Carry the committed sharing into the successor record: if this
 	// process dies before the new epoch's reshare publishes, the store
 	// still holds commitments + sealed shares a restart can adopt.
-	nextRec.DKG = c.prov.Record()
+	nextRec.DKG, nextRec.MasterKey = c.prov.Record(), c.prov.MasterKey()
 	if err := membership.Publish(ctx, c.Store, nextRec, ver); err != nil {
 		if errors.Is(err, storage.ErrVersionConflict) || errors.Is(err, storage.ErrFenced) {
 			return nil, fmt.Errorf("cluster: membership change superseded by a concurrent writer: %w", err)

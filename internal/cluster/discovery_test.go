@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ibbesgx/ibbesgx/internal/client"
+	"github.com/ibbesgx/ibbesgx/internal/enclave"
 	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
@@ -71,7 +74,8 @@ func TestClusterBootstrapPublishesMembership(t *testing.T) {
 // would misroute every group and write under a fenced-out epoch.
 func TestClusterRestartAdoptsPersistedMembership(t *testing.T) {
 	store := storage.NewMemStore(storage.Latency{})
-	tc := startCluster(t, Options{Shards: 2, Capacity: 4, LeaseTTL: 5 * time.Second, Seed: 7, Store: store})
+	platform := newTestPlatform(t)
+	tc := startCluster(t, Options{Shards: 2, Capacity: 4, LeaseTTL: 5 * time.Second, Seed: 7, Store: store, Platform: platform})
 	ctx := context.Background()
 
 	tc.addShard(t, ctx)
@@ -84,7 +88,7 @@ func TestClusterRestartAdoptsPersistedMembership(t *testing.T) {
 	}
 
 	// The "restarted" process: same store, stale flag (-shards 2).
-	c2, err := New(Options{Shards: 2, Capacity: 4, LeaseTTL: 5 * time.Second, Seed: 9, Store: store})
+	c2, err := New(Options{Shards: 2, Capacity: 4, LeaseTTL: 5 * time.Second, Seed: 9, Store: store, Platform: platform})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +121,138 @@ func TestClusterRestartAdoptsPersistedMembership(t *testing.T) {
 		if s3.ID == id {
 			t.Fatalf("post-restart mint reused adopted ID %s", s3.ID)
 		}
+	}
+}
+
+// newTestPlatform is one simulated SGX platform, the machine a restarted
+// cluster comes back on: its sealed blobs open only there.
+func newTestPlatform(t *testing.T) *enclave.Platform {
+	t.Helper()
+	p, err := enclave.NewPlatform("restart-platform", rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestSealedRestartPreservesMasterKey restarts a sealed-mode cluster on the
+// same store and platform: the bootstrap record persisted the sealed master
+// key, so the new incarnation restores it on every shard instead of minting
+// a second one — the master public key is unchanged, and after an add by
+// the restarted cluster every member keyed before the restart still reads
+// the group, agreeing with the joiner.
+func TestSealedRestartPreservesMasterKey(t *testing.T) {
+	store := storage.NewMemStore(storage.Latency{})
+	opts := Options{Shards: 2, Capacity: 4, LeaseTTL: 5 * time.Second, Seed: 7, Store: store, Platform: newTestPlatform(t)}
+	tc := startCluster(t, opts)
+	ctx := context.Background()
+	users := groupUsers("g", 4)
+	if err := tc.api.CreateGroup(ctx, "g", users); err != nil {
+		t.Fatal(err)
+	}
+	scheme := tc.c.Shards()[0].Encl.Scheme()
+	pkBefore := scheme.MarshalPublicKey(tc.c.Provisioner().PublicKey())
+	var before []*client.Client
+	for _, u := range users {
+		before = append(before, tc.clientFor(t, u, "g"))
+	}
+	if err := tc.c.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	tc2 := startCluster(t, opts)
+	if pk := scheme.MarshalPublicKey(tc2.c.Provisioner().PublicKey()); string(pk) != string(pkBefore) {
+		t.Fatal("the restart minted a fresh master key")
+	}
+	if err := tc2.api.AddUser(ctx, "g", "new@x"); err != nil {
+		t.Fatal(err)
+	}
+	want, err := tc2.clientFor(t, "new@x", "g").GroupKey(ctx)
+	if err != nil {
+		t.Fatalf("the joiner cannot read: %v", err)
+	}
+	for i, cl := range before {
+		gk, err := cl.GroupKey(ctx)
+		if err != nil {
+			t.Fatalf("%s, keyed before the restart, cannot read: %v", users[i], err)
+		}
+		if gk != want {
+			t.Fatalf("%s derives a different group key than the joiner", users[i])
+		}
+	}
+}
+
+// TestSealedRestartOnAnotherPlatformFails: the persisted sealed key opens
+// only on the platform that sealed it, so a restart on any other fails New
+// instead of silently minting a second master secret.
+func TestSealedRestartOnAnotherPlatformFails(t *testing.T) {
+	store := storage.NewMemStore(storage.Latency{})
+	opts := Options{Shards: 2, Capacity: 4, LeaseTTL: 5 * time.Second, Seed: 7, Store: store, Platform: newTestPlatform(t)}
+	tc := startCluster(t, opts)
+	if err := tc.c.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	opts.Platform = newTestPlatform(t)
+	if c, err := New(opts); !errors.Is(err, enclave.ErrSealedDataCorrupt) {
+		if c != nil {
+			_ = c.Shutdown(context.Background())
+		}
+		t.Fatalf("restart on another platform: %v, want ErrSealedDataCorrupt", err)
+	}
+}
+
+// lateStore shows its first reader no membership record, as if a peer
+// bootstrapped the store between that process's read and its publish.
+type lateStore struct {
+	storage.Store
+	versionRead, recordRead sync.Once
+}
+
+func (s *lateStore) Version(ctx context.Context, dir string) (uint64, error) {
+	hide := false
+	if dir == membership.Dir {
+		s.versionRead.Do(func() { hide = true })
+	}
+	if hide {
+		return 0, nil
+	}
+	return s.Store.Version(ctx, dir)
+}
+
+func (s *lateStore) Get(ctx context.Context, dir, name string) ([]byte, error) {
+	hide := false
+	if dir == membership.Dir {
+		s.recordRead.Do(func() { hide = true })
+	}
+	if hide {
+		return nil, storage.ErrNotFound
+	}
+	return s.Store.Get(ctx, dir, name)
+}
+
+// TestBootstrapRaceLoserRestoresTheWinnersKey: a process that loses the
+// bootstrap publish to a peer with the same member set restores the
+// winner's sealed master key on every shard — it never keeps the second
+// master secret its own shards were minted with.
+func TestBootstrapRaceLoserRestoresTheWinnersKey(t *testing.T) {
+	store := storage.NewMemStore(storage.Latency{})
+	opts := Options{Shards: 2, Capacity: 4, LeaseTTL: 5 * time.Second, Seed: 7, Store: store, Platform: newTestPlatform(t)}
+	winner := startCluster(t, opts)
+	opts.Store = &lateStore{Store: store}
+	loser := startCluster(t, opts)
+	scheme := winner.c.Shards()[0].Encl.Scheme()
+	if string(scheme.MarshalPublicKey(loser.c.Provisioner().PublicKey())) != string(scheme.MarshalPublicKey(winner.c.Provisioner().PublicKey())) {
+		t.Fatal("the race loser kept its own master key")
+	}
+	if len(loser.c.Shards()) != 2 {
+		t.Fatalf("the race loser runs %d shards, want 2", len(loser.c.Shards()))
+	}
+	ctx := context.Background()
+	if err := winner.api.CreateGroup(ctx, "g", groupUsers("g", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loser.clientFor(t, groupUsers("g", 3)[1], "g").GroupKey(ctx); err != nil {
+		t.Fatalf("a key from the race loser cannot read the winner's group: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/ecdh"
 	"crypto/rand"
+	"fmt"
 	"testing"
 	"time"
 
@@ -161,6 +162,56 @@ func TestThresholdBootstrapAndExtract(t *testing.T) {
 	tc.c.Shards()[1].Kill()
 	if _, err := tc.c.Provisioner().Extract(users[3], newECDHPub(t)); err == nil {
 		t.Fatal("a single share sufficed to extract — threshold is broken")
+	}
+}
+
+// TestThresholdBootstrapIsTheFirstReshare bootstraps threshold clusters of
+// 1, 2 and 4 shards. Bootstrap is a reshare from the dealer's degree-0
+// sharing, so at every size the published record sits at the boot epoch
+// and commits to h^γ, every member commits a verified share at that
+// generation, no enclave — the dealer included — keeps the full secret, the
+// reshare counter still reads 0, and a quorum-extracted key decrypts a
+// group created after bootstrap.
+func TestThresholdBootstrapIsTheFirstReshare(t *testing.T) {
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			tc := startCluster(t, thresholdOptions(n, nil))
+			ctx := context.Background()
+			boot := tc.c.Epoch()
+			rec, _, err := membership.Load(ctx, tc.c.Store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.DKG == nil || rec.DKG.Generation != boot || len(rec.DKG.Holders) != n || rec.DKG.Degree != dkg.PrivacyDegree(n) {
+				t.Fatalf("published sharing %+v, want generation %d over %d holders at degree %d", rec.DKG, boot, n, dkg.PrivacyDegree(n))
+			}
+			scheme := tc.c.Shards()[0].Encl.Scheme()
+			comms, err := rec.DKG.ParseCommitments(scheme.P.G1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !scheme.P.G1.Equal(comms[0], tc.c.Provisioner().PublicKey().HPowers[1]) {
+				t.Fatal("commitments[0] is not PK.HPowers[1]")
+			}
+			for _, s := range tc.c.Shards() {
+				if gen, index, ok := s.Encl.ShareInfo(); !ok || gen != boot || index != rec.DKG.Index(s.ID) {
+					t.Fatalf("%s share (gen %d, index %d, ok %v), want (gen %d, index %d)", s.ID, gen, index, ok, boot, rec.DKG.Index(s.ID))
+				}
+				if s.Encl.HasMasterSecret() {
+					t.Fatalf("%s kept the full master secret after bootstrap", s.ID)
+				}
+			}
+			if got := tc.c.Provisioner().Status().Reshares; got != 0 {
+				t.Fatalf("bootstrap counted as %d epoch reshares", got)
+			}
+			users := groupUsers("boot", 4)
+			if err := tc.api.CreateGroup(ctx, "boot", users); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tc.thresholdClient(t, users[2], "boot").GroupKey(ctx); err != nil {
+				t.Fatalf("quorum-extracted key cannot decrypt: %v", err)
+			}
+		})
 	}
 }
 

@@ -31,8 +31,8 @@ type clusterObs struct {
 	ecallSeconds *obs.HistogramVec
 
 	// dkgGeneration is the committed share generation; reshareSeconds times
-	// each reshare phase (subdeal/adopt/publish/commit) and resharesTotal
-	// counts completed reshares.
+	// each reshare phase (subdeal/adopt/publish/commit), bootstrap's first
+	// reshare included, and resharesTotal counts completed epoch reshares.
 	dkgGeneration  *obs.Gauge
 	reshareSeconds *obs.HistogramVec
 	resharesTotal  *obs.Counter
@@ -56,7 +56,7 @@ func newClusterObs(r *obs.Registry, tracer *obs.Tracer) *clusterObs {
 		ecallSeconds:   r.HistogramVec("ibbe_ecall_seconds", "Enclave ECALL latency by shard and call.", nil, "shard", "call"),
 		dkgGeneration:  r.Gauge("ibbe_dkg_generation", "Committed threshold share generation."),
 		reshareSeconds: r.HistogramVec("ibbe_dkg_reshare_phase_seconds", "DKG reshare phase durations.", nil, "phase"),
-		resharesTotal:  r.Counter("ibbe_dkg_reshares_total", "Completed DKG reshares."),
+		resharesTotal:  r.Counter("ibbe_dkg_reshares_total", "Completed DKG epoch reshares."),
 		decisions:      r.CounterVec("ibbe_autoscale_decisions_total", "Autoscaler decisions by action.", "action"),
 	}
 }

@@ -56,7 +56,8 @@ type ProvisionerStatus struct {
 	Recovery int `json:"recovery,omitempty"`
 	// Holders are the share-holding shard IDs, sorted.
 	Holders []string `json:"holders,omitempty"`
-	// Reshares counts completed reshares since this process started.
+	// Reshares counts the epoch reshares completed since this process
+	// started; bootstrap's first reshare is not one of them.
 	Reshares uint64 `json:"reshares,omitempty"`
 }
 
@@ -76,10 +77,11 @@ type KeyProvisioner interface {
 	// blob can never leak onto an unproven member).
 	Provision(id string, encl *enclave.IBBEEnclave) error
 	// Complete finishes bootstrap after the initial member set is minted.
-	// In threshold mode this runs the DKG: the (single, transient) dealer
-	// shares γ across the members, every member verifies and adopts its
-	// share, the dealer drops the full secret, and the record is published
-	// in the fenced membership record.
+	// In threshold mode bootstrap is the first reshare: the (single,
+	// transient) dealer holds γ as the degree-0 sharing f(x) = γ and
+	// reshares it to the members like any epoch's reshare — sub-deal,
+	// verify and adopt, publish in the fenced membership record, commit —
+	// and its own commit drops the full secret.
 	Complete(ctx context.Context) error
 	// Extract derives the wrapped user key for id. Sealed mode asks any
 	// live enclave; threshold mode runs the blinded-quorum protocol (2d+1
@@ -96,6 +98,10 @@ type KeyProvisioner interface {
 	// mode); it is what applyMembership carries into successor publishes so
 	// a crash mid-reshare never loses the share state.
 	Record() *dkg.Record
+	// MasterKey returns the sealed master key the membership record
+	// persists (nil in threshold mode): the bootstrap publish and every
+	// successor carry it, so a restart restores it instead of minting anew.
+	MasterKey() *membership.MasterKey
 	// Status reports the operator-facing provisioning state.
 	Status() ProvisionerStatus
 }
@@ -103,37 +109,47 @@ type KeyProvisioner interface {
 // ---------------------------------------------------------------------------
 // Sealed-exchange provisioner (legacy mode).
 
-// sealedProvisioner reproduces the original behaviour: first Provision runs
-// EcallSetup, every later one EcallRestores the sealed blob.
+// sealedProvisioner reproduces the original behaviour: the first Provision
+// runs EcallSetup, every later one EcallRestores the sealed blob. Built from
+// a persisted key, every Provision restores it.
 type sealedProvisioner struct {
 	capacity int
 	live     func(id string) bool
 
-	mu        sync.Mutex
-	sealedMSK []byte
-	masterPK  *ibbe.PublicKey
-	encls     map[string]*enclave.IBBEEnclave
-	order     []string // provision order; Extract prefers earlier shards
+	mu       sync.Mutex
+	key      *membership.MasterKey // nil until the first Provision runs EcallSetup
+	masterPK *ibbe.PublicKey
+	encls    map[string]*enclave.IBBEEnclave
+	order    []string // provision order; Extract prefers earlier shards
 }
 
-func newSealedProvisioner(capacity int, live func(string) bool) *sealedProvisioner {
-	return &sealedProvisioner{
+func newSealedProvisioner(capacity int, scheme *ibbe.Scheme, live func(string) bool, key *membership.MasterKey) (*sealedProvisioner, error) {
+	p := &sealedProvisioner{
 		capacity: capacity,
 		live:     live,
 		encls:    make(map[string]*enclave.IBBEEnclave),
 	}
+	if key != nil {
+		pk, err := scheme.UnmarshalPublicKey(key.PublicKey)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: persisted master key: %w", err)
+		}
+		p.key, p.masterPK = key, pk
+	}
+	return p, nil
 }
 
 func (p *sealedProvisioner) Provision(id string, encl *enclave.IBBEEnclave) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.sealedMSK == nil {
+	if p.key == nil {
 		pk, sealed, err := encl.EcallSetup(p.capacity)
 		if err != nil {
 			return err
 		}
-		p.sealedMSK, p.masterPK = sealed, pk
-	} else if err := encl.EcallRestore(p.sealedMSK, p.masterPK); err != nil {
+		p.key = &membership.MasterKey{SealedMSK: sealed, PublicKey: encl.Scheme().MarshalPublicKey(pk)}
+		p.masterPK = pk
+	} else if err := encl.EcallRestore(p.key.SealedMSK, p.masterPK); err != nil {
 		return fmt.Errorf("cluster: sharing master secret with %s: %w", id, err)
 	}
 	p.encls[id] = encl
@@ -163,6 +179,12 @@ func (p *sealedProvisioner) PublicKey() *ibbe.PublicKey {
 }
 
 func (p *sealedProvisioner) Record() *dkg.Record { return nil }
+
+func (p *sealedProvisioner) MasterKey() *membership.MasterKey {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.key
+}
 
 func (p *sealedProvisioner) Status() ProvisionerStatus {
 	return ProvisionerStatus{Mode: string(ProvisionSealed)}
@@ -238,7 +260,7 @@ func (p *thresholdProvisioner) Provision(id string, encl *enclave.IBBEEnclave) e
 		}
 	case p.masterPK == nil:
 		// Bootstrap dealer: the ONLY enclave that ever holds the full γ,
-		// and only until Complete deals it away.
+		// and only until it commits Complete's bootstrap reshare.
 		pk, _, err := encl.EcallSetup(p.capacity)
 		if err != nil {
 			return err
@@ -253,10 +275,11 @@ func (p *thresholdProvisioner) Provision(id string, encl *enclave.IBBEEnclave) e
 	return nil
 }
 
-// Complete runs the bootstrap DKG once every initial member is minted: deal
-// shares from the transient dealer, adopt+verify on every member (adoption
-// drops the dealer's full secret), publish the record inside the fenced
-// membership record. Restarted clusters (rec already set) skip it.
+// Complete runs bootstrap as the first reshare: the dealer (the one
+// enclave that ran EcallSetup) turns γ into the degree-0 genesis sharing,
+// and reshareLocked moves it to the boot members, publishes the record
+// inside the fenced membership record and commits — the dealer's own commit
+// drops its full secret. Restarted clusters (rec already set) skip it.
 func (p *thresholdProvisioner) Complete(ctx context.Context) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -266,25 +289,11 @@ func (p *thresholdProvisioner) Complete(ctx context.Context) error {
 	if p.dealer == "" {
 		return errors.New("cluster: threshold bootstrap without a dealer enclave")
 	}
-	gen := p.epoch()
-	holders := p.holderIndicesLocked(p.sortedShardsLocked())
-	rec, transport, err := p.encls[p.dealer].EcallDealShares(gen, holders)
+	genesis, err := p.encls[p.dealer].EcallGenesisShare(p.dealer)
 	if err != nil {
-		return fmt.Errorf("cluster: dealing bootstrap shares: %w", err)
+		return fmt.Errorf("cluster: genesis sharing on %s: %w", p.dealer, err)
 	}
-	for id := range holders {
-		sealed, err := p.encls[id].EcallAdoptShare(rec, id, transport[id])
-		if err != nil {
-			return fmt.Errorf("cluster: %s adopting bootstrap share: %w", id, err)
-		}
-		rec.SealedShares[id] = sealed
-	}
-	if err := p.publishLocked(ctx, gen, rec); err != nil {
-		return err
-	}
-	p.rec = rec
-	p.noteCommitted()
-	return nil
+	return p.reshareLocked(ctx, genesis, p.sortedShardsLocked(), p.epoch())
 }
 
 // publishLocked installs rec as the DKG field of the membership record at
@@ -531,13 +540,10 @@ func (p *thresholdProvisioner) recoverExtract(rec *dkg.Record, encls map[string]
 	return combiner.EcallRecoverExtract(id, userPub, nonce, rec, blobs)
 }
 
-// OnMembership reshares the secret to membership m's member set: d_old+1
-// live holders each sub-deal their share at the new degree, every member
-// verifies and combines the sub-deals into a PENDING share, the new record
-// is published under m's epoch, and only then do the members commit (and
-// dropped holders wipe). A publish lost to a newer epoch drops every
-// pending share and reports ErrReshareSuperseded — the newer epoch's own
-// OnMembership reshares from the still-committed old generation.
+// OnMembership reshares the secret to membership m's member set under m's
+// epoch. A publish lost to a newer epoch reports ErrReshareSuperseded — the
+// newer epoch's own OnMembership reshares from the still-committed old
+// generation.
 func (p *thresholdProvisioner) OnMembership(ctx context.Context, m *Membership) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -547,12 +553,26 @@ func (p *thresholdProvisioner) OnMembership(ctx context.Context, m *Membership) 
 	if m.Epoch <= p.rec.Generation {
 		return nil // already sharing at (or past) this epoch
 	}
-	cur := p.rec
-	newGen := m.Epoch
+	err := p.reshareLocked(ctx, p.rec, m.Members(), m.Epoch)
+	if p.rec.Generation == m.Epoch { // published, whatever the commits said
+		p.reshares++
+		if p.obs != nil {
+			p.obs.resharesTotal.Inc()
+		}
+	}
+	return err
+}
 
-	// New holder set = the new members (all minted by the time propagate
-	// runs). Dealers = d_old+1 live holders of the committed sharing.
-	members := m.Members()
+// reshareLocked moves the sharing cur to members at generation newGen — the
+// one way a share moves, bootstrap's genesis sharing included: d_cur+1 live
+// holders of cur each sub-deal their share at the new degree, every member
+// verifies the sub-deals and combines them into a PENDING share, the new
+// record is published under newGen, and only then do the members commit
+// (and holders left out wipe). A lost publish drops every pending share.
+// Callers hold p.mu.
+func (p *thresholdProvisioner) reshareLocked(ctx context.Context, cur *dkg.Record, members []string, newGen uint64) error {
+	// New holder set = the members (all minted by the time this runs).
+	// Dealers = d_cur+1 live holders of the committed sharing.
 	for _, id := range members {
 		if p.encls[id] == nil {
 			return fmt.Errorf("cluster: reshare target %s has no enclave", id)
@@ -636,11 +656,7 @@ func (p *thresholdProvisioner) OnMembership(ctx context.Context, m *Membership) 
 	// user keys (the one failure mode the generation-bound seals exist to
 	// prevent).
 	p.rec = newRec
-	p.reshares++
 	p.noteCommitted()
-	if p.obs != nil {
-		p.obs.resharesTotal.Inc()
-	}
 	commitDone := p.timePhase("commit")
 	defer commitDone()
 	var commitErrs []error
@@ -677,6 +693,8 @@ func (p *thresholdProvisioner) Record() *dkg.Record {
 	defer p.mu.Unlock()
 	return p.rec.Clone()
 }
+
+func (p *thresholdProvisioner) MasterKey() *membership.MasterKey { return nil }
 
 func (p *thresholdProvisioner) Status() ProvisionerStatus {
 	p.mu.Lock()

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/ibbesgx/ibbesgx/internal/admin"
 	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/obs"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
@@ -152,7 +153,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer rt.inflight.Add(-1)
 	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		rt.refuse(w, http.StatusBadRequest, admin.CodeBadRequest, "cluster: reading the request body: "+err.Error())
 		return
 	}
 	group := ""
@@ -165,7 +166,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				Group string `json:"group"`
 			}
 			if err := json.Unmarshal(body, &req); err != nil || req.Group == "" {
-				http.Error(w, "cluster: missing group", http.StatusBadRequest)
+				rt.refuse(w, http.StatusBadRequest, admin.CodeBadRequest, "cluster: missing group")
 				return
 			}
 			group = req.Group
@@ -220,8 +221,19 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return membership.Served, nil
 	})
 	if routeErr != nil {
-		http.Error(w, "cluster: "+routeErr.Error(), http.StatusServiceUnavailable)
+		// No candidate answered as the owner.
+		rt.refuse(w, http.StatusServiceUnavailable, admin.CodeNotOwner, "cluster: "+routeErr.Error())
 	}
+}
+
+// refuse answers one of the router's own refusals in the shards' typed
+// envelope, stamped with the epoch the router routes by.
+func (rt *Router) refuse(w http.ResponseWriter, status int, code, msg string) {
+	var epoch uint64
+	if m := rt.Membership(); m != nil {
+		epoch = m.Epoch
+	}
+	admin.WriteEnvelopeError(w, status, epoch, code, msg)
 }
 
 // forward replays the request against one shard, propagating the trace ID

@@ -42,8 +42,10 @@ import (
 // the master secret. An add or a removal names one user or many: a batch
 // coalesces N membership changes into one re-key pass per touched partition
 // (amortising the paper's dominant administrator cost), and one user is a
-// batch of one. A mutation body with a field admin.OpRequest does not know,
-// or an add or removal naming no user, is refused with 400 bad_request.
+// batch of one. A mutation body with a field admin.OpRequest does not know
+// or the route does not read (users on create, members on an add or a
+// removal, either on rekey), or an add or removal naming no user, is
+// refused with 400 bad_request.
 
 // ops maps each mutation route to the admin call it runs.
 var ops = map[string]func(a *admin.Admin, ctx context.Context, req *admin.OpRequest) error{
@@ -115,6 +117,10 @@ func (s *Shard) serveOp(w http.ResponseWriter, r *http.Request, kind string) {
 		admin.WriteEnvelopeError(w, http.StatusBadRequest, s.Epoch(), admin.CodeBadRequest, "missing group")
 		return
 	}
+	if f := strayField(kind, &req); f != "" {
+		admin.WriteEnvelopeError(w, http.StatusBadRequest, s.Epoch(), admin.CodeBadRequest, "bad request: /admin/"+kind+" does not take "+f)
+		return
+	}
 	if strings.HasSuffix(kind, "-batch") && len(req.Users) == 0 {
 		admin.WriteEnvelopeError(w, http.StatusBadRequest, s.Epoch(), admin.CodeBadRequest, "no users")
 		return
@@ -132,6 +138,19 @@ func (s *Shard) serveOp(w http.ResponseWriter, r *http.Request, kind string) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// strayField names a list the mutation route does not read ("" when the
+// body has none): users on create, members on an add or a removal, either
+// on rekey. Such a list is refused, never silently dropped.
+func strayField(kind string, q *admin.OpRequest) string {
+	switch {
+	case q.Members != nil && kind != "create":
+		return "members"
+	case q.Users != nil && !strings.HasSuffix(kind, "-batch"):
+		return "users"
+	}
+	return ""
 }
 
 // serveMembers answers one page of a group's member listing.

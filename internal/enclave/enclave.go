@@ -3,7 +3,8 @@
 // storage bound to the platform and enclave measurement, and an EPC
 // (Enclave Page Cache) accounting model.
 //
-// What is faithfully modelled, per the substitution table in DESIGN.md:
+// What is faithfully modelled (README's introduction and Architecture
+// section):
 //
 //   - The master secret key exists in plaintext only inside an Enclave value
 //     and is reachable exclusively through the ECALL methods; no API returns

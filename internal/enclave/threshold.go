@@ -4,8 +4,17 @@
 // enclave ever reconstructs the secret, so compromising one shard (or its
 // sealed state) reveals nothing.
 //
-// Inter-enclave protocol messages (deal shares, reshare sub-shares, blind
-// round contributions, fallback share exports) travel sealed under the
+// Shares move by one protocol, the reshare (Desmedt–Jajodia redistribution,
+// Herzberg et al.'s proactive refresh): d+1 holders of the committed
+// generation sub-deal their shares to the new holder set, every new holder
+// verifies and combines the sub-deals into a pending share, and the share
+// is committed once the coordinator has published the new record.
+// Bootstrap is the first reshare: the one enclave that ran Setup holds γ as
+// the degree-0 sharing f(x) = γ (EcallGenesisShare) and re-shares it to the
+// boot members.
+//
+// Inter-enclave protocol messages (reshare sub-shares, blind round
+// contributions, fallback share exports) travel sealed under the
 // platform/measurement-bound sealing key: all shard enclaves run the same
 // code on the same platform, so they can open each other's blobs while the
 // untrusted coordinator relaying them cannot — exactly the trust story the
@@ -91,9 +100,6 @@ func (ie *IBBEEnclave) suiteLocked() *dkg.Suite {
 // the target IDENTITY (a blinding dealt for one id can never be evaluated
 // at another, so the host cannot harvest related u_i values and solve for
 // the master secret).
-func dealLabel(gen uint64, index int) []byte {
-	return []byte(fmt.Sprintf("dkg-deal|%d|%d", gen, index))
-}
 func reshareLabel(gen uint64, dealer, target int) []byte {
 	return []byte(fmt.Sprintf("dkg-reshare|%d|%d|%d", gen, dealer, target))
 }
@@ -178,90 +184,28 @@ func (ie *IBBEEnclave) recordStateLocked(rec *dkg.Record) (comms []*curve.Point,
 	return comms, base, nil
 }
 
-// EcallDealShares runs inside the ONE enclave that (briefly) holds the full
-// master secret at bootstrap: it deals a Feldman sharing of γ at the
-// privacy degree for the holder set and returns the public record plus one
-// sealed transport blob per holder. The dealer keeps its MSK only until its
-// own EcallAdoptShare — adopting a share drops the full secret.
-func (ie *IBBEEnclave) EcallDealShares(gen uint64, holders map[string]int) (*dkg.Record, map[string][]byte, error) {
+// EcallGenesisShare turns the one enclave that ran EcallSetup into the
+// sole holder of the degree-0 sharing f(x) = γ: it installs γ as the
+// generation-0 share at index 1, committed by [h^γ] = PK.HPowers[1] with
+// extraction base g, and returns that public genesis record. Bootstrap is
+// then the first reshare, from this record to the boot members, through
+// the same sub-deal, adopt, publish and commit steps as every epoch's; the
+// enclave keeps its MSK until its own EcallCommitReshare drops it.
+func (ie *IBBEEnclave) EcallGenesisShare(holder string) (*dkg.Record, error) {
 	ie.mu.Lock()
 	defer ie.mu.Unlock()
-	if ie.msk == nil || ie.pk == nil {
-		return nil, nil, ErrEnclaveNotInitialized
+	if ie.msk == nil || ie.pk == nil || len(ie.pk.HPowers) < 2 {
+		return nil, ErrEnclaveNotInitialized
 	}
-	indices := make([]int, 0, len(holders))
-	for _, i := range holders {
-		indices = append(indices, i)
-	}
-	degree := dkg.PrivacyDegree(len(holders))
-	suite := ie.suiteLocked()
-	deal, err := suite.Deal(ie.msk.Gamma, degree, indices, rand.Reader)
-	if err != nil {
-		return nil, nil, err
-	}
+	commitment := ie.pk.HPowers[1]
+	ie.thr = &thresholdShare{index: 1, value: new(big.Int).Set(ie.msk.Gamma), comms: []*curve.Point{commitment}, base: ie.msk.G}
 	g1 := ie.scheme.P.G1
-	rec := &dkg.Record{
-		Generation:   gen,
-		Degree:       degree,
-		Commitments:  make([][]byte, len(deal.Commitments)),
-		ExtractBase:  g1.Marshal(ie.msk.G),
-		MasterPK:     ie.scheme.MarshalPublicKey(ie.pk),
-		Holders:      make(map[string]int, len(holders)),
-		SealedShares: make(map[string][]byte),
-	}
-	for j, c := range deal.Commitments {
-		rec.Commitments[j] = g1.Marshal(c)
-	}
-	byIndex := make(map[int]*big.Int, len(deal.Shares))
-	for _, sh := range deal.Shares {
-		byIndex[sh.Index] = sh.Value
-	}
-	transport := make(map[string][]byte, len(holders))
-	for id, i := range holders {
-		rec.Holders[id] = i
-		blob, err := ie.enc.Seal(ie.scheme.P.Zr.ToBytes(byIndex[i]), dealLabel(gen, i))
-		if err != nil {
-			return nil, nil, fmt.Errorf("enclave: sealing share for %s: %w", id, err)
-		}
-		transport[id] = blob
-	}
-	return rec, transport, nil
-}
-
-// EcallAdoptShare installs this enclave's share from a bootstrap deal: it
-// opens the transport blob, verifies the share against the record's
-// commitments (which are themselves bound to the master public key), drops
-// any full master secret the enclave still held, and returns the share
-// sealed for restart persistence.
-func (ie *IBBEEnclave) EcallAdoptShare(rec *dkg.Record, shardID string, transport []byte) ([]byte, error) {
-	ie.mu.Lock()
-	defer ie.mu.Unlock()
-	if err := ie.adoptPublicKeyLocked(rec.MasterPK); err != nil {
-		return nil, err
-	}
-	index := rec.Index(shardID)
-	if index == 0 {
-		return nil, fmt.Errorf("enclave: %s is not a holder in generation %d", shardID, rec.Generation)
-	}
-	comms, base, err := ie.recordStateLocked(rec)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := ie.enc.Unseal(transport, dealLabel(rec.Generation, index))
-	if err != nil {
-		return nil, err
-	}
-	value, err := ie.scheme.P.Zr.FromBytes(raw)
-	if err != nil {
-		return nil, fmt.Errorf("enclave: transported share: %w", err)
-	}
-	suite := ie.suiteLocked()
-	if err := suite.VerifyShare(comms, dkg.Share{Index: index, Value: value}); err != nil {
-		return nil, err
-	}
-	ie.thr = &thresholdShare{gen: rec.Generation, index: index, degree: rec.Degree, value: value, comms: comms, base: base}
-	ie.msk = nil // entering threshold mode: the full secret must not survive
-	return ie.enc.Seal(ie.encodeShare(rec.Generation, index, value), shareBlobLabel)
+	return &dkg.Record{
+		Commitments: [][]byte{g1.Marshal(commitment)},
+		ExtractBase: g1.Marshal(ie.msk.G),
+		MasterPK:    ie.scheme.MarshalPublicKey(ie.pk),
+		Holders:     map[string]int{holder: 1},
+	}, nil
 }
 
 // EcallRestoreShare reloads a persisted share after a restart: the sealed
@@ -702,6 +646,7 @@ func (ie *IBBEEnclave) EcallWipeShare() {
 	defer ie.mu.Unlock()
 	ie.thr = nil
 	ie.pendingThr = nil
+	ie.msk = nil // a bootstrap dealer quarantined before its commit
 }
 
 // HasMasterSecret reports whether the enclave holds the FULL master secret

@@ -11,16 +11,17 @@ import (
 	"github.com/ibbesgx/ibbesgx/internal/pairing"
 )
 
-// dealTestShares bootstraps an n-enclave threshold sharing on one platform:
-// enclave 0 runs Setup, deals γ at generation 1, and every enclave
-// (dealer included) adopts its share — after which no enclave holds the
-// full secret.
+// dealTestShares bootstraps an n-enclave threshold sharing on one platform
+// the way a cluster does: enclave 0 runs Setup and holds γ as the
+// degree-0 genesis sharing, which it reshares to generation 1 over every
+// enclave (itself included); once all commit, no enclave holds the full
+// secret.
 func dealTestShares(t *testing.T, platform *Platform, n int) (map[string]*IBBEEnclave, *dkg.Record, []string) {
 	t.Helper()
 	params := pairing.TypeA160()
 	ids := make([]string, n)
 	encls := make(map[string]*IBBEEnclave, n)
-	holders := make(map[string]int, n)
+	indices := make([]int, n)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("shard-%d", i)
 		ie, err := NewIBBEEnclave(platform, params)
@@ -29,22 +30,43 @@ func dealTestShares(t *testing.T, platform *Platform, n int) (map[string]*IBBEEn
 		}
 		ids[i] = id
 		encls[id] = ie
-		holders[id] = i + 1
+		indices[i] = i + 1
 	}
 	dealer := encls[ids[0]]
 	if _, _, err := dealer.EcallSetup(8); err != nil {
 		t.Fatalf("EcallSetup: %v", err)
 	}
-	rec, transport, err := dealer.EcallDealShares(1, holders)
+	genesis, err := dealer.EcallGenesisShare(ids[0])
 	if err != nil {
-		t.Fatalf("EcallDealShares: %v", err)
+		t.Fatalf("EcallGenesisShare: %v", err)
+	}
+	const gen = 1
+	degree := dkg.PrivacyDegree(n)
+	comms, blobs, err := dealer.EcallSubDeal(gen, degree, indices)
+	if err != nil {
+		t.Fatalf("EcallSubDeal: %v", err)
+	}
+	rec := &dkg.Record{
+		Generation:   gen,
+		Degree:       degree,
+		ExtractBase:  genesis.ExtractBase,
+		MasterPK:     genesis.MasterPK,
+		Holders:      make(map[string]int, n),
+		SealedShares: make(map[string][]byte, n),
+	}
+	for i, id := range ids {
+		sealed, combined, err := encls[id].EcallAdoptReshare(genesis, gen, degree, i+1, []int{1}, map[int][][]byte{1: comms}, map[int][]byte{1: blobs[i+1]})
+		if err != nil {
+			t.Fatalf("%s EcallAdoptReshare: %v", id, err)
+		}
+		rec.Holders[id] = i + 1
+		rec.SealedShares[id] = sealed
+		rec.Commitments = combined
 	}
 	for _, id := range ids {
-		sealed, err := encls[id].EcallAdoptShare(rec, id, transport[id])
-		if err != nil {
-			t.Fatalf("%s EcallAdoptShare: %v", id, err)
+		if err := encls[id].EcallCommitReshare(gen); err != nil {
+			t.Fatalf("%s EcallCommitReshare: %v", id, err)
 		}
-		rec.SealedShares[id] = sealed
 	}
 	return encls, rec, ids
 }

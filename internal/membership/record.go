@@ -48,6 +48,20 @@ type Record struct {
 	// Riding inside the fenced membership record gives the sharing the same
 	// CAS/epoch protection as the member set it belongs to.
 	DKG *dkg.Record `json:"dkg,omitempty"`
+	// MasterKey is the sealed-mode master secret (nil in threshold mode and
+	// in records written before it was persisted). Its blob opens only in
+	// the IBBE enclave code on the platform that sealed it, like the
+	// threshold share blobs and a group's sealed key.
+	MasterKey *MasterKey `json:"master_key,omitempty"`
+}
+
+// MasterKey is the persisted sealed-mode master key: the MSK sealed to the
+// platform and the enclave measurement, and the master public key it
+// belongs to. A restarted cluster restores it on every shard instead of
+// minting a second master secret.
+type MasterKey struct {
+	SealedMSK []byte `json:"sealed_msk"`
+	PublicKey []byte `json:"public_key"`
 }
 
 // Membership rebuilds the ring from the record.

@@ -8,8 +8,8 @@
 //     membership operations spanning ten years, live group never exceeding
 //     2,803 users; first commit = add, last commit = remove). The original
 //     Kaggle dump is not redistributable, so the synthesizer reconstructs a
-//     trace with the same aggregate shape — see DESIGN.md's substitution
-//     table.
+//     trace with the same aggregate shape (`ibbe-bench fig9` replays it;
+//     see README's Benchmarks section).
 //   - Synthetic: the Fig. 10 workloads — fixed-length random traces with a
 //     configurable revocation ratio.
 package trace
