@@ -61,7 +61,8 @@ bench-smoke:
 
 ## fuzz: the 15s smokes CI runs — Montgomery limb core vs big.Int, the limb identity hash and its Barrett
 # reducer vs the big.Int reference, the public-key multi-exp table and
-# limb w-NAF recoding vs the binary ladder and the big.Int recoding, the constant-time fixed-base walk vs
+# limb w-NAF recoding vs the binary ladder and the big.Int recoding, the 8-lane IFMA field kernels vs the
+# scalar Montgomery kernels (skipped without IFMA), the constant-time fixed-base walk vs
 # ScalarMultReduced, the /v1/commit request decoder, the durable store's log replay, the
 # three decoders of a group directory (partition record, also against its map-per-name reference; group
 # header; directory bucket), the limb point decoder vs big.Int, the group index
@@ -70,6 +71,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMontFieldVsBigInt$$' -fuzztime=15s ./internal/ff
 	$(GO) test -run='^$$' -fuzz='^FuzzHashID$$' -fuzztime=15s ./internal/ibbe
 	$(GO) test -run='^$$' -fuzz='^FuzzMultiExpTable$$' -fuzztime=15s ./internal/curve
+	$(GO) test -run='^$$' -fuzz='^FuzzLaneMulVsMont$$' -fuzztime=15s ./internal/ff
 	$(GO) test -run='^$$' -fuzz='^FuzzMulConstTimeEach$$' -fuzztime=15s ./internal/curve
 	$(GO) test -run='^$$' -fuzz='^FuzzCommitRequest$$' -fuzztime=15s ./internal/storage
 	$(GO) test -run='^$$' -fuzz='^FuzzOpenMemStoreLog$$' -fuzztime=15s ./internal/storage

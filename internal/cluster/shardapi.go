@@ -76,7 +76,7 @@ func (s *Shard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.Stopped() {
-		http.Error(w, "cluster: shard stopped", http.StatusServiceUnavailable)
+		admin.WriteEnvelopeError(w, http.StatusServiceUnavailable, s.Epoch(), admin.CodeNotOwner, "cluster: shard stopped")
 		return
 	}
 	// Join the router's trace (or any caller carrying the header): the
@@ -259,17 +259,17 @@ func (s *Shard) writeOpError(w http.ResponseWriter, group string, err error) {
 func (s *Shard) serveProvision(w http.ResponseWriter, r *http.Request) {
 	var req admin.ProvisionRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		admin.WriteEnvelopeError(w, http.StatusBadRequest, s.Epoch(), admin.CodeBadRequest, "bad request: "+err.Error())
 		return
 	}
 	pubRaw, err := base64.StdEncoding.DecodeString(req.ECDHPub)
 	if err != nil {
-		http.Error(w, "bad ecdh_pub encoding", http.StatusBadRequest)
+		admin.WriteEnvelopeError(w, http.StatusBadRequest, s.Epoch(), admin.CodeBadRequest, "bad ecdh_pub encoding")
 		return
 	}
 	pub, err := ecdh.P256().NewPublicKey(pubRaw)
 	if err != nil {
-		http.Error(w, "bad ecdh_pub point", http.StatusBadRequest)
+		admin.WriteEnvelopeError(w, http.StatusBadRequest, s.Epoch(), admin.CodeBadRequest, "bad ecdh_pub point")
 		return
 	}
 	_, span := obs.StartSpan(r.Context(), "admin.extract")
@@ -278,7 +278,7 @@ func (s *Shard) serveProvision(w http.ResponseWriter, r *http.Request) {
 	span.End(err)
 	s.obs.adminOp(s.ID, "extract", t0, err)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		admin.WriteEnvelopeError(w, http.StatusInternalServerError, s.Epoch(), admin.CodeInternal, err.Error())
 		return
 	}
 	writeJSON(w, admin.ProvisionResponse{

@@ -115,21 +115,23 @@ func (c *Curve) montOddMultiples(m *ff.Mont, p *Point, n int) []montAffine {
 // row of identities. The rows share one backing array, which also holds the
 // block's 2P points past its last row.
 func (c *Curve) montOddMultiplesRows(m *ff.Mont, points []*Point, n int, rows [][]montAffine) {
+	sc := bucketPool.Get().(*bucketScratch)
+	defer bucketPool.Put(sc)
 	np := len(points)
 	twoAt := np * n
 	pts := make([]montAffine, twoAt+np)
-	pairs := make([]addPair, np)
-	pre := make([]ff.Fel, np)
+	pairs := grow(sc.pairs, np)
+	sc.pairs = pairs
 	for i, p := range points {
 		pts[i*n] = toMontAffine(m, p)
 		pairs[i] = addPair{dst: int32(twoAt + i), a: int32(i * n), b: int32(i * n)}
 	}
-	c.montBatchAdd(m, pts, pairs, pre)
+	c.montBatchAdd(m, pts, pairs, sc)
 	for j := 1; j < n; j++ {
 		for i := range pairs {
 			pairs[i] = addPair{dst: int32(i*n + j), a: int32(i*n + j - 1), b: int32(twoAt + i)}
 		}
-		c.montBatchAdd(m, pts, pairs, pre)
+		c.montBatchAdd(m, pts, pairs, sc)
 	}
 	for i := range rows {
 		rows[i] = pts[i*n : (i+1)*n : (i+1)*n]
@@ -142,21 +144,33 @@ type addPair struct{ dst, a, b int32 }
 // montBatchAdd runs every addition of pairs on the affine points pts, sharing
 // one field inversion among all of them (Montgomery's simultaneous-inversion
 // trick, Math. Comp. 1987): the forward pass multiplies the pairs' slope
-// denominators into a running product, stashing each prefix in pre; one
+// denominators into a running product, stashing each prefix in sc.pre; one
 // Mont.Inv inverts the product; the backward pass peels each denominator's
 // inverse off it and finishes that pair's affine addition. An addition costs
 // about five multiplications and a squaring, against a Jacobian mixed
 // addition's seven and four, and its result needs no normalisation.
 //
+// At the 8-limb (q512) field on a CPU with AVX-512 IFMA (ff.HasIFMA), a
+// batch with at least eight regular pairs — both operands finite, x₁ ≠ x₂ —
+// runs those pairs on eight lanes (laneBatchAdd) and the rest here; pts comes
+// out the same limb for limb either way.
+//
 // A pair with x₁ = x₂ is a doubling when the points are equal (slope
 // denominator 2y, still in the batch) and the identity when they are
 // opposite; an identity operand yields the other. The branches depend on the
-// points, so the batch is variable-time: it serves public bases only (the
-// public key's multi-exp table and its evaluation).
+// points, so the batch is variable-time: it serves public operands only —
+// the public-key table build (montOddMultiplesRows) and the multi-exp over it
+// (decrypt, EncryptClassic, the DKG's small multi-exps). The constant-time
+// walks and g's fixed-base table never reach it.
 //
 // No pair's dst may be another pair's a or b (its own a or b may be): the
-// backward pass re-reads the operands. pre needs len(pairs) elements.
-func (c *Curve) montBatchAdd(m *ff.Mont, pts []montAffine, pairs []addPair, pre []ff.Fel) {
+// backward pass re-reads the operands. sc supplies the working memory.
+func (c *Curve) montBatchAdd(m *ff.Mont, pts []montAffine, pairs []addPair, sc *bucketScratch) {
+	if useLanes && m.K() == ff.MaxLimbs && len(pairs) >= 8 {
+		pairs = c.laneBatchAdd(m, pts, pairs, sc)
+	}
+	sc.pre = grow(sc.pre, len(pairs))
+	pre := sc.pre
 	var acc, d ff.Fel
 	m.SetOne(&acc)
 	batched := false
@@ -467,15 +481,27 @@ func parallelRanges(n, minChunk int, fn func(lo, hi int)) {
 
 // scalarToLimbs returns e (0 ≤ e < 2^(64·n)) as n little-endian 64-bit
 // limbs, so the constant-time recoding is plain shifts over a fixed-size
-// array instead of data-dependent big.Int bit probing. It goes through
-// big-endian bytes rather than e.Bits(), whose words are 32 bits wide on
-// 386 and arm.
+// array instead of data-dependent big.Int bit probing.
 func scalarToLimbs(e *big.Int, n int) []uint64 {
-	buf := make([]byte, 8*n)
-	e.FillBytes(buf)
 	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.BigEndian.Uint64(buf[8*(n-1-i):])
-	}
+	putLimbs(out, e)
 	return out
+}
+
+// putLimbs writes e (0 ≤ e < 2^(64·len(dst))) into dst as little-endian
+// 64-bit limbs. It goes through big-endian bytes rather than e.Bits(), whose
+// words are 32 bits wide on 386 and arm; the bytes sit on the stack up to
+// MaxLimbs + 1 limbs.
+func putLimbs(dst []uint64, e *big.Int) {
+	var stack [8 * (ff.MaxLimbs + 1)]byte
+	var buf []byte
+	if n := 8 * len(dst); n > len(stack) {
+		buf = make([]byte, n)
+	} else {
+		buf = stack[:n]
+	}
+	e.FillBytes(buf)
+	for i := range dst {
+		dst[i] = binary.BigEndian.Uint64(buf[8*(len(dst)-1-i):])
+	}
 }

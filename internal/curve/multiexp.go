@@ -51,13 +51,18 @@ func (t *MultiExpTable) Len() int { return t.n }
 // n·(b doublings + b/2 additions) for n independent multiplications. A nil
 // scalar counts as zero. offset+len(scalars) must not exceed Len.
 //
-// The evaluation runs in the Montgomery domain (montBucketSum): the digit additions are batched affine additions, one
-// field inversion per batched level, and only the fold over bit positions
-// runs in Jacobian form. For 32 or more scalars the batched additions are
-// parallel: the bit positions split into contiguous ranges across at most
-// MaxParallelism workers, so the doubling chain still runs once. Bases and
-// scalars are public (the IBBE decrypt's), which the variable-time batching
-// requires.
+// The evaluation runs in the Montgomery domain (montBucketSum): the digit
+// additions are batched affine additions, one field inversion per batched
+// level, on eight AVX-512 IFMA lanes where the CPU has them (montBatchAdd),
+// and only the fold over bit positions runs in Jacobian form. For 32 or
+// more scalars the batched additions are parallel: the bit positions split
+// into contiguous ranges across at most MaxParallelism workers, so the
+// doubling chain still runs once. Bases and scalars are public (the IBBE
+// decrypt's), which the variable-time batching requires.
+//
+// A scalar already in [0, r) is recoded as it is, with no reduction, and
+// every digit row is carved from one pooled buffer, so the recoding
+// allocates nothing per scalar.
 func (t *MultiExpTable) MultiExp(scalars []*big.Int, offset int) *Point {
 	if offset < 0 || offset+len(scalars) > t.n {
 		// Checked here, before any worker starts, so the caller's goroutine
@@ -65,32 +70,48 @@ func (t *MultiExpTable) MultiExp(scalars []*big.Int, offset int) *Point {
 		panic("curve: MultiExpTable.MultiExp: scalars run past the table")
 	}
 	c := t.c
-	digits := make([][]int8, len(scalars))
+	sc := bucketPool.Get().(*bucketScratch)
+	defer bucketPool.Put(sc)
+	rows := grow(sc.rows, len(scalars))
+	buf := grow(sc.digits, len(scalars)*(c.R.BitLen()+1))[:0] // room for every row: no append reallocates
 	maxLen := 0
-	k := new(big.Int)
 	for i, s := range scalars {
+		rows[i] = nil
 		if s == nil {
 			continue
 		}
-		if k.Mod(s, c.R).Sign() == 0 {
+		k := s
+		if s.Sign() < 0 || s.Cmp(c.R) >= 0 {
+			k = sc.mod.Mod(s, c.R)
+		}
+		if k.Sign() == 0 {
 			continue
 		}
-		digits[i] = wnafDigits(k, t.w)
-		maxLen = max(maxLen, len(digits[i]))
+		at := len(buf)
+		buf = wnafAppend(buf, k, t.w)
+		rows[i] = buf[at:len(buf):len(buf)]
+		maxLen = max(maxLen, len(rows[i]))
 	}
+	sc.rows, sc.digits = rows, buf
 	m := c.mont()
-	acc := c.montBucketSum(m, t.modd[offset:offset+len(digits)], digits, maxLen)
+	acc := c.montBucketSum(m, t.modd[offset:offset+len(rows)], rows, maxLen, sc)
 	return c.montFromJac(m, &acc)
 }
 
-// bucketScratch is montBucketSum's working memory, pooled: a decrypt at
-// m = 256 sums ≈ 4 500 digit points. The buckets (size, start, pts) and each
-// worker's batch (pairs, pre) take one scratch each.
+// bucketScratch is the multi-exp's working memory, pooled: a decrypt at
+// m = 256 recodes 255 scalars and sums ≈ 4 500 digit points. The digit rows
+// (rows, carved from digits; mod for a scalar to reduce) and the buckets
+// (size, start, pts) take one scratch per MultiExp, and each worker's batch
+// (pairs, pre, lanes) one more; so does each block of a table build.
 type bucketScratch struct {
+	rows        [][]int8
+	digits      []int8
+	mod         big.Int
 	size, start []int32
 	pts         []montAffine
 	pairs       []addPair
 	pre         []ff.Fel
+	lanes       laneScratch
 }
 
 var bucketPool = sync.Pool{New: func() any { return new(bucketScratch) }}
@@ -102,9 +123,8 @@ var bucketPool = sync.Pool{New: func() any { return new(bucketScratch) }}
 // maxLen doublings and one mixed addition per non-empty position. With 32 or
 // more scalars the positions split into contiguous ranges across at most
 // MaxParallelism workers (parallelRanges), each reducing its own buckets.
-func (c *Curve) montBucketSum(m *ff.Mont, odd [][]montAffine, digits [][]int8, maxLen int) montJac {
-	sc := bucketPool.Get().(*bucketScratch)
-	defer bucketPool.Put(sc)
+// sc holds the buckets.
+func (c *Curve) montBucketSum(m *ff.Mont, odd [][]montAffine, digits [][]int8, maxLen int, sc *bucketScratch) montJac {
 	size := grow(sc.size, maxLen)
 	start := grow(sc.start, maxLen)
 	sc.size, sc.start = size, start
@@ -181,8 +201,7 @@ func (c *Curve) reduceBuckets(m *ff.Mont, pts []montAffine, start, size []int32,
 		if len(pairs) == 0 {
 			return
 		}
-		sc.pre = grow(sc.pre, len(pairs))
-		c.montBatchAdd(m, pts, pairs, sc.pre)
+		c.montBatchAdd(m, pts, pairs, sc)
 	}
 }
 

@@ -241,7 +241,7 @@ func TestMontBatchAddMatchesAdd(t *testing.T) {
 			pairs = append(pairs, addPair{dst: dst, a: int32(i), b: int32(i + 1)})
 		}
 		before := ff.InvOps()
-		c.montBatchAdd(m, pts, pairs, make([]ff.Fel, len(pairs)))
+		c.montBatchAdd(m, pts, pairs, new(bucketScratch))
 		if n := ff.InvOps() - before; n != 1 {
 			t.Fatalf("%s: batch spent %d inversions, want 1", name, n)
 		}

@@ -23,15 +23,29 @@ const multiExpWindow = 8
 // least significant digit first, ending at the top non-zero digit. Every
 // non-zero digit is odd and is followed by at least w−1 zeros, which is what
 // lets the evaluation loop amortise one table addition over w doublings.
-//
-// The recoding reads w-bit windows out of fixed 64-bit limbs
-// (scalarToLimbs) and carries the borrow of a negative digit forward as one
-// bit, instead of subtracting and shifting a big.Int per digit: a zero digit
-// is a single bit probe.
 func wnafDigits(k *big.Int, w uint) []int8 {
+	return wnafAppend(nil, k, w)
+}
+
+// wnafAppend appends the digits wnafDigits returns to dst. The recoding reads
+// w-bit windows out of fixed 64-bit limbs (putLimbs; on the stack for a k of
+// at most 512 bits) and carries the borrow of a negative digit forward as
+// one bit, instead of subtracting and shifting a big.Int per digit: a zero
+// digit is a single bit probe. It allocates only when dst lacks the room for
+// k's bit length plus one.
+func wnafAppend(dst []int8, k *big.Int, w uint) []int8 {
 	bits := uint(k.BitLen())
-	limbs := scalarToLimbs(k, int(bits/64)+1)
-	digits := make([]int8, bits+1)
+	var stack [ff.MaxLimbs + 1]uint64
+	var limbs []uint64
+	if n := int(bits/64) + 1; n > len(stack) {
+		limbs = make([]uint64, n)
+	} else {
+		limbs = stack[:n]
+	}
+	putLimbs(limbs, k)
+	at := len(dst)
+	dst = append(dst, make([]int8, bits+1)...)
+	digits := dst[at:]
 	top := -1
 	carry := uint64(0)
 	for pos := uint(0); pos <= bits; {
@@ -45,7 +59,7 @@ func wnafDigits(k *big.Int, w uint) []int8 {
 		top = int(pos)
 		pos += w
 	}
-	return digits[:top+1]
+	return dst[:at+top+1]
 }
 
 // limbBits returns the n ≤ 64 bits of the little-endian limb vector l

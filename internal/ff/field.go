@@ -12,6 +12,13 @@
 // product arithmetic runs on, so a modulus wider than MaxLimbs·64 bits is
 // refused at construction. A Field value is immutable after construction
 // and safe for concurrent use.
+//
+// At the 512-bit paper width the limb core has three kernel sets, each
+// picked once from CPUID at package init: Go everywhere, MULX/ADX products
+// on amd64 (mul8ADX, sqr8ADX), and an 8-lane form (Lanes; LaneMul, LaneAdd,
+// LaneSub) that multiplies eight independent elements at once with AVX-512
+// IFMA where HasIFMA is set, for callers that have eight products to do
+// side by side. Every set returns the same limbs.
 package ff
 
 import (

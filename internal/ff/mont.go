@@ -43,6 +43,7 @@ type Mont struct {
 	one Fel    // R mod q (Montgomery form of 1)
 	rr  Fel    // R² mod q (to-Montgomery multiplier)
 	p   *big.Int
+	q52 [laneDigits]uint64 // the modulus in the lane form's 52-bit digits (k == MaxLimbs)
 }
 
 // invOps counts modular inversions performed through the ff package — both
@@ -77,6 +78,13 @@ func newMont(p *big.Int) *Mont {
 	bigToLimbs(&m.one, m.k, new(big.Int).Mod(r, p))
 	r2 := new(big.Int).Mul(r, r)
 	bigToLimbs(&m.rr, m.k, r2.Mod(r2, p))
+	if m.k == MaxLimbs {
+		var l Lanes
+		l.Set(0, &m.n)
+		for i := range m.q52 {
+			m.q52[i] = l[i][0]
+		}
+	}
 	return m
 }
 
