@@ -40,9 +40,9 @@ short:
 test-386:
 	GOARCH=386 $(GO) test -short ./internal/ff/... ./internal/curve/... ./internal/pairing/... ./internal/ibbe/... ./internal/enclave/... ./internal/core/...
 
-## race: race detector over the concurrent layers (core manager, admin, cluster, client, membership, storage), the crypto substrate and the ibbe-cluster gateway — the package list CI's race step runs
+## race: race detector over the concurrent layers (core manager, admin, cluster, client, membership, obs, storage), the crypto substrate and the ibbe-cluster gateway — the package list CI's race step runs
 race:
-	$(GO) test -race ./internal/core/... ./internal/admin/... ./internal/enclave/... ./internal/cluster/... ./internal/client/... ./internal/membership/... ./internal/dkg/... ./internal/storage/... ./internal/partition/... ./internal/ff/... ./internal/curve/... ./internal/pairing/... ./internal/ibbe/... ./cmd/ibbe-cluster/...
+	$(GO) test -race ./internal/core/... ./internal/admin/... ./internal/enclave/... ./internal/cluster/... ./internal/client/... ./internal/membership/... ./internal/obs/... ./internal/dkg/... ./internal/storage/... ./internal/partition/... ./internal/ff/... ./internal/curve/... ./internal/pairing/... ./internal/ibbe/... ./cmd/ibbe-cluster/...
 
 ## bench: one pass over every benchmark (smoke; use cmd/ibbe-bench for figures)
 bench:

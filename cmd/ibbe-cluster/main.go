@@ -148,10 +148,7 @@ func main() {
 	flag.IntVar(&o.asCfg.Min, "autoscale-min", 0, "autoscaler: minimum member count (0 = the boot member count)")
 	flag.IntVar(&o.asCfg.Max, "autoscale-max", 0, "autoscaler: maximum member count (0 = default)")
 	flag.Float64Var(&o.asCfg.GrowLoad, "autoscale-grow", 0, "autoscaler: per-member load above which to grow (0 = default)")
-	flag.Float64Var(&o.asCfg.ShrinkLoad, "autoscale-shrink", 0, "autoscaler: per-member load below which to drain (0 = default)")
 	flag.DurationVar(&o.asCfg.Interval, "autoscale-interval", 0, "autoscaler: sampling/decision period (0 = default)")
-	flag.Float64Var(&o.asCfg.QueueWeight, "autoscale-queue-weight", 0, "autoscaler: load units per queued router request (0 = default, negative = off)")
-	flag.Float64Var(&o.asCfg.StealWeight, "autoscale-steal-weight", 0, "autoscaler: load units per lease steal/s (0 = default, negative = off)")
 	flag.BoolVar(&o.obsOn, "obs", true, "enable the observability plane: GET /metrics, request tracing, /admin/cluster/v1/traces")
 	flag.IntVar(&o.obsTraces, "obs-traces", 64, "trace ring capacity (recent traces kept for the dump endpoint)")
 	flag.DurationVar(&o.obsSlow, "obs-slow", 0, "log any traced operation slower than this (0 = off)")
@@ -286,8 +283,8 @@ func start(ctx context.Context, o options) (*gateway, error) {
 	if o.autoscale {
 		g.as.Start()
 		eff := g.as.Config()
-		log.Printf("ibbe-cluster: autoscaler on (members %d..%d, grow>%.0f, shrink<%.0f, every %v)",
-			eff.Min, eff.Max, eff.GrowLoad, eff.ShrinkLoad, eff.Interval)
+		log.Printf("ibbe-cluster: autoscaler on (members %d..%d, grow>%.0f, every %v)",
+			eff.Min, eff.Max, eff.GrowLoad, eff.Interval)
 	}
 	return g, nil
 }
@@ -454,26 +451,27 @@ func (g *gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 // handleAutoscale serves the autoscaler control endpoint:
 //
 //	GET  → cluster.AutoscalerStatus (config, live per-shard loads, last action)
-//	POST {"action":"enable", "min":2,"max":6,"grow_load":...,"shrink_load":...,"interval":"2s"}
+//	POST {"action":"enable", "min":2,"max":6,"grow_load":...,"interval":"2s"}
 //	POST {"action":"disable"}
 //
 // Enable with any bound/threshold set rebuilds the controller with that
-// configuration; omitted fields take the defaults.
+// configuration; omitted fields take the defaults. An unknown field is a
+// bad request.
 func (g *gateway) handleAutoscale(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		admin.WriteEnvelope(w, g.c.Epoch(), g.autoscaler().Status())
 	case http.MethodPost:
 		var req struct {
-			Action     string  `json:"action"`
-			Min        int     `json:"min,omitempty"`
-			Max        int     `json:"max,omitempty"`
-			GrowLoad   float64 `json:"grow_load,omitempty"`
-			ShrinkLoad float64 `json:"shrink_load,omitempty"`
-			Interval   string  `json:"interval,omitempty"`
+			Action   string  `json:"action"`
+			Min      int     `json:"min,omitempty"`
+			Max      int     `json:"max,omitempty"`
+			GrowLoad float64 `json:"grow_load,omitempty"`
+			Interval string  `json:"interval,omitempty"`
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil || json.Unmarshal(body, &req) != nil {
+		dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
 			admin.WriteEnvelopeError(w, http.StatusBadRequest, g.c.Epoch(), admin.CodeBadRequest, "cluster: bad autoscale request")
 			return
 		}
@@ -482,12 +480,10 @@ func (g *gateway) handleAutoscale(w http.ResponseWriter, r *http.Request) {
 			// A plain enable resumes the existing controller with its
 			// current configuration; any explicit field rebuilds it (with
 			// Min defaulting to the live member count).
-			if req.Min != 0 || req.Max != 0 || req.GrowLoad != 0 || req.ShrinkLoad != 0 || req.Interval != "" {
-				cfg := cluster.AutoscalerConfig{
-					Min: req.Min, Max: req.Max,
-					GrowLoad: req.GrowLoad, ShrinkLoad: req.ShrinkLoad,
-				}
+			if req.Min != 0 || req.Max != 0 || req.GrowLoad != 0 || req.Interval != "" {
+				cfg := cluster.AutoscalerConfig{Min: req.Min, Max: req.Max, GrowLoad: req.GrowLoad}
 				if req.Interval != "" {
+					var err error
 					if cfg.Interval, err = time.ParseDuration(req.Interval); err != nil {
 						admin.WriteEnvelopeError(w, http.StatusBadRequest, g.c.Epoch(), admin.CodeBadRequest, "cluster: bad interval: "+err.Error())
 						return

@@ -83,6 +83,49 @@ func TestControlAPIEnvelope(t *testing.T) {
 	}
 }
 
+// TestAutoscaleEnableDecodesStrictly: the enable body takes min, max,
+// grow_load and interval; any other field — shrink_load included, which the
+// controller derives from grow_load — is a 400 bad_request.
+func TestAutoscaleEnableDecodesStrictly(t *testing.T) {
+	c, err := cluster.New(cluster.Options{Shards: 1, Capacity: 4, Store: storage.NewMemStore(storage.Latency{}), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown(t.Context())
+	g := &gateway{c: c, targets: make(map[string]string)}
+	g.installAutoscaler(cluster.NewAutoscaler(c, cluster.AutoscalerConfig{Min: 1}))
+	defer g.autoscaler().Stop()
+	ts := httptest.NewServer(g)
+	defer ts.Close()
+
+	post := func(body string) (int, admin.Envelope) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/admin/cluster/v1/autoscale", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env admin.Envelope
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatalf("POST %s: body is not the envelope: %v", body, err)
+		}
+		return resp.StatusCode, env
+	}
+	for _, body := range []string{`{"action":"enable","shrink_load":1}`, `{"action":"enable","cooldown":"1s"}`} {
+		if code, env := post(body); code != http.StatusBadRequest || env.Error == nil || env.Error.Code != admin.CodeBadRequest {
+			t.Fatalf("POST %s: %d %+v, want 400 bad_request", body, code, env.Error)
+		}
+	}
+	code, env := post(`{"action":"enable","max":2,"grow_load":5000,"interval":"1h"}`)
+	var st cluster.AutoscalerStatus
+	if err := json.Unmarshal(env.Result, &st); code != http.StatusOK || err != nil {
+		t.Fatalf("enable: %d %+v (%v)", code, env.Error, err)
+	}
+	if !st.Running || st.Max != 2 || st.GrowLoad != 5000 || st.ShrinkLoad != 5000/8 || st.Interval != time.Hour {
+		t.Fatalf("enabled autoscaler status = %+v", st)
+	}
+}
+
 // TestOneShardServesTheSingleAdminAPI: a one-shard deployment, wired as run
 // wires it over a remote store, is the single-administrator service — groups
 // are created, grown and shrunk through a client.ClusterClient that sends

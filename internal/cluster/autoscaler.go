@@ -14,16 +14,13 @@ import (
 	"time"
 )
 
-// Autoscaler defaults; all overridable per config.
+// Autoscaler settings. GrowLoad and Interval are per config; the rest
+// derive from them or are fixed.
 const (
 	// DefaultGrowLoad is the per-member average load (groups × weighted
 	// ops/s) above which the cluster grows. The weighted unit is
 	// ibbe.Metrics.Total: one pairing ≈ 3000, one exponentiation ≈ 1000.
 	DefaultGrowLoad = 200_000
-	// DefaultShrinkLoad is the per-member average load below which the
-	// cluster drains its least-loaded member. Kept well under GrowLoad so
-	// the controller cannot oscillate on a flat workload.
-	DefaultShrinkLoad = DefaultGrowLoad / 8
 	// DefaultAutoscaleInterval is the control-loop period.
 	DefaultAutoscaleInterval = 2 * time.Second
 	// DefaultCooldownTicks spaces consecutive scaling actions, in units of
@@ -42,23 +39,17 @@ const (
 	decisionLogCap = 64
 )
 
-// AutoscalerConfig bounds and tunes the controller.
+// AutoscalerConfig bounds and tunes the controller. The drain threshold is
+// GrowLoad/8, and scaling actions are DefaultCooldownTicks intervals apart.
 type AutoscalerConfig struct {
 	// Min / Max bound the member count (defaults: 1 / 8).
 	Min, Max int
-	// GrowLoad / ShrinkLoad are the per-member average load thresholds
-	// (defaults above). ShrinkLoad must stay below GrowLoad.
-	GrowLoad, ShrinkLoad float64
+	// GrowLoad is the per-member average load above which the cluster
+	// grows (default DefaultGrowLoad); its unit scales with the pairing
+	// parameters.
+	GrowLoad float64
 	// Interval is the sampling/decision period (default 2s).
 	Interval time.Duration
-	// Cooldown is the minimum time between scaling actions (default
-	// DefaultCooldownTicks × Interval).
-	Cooldown time.Duration
-	// QueueWeight / StealWeight convert the telemetry signals — router
-	// queue depth (requests) and lease-steal churn (steals/s) — into the
-	// same load units as GrowLoad. Negative disables a signal; zero takes
-	// the default.
-	QueueWeight, StealWeight float64
 }
 
 // withDefaults fills the zero fields.
@@ -76,27 +67,16 @@ func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
 	if c.GrowLoad <= 0 {
 		c.GrowLoad = DefaultGrowLoad
 	}
-	if c.ShrinkLoad <= 0 || c.ShrinkLoad >= c.GrowLoad {
-		c.ShrinkLoad = c.GrowLoad / 8
-	}
 	if c.Interval <= 0 {
 		c.Interval = DefaultAutoscaleInterval
 	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = DefaultCooldownTicks * c.Interval
-	}
-	if c.QueueWeight == 0 {
-		c.QueueWeight = DefaultQueueWeight
-	} else if c.QueueWeight < 0 {
-		c.QueueWeight = 0
-	}
-	if c.StealWeight == 0 {
-		c.StealWeight = DefaultStealWeight
-	} else if c.StealWeight < 0 {
-		c.StealWeight = 0
-	}
 	return c
 }
+
+// shrinkLoad is the per-member average load below which the cluster drains
+// its least-loaded member: well under GrowLoad, so the controller cannot
+// oscillate on a flat workload.
+func (c AutoscalerConfig) shrinkLoad() float64 { return c.GrowLoad / 8 }
 
 // Signals are the telemetry feeds folded into the load average alongside
 // the per-shard crypto rates. Both are optional; a nil func reads as zero.
@@ -251,7 +231,7 @@ func (a *Autoscaler) Status() AutoscalerStatus {
 		Min:          a.cfg.Min,
 		Max:          a.cfg.Max,
 		GrowLoad:     a.cfg.GrowLoad,
-		ShrinkLoad:   a.cfg.ShrinkLoad,
+		ShrinkLoad:   a.cfg.shrinkLoad(),
 		Interval:     a.cfg.Interval,
 		Epoch:        m.Epoch,
 		Members:      m.Members(),
@@ -337,7 +317,7 @@ func (a *Autoscaler) tick(ctx context.Context) {
 	a.loads = loads
 	a.queueDepth = queueDepth
 	a.stealRate = stealRate
-	cooled := a.lastActionAt.IsZero() || now.Sub(a.lastActionAt) >= a.cfg.Cooldown
+	cooled := a.lastActionAt.IsZero() || now.Sub(a.lastActionAt) >= DefaultCooldownTicks*a.cfg.Interval
 	a.mu.Unlock()
 
 	members := m.Members()
@@ -347,8 +327,8 @@ func (a *Autoscaler) tick(ctx context.Context) {
 	// The combined signal: crypto load plus the weighted telemetry terms,
 	// averaged over the members that must absorb it.
 	avg := (memberLoad +
-		a.cfg.QueueWeight*float64(queueDepth) +
-		a.cfg.StealWeight*stealRate) / float64(len(members))
+		DefaultQueueWeight*float64(queueDepth) +
+		DefaultStealWeight*stealRate) / float64(len(members))
 	sig := signalSample{
 		avg:        avg,
 		memberLoad: memberLoad,
@@ -360,7 +340,7 @@ func (a *Autoscaler) tick(ctx context.Context) {
 	switch {
 	case avg > a.cfg.GrowLoad && len(members) < a.cfg.Max:
 		a.grow(ctx, sig)
-	case avg < a.cfg.ShrinkLoad && len(members) > a.cfg.Min:
+	case avg < a.cfg.shrinkLoad() && len(members) > a.cfg.Min:
 		a.shrink(ctx, sig, loads, m)
 	}
 }
@@ -427,7 +407,7 @@ func (a *Autoscaler) shrink(ctx context.Context, sig signalSample, loads []Shard
 	}
 	sig.epoch = next.Epoch
 	a.decide("shrink", withWarning(fmt.Sprintf("shrank to %d members (drained %s at epoch %d; avg load %.0f < %.0f)",
-		len(next.Members()), victim, next.Epoch, sig.avg, a.cfg.ShrinkLoad), err), sig)
+		len(next.Members()), victim, next.Epoch, sig.avg, a.cfg.shrinkLoad()), err), sig)
 }
 
 // withWarning appends a partial-failure warning (failed hand-off step

@@ -36,7 +36,6 @@ func TestClusterAutoscaleGrowUnderLoad(t *testing.T) {
 		Max:      4,
 		GrowLoad: 1_000, // any sustained load grows
 		Interval: 20 * time.Millisecond,
-		Cooldown: 40 * time.Millisecond,
 	})
 	as.OnMint = func(s *Shard) error {
 		tc.serveShard(t, s)
@@ -173,12 +172,10 @@ func TestAutoscalerShrinksWhenIdle(t *testing.T) {
 	}
 
 	as := NewAutoscaler(tc.c, AutoscalerConfig{
-		Min:        2,
-		Max:        3,
-		GrowLoad:   1 << 40, // never grow
-		ShrinkLoad: 1,       // idle (zero) load shrinks
-		Interval:   20 * time.Millisecond,
-		Cooldown:   40 * time.Millisecond,
+		Min:      2,
+		Max:      3,
+		GrowLoad: 1 << 40, // never grow; idle load is far below GrowLoad/8
+		Interval: 20 * time.Millisecond,
 	})
 	as.Start()
 	defer as.Stop()
@@ -215,21 +212,14 @@ func TestAutoscalerConfigDefaults(t *testing.T) {
 	if cfg.Min < 1 || cfg.Max < cfg.Min {
 		t.Fatalf("bounds: %d..%d", cfg.Min, cfg.Max)
 	}
-	if cfg.ShrinkLoad >= cfg.GrowLoad {
-		t.Fatalf("shrink %v not below grow %v — would oscillate", cfg.ShrinkLoad, cfg.GrowLoad)
+	if cfg.shrinkLoad() >= cfg.GrowLoad {
+		t.Fatalf("shrink %v not below grow %v — would oscillate", cfg.shrinkLoad(), cfg.GrowLoad)
 	}
-	if cfg.Interval <= 0 || cfg.Cooldown < cfg.Interval {
-		t.Fatalf("timing: interval %v cooldown %v", cfg.Interval, cfg.Cooldown)
+	if cfg.Interval <= 0 {
+		t.Fatalf("timing: interval %v", cfg.Interval)
 	}
 	clamped := AutoscalerConfig{Min: 5, Max: 2}.withDefaults()
 	if clamped.Max != 5 {
 		t.Fatalf("max below min not clamped: %d..%d", clamped.Min, clamped.Max)
-	}
-	if cfg.QueueWeight != DefaultQueueWeight || cfg.StealWeight != DefaultStealWeight {
-		t.Fatalf("telemetry weights not defaulted: queue %v steal %v", cfg.QueueWeight, cfg.StealWeight)
-	}
-	off := AutoscalerConfig{QueueWeight: -1, StealWeight: -1}.withDefaults()
-	if off.QueueWeight != 0 || off.StealWeight != 0 {
-		t.Fatalf("negative weights must disable the signals: queue %v steal %v", off.QueueWeight, off.StealWeight)
 	}
 }

@@ -26,7 +26,6 @@ package cluster
 
 import (
 	"context"
-	"crypto/ecdh"
 	"crypto/rand"
 	"encoding/base64"
 	"errors"
@@ -276,7 +275,7 @@ func New(opts Options) (*Cluster, error) {
 	}
 
 	ctx := context.Background()
-	rec, ver, err := membership.Load(ctx, store)
+	rec, _, err := membership.Load(ctx, store)
 	if err != nil && !errors.Is(err, membership.ErrNoRecord) {
 		return nil, fmt.Errorf("cluster: reading membership record: %w", err)
 	}
@@ -315,7 +314,7 @@ func New(opts Options) (*Cluster, error) {
 		if err := c.mintShards(rec.Members, boot); err != nil {
 			return nil, err
 		}
-	} else if boot, err = c.bootstrap(ctx, opts.Shards, ver); err != nil {
+	} else if boot, err = c.bootstrap(ctx, opts.Shards); err != nil {
 		return nil, err
 	}
 	c.view.Adopt(boot, nil)
@@ -336,7 +335,7 @@ func New(opts Options) (*Cluster, error) {
 func (c *Cluster) newProvisioner(mode ProvisioningMode, dkgRec *dkg.Record, key *membership.MasterKey) error {
 	scheme := ibbe.NewScheme(c.params)
 	if mode == ProvisionSealed {
-		sp, err := newSealedProvisioner(c.opts.Capacity, scheme, c.shardAlive, key)
+		sp, err := newSealedProvisioner(c.opts.Capacity, scheme, key)
 		if err != nil {
 			return err
 		}
@@ -354,11 +353,12 @@ func (c *Cluster) newProvisioner(mode ProvisioningMode, dkgRec *dkg.Record, key 
 }
 
 // bootstrap mints n shards over a fresh store and publishes the epoch-1
-// record, carrying the sealed master key in sealed mode, CAS-guarded
-// against a concurrently bootstrapping peer. A peer that won with the same
-// member set is adopted — its sealed key restored on freshly minted shards,
-// so this process never keeps a second master secret; anything else fails.
-func (c *Cluster) bootstrap(ctx context.Context, n int, ver uint64) (*Membership, error) {
+// record, stamped with the provisioner's key material, only if the store
+// still has none — a concurrently bootstrapping peer may have won. A peer
+// that won with the same member set is adopted — its sealed key restored on
+// freshly minted shards, so this process never keeps a second master
+// secret; anything else fails.
+func (c *Cluster) bootstrap(ctx context.Context, n int) (*Membership, error) {
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = ShardID(i)
@@ -372,21 +372,22 @@ func (c *Cluster) bootstrap(ctx context.Context, n int, ver uint64) (*Membership
 		return nil, err
 	}
 	rec := membership.RecordOf(m, nil)
-	rec.MasterKey = c.prov.MasterKey()
-	err = membership.Publish(ctx, c.Store, rec, ver)
-	if err == nil {
-		return m, nil
-	}
-	if !errors.Is(err, storage.ErrVersionConflict) && !errors.Is(err, storage.ErrFenced) {
+	c.prov.Stamp(rec)
+	won, err := membership.Update(ctx, c.Store, func(cur *membership.Record) (*membership.Record, error) {
+		if cur != nil {
+			return nil, nil // a peer bootstrapped first: adopt, never overwrite
+		}
+		return rec, nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("cluster: bootstrapping membership record: %w", err)
+	}
+	if won == rec {
+		return m, nil
 	}
 	// A peer bootstrapped the same store first. Identical member sets
 	// merely lost a harmless race; anything else is a real configuration
 	// conflict the operator must resolve.
-	won, _, err := membership.Load(ctx, c.Store)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: membership bootstrap race: %w", err)
-	}
 	theirs, err := won.Membership()
 	if err != nil {
 		return nil, err
@@ -488,7 +489,8 @@ func (c *Cluster) mintShardID(id string, m *Membership) (*Shard, error) {
 			co.ecallSeconds.With(shardID, call).Observe(seconds)
 		}
 	}
-	if err := c.prov.Provision(id, encl); err != nil {
+	extract, err := c.prov.Provision(id, encl)
+	if err != nil {
 		return nil, err
 	}
 	cert, err := c.auditor.AttestAndCertify(c.ias, encl)
@@ -509,21 +511,9 @@ func (c *Cluster) mintShardID(id string, m *Membership) (*Shard, error) {
 	if c.opts.MaxResidentPages > 0 {
 		mgr.SetMaxResidentPages(c.opts.MaxResidentPages)
 	}
-	opLog, err := core.NewOpLog()
-	if err != nil {
-		return nil, err
-	}
-	adm := admin.New(id, mgr, c.Store, opLog)
-	// /provision on a threshold shard routes through the provisioner's
-	// quorum protocol instead of the (share-less) local enclave; this
-	// shard's own enclave does the combine, so the signature verifies
-	// against the certificate the shard serves.
-	extract := encl.EcallExtractUserKey
-	if tp, threshold := c.prov.(*thresholdProvisioner); threshold {
-		extract = func(uid string, userPub *ecdh.PublicKey) (*enclave.ProvisionedKey, error) {
-			return tp.extractVia(id, uid, userPub)
-		}
-	}
+	// No op log: nothing in the cluster exports or verifies one, so a
+	// certified log would only grow for the life of the process.
+	adm := admin.New(id, mgr, c.Store, nil)
 	info := admin.SystemInfo{
 		Params:         c.params.Name(),
 		PublicKey:      base64.StdEncoding.EncodeToString(mgr.Scheme().MarshalPublicKey(mgr.PublicKey())),
@@ -596,13 +586,13 @@ func (c *Cluster) Admit(ctx context.Context, id string) (*Membership, error) {
 // member list computed from the membership at epoch base. The successor
 // record is CAS-published to the store BEFORE anything changes
 // locally: a membership change that is not durable never reaches the
-// shards, and a concurrent writer (a second gateway, an autoscaler
-// elsewhere) loses the CAS instead of silently dropping our change. A
-// change computed against a view the store has already superseded is
-// refused outright — the member list would be stale — so the epoch
-// sequence can neither fork nor silently drop a concurrent writer's
-// members. base is the caller's, not re-read here: the view can adopt a
-// newer record at any moment without changeMu.
+// shards. A change computed against a view the store has already
+// superseded is refused outright — the member list would be stale — so the
+// epoch sequence can neither fork nor silently drop a concurrent writer's
+// members; a same-epoch write that lands first (a targets re-publish) only
+// makes the publish recompute on top of it. base is the caller's, not
+// re-read here: the view can adopt a newer record at any moment without
+// changeMu.
 func (c *Cluster) applyMembership(ctx context.Context, base uint64, members []string) (*Membership, error) {
 	c.mu.Lock()
 	for _, id := range members {
@@ -613,31 +603,26 @@ func (c *Cluster) applyMembership(ctx context.Context, base uint64, members []st
 	}
 	c.mu.Unlock()
 
-	rec, ver, err := membership.Load(ctx, c.Store)
-	if err != nil && !errors.Is(err, membership.ErrNoRecord) {
-		return nil, fmt.Errorf("cluster: reading membership record: %w", err)
-	}
-	if rec != nil && rec.Epoch > base {
-		// The store is ahead of the view this change was computed from: the
-		// caller's member list is stale and publishing it would silently
-		// drop whatever the concurrent writer changed. Refuse — the
-		// discovery watcher adopts the newer record, and the operator
-		// recomputes against it.
-		return nil, fmt.Errorf("cluster: membership change computed against epoch %d but the store is at %d — superseded, recompute and retry", base, rec.Epoch)
-	}
 	next, err := membership.At(base+1, members, membership.DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
 	}
-	nextRec := membership.RecordOf(next, c.targets())
-	// Carry the committed sharing into the successor record: if this
-	// process dies before the new epoch's reshare publishes, the store
-	// still holds commitments + sealed shares a restart can adopt.
-	nextRec.DKG, nextRec.MasterKey = c.prov.Record(), c.prov.MasterKey()
-	if err := membership.Publish(ctx, c.Store, nextRec, ver); err != nil {
-		if errors.Is(err, storage.ErrVersionConflict) || errors.Is(err, storage.ErrFenced) {
-			return nil, fmt.Errorf("cluster: membership change superseded by a concurrent writer: %w", err)
+	_, err = membership.Update(ctx, c.Store, func(cur *membership.Record) (*membership.Record, error) {
+		if cur != nil && cur.Epoch > base {
+			// The store is ahead of the view this change was computed from:
+			// publishing it would silently drop whatever the concurrent
+			// writer changed. Refuse — the discovery watcher adopts the
+			// newer record, and the operator recomputes against it.
+			return nil, fmt.Errorf("cluster: membership change computed against epoch %d but the store is at %d — superseded, recompute and retry", base, cur.Epoch)
 		}
+		rec := membership.RecordOf(next, c.targets())
+		// Carry the key material into the successor record: if this
+		// process dies before the new epoch's reshare publishes, the store
+		// still holds commitments + sealed shares a restart can adopt.
+		c.prov.Stamp(rec)
+		return rec, nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("cluster: persisting membership record: %w", err)
 	}
 	return next, c.propagate(ctx, next)
@@ -693,26 +678,24 @@ func (c *Cluster) propagate(ctx context.Context, next *Membership) error {
 // before the caller can serve any shard (so its Targets are empty);
 // calling this once the listeners are up lets a direct-routing client or a
 // second gateway resolve every member without ever having talked to this
-// one. A CAS loss means a membership change is in flight; that change's
-// own record carries fresh targets, so the loss is ignored.
+// one. A record at another epoch is left alone: a membership change is in
+// flight, and that change's own record carries fresh targets.
 func (c *Cluster) PublishTargets(ctx context.Context) error {
 	if c.Targets == nil {
 		return nil
 	}
 	c.changeMu.Lock()
 	defer c.changeMu.Unlock()
-	rec, ver, err := membership.Load(ctx, c.Store)
-	if err != nil {
-		return err
-	}
-	if rec.Epoch != c.Epoch() {
-		return nil // mid-change or behind; the next record carries targets
-	}
-	rec.Targets = c.Targets()
-	err = membership.Publish(ctx, c.Store, rec, ver)
-	if errors.Is(err, storage.ErrVersionConflict) || errors.Is(err, storage.ErrFenced) {
-		return nil
-	}
+	_, err := membership.Update(ctx, c.Store, func(cur *membership.Record) (*membership.Record, error) {
+		if cur == nil {
+			return nil, membership.ErrNoRecord
+		}
+		if cur.Epoch != c.Epoch() {
+			return nil, nil // mid-change or behind; the next record carries targets
+		}
+		cur.Targets = c.Targets()
+		return cur, nil
+	})
 	return err
 }
 

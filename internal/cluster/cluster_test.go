@@ -476,8 +476,8 @@ func TestClusterGracefulShutdownHandsOver(t *testing.T) {
 	}
 }
 
-// callCountingStore is a MemStore that counts lease reads (Get on a lease
-// directory), batched group reads (GetMany) and listings, per directory.
+// callCountingStore is a MemStore that counts versioned reads (a lease read
+// is one), batched group reads (GetMany) and listings, per directory.
 type callCountingStore struct {
 	*storage.MemStore
 	mu       sync.Mutex
@@ -493,11 +493,11 @@ func (c *callCountingStore) List(ctx context.Context, dir string) ([]string, err
 	return c.MemStore.List(ctx, dir)
 }
 
-func (c *callCountingStore) Get(ctx context.Context, dir, name string) ([]byte, error) {
+func (c *callCountingStore) GetVersioned(ctx context.Context, dir, name string) ([]byte, uint64, error) {
 	c.mu.Lock()
 	c.gets[dir]++
 	c.mu.Unlock()
-	return c.MemStore.Get(ctx, dir, name)
+	return c.MemStore.GetVersioned(ctx, dir, name)
 }
 
 func (c *callCountingStore) GetMany(ctx context.Context, dir string, names []string) ([][]byte, []error) {

@@ -201,33 +201,27 @@ func TestSealedRestartOnAnotherPlatformFails(t *testing.T) {
 	}
 }
 
-// lateStore shows its first reader no membership record, as if a peer
-// bootstrapped the store between that process's read and its publish.
+// lateStore shows its reader no membership record on the first two reads —
+// New's and the bootstrap publish's own — as if a peer bootstrapped the
+// store between that process's read and its publish, so the publish really
+// loses its CAS.
 type lateStore struct {
 	storage.Store
-	versionRead, recordRead sync.Once
+	mu    sync.Mutex
+	reads int
 }
 
-func (s *lateStore) Version(ctx context.Context, dir string) (uint64, error) {
-	hide := false
+func (s *lateStore) GetVersioned(ctx context.Context, dir, name string) ([]byte, uint64, error) {
 	if dir == membership.Dir {
-		s.versionRead.Do(func() { hide = true })
+		s.mu.Lock()
+		s.reads++
+		hide := s.reads <= 2
+		s.mu.Unlock()
+		if hide {
+			return nil, 0, storage.ErrNotFound
+		}
 	}
-	if hide {
-		return 0, nil
-	}
-	return s.Store.Version(ctx, dir)
-}
-
-func (s *lateStore) Get(ctx context.Context, dir, name string) ([]byte, error) {
-	hide := false
-	if dir == membership.Dir {
-		s.recordRead.Do(func() { hide = true })
-	}
-	if hide {
-		return nil, storage.ErrNotFound
-	}
-	return s.Store.Get(ctx, dir, name)
+	return s.Store.GetVersioned(ctx, dir, name)
 }
 
 // TestBootstrapRaceLoserRestoresTheWinnersKey: a process that loses the

@@ -27,6 +27,11 @@ func thresholdOptions(n int, store storage.Store) Options {
 	}
 }
 
+// thresholdOf is the cluster's threshold provisioner: the tests extract
+// with the first live holder as combiner (extractVia with no coordinator)
+// and read its committed record beneath the KeyProvisioner surface.
+func thresholdOf(c *Cluster) *thresholdProvisioner { return c.Provisioner().(*thresholdProvisioner) }
+
 // thresholdClient provisions a user key through the provisioner's quorum
 // protocol (no enclave holds the full secret) and returns a store client —
 // the threshold-mode analogue of clientFor.
@@ -36,12 +41,12 @@ func (tc *testCluster) thresholdClient(t *testing.T, id, group string) *client.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov, err := tc.c.Provisioner().Extract(id, priv.PublicKey())
+	prov, err := thresholdOf(tc.c).extractVia("", id, priv.PublicKey())
 	if err != nil {
 		t.Fatalf("threshold extract for %s: %v", id, err)
 	}
 	// Find the enclave whose identity key signed it (combiner = first live
-	// holder for the interface-level Extract).
+	// holder when no coordinator is named).
 	scheme := tc.c.Shards()[0].Encl.Scheme()
 	var opened bool
 	var cl *client.Client
@@ -126,7 +131,7 @@ func TestThresholdBootstrapAndExtract(t *testing.T) {
 
 	// Kill d = 1 holder: a full blinded quorum (3 of 4) still exists.
 	tc.c.Shards()[3].Kill()
-	if _, err := tc.c.Provisioner().Extract(users[1], newECDHPub(t)); err != nil {
+	if _, err := thresholdOf(tc.c).extractVia("", users[1], newECDHPub(t)); err != nil {
 		t.Fatalf("extraction with 3 of 4 holders: %v", err)
 	}
 
@@ -137,7 +142,7 @@ func TestThresholdBootstrapAndExtract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov, err := tc.c.Provisioner().Extract(users[2], priv.PublicKey())
+	prov, err := thresholdOf(tc.c).extractVia("", users[2], priv.PublicKey())
 	if err != nil {
 		t.Fatalf("extraction with 2 of 4 holders (recovery path): %v", err)
 	}
@@ -160,7 +165,7 @@ func TestThresholdBootstrapAndExtract(t *testing.T) {
 	// Kill a third: one live share is below the d+1 recovery floor — the
 	// secret is unrecoverable from a single share, by design.
 	tc.c.Shards()[1].Kill()
-	if _, err := tc.c.Provisioner().Extract(users[3], newECDHPub(t)); err == nil {
+	if _, err := thresholdOf(tc.c).extractVia("", users[3], newECDHPub(t)); err == nil {
 		t.Fatal("a single share sufficed to extract — threshold is broken")
 	}
 }
@@ -252,7 +257,7 @@ func TestThresholdRestartPreservesMasterKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov, err := tc.c.Provisioner().Extract(users[0], priv.PublicKey())
+	prov, err := thresholdOf(tc.c).extractVia("", users[0], priv.PublicKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +272,7 @@ func TestThresholdRestartPreservesMasterKey(t *testing.T) {
 	if _, err := tc.c.ApplyMembership(ctx, tc.c.Membership().Members()); err != nil {
 		t.Fatalf("reshare epoch bump: %v", err)
 	}
-	genBefore := tc.c.Provisioner().Record().Generation
+	genBefore := thresholdOf(tc.c).Record().Generation
 	if genBefore != tc.c.Epoch() {
 		t.Fatalf("reshare generation %d != epoch %d", genBefore, tc.c.Epoch())
 	}
@@ -291,7 +296,7 @@ func TestThresholdRestartPreservesMasterKey(t *testing.T) {
 	if string(pkBefore) != string(pkAfter) {
 		t.Fatal("restart minted a fresh master key")
 	}
-	if got := c2.Provisioner().Record().Generation; got != genBefore {
+	if got := thresholdOf(c2).Record().Generation; got != genBefore {
 		t.Fatalf("restart adopted generation %d, want the reshared %d", got, genBefore)
 	}
 	for _, s := range c2.Shards() {
@@ -316,7 +321,7 @@ func TestThresholdRestartPreservesMasterKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov2, err := c2.Provisioner().Extract(users[1], priv2.PublicKey())
+	prov2, err := thresholdOf(c2).extractVia("", users[1], priv2.PublicKey())
 	if err != nil {
 		t.Fatalf("post-restart extraction: %v", err)
 	}
@@ -355,7 +360,7 @@ func TestThresholdGrowShrinkReshares(t *testing.T) {
 	}
 	assertResharedTo := func(wantMembers int) {
 		t.Helper()
-		rec := tc.c.Provisioner().Record()
+		rec := thresholdOf(tc.c).Record()
 		if rec.Generation != tc.c.Epoch() {
 			t.Fatalf("generation %d lags epoch %d — a membership bump skipped its reshare", rec.Generation, tc.c.Epoch())
 		}
@@ -367,7 +372,7 @@ func TestThresholdGrowShrinkReshares(t *testing.T) {
 				t.Fatalf("holder %s is at generation %d (ok=%v), record at %d", id, gen, ok, rec.Generation)
 			}
 		}
-		if _, err := tc.c.Provisioner().Extract(users[0], newECDHPub(t)); err != nil {
+		if _, err := thresholdOf(tc.c).extractVia("", users[0], newECDHPub(t)); err != nil {
 			t.Fatalf("extraction with %d members: %v", wantMembers, err)
 		}
 	}
@@ -388,12 +393,10 @@ func TestThresholdGrowShrinkReshares(t *testing.T) {
 	// Autoscaler-driven shrink: the idle controller drains 4 → 2 through
 	// the same persisted-membership path; each drain reshares.
 	as := NewAutoscaler(tc.c, AutoscalerConfig{
-		Min:        2,
-		Max:        4,
-		GrowLoad:   1 << 40, // never grow
-		ShrinkLoad: 1,       // idle load shrinks
-		Interval:   20 * time.Millisecond,
-		Cooldown:   40 * time.Millisecond,
+		Min:      2,
+		Max:      4,
+		GrowLoad: 1 << 40, // never grow; idle load is far below GrowLoad/8
+		Interval: 20 * time.Millisecond,
 	})
 	as.Start()
 	waitUntil(t, 20*time.Second, "autoscaler to drain the cluster to 2 members", func() bool {
@@ -401,13 +404,13 @@ func TestThresholdGrowShrinkReshares(t *testing.T) {
 	})
 	as.Stop()
 	waitUntil(t, 10*time.Second, "final drain's reshare to land", func() bool {
-		return tc.c.Provisioner().Record().Generation == tc.c.Epoch()
+		return thresholdOf(tc.c).Record().Generation == tc.c.Epoch()
 	})
 	assertResharedTo(2)
 
 	// Proactive security: the drained ex-holders wiped their shares, so no
 	// coalition of retired shards can reconstruct anything.
-	final := tc.c.Provisioner().Record()
+	final := thresholdOf(tc.c).Record()
 	for _, s := range []*Shard{s3, s4} {
 		if _, held := final.Holders[s.ID]; held {
 			continue // autoscaler happened to keep this one
@@ -484,7 +487,7 @@ func TestThresholdReshareSupersededMidFlight(t *testing.T) {
 			t.Fatalf("%s at generation %d (ok=%v), want %d", s.ID, gen, ok, tc.c.Epoch())
 		}
 	}
-	if _, err := tc.c.Provisioner().Extract(users[0], newECDHPub(t)); err != nil {
+	if _, err := thresholdOf(tc.c).extractVia("", users[0], newECDHPub(t)); err != nil {
 		t.Fatalf("extraction after superseded reshare: %v", err)
 	}
 	if _, err := tc.thresholdClient(t, users[1], "race").GroupKey(ctx); err != nil {
@@ -541,7 +544,7 @@ func TestThresholdCommitFailureHealsFromPublishedRecord(t *testing.T) {
 
 	// With all 3 members healed the blinded quorum (2d+1 = 3) works — an
 	// unhealed victim would force every extraction into degraded recovery.
-	if _, err := tc.c.Provisioner().Extract(users[0], newECDHPub(t)); err != nil {
+	if _, err := thresholdOf(tc.c).extractVia("", users[0], newECDHPub(t)); err != nil {
 		t.Fatalf("extraction after healed commit failure: %v", err)
 	}
 	if _, err := tc.thresholdClient(t, users[1], "heal").GroupKey(ctx); err != nil {
@@ -591,7 +594,7 @@ func TestThresholdKillDuringReshare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prov, err := tc.c.Provisioner().Extract(users[0], priv.PublicKey())
+	prov, err := thresholdOf(tc.c).extractVia("", users[0], priv.PublicKey())
 	if err != nil {
 		t.Fatalf("extraction with 2 survivors: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
 
@@ -279,4 +280,64 @@ func TestClusterKillMidHandoffFencesZombie(t *testing.T) {
 		}
 	}
 	tc.assertOneGroupKey(t, g, members)
+}
+
+// sameEpochPublishStore lands a targets-only publish of the record at its
+// current epoch right before the first membership publish that advances the
+// epoch, as a second gateway re-publishing its URLs would.
+type sameEpochPublishStore struct {
+	storage.Store
+	mu       sync.Mutex
+	injected error // nil until the competing publish landed
+	done     bool
+}
+
+func (s *sameEpochPublishStore) PutFenced(ctx context.Context, dir, name string, data []byte, ifVersion, epoch uint64) error {
+	if dir == membership.Dir {
+		s.mu.Lock()
+		if !s.done {
+			if rec, ver, err := membership.Load(ctx, s.Store); err == nil && epoch > rec.Epoch {
+				s.done = true
+				rec.Targets = map[string]string{"shard-0": "http://127.0.0.1:1"}
+				s.injected = membership.Publish(ctx, s.Store, rec, ver)
+			}
+		}
+		s.mu.Unlock()
+	}
+	return s.Store.PutFenced(ctx, dir, name, data, ifVersion, epoch)
+}
+
+// TestMembershipChangeSurvivesSameEpochPublish: a same-epoch write that
+// lands between a membership change's read and its publish does not
+// supersede the change — the member list was computed at the store's epoch
+// — so the change recomputes its record on top of it and lands at epoch+1.
+func TestMembershipChangeSurvivesSameEpochPublish(t *testing.T) {
+	store := &sameEpochPublishStore{Store: storage.NewMemStore(storage.Latency{})}
+	c, err := New(Options{Shards: 1, Capacity: 4, LeaseTTL: time.Hour, Seed: 7, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Shutdown(context.Background()) })
+	ctx := context.Background()
+	s, err := c.AddShard()
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := c.Admit(ctx, s.ID)
+	if err != nil {
+		t.Fatalf("admit after a same-epoch publish: %v", err)
+	}
+	store.mu.Lock()
+	done, injected := store.done, store.injected
+	store.mu.Unlock()
+	if !done || injected != nil {
+		t.Fatalf("the competing same-epoch publish did not land (ran %v): %v", done, injected)
+	}
+	rec, _, err := membership.Load(ctx, store.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Epoch != 2 || rec.Epoch != 2 || len(rec.Members) != 2 {
+		t.Fatalf("admit landed at epoch %d, store at epoch %d over %v; want epoch 2 over 2 members", next.Epoch, rec.Epoch, rec.Members)
+	}
 }

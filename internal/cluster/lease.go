@@ -57,7 +57,7 @@ const leaseObject = "lease"
 func leaseDir(group string) string { return leaseDirPrefix + group }
 
 // leaseStore wraps the CAS operations of the lease protocol. The directory
-// version read before the Get is the token every write conditions on, so
+// version read with the lease is the token every write conditions on, so
 // two shards racing for the same expired lease resolve to exactly one
 // winner — the other fails its PutIf and backs off. Writes additionally
 // carry the caller's membership epoch as a fencing token: the store rejects
@@ -68,16 +68,13 @@ type leaseStore struct {
 }
 
 // read returns the current lease (zero Lease if none) and the directory
-// version to condition the next write on.
+// version to condition the next write on, in one store read. A missing
+// lease reads at version 0: leases are released, never deleted, so its
+// directory was never written.
 func (ls *leaseStore) read(ctx context.Context, group string) (Lease, uint64, error) {
-	dir := leaseDir(group)
-	ver, err := ls.store.Version(ctx, dir)
-	if err != nil {
-		return Lease{}, 0, err
-	}
-	blob, err := ls.store.Get(ctx, dir, leaseObject)
+	blob, ver, err := ls.store.GetVersioned(ctx, leaseDir(group), leaseObject)
 	if errors.Is(err, storage.ErrNotFound) {
-		return Lease{}, ver, nil
+		return Lease{}, 0, nil
 	}
 	if err != nil {
 		return Lease{}, 0, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ibbesgx/ibbesgx/internal/membership"
 	"github.com/ibbesgx/ibbesgx/internal/storage"
 )
 
@@ -191,4 +192,79 @@ func TestLeaseAcquireRaceSingleWinner(t *testing.T) {
 	if len(wins) != 1 {
 		t.Fatalf("lease winners = %v, want exactly one", wins)
 	}
+}
+
+// readCountingStore counts the single-object and version reads it serves.
+type readCountingStore struct {
+	storage.Store
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (s *readCountingStore) count(op string) {
+	s.mu.Lock()
+	s.calls[op]++
+	s.mu.Unlock()
+}
+
+func (s *readCountingStore) Get(ctx context.Context, dir, name string) ([]byte, error) {
+	s.count("Get")
+	return s.Store.Get(ctx, dir, name)
+}
+
+func (s *readCountingStore) GetVersioned(ctx context.Context, dir, name string) ([]byte, uint64, error) {
+	s.count("GetVersioned")
+	return s.Store.GetVersioned(ctx, dir, name)
+}
+
+func (s *readCountingStore) Version(ctx context.Context, dir string) (uint64, error) {
+	s.count("Version")
+	return s.Store.Version(ctx, dir)
+}
+
+// take returns the calls counted since the last take.
+func (s *readCountingStore) take() map[string]int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	calls := s.calls
+	s.calls = map[string]int{}
+	return calls
+}
+
+// TestRecordAndLeaseReadsAreOneStoreCall: reading the membership record or a
+// group lease — present or not — costs one store round trip that returns
+// the object with its directory version, and never a separate Version.
+func TestRecordAndLeaseReadsAreOneStoreCall(t *testing.T) {
+	ctx := context.Background()
+	store := &readCountingStore{Store: storage.NewMemStore(storage.Latency{}), calls: map[string]int{}}
+	one := func(what string) {
+		t.Helper()
+		if calls := store.take(); len(calls) != 1 || calls["GetVersioned"] != 1 {
+			t.Fatalf("%s: store calls %v, want one GetVersioned", what, calls)
+		}
+	}
+
+	if _, ver, err := membership.Load(ctx, store); !errors.Is(err, membership.ErrNoRecord) || ver != 0 {
+		t.Fatalf("load before any publish: version %d, %v", ver, err)
+	}
+	one("missing record")
+	if err := membership.Publish(ctx, store, &membership.Record{Epoch: 1, Members: []string{"shard-0"}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	store.take()
+	rec, ver, err := membership.Load(ctx, store)
+	if err != nil || rec.Epoch != 1 || ver == 0 {
+		t.Fatalf("load: %+v at version %d, %v", rec, ver, err)
+	}
+	one("record")
+
+	ls := &leaseStore{store: store, now: newFakeClock().now}
+	if _, _, err := ls.acquire(ctx, "g", "shard-0", time.Minute, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	one("acquiring a never-leased group")
+	if _, _, err := ls.acquire(ctx, "g", "shard-0", time.Minute, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	one("re-acquiring an owned lease")
 }

@@ -262,7 +262,6 @@ func TestAutoscalerGrowsOnTelemetrySignals(t *testing.T) {
 		Max:      3,
 		GrowLoad: 1_000,
 		Interval: 20 * time.Millisecond,
-		Cooldown: 40 * time.Millisecond,
 	})
 	// Only telemetry: a standing router queue. With the default weight the
 	// per-member signal is 20_000 × 50 / 2 = 500_000 ≫ GrowLoad.

@@ -61,21 +61,31 @@ type ProvisionerStatus struct {
 	Reshares uint64 `json:"reshares,omitempty"`
 }
 
-// KeyProvisioner is the single call surface for master-key provisioning.
-// A Cluster drives it at four points: Provision when a shard enclave is
-// minted, Complete once the bootstrap member set is fully minted,
-// OnMembership after each membership change reaches the shards, and
-// Extract for every user-key request in threshold mode.
+// ExtractFunc derives a user's wrapped key for /provision: the extraction
+// path a shard serves, fixed when the shard is minted.
+type ExtractFunc func(id string, userPub *ecdh.PublicKey) (*enclave.ProvisionedKey, error)
+
+// KeyProvisioner is the single call surface for master-key provisioning;
+// once the cluster has built one it never branches on the mode again. Its
+// six methods: Provision when a shard enclave is minted, Complete once the
+// bootstrap member set is fully minted, OnMembership after each membership
+// change reaches the shards, Stamp on every membership record the cluster
+// publishes, and PublicKey and Status for the operator surfaces.
 //
-// Implementations must be safe for concurrent use; Extract in particular
-// races shard HTTP handlers against membership transitions.
+// Implementations must be safe for concurrent use; the extraction paths
+// Provision hands out in particular race shard HTTP handlers against
+// membership transitions.
 type KeyProvisioner interface {
-	// Provision installs key material on a freshly minted shard enclave:
+	// Provision installs key material on a freshly minted shard enclave —
 	// the full sealed secret (sealed mode), a restored share (threshold
 	// restart), or just the master public key (threshold runtime mint — a
 	// new shard becomes a holder only at the next reshare, so a full-secret
-	// blob can never leak onto an unproven member).
-	Provision(id string, encl *enclave.IBBEEnclave) error
+	// blob can never leak onto an unproven member) — and returns the
+	// shard's extraction path. Sealed mode extracts in the shard's own
+	// enclave; threshold mode runs the blinded-quorum protocol (2d+1 live
+	// holders) or the degraded recover path (d+1) with the shard's enclave
+	// as combiner, so extraction survives the loss of any d holders.
+	Provision(id string, encl *enclave.IBBEEnclave) (ExtractFunc, error)
 	// Complete finishes bootstrap after the initial member set is minted.
 	// In threshold mode bootstrap is the first reshare: the (single,
 	// transient) dealer holds γ as the degree-0 sharing f(x) = γ and
@@ -83,25 +93,19 @@ type KeyProvisioner interface {
 	// verify and adopt, publish in the fenced membership record, commit —
 	// and its own commit drops the full secret.
 	Complete(ctx context.Context) error
-	// Extract derives the wrapped user key for id. Sealed mode asks any
-	// live enclave; threshold mode runs the blinded-quorum protocol (2d+1
-	// live holders) or the degraded recover path (d+1), so extraction
-	// survives the loss of any d holders.
-	Extract(id string, userPub *ecdh.PublicKey) (*enclave.ProvisionedKey, error)
 	// OnMembership runs after membership m is durable and installed on the
 	// shards. Threshold mode reshares to the new member set and publishes
 	// the new record under m's epoch; ErrReshareSuperseded is benign.
 	OnMembership(ctx context.Context, m *Membership) error
 	// PublicKey returns the master public key (nil before bootstrap).
 	PublicKey() *ibbe.PublicKey
-	// Record returns a snapshot of the committed DKG record (nil in sealed
-	// mode); it is what applyMembership carries into successor publishes so
-	// a crash mid-reshare never loses the share state.
-	Record() *dkg.Record
-	// MasterKey returns the sealed master key the membership record
-	// persists (nil in threshold mode): the bootstrap publish and every
-	// successor carry it, so a restart restores it instead of minting anew.
-	MasterKey() *membership.MasterKey
+	// Stamp writes the provisioner's key material into a membership record
+	// about to be published: the sealed master key in sealed mode, a
+	// snapshot of the committed DKG record in threshold mode (each nil
+	// until there is one). The bootstrap publish and every successor carry
+	// it, so a restart restores the key instead of minting anew and a crash
+	// mid-reshare never loses the share state.
+	Stamp(rec *membership.Record)
 	// Status reports the operator-facing provisioning state.
 	Status() ProvisionerStatus
 }
@@ -114,21 +118,14 @@ type KeyProvisioner interface {
 // a persisted key, every Provision restores it.
 type sealedProvisioner struct {
 	capacity int
-	live     func(id string) bool
 
 	mu       sync.Mutex
 	key      *membership.MasterKey // nil until the first Provision runs EcallSetup
 	masterPK *ibbe.PublicKey
-	encls    map[string]*enclave.IBBEEnclave
-	order    []string // provision order; Extract prefers earlier shards
 }
 
-func newSealedProvisioner(capacity int, scheme *ibbe.Scheme, live func(string) bool, key *membership.MasterKey) (*sealedProvisioner, error) {
-	p := &sealedProvisioner{
-		capacity: capacity,
-		live:     live,
-		encls:    make(map[string]*enclave.IBBEEnclave),
-	}
+func newSealedProvisioner(capacity int, scheme *ibbe.Scheme, key *membership.MasterKey) (*sealedProvisioner, error) {
+	p := &sealedProvisioner{capacity: capacity}
 	if key != nil {
 		pk, err := scheme.UnmarshalPublicKey(key.PublicKey)
 		if err != nil {
@@ -139,36 +136,23 @@ func newSealedProvisioner(capacity int, scheme *ibbe.Scheme, live func(string) b
 	return p, nil
 }
 
-func (p *sealedProvisioner) Provision(id string, encl *enclave.IBBEEnclave) error {
+func (p *sealedProvisioner) Provision(id string, encl *enclave.IBBEEnclave) (ExtractFunc, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.key == nil {
 		pk, sealed, err := encl.EcallSetup(p.capacity)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		p.key = &membership.MasterKey{SealedMSK: sealed, PublicKey: encl.Scheme().MarshalPublicKey(pk)}
 		p.masterPK = pk
 	} else if err := encl.EcallRestore(p.key.SealedMSK, p.masterPK); err != nil {
-		return fmt.Errorf("cluster: sharing master secret with %s: %w", id, err)
+		return nil, fmt.Errorf("cluster: sharing master secret with %s: %w", id, err)
 	}
-	p.encls[id] = encl
-	p.order = append(p.order, id)
-	return nil
+	return encl.EcallExtractUserKey, nil
 }
 
 func (p *sealedProvisioner) Complete(context.Context) error { return nil }
-
-func (p *sealedProvisioner) Extract(id string, userPub *ecdh.PublicKey) (*enclave.ProvisionedKey, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, sid := range p.order {
-		if p.live == nil || p.live(sid) {
-			return p.encls[sid].EcallExtractUserKey(id, userPub)
-		}
-	}
-	return nil, errors.New("cluster: no live shard to extract from")
-}
 
 func (p *sealedProvisioner) OnMembership(context.Context, *Membership) error { return nil }
 
@@ -178,12 +162,10 @@ func (p *sealedProvisioner) PublicKey() *ibbe.PublicKey {
 	return p.masterPK
 }
 
-func (p *sealedProvisioner) Record() *dkg.Record { return nil }
-
-func (p *sealedProvisioner) MasterKey() *membership.MasterKey {
+func (p *sealedProvisioner) Stamp(rec *membership.Record) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.key
+	rec.MasterKey = p.key
 }
 
 func (p *sealedProvisioner) Status() ProvisionerStatus {
@@ -196,9 +178,9 @@ func (p *sealedProvisioner) Status() ProvisionerStatus {
 // thresholdProvisioner holds the cluster-side (untrusted) half of the DKG:
 // it relays sealed protocol blobs between shard enclaves and publishes the
 // public record — it never sees a share or the secret. All state mutation
-// happens under p.mu; Extract holds it too, so an extraction can never
-// straddle a share-generation commit and combine partials from different
-// polynomials.
+// happens under p.mu; an extraction runs on a snapshot taken under it (see
+// extractVia for why that never combines partials from different
+// polynomials).
 type thresholdProvisioner struct {
 	capacity int
 	scheme   *ibbe.Scheme
@@ -243,7 +225,7 @@ func newThresholdProvisioner(capacity int, scheme *ibbe.Scheme, store storage.St
 	return p, nil
 }
 
-func (p *thresholdProvisioner) Provision(id string, encl *enclave.IBBEEnclave) error {
+func (p *thresholdProvisioner) Provision(id string, encl *enclave.IBBEEnclave) (ExtractFunc, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	switch {
@@ -253,26 +235,32 @@ func (p *thresholdProvisioner) Provision(id string, encl *enclave.IBBEEnclave) e
 		// get only the public key and become holders at the next reshare.
 		if sealed, ok := p.rec.SealedShares[id]; ok && p.rec.Index(id) != 0 {
 			if err := encl.EcallRestoreShare(p.rec, id, sealed); err != nil {
-				return fmt.Errorf("cluster: restoring share on %s: %w", id, err)
+				return nil, fmt.Errorf("cluster: restoring share on %s: %w", id, err)
 			}
 		} else if err := encl.EcallAdoptPublicKey(p.rec.MasterPK); err != nil {
-			return err
+			return nil, err
 		}
 	case p.masterPK == nil:
 		// Bootstrap dealer: the ONLY enclave that ever holds the full γ,
 		// and only until it commits Complete's bootstrap reshare.
 		pk, _, err := encl.EcallSetup(p.capacity)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		p.masterPK, p.dealer = pk, id
 	default:
 		if err := encl.EcallAdoptPublicKey(p.scheme.MarshalPublicKey(p.masterPK)); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	p.encls[id] = encl
-	return nil
+	// /provision on a threshold shard routes through the quorum protocol
+	// instead of the (share-less) local enclave; this shard's own enclave
+	// does the combine, so the signature verifies against the certificate
+	// the shard serves.
+	return func(uid string, userPub *ecdh.PublicKey) (*enclave.ProvisionedKey, error) {
+		return p.extractVia(id, uid, userPub)
+	}, nil
 }
 
 // Complete runs bootstrap as the first reshare: the dealer (the one
@@ -300,30 +288,25 @@ func (p *thresholdProvisioner) Complete(ctx context.Context) error {
 // epoch gen. The reshare's correctness hinges on the epoch check: a record
 // published by a newer membership means this sharing is already stale.
 func (p *thresholdProvisioner) publishLocked(ctx context.Context, gen uint64, rec *dkg.Record) error {
-	for {
-		mrec, ver, err := membership.Load(ctx, p.store)
-		if err != nil {
-			return fmt.Errorf("cluster: reading membership record for DKG publish: %w", err)
+	_, err := membership.Update(ctx, p.store, func(cur *membership.Record) (*membership.Record, error) {
+		if cur == nil {
+			return nil, membership.ErrNoRecord
 		}
-		if mrec.Epoch != gen {
-			return fmt.Errorf("%w: sharing is for epoch %d, store is at %d", ErrReshareSuperseded, gen, mrec.Epoch)
+		if cur.Epoch != gen {
+			return nil, fmt.Errorf("%w: sharing is for epoch %d, store is at %d", ErrReshareSuperseded, gen, cur.Epoch)
 		}
-		if mrec.DKG != nil && mrec.DKG.Generation >= gen && mrec.DKG.Generation != p.generationLocked() {
+		if cur.DKG != nil && cur.DKG.Generation >= gen && cur.DKG.Generation != p.generationLocked() {
 			// Someone else (a second gateway) already published this
 			// generation's sharing; ours would clobber theirs.
-			return fmt.Errorf("%w: generation %d already published", ErrReshareSuperseded, mrec.DKG.Generation)
+			return nil, fmt.Errorf("%w: generation %d already published", ErrReshareSuperseded, cur.DKG.Generation)
 		}
-		mrec.DKG = rec
-		err = membership.Publish(ctx, p.store, mrec, ver)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, storage.ErrVersionConflict) && !errors.Is(err, storage.ErrFenced) {
-			return fmt.Errorf("cluster: publishing DKG record: %w", err)
-		}
-		// CAS loss: re-read and retry — the epoch check above decides
-		// whether the sharing is still the one the store wants.
+		cur.DKG = rec
+		return cur, nil
+	})
+	if err != nil {
+		return fmt.Errorf("cluster: publishing DKG record: %w", err)
 	}
+	return nil
 }
 
 // timePhase times one reshare phase for the observability bundle; use as
@@ -402,20 +385,15 @@ func liveHolders(rec *dkg.Record, encls map[string]*enclave.IBBEEnclave, live fu
 	return out
 }
 
-// Extract runs the threshold extraction. With a full blinded quorum (2d+1
-// live holders) no enclave ever reconstructs γ; between d+1 and 2d no
-// quorum exists, so the survivors fall back to a recovery combine where ONE
+// extractVia runs the threshold extraction with coord as the coordinating
+// shard: the quorum's partials are combined (and the user key signed)
+// inside coord's enclave, so the signature verifies against the certificate
+// of the shard that served the request. An empty (or unknown) coord falls
+// back to the first live holder. With a full blinded quorum (2d+1 live
+// holders) no enclave ever reconstructs γ; between d+1 and 2d no quorum
+// exists, so the survivors fall back to a recovery combine where ONE
 // coordinating enclave transiently reconstructs γ inside and discards it —
 // degraded, but the secret still never exists outside enclave code.
-func (p *thresholdProvisioner) Extract(id string, userPub *ecdh.PublicKey) (*enclave.ProvisionedKey, error) {
-	return p.extractVia("", id, userPub)
-}
-
-// extractVia is Extract with an explicit coordinating shard: the quorum's
-// partials are combined (and the user key signed) inside coord's enclave,
-// so the signature verifies against the certificate of the shard that
-// served the request. An empty (or unknown) coord falls back to the first
-// live holder.
 //
 // The protocol runs on a snapshot, outside p.mu. The enclaves themselves
 // revalidate the generation — every round blob is sealed under a
@@ -688,13 +666,15 @@ func (p *thresholdProvisioner) PublicKey() *ibbe.PublicKey {
 	return p.masterPK
 }
 
+// Record returns a snapshot of the committed DKG record (nil before
+// bootstrap).
 func (p *thresholdProvisioner) Record() *dkg.Record {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.rec.Clone()
 }
 
-func (p *thresholdProvisioner) MasterKey() *membership.MasterKey { return nil }
+func (p *thresholdProvisioner) Stamp(rec *membership.Record) { rec.DKG = p.Record() }
 
 func (p *thresholdProvisioner) Status() ProvisionerStatus {
 	p.mu.Lock()

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"crypto/ecdh"
 	"errors"
 	"fmt"
 	"sort"
@@ -59,7 +58,7 @@ type Shard struct {
 	// extract derives a user's wrapped key for /provision, fixed when the
 	// shard is minted: its own enclave in sealed mode, the quorum it
 	// coordinates in threshold mode.
-	extract func(id string, userPub *ecdh.PublicKey) (*enclave.ProvisionedKey, error)
+	extract ExtractFunc
 
 	// StealBackoffStep overrides DefaultStealBackoffStep (tests).
 	StealBackoffStep time.Duration
@@ -90,7 +89,7 @@ type Shard struct {
 // newShard builds the shard named id over its minted enclave, admin,
 // /info contents and extraction path. Every conditional write the admin
 // issues carries the shard's applied membership epoch as a fencing token.
-func (c *Cluster) newShard(id string, adm *admin.Admin, encl *enclave.IBBEEnclave, m *Membership, info admin.SystemInfo, extract func(string, *ecdh.PublicKey) (*enclave.ProvisionedKey, error)) *Shard {
+func (c *Cluster) newShard(id string, adm *admin.Admin, encl *enclave.IBBEEnclave, m *Membership, info admin.SystemInfo, extract ExtractFunc) *Shard {
 	ttl := c.opts.LeaseTTL
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL

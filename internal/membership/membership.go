@@ -11,6 +11,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -87,17 +88,6 @@ func (r *Ring) Members() []string {
 	return append([]string(nil), r.members...)
 }
 
-// has reports membership without copying the member slice (the ring is
-// immutable) — Membership.Has sits on the per-request hot path.
-func (r *Ring) has(id string) bool {
-	for _, s := range r.members {
-		if s == id {
-			return true
-		}
-	}
-	return false
-}
-
 // Owner returns the shard owning a group: the first virtual node at or
 // after the group's point on the circle.
 func (r *Ring) Owner(group string) string {
@@ -169,8 +159,9 @@ func At(epoch uint64, shards []string, vnodes int) (*Membership, error) {
 // Members returns the member shard IDs, sorted.
 func (m *Membership) Members() []string { return m.Ring.Members() }
 
-// Has reports whether id is a member.
-func (m *Membership) Has(id string) bool { return m.Ring.has(id) }
+// Has reports whether id is a member. It reads the ring's member slice in
+// place (the ring is immutable): Has sits on the per-request hot path.
+func (m *Membership) Has(id string) bool { return slices.Contains(m.Ring.members, id) }
 
 // Owner returns the shard owning a group under this membership.
 func (m *Membership) Owner(group string) string { return m.Ring.Owner(group) }
@@ -191,13 +182,9 @@ func (m *Membership) AddShard(id string) (*Membership, error) {
 // epoch advanced. Only the leaving shard's groups change owner.
 func (m *Membership) RemoveShard(id string) (*Membership, error) {
 	members := m.Members()
-	kept := make([]string, 0, len(members))
-	for _, s := range members {
-		if s != id {
-			kept = append(kept, s)
-		}
-	}
-	if len(kept) == len(members) {
+	n := len(members)
+	kept := slices.DeleteFunc(members, func(s string) bool { return s == id })
+	if len(kept) == n {
 		return nil, fmt.Errorf("cluster: %s is not a member", id)
 	}
 	if len(kept) == 0 {

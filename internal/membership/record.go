@@ -76,16 +76,13 @@ func RecordOf(m *Membership, targets map[string]string) *Record {
 
 // Load reads the persisted membership record, also returning the record
 // directory's version — the CAS token a subsequent publish must condition
-// on. A store with no record returns ErrNoRecord (with the version still
-// valid for a bootstrap publish).
+// on — in one store read. A store with no record returns ErrNoRecord at
+// version 0: the record is never deleted, so its directory was never
+// written.
 func Load(ctx context.Context, store storage.Store) (*Record, uint64, error) {
-	ver, err := store.Version(ctx, Dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	blob, err := store.Get(ctx, Dir, Object)
+	blob, ver, err := store.GetVersioned(ctx, Dir, Object)
 	if errors.Is(err, storage.ErrNotFound) {
-		return nil, ver, ErrNoRecord
+		return nil, 0, ErrNoRecord
 	}
 	if err != nil {
 		return nil, 0, err
@@ -112,13 +109,50 @@ func Load(ctx context.Context, store storage.Store) (*Record, uint64, error) {
 // computing successors from the same base — one loses with
 // ErrVersionConflict and must re-read), and the fence watermark makes a
 // publish from a superseded epoch terminally ErrFenced even if its version
-// guess happens to be right.
+// guess happens to be right. Writers go through Update, which does the
+// re-read.
 func Publish(ctx context.Context, store storage.Store, rec *Record, ifVersion uint64) error {
 	blob, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
 	return store.PutFenced(ctx, Dir, Object, blob, ifVersion, rec.Epoch)
+}
+
+// updateAttempts bounds Update's re-read loop: a writer that keeps losing
+// the CAS gives up with the last conflict instead of spinning.
+const updateAttempts = 4
+
+// Update is the one way the record changes: it reads the record and its
+// version, calls fn with it (nil before the first publish) and CAS-publishes
+// what fn returns, fenced at that record's epoch. fn computes the successor
+// from the record it replaces and may refuse (its error is returned as is)
+// or return nil to write nothing. A publish lost to a concurrent writer
+// (ErrVersionConflict or ErrFenced) re-reads and calls fn again, up to
+// updateAttempts times. Update returns the record now in the store: the one
+// it wrote, or the one fn declined to replace.
+func Update(ctx context.Context, store storage.Store, fn func(cur *Record) (*Record, error)) (*Record, error) {
+	var err error
+	for attempt := 0; attempt < updateAttempts; attempt++ {
+		cur, ver, lerr := Load(ctx, store)
+		if lerr != nil && !errors.Is(lerr, ErrNoRecord) {
+			return nil, lerr
+		}
+		next, ferr := fn(cur)
+		if ferr != nil {
+			return nil, ferr
+		}
+		if next == nil {
+			return cur, nil
+		}
+		if err = Publish(ctx, store, next, ver); err == nil {
+			return next, nil
+		}
+		if !errors.Is(err, storage.ErrVersionConflict) && !errors.Is(err, storage.ErrFenced) {
+			return nil, err
+		}
+	}
+	return nil, err
 }
 
 // watchRetryDelay spaces retries after a transient store error inside a
@@ -131,30 +165,18 @@ const watchRetryDelay = 200 * time.Millisecond
 // records, so at-least-once delivery is all the loop promises. Transient
 // store errors are retried; the loop never returns them.
 func Watch(ctx context.Context, store storage.Store, fn func(*Record)) {
-	var cursor uint64
 	for ctx.Err() == nil {
 		rec, ver, err := Load(ctx, store)
-		switch {
-		case err == nil:
+		if rec != nil {
 			fn(rec)
-			cursor = ver
-		case errors.Is(err, ErrNoRecord):
-			cursor = ver
-		default:
-			// Transient store trouble (or a corrupt record mid-replace):
-			// back off and re-read rather than spinning on Poll.
-			if sleepCtx(ctx, watchRetryDelay) != nil {
-				return
-			}
-			continue
 		}
-		if _, err := store.Poll(ctx, Dir, cursor); err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			if sleepCtx(ctx, watchRetryDelay) != nil {
-				return
-			}
+		if err == nil || errors.Is(err, ErrNoRecord) {
+			_, err = store.Poll(ctx, Dir, ver)
+		}
+		// Transient store trouble (or a corrupt record mid-replace): back
+		// off and re-read rather than spinning on Poll.
+		if err != nil && sleepCtx(ctx, watchRetryDelay) != nil {
+			return
 		}
 	}
 }

@@ -110,18 +110,18 @@ func TestViewRefreshIsRateLimited(t *testing.T) {
 	}
 }
 
-// gatedGetStore is a MemStore whose Gets each wait for release; entered
-// receives one value per Get that started.
+// gatedGetStore is a MemStore whose versioned reads each wait for release;
+// entered receives one value per read that started.
 type gatedGetStore struct {
 	*storage.MemStore
 	entered chan struct{}
 	release chan struct{}
 }
 
-func (s *gatedGetStore) Get(ctx context.Context, dir, name string) ([]byte, error) {
+func (s *gatedGetStore) GetVersioned(ctx context.Context, dir, name string) ([]byte, uint64, error) {
 	s.entered <- struct{}{}
 	<-s.release
-	return s.MemStore.Get(ctx, dir, name)
+	return s.MemStore.GetVersioned(ctx, dir, name)
 }
 
 // TestViewRefreshWaitsForTheReloadInFlight: a refresh inside the rate-limit

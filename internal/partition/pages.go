@@ -158,10 +158,6 @@ func (c *Pages) SetSource(src PageSource) {
 	c.resident.Store(int64(c.ll.Len()))
 }
 
-// HasSource reports whether a rehydration source is installed (i.e. whether
-// the cache may evict).
-func (c *Pages) HasSource() bool { return c.src != nil }
-
 // Bounded reports whether the cache evicts: it has both a limit and a source
 // to rehydrate from, so a page that is not resident costs a load.
 func (c *Pages) Bounded() bool { return c.limit > 0 && c.src != nil }
